@@ -154,38 +154,22 @@ pub fn eval_batch_into(
     kernel: &dyn Kernel,
     out: &mut [f64],
 ) {
-    debug_assert_eq!(out.len(), batch.num_targets());
+    let (tx, ty, tz) = targets.xyz(batch.start..batch.end);
     // Approximation path (Eq. 11): targets × Chebyshev proxies.
     for &ci in &lists.approx {
         let ci = ci as usize;
-        let grid = charges.grid(ci);
+        let (px, py, pz) = charges.grid(ci).proxies();
         let qhat = charges.charges(ci);
         assert!(
             !qhat.is_empty(),
             "modified charges missing for cluster {ci}"
         );
-        for (t, slot) in (batch.start..batch.end).zip(out.iter_mut()) {
-            let (tx, ty, tz) = (targets.x[t], targets.y[t], targets.z[t]);
-            let mut acc = 0.0;
-            for (k, &qh) in qhat.iter().enumerate() {
-                let s = grid.point_linear(k);
-                acc += kernel.eval(tx - s.x, ty - s.y, tz - s.z) * qh;
-            }
-            *slot += acc;
-        }
+        kernel.accumulate_tile(tx, ty, tz, px, py, pz, qhat, out);
     }
     // Direct path (Eq. 9): targets × cluster sources.
-    let sp = tree.particles();
     for &ci in &lists.direct {
-        let node = tree.node(ci as usize);
-        for (t, slot) in (batch.start..batch.end).zip(out.iter_mut()) {
-            let (tx, ty, tz) = (targets.x[t], targets.y[t], targets.z[t]);
-            let mut acc = 0.0;
-            for j in node.start..node.end {
-                acc += kernel.eval(tx - sp.x[j], ty - sp.y[j], tz - sp.z[j]) * sp.q[j];
-            }
-            *slot += acc;
-        }
+        let (sx, sy, sz, sq) = tree.node_particles(ci as usize);
+        kernel.accumulate_tile(tx, ty, tz, sx, sy, sz, sq, out);
     }
 }
 

@@ -35,10 +35,10 @@ pub struct FieldResult {
 /// Evaluate one batch's potentials **and gradients** against its
 /// interaction lists, accumulating into the four batch-local output
 /// slices (each of length `batch.num_targets()`). This is the field
-/// counterpart of [`crate::engine::eval_batch_into`] — the same loop
-/// structure, with a four-output kernel — and is the scalar body shared
-/// by the serial path, the rayon path, and the simulated-GPU field
-/// kernels (which must stay bitwise identical to it).
+/// counterpart of [`crate::engine::eval_batch_into`] — the same tiles
+/// through [`GradientKernel::accumulate_field_tile`] — shared by the
+/// serial and the rayon path; the simulated-GPU field kernels issue the
+/// same tile calls and so stay bitwise identical to it.
 #[allow(clippy::too_many_arguments)]
 pub fn eval_field_batch_into(
     batch: &Batch,
@@ -52,50 +52,19 @@ pub fn eval_field_batch_into(
     gy: &mut [f64],
     gz: &mut [f64],
 ) {
-    debug_assert_eq!(pot.len(), batch.num_targets());
+    let (tx, ty, tz) = targets.xyz(batch.start..batch.end);
     // Approximation path (Eq. 11): proxies with modified charges.
     for &ci in &lists.approx {
         let ci = ci as usize;
-        let grid = charges.grid(ci);
+        let (px, py, pz) = charges.grid(ci).proxies();
         let qhat = charges.charges(ci);
         assert!(!qhat.is_empty(), "charges missing for cluster {ci}");
-        for (i, t) in (batch.start..batch.end).enumerate() {
-            let (tx, ty, tz) = (targets.x[t], targets.y[t], targets.z[t]);
-            let (mut p, mut ax, mut ay, mut az) = (0.0, 0.0, 0.0, 0.0);
-            for (k, &qh) in qhat.iter().enumerate() {
-                let s = grid.point_linear(k);
-                let (g, dgx, dgy, dgz) = kernel.eval_with_grad(tx - s.x, ty - s.y, tz - s.z);
-                p += g * qh;
-                ax += dgx * qh;
-                ay += dgy * qh;
-                az += dgz * qh;
-            }
-            pot[i] += p;
-            gx[i] += ax;
-            gy[i] += ay;
-            gz[i] += az;
-        }
+        kernel.accumulate_field_tile(tx, ty, tz, px, py, pz, qhat, pot, gx, gy, gz);
     }
     // Direct path (Eq. 9): cluster sources.
-    let sp = tree.particles();
     for &ci in &lists.direct {
-        let node = tree.node(ci as usize);
-        for (i, t) in (batch.start..batch.end).enumerate() {
-            let (tx, ty, tz) = (targets.x[t], targets.y[t], targets.z[t]);
-            let (mut p, mut ax, mut ay, mut az) = (0.0, 0.0, 0.0, 0.0);
-            for j in node.start..node.end {
-                let (g, dgx, dgy, dgz) =
-                    kernel.eval_with_grad(tx - sp.x[j], ty - sp.y[j], tz - sp.z[j]);
-                p += g * sp.q[j];
-                ax += dgx * sp.q[j];
-                ay += dgy * sp.q[j];
-                az += dgz * sp.q[j];
-            }
-            pot[i] += p;
-            gx[i] += ax;
-            gy[i] += ay;
-            gz[i] += az;
-        }
+        let (sx, sy, sz, sq) = tree.node_particles(ci as usize);
+        kernel.accumulate_field_tile(tx, ty, tz, sx, sy, sz, sq, pot, gx, gy, gz);
     }
 }
 

@@ -9,10 +9,21 @@ use crate::geometry::{BoundingBox, Point3};
 use super::chebyshev::ChebyshevGrid1D;
 
 /// Tensor product of three 1D Chebyshev grids spanning a box.
+///
+/// Besides the three 1D grids it stores the `(n+1)³` proxy coordinates
+/// themselves, flat and in linear order, because every evaluation tile
+/// reads them as the source slices of
+/// [`Kernel::accumulate_tile`](crate::kernel::Kernel::accumulate_tile):
+/// `+3·(n+1)³` `f64` per tree node (343 points at `n = 6` is 8 KiB),
+/// paid once at construction instead of two divisions and a modulo per
+/// target–proxy pair.
 #[derive(Debug, Clone)]
 pub struct TensorGrid {
     degree: usize,
     dims: [ChebyshevGrid1D; 3],
+    px: Vec<f64>,
+    py: Vec<f64>,
+    pz: Vec<f64>,
 }
 
 impl TensorGrid {
@@ -24,7 +35,26 @@ impl TensorGrid {
             ChebyshevGrid1D::new(degree, bbox.min.y, bbox.max.y),
             ChebyshevGrid1D::new(degree, bbox.min.z, bbox.max.z),
         ];
-        Self { degree, dims }
+        let m = degree + 1;
+        let mut px = Vec::with_capacity(m * m * m);
+        let mut py = Vec::with_capacity(m * m * m);
+        let mut pz = Vec::with_capacity(m * m * m);
+        for k1 in 0..m {
+            for k2 in 0..m {
+                for k3 in 0..m {
+                    px.push(dims[0].node(k1));
+                    py.push(dims[1].node(k2));
+                    pz.push(dims[2].node(k3));
+                }
+            }
+        }
+        Self {
+            degree,
+            dims,
+            px,
+            py,
+            pz,
+        }
     }
 
     /// Interpolation degree `n`.
@@ -75,6 +105,14 @@ impl TensorGrid {
         self.point(k1, k2, k3)
     }
 
+    /// All proxy coordinates as flat `(x, y, z)` slices in linear order
+    /// (`k3` fastest) — the layout of the modified charges and of the
+    /// device buffers; `proxies().0[k] == point_linear(k).x` bit for bit.
+    #[inline]
+    pub fn proxies(&self) -> (&[f64], &[f64], &[f64]) {
+        (&self.px, &self.py, &self.pz)
+    }
+
     /// Linear index of a multi-index.
     #[inline]
     pub fn flatten(&self, k1: usize, k2: usize, k3: usize) -> usize {
@@ -91,19 +129,12 @@ impl TensorGrid {
         (idx / (m * m), (idx / m) % m, idx % m)
     }
 
-    /// Materialize all proxy points in linear order. Mostly for tests and
-    /// for staging onto the simulated device.
+    /// Materialize all proxy points in linear order (for tests and
+    /// diagnostics; evaluation reads [`TensorGrid::proxies`]).
     pub fn points_flat(&self) -> Vec<Point3> {
-        let mut out = Vec::with_capacity(self.len());
-        let m = self.nodes_per_dim();
-        for k1 in 0..m {
-            for k2 in 0..m {
-                for k3 in 0..m {
-                    out.push(self.point(k1, k2, k3));
-                }
-            }
-        }
-        out
+        (0..self.len())
+            .map(|k| Point3::new(self.px[k], self.py[k], self.pz[k]))
+            .collect()
     }
 }
 
@@ -161,6 +192,29 @@ mod tests {
         let g = TensorGrid::new(3, &bbox);
         for p in g.points_flat() {
             assert_eq!(p.z, 5.0);
+        }
+    }
+
+    #[test]
+    fn flat_proxies_equal_point_linear_bitwise() {
+        let boxes = [
+            unit_box(),
+            BoundingBox::new(Point3::new(0.1, -2.0, 1.0), Point3::new(0.7, 3.5, 4.25)),
+            // Zero-width axis: every proxy of that axis is the same value.
+            BoundingBox::new(Point3::new(0.0, 0.3, 5.0), Point3::new(1.0, 0.3, 6.0)),
+        ];
+        for bbox in &boxes {
+            for degree in 1..=8 {
+                let g = TensorGrid::new(degree, bbox);
+                let (px, py, pz) = g.proxies();
+                assert_eq!((px.len(), py.len(), pz.len()), (g.len(), g.len(), g.len()));
+                for k in 0..g.len() {
+                    let p = g.point_linear(k);
+                    assert_eq!(px[k].to_bits(), p.x.to_bits(), "x, degree {degree}, k {k}");
+                    assert_eq!(py[k].to_bits(), p.y.to_bits(), "y, degree {degree}, k {k}");
+                    assert_eq!(pz[k].to_bits(), p.z.to_bits(), "z, degree {degree}, k {k}");
+                }
+            }
         }
     }
 

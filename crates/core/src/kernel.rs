@@ -24,13 +24,94 @@
 //! far cheaper on GPU special-function units than in `libm`, which is
 //! exactly why the paper observes Yukawa/Coulomb run-time ratios of ≈1.8×
 //! on CPU but only ≈1.5× on GPU; the per-device numbers below encode that.
+//!
+//! ## Tiles
+//!
+//! No engine calls [`Kernel::eval`] pair by pair (only the `O(N²)`
+//! `direct_sum*` oracles do, which is what makes them oracles). Every
+//! batch–cluster interaction — CPU, LET, simulated GPU; sources or
+//! Chebyshev proxies — is one call of [`Kernel::accumulate_tile`] (or its gradient twin
+//! [`GradientKernel::accumulate_field_tile`]). Both are *provided*
+//! methods, so each implementing type gets its own instantiation in
+//! which `eval` is a static, inlinable call: a `&dyn Kernel` caller pays
+//! one virtual call per tile, and user kernels get the same loop without
+//! overriding anything.
+
+/// Targets a tile walks together. Each keeps its own accumulator, so the
+/// block is `TILE_W` independent sums the compiler can put in SIMD lanes
+/// without changing any target's operation order.
+const TILE_W: usize = 4;
 
 /// A pairwise interaction kernel evaluated on the displacement `x - y`.
 pub trait Kernel: Sync + Send {
     /// Evaluate `G(x, y)` given the displacement components `dx = x1 - y1`
     /// etc. Implementations must return `0.0` for a zero displacement if
     /// the kernel is singular at the origin (see the module docs).
+    ///
+    /// Must be a pure function of the displacement (and of `self`): the
+    /// tile interleaves the evaluations of a block of targets, so a kernel
+    /// that keeps state between calls would see a different call order
+    /// than a per-target loop.
     fn eval(&self, dx: f64, dy: f64, dz: f64) -> f64;
+
+    /// Accumulate one target-batch × source-cluster tile:
+    /// `out[i] += Σ_j eval(t_i − s_j) · sq[j]`.
+    ///
+    /// The contract every engine's bitwise identity rests on — per
+    /// target, exactly the scalar loop's operation sequence: an
+    /// accumulator that starts at `0.0`, the sources in ascending order,
+    /// each term `eval(tx − sx, ty − sy, tz − sz) * sq`, and a single
+    /// final `out[i] += acc`. (Adding each term straight into `out[i]`
+    /// would re-associate the sum against a pre-filled `out`.) Targets
+    /// are independent of each other, which is what the blocked body
+    /// exploits. An override must keep this contract.
+    ///
+    /// Panics if the target slices differ in length from `out`, or the
+    /// source slices from `sq`.
+    #[allow(clippy::too_many_arguments)]
+    fn accumulate_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        sx: &[f64],
+        sy: &[f64],
+        sz: &[f64],
+        sq: &[f64],
+        out: &mut [f64],
+    ) {
+        let (nt, ns) = (out.len(), sq.len());
+        assert!(
+            tx.len() == nt && ty.len() == nt && tz.len() == nt,
+            "tile target slices differ in length"
+        );
+        assert!(
+            sx.len() == ns && sy.len() == ns && sz.len() == ns,
+            "tile source slices differ in length"
+        );
+        let blocked = nt - nt % TILE_W;
+        for i in (0..blocked).step_by(TILE_W) {
+            let x: [f64; TILE_W] = std::array::from_fn(|l| tx[i + l]);
+            let y: [f64; TILE_W] = std::array::from_fn(|l| ty[i + l]);
+            let z: [f64; TILE_W] = std::array::from_fn(|l| tz[i + l]);
+            let mut acc = [0.0; TILE_W];
+            for j in 0..ns {
+                for l in 0..TILE_W {
+                    acc[l] += self.eval(x[l] - sx[j], y[l] - sy[j], z[l] - sz[j]) * sq[j];
+                }
+            }
+            for l in 0..TILE_W {
+                out[i + l] += acc[l];
+            }
+        }
+        for i in blocked..nt {
+            let mut acc = 0.0;
+            for j in 0..ns {
+                acc += self.eval(tx[i] - sx[j], ty[i] - sy[j], tz[i] - sz[j]) * sq[j];
+            }
+            out[i] += acc;
+        }
+    }
 
     /// Single-precision evaluation, for the mixed-precision mode the
     /// paper lists as future work (§5). The default round-trips through
@@ -58,7 +139,89 @@ pub trait GradientKernel: Kernel {
     /// Evaluate `(G, ∂G/∂x₁, ∂G/∂x₂, ∂G/∂x₃)` at displacement
     /// `(dx, dy, dz) = x - y`. Must return all zeros at zero displacement
     /// for singular kernels (the self-interaction convention).
+    ///
+    /// Must be a pure function of the displacement, for the same reason
+    /// as [`Kernel::eval`].
     fn eval_with_grad(&self, dx: f64, dy: f64, dz: f64) -> (f64, f64, f64, f64);
+
+    /// The four-column twin of [`Kernel::accumulate_tile`]: potential and
+    /// gradient of one target-batch × source-cluster tile, accumulated
+    /// into `pot`, `gx`, `gy`, `gz`.
+    ///
+    /// Same contract, per column: four accumulators per target starting
+    /// at `0.0`, sources ascending, terms `g * sq`, `∂ₓg * sq`, `∂ᵧg * sq`,
+    /// `∂_z g * sq` from one `eval_with_grad(tx − sx, ty − sy, tz − sz)`,
+    /// and one final `+=` into each output.
+    ///
+    /// Panics on mismatched slice lengths.
+    #[allow(clippy::too_many_arguments)]
+    fn accumulate_field_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        sx: &[f64],
+        sy: &[f64],
+        sz: &[f64],
+        sq: &[f64],
+        pot: &mut [f64],
+        gx: &mut [f64],
+        gy: &mut [f64],
+        gz: &mut [f64],
+    ) {
+        let (nt, ns) = (pot.len(), sq.len());
+        assert!(
+            tx.len() == nt && ty.len() == nt && tz.len() == nt,
+            "tile target slices differ in length"
+        );
+        assert!(
+            gx.len() == nt && gy.len() == nt && gz.len() == nt,
+            "tile output slices differ in length"
+        );
+        assert!(
+            sx.len() == ns && sy.len() == ns && sz.len() == ns,
+            "tile source slices differ in length"
+        );
+        let blocked = nt - nt % TILE_W;
+        for i in (0..blocked).step_by(TILE_W) {
+            let x: [f64; TILE_W] = std::array::from_fn(|l| tx[i + l]);
+            let y: [f64; TILE_W] = std::array::from_fn(|l| ty[i + l]);
+            let z: [f64; TILE_W] = std::array::from_fn(|l| tz[i + l]);
+            let (mut p, mut ax, mut ay, mut az) =
+                ([0.0; TILE_W], [0.0; TILE_W], [0.0; TILE_W], [0.0; TILE_W]);
+            for j in 0..ns {
+                for l in 0..TILE_W {
+                    let (g, dgx, dgy, dgz) =
+                        self.eval_with_grad(x[l] - sx[j], y[l] - sy[j], z[l] - sz[j]);
+                    p[l] += g * sq[j];
+                    ax[l] += dgx * sq[j];
+                    ay[l] += dgy * sq[j];
+                    az[l] += dgz * sq[j];
+                }
+            }
+            for l in 0..TILE_W {
+                pot[i + l] += p[l];
+                gx[i + l] += ax[l];
+                gy[i + l] += ay[l];
+                gz[i + l] += az[l];
+            }
+        }
+        for i in blocked..nt {
+            let (mut p, mut ax, mut ay, mut az) = (0.0, 0.0, 0.0, 0.0);
+            for j in 0..ns {
+                let (g, dgx, dgy, dgz) =
+                    self.eval_with_grad(tx[i] - sx[j], ty[i] - sy[j], tz[i] - sz[j]);
+                p += g * sq[j];
+                ax += dgx * sq[j];
+                ay += dgy * sq[j];
+                az += dgz * sq[j];
+            }
+            pot[i] += p;
+            gx[i] += ax;
+            gy[i] += ay;
+            gz[i] += az;
+        }
+    }
 
     /// Flop-equivalents per gradient evaluation on the GPU. A field
     /// evaluation produces four outputs (potential + three derivatives)
@@ -396,6 +559,7 @@ impl Kernel for Gaussian {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::particles::ParticleSet;
 
     #[test]
     fn coulomb_values() {
@@ -538,6 +702,156 @@ mod tests {
         let v32 = g.eval_f32(0.5, 0.5, 0.5);
         let v64 = g.eval(0.5, 0.5, 0.5);
         assert!((v32 as f64 - v64).abs() < 1e-7);
+    }
+
+    /// A test-local kernel no engine has seen: the provided tiles must
+    /// serve it like a built-in.
+    struct InverseSquare;
+
+    impl Kernel for InverseSquare {
+        fn eval(&self, dx: f64, dy: f64, dz: f64) -> f64 {
+            let r2 = dx * dx + dy * dy + dz * dz;
+            if r2 == 0.0 {
+                0.0
+            } else {
+                1.0 / r2
+            }
+        }
+        fn name(&self) -> &'static str {
+            "inverse-square"
+        }
+        fn flops_per_eval_cpu(&self) -> f64 {
+            8.0
+        }
+        fn flops_per_eval_gpu(&self) -> f64 {
+            6.0
+        }
+    }
+
+    impl GradientKernel for InverseSquare {
+        fn eval_with_grad(&self, dx: f64, dy: f64, dz: f64) -> (f64, f64, f64, f64) {
+            let r2 = dx * dx + dy * dy + dz * dz;
+            if r2 == 0.0 {
+                return (0.0, 0.0, 0.0, 0.0);
+            }
+            let g = 1.0 / r2;
+            let c = -2.0 * g / r2;
+            (g, c * dx, c * dy, c * dz)
+        }
+    }
+
+    /// Tile shapes around the block width (0, 1, W±1, W, 2W±1, 2W, many)
+    /// against empty, single and proxy-sized clusters. Every other target
+    /// sits exactly on a source (the `r² = 0` self term), and the outputs
+    /// start non-zero so a tile that sums straight into them is caught.
+    fn tile_cases() -> Vec<(ParticleSet, ParticleSet)> {
+        let mut cases = Vec::new();
+        for (a, &nt) in [0usize, 1, 3, 4, 5, 7, 8, 50].iter().enumerate() {
+            for (b, &ns) in [0usize, 1, 125].iter().enumerate() {
+                let seed = (10 * a + b) as u64;
+                let sources = ParticleSet::random_cube(ns, 900 + seed);
+                let mut targets = ParticleSet::random_cube(nt, 950 + seed);
+                for i in (0..nt).step_by(2).filter(|_| ns > 0) {
+                    let j = (7 * i) % ns;
+                    targets.x[i] = sources.x[j];
+                    targets.y[i] = sources.y[j];
+                    targets.z[i] = sources.z[j];
+                }
+                cases.push((targets, sources));
+            }
+        }
+        cases
+    }
+
+    fn prefilled(n: usize, salt: f64) -> Vec<f64> {
+        (0..n).map(|i| salt + 0.37 * i as f64).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn tile_equals_per_target_eval_loop_bitwise() {
+        let kernels: Vec<Box<dyn Kernel>> = vec![
+            Box::new(Coulomb),
+            Box::new(Yukawa::new(0.5)),
+            Box::new(RegularizedCoulomb::new(0.05)),
+            Box::new(RegularizedYukawa::new(0.5, 0.05)),
+            Box::new(Gaussian::new(1.5)),
+            Box::new(MixedPrecision(Coulomb)),
+            Box::new(InverseSquare),
+        ];
+        for k in &kernels {
+            for (t, s) in tile_cases() {
+                let mut tile = prefilled(t.len(), -3.25);
+                k.accumulate_tile(&t.x, &t.y, &t.z, &s.x, &s.y, &s.z, &s.q, &mut tile);
+                let mut oracle = prefilled(t.len(), -3.25);
+                for (i, slot) in oracle.iter_mut().enumerate() {
+                    let mut acc = 0.0;
+                    for j in 0..s.len() {
+                        acc += k.eval(t.x[i] - s.x[j], t.y[i] - s.y[j], t.z[i] - s.z[j]) * s.q[j];
+                    }
+                    *slot += acc;
+                }
+                let shape = (k.name(), t.len(), s.len());
+                assert_eq!(bits(&tile), bits(&oracle), "{shape:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn field_tile_equals_per_target_eval_loop_bitwise() {
+        let kernels: Vec<Box<dyn GradientKernel>> = vec![
+            Box::new(Coulomb),
+            Box::new(Yukawa::new(0.5)),
+            Box::new(RegularizedCoulomb::new(0.05)),
+            Box::new(RegularizedYukawa::new(0.5, 0.05)),
+            Box::new(Gaussian::new(1.5)),
+            Box::new(InverseSquare),
+        ];
+        for k in &kernels {
+            for (t, s) in tile_cases() {
+                let n = t.len();
+                let mut tile = [1.5, -0.75, 2.0, 9.0].map(|salt| prefilled(n, salt));
+                let [p, gx, gy, gz] = &mut tile;
+                k.accumulate_field_tile(&t.x, &t.y, &t.z, &s.x, &s.y, &s.z, &s.q, p, gx, gy, gz);
+                let mut oracle = [1.5, -0.75, 2.0, 9.0].map(|salt| prefilled(n, salt));
+                for i in 0..n {
+                    let mut acc = [0.0; 4];
+                    for j in 0..s.len() {
+                        let (g, dx, dy, dz) =
+                            k.eval_with_grad(t.x[i] - s.x[j], t.y[i] - s.y[j], t.z[i] - s.z[j]);
+                        acc[0] += g * s.q[j];
+                        acc[1] += dx * s.q[j];
+                        acc[2] += dy * s.q[j];
+                        acc[3] += dz * s.q[j];
+                    }
+                    for (col, a) in oracle.iter_mut().zip(acc) {
+                        col[i] += a;
+                    }
+                }
+                for (c, (a, b)) in tile.iter().zip(&oracle).enumerate() {
+                    assert_eq!(bits(a), bits(b), "{:?} column {c}", (k.name(), n, s.len()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tile source slices differ")]
+    fn tile_rejects_mismatched_source_lengths() {
+        let mut out = [0.0];
+        Coulomb.accumulate_tile(
+            &[0.0],
+            &[0.0],
+            &[0.0],
+            &[1.0, 2.0],
+            &[1.0],
+            &[1.0],
+            &[1.0],
+            &mut out,
+        );
     }
 
     #[test]

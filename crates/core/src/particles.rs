@@ -63,6 +63,14 @@ impl ParticleSet {
         Point3::new(self.x[i], self.y[i], self.z[i])
     }
 
+    /// The coordinate slices of a contiguous index range — the target or
+    /// source side of one
+    /// [`Kernel::accumulate_tile`](crate::kernel::Kernel::accumulate_tile).
+    #[inline]
+    pub fn xyz(&self, r: std::ops::Range<usize>) -> (&[f64], &[f64], &[f64]) {
+        (&self.x[r.clone()], &self.y[r.clone()], &self.z[r])
+    }
+
     /// Append one particle.
     pub fn push(&mut self, p: Point3, q: f64) {
         self.x.push(p.x);

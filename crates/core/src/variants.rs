@@ -48,7 +48,6 @@ impl PreparedTreecode {
             return self.evaluate_serial(kernel).0;
         }
         let tp = self.batches.particles();
-        let sp = self.tree.particles();
         let m = self.params.degree + 1;
         let m3 = self.params.proxy_count();
         let mut reordered = vec![0.0; tp.len()];
@@ -75,36 +74,21 @@ impl PreparedTreecode {
             // Modified potentials at the batch's Chebyshev points.
             let bgrid = TensorGrid::new(self.params.degree, &b.bbox);
             let mut phi = vec![0.0; m3];
+            let (bx, by, bz) = bgrid.proxies();
             for &ci in &bl.approx {
                 let ci = ci as usize;
                 match variant {
                     TreecodeVariant::ClusterParticle => {
                         // Batch proxies × raw cluster sources.
-                        let node = self.tree.node(ci);
-                        for (k, slot) in phi.iter_mut().enumerate() {
-                            let t = bgrid.point_linear(k);
-                            let mut acc = 0.0;
-                            for j in node.start..node.end {
-                                acc += kernel.eval(t.x - sp.x[j], t.y - sp.y[j], t.z - sp.z[j])
-                                    * sp.q[j];
-                            }
-                            *slot += acc;
-                        }
+                        let (sx, sy, sz, sq) = self.tree.node_particles(ci);
+                        kernel.accumulate_tile(bx, by, bz, sx, sy, sz, sq, &mut phi);
                     }
                     TreecodeVariant::ClusterCluster => {
                         // Batch proxies × source proxies (modified charges).
-                        let sgrid = self.charges.grid(ci);
+                        let (px, py, pz) = self.charges.grid(ci).proxies();
                         let qhat = self.charges.charges(ci);
                         assert!(!qhat.is_empty(), "charges missing for cluster {ci}");
-                        for (k, slot) in phi.iter_mut().enumerate() {
-                            let t = bgrid.point_linear(k);
-                            let mut acc = 0.0;
-                            for (kk, &qh) in qhat.iter().enumerate() {
-                                let s = sgrid.point_linear(kk);
-                                acc += kernel.eval(t.x - s.x, t.y - s.y, t.z - s.z) * qh;
-                            }
-                            *slot += acc;
-                        }
+                        kernel.accumulate_tile(bx, by, bz, px, py, pz, qhat, &mut phi);
                     }
                     TreecodeVariant::ParticleCluster => unreachable!(),
                 }

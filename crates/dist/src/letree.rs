@@ -33,9 +33,10 @@
 //!   lets a rank's LET far exceed its staging memory.
 //!
 //! Both modes execute identical gets in identical order through
-//! [`land_chunk`] and identical per-cluster scalar math through shared
-//! helpers, so potentials, forces, op counts, and recorded traffic are
-//! bitwise independent of the mode and of the budget.
+//! [`land_chunk`] and identical per-cluster tiles
+//! ([`Kernel::accumulate_tile`] / [`GradientKernel::accumulate_field_tile`]),
+//! so potentials, forces, op counts, and recorded traffic are bitwise
+//! independent of the mode and of the budget.
 
 use std::collections::BTreeMap;
 
@@ -47,7 +48,6 @@ use bltc_core::geometry::{BoundingBox, Point3};
 use bltc_core::interp::tensor::TensorGrid;
 use bltc_core::kernel::{GradientKernel, Kernel};
 use bltc_core::mac::{Mac, MacDecision};
-use bltc_core::particles::ParticleSet;
 use bltc_core::tree::{batch::TargetBatches, ClusterNode};
 use mpi_sim::Window;
 
@@ -507,105 +507,6 @@ pub(crate) fn land_remote_let(
     }
 }
 
-/// One MAC-accepted cluster's contribution (Eq. 11) to a contiguous
-/// target range, accumulated into `vals` (one slot per target). The
-/// single implementation shared by the retained and streaming
-/// evaluation paths — their bitwise identity rests on this.
-fn approx_cluster_pot(
-    tp: &ParticleSet,
-    start: usize,
-    end: usize,
-    grid: &TensorGrid,
-    qh: &[f64],
-    kernel: &dyn Kernel,
-    vals: &mut [f64],
-) {
-    for (t, slot) in (start..end).zip(vals.iter_mut()) {
-        let (tx, ty, tz) = (tp.x[t], tp.y[t], tp.z[t]);
-        let mut acc = 0.0;
-        for (k, &q) in qh.iter().enumerate() {
-            let s = grid.point_linear(k);
-            acc += kernel.eval(tx - s.x, ty - s.y, tz - s.z) * q;
-        }
-        *slot += acc;
-    }
-}
-
-/// One direct cluster's contribution (Eq. 9) to a contiguous target
-/// range — the direct-summation counterpart of [`approx_cluster_pot`].
-fn direct_cluster_pot(
-    tp: &ParticleSet,
-    start: usize,
-    end: usize,
-    p: &RemoteParticles,
-    kernel: &dyn Kernel,
-    vals: &mut [f64],
-) {
-    for (t, slot) in (start..end).zip(vals.iter_mut()) {
-        let (tx, ty, tz) = (tp.x[t], tp.y[t], tp.z[t]);
-        let mut acc = 0.0;
-        for j in 0..p.x.len() {
-            acc += kernel.eval(tx - p.x[j], ty - p.y[j], tz - p.z[j]) * p.q[j];
-        }
-        *slot += acc;
-    }
-}
-
-/// Field counterpart of [`approx_cluster_pot`]: potential plus gradient
-/// into four accumulator columns `[pot, gx, gy, gz]`.
-fn approx_cluster_field(
-    tp: &ParticleSet,
-    start: usize,
-    end: usize,
-    grid: &TensorGrid,
-    qh: &[f64],
-    kernel: &dyn GradientKernel,
-    vals: &mut [Vec<f64>; 4],
-) {
-    for (i, t) in (start..end).enumerate() {
-        let (tx, ty, tz) = (tp.x[t], tp.y[t], tp.z[t]);
-        let (mut p, mut ax, mut ay, mut az) = (0.0, 0.0, 0.0, 0.0);
-        for (k, &q) in qh.iter().enumerate() {
-            let s = grid.point_linear(k);
-            let (g, dgx, dgy, dgz) = kernel.eval_with_grad(tx - s.x, ty - s.y, tz - s.z);
-            p += g * q;
-            ax += dgx * q;
-            ay += dgy * q;
-            az += dgz * q;
-        }
-        vals[0][i] += p;
-        vals[1][i] += ax;
-        vals[2][i] += ay;
-        vals[3][i] += az;
-    }
-}
-
-/// Field counterpart of [`direct_cluster_pot`].
-fn direct_cluster_field(
-    tp: &ParticleSet,
-    start: usize,
-    end: usize,
-    p: &RemoteParticles,
-    kernel: &dyn GradientKernel,
-    vals: &mut [Vec<f64>; 4],
-) {
-    for (i, t) in (start..end).enumerate() {
-        let (tx, ty, tz) = (tp.x[t], tp.y[t], tp.z[t]);
-        let (mut acc, mut ax, mut ay, mut az) = (0.0, 0.0, 0.0, 0.0);
-        for j in 0..p.x.len() {
-            let (g, dgx, dgy, dgz) = kernel.eval_with_grad(tx - p.x[j], ty - p.y[j], tz - p.z[j]);
-            acc += g * p.q[j];
-            ax += dgx * p.q[j];
-            ay += dgy * p.q[j];
-            az += dgz * p.q[j];
-        }
-        vals[0][i] += acc;
-        vals[1][i] += ax;
-        vals[2][i] += ay;
-        vals[3][i] += az;
-    }
-}
-
 /// Evaluate this LET's contribution to the rank's potentials.
 ///
 /// `out` is indexed in reordered (batch) target order. The scalar math
@@ -634,20 +535,21 @@ pub(crate) fn eval_remote_into(
         .zip(&let_view.per_batch)
         .map(|(b, (approx, direct))| {
             let nb = b.num_targets();
+            let (tx, ty, tz) = tp.xyz(b.start..b.end);
             let mut vals = vec![0.0; nb];
             let mut bops = OpCounts::default();
             let mut bbytes = 0.0;
             for &ci in approx {
-                let grid = &let_view.grids[&ci];
+                let (px, py, pz) = let_view.grids[&ci].proxies();
                 let qh = &let_view.qhat[&ci];
-                approx_cluster_pot(tp, b.start, b.end, grid, qh, kernel, &mut vals);
+                kernel.accumulate_tile(tx, ty, tz, px, py, pz, qh, &mut vals);
                 bops.approx_interactions += (nb * qh.len()) as u64;
                 bops.kernel_launches += 1;
                 bbytes += ((nb * 4 + qh.len() * 4) * 8) as f64;
             }
             for &ci in direct {
                 let p = &let_view.parts[&ci];
-                direct_cluster_pot(tp, b.start, b.end, p, kernel, &mut vals);
+                kernel.accumulate_tile(tx, ty, tz, &p.x, &p.y, &p.z, &p.q, &mut vals);
                 bops.direct_interactions += (nb * p.x.len()) as u64;
                 bops.kernel_launches += 1;
                 bbytes += ((nb * 4 + p.x.len() * 4) * 8) as f64;
@@ -696,20 +598,22 @@ pub(crate) fn eval_remote_field_into(
         .zip(&let_view.per_batch)
         .map(|(b, (approx, direct))| {
             let nb = b.num_targets();
+            let (tx, ty, tz) = tp.xyz(b.start..b.end);
             let mut vals = [vec![0.0; nb], vec![0.0; nb], vec![0.0; nb], vec![0.0; nb]];
+            let [vp, vx, vy, vz] = &mut vals;
             let mut bops = OpCounts::default();
             let mut bbytes = 0.0;
             for &ci in approx {
-                let grid = &let_view.grids[&ci];
+                let (px, py, pz) = let_view.grids[&ci].proxies();
                 let qh = &let_view.qhat[&ci];
-                approx_cluster_field(tp, b.start, b.end, grid, qh, kernel, &mut vals);
+                kernel.accumulate_field_tile(tx, ty, tz, px, py, pz, qh, vp, vx, vy, vz);
                 bops.approx_interactions += (nb * qh.len()) as u64;
                 bops.kernel_launches += 1;
                 bbytes += ((nb * 7 + qh.len() * 4) * 8) as f64;
             }
             for &ci in direct {
                 let p = &let_view.parts[&ci];
-                direct_cluster_field(tp, b.start, b.end, p, kernel, &mut vals);
+                kernel.accumulate_field_tile(tx, ty, tz, &p.x, &p.y, &p.z, &p.q, vp, vx, vy, vz);
                 bops.direct_interactions += (nb * p.x.len()) as u64;
                 bops.kernel_launches += 1;
                 bbytes += ((nb * 7 + p.x.len() * 4) * 8) as f64;
@@ -805,6 +709,7 @@ pub(crate) fn stream_remote_let(
             .zip(vals.iter_mut())
         {
             let nb = b.num_targets();
+            let (tx, ty, tz) = tp.xyz(b.start..b.end);
             let list = match plan.kind {
                 ChunkKind::Approx => approx,
                 ChunkKind::Direct => direct,
@@ -816,16 +721,16 @@ pub(crate) fn stream_remote_let(
             for &ci in &list[s..e] {
                 match plan.kind {
                     ChunkKind::Approx => {
-                        let grid = &grids[&ci];
+                        let (px, py, pz) = grids[&ci].proxies();
                         let qh = &qhat[&ci];
-                        approx_cluster_pot(tp, b.start, b.end, grid, qh, kernel, v);
+                        kernel.accumulate_tile(tx, ty, tz, px, py, pz, qh, v);
                         lops.approx_interactions += (nb * qh.len()) as u64;
                         lops.kernel_launches += 1;
                         lbytes += ((nb * 4 + qh.len() * 4) * 8) as f64;
                     }
                     ChunkKind::Direct => {
                         let p = &parts[&ci];
-                        direct_cluster_pot(tp, b.start, b.end, p, kernel, v);
+                        kernel.accumulate_tile(tx, ty, tz, &p.x, &p.y, &p.z, &p.q, v);
                         lops.direct_interactions += (nb * p.x.len()) as u64;
                         lops.kernel_launches += 1;
                         lbytes += ((nb * 4 + p.x.len() * 4) * 8) as f64;
@@ -909,6 +814,8 @@ pub(crate) fn stream_remote_let_field(
             .zip(vals.iter_mut())
         {
             let nb = b.num_targets();
+            let (tx, ty, tz) = tp.xyz(b.start..b.end);
+            let [vp, vx, vy, vz] = v;
             let list = match plan.kind {
                 ChunkKind::Approx => approx,
                 ChunkKind::Direct => direct,
@@ -918,16 +825,18 @@ pub(crate) fn stream_remote_let_field(
             for &ci in &list[s..e] {
                 match plan.kind {
                     ChunkKind::Approx => {
-                        let grid = &grids[&ci];
+                        let (px, py, pz) = grids[&ci].proxies();
                         let qh = &qhat[&ci];
-                        approx_cluster_field(tp, b.start, b.end, grid, qh, kernel, v);
+                        kernel.accumulate_field_tile(tx, ty, tz, px, py, pz, qh, vp, vx, vy, vz);
                         lops.approx_interactions += (nb * qh.len()) as u64;
                         lops.kernel_launches += 1;
                         lbytes += ((nb * 7 + qh.len() * 4) * 8) as f64;
                     }
                     ChunkKind::Direct => {
                         let p = &parts[&ci];
-                        direct_cluster_field(tp, b.start, b.end, p, kernel, v);
+                        kernel.accumulate_field_tile(
+                            tx, ty, tz, &p.x, &p.y, &p.z, &p.q, vp, vx, vy, vz,
+                        );
                         lops.direct_interactions += (nb * p.x.len()) as u64;
                         lops.kernel_launches += 1;
                         lbytes += ((nb * 7 + p.x.len() * 4) * 8) as f64;
@@ -961,6 +870,7 @@ pub(crate) fn stream_remote_let_field(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bltc_core::particles::ParticleSet;
 
     fn tiny_batches() -> TargetBatches {
         let ps = ParticleSet::random_cube(64, 7);

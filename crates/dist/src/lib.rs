@@ -468,11 +468,29 @@ impl DistFieldReport {
 
 /// Object-safe delegation so `run_distributed` accepts both concrete
 /// kernels (`&Coulomb`) and trait objects (`&dyn Kernel`).
+///
+/// A wrapper must forward the tile methods too: their provided bodies
+/// would otherwise be instantiated for the *wrapper*, whose `eval` is a
+/// virtual call per pair into the kernel behind it.
 struct KernelRef<'a, K: Kernel + ?Sized>(&'a K);
 
 impl<K: Kernel + ?Sized> Kernel for KernelRef<'_, K> {
     fn eval(&self, dx: f64, dy: f64, dz: f64) -> f64 {
         self.0.eval(dx, dy, dz)
+    }
+
+    fn accumulate_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        sx: &[f64],
+        sy: &[f64],
+        sz: &[f64],
+        sq: &[f64],
+        out: &mut [f64],
+    ) {
+        self.0.accumulate_tile(tx, ty, tz, sx, sy, sz, sq, out);
     }
 
     fn eval_f32(&self, dx: f32, dy: f32, dz: f32) -> f32 {
@@ -497,6 +515,24 @@ impl<K: Kernel + ?Sized> Kernel for KernelRef<'_, K> {
 impl<K: GradientKernel + ?Sized> GradientKernel for KernelRef<'_, K> {
     fn eval_with_grad(&self, dx: f64, dy: f64, dz: f64) -> (f64, f64, f64, f64) {
         self.0.eval_with_grad(dx, dy, dz)
+    }
+
+    fn accumulate_field_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        sx: &[f64],
+        sy: &[f64],
+        sz: &[f64],
+        sq: &[f64],
+        pot: &mut [f64],
+        gx: &mut [f64],
+        gy: &mut [f64],
+        gz: &mut [f64],
+    ) {
+        self.0
+            .accumulate_field_tile(tx, ty, tz, sx, sy, sz, sq, pot, gx, gy, gz);
     }
 
     fn grad_flops_per_eval_gpu(&self) -> f64 {

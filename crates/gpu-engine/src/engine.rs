@@ -202,11 +202,10 @@ impl GpuEngine {
         let mut py = Vec::with_capacity(num_nodes * m3);
         let mut pz = Vec::with_capacity(num_nodes * m3);
         for grid in &grids {
-            for p in grid.points_flat() {
-                px.push(p.x);
-                py.push(p.y);
-                pz.push(p.z);
-            }
+            let (gx, gy, gz) = grid.proxies();
+            px.extend_from_slice(gx);
+            py.extend_from_slice(gy);
+            pz.extend_from_slice(gz);
         }
         let proxy_x = dev.alloc_f64(px);
         let proxy_y = dev.alloc_f64(py);
@@ -519,21 +518,9 @@ pub fn gpu_direct_sum(
     );
     let cfg = LaunchConfig::new("direct_sum_full", nb.max(1), THREADS_PER_BLOCK);
     dev.launch(cfg, work, |mem| {
-        let xs = mem.f64(sx).to_vec();
-        let ys = mem.f64(sy).to_vec();
-        let zs = mem.f64(sz).to_vec();
-        let qs = mem.f64(sq).to_vec();
-        let txv = mem.f64(tx).to_vec();
-        let tyv = mem.f64(ty).to_vec();
-        let tzv = mem.f64(tz).to_vec();
-        let out = mem.f64_mut(pot);
-        for i in 0..nb {
-            let mut acc = 0.0;
-            for j in 0..nc {
-                acc += kernel.eval(txv[i] - xs[j], tyv[i] - ys[j], tzv[i] - zs[j]) * qs[j];
-            }
-            out[i] = acc;
-        }
+        let ([tx, ty, tz, sx, sy, sz, sq], [out]) =
+            mem.f64_split([tx, ty, tz, sx, sy, sz, sq], [pot]);
+        kernel.accumulate_tile(tx, ty, tz, sx, sy, sz, sq, out);
     });
     let potentials = dev.dtoh_f64(pot);
     GpuDirectSumResult {

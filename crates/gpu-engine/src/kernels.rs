@@ -1,8 +1,10 @@
 //! The four BLTC compute kernels on the simulated device.
 //!
 //! Each launch carries the paper's grid/block geometry and an exact work
-//! estimate; the body executes the same scalar arithmetic as the CPU
-//! engines (bitwise-identical results). Cluster proxy data lives in
+//! estimate; the body is the same [`Kernel::accumulate_tile`] call the
+//! CPU engines make (bitwise-identical results), reading the device
+//! buffers in place and accumulating straight into the output range —
+//! no launch allocates. Cluster proxy data lives in
 //! concatenated device buffers — node `i` owns the slice
 //! `[i·(n+1)³, (i+1)·(n+1)³)` — so one index addresses both the proxy
 //! coordinates and the modified charges, as a real GPU port would lay
@@ -62,11 +64,120 @@ pub struct FieldBuffers {
     pub gz: BufF64,
 }
 
-/// Batch–cluster **direct field** kernel: Eq. 9 differentiated with
-/// respect to the target — four outputs (potential + gradient) per
-/// target, same launch geometry as the potential-only kernel, ~4× the
-/// flops (see [`GradientKernel::grad_flops_per_eval_gpu`]).
+/// The source side of one batch–cluster launch: a cluster's particles
+/// (Eq. 9) or a node's Chebyshev proxies with its modified charges
+/// (Eq. 11) — the same loop either way, the paper's key GPU-enabling
+/// property.
+struct TileSources {
+    /// Coordinate and weight buffers.
+    xyzq: [BufF64; 4],
+    /// Index range of the cluster within them.
+    range: (usize, usize),
+}
+
+impl TileSources {
+    fn particles(a: &DeviceArrays, cluster_range: (usize, usize)) -> Self {
+        Self {
+            xyzq: [a.sx, a.sy, a.sz, a.sq],
+            range: cluster_range,
+        }
+    }
+
+    fn proxies(a: &DeviceArrays, node_idx: usize) -> Self {
+        let base = node_idx * a.proxy_per_node;
+        Self {
+            xyzq: [a.proxy_x, a.proxy_y, a.proxy_z, a.qhat],
+            range: (base, base + a.proxy_per_node),
+        }
+    }
+}
+
+/// One potential launch. Grid: one block per target in the batch; one
+/// thread per source; block reduction (the tile's per-target sequential
+/// sum models it deterministically); one atomic update per target.
+fn launch_tile(
+    dev: &mut Device,
+    name: &'static str,
+    arrays: &DeviceArrays,
+    (t0, t1): (usize, usize),
+    src: TileSources,
+    kernel: &dyn Kernel,
+    stream: usize,
+) {
+    let (s0, s1) = src.range;
+    let (nb, nc) = (t1 - t0, s1 - s0);
+    debug_assert!(nb > 0 && nc > 0);
+    let work = WorkEstimate::new(
+        nb as f64 * nc as f64 * kernel.flops_per_eval_gpu(),
+        ((nb * 4 + nc * 4) * 8) as f64,
+    );
+    let cfg = LaunchConfig::new(name, nb, THREADS_PER_BLOCK).stream(stream);
+    let a = *arrays;
+    let [bx, by, bz, bq] = src.xyzq;
+    dev.launch(cfg, work, move |mem| {
+        let ([tx, ty, tz, sx, sy, sz, sq], [pot]) =
+            mem.f64_split([a.tx, a.ty, a.tz, bx, by, bz, bq], [a.pot]);
+        kernel.accumulate_tile(
+            &tx[t0..t1],
+            &ty[t0..t1],
+            &tz[t0..t1],
+            &sx[s0..s1],
+            &sy[s0..s1],
+            &sz[s0..s1],
+            &sq[s0..s1],
+            &mut pot[t0..t1],
+        );
+    });
+}
+
+/// One field launch: four outputs (potential + gradient) per target,
+/// same launch geometry as [`launch_tile`], ~4× the flops (see
+/// [`GradientKernel::grad_flops_per_eval_gpu`]).
 #[allow(clippy::too_many_arguments)]
+fn launch_field_tile(
+    dev: &mut Device,
+    name: &'static str,
+    arrays: &DeviceArrays,
+    grads: &FieldBuffers,
+    (t0, t1): (usize, usize),
+    src: TileSources,
+    kernel: &dyn GradientKernel,
+    stream: usize,
+) {
+    let (s0, s1) = src.range;
+    let (nb, nc) = (t1 - t0, s1 - s0);
+    debug_assert!(nb > 0 && nc > 0);
+    let work = WorkEstimate::new(
+        nb as f64 * nc as f64 * kernel.grad_flops_per_eval_gpu(),
+        ((nb * 7 + nc * 4) * 8) as f64,
+    );
+    let cfg = LaunchConfig::new(name, nb, THREADS_PER_BLOCK).stream(stream);
+    let a = *arrays;
+    let g = *grads;
+    let [bx, by, bz, bq] = src.xyzq;
+    dev.launch(cfg, work, move |mem| {
+        let ([tx, ty, tz, sx, sy, sz, sq], [pot, gx, gy, gz]) = mem.f64_split(
+            [a.tx, a.ty, a.tz, bx, by, bz, bq],
+            [a.pot, g.gx, g.gy, g.gz],
+        );
+        kernel.accumulate_field_tile(
+            &tx[t0..t1],
+            &ty[t0..t1],
+            &tz[t0..t1],
+            &sx[s0..s1],
+            &sy[s0..s1],
+            &sz[s0..s1],
+            &sq[s0..s1],
+            &mut pot[t0..t1],
+            &mut gx[t0..t1],
+            &mut gy[t0..t1],
+            &mut gz[t0..t1],
+        );
+    });
+}
+
+/// Batch–cluster **direct field** kernel: Eq. 9 differentiated with
+/// respect to the target.
 pub fn launch_direct_field_kernel(
     dev: &mut Device,
     arrays: &DeviceArrays,
@@ -76,42 +187,9 @@ pub fn launch_direct_field_kernel(
     kernel: &dyn GradientKernel,
     stream: usize,
 ) {
-    let (t0, t1) = batch_range;
-    let (s0, s1) = cluster_range;
-    let nb = t1 - t0;
-    let nc = s1 - s0;
-    debug_assert!(nb > 0 && nc > 0);
-    let work = WorkEstimate::new(
-        nb as f64 * nc as f64 * kernel.grad_flops_per_eval_gpu(),
-        ((nb * 7 + nc * 4) * 8) as f64,
-    );
-    let cfg = LaunchConfig::new("batch_cluster_direct_field", nb, THREADS_PER_BLOCK).stream(stream);
-    let a = *arrays;
-    let g = *grads;
-    dev.launch(cfg, work, move |mem| {
-        let xs = mem.f64(a.sx)[s0..s1].to_vec();
-        let ys = mem.f64(a.sy)[s0..s1].to_vec();
-        let zs = mem.f64(a.sz)[s0..s1].to_vec();
-        let qs = mem.f64(a.sq)[s0..s1].to_vec();
-        let txv = mem.f64(a.tx)[t0..t1].to_vec();
-        let tyv = mem.f64(a.ty)[t0..t1].to_vec();
-        let tzv = mem.f64(a.tz)[t0..t1].to_vec();
-        // Per-target block accumulators, flushed with one atomic update
-        // per output array (the same order the CPU field path uses, so
-        // results stay bitwise identical).
-        let mut acc = vec![(0.0, 0.0, 0.0, 0.0); nb];
-        for (i, slot) in acc.iter_mut().enumerate() {
-            for j in 0..nc {
-                let (gv, dgx, dgy, dgz) =
-                    kernel.eval_with_grad(txv[i] - xs[j], tyv[i] - ys[j], tzv[i] - zs[j]);
-                slot.0 += gv * qs[j];
-                slot.1 += dgx * qs[j];
-                slot.2 += dgy * qs[j];
-                slot.3 += dgz * qs[j];
-            }
-        }
-        flush_field_acc(mem, &a, &g, t0, &acc);
-    });
+    let src = TileSources::particles(arrays, cluster_range);
+    let name = "batch_cluster_direct_field";
+    launch_field_tile(dev, name, arrays, grads, batch_range, src, kernel, stream);
 }
 
 /// Batch–cluster **approximation field** kernel: Eq. 11 differentiated
@@ -126,66 +204,9 @@ pub fn launch_approx_field_kernel(
     kernel: &dyn GradientKernel,
     stream: usize,
 ) {
-    let (t0, t1) = batch_range;
-    let nb = t1 - t0;
-    let m3 = arrays.proxy_per_node;
-    debug_assert!(nb > 0 && m3 > 0);
-    let work = WorkEstimate::new(
-        nb as f64 * m3 as f64 * kernel.grad_flops_per_eval_gpu(),
-        ((nb * 7 + m3 * 4) * 8) as f64,
-    );
-    let cfg = LaunchConfig::new("batch_cluster_approx_field", nb, THREADS_PER_BLOCK).stream(stream);
-    let a = *arrays;
-    let g = *grads;
-    let base = node_idx * m3;
-    dev.launch(cfg, work, move |mem| {
-        let px = mem.f64(a.proxy_x)[base..base + m3].to_vec();
-        let py = mem.f64(a.proxy_y)[base..base + m3].to_vec();
-        let pz = mem.f64(a.proxy_z)[base..base + m3].to_vec();
-        let qh = mem.f64(a.qhat)[base..base + m3].to_vec();
-        let txv = mem.f64(a.tx)[t0..t1].to_vec();
-        let tyv = mem.f64(a.ty)[t0..t1].to_vec();
-        let tzv = mem.f64(a.tz)[t0..t1].to_vec();
-        let mut acc = vec![(0.0, 0.0, 0.0, 0.0); nb];
-        for (i, slot) in acc.iter_mut().enumerate() {
-            for k in 0..m3 {
-                let (gv, dgx, dgy, dgz) =
-                    kernel.eval_with_grad(txv[i] - px[k], tyv[i] - py[k], tzv[i] - pz[k]);
-                slot.0 += gv * qh[k];
-                slot.1 += dgx * qh[k];
-                slot.2 += dgy * qh[k];
-                slot.3 += dgz * qh[k];
-            }
-        }
-        flush_field_acc(mem, &a, &g, t0, &acc);
-    });
-}
-
-/// Flush per-target `(φ, ∂x, ∂y, ∂z)` block accumulators into the four
-/// device output arrays (one atomic update per array per target).
-fn flush_field_acc(
-    mem: &mut gpu_sim::DeviceMemory,
-    arrays: &DeviceArrays,
-    grads: &FieldBuffers,
-    t0: usize,
-    acc: &[(f64, f64, f64, f64)],
-) {
-    let pot = mem.f64_mut(arrays.pot);
-    for (i, a) in acc.iter().enumerate() {
-        pot[t0 + i] += a.0;
-    }
-    let gx = mem.f64_mut(grads.gx);
-    for (i, a) in acc.iter().enumerate() {
-        gx[t0 + i] += a.1;
-    }
-    let gy = mem.f64_mut(grads.gy);
-    for (i, a) in acc.iter().enumerate() {
-        gy[t0 + i] += a.2;
-    }
-    let gz = mem.f64_mut(grads.gz);
-    for (i, a) in acc.iter().enumerate() {
-        gz[t0 + i] += a.3;
-    }
+    let src = TileSources::proxies(arrays, node_idx);
+    let name = "batch_cluster_approx_field";
+    launch_field_tile(dev, name, arrays, grads, batch_range, src, kernel, stream);
 }
 
 /// Preprocessing kernel 1 (Eq. 14): intermediates `q̃_j` for one cluster.
@@ -208,14 +229,18 @@ pub fn launch_precompute_phase1(
         (nc * 4 * 8) as f64,
     );
     let cfg = LaunchConfig::new("precompute_phase1", nc, THREADS_PER_BLOCK).stream(stream);
-    let (sx, sy, sz, sq, qt) = (arrays.sx, arrays.sy, arrays.sz, arrays.sq, arrays.qtilde);
+    let a = *arrays;
     dev.launch(cfg, work, move |mem| {
-        let xs = mem.f64(sx)[start..end].to_vec();
-        let ys = mem.f64(sy)[start..end].to_vec();
-        let zs = mem.f64(sz)[start..end].to_vec();
-        let qs = mem.f64(sq)[start..end].to_vec();
-        let vals = phase1_intermediates(grid, &xs, &ys, &zs, &qs);
-        mem.f64_mut(qt)[start..end].copy_from_slice(&vals);
+        let ([xs, ys, zs, qs], [qt]) = mem.f64_split([a.sx, a.sy, a.sz, a.sq], [a.qtilde]);
+        let r = start..end;
+        let vals = phase1_intermediates(
+            grid,
+            &xs[r.clone()],
+            &ys[r.clone()],
+            &zs[r.clone()],
+            &qs[r.clone()],
+        );
+        qt[r].copy_from_slice(&vals);
     });
 }
 
@@ -241,22 +266,17 @@ pub fn launch_precompute_phase2(
         ((nc * 4 + m3) * 8) as f64,
     );
     let cfg = LaunchConfig::new("precompute_phase2", m3, THREADS_PER_BLOCK).stream(stream);
-    let (sx, sy, sz, qt, qhat) = (arrays.sx, arrays.sy, arrays.sz, arrays.qtilde, arrays.qhat);
+    let a = *arrays;
     dev.launch(cfg, work, move |mem| {
-        let xs = mem.f64(sx)[start..end].to_vec();
-        let ys = mem.f64(sy)[start..end].to_vec();
-        let zs = mem.f64(sz)[start..end].to_vec();
-        let qtv = mem.f64(qt)[start..end].to_vec();
-        let vals = phase2_accumulate(grid, &xs, &ys, &zs, &qtv);
+        let ([xs, ys, zs, qt], [qhat]) = mem.f64_split([a.sx, a.sy, a.sz, a.qtilde], [a.qhat]);
+        let r = start..end;
+        let vals = phase2_accumulate(grid, &xs[r.clone()], &ys[r.clone()], &zs[r.clone()], &qt[r]);
         let base = node_idx * m3;
-        mem.f64_mut(qhat)[base..base + m3].copy_from_slice(&vals);
+        qhat[base..base + m3].copy_from_slice(&vals);
     });
 }
 
 /// Batch–cluster **direct sum** kernel (Eq. 9, Fig. 3).
-///
-/// Grid: one block per target in the batch; one thread per source in the
-/// cluster; block reduction; atomic accumulate into the target potential.
 pub fn launch_direct_kernel(
     dev: &mut Device,
     arrays: &DeviceArrays,
@@ -265,44 +285,21 @@ pub fn launch_direct_kernel(
     kernel: &dyn Kernel,
     stream: usize,
 ) {
-    let (t0, t1) = batch_range;
-    let (s0, s1) = cluster_range;
-    let nb = t1 - t0;
-    let nc = s1 - s0;
-    debug_assert!(nb > 0 && nc > 0);
-    let work = WorkEstimate::new(
-        nb as f64 * nc as f64 * kernel.flops_per_eval_gpu(),
-        ((nb * 4 + nc * 4) * 8) as f64,
+    let src = TileSources::particles(arrays, cluster_range);
+    launch_tile(
+        dev,
+        "batch_cluster_direct",
+        arrays,
+        batch_range,
+        src,
+        kernel,
+        stream,
     );
-    let cfg = LaunchConfig::new("batch_cluster_direct", nb, THREADS_PER_BLOCK).stream(stream);
-    let a = *arrays;
-    dev.launch(cfg, work, move |mem| {
-        // Stage the cluster (the "shared memory" of a real port).
-        let xs = mem.f64(a.sx)[s0..s1].to_vec();
-        let ys = mem.f64(a.sy)[s0..s1].to_vec();
-        let zs = mem.f64(a.sz)[s0..s1].to_vec();
-        let qs = mem.f64(a.sq)[s0..s1].to_vec();
-        let txv = mem.f64(a.tx)[t0..t1].to_vec();
-        let tyv = mem.f64(a.ty)[t0..t1].to_vec();
-        let tzv = mem.f64(a.tz)[t0..t1].to_vec();
-        let pot = mem.f64_mut(a.pot);
-        // Block i: target t0+i; threads j over sources; sequential sum
-        // models the deterministic block reduction.
-        for i in 0..nb {
-            let mut acc = 0.0;
-            for j in 0..nc {
-                acc += kernel.eval(txv[i] - xs[j], tyv[i] - ys[j], tzv[i] - zs[j]) * qs[j];
-            }
-            pot[t0 + i] += acc; // the #pragma acc atomic update
-        }
-    });
 }
 
-/// Batch–cluster **approximation** kernel (Eq. 11).
-///
-/// Identical structure to the direct-sum kernel with the cluster's
-/// `(n+1)³` Chebyshev proxies (and their modified charges) in place of
-/// the sources — the paper's key GPU-enabling property.
+/// Batch–cluster **approximation** kernel (Eq. 11): identical structure
+/// to the direct-sum kernel with the cluster's `(n+1)³` Chebyshev proxies
+/// (and their modified charges) in place of the sources.
 pub fn launch_approx_kernel(
     dev: &mut Device,
     arrays: &DeviceArrays,
@@ -311,32 +308,14 @@ pub fn launch_approx_kernel(
     kernel: &dyn Kernel,
     stream: usize,
 ) {
-    let (t0, t1) = batch_range;
-    let nb = t1 - t0;
-    let m3 = arrays.proxy_per_node;
-    debug_assert!(nb > 0 && m3 > 0);
-    let work = WorkEstimate::new(
-        nb as f64 * m3 as f64 * kernel.flops_per_eval_gpu(),
-        ((nb * 4 + m3 * 4) * 8) as f64,
+    let src = TileSources::proxies(arrays, node_idx);
+    launch_tile(
+        dev,
+        "batch_cluster_approx",
+        arrays,
+        batch_range,
+        src,
+        kernel,
+        stream,
     );
-    let cfg = LaunchConfig::new("batch_cluster_approx", nb, THREADS_PER_BLOCK).stream(stream);
-    let a = *arrays;
-    let base = node_idx * m3;
-    dev.launch(cfg, work, move |mem| {
-        let px = mem.f64(a.proxy_x)[base..base + m3].to_vec();
-        let py = mem.f64(a.proxy_y)[base..base + m3].to_vec();
-        let pz = mem.f64(a.proxy_z)[base..base + m3].to_vec();
-        let qh = mem.f64(a.qhat)[base..base + m3].to_vec();
-        let txv = mem.f64(a.tx)[t0..t1].to_vec();
-        let tyv = mem.f64(a.ty)[t0..t1].to_vec();
-        let tzv = mem.f64(a.tz)[t0..t1].to_vec();
-        let pot = mem.f64_mut(a.pot);
-        for i in 0..nb {
-            let mut acc = 0.0;
-            for k in 0..m3 {
-                acc += kernel.eval(txv[i] - px[k], tyv[i] - py[k], tzv[i] - pz[k]) * qh[k];
-            }
-            pot[t0 + i] += acc;
-        }
-    });
 }

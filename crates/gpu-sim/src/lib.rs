@@ -37,8 +37,7 @@
 //!     LaunchConfig::new("scale", 8, 128).stream(0),
 //!     WorkEstimate::flops(1024.0),
 //!     |mem| {
-//!         let src: Vec<f64> = mem.f64(buf).to_vec();
-//!         let dst = mem.f64_mut(out);
+//!         let ([src], [dst]) = mem.f64_split([buf], [out]);
 //!         for (d, s) in dst.iter_mut().zip(src) { *d = 2.0 * s; }
 //!     },
 //! );

@@ -3,8 +3,9 @@
 //! Buffers are identified by typed handles (`BufF64`, `BufU32`) so kernel
 //! bodies — plain closures over `&mut DeviceMemory` — can address several
 //! buffers without fighting the borrow checker over disjoint `&mut`s.
-//! `f64_pair_mut` provides the common two-buffer (read A, write B) access
-//! pattern safely.
+//! [`DeviceMemory::f64_split`] borrows a kernel's whole working set at
+//! once — any number of buffers to read, any number of distinct buffers
+//! to write — so a body works on device memory in place.
 
 /// Handle to a device-resident `f64` buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,33 +71,46 @@ impl DeviceMemory {
         }
     }
 
-    /// Disjoint (read, write) access to two distinct `f64` buffers —
-    /// the canonical kernel signature "read inputs A, accumulate into B".
+    /// Split-borrow a kernel's working set: shared views of the `reads`
+    /// buffers and exclusive views of the `writes` buffers, in argument
+    /// order — the canonical kernel signature "read inputs A…, accumulate
+    /// into B…" without staging copies. A buffer may be read more than
+    /// once.
     ///
-    /// Panics if the handles alias.
-    pub fn f64_pair_mut(&mut self, read: BufF64, write: BufF64) -> (&[f64], &mut [f64]) {
-        assert_ne!(read.0, write.0, "aliasing buffers in f64_pair_mut");
-        let (lo, hi, swapped) = if read.0 < write.0 {
-            (read.0, write.0, false)
-        } else {
-            (write.0, read.0, true)
-        };
-        let (a, b) = self.slots.split_at_mut(hi);
-        let lo_slot = &mut a[lo];
-        let hi_slot = &mut b[0];
-        fn as_f64(s: &mut Slot) -> &mut Vec<f64> {
-            match s {
-                Slot::F64(v) => v,
-                Slot::U32(_) => unreachable!("typed handle cannot point at u32 slot"),
+    /// Panics if a write handle repeats, if a write handle is also a read
+    /// handle, or if a handle does not belong to this arena.
+    pub fn f64_split<const R: usize, const W: usize>(
+        &mut self,
+        reads: [BufF64; R],
+        writes: [BufF64; W],
+    ) -> ([&[f64]; R], [&mut [f64]; W]) {
+        for (k, w) in writes.iter().enumerate() {
+            assert!(
+                !writes[..k].contains(w),
+                "aliasing write buffers in f64_split"
+            );
+            assert!(
+                !reads.contains(w),
+                "write buffer aliases a read buffer in f64_split"
+            );
+        }
+        for h in reads.iter().chain(&writes) {
+            assert!(h.0 < self.slots.len(), "buffer handle from another arena");
+        }
+        let mut r: [&[f64]; R] = [&[]; R];
+        let mut w: [&mut [f64]; W] = std::array::from_fn(|_| Default::default());
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
+            let Slot::F64(v) = slot else { continue };
+            if let Some(k) = writes.iter().position(|h| h.0 == idx) {
+                w[k] = v;
+            } else {
+                let v: &[f64] = v;
+                for (k, _) in reads.iter().enumerate().filter(|(_, h)| h.0 == idx) {
+                    r[k] = v;
+                }
             }
         }
-        let lo_v = as_f64(lo_slot);
-        let hi_v = as_f64(hi_slot);
-        if swapped {
-            (&*hi_v, lo_v)
-        } else {
-            (&*lo_v, hi_v)
-        }
+        (r, w)
     }
 
     /// Number of live buffers.
@@ -134,28 +148,48 @@ mod tests {
     }
 
     #[test]
-    fn pair_access_both_orders() {
+    fn split_returns_the_named_slices_in_argument_order() {
         let mut m = DeviceMemory::default();
         let a = m.alloc_f64(vec![1.0, 2.0]);
+        let _gap = m.alloc_u32(vec![7]);
         let b = m.alloc_f64(vec![0.0, 0.0]);
+        let c = m.alloc_f64(vec![5.0]);
         {
-            let (src, dst) = m.f64_pair_mut(a, b);
-            dst[0] = src[0] + src[1];
+            // Read a later and an earlier buffer (one of them twice),
+            // write the middle one.
+            let ([r0, r1, r2], [dst]) = m.f64_split([c, a, c], [b]);
+            assert_eq!((r0, r1, r2), (&[5.0][..], &[1.0, 2.0][..], &[5.0][..]));
+            dst[0] = r1[0] + r1[1];
+            dst[1] = r0[0];
         }
-        assert_eq!(m.f64(b)[0], 3.0);
+        assert_eq!(m.f64(b), &[3.0, 5.0]);
         {
-            // Reverse order: read the later buffer, write the earlier.
-            let (src, dst) = m.f64_pair_mut(b, a);
-            dst[1] = src[0];
+            // Several writes, handles in descending arena order.
+            let ([src], [w0, w1]) = m.f64_split([b], [c, a]);
+            w0[0] = src[0];
+            w1[1] = src[1];
         }
-        assert_eq!(m.f64(a)[1], 3.0);
+        assert_eq!(m.f64(c), &[3.0]);
+        assert_eq!(m.f64(a), &[1.0, 5.0]);
+        // No reads, no writes: both sides empty.
+        let ([], []) = m.f64_split([], []);
     }
 
     #[test]
-    #[should_panic(expected = "aliasing")]
-    fn pair_access_rejects_aliasing() {
+    #[should_panic(expected = "aliasing write buffers")]
+    fn split_rejects_write_write_aliasing() {
         let mut m = DeviceMemory::default();
         let a = m.alloc_f64(vec![1.0]);
-        let _ = m.f64_pair_mut(a, a);
+        let b = m.alloc_f64(vec![1.0]);
+        let _ = m.f64_split([b], [a, a]);
+    }
+
+    #[test]
+    #[should_panic(expected = "aliases a read buffer")]
+    fn split_rejects_write_read_aliasing() {
+        let mut m = DeviceMemory::default();
+        let a = m.alloc_f64(vec![1.0]);
+        let b = m.alloc_f64(vec![1.0]);
+        let _ = m.f64_split([a, b], [b]);
     }
 }

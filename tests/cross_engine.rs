@@ -1,8 +1,11 @@
 //! Cross-crate integration: all four engines (serial CPU, parallel CPU,
 //! simulated GPU, distributed multi-rank) must agree on the same problem.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use bltc::core::prelude::*;
-use bltc::dist::{run_distributed, run_distributed_field, DistConfig};
+use bltc::dist::{run_distributed, run_distributed_field, DistConfig, FieldSession};
 use bltc::gpu::GpuEngine;
 use bltc::gpu_sim::DeviceSpec;
 
@@ -186,6 +189,119 @@ fn all_field_engines_converge_to_direct_sum_field() {
             assert!(err < 1e-3, "{name}: {c} err {err}");
         }
     }
+}
+
+/// Coulomb that counts how it is called: whole tiles, or single pairs.
+#[derive(Default)]
+struct CountingCoulomb {
+    tiles: AtomicUsize,
+    pairs: AtomicUsize,
+}
+
+impl Kernel for CountingCoulomb {
+    fn eval(&self, dx: f64, dy: f64, dz: f64) -> f64 {
+        self.pairs.fetch_add(1, Ordering::Relaxed);
+        Coulomb.eval(dx, dy, dz)
+    }
+    fn accumulate_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        sx: &[f64],
+        sy: &[f64],
+        sz: &[f64],
+        sq: &[f64],
+        out: &mut [f64],
+    ) {
+        self.tiles.fetch_add(1, Ordering::Relaxed);
+        Coulomb.accumulate_tile(tx, ty, tz, sx, sy, sz, sq, out);
+    }
+    fn name(&self) -> &'static str {
+        "counting-coulomb"
+    }
+    fn flops_per_eval_cpu(&self) -> f64 {
+        Coulomb.flops_per_eval_cpu()
+    }
+    fn flops_per_eval_gpu(&self) -> f64 {
+        Coulomb.flops_per_eval_gpu()
+    }
+}
+
+impl GradientKernel for CountingCoulomb {
+    fn eval_with_grad(&self, dx: f64, dy: f64, dz: f64) -> (f64, f64, f64, f64) {
+        self.pairs.fetch_add(1, Ordering::Relaxed);
+        Coulomb.eval_with_grad(dx, dy, dz)
+    }
+    fn accumulate_field_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        sx: &[f64],
+        sy: &[f64],
+        sz: &[f64],
+        sq: &[f64],
+        pot: &mut [f64],
+        gx: &mut [f64],
+        gy: &mut [f64],
+        gz: &mut [f64],
+    ) {
+        self.tiles.fetch_add(1, Ordering::Relaxed);
+        Coulomb.accumulate_field_tile(tx, ty, tz, sx, sy, sz, sq, pot, gx, gy, gz);
+    }
+}
+
+impl CountingCoulomb {
+    /// (tile calls, per-pair calls) since the last take.
+    fn take(&self) -> (usize, usize) {
+        (
+            self.tiles.swap(0, Ordering::Relaxed),
+            self.pairs.swap(0, Ordering::Relaxed),
+        )
+    }
+}
+
+/// The wrapper trap: a kernel handed over as a trait object must still be
+/// driven tile by tile. A forwarding wrapper that leaves the tile methods
+/// to their provided bodies instantiates them for *itself* and silently
+/// falls back to one virtual `eval` per pair — same bits, none of the
+/// speed — so this is only visible by counting.
+#[test]
+fn trait_object_kernels_are_driven_by_tiles_on_every_distributed_door() {
+    let ps = problem(1500, 110);
+    let cfg = DistConfig::comet(BltcParams::new(0.7, 4, 80, 80));
+    let counting = Arc::new(CountingCoulomb::default());
+
+    let as_kernel: &dyn Kernel = &*counting;
+    let pot = run_distributed(&ps, 3, &cfg, as_kernel);
+    let (tiles, pairs) = counting.take();
+    assert!(tiles > 0, "run_distributed never called the kernel's tile");
+    assert_eq!(pairs, 0, "run_distributed fell back to per-pair calls");
+    assert_eq!(
+        pot.potentials,
+        run_distributed(&ps, 3, &cfg, &Coulomb).potentials
+    );
+
+    let as_gradient: &dyn GradientKernel = &*counting;
+    let field = run_distributed_field(&ps, 3, &cfg, as_gradient);
+    let (tiles, pairs) = counting.take();
+    assert!(tiles > 0, "run_distributed_field never called the tile");
+    assert_eq!(
+        pairs, 0,
+        "run_distributed_field fell back to per-pair calls"
+    );
+    assert_eq!(
+        field.field,
+        run_distributed_field(&ps, 3, &cfg, &Coulomb).field
+    );
+
+    let mut session = FieldSession::launch(&ps, &[], 3, &cfg);
+    let shared: Arc<dyn GradientKernel> = counting.clone();
+    session.eval_field(&shared);
+    let (tiles, pairs) = counting.take();
+    assert!(tiles > 0, "FieldSession epoch never called the tile");
+    assert_eq!(pairs, 0, "FieldSession epoch fell back to per-pair calls");
 }
 
 #[test]
