@@ -18,6 +18,14 @@
 //! the relative 2-norm error of the sampled gradient components vs the
 //! direct-sum field.
 //!
+//! The run fails (exit status 1) if any error is not finite, or if along
+//! a constant-θ curve the error at the last degree is not below the error
+//! at degree 1 — the sweep walks every odd interpolation width through
+//! the precompute kernels, so this is the smoke check CI runs on them.
+//! (The check needs approximated pairs at degree 1, i.e. clusters of
+//! more than 8 particles that some batch sees as well separated; at
+//! small `--n` pass a small `--cap`.)
+//!
 //! ```text
 //! cargo run --release --bin fig4_accuracy [-- --n 20000 --samples 500 --forces]
 //! ```
@@ -56,6 +64,7 @@ fn main() {
 
     let kernels: Vec<Box<dyn GradientKernel>> =
         vec![Box::new(Coulomb), Box::new(Yukawa::default())];
+    let mut failures = Vec::new();
     for kernel in &kernels {
         let exact_pot = (!forces).then(|| direct_sum_subset(&ps, &idx, &ps, kernel.as_ref()));
         let exact_field = forces.then(|| direct_sum_field(&ps.subset(&idx), &ps, kernel.as_ref()));
@@ -84,6 +93,7 @@ fn main() {
         let mut max_speedup: f64 = 0.0;
         for &theta in &[0.5, 0.7, 0.9] {
             let mut degree = 1;
+            let (mut first_err, mut last_err) = (f64::NAN, f64::NAN);
             while degree <= max_degree {
                 let params = BltcParams::new(theta, degree, cap, cap);
                 let engine = GpuEngine::with_spec(params, spec);
@@ -132,11 +142,27 @@ fn main() {
                     sci(t_gpu),
                     ops.kernel_evals() as f64 / n as f64,
                 );
+                if !err.is_finite() {
+                    failures.push(format!(
+                        "{} θ={theta} n={degree}: error {err}",
+                        kernel.name()
+                    ));
+                }
+                if degree == 1 {
+                    first_err = err;
+                }
+                last_err = err;
                 // Stop the sweep once machine precision is reached.
                 if err < 1e-15 {
                     break;
                 }
                 degree += 2;
+            }
+            if max_degree > 1 && last_err >= first_err {
+                failures.push(format!(
+                    "{} θ={theta}: error {first_err:e} at n=1 did not drop ({last_err:e} at the last degree)",
+                    kernel.name()
+                ));
             }
         }
         println!(
@@ -147,4 +173,10 @@ fn main() {
     println!("  - error decreases along each constant-θ curve as n grows");
     println!("  - smaller θ reaches lower error at equal n");
     println!("  - Yukawa/Coulomb cost ratio ≈ 1.8 (CPU) / 1.5 (GPU) by the kernel flop model");
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("FAILED: {f}");
+        }
+        std::process::exit(1);
+    }
 }

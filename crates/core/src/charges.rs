@@ -1,85 +1,106 @@
-//! Modified charges `q̂_k` (Eq. 12), computed with the paper's two-phase
-//! scheme (Eq. 14–15).
+//! Modified charges `q̂_k` (Eq. 12): one per-particle term pass, one
+//! tensor accumulate.
 //!
-//! Phase 1 computes per-source intermediates
-//! `q̃_j = q_j / (D_1 D_2 D_3)` where `D_ℓ = Σ_k w_k / (y_{jℓ} - s_kℓ)`
-//! is the barycentric denominator in dimension ℓ. Phase 2 accumulates
-//! `q̂_k = Σ_j t_{k1}(y_{j1}) t_{k2}(y_{j2}) t_{k3}(y_{j3}) q̃_j` with
-//! `t_k(y) = w_k / (y - s_k)`. The product of the two phases is exactly
-//! the tensor Lagrange basis `L_{k1} L_{k2} L_{k3}` of Eq. 12.
+//! Per source particle and dimension ℓ the barycentric terms
+//! `t_k = w_k / (y_{jℓ} - s_kℓ)` are evaluated **once**
+//! ([`dim_terms`]); their ascending-`k` sum is the denominator `D_ℓ`.
+//! The particle then adds `t_{k1} t_{k2} t_{k3} · q_j / (D_1 D_2 D_3)`
+//! to every proxy `k` — exactly the tensor Lagrange basis
+//! `L_{k1} L_{k2} L_{k3}` of Eq. 12 times its charge.
 //!
 //! Removable singularities: a source coordinate on a box face coincides
 //! with an endpoint node (guaranteed by minimal bounding boxes). Per §2.3
-//! the coincident dimension's factor collapses to a Kronecker delta; the
-//! `DimEval` machinery of [`crate::interp::barycentric`] implements this
-//! for both phases.
+//! the coincident dimension's terms collapse to a Kronecker row and its
+//! denominator to 1; [`dim_terms`] does both.
+//!
+//! **Why the bits cannot move.** Every cluster, whoever computes it,
+//! goes through the same two pieces of code: the private `term_pass`
+//! (three [`dim_terms`] calls per particle) and `scatter` (the triple
+//! loop). The expressions and their association are fixed —
+//! `q̃ = ((q·f₁)·f₂)·f₃`, `((t₁·q̃)·t₂)·t₃`, ascending `k` in each
+//! denominator, ascending `j` into each proxy slot — and the zero-skip
+//! branches of `scatter` keep a Kronecker row from adding signed zeros
+//! or `0·∞` to the slots it does not own. Widths `n + 1 = 2..=14` run
+//! the same body over `[f64; n + 1]` rows (the compiler unrolls the
+//! rows); only the code shape differs, never the arithmetic. A
+//! `#[cfg(test)]` copy of the earlier scalar two-pass code is the oracle
+//! the property tests compare against bit for bit.
+//!
+//! **Where the paper's two kernels survive.** §3.2 launches two kernels
+//! per cluster, Eq. 14 (`q̃_j`, [`phase1_intermediates_into`]) and
+//! Eq. 15 (`q̂_k` from `q̃`, [`phase2_accumulate_into`]), with `q̃` in
+//! a device buffer between them. The simulated device keeps that split,
+//! because its modeled clock charges two launches and the `q̃` traffic;
+//! both bodies are views of the same term pass, so
+//! `phase2(phase1(·))` equals the fused host pass
+//! ([`compute_charges_into`]) bit for bit. The host never materializes
+//! `q̃`.
+//!
+//! **Who computes what.** [`PreparedTreecode::new`] computes only the
+//! clusters its interaction lists approximate
+//! ([`ClusterCharges::compute_selected`]); [`ClusterCharges::compute_all`]
+//! is the same constructor with every cluster selected, for the
+//! distributed `q̂` window (remote ranks choose what they read) and for
+//! anything that models the paper's all-cluster precompute.
 //!
 //! Because `Σ_k L_k(y) = 1` in every dimension, the transform conserves
 //! total charge: `Σ_k q̂_k = Σ_j q_j` — a key test invariant.
+//!
+//! [`PreparedTreecode::new`]: crate::engine::PreparedTreecode::new
 
 use rayon::prelude::*;
 
-use crate::interp::barycentric::{dim_eval, dim_term, phase1_factor, DimEval};
+use crate::interp::barycentric::dim_terms;
 use crate::interp::tensor::TensorGrid;
 use crate::tree::SourceTree;
 
-/// Per-cluster interpolation data: the tensor grid and (for computed
-/// clusters) the `(n+1)³` modified charges in linear index order.
+/// One cluster's interpolation data.
+#[derive(Debug, Clone)]
+struct Cluster {
+    grid: TensorGrid,
+    /// `(n+1)³` modified charges in linear index order; empty if the
+    /// cluster was not selected.
+    qhat: Vec<f64>,
+}
+
+/// Per-cluster interpolation data: the tensor grid of every cluster and
+/// the modified charges of the computed ones.
 #[derive(Debug, Clone)]
 pub struct ClusterCharges {
     degree: usize,
-    grids: Vec<TensorGrid>,
-    qhat: Vec<Vec<f64>>,
+    clusters: Vec<Cluster>,
 }
 
 impl ClusterCharges {
-    /// Compute the tensor grids for every node and the modified charges
-    /// for every node (the paper precomputes all clusters in the rank's
-    /// subtree up front, §3.2 — one OpenMP task per cluster; here one
-    /// pool task per cluster). Each node's charges depend only on that
-    /// node's particles and grid and land in that node's slot, so the
-    /// result is bitwise identical at any pool size.
+    /// Compute the tensor grid and the modified charges of every cluster
+    /// (the paper precomputes all clusters in the rank's subtree up
+    /// front, §3.2).
     pub fn compute_all(tree: &SourceTree, degree: usize) -> Self {
-        let mut s = Self::grids_only(tree, degree);
-        let grids = &s.grids;
-        s.qhat = (0..tree.num_nodes())
+        Self::compute_selected(tree, degree, &vec![true; tree.num_nodes()])
+    }
+
+    /// Compute the tensor grid of every cluster and the modified charges
+    /// of the clusters with `selected[idx]` — one pool task per cluster
+    /// (the paper: one OpenMP task per cluster). A cluster's grid and
+    /// charges depend only on that cluster's box and particles and land
+    /// in that cluster's slot, so every computed slot is bitwise the
+    /// same at any pool size and under any selection.
+    pub fn compute_selected(tree: &SourceTree, degree: usize, selected: &[bool]) -> Self {
+        assert_eq!(selected.len(), tree.num_nodes(), "selection length");
+        let clusters = (0..tree.num_nodes())
             .into_par_iter()
-            .map(|idx| compute_node_charges(tree, &grids[idx], idx))
+            .map(|idx| {
+                let grid = TensorGrid::new(degree, &tree.node(idx).bbox);
+                let qhat = if selected[idx] {
+                    let (xs, ys, zs, qs) = tree.node_particles(idx);
+                    compute_charges_from_slices(&grid, xs, ys, zs, qs)
+                } else {
+                    Vec::new()
+                };
+                Cluster { grid, qhat }
+            })
             .collect();
-        s
-    }
-
-    /// Build only the grids; charges can then be filled selectively with
-    /// [`ClusterCharges::compute_node`] (used by ablation studies and by
-    /// the distributed pipeline for remote LET clusters whose charges
-    /// arrive over the wire).
-    pub fn grids_only(tree: &SourceTree, degree: usize) -> Self {
-        let grids: Vec<TensorGrid> = tree
-            .nodes()
-            .iter()
-            .map(|n| TensorGrid::new(degree, &n.bbox))
-            .collect();
-        let qhat = vec![Vec::new(); tree.num_nodes()];
-        Self {
-            degree,
-            grids,
-            qhat,
-        }
-    }
-
-    /// Compute (or recompute) the charges of a single node.
-    pub fn compute_node(&mut self, tree: &SourceTree, idx: usize) {
-        self.qhat[idx] = compute_node_charges(tree, &self.grids[idx], idx);
-    }
-
-    /// Install externally computed charges for a node (distributed LET).
-    pub fn set_node_charges(&mut self, idx: usize, charges: Vec<f64>) {
-        assert_eq!(
-            charges.len(),
-            self.grids[idx].len(),
-            "charge count mismatch"
-        );
-        self.qhat[idx] = charges;
+        Self { degree, clusters }
     }
 
     /// Interpolation degree.
@@ -91,38 +112,40 @@ impl ClusterCharges {
     /// The tensor grid of a node.
     #[inline]
     pub fn grid(&self, idx: usize) -> &TensorGrid {
-        &self.grids[idx]
+        &self.clusters[idx].grid
     }
 
-    /// The modified charges of a node (empty if not computed).
+    /// The modified charges of a node.
+    ///
+    /// # Panics
+    /// If the node's charges were not computed: an evaluation may read
+    /// only the clusters on its own approximation lists.
     #[inline]
     pub fn charges(&self, idx: usize) -> &[f64] {
-        &self.qhat[idx]
+        let qhat = &self.clusters[idx].qhat;
+        assert!(
+            !qhat.is_empty(),
+            "modified charges of cluster {idx} were never computed: \
+             it is on no approximation list of this preparation"
+        );
+        qhat
     }
 
     /// Whether a node's charges have been computed.
     #[inline]
     pub fn is_computed(&self, idx: usize) -> bool {
-        !self.qhat[idx].is_empty()
+        !self.clusters[idx].qhat.is_empty()
     }
 
     /// Number of nodes tracked.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.grids.len()
+        self.clusters.len()
     }
 }
 
-/// Compute the modified charges of one cluster. Public (crate-visible via
-/// re-export) so the GPU engine can reuse the identical scalar math inside
-/// its simulated kernels.
-pub fn compute_node_charges(tree: &SourceTree, grid: &TensorGrid, idx: usize) -> Vec<f64> {
-    let (xs, ys, zs, qs) = tree.node_particles(idx);
-    compute_charges_from_slices(grid, xs, ys, zs, qs)
-}
-
-/// The two-phase computation over raw coordinate slices:
-/// phase 1 (Eq. 14) then phase 2 (Eq. 15).
+/// The modified charges of one cluster over raw coordinate slices, as a
+/// fresh vector ([`compute_charges_into`] is the in-place form).
 pub fn compute_charges_from_slices(
     grid: &TensorGrid,
     xs: &[f64],
@@ -130,90 +153,147 @@ pub fn compute_charges_from_slices(
     zs: &[f64],
     qs: &[f64],
 ) -> Vec<f64> {
-    let qt = phase1_intermediates(grid, xs, ys, zs, qs);
-    phase2_accumulate(grid, xs, ys, zs, &qt)
+    let mut qhat = vec![0.0; grid.len()];
+    compute_charges_into(grid, xs, ys, zs, qs, &mut qhat);
+    qhat
 }
 
-/// Phase 1 (Eq. 14): the per-source intermediates
-/// `q̃_j = q_j / (D_1 D_2 D_3)` (coincident dimensions contribute factor
-/// 1 — their basis is already a Kronecker delta).
-///
-/// This is exactly the work of the paper's first preprocessing kernel;
-/// the GPU engine calls it from inside its simulated kernel body so CPU
-/// and GPU results agree bit-for-bit.
-pub fn phase1_intermediates(
+/// The modified charges of one cluster, written over `qhat`
+/// (`grid.len()` slots): Eq. 14 and Eq. 15 fused into one pass per
+/// particle, no `q̃` vector in between.
+pub fn compute_charges_into(
     grid: &TensorGrid,
     xs: &[f64],
     ys: &[f64],
     zs: &[f64],
     qs: &[f64],
-) -> Vec<f64> {
-    let mut qt = Vec::with_capacity(xs.len());
-    for j in 0..xs.len() {
-        let e1 = dim_eval(grid.dim(0), xs[j]);
-        let e2 = dim_eval(grid.dim(1), ys[j]);
-        let e3 = dim_eval(grid.dim(2), zs[j]);
-        qt.push(qs[j] * phase1_factor(&e1) * phase1_factor(&e2) * phase1_factor(&e3));
-    }
-    qt
+    qhat: &mut [f64],
+) {
+    assert_eq!(qs.len(), xs.len(), "charge count mismatch");
+    assert_eq!(qhat.len(), grid.len(), "modified charge count mismatch");
+    qhat.fill(0.0);
+    for_each_particle(grid, [xs, ys, zs], |j, [f1, f2, f3], terms| {
+        scatter(qs[j] * f1 * f2 * f3, terms, qhat);
+    });
 }
 
-/// Phase 2 (Eq. 15): accumulate the modified charges from the
-/// intermediates, `q̂_k = Σ_j t_{k1} t_{k2} t_{k3} q̃_j`.
+/// Phase 1 (Eq. 14): the per-source intermediates
+/// `q̃_j = q_j / (D_1 D_2 D_3)` (coincident dimensions contribute factor
+/// 1 — their basis is already a Kronecker delta), written over `qt`.
 ///
-/// The accumulation order (ascending `j` for every `k`) and the product
-/// association `((t1·q̃)·t2)·t3` are fixed so the CPU and simulated-GPU
-/// paths produce identical bits.
-pub fn phase2_accumulate(
+/// This is exactly the work of the paper's first preprocessing kernel;
+/// the GPU engine calls it from inside its simulated kernel body so CPU
+/// and GPU results agree bit-for-bit.
+pub fn phase1_intermediates_into(
+    grid: &TensorGrid,
+    xs: &[f64],
+    ys: &[f64],
+    zs: &[f64],
+    qs: &[f64],
+    qt: &mut [f64],
+) {
+    assert_eq!(qs.len(), xs.len(), "charge count mismatch");
+    assert_eq!(qt.len(), xs.len(), "intermediate count mismatch");
+    for_each_particle(grid, [xs, ys, zs], |j, [f1, f2, f3], _| {
+        qt[j] = qs[j] * f1 * f2 * f3;
+    });
+}
+
+/// Phase 2 (Eq. 15): the modified charges from the intermediates,
+/// `q̂_k = Σ_j t_{k1} t_{k2} t_{k3} q̃_j`, written over `qhat`
+/// (`grid.len()` slots) — the paper's second preprocessing kernel.
+pub fn phase2_accumulate_into(
     grid: &TensorGrid,
     xs: &[f64],
     ys: &[f64],
     zs: &[f64],
     qt: &[f64],
-) -> Vec<f64> {
+    qhat: &mut [f64],
+) {
     assert_eq!(qt.len(), xs.len(), "intermediate count mismatch");
-    let m = grid.nodes_per_dim();
-    let mut qhat = vec![0.0; grid.len()];
-    // Per-particle term vectors, reused across particles.
-    let mut t1 = vec![0.0; m];
-    let mut t2 = vec![0.0; m];
-    let mut t3 = vec![0.0; m];
-    for j in 0..xs.len() {
-        let e1 = dim_eval(grid.dim(0), xs[j]);
-        let e2 = dim_eval(grid.dim(1), ys[j]);
-        let e3 = dim_eval(grid.dim(2), zs[j]);
-        fill_terms(grid, 0, &e1, xs[j], &mut t1);
-        fill_terms(grid, 1, &e2, ys[j], &mut t2);
-        fill_terms(grid, 2, &e3, zs[j], &mut t3);
-        // Index arithmetic (`(k1·m + k2)·m + k3`) is the linear proxy
-        // layout shared with the GPU buffers; keep the explicit indices.
-        #[allow(clippy::needless_range_loop)]
-        for k1 in 0..m {
-            let c1 = t1[k1] * qt[j];
-            if c1 == 0.0 {
-                continue;
-            }
-            let base1 = k1 * m;
-            for k2 in 0..m {
-                let c12 = c1 * t2[k2];
-                if c12 == 0.0 {
-                    continue;
-                }
-                let base = (base1 + k2) * m;
-                for (k3, &t) in t3.iter().enumerate() {
-                    qhat[base + k3] += c12 * t;
-                }
-            }
-        }
-    }
-    qhat
+    assert_eq!(qhat.len(), grid.len(), "modified charge count mismatch");
+    qhat.fill(0.0);
+    for_each_particle(grid, [xs, ys, zs], |j, _, terms| {
+        scatter(qt[j], terms, qhat);
+    });
 }
 
-#[inline]
-fn fill_terms(grid: &TensorGrid, dim: usize, eval: &DimEval, y: f64, out: &mut [f64]) {
-    let g = grid.dim(dim);
-    for (k, slot) in out.iter_mut().enumerate() {
-        *slot = dim_term(g, eval, k, y);
+/// Run the term pass over a cluster's particles at the grid's width:
+/// `each(j, [f₁, f₂, f₃], [t₁, t₂, t₃])` per particle, ascending `j`.
+///
+/// Widths 2..=14 (degrees 1–13, the range Fig. 4 sweeps) get the body
+/// monomorphised over `[f64; M]` rows; wider grids run it over vectors.
+#[inline(always)]
+fn for_each_particle(
+    grid: &TensorGrid,
+    coords: [&[f64]; 3],
+    each: impl FnMut(usize, [f64; 3], [&[f64]; 3]),
+) {
+    match grid.nodes_per_dim() {
+        2 => term_pass(grid, coords, [[0.0; 2]; 3], each),
+        3 => term_pass(grid, coords, [[0.0; 3]; 3], each),
+        4 => term_pass(grid, coords, [[0.0; 4]; 3], each),
+        5 => term_pass(grid, coords, [[0.0; 5]; 3], each),
+        6 => term_pass(grid, coords, [[0.0; 6]; 3], each),
+        7 => term_pass(grid, coords, [[0.0; 7]; 3], each),
+        8 => term_pass(grid, coords, [[0.0; 8]; 3], each),
+        9 => term_pass(grid, coords, [[0.0; 9]; 3], each),
+        10 => term_pass(grid, coords, [[0.0; 10]; 3], each),
+        11 => term_pass(grid, coords, [[0.0; 11]; 3], each),
+        12 => term_pass(grid, coords, [[0.0; 12]; 3], each),
+        13 => term_pass(grid, coords, [[0.0; 13]; 3], each),
+        14 => term_pass(grid, coords, [[0.0; 14]; 3], each),
+        m => term_pass(grid, coords, [(); 3].map(|()| vec![0.0; m]), each),
+    }
+}
+
+/// The term pass: per particle, the three [`dim_terms`] rows and their
+/// phase-1 factors, handed to `each`. `rows` is the scratch the terms
+/// live in.
+#[inline(always)]
+fn term_pass<R: AsMut<[f64]>>(
+    grid: &TensorGrid,
+    [xs, ys, zs]: [&[f64]; 3],
+    mut rows: [R; 3],
+    mut each: impl FnMut(usize, [f64; 3], [&[f64]; 3]),
+) {
+    assert!(ys.len() == xs.len() && zs.len() == xs.len());
+    let [r1, r2, r3] = &mut rows;
+    let (t1, t2, t3) = (r1.as_mut(), r2.as_mut(), r3.as_mut());
+    for j in 0..xs.len() {
+        let factors = [
+            dim_terms(grid.dim(0), xs[j], t1),
+            dim_terms(grid.dim(1), ys[j], t2),
+            dim_terms(grid.dim(2), zs[j], t3),
+        ];
+        each(j, factors, [t1, t2, t3]);
+    }
+}
+
+/// Add one particle's contribution `c · t₁[k1] · t₂[k2] · t₃[k3]` to
+/// every proxy slot (`(k1·m + k2)·m + k3`, the linear proxy layout shared
+/// with the device buffers).
+///
+/// The zero skips are load-bearing: with a Kronecker row they leave the
+/// slots outside the row untouched instead of adding `±0` or `0·∞`.
+#[inline(always)]
+fn scatter(c: f64, [t1, t2, t3]: [&[f64]; 3], qhat: &mut [f64]) {
+    let m = t3.len();
+    for (k1, &a) in t1.iter().enumerate() {
+        let c1 = a * c;
+        if c1 == 0.0 {
+            continue;
+        }
+        for (k2, &b) in t2.iter().enumerate() {
+            let c12 = c1 * b;
+            if c12 == 0.0 {
+                continue;
+            }
+            let base = (k1 * m + k2) * m;
+            for (slot, &t) in qhat[base..base + m].iter_mut().zip(t3) {
+                *slot += c12 * t;
+            }
+        }
     }
 }
 
@@ -335,24 +415,167 @@ mod tests {
     }
 
     #[test]
-    fn grids_only_defers_computation() {
+    #[should_panic(expected = "on no approximation list")]
+    fn reading_an_unselected_cluster_panics() {
         let ps = ParticleSet::random_cube(300, 34);
         let tree = tree_of(&ps, 50);
-        let mut cc = ClusterCharges::grids_only(&tree, 4);
-        assert!(!cc.is_computed(0));
-        cc.compute_node(&tree, 0);
-        assert!(cc.is_computed(0));
-        let full = ClusterCharges::compute_all(&tree, 4);
-        assert_eq!(cc.charges(0), full.charges(0));
+        let mut selected = vec![true; tree.num_nodes()];
+        selected[1] = false;
+        let cc = ClusterCharges::compute_selected(&tree, 4, &selected);
+        assert!(cc.is_computed(0) && !cc.is_computed(1));
+        assert_eq!(cc.grid(1).len(), 125, "grids exist for every cluster");
+        cc.charges(1);
     }
 
-    #[test]
-    fn set_node_charges_validates_length() {
-        let ps = ParticleSet::random_cube(100, 35);
-        let tree = tree_of(&ps, 200);
-        let mut cc = ClusterCharges::grids_only(&tree, 2);
-        cc.set_node_charges(0, vec![0.0; 27]);
-        assert!(cc.is_computed(0));
+    /// The scalar two-pass code this module replaced, kept verbatim as
+    /// the reference the kernel is compared against bit for bit: three
+    /// evaluations of `w_k / (y − s_k)` per particle and dimension, a
+    /// runtime-width triple loop.
+    mod oracle {
+        use crate::interp::barycentric::SINGULARITY_TOL;
+        use crate::interp::chebyshev::ChebyshevGrid1D;
+        use crate::interp::tensor::TensorGrid;
+
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum DimEval {
+            Regular { inv_denom: f64 },
+            Exact { index: usize },
+        }
+
+        pub fn dim_eval(grid: &ChebyshevGrid1D, x: f64) -> DimEval {
+            let mut denom = 0.0;
+            for k in 0..grid.len() {
+                let diff = x - grid.node(k);
+                if diff.abs() < SINGULARITY_TOL {
+                    return DimEval::Exact { index: k };
+                }
+                denom += grid.weight(k) / diff;
+            }
+            DimEval::Regular {
+                inv_denom: 1.0 / denom,
+            }
+        }
+
+        pub fn dim_term(grid: &ChebyshevGrid1D, eval: &DimEval, k: usize, x: f64) -> f64 {
+            match *eval {
+                DimEval::Regular { .. } => grid.weight(k) / (x - grid.node(k)),
+                DimEval::Exact { index } => {
+                    if k == index {
+                        1.0
+                    } else {
+                        0.0
+                    }
+                }
+            }
+        }
+
+        pub fn phase1_factor(eval: &DimEval) -> f64 {
+            match *eval {
+                DimEval::Regular { inv_denom } => inv_denom,
+                DimEval::Exact { .. } => 1.0,
+            }
+        }
+
+        pub fn compute_charges_from_slices(
+            grid: &TensorGrid,
+            xs: &[f64],
+            ys: &[f64],
+            zs: &[f64],
+            qs: &[f64],
+        ) -> Vec<f64> {
+            let qt = phase1_intermediates(grid, xs, ys, zs, qs);
+            phase2_accumulate(grid, xs, ys, zs, &qt)
+        }
+
+        pub fn phase1_intermediates(
+            grid: &TensorGrid,
+            xs: &[f64],
+            ys: &[f64],
+            zs: &[f64],
+            qs: &[f64],
+        ) -> Vec<f64> {
+            let mut qt = Vec::with_capacity(xs.len());
+            for j in 0..xs.len() {
+                let e1 = dim_eval(grid.dim(0), xs[j]);
+                let e2 = dim_eval(grid.dim(1), ys[j]);
+                let e3 = dim_eval(grid.dim(2), zs[j]);
+                qt.push(qs[j] * phase1_factor(&e1) * phase1_factor(&e2) * phase1_factor(&e3));
+            }
+            qt
+        }
+
+        pub fn phase2_accumulate(
+            grid: &TensorGrid,
+            xs: &[f64],
+            ys: &[f64],
+            zs: &[f64],
+            qt: &[f64],
+        ) -> Vec<f64> {
+            assert_eq!(qt.len(), xs.len(), "intermediate count mismatch");
+            let m = grid.nodes_per_dim();
+            let mut qhat = vec![0.0; grid.len()];
+            // Per-particle term vectors, reused across particles.
+            let mut t1 = vec![0.0; m];
+            let mut t2 = vec![0.0; m];
+            let mut t3 = vec![0.0; m];
+            for j in 0..xs.len() {
+                let e1 = dim_eval(grid.dim(0), xs[j]);
+                let e2 = dim_eval(grid.dim(1), ys[j]);
+                let e3 = dim_eval(grid.dim(2), zs[j]);
+                fill_terms(grid, 0, &e1, xs[j], &mut t1);
+                fill_terms(grid, 1, &e2, ys[j], &mut t2);
+                fill_terms(grid, 2, &e3, zs[j], &mut t3);
+                #[allow(clippy::needless_range_loop)]
+                for k1 in 0..m {
+                    let c1 = t1[k1] * qt[j];
+                    if c1 == 0.0 {
+                        continue;
+                    }
+                    let base1 = k1 * m;
+                    for k2 in 0..m {
+                        let c12 = c1 * t2[k2];
+                        if c12 == 0.0 {
+                            continue;
+                        }
+                        let base = (base1 + k2) * m;
+                        for (k3, &t) in t3.iter().enumerate() {
+                            qhat[base + k3] += c12 * t;
+                        }
+                    }
+                }
+            }
+            qhat
+        }
+
+        fn fill_terms(grid: &TensorGrid, dim: usize, eval: &DimEval, y: f64, out: &mut [f64]) {
+            let g = grid.dim(dim);
+            for (k, slot) in out.iter_mut().enumerate() {
+                *slot = dim_term(g, eval, k, y);
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Fused pass, both phase views and `phase2(phase1(·))` against the
+    /// oracle, bit for bit, on one cluster.
+    fn assert_matches_oracle(grid: &TensorGrid, [xs, ys, zs, qs]: [&[f64]; 4]) {
+        let want_qt = oracle::phase1_intermediates(grid, xs, ys, zs, qs);
+        let want = oracle::compute_charges_from_slices(grid, xs, ys, zs, qs);
+        assert!(want.iter().chain(&want_qt).all(|v| v.is_finite()));
+
+        let fused = compute_charges_from_slices(grid, xs, ys, zs, qs);
+        assert_eq!(bits(&fused), bits(&want), "fused pass");
+
+        // The views write over whatever the buffers held.
+        let mut qt = vec![f64::NAN; xs.len()];
+        phase1_intermediates_into(grid, xs, ys, zs, qs, &mut qt);
+        assert_eq!(bits(&qt), bits(&want_qt), "phase 1");
+        let mut split = vec![f64::NAN; grid.len()];
+        phase2_accumulate_into(grid, xs, ys, zs, &qt, &mut split);
+        assert_eq!(bits(&split), bits(&want), "phase 2 of phase 1");
     }
 
     #[test]
@@ -361,20 +584,76 @@ mod tests {
         let tree = tree_of(&ps, 1000);
         let (xs, ys, zs, qs) = tree.node_particles(0);
         let grid = TensorGrid::new(6, &tree.node(0).bbox);
-        let fused = compute_charges_from_slices(&grid, xs, ys, zs, qs);
-        let qt = phase1_intermediates(&grid, xs, ys, zs, qs);
-        let split = phase2_accumulate(&grid, xs, ys, zs, &qt);
-        assert_eq!(fused, split, "split phases must be bitwise identical");
-        // Intermediates must all be finite (singularity handling works).
-        assert!(qt.iter().all(|v| v.is_finite()));
+        assert_matches_oracle(&grid, [xs, ys, zs, qs]);
     }
 
     #[test]
-    #[should_panic(expected = "charge count mismatch")]
-    fn set_node_charges_rejects_bad_length() {
-        let ps = ParticleSet::random_cube(100, 36);
-        let tree = tree_of(&ps, 200);
-        let mut cc = ClusterCharges::grids_only(&tree, 2);
-        cc.set_node_charges(0, vec![0.0; 5]);
+    fn point_box_puts_all_charge_on_the_first_node_at_every_width() {
+        // Every node of a point-degenerate box coincides with every
+        // particle: the first index wins in all three dimensions.
+        let p = Point3::new(0.25, -1.5, 3.0);
+        let bbox = crate::geometry::BoundingBox::new(p, p);
+        let (xs, ys, zs) = ([p.x; 3], [p.y; 3], [p.z; 3]);
+        let qs = [1.0, -0.5, 2.0];
+        for degree in 1..=15 {
+            let grid = TensorGrid::new(degree, &bbox);
+            assert_matches_oracle(&grid, [&xs, &ys, &zs, &qs]);
+            let qhat = compute_charges_from_slices(&grid, &xs, &ys, &zs, &qs);
+            assert_eq!(qhat[0], 2.5);
+            assert!(qhat[1..].iter().all(|&v| v.to_bits() == 0));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Degrees on both sides of the monomorphised range, cluster
+        /// sizes 1..=600, and the inputs that take the singular path:
+        /// particles on faces and corners of the (minimal) box, on
+        /// interior nodes, duplicated, with zero charge, and boxes
+        /// collapsed along any subset of the axes.
+        #[test]
+        fn kernel_equals_two_pass_oracle_bitwise(
+            degree in 1usize..16,
+            rows in proptest::collection::vec(
+                (-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0, 0usize..12),
+                1..601,
+            ),
+            collapse in 0usize..24,
+        ) {
+            let mut p: [Vec<f64>; 4] = Default::default();
+            for &(x, y, z, q, kind) in &rows {
+                for (col, v) in p.iter_mut().zip([x, y, z, if kind == 0 { 0.0 } else { q }]) {
+                    col.push(v);
+                }
+            }
+            // Collapse the axes named by the low three bits (all three:
+            // a point box); two thirds of the cases collapse none.
+            for (d, col) in p.iter_mut().take(3).enumerate() {
+                if collapse < 8 && collapse >> d & 1 == 1 {
+                    let first = col[0];
+                    col.fill(first);
+                }
+            }
+            let bbox = crate::geometry::BoundingBox::from_points(&p[0], &p[1], &p[2]).unwrap();
+            let grid = TensorGrid::new(degree, &bbox);
+            for (j, &(.., kind)) in rows.iter().enumerate() {
+                let node = |d: usize, k: usize| grid.dim(d).node(k % (degree + 1));
+                match kind {
+                    1 => p[0][j] = bbox.max.x,
+                    2 => p[1][j] = bbox.min.y,
+                    3 => (p[0][j], p[1][j], p[2][j]) = (bbox.min.x, bbox.max.y, bbox.max.z),
+                    4 => p[j % 3][j] = node(j % 3, j),
+                    5 => (p[0][j], p[2][j]) = (node(0, j), node(2, j / 2)),
+                    6 if j > 0 => {
+                        for col in &mut p {
+                            col[j] = col[j - 1];
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            assert_matches_oracle(&grid, [&p[0], &p[1], &p[2], &p[3]]);
+        }
     }
 }

@@ -51,6 +51,12 @@ impl OpCounts {
     /// Derive the counts implied by a set of interaction lists, assuming
     /// modified charges are precomputed for **all** clusters (the paper's
     /// choice, §3.2).
+    ///
+    /// The `precompute_*` terms are therefore the modeled device's
+    /// all-cluster, two-kernel pass — what the simulated GPU launches
+    /// and what the analytic clocks charge — and deliberately *not* the
+    /// host's work: `PreparedTreecode::new` computes only the clusters
+    /// its lists approximate, each in one fused pass.
     pub fn from_lists(
         lists: &InteractionLists,
         batches: &TargetBatches,

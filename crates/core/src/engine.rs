@@ -66,7 +66,8 @@ pub struct PreparedTreecode {
     pub batches: TargetBatches,
     /// Per-batch interaction lists.
     pub lists: InteractionLists,
-    /// Per-cluster grids and modified charges.
+    /// Per-cluster grids, and modified charges of (at least) every
+    /// cluster on an approximation list of `lists`.
     pub charges: ClusterCharges,
     /// Operation counts implied by the lists.
     pub ops: OpCounts,
@@ -77,7 +78,8 @@ pub struct PreparedTreecode {
 }
 
 impl PreparedTreecode {
-    /// Build trees, batches, interaction lists and modified charges.
+    /// Build trees, batches, interaction lists and the modified charges
+    /// of the clusters those lists approximate.
     pub fn new(targets: &ParticleSet, sources: &ParticleSet, params: BltcParams) -> Self {
         params.validate();
         let t0 = Instant::now();
@@ -86,8 +88,10 @@ impl PreparedTreecode {
         let lists = InteractionLists::build(&batches, &tree, &params);
         let setup_seconds = t0.elapsed().as_secs_f64();
 
+        // Only the clusters some batch approximates are ever read.
         let t1 = Instant::now();
-        let charges = ClusterCharges::compute_all(&tree, params.degree);
+        let used = lists.used_approx_nodes(tree.num_nodes());
+        let charges = ClusterCharges::compute_selected(&tree, params.degree, &used);
         let precompute_seconds = t1.elapsed().as_secs_f64();
 
         let ops = OpCounts::from_lists(&lists, &batches, &tree, &params);
@@ -159,12 +163,7 @@ pub fn eval_batch_into(
     for &ci in &lists.approx {
         let ci = ci as usize;
         let (px, py, pz) = charges.grid(ci).proxies();
-        let qhat = charges.charges(ci);
-        assert!(
-            !qhat.is_empty(),
-            "modified charges missing for cluster {ci}"
-        );
-        kernel.accumulate_tile(tx, ty, tz, px, py, pz, qhat, out);
+        kernel.accumulate_tile(tx, ty, tz, px, py, pz, charges.charges(ci), out);
     }
     // Direct path (Eq. 9): targets × cluster sources.
     for &ci in &lists.direct {
@@ -451,6 +450,112 @@ mod tests {
             assert!((a - b).abs() < 1e-12 * b.abs().max(1.0));
         }
         assert_eq!(r.ops.approx_interactions, 0);
+        // Nothing is approximated, so no modified charges were computed.
+        let prep = PreparedTreecode::new(&ps, &ps, params);
+        assert!((0..prep.tree.num_nodes()).all(|i| !prep.charges.is_computed(i)));
+        assert_eq!(prep.evaluate_serial(&Coulomb).0, r.potentials);
+    }
+
+    /// The same preparation assembled around `compute_all` (every
+    /// cluster's charges present) — what a caller building the parts
+    /// itself gets.
+    fn prepared_around_compute_all(
+        targets: &ParticleSet,
+        sources: &ParticleSet,
+        params: BltcParams,
+    ) -> PreparedTreecode {
+        let tree = SourceTree::build(sources, &params);
+        let batches = TargetBatches::build(targets, &params);
+        let lists = InteractionLists::build(&batches, &tree, &params);
+        let charges = ClusterCharges::compute_all(&tree, params.degree);
+        let ops = OpCounts::from_lists(&lists, &batches, &tree, &params);
+        PreparedTreecode {
+            params,
+            tree,
+            batches,
+            lists,
+            charges,
+            ops,
+            setup_seconds: 0.0,
+            precompute_seconds: 0.0,
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `PreparedTreecode::new` computes exactly the clusters its lists
+    /// approximate, to the bits `compute_all` gives them, and every
+    /// evaluation door returns the bits of the all-cluster preparation.
+    fn assert_demand_driven_equals_compute_all(
+        targets: &ParticleSet,
+        sources: &ParticleSet,
+        params: BltcParams,
+    ) {
+        use crate::variants::TreecodeVariant::ClusterCluster;
+        let lazy = PreparedTreecode::new(targets, sources, params);
+        let full = prepared_around_compute_all(targets, sources, params);
+        let used = lazy.lists.used_approx_nodes(lazy.tree.num_nodes());
+        assert!(used.contains(&true) && used.contains(&false));
+        for (i, &u) in used.iter().enumerate() {
+            assert_eq!(lazy.charges.is_computed(i), u, "cluster {i}");
+            assert!(full.charges.is_computed(i));
+            if u {
+                let (a, b) = (lazy.charges.charges(i), full.charges.charges(i));
+                assert_eq!(bits(a), bits(b), "cluster {i}");
+            }
+        }
+        assert_eq!(lazy.ops, full.ops, "counts model the all-cluster pass");
+
+        let k = Yukawa::new(0.5);
+        let want = bits(&full.evaluate_serial(&k).0);
+        assert_eq!(bits(&lazy.evaluate_serial(&k).0), want);
+        assert_eq!(bits(&lazy.evaluate_parallel(&k).0), want);
+        let (a, b) = (
+            lazy.evaluate_variant(&k, ClusterCluster),
+            full.evaluate_variant(&k, ClusterCluster),
+        );
+        assert_eq!(bits(&a), bits(&b), "cluster-cluster variant");
+        let (a, b) = (
+            lazy.evaluate_field_parallel(&k),
+            full.evaluate_field_parallel(&k),
+        );
+        assert_eq!(bits(&a.potentials), want);
+        for (a, b) in [(a.gx, b.gx), (a.gy, b.gy), (a.gz, b.gz)] {
+            assert_eq!(bits(&a), bits(&b), "field gradient");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn demand_driven_charges_equal_compute_all(
+            n in 2000usize..3000,
+            seed in 0u64..1000,
+            degree in 1usize..5,
+            theta in 0.6f64..0.9,
+        ) {
+            let params = BltcParams::new(theta, degree, 40, 40);
+            let sources = cube(n, seed);
+            // Probe targets beside the cloud: the far, heavy clusters
+            // are approximated, the near ones opened.
+            let mut probes = cube(n / 8, seed + 1);
+            for x in &mut probes.x {
+                *x += 1.25;
+            }
+            for workers in [1, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(workers)
+                    .build()
+                    .expect("pool build");
+                pool.install(|| {
+                    assert_demand_driven_equals_compute_all(&sources, &sources, params);
+                    assert_demand_driven_equals_compute_all(&probes, &sources, params);
+                });
+            }
+        }
     }
 
     #[test]

@@ -15,66 +15,36 @@ use super::chebyshev::ChebyshevGrid1D;
 /// Coincidence tolerance from §2.3: the smallest positive normal `f64`.
 pub const SINGULARITY_TOL: f64 = f64::MIN_POSITIVE;
 
-/// Outcome of scanning a 1D evaluation point against a grid: either the
-/// point is away from every node (keep the inverse of the barycentric
-/// denominator), or it coincides with node `index` (the basis collapses to
-/// a Kronecker delta).
+/// One dimension of the per-particle term pass — the single building
+/// block under both halves of the modified-charge computation
+/// (Eq. 14–15) and under [`lagrange_values`].
 ///
-/// This is the per-dimension building block of the two-phase modified
-/// charge computation (Eq. 14–15): phase 1 multiplies the regular inverse
-/// denominators into `q̃_j`, phase 2 multiplies the per-node terms.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DimEval {
-    /// `x` is distinct from all nodes; holds `1 / Σ_k w_k / (x - s_k)`.
-    Regular { inv_denom: f64 },
-    /// `x` coincides with node `index`; the basis is `e_index`.
-    Exact { index: usize },
-}
-
-/// Scan `x` against the grid: detect node coincidence and, failing that,
-/// accumulate the barycentric denominator.
-pub fn dim_eval(grid: &ChebyshevGrid1D, x: f64) -> DimEval {
+/// Fills `terms[k] = w_k / (x - s_k)` and returns the phase-1 factor
+/// `1 / Σ_k terms[k]` (ascending-`k` sum), so that `terms[k] · factor`
+/// is the basis value `L_k(x)`. If `x` coincides with a node — the
+/// first such node in `k` order wins — `terms` becomes that node's
+/// Kronecker row and the factor is `1`: the basis is already
+/// normalized by the delta.
+///
+/// `terms.len()` must equal `grid.len()`.
+#[inline(always)]
+pub fn dim_terms(grid: &ChebyshevGrid1D, x: f64, terms: &mut [f64]) -> f64 {
+    let m = terms.len();
+    assert_eq!(m, grid.len(), "term row length mismatch");
+    let (nodes, weights) = (&grid.nodes()[..m], &grid.weights()[..m]);
     let mut denom = 0.0;
-    for k in 0..grid.len() {
-        let diff = x - grid.node(k);
+    for k in 0..m {
+        let diff = x - nodes[k];
         if diff.abs() < SINGULARITY_TOL {
-            return DimEval::Exact { index: k };
+            terms.fill(0.0);
+            terms[k] = 1.0;
+            return 1.0;
         }
-        denom += grid.weight(k) / diff;
+        let t = weights[k] / diff;
+        terms[k] = t;
+        denom += t;
     }
-    DimEval::Regular {
-        inv_denom: 1.0 / denom,
-    }
-}
-
-/// The phase-2 per-node term: `w_k / (x - s_k)` in the regular case, the
-/// Kronecker delta `δ_{k,index}` in the coincident case.
-///
-/// Multiplying this by the phase-1 factor of [`phase1_factor`] yields the
-/// basis value `L_k(x)`.
-#[inline]
-pub fn dim_term(grid: &ChebyshevGrid1D, eval: &DimEval, k: usize, x: f64) -> f64 {
-    match *eval {
-        DimEval::Regular { .. } => grid.weight(k) / (x - grid.node(k)),
-        DimEval::Exact { index } => {
-            if k == index {
-                1.0
-            } else {
-                0.0
-            }
-        }
-    }
-}
-
-/// The phase-1 factor contributed by one dimension: the inverse
-/// denominator for a regular point, `1` for a coincident point (whose
-/// basis is already normalized by the delta).
-#[inline]
-pub fn phase1_factor(eval: &DimEval) -> f64 {
-    match *eval {
-        DimEval::Regular { inv_denom } => inv_denom,
-        DimEval::Exact { .. } => 1.0,
-    }
+    1.0 / denom
 }
 
 /// Evaluate all `n + 1` Lagrange basis values `L_k(x)` into `out`.
@@ -82,28 +52,28 @@ pub fn phase1_factor(eval: &DimEval) -> f64 {
 /// `out.len()` must equal `grid.len()`. Values sum to 1 (the basis is a
 /// partition of unity) up to rounding.
 pub fn lagrange_values(grid: &ChebyshevGrid1D, x: f64, out: &mut [f64]) {
-    assert_eq!(out.len(), grid.len(), "output slice length mismatch");
-    let eval = dim_eval(grid, x);
-    let p1 = phase1_factor(&eval);
-    for (k, slot) in out.iter_mut().enumerate() {
-        *slot = dim_term(grid, &eval, k, x) * p1;
+    let factor = dim_terms(grid, x, out);
+    for v in out.iter_mut() {
+        *v *= factor;
     }
 }
 
 /// Interpolate a function given by its node values `f_at_nodes` at `x`,
-/// i.e. evaluate `p_n(x) = Σ_k f(s_k) L_k(x)` (Eq. 3).
+/// i.e. evaluate `p_n(x) = Σ_k f(s_k) L_k(x)` (Eq. 3); at a node this
+/// is the node value itself.
 pub fn interpolate(grid: &ChebyshevGrid1D, f_at_nodes: &[f64], x: f64) -> f64 {
     assert_eq!(f_at_nodes.len(), grid.len(), "node value length mismatch");
-    match dim_eval(grid, x) {
-        DimEval::Exact { index } => f_at_nodes[index],
-        DimEval::Regular { inv_denom } => {
-            let mut num = 0.0;
-            for (k, &f) in f_at_nodes.iter().enumerate() {
-                num += grid.weight(k) / (x - grid.node(k)) * f;
-            }
-            num * inv_denom
+    let mut terms = vec![0.0; grid.len()];
+    let factor = dim_terms(grid, x, &mut terms);
+    let mut num = 0.0;
+    for (&t, &f) in terms.iter().zip(f_at_nodes) {
+        // Skipping the zeros of a Kronecker row keeps a non-finite
+        // value at another node out of the result.
+        if t != 0.0 {
+            num += t * f;
         }
     }
+    num * factor
 }
 
 #[cfg(test)]
@@ -174,32 +144,24 @@ mod tests {
     }
 
     #[test]
-    fn dim_eval_detects_exact_hits() {
+    fn dim_terms_detects_exact_hits() {
         let g = grid(4);
+        let mut t = vec![f64::NAN; g.len()];
         for j in 0..g.len() {
-            match dim_eval(&g, g.node(j)) {
-                DimEval::Exact { index } => assert_eq!(index, j),
-                other => panic!("expected exact hit at node {j}, got {other:?}"),
+            assert_eq!(dim_terms(&g, g.node(j), &mut t), 1.0);
+            for (k, &v) in t.iter().enumerate() {
+                assert_eq!(v, if k == j { 1.0 } else { 0.0 }, "row {j}, term {k}");
             }
         }
-        match dim_eval(&g, 0.3333) {
-            DimEval::Regular { inv_denom } => assert!(inv_denom.is_finite()),
-            other => panic!("expected regular, got {other:?}"),
+        let x = 0.3333;
+        let factor = dim_terms(&g, x, &mut t);
+        assert!(factor.is_finite());
+        let mut denom = 0.0;
+        for (k, &v) in t.iter().enumerate() {
+            assert_eq!(v, g.weight(k) / (x - g.node(k)));
+            denom += v;
         }
-    }
-
-    #[test]
-    fn dim_term_times_phase1_equals_basis() {
-        let g = grid(7);
-        let x = 0.2718281828;
-        let eval = dim_eval(&g, x);
-        let p1 = phase1_factor(&eval);
-        let mut vals = vec![0.0; g.len()];
-        lagrange_values(&g, x, &mut vals);
-        for (k, &v) in vals.iter().enumerate() {
-            let composed = dim_term(&g, &eval, k, x) * p1;
-            assert!((composed - v).abs() < 1e-15);
-        }
+        assert_eq!(factor, 1.0 / denom, "ascending-k sum");
     }
 
     #[test]
@@ -207,10 +169,15 @@ mod tests {
         // All nodes coincide; the scan must return the first index rather
         // than dividing by zero.
         let g = ChebyshevGrid1D::new(3, 1.0, 1.0);
-        match dim_eval(&g, 1.0) {
-            DimEval::Exact { index } => assert_eq!(index, 0),
-            other => panic!("expected exact, got {other:?}"),
-        }
+        let mut t = vec![f64::NAN; g.len()];
+        assert_eq!(dim_terms(&g, 1.0, &mut t), 1.0);
+        assert_eq!(t, [1.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "term row length mismatch")]
+    fn dim_terms_rejects_a_short_row() {
+        dim_terms(&grid(4), 0.1, &mut [0.0; 3]);
     }
 
     #[test]

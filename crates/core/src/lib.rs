@@ -29,7 +29,8 @@
 //! - [`particles`] — SoA particle storage and random generators
 //! - [`tree`] — source-cluster octree and target batches
 //! - [`mac`] — the two-condition multipole acceptance criterion (Eq. 13)
-//! - [`charges`] — modified charges via the two-phase scheme (Eq. 14–15)
+//! - [`charges`] — modified charges (Eq. 12, 14–15): one term pass per
+//!   particle, computed only for the clusters an evaluation reads
 //! - [`traversal`] — batch × tree traversal producing interaction lists
 //! - [`engine`] — serial and parallel CPU engines, plus direct summation
 //! - [`error`] — relative 2-norm error (Eq. 16)

@@ -87,7 +87,6 @@ impl PreparedTreecode {
                         // Batch proxies × source proxies (modified charges).
                         let (px, py, pz) = self.charges.grid(ci).proxies();
                         let qhat = self.charges.charges(ci);
-                        assert!(!qhat.is_empty(), "charges missing for cluster {ci}");
                         kernel.accumulate_tile(bx, by, bz, px, py, pz, qhat, &mut phi);
                     }
                     TreecodeVariant::ParticleCluster => unreachable!(),

@@ -10,7 +10,7 @@
 //! coordinates and the modified charges, as a real GPU port would lay
 //! them out.
 
-use bltc_core::charges::{phase1_intermediates, phase2_accumulate};
+use bltc_core::charges::{phase1_intermediates_into, phase2_accumulate_into};
 use bltc_core::cost::{PHASE1_FLOPS_PER_TERM, PHASE2_FLOPS_PER_TERM};
 use bltc_core::interp::tensor::TensorGrid;
 use bltc_core::kernel::{GradientKernel, Kernel};
@@ -233,14 +233,14 @@ pub fn launch_precompute_phase1(
     dev.launch(cfg, work, move |mem| {
         let ([xs, ys, zs, qs], [qt]) = mem.f64_split([a.sx, a.sy, a.sz, a.sq], [a.qtilde]);
         let r = start..end;
-        let vals = phase1_intermediates(
+        phase1_intermediates_into(
             grid,
             &xs[r.clone()],
             &ys[r.clone()],
             &zs[r.clone()],
             &qs[r.clone()],
+            &mut qt[r],
         );
-        qt[r].copy_from_slice(&vals);
     });
 }
 
@@ -270,9 +270,15 @@ pub fn launch_precompute_phase2(
     dev.launch(cfg, work, move |mem| {
         let ([xs, ys, zs, qt], [qhat]) = mem.f64_split([a.sx, a.sy, a.sz, a.qtilde], [a.qhat]);
         let r = start..end;
-        let vals = phase2_accumulate(grid, &xs[r.clone()], &ys[r.clone()], &zs[r.clone()], &qt[r]);
         let base = node_idx * m3;
-        qhat[base..base + m3].copy_from_slice(&vals);
+        phase2_accumulate_into(
+            grid,
+            &xs[r.clone()],
+            &ys[r.clone()],
+            &zs[r.clone()],
+            &qt[r],
+            &mut qhat[base..base + m3],
+        );
     });
 }
 
