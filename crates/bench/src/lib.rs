@@ -11,7 +11,6 @@
 //! | `ablation_streams` | §3.2 — async-stream ablation (~25% claim); `--multi` adds the multi-rank pipelined-epoch sweep |
 //! | `dynamics_steps`   | time-per-step scaling of the `bltc-sim` driver, 1→8 ranks |
 //! | `dynamics_persistent` | respawn-per-step vs persistent-session amortization, 1→8 ranks |
-//! | `host_parallel`    | **wall-clock** host-phase scaling over the work-stealing pool |
 //! | `service_throughput` | many-tenant job engine vs respawn-per-job baseline: jobs/sec, warm-world spawn amortization |
 //!
 //! Default problem sizes are scaled to a single-core container (the paper
@@ -21,7 +20,8 @@
 //! [`bltc_core::cost::CpuSpec`] so the two are comparable (see
 //! EXPERIMENTS.md for the calibration discussion).
 //!
-//! Criterion micro-benchmarks live in `benches/microbench.rs`.
+//! Wall-clock speed is not measured here: that is the `perf` package's
+//! job (`core.*` rows time the same calls with a real protocol).
 //!
 //! ## Example
 //!

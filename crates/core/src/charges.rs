@@ -39,9 +39,11 @@
 //! **Who computes what.** [`PreparedTreecode::new`] computes only the
 //! clusters its interaction lists approximate
 //! ([`ClusterCharges::compute_selected`]); [`ClusterCharges::compute_all`]
-//! is the same constructor with every cluster selected, for the
-//! distributed `q̂` window (remote ranks choose what they read) and for
-//! anything that models the paper's all-cluster precompute.
+//! is the same constructor with every cluster selected — the host
+//! reference for the simulated device's all-cluster two-kernel pass,
+//! whose device-to-host copy is what the distributed `q̂` window exposes
+//! (remote ranks choose what they read; `bltc-gpu` pins the two
+//! bit-equal).
 //!
 //! Because `Σ_k L_k(y) = 1` in every dimension, the transform conserves
 //! total charge: `Σ_k q̂_k = Σ_j q_j` — a key test invariant.

@@ -15,7 +15,7 @@
 //!    ≥100× speedup *shape* without NVIDIA hardware.
 
 use crate::config::BltcParams;
-use crate::kernel::{GradientKernel, Kernel};
+use crate::kernel::{GradientKernel, Kernel, TileOp};
 use crate::traversal::InteractionLists;
 use crate::tree::{batch::TargetBatches, SourceTree};
 
@@ -106,28 +106,24 @@ impl OpCounts {
         self.direct_interactions + self.approx_interactions
     }
 
-    /// Compute-phase flops on a given device class.
+    /// Compute-phase flops of a pass (`op` is `&dyn Kernel` for
+    /// potentials, `&dyn GradientKernel` for fields) on a given device
+    /// class.
+    pub fn pass_flops<const C: usize>(&self, op: &(impl TileOp<C> + ?Sized), gpu: bool) -> f64 {
+        self.kernel_evals() as f64 * op.flops_per_pair(gpu)
+    }
+
+    /// Compute-phase flops of a potential evaluation.
     pub fn compute_flops(&self, kernel: &dyn Kernel, gpu: bool) -> f64 {
-        let per = if gpu {
-            kernel.flops_per_eval_gpu()
-        } else {
-            kernel.flops_per_eval_cpu()
-        };
-        self.kernel_evals() as f64 * per
+        self.pass_flops(kernel, gpu)
     }
 
     /// Compute-phase flops of a **field** (potential + gradient)
-    /// evaluation on a given device class. Gradient kernels charge ~4×
-    /// the potential-only flops (see
-    /// [`GradientKernel::grad_flops_per_eval_gpu`]), which is how force
-    /// evaluation shows up in the modeled clocks.
+    /// evaluation. Gradient kernels charge ~4× the potential-only flops
+    /// (see [`GradientKernel::grad_flops_per_eval_gpu`]), which is how
+    /// force evaluation shows up in the modeled clocks.
     pub fn field_flops(&self, kernel: &dyn GradientKernel, gpu: bool) -> f64 {
-        let per = if gpu {
-            kernel.grad_flops_per_eval_gpu()
-        } else {
-            kernel.grad_flops_per_eval_cpu()
-        };
-        self.kernel_evals() as f64 * per
+        self.pass_flops(kernel, gpu)
     }
 
     /// Precompute-phase flops (kernel-independent).

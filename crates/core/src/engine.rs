@@ -15,7 +15,7 @@ use rayon::prelude::*;
 use crate::charges::ClusterCharges;
 use crate::config::BltcParams;
 use crate::cost::OpCounts;
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, TileOp};
 use crate::particles::ParticleSet;
 use crate::traversal::{BatchLists, InteractionLists};
 use crate::tree::{
@@ -111,13 +111,7 @@ impl PreparedTreecode {
     /// target order, measured compute seconds).
     pub fn evaluate_serial(&self, kernel: &dyn Kernel) -> (Vec<f64>, f64) {
         let t0 = Instant::now();
-        let tp = self.batches.particles();
-        let mut reordered = vec![0.0; tp.len()];
-        for (b, bl) in self.batches.batches().iter().zip(&self.lists.per_batch) {
-            let out = &mut reordered[b.start..b.end];
-            eval_batch_into(b, bl, &self.tree, &self.charges, tp, kernel, out);
-        }
-        let potentials = self.batches.scatter_to_original(&reordered);
+        let [potentials] = self.evaluate(kernel, false);
         (potentials, t0.elapsed().as_secs_f64())
     }
 
@@ -126,49 +120,72 @@ impl PreparedTreecode {
     /// bitwise identical to the serial path).
     pub fn evaluate_parallel(&self, kernel: &dyn Kernel) -> (Vec<f64>, f64) {
         let t0 = Instant::now();
-        let tp = self.batches.particles();
-        let per_batch: Vec<Vec<f64>> = self
-            .batches
-            .batches()
-            .par_iter()
-            .zip(&self.lists.per_batch)
-            .map(|(b, bl)| {
-                let mut out = vec![0.0; b.num_targets()];
-                eval_batch_into(b, bl, &self.tree, &self.charges, tp, kernel, &mut out);
-                out
-            })
-            .collect();
-        let mut reordered = vec![0.0; tp.len()];
-        for (b, vals) in self.batches.batches().iter().zip(&per_batch) {
-            reordered[b.start..b.end].copy_from_slice(vals);
-        }
-        let potentials = self.batches.scatter_to_original(&reordered);
+        let [potentials] = self.evaluate(kernel, true);
         (potentials, t0.elapsed().as_secs_f64())
+    }
+
+    /// The evaluation behind every `evaluate_*` door: each batch's `C`
+    /// output columns from its interaction lists — one pool task per
+    /// batch when `parallel`, a plain loop otherwise, the same bits
+    /// either way — assembled into original target order.
+    pub(crate) fn evaluate<const C: usize, O: TileOp<C> + ?Sized>(
+        &self,
+        op: &O,
+        parallel: bool,
+    ) -> [Vec<f64>; C] {
+        let tp = self.batches.particles();
+        let batches = self.batches.batches();
+        let eval = |(b, bl): (&Batch, &BatchLists)| {
+            let mut cols: [Vec<f64>; C] = std::array::from_fn(|_| vec![0.0; b.num_targets()]);
+            let out = cols.each_mut().map(|c| &mut c[..]);
+            eval_batch_into(b, bl, &self.tree, &self.charges, tp, op, out);
+            cols
+        };
+        let per_batch: Vec<[Vec<f64>; C]> = if parallel {
+            (batches.par_iter().zip(&self.lists.per_batch))
+                .map(eval)
+                .collect()
+        } else {
+            batches
+                .iter()
+                .zip(&self.lists.per_batch)
+                .map(eval)
+                .collect()
+        };
+        let mut reordered: [Vec<f64>; C] = std::array::from_fn(|_| vec![0.0; tp.len()]);
+        for (b, cols) in batches.iter().zip(&per_batch) {
+            for (dst, src) in reordered.iter_mut().zip(cols) {
+                dst[b.start..b.end].copy_from_slice(src);
+            }
+        }
+        reordered.map(|col| self.batches.scatter_to_original(&col))
     }
 }
 
-/// Evaluate one batch against its interaction lists, writing potentials
-/// for the batch's (reordered) targets into `out`.
-pub fn eval_batch_into(
+/// Evaluate one batch against its interaction lists, accumulating the
+/// pass's `C` output columns for the batch's (reordered) targets into
+/// `out` (each of length `batch.num_targets()`). The simulated-GPU
+/// launches issue the same tile calls in the same order and so stay
+/// bitwise identical to it.
+pub fn eval_batch_into<const C: usize, O: TileOp<C> + ?Sized>(
     batch: &Batch,
     lists: &BatchLists,
     tree: &SourceTree,
     charges: &ClusterCharges,
     targets: &ParticleSet,
-    kernel: &dyn Kernel,
-    out: &mut [f64],
+    op: &O,
+    mut out: [&mut [f64]; C],
 ) {
-    let (tx, ty, tz) = targets.xyz(batch.start..batch.end);
+    let t = targets.xyz(batch.start..batch.end);
     // Approximation path (Eq. 11): targets × Chebyshev proxies.
     for &ci in &lists.approx {
         let ci = ci as usize;
         let (px, py, pz) = charges.grid(ci).proxies();
-        kernel.accumulate_tile(tx, ty, tz, px, py, pz, charges.charges(ci), out);
+        op.tile(t, (px, py, pz, charges.charges(ci)), &mut out);
     }
     // Direct path (Eq. 9): targets × cluster sources.
     for &ci in &lists.direct {
-        let (sx, sy, sz, sq) = tree.node_particles(ci as usize);
-        kernel.accumulate_tile(tx, ty, tz, sx, sy, sz, sq, out);
+        op.tile(t, tree.node_particles(ci as usize), &mut out);
     }
 }
 

@@ -11,12 +11,9 @@
 
 use rayon::prelude::*;
 
-use crate::charges::ClusterCharges;
 use crate::engine::PreparedTreecode;
 use crate::kernel::GradientKernel;
 use crate::particles::ParticleSet;
-use crate::traversal::BatchLists;
-use crate::tree::{batch::Batch, SourceTree};
 
 /// Potentials and their gradients at every target, in original target
 /// order. The force on charge `q_i` is `-q_i · (gx, gy, gz)[i]`.
@@ -32,38 +29,16 @@ pub struct FieldResult {
     pub gz: Vec<f64>,
 }
 
-/// Evaluate one batch's potentials **and gradients** against its
-/// interaction lists, accumulating into the four batch-local output
-/// slices (each of length `batch.num_targets()`). This is the field
-/// counterpart of [`crate::engine::eval_batch_into`] — the same tiles
-/// through [`GradientKernel::accumulate_field_tile`] — shared by the
-/// serial and the rayon path; the simulated-GPU field kernels issue the
-/// same tile calls and so stay bitwise identical to it.
-#[allow(clippy::too_many_arguments)]
-pub fn eval_field_batch_into(
-    batch: &Batch,
-    lists: &BatchLists,
-    tree: &SourceTree,
-    charges: &ClusterCharges,
-    targets: &ParticleSet,
-    kernel: &dyn GradientKernel,
-    pot: &mut [f64],
-    gx: &mut [f64],
-    gy: &mut [f64],
-    gz: &mut [f64],
-) {
-    let (tx, ty, tz) = targets.xyz(batch.start..batch.end);
-    // Approximation path (Eq. 11): proxies with modified charges.
-    for &ci in &lists.approx {
-        let ci = ci as usize;
-        let (px, py, pz) = charges.grid(ci).proxies();
-        let qhat = charges.charges(ci);
-        kernel.accumulate_field_tile(tx, ty, tz, px, py, pz, qhat, pot, gx, gy, gz);
-    }
-    // Direct path (Eq. 9): cluster sources.
-    for &ci in &lists.direct {
-        let (sx, sy, sz, sq) = tree.node_particles(ci as usize);
-        kernel.accumulate_field_tile(tx, ty, tz, sx, sy, sz, sq, pot, gx, gy, gz);
+/// The four output columns of a field pass
+/// ([`TileOp<4>`](crate::kernel::TileOp)), named.
+impl From<[Vec<f64>; 4]> for FieldResult {
+    fn from([potentials, gx, gy, gz]: [Vec<f64>; 4]) -> Self {
+        Self {
+            potentials,
+            gx,
+            gy,
+            gz,
+        }
     }
 }
 
@@ -72,67 +47,14 @@ impl PreparedTreecode {
     /// lists (same preparation as potential-only evaluation — the
     /// modified charges are shared).
     pub fn evaluate_field(&self, kernel: &dyn GradientKernel) -> FieldResult {
-        let tp = self.batches.particles();
-        let n = tp.len();
-        let mut pot = vec![0.0; n];
-        let mut gx = vec![0.0; n];
-        let mut gy = vec![0.0; n];
-        let mut gz = vec![0.0; n];
-
-        for (b, bl) in self.batches.batches().iter().zip(&self.lists.per_batch) {
-            let r = b.start..b.end;
-            let (p, x, y, z) = (
-                &mut pot[r.clone()],
-                &mut gx[r.clone()],
-                &mut gy[r.clone()],
-                &mut gz[r],
-            );
-            eval_field_batch_into(b, bl, &self.tree, &self.charges, tp, kernel, p, x, y, z);
-        }
-
-        FieldResult {
-            potentials: self.batches.scatter_to_original(&pot),
-            gx: self.batches.scatter_to_original(&gx),
-            gy: self.batches.scatter_to_original(&gy),
-            gz: self.batches.scatter_to_original(&gz),
-        }
+        self.evaluate(kernel, false).into()
     }
 
     /// Evaluate potentials and gradients with one rayon task per batch.
     /// Batches own disjoint contiguous target ranges, so the result is
     /// deterministic and bitwise identical to [`Self::evaluate_field`].
     pub fn evaluate_field_parallel(&self, kernel: &dyn GradientKernel) -> FieldResult {
-        let tp = self.batches.particles();
-        let n = tp.len();
-        let per_batch: Vec<[Vec<f64>; 4]> = self
-            .batches
-            .batches()
-            .par_iter()
-            .zip(&self.lists.per_batch)
-            .map(|(b, bl)| {
-                let nb = b.num_targets();
-                let mut out = [vec![0.0; nb], vec![0.0; nb], vec![0.0; nb], vec![0.0; nb]];
-                let [p, x, y, z] = &mut out;
-                eval_field_batch_into(b, bl, &self.tree, &self.charges, tp, kernel, p, x, y, z);
-                out
-            })
-            .collect();
-        let mut pot = vec![0.0; n];
-        let mut gx = vec![0.0; n];
-        let mut gy = vec![0.0; n];
-        let mut gz = vec![0.0; n];
-        for (b, [p, x, y, z]) in self.batches.batches().iter().zip(&per_batch) {
-            pot[b.start..b.end].copy_from_slice(p);
-            gx[b.start..b.end].copy_from_slice(x);
-            gy[b.start..b.end].copy_from_slice(y);
-            gz[b.start..b.end].copy_from_slice(z);
-        }
-        FieldResult {
-            potentials: self.batches.scatter_to_original(&pot),
-            gx: self.batches.scatter_to_original(&gx),
-            gy: self.batches.scatter_to_original(&gy),
-            gz: self.batches.scatter_to_original(&gz),
-        }
+        self.evaluate(kernel, true).into()
     }
 }
 

@@ -36,6 +36,12 @@
 //! which `eval` is a static, inlinable call: a `&dyn Kernel` caller pays
 //! one virtual call per tile, and user kernels get the same loop without
 //! overriding anything.
+//!
+//! The engines do not call the two tile methods by name either. What a
+//! pass produces per target — one column or four — is a [`TileOp`],
+//! implemented by `dyn Kernel` and `dyn GradientKernel`; each layer's
+//! loop is written once against it, and [`TileOp::tile`] is the only
+//! caller of the tile methods.
 
 /// Targets a tile walks together. Each keeps its own accumulator, so the
 /// block is `TILE_W` independent sums the compiler can put in SIMD lanes
@@ -236,6 +242,89 @@ pub trait GradientKernel: Kernel {
     /// argument as [`GradientKernel::grad_flops_per_eval_gpu`]).
     fn grad_flops_per_eval_cpu(&self) -> f64 {
         self.flops_per_eval_cpu() * 4.0
+    }
+}
+
+/// What one evaluation pass produces per target: `C` output columns —
+/// the potential (`C = 1`, implemented by `dyn Kernel`) or the potential
+/// and its gradient (`C = 4`, `[φ, ∂ₓφ, ∂ᵧφ, ∂_zφ]`, implemented by
+/// `dyn GradientKernel`).
+///
+/// This is the only place the two passes differ. Every layer above the
+/// tile — the CPU engines, the simulated-GPU launches, the LET
+/// evaluation, the distributed rank body and its clocks — is written
+/// once against this trait, so a pass is chosen by handing over
+/// `&dyn Kernel` or `&dyn GradientKernel` and nothing else.
+pub trait TileOp<const C: usize>: Sync {
+    /// Simulated launch name of the batch–cluster approximation kernel
+    /// (profile tables are keyed by it).
+    const APPROX_LAUNCH: &'static str;
+
+    /// Simulated launch name of the batch–cluster direct-sum kernel.
+    const DIRECT_LAUNCH: &'static str;
+
+    /// `f64` columns a launch touches per target: three coordinates and
+    /// the `C` outputs (the `4` vs `7` of every device byte formula).
+    const TARGET_COLS: usize = 3 + C;
+
+    /// One target-batch × source-cluster tile accumulated into the `C`
+    /// output columns: targets `(x, y, z)`, sources `(x, y, z, weight)` —
+    /// a cluster's particles with their charges, or its Chebyshev
+    /// proxies with its modified charges.
+    fn tile(
+        &self,
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; C],
+    );
+
+    /// Flop-equivalents per target–source pair on the GPU or a CPU core.
+    fn flops_per_pair(&self, gpu: bool) -> f64;
+}
+
+impl TileOp<1> for dyn Kernel + '_ {
+    const APPROX_LAUNCH: &'static str = "batch_cluster_approx";
+    const DIRECT_LAUNCH: &'static str = "batch_cluster_direct";
+
+    #[inline]
+    fn tile(
+        &self,
+        (tx, ty, tz): (&[f64], &[f64], &[f64]),
+        (sx, sy, sz, sq): (&[f64], &[f64], &[f64], &[f64]),
+        [pot]: &mut [&mut [f64]; 1],
+    ) {
+        self.accumulate_tile(tx, ty, tz, sx, sy, sz, sq, pot);
+    }
+
+    fn flops_per_pair(&self, gpu: bool) -> f64 {
+        if gpu {
+            self.flops_per_eval_gpu()
+        } else {
+            self.flops_per_eval_cpu()
+        }
+    }
+}
+
+impl TileOp<4> for dyn GradientKernel + '_ {
+    const APPROX_LAUNCH: &'static str = "batch_cluster_approx_field";
+    const DIRECT_LAUNCH: &'static str = "batch_cluster_direct_field";
+
+    #[inline]
+    fn tile(
+        &self,
+        (tx, ty, tz): (&[f64], &[f64], &[f64]),
+        (sx, sy, sz, sq): (&[f64], &[f64], &[f64], &[f64]),
+        [pot, gx, gy, gz]: &mut [&mut [f64]; 4],
+    ) {
+        self.accumulate_field_tile(tx, ty, tz, sx, sy, sz, sq, pot, gx, gy, gz);
+    }
+
+    fn flops_per_pair(&self, gpu: bool) -> f64 {
+        if gpu {
+            self.grad_flops_per_eval_gpu()
+        } else {
+            self.grad_flops_per_eval_cpu()
+        }
     }
 }
 

@@ -65,7 +65,15 @@ impl PreparedTreecode {
                 approx: Vec::new(),
                 direct: bl.direct.clone(),
             };
-            eval_batch_into(b, &direct_only, &self.tree, &self.charges, tp, kernel, out);
+            eval_batch_into(
+                b,
+                &direct_only,
+                &self.tree,
+                &self.charges,
+                tp,
+                kernel,
+                [&mut *out],
+            );
 
             if bl.approx.is_empty() {
                 continue;

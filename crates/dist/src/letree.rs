@@ -1,42 +1,49 @@
 //! Locally essential tree (LET) construction over passive-target RMA
-//! (§3.1).
+//! (§3.1), and the one loop that evaluates it.
 //!
-//! Each rank exposes three windows: its source-tree **skeleton** (node
-//! metadata), its tree-ordered **particles**, and its per-cluster
-//! **modified charges**. A rank then builds the LET for every remote
-//! rank completely asynchronously: it fetches the skeleton with one
-//! one-sided get, runs the *local* batch-MAC traversal against the
-//! remote node geometry, and fetches exactly the data the traversal
-//! demands — modified charges for MAC-accepted clusters, raw particles
-//! for near/undersized clusters. No remote rank takes any action.
+//! Each rank exposes three windows ([`LetWindows`]): its source-tree
+//! **skeleton** (node metadata), its tree-ordered **particles**, and its
+//! per-cluster **modified charges** — the buffer the staged GPU run
+//! copied back from the device, moved in as it is. A rank then builds
+//! the LET for every remote rank completely asynchronously: it fetches
+//! the skeleton with one one-sided get, runs the *local* batch-MAC
+//! traversal against the remote node geometry, and fetches exactly the
+//! data the traversal demands — modified charges for MAC-accepted
+//! clusters, raw particles for near/undersized clusters. No remote rank
+//! takes any action.
 //!
 //! Assembly is staged so a pipelined epoch can overlap the fill with
 //! local work: **issue** ([`issue_remote_let`]) fetches the skeleton and
 //! runs the traversal, **plan** ([`plan_chunks`]) groups the demanded
 //! clusters into fetch chunks with exact per-chunk cost metadata, and
-//! **land** ([`land_remote_let`]) executes the chunks' gets — in the
-//! same per-cluster order the monolithic fill used, so staging changes
-//! neither the fetched bytes nor the recorded traffic. The **consume**
-//! stage is the unchanged evaluation ([`eval_remote_into`] /
-//! [`eval_remote_field_into`]).
+//! **land** ([`land_chunk`]) executes one chunk's gets — per cluster, in
+//! ascending id, under one shared-lock epoch.
 //!
-//! Two consumption modes share those stages:
+//! **Consume** is a single body, `eval_clusters`: one batch against a
+//! run of landed clusters — approximated ones first, then direct ones,
+//! each in ascending id — through [`TileOp::tile`], with the op count,
+//! launch and device-byte tallies taken beside each tile. The pass
+//! (potentials, or potentials and gradients) is whatever op the caller
+//! hands over; nothing here is written per pass. Two short drivers
+//! decide *when* the body runs:
 //!
-//! - **Retain** ([`land_remote_let`] then `eval_remote_*`): land every
-//!   chunk into one [`RemoteLet`], evaluate afterwards. Peak resident
-//!   remote payload = the whole LET.
-//! - **Stream** ([`stream_remote_let`] / [`stream_remote_let_field`]):
-//!   land one chunk, evaluate just that chunk's clusters into persistent
-//!   per-batch partials, drop the payload, land the next. Peak resident
-//!   remote payload = the largest single chunk, which [`plan_chunks`]
-//!   caps at the caller's byte budget — the memory-bounded mode that
-//!   lets a rank's LET far exceed its staging memory.
+//! - **Retain** ([`land_remote_let`], then [`eval_remote_into`]): land
+//!   every chunk into one [`RemoteLet`], then evaluate each batch's whole
+//!   lists, one pool task per batch. Peak resident remote payload = the
+//!   whole LET.
+//! - **Stream** ([`stream_remote_let`]): land one chunk, evaluate just
+//!   that chunk's clusters into persistent per-batch partials, drop the
+//!   payload, land the next. Peak resident remote payload = the largest
+//!   single chunk, which [`plan_chunks`] caps at the caller's byte budget
+//!   — the memory-bounded mode that lets a rank's LET far exceed its
+//!   staging memory.
 //!
-//! Both modes execute identical gets in identical order through
-//! [`land_chunk`] and identical per-cluster tiles
-//! ([`Kernel::accumulate_tile`] / [`GradientKernel::accumulate_field_tile`]),
-//! so potentials, forces, op counts, and recorded traffic are bitwise
-//! independent of the mode and of the budget.
+//! Both drivers execute identical gets in identical order, start every
+//! batch's partial at zero, feed it the same clusters in the same
+//! ascending order and merge it into the rank's batch-order columns once
+//! per LET ([`RemoteEval::merge`]), so potentials, forces, op counts and
+//! recorded traffic are bitwise independent of the mode and of the
+//! budget.
 
 use std::collections::BTreeMap;
 
@@ -46,10 +53,10 @@ use bltc_core::config::BltcParams;
 use bltc_core::cost::OpCounts;
 use bltc_core::geometry::{BoundingBox, Point3};
 use bltc_core::interp::tensor::TensorGrid;
-use bltc_core::kernel::{GradientKernel, Kernel};
+use bltc_core::kernel::TileOp;
 use bltc_core::mac::{Mac, MacDecision};
-use bltc_core::tree::{batch::TargetBatches, ClusterNode};
-use mpi_sim::Window;
+use bltc_core::tree::{batch::TargetBatches, ClusterNode, SourceTree};
+use mpi_sim::{Comm, Window};
 
 /// Wire format of one source-tree node — the skeleton entry exchanged
 /// during LET construction. Geometry is reduced to the bounding box;
@@ -121,35 +128,67 @@ impl CommTally {
     }
 }
 
+/// The three RMA windows a rank exposes for the epoch. Held until the
+/// closing barrier: dropping a window earlier would tear down regions
+/// remote ranks may still be fetching from.
+pub(crate) struct LetWindows {
+    /// Tree skeleton, one [`NodeMeta`] per node.
+    meta: Window<NodeMeta>,
+    /// Tree-ordered particles, `[x, y, z, q]` per particle.
+    parts: Window<f64>,
+    /// Modified charges, node-major, `(n+1)³` per node.
+    qhat: Window<f64>,
+}
+
+impl LetWindows {
+    /// Expose the local tree (collective, like `MPI_Win_create`) and wait
+    /// until every rank has: afterwards passive epochs may begin.
+    /// `qhat` is every cluster's modified charges in the window layout —
+    /// the staged GPU run's DtH buffer.
+    pub(crate) fn expose(comm: &Comm, tree: &SourceTree, qhat: Vec<f64>) -> Self {
+        let meta = tree.nodes().iter().map(NodeMeta::from_node).collect();
+        let tp = tree.particles();
+        let mut pdata = Vec::with_capacity(tp.len() * 4);
+        for j in 0..tp.len() {
+            pdata.extend_from_slice(&[tp.x[j], tp.y[j], tp.z[j], tp.q[j]]);
+        }
+        let wins = Self {
+            meta: comm.create_window(meta),
+            parts: comm.create_window(pdata),
+            qhat: comm.create_window(qhat),
+        };
+        comm.barrier();
+        wins
+    }
+}
+
 /// Raw particles fetched for one remote direct-interaction cluster.
-pub(crate) struct RemoteParticles {
+struct RemoteParticles {
     x: Vec<f64>,
     y: Vec<f64>,
     z: Vec<f64>,
     q: Vec<f64>,
 }
 
-/// The locally essential view of one remote rank's tree.
-pub(crate) struct RemoteLet {
-    /// Reconstructed remote skeleton.
-    pub nodes: Vec<ClusterNode>,
-    /// Per-local-batch interaction lists against the remote tree
-    /// (approx node ids, direct node ids), in batch order.
-    pub per_batch: Vec<(Vec<u32>, Vec<u32>)>,
+/// Landed payload of one LET (or, while streaming, of one chunk of it),
+/// keyed by remote cluster id.
+#[derive(Default)]
+pub(crate) struct LetPayload {
     /// Fetched modified charges of MAC-accepted clusters.
-    pub qhat: BTreeMap<u32, Vec<f64>>,
+    qhat: BTreeMap<u32, Vec<f64>>,
     /// Proxy grids of MAC-accepted clusters (derived locally from the
     /// skeleton geometry — grids travel for free).
-    pub grids: BTreeMap<u32, TensorGrid>,
+    grids: BTreeMap<u32, TensorGrid>,
     /// Fetched particles of direct clusters.
-    pub parts: BTreeMap<u32, RemoteParticles>,
+    parts: BTreeMap<u32, RemoteParticles>,
 }
 
-impl RemoteLet {
-    /// Total particles fetched from this remote rank.
-    pub fn fetched_particles(&self) -> u64 {
-        self.parts.values().map(|p| p.x.len() as u64).sum()
-    }
+/// The locally essential view of one remote rank's tree, fully landed.
+pub(crate) struct RemoteLet {
+    /// Per-local-batch interaction lists against the remote tree
+    /// (approx node ids, direct node ids), in batch order.
+    per_batch: Vec<(Vec<u32>, Vec<u32>)>,
+    payload: LetPayload,
 }
 
 /// Recursive batch-vs-remote-skeleton traversal — the exact dual-tree
@@ -203,12 +242,12 @@ pub(crate) fn issue_remote_let(
     target: usize,
     batches: &TargetBatches,
     params: &BltcParams,
-    meta_win: &Window<NodeMeta>,
+    wins: &LetWindows,
     tally: &mut CommTally,
 ) -> LetIssue {
     // Skeleton exchange: one bulk one-sided get of the node array.
-    let num_nodes = meta_win.region_len(target);
-    let metas = meta_win.lock_shared(target).get(0..num_nodes);
+    let num_nodes = wins.meta.region_len(target);
+    let metas = wins.meta.lock_shared(target).get(0..num_nodes);
     let skeleton_bytes = (num_nodes * std::mem::size_of::<NodeMeta>()) as u64;
     tally.record(skeleton_bytes, false);
     let nodes: Vec<ClusterNode> = metas.into_iter().map(NodeMeta::to_cluster).collect();
@@ -419,38 +458,33 @@ pub(crate) fn plan_chunks(
 
 /// Land one planned chunk: execute its per-cluster one-sided gets in
 /// ascending cluster order under a single shared-lock epoch, inserting
-/// the payloads into the caller's staging maps. Both the retained
-/// ([`land_remote_let`]) and the streaming ([`stream_remote_let`])
-/// assemblies go through this one implementation, so their recorded
-/// traffic and fetched bytes are identical by construction.
-#[allow(clippy::too_many_arguments)]
+/// the payloads into `payload`. Both drivers go through this one
+/// implementation, so their recorded traffic and fetched bytes are
+/// identical by construction.
 fn land_chunk(
     issue: &LetIssue,
     plan: &ChunkPlan,
-    part_win: &Window<f64>,
-    qhat_win: &Window<f64>,
-    m3: usize,
+    wins: &LetWindows,
     params: &BltcParams,
     tally: &mut CommTally,
-    qhat: &mut BTreeMap<u32, Vec<f64>>,
-    grids: &mut BTreeMap<u32, TensorGrid>,
-    parts: &mut BTreeMap<u32, RemoteParticles>,
+    payload: &mut LetPayload,
 ) {
     match plan.kind {
         ChunkKind::Approx => {
-            let guard = qhat_win.lock_shared(issue.target);
+            let m3 = params.proxy_count();
+            let guard = wins.qhat.lock_shared(issue.target);
             for &ni in &issue.approx[plan.first..plan.first + plan.len] {
                 let base = ni as usize * m3;
-                qhat.insert(ni, guard.get(base..base + m3));
+                payload.qhat.insert(ni, guard.get(base..base + m3));
                 tally.record((m3 * 8) as u64, true);
-                grids.insert(
+                payload.grids.insert(
                     ni,
                     TensorGrid::new(params.degree, &issue.nodes[ni as usize].bbox),
                 );
             }
         }
         ChunkKind::Direct => {
-            let guard = part_win.lock_shared(issue.target);
+            let guard = wins.parts.lock_shared(issue.target);
             for &ni in &issue.direct[plan.first..plan.first + plan.len] {
                 let node = &issue.nodes[ni as usize];
                 let flat = guard.get(4 * node.start..4 * node.end);
@@ -468,402 +502,195 @@ fn land_chunk(
                     p.z.push(flat[4 * j + 2]);
                     p.q.push(flat[4 * j + 3]);
                 }
-                parts.insert(ni, p);
+                payload.parts.insert(ni, p);
             }
         }
     }
 }
 
-/// The **land** stage: execute the planned chunks' one-sided gets —
-/// per-cluster, in exactly the order the monolithic fill used, so the
-/// recorded traffic and the fetched data are byte-identical to the
-/// unchunked assembly (each chunk merely gets its own passive-target
-/// epoch, which costs nothing in the α–β model). Consumes the issue
-/// stage's skeleton and lists into the finished [`RemoteLet`].
-pub(crate) fn land_remote_let(
-    issue: LetIssue,
-    plans: &[ChunkPlan],
-    part_win: &Window<f64>,
-    qhat_win: &Window<f64>,
-    m3: usize,
-    params: &BltcParams,
-    tally: &mut CommTally,
-) -> RemoteLet {
-    let mut qhat = BTreeMap::new();
-    let mut grids = BTreeMap::new();
-    let mut parts = BTreeMap::new();
-    for plan in plans {
-        land_chunk(
-            &issue, plan, part_win, qhat_win, m3, params, tally, &mut qhat, &mut grids, &mut parts,
-        );
-    }
-
-    RemoteLet {
-        nodes: issue.nodes,
-        per_batch: issue.per_batch,
-        qhat,
-        grids,
-        parts,
-    }
+/// A rank's remote contributions while its LETs are evaluated: the
+/// pass's `C` output columns over a range of batch-order targets, plus
+/// the op counts and the modeled device bytes of the launches that
+/// produced them. The rank holds one over all its targets; each driver
+/// holds one per batch (starting at zero, per LET) and folds it in with
+/// [`RemoteEval::merge`].
+pub(crate) struct RemoteEval<const C: usize> {
+    pub cols: [Vec<f64>; C],
+    pub ops: OpCounts,
+    /// Per-launch device memory traffic for the GPU clock (an
+    /// integer-valued `f64`: exact under any summation order).
+    pub device_bytes: f64,
 }
 
-/// Evaluate this LET's contribution to the rank's potentials.
-///
-/// `out` is indexed in reordered (batch) target order. The scalar math
-/// mirrors `bltc_core::engine::eval_batch_into` — approximation via
-/// Eq. 11 against the fetched modified charges, direct summation via
-/// Eq. 9 against the fetched particles. `device_bytes` accumulates the
-/// modeled per-launch memory traffic for the GPU clock.
-pub(crate) fn eval_remote_into(
-    let_view: &RemoteLet,
-    batches: &TargetBatches,
-    kernel: &dyn Kernel,
-    out: &mut [f64],
-    ops: &mut OpCounts,
-    device_bytes: &mut f64,
-) {
-    let tp = batches.particles();
-    // One pool task per batch: each computes this LET's contribution to
-    // its own (disjoint) target range plus its op/byte tallies, starting
-    // from zero. The merge below runs in fixed batch order, so both the
-    // potentials and the modeled clocks are bitwise independent of the
-    // pool size (the byte tallies are integer-valued f64s — exact under
-    // any summation order — and the op counts are integers).
-    let partial: Vec<(Vec<f64>, OpCounts, f64)> = batches
-        .batches()
-        .par_iter()
-        .zip(&let_view.per_batch)
-        .map(|(b, (approx, direct))| {
-            let nb = b.num_targets();
-            let (tx, ty, tz) = tp.xyz(b.start..b.end);
-            let mut vals = vec![0.0; nb];
-            let mut bops = OpCounts::default();
-            let mut bbytes = 0.0;
-            for &ci in approx {
-                let (px, py, pz) = let_view.grids[&ci].proxies();
-                let qh = &let_view.qhat[&ci];
-                kernel.accumulate_tile(tx, ty, tz, px, py, pz, qh, &mut vals);
-                bops.approx_interactions += (nb * qh.len()) as u64;
-                bops.kernel_launches += 1;
-                bbytes += ((nb * 4 + qh.len() * 4) * 8) as f64;
-            }
-            for &ci in direct {
-                let p = &let_view.parts[&ci];
-                kernel.accumulate_tile(tx, ty, tz, &p.x, &p.y, &p.z, &p.q, &mut vals);
-                bops.direct_interactions += (nb * p.x.len()) as u64;
-                bops.kernel_launches += 1;
-                bbytes += ((nb * 4 + p.x.len() * 4) * 8) as f64;
-            }
-            (vals, bops, bbytes)
-        })
-        .collect();
-    for (b, (vals, bops, bbytes)) in batches.batches().iter().zip(&partial) {
-        for (slot, v) in out[b.start..b.end].iter_mut().zip(vals) {
-            *slot += v;
+impl<const C: usize> RemoteEval<C> {
+    pub(crate) fn zeros(targets: usize) -> Self {
+        Self {
+            cols: std::array::from_fn(|_| vec![0.0; targets]),
+            ops: OpCounts::default(),
+            device_bytes: 0.0,
         }
-        *ops = ops.merged(bops);
-        *device_bytes += bbytes;
     }
-}
 
-/// Evaluate this LET's contribution to the rank's potentials **and
-/// gradients** — the field counterpart of [`eval_remote_into`].
-///
-/// The four output slices are indexed in reordered (batch) target order.
-/// The scalar math mirrors `bltc_core::field::eval_field_batch_into`
-/// applied to the fetched remote data; no RMA happens here — the LET was
-/// fully fetched during setup, so gradient evaluation adds **zero**
-/// communication (an invariant the test suite asserts against the
-/// runtime's traffic matrix). `device_bytes` accumulates per-launch
-/// memory traffic with four output arrays per target instead of one.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_remote_field_into(
-    let_view: &RemoteLet,
-    batches: &TargetBatches,
-    kernel: &dyn GradientKernel,
-    pot: &mut [f64],
-    gx: &mut [f64],
-    gy: &mut [f64],
-    gz: &mut [f64],
-    ops: &mut OpCounts,
-    device_bytes: &mut f64,
-) {
-    let tp = batches.particles();
-    // Same parallel shape as [`eval_remote_into`]: per-batch partials
-    // over disjoint target ranges, merged in fixed batch order.
-    type FieldPartial = ([Vec<f64>; 4], OpCounts, f64);
-    let partial: Vec<FieldPartial> = batches
-        .batches()
-        .par_iter()
-        .zip(&let_view.per_batch)
-        .map(|(b, (approx, direct))| {
-            let nb = b.num_targets();
-            let (tx, ty, tz) = tp.xyz(b.start..b.end);
-            let mut vals = [vec![0.0; nb], vec![0.0; nb], vec![0.0; nb], vec![0.0; nb]];
-            let [vp, vx, vy, vz] = &mut vals;
-            let mut bops = OpCounts::default();
-            let mut bbytes = 0.0;
-            for &ci in approx {
-                let (px, py, pz) = let_view.grids[&ci].proxies();
-                let qh = &let_view.qhat[&ci];
-                kernel.accumulate_field_tile(tx, ty, tz, px, py, pz, qh, vp, vx, vy, vz);
-                bops.approx_interactions += (nb * qh.len()) as u64;
-                bops.kernel_launches += 1;
-                bbytes += ((nb * 7 + qh.len() * 4) * 8) as f64;
-            }
-            for &ci in direct {
-                let p = &let_view.parts[&ci];
-                kernel.accumulate_field_tile(tx, ty, tz, &p.x, &p.y, &p.z, &p.q, vp, vx, vy, vz);
-                bops.direct_interactions += (nb * p.x.len()) as u64;
-                bops.kernel_launches += 1;
-                bbytes += ((nb * 7 + p.x.len() * 4) * 8) as f64;
-            }
-            (vals, bops, bbytes)
-        })
-        .collect();
-    for (b, (vals, bops, bbytes)) in batches.batches().iter().zip(&partial) {
-        let r = b.start..b.end;
-        for (dst, src) in [
-            (&mut pot[r.clone()], &vals[0]),
-            (&mut gx[r.clone()], &vals[1]),
-            (&mut gy[r.clone()], &vals[2]),
-            (&mut gz[r], &vals[3]),
-        ] {
-            for (slot, v) in dst.iter_mut().zip(src.iter()) {
+    /// Add one batch's partial (the batch owns targets `range`).
+    fn merge(&mut self, range: std::ops::Range<usize>, part: &Self) {
+        for (col, vals) in self.cols.iter_mut().zip(&part.cols) {
+            for (slot, v) in col[range.clone()].iter_mut().zip(vals) {
                 *slot += v;
             }
         }
-        *ops = ops.merged(bops);
-        *device_bytes += bbytes;
+        self.ops = self.ops.merged(&part.ops);
+        self.device_bytes += part.device_bytes;
     }
 }
 
-/// The **stream** mode: land each planned chunk, evaluate just that
+/// The LET cluster loop — the remote twin of
+/// `bltc_core::engine::eval_batch_into`: one batch's targets `t` against
+/// landed remote clusters, approximated ones first (Eq. 11, proxies with
+/// the fetched modified charges), then direct ones (Eq. 9, the fetched
+/// particles), each list in the order given (ascending id), accumulated
+/// into `acc` together with the three tallies of every tile. No RMA
+/// happens here, whatever the pass: the data was fetched by the land
+/// stage.
+fn eval_clusters<const C: usize, O: TileOp<C> + ?Sized>(
+    op: &O,
+    t: (&[f64], &[f64], &[f64]),
+    approx: &[u32],
+    direct: &[u32],
+    payload: &LetPayload,
+    acc: &mut RemoteEval<C>,
+) {
+    let nb = t.0.len();
+    let mut out = acc.cols.each_mut().map(|c| &mut c[..]);
+    for ci in approx {
+        let (px, py, pz) = payload.grids[ci].proxies();
+        let qh = &payload.qhat[ci];
+        op.tile(t, (px, py, pz, qh), &mut out);
+        acc.ops.approx_interactions += (nb * qh.len()) as u64;
+        acc.ops.kernel_launches += 1;
+        acc.device_bytes += ((nb * O::TARGET_COLS + qh.len() * 4) * 8) as f64;
+    }
+    for ci in direct {
+        let p = &payload.parts[ci];
+        op.tile(t, (&p.x, &p.y, &p.z, &p.q), &mut out);
+        acc.ops.direct_interactions += (nb * p.x.len()) as u64;
+        acc.ops.kernel_launches += 1;
+        acc.device_bytes += ((nb * O::TARGET_COLS + p.x.len() * 4) * 8) as f64;
+    }
+}
+
+/// The **retain** driver, first half: execute every planned chunk's gets
+/// — in exactly the order the streaming driver does, so the recorded
+/// traffic and the fetched data are byte-identical (each chunk merely
+/// gets its own passive-target epoch, which costs nothing in the α–β
+/// model) — and keep the whole payload.
+pub(crate) fn land_remote_let(
+    issue: LetIssue,
+    plans: &[ChunkPlan],
+    wins: &LetWindows,
+    params: &BltcParams,
+    tally: &mut CommTally,
+) -> RemoteLet {
+    let mut payload = LetPayload::default();
+    for plan in plans {
+        land_chunk(&issue, plan, wins, params, tally, &mut payload);
+    }
+    RemoteLet {
+        per_batch: issue.per_batch,
+        payload,
+    }
+}
+
+/// The **retain** driver, second half: add a landed LET's contribution
+/// to `acc`. One pool task per batch, each evaluating the batch's whole
+/// lists into its own partial; the merge runs in fixed batch order, so
+/// the columns and the modeled clocks are bitwise independent of the
+/// pool size.
+pub(crate) fn eval_remote_into<const C: usize, O: TileOp<C> + ?Sized>(
+    let_view: &RemoteLet,
+    batches: &TargetBatches,
+    op: &O,
+    acc: &mut RemoteEval<C>,
+) {
+    let tp = batches.particles();
+    let partial: Vec<RemoteEval<C>> = batches
+        .batches()
+        .par_iter()
+        .zip(&let_view.per_batch)
+        .map(|(b, (approx, direct))| {
+            let mut part = RemoteEval::zeros(b.num_targets());
+            let t = tp.xyz(b.start..b.end);
+            eval_clusters(op, t, approx, direct, &let_view.payload, &mut part);
+            part
+        })
+        .collect();
+    for (b, part) in batches.batches().iter().zip(&partial) {
+        acc.merge(b.start..b.end, part);
+    }
+}
+
+/// The **stream** driver: land each planned chunk, evaluate just that
 /// chunk's clusters into persistent per-batch partials, and drop the
 /// payload before landing the next — so the resident remote payload
 /// never exceeds one chunk (which [`plan_chunks`] bounds by the caller's
-/// byte budget).
+/// byte budget). Returns the peak resident payload bytes (the largest
+/// single chunk landed).
 ///
-/// Bitwise identity with the retained path ([`land_remote_let`] +
-/// [`eval_remote_into`]) holds by construction:
-///
-/// * the gets run through the same [`land_chunk`], in the same order —
-///   identical payloads and recorded traffic;
-/// * each target slot accumulates per-cluster contributions in ascending
-///   cluster id — exactly the sorted per-batch list order the retained
-///   evaluation uses — into a partial that starts at zero and is merged
-///   into `out` once per LET, the same single merge the retained path
-///   performs per batch;
-/// * op counts and modeled device bytes are integer-valued, so their
-///   accumulation order cannot matter.
-///
-/// The batch loop runs serially: the chunk loop is the outer loop here,
-/// and a serial inner loop is trivially independent of the host pool
-/// size. Returns the peak resident payload bytes (the largest single
-/// chunk landed).
+/// Chunks hold ascending runs of cluster ids, approx chunks before direct
+/// ones, so chunk-major replay feeds every batch's partial exactly the
+/// sequence the retained driver feeds it in one go. The batch loop runs
+/// serially: the chunk loop is the outer loop here, and a serial inner
+/// loop is trivially independent of the host pool size.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn stream_remote_let(
+pub(crate) fn stream_remote_let<const C: usize, O: TileOp<C> + ?Sized>(
     issue: &LetIssue,
     plans: &[ChunkPlan],
     batches: &TargetBatches,
-    part_win: &Window<f64>,
-    qhat_win: &Window<f64>,
-    m3: usize,
+    wins: &LetWindows,
     params: &BltcParams,
     tally: &mut CommTally,
-    kernel: &dyn Kernel,
-    out: &mut [f64],
-    ops: &mut OpCounts,
-    device_bytes: &mut f64,
+    op: &O,
+    acc: &mut RemoteEval<C>,
 ) -> u64 {
     let tp = batches.particles();
-    let mut vals: Vec<Vec<f64>> = batches
+    let mut partial: Vec<RemoteEval<C>> = batches
         .batches()
         .iter()
-        .map(|b| vec![0.0; b.num_targets()])
+        .map(|b| RemoteEval::zeros(b.num_targets()))
         .collect();
-    let mut lops = OpCounts::default();
-    let mut lbytes = 0.0;
     let mut peak = 0u64;
-
-    let mut qhat = BTreeMap::new();
-    let mut grids = BTreeMap::new();
-    let mut parts = BTreeMap::new();
     for plan in plans {
-        land_chunk(
-            issue, plan, part_win, qhat_win, m3, params, tally, &mut qhat, &mut grids, &mut parts,
-        );
+        let mut payload = LetPayload::default();
+        land_chunk(issue, plan, wins, params, tally, &mut payload);
         peak = peak.max(plan.bytes);
-        if plan.len == 0 {
-            continue;
-        }
+        // Every planned chunk holds at least one cluster.
         let ids = match plan.kind {
             ChunkKind::Approx => &issue.approx,
             ChunkKind::Direct => &issue.direct,
         };
         let (lo, hi) = (ids[plan.first], ids[plan.first + plan.len - 1]);
-        for ((b, (approx, direct)), v) in batches
+        // A batch list is sorted ascending, so the clusters this chunk
+        // holds form one contiguous run of it.
+        let held =
+            |list: &[u32]| list.partition_point(|&c| c < lo)..list.partition_point(|&c| c <= hi);
+        for ((b, (approx, direct)), part) in batches
             .batches()
             .iter()
             .zip(&issue.per_batch)
-            .zip(vals.iter_mut())
+            .zip(&mut partial)
         {
-            let nb = b.num_targets();
-            let (tx, ty, tz) = tp.xyz(b.start..b.end);
-            let list = match plan.kind {
-                ChunkKind::Approx => approx,
-                ChunkKind::Direct => direct,
+            let (approx, direct) = match plan.kind {
+                ChunkKind::Approx => (&approx[held(approx)], &[][..]),
+                ChunkKind::Direct => (&[][..], &direct[held(direct)]),
             };
-            // The batch list is sorted ascending, so the clusters this
-            // chunk holds form one contiguous run.
-            let s = list.partition_point(|&c| c < lo);
-            let e = list.partition_point(|&c| c <= hi);
-            for &ci in &list[s..e] {
-                match plan.kind {
-                    ChunkKind::Approx => {
-                        let (px, py, pz) = grids[&ci].proxies();
-                        let qh = &qhat[&ci];
-                        kernel.accumulate_tile(tx, ty, tz, px, py, pz, qh, v);
-                        lops.approx_interactions += (nb * qh.len()) as u64;
-                        lops.kernel_launches += 1;
-                        lbytes += ((nb * 4 + qh.len() * 4) * 8) as f64;
-                    }
-                    ChunkKind::Direct => {
-                        let p = &parts[&ci];
-                        kernel.accumulate_tile(tx, ty, tz, &p.x, &p.y, &p.z, &p.q, v);
-                        lops.direct_interactions += (nb * p.x.len()) as u64;
-                        lops.kernel_launches += 1;
-                        lbytes += ((nb * 4 + p.x.len() * 4) * 8) as f64;
-                    }
-                }
-            }
+            let t = tp.xyz(b.start..b.end);
+            eval_clusters(op, t, approx, direct, &payload, part);
         }
         // Evaluate-and-discard: the payload dies here, before the next
         // chunk lands.
-        qhat.clear();
-        grids.clear();
-        parts.clear();
     }
-
-    for (b, v) in batches.batches().iter().zip(&vals) {
-        for (slot, val) in out[b.start..b.end].iter_mut().zip(v) {
-            *slot += val;
-        }
+    for (b, part) in batches.batches().iter().zip(&partial) {
+        acc.merge(b.start..b.end, part);
     }
-    *ops = ops.merged(&lops);
-    *device_bytes += lbytes;
-    peak
-}
-
-/// Field counterpart of [`stream_remote_let`]: memory-bounded
-/// evaluate-and-discard of one LET's potential **and gradient**
-/// contributions. Same structure, four accumulator columns per batch,
-/// merged in the retained path's `[pot, gx, gy, gz]` per-batch order.
-/// Returns the peak resident payload bytes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stream_remote_let_field(
-    issue: &LetIssue,
-    plans: &[ChunkPlan],
-    batches: &TargetBatches,
-    part_win: &Window<f64>,
-    qhat_win: &Window<f64>,
-    m3: usize,
-    params: &BltcParams,
-    tally: &mut CommTally,
-    kernel: &dyn GradientKernel,
-    pot: &mut [f64],
-    gx: &mut [f64],
-    gy: &mut [f64],
-    gz: &mut [f64],
-    ops: &mut OpCounts,
-    device_bytes: &mut f64,
-) -> u64 {
-    let tp = batches.particles();
-    let mut vals: Vec<[Vec<f64>; 4]> = batches
-        .batches()
-        .iter()
-        .map(|b| {
-            let nb = b.num_targets();
-            [vec![0.0; nb], vec![0.0; nb], vec![0.0; nb], vec![0.0; nb]]
-        })
-        .collect();
-    let mut lops = OpCounts::default();
-    let mut lbytes = 0.0;
-    let mut peak = 0u64;
-
-    let mut qhat = BTreeMap::new();
-    let mut grids = BTreeMap::new();
-    let mut parts = BTreeMap::new();
-    for plan in plans {
-        land_chunk(
-            issue, plan, part_win, qhat_win, m3, params, tally, &mut qhat, &mut grids, &mut parts,
-        );
-        peak = peak.max(plan.bytes);
-        if plan.len == 0 {
-            continue;
-        }
-        let ids = match plan.kind {
-            ChunkKind::Approx => &issue.approx,
-            ChunkKind::Direct => &issue.direct,
-        };
-        let (lo, hi) = (ids[plan.first], ids[plan.first + plan.len - 1]);
-        for ((b, (approx, direct)), v) in batches
-            .batches()
-            .iter()
-            .zip(&issue.per_batch)
-            .zip(vals.iter_mut())
-        {
-            let nb = b.num_targets();
-            let (tx, ty, tz) = tp.xyz(b.start..b.end);
-            let [vp, vx, vy, vz] = v;
-            let list = match plan.kind {
-                ChunkKind::Approx => approx,
-                ChunkKind::Direct => direct,
-            };
-            let s = list.partition_point(|&c| c < lo);
-            let e = list.partition_point(|&c| c <= hi);
-            for &ci in &list[s..e] {
-                match plan.kind {
-                    ChunkKind::Approx => {
-                        let (px, py, pz) = grids[&ci].proxies();
-                        let qh = &qhat[&ci];
-                        kernel.accumulate_field_tile(tx, ty, tz, px, py, pz, qh, vp, vx, vy, vz);
-                        lops.approx_interactions += (nb * qh.len()) as u64;
-                        lops.kernel_launches += 1;
-                        lbytes += ((nb * 7 + qh.len() * 4) * 8) as f64;
-                    }
-                    ChunkKind::Direct => {
-                        let p = &parts[&ci];
-                        kernel.accumulate_field_tile(
-                            tx, ty, tz, &p.x, &p.y, &p.z, &p.q, vp, vx, vy, vz,
-                        );
-                        lops.direct_interactions += (nb * p.x.len()) as u64;
-                        lops.kernel_launches += 1;
-                        lbytes += ((nb * 7 + p.x.len() * 4) * 8) as f64;
-                    }
-                }
-            }
-        }
-        qhat.clear();
-        grids.clear();
-        parts.clear();
-    }
-
-    for (b, v) in batches.batches().iter().zip(&vals) {
-        let r = b.start..b.end;
-        for (dst, src) in [
-            (&mut pot[r.clone()], &v[0]),
-            (&mut gx[r.clone()], &v[1]),
-            (&mut gy[r.clone()], &v[2]),
-            (&mut gz[r], &v[3]),
-        ] {
-            for (slot, val) in dst.iter_mut().zip(src.iter()) {
-                *slot += val;
-            }
-        }
-    }
-    *ops = ops.merged(&lops);
-    *device_bytes += lbytes;
     peak
 }
 

@@ -6,19 +6,30 @@
 //!
 //! 1. **Domain decomposition** — recursive coordinate bisection assigns
 //!    each rank a compact spatial region with a balanced particle count.
-//! 2. **Local trees + windows** — every rank builds the source tree and
-//!    modified charges for its own particles, then exposes three RMA
-//!    windows: the tree *skeleton*, the tree-ordered particles, and the
-//!    per-cluster modified charges.
+//! 2. **One local preparation + windows** — every rank stages its own
+//!    particles on the simulated GPU once (`bltc_gpu::GpuEngine::stage`:
+//!    source tree, batches, local lists, and every cluster's modified
+//!    charges computed on the device and copied back), then exposes
+//!    three RMA windows: the tree *skeleton*, the tree-ordered
+//!    particles, and the per-cluster modified charges — the very buffer
+//!    that device-to-host copy produced (paper §3.1–3.2).
 //! 3. **Locally essential trees** — each rank, fully asynchronously,
 //!    fetches remote skeletons with one-sided gets, runs its batch-MAC
 //!    traversal against them, and pulls only the clusters it needs:
 //!    modified charges where the MAC accepts, raw particles where it
 //!    does not. This is the step the paper builds on passive-target
 //!    `MPI_Win_lock`/`MPI_Get`.
-//! 4. **Evaluation** — local interactions run through the simulated GPU
-//!    engine (bitwise identical to the single-rank engines); remote LET
-//!    contributions are added with the same scalar kernels.
+//! 4. **Evaluation** — local interactions finish the staged GPU run
+//!    (`StagedRun::finish`, bitwise identical to the single-rank
+//!    engines); remote LET contributions are added through the same
+//!    tiles.
+//!
+//! Steps 2–4 are one function, [`eval_rank`], and it is written once for
+//! both passes: what a pass produces per target — the potential, or the
+//! potential and its gradient — is the `bltc_core::kernel::TileOp` the
+//! caller hands over (`&dyn Kernel` or `&dyn GradientKernel`), which
+//! supplies the tile, the flops per pair and the column count every
+//! byte formula uses.
 //!
 //! Phase times are modeled, not measured: host work through
 //! [`model::HostModel`], device work through the `gpu-sim` clock, and
@@ -56,28 +67,35 @@
 //! produce bitwise-identical potentials — so `pipelined_s ≤ total_s`
 //! is a checkable invariant, with equality on one rank.
 //!
-//! ## Force fields
+//! ## One pipeline, four doors
 //!
-//! Two entry points share the pipeline above:
+//! Every entry point is a thin wrapper around [`eval_rank`]; they differ
+//! in who owns the world and where the result lands:
 //!
-//! - [`run_distributed`] — potentials only (`&dyn Kernel`),
+//! - [`run_distributed`] — potentials (`&dyn Kernel`) on a fresh
+//!   `run_spmd` world, assembled into a [`DistReport`];
 //! - [`run_distributed_field`] — potentials **and** 3-component
-//!   gradients (`&dyn GradientKernel`), for the astrophysics / MD
-//!   workloads where forces `F = -q∇φ` are the quantity of interest.
+//!   gradients (`&dyn GradientKernel`) into a [`DistFieldReport`], for
+//!   the astrophysics / MD workloads where forces `F = -q∇φ` are the
+//!   quantity of interest;
+//! - [`run_distributed_field_on`] — the same with a caller-supplied
+//!   (cached) RCB partition, so a time-stepping driver can refresh the
+//!   decomposition on a cadence instead of every step;
+//! - [`FieldSession::eval_field`] — the same body as an epoch against
+//!   live ranks whose particles stay resident between calls (`bltc-sim`
+//!   steps through it).
 //!
-//! The field path reuses the *same* LET: modified charges and fetched
-//! particles differentiate for free with respect to the target, so
-//! gradient evaluation adds **no** RMA traffic — only gradient-capable
-//! device kernels (~4× the flops, charged to the device clock) and a 4×
-//! DtH volume. Every rank's one-sided traffic is reported in
+//! All of them validate their decomposition with one driver-side check
+//! and fold their per-rank reports through one [`PhaseMaxima`].
+//!
+//! A field pass reuses the *same* LET as a potential pass: modified
+//! charges and fetched particles differentiate for free with respect to
+//! the target, so gradient evaluation adds **no** RMA traffic — only
+//! ~4× the flops (charged to the device clock) and a 4× DtH volume.
+//! Every rank's one-sided traffic is reported in
 //! [`RankReport::let_messages`]/[`RankReport::let_bytes`] and must
 //! reconcile exactly with the runtime's [`TrafficMatrix`] (see the
 //! invariants on [`RankReport`]).
-//!
-//! Time-stepping drivers (`bltc-sim`) re-enter the field pipeline once
-//! per step through [`run_distributed_field_on`], which accepts a
-//! cached RCB partition so the domain decomposition can be refreshed on
-//! a cadence instead of every step.
 //!
 //! ## Memory-bounded LET streaming
 //!
@@ -145,22 +163,20 @@ pub use persistent::{
     FieldSession, MigrationRankStats, MigrationReport, RankLocal, SessionFieldReport, Snapshot,
 };
 
-use bltc_core::charges::ClusterCharges;
 use bltc_core::config::BltcParams;
 use bltc_core::cost::OpCounts;
 use bltc_core::field::FieldResult;
-use bltc_core::kernel::{GradientKernel, Kernel};
+use bltc_core::kernel::{GradientKernel, Kernel, TileOp};
 use bltc_core::particles::ParticleSet;
-use bltc_core::tree::{batch::TargetBatches, SourceTree};
 use bltc_gpu::{GpuEngine, GpuSimBreakdown};
 use gpu_sim::DeviceSpec;
 use mpi_sim::runtime::TrafficMatrix;
-use mpi_sim::{run_spmd, Comm, NetworkSpec, Window};
+use mpi_sim::{run_spmd, Comm, NetworkSpec};
 use rcb::{partition_particles, rcb_partition, rcb_partition_two_level, RcbPartition};
 
 use letree::{
-    eval_remote_field_into, eval_remote_into, issue_remote_let, land_remote_let, plan_chunks,
-    stream_remote_let, stream_remote_let_field, CommTally, LetPlan, NodeMeta, RemoteLet,
+    eval_remote_into, issue_remote_let, land_remote_let, plan_chunks, stream_remote_let, CommTally,
+    LetPlan, LetWindows, RemoteEval,
 };
 use model::{pipelined_clock, ChunkCost, LetFetchPlan};
 
@@ -268,7 +284,7 @@ impl DistConfig {
 }
 
 /// LET-construction statistics for one rank (summed over remote ranks).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LetStats {
     /// Remote skeleton nodes received (metadata, bounded by tree sizes).
     pub remote_skeleton_nodes: u64,
@@ -466,281 +482,36 @@ impl DistFieldReport {
     }
 }
 
-/// Object-safe delegation so `run_distributed` accepts both concrete
-/// kernels (`&Coulomb`) and trait objects (`&dyn Kernel`).
-///
-/// A wrapper must forward the tile methods too: their provided bodies
-/// would otherwise be instantiated for the *wrapper*, whose `eval` is a
-/// virtual call per pair into the kernel behind it.
-struct KernelRef<'a, K: Kernel + ?Sized>(&'a K);
-
-impl<K: Kernel + ?Sized> Kernel for KernelRef<'_, K> {
-    fn eval(&self, dx: f64, dy: f64, dz: f64) -> f64 {
-        self.0.eval(dx, dy, dz)
-    }
-
-    fn accumulate_tile(
-        &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
-        sx: &[f64],
-        sy: &[f64],
-        sz: &[f64],
-        sq: &[f64],
-        out: &mut [f64],
-    ) {
-        self.0.accumulate_tile(tx, ty, tz, sx, sy, sz, sq, out);
-    }
-
-    fn eval_f32(&self, dx: f32, dy: f32, dz: f32) -> f32 {
-        self.0.eval_f32(dx, dy, dz)
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn flops_per_eval_cpu(&self) -> f64 {
-        self.0.flops_per_eval_cpu()
-    }
-
-    fn flops_per_eval_gpu(&self) -> f64 {
-        self.0.flops_per_eval_gpu()
-    }
+/// The bulk-synchronous phase clocks of one evaluation: ranks run side
+/// by side, so each phase costs what its slowest rank takes. Every
+/// aggregate report ([`DistReport`], [`DistFieldReport`],
+/// [`SessionFieldReport`], `bltc-sim`'s step reports) folds its per-rank
+/// reports through this one definition.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhaseMaxima {
+    /// Max over ranks of [`RankReport::setup_total`].
+    pub setup_s: f64,
+    /// Max over ranks of [`RankReport::precompute_s`].
+    pub precompute_s: f64,
+    /// Max over ranks of [`RankReport::compute_s`].
+    pub compute_s: f64,
+    /// Max over ranks of [`RankReport::total`] (each rank's phases are
+    /// serial; ranks overlap).
+    pub total_s: f64,
+    /// Max over ranks of [`RankReport::pipelined_s`] (`≤ total_s`).
+    pub pipelined_s: f64,
 }
 
-/// Gradient-capable delegation: a [`KernelRef`] over a gradient kernel
-/// is itself a [`GradientKernel`].
-impl<K: GradientKernel + ?Sized> GradientKernel for KernelRef<'_, K> {
-    fn eval_with_grad(&self, dx: f64, dy: f64, dz: f64) -> (f64, f64, f64, f64) {
-        self.0.eval_with_grad(dx, dy, dz)
-    }
-
-    fn accumulate_field_tile(
-        &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
-        sx: &[f64],
-        sy: &[f64],
-        sz: &[f64],
-        sq: &[f64],
-        pot: &mut [f64],
-        gx: &mut [f64],
-        gy: &mut [f64],
-        gz: &mut [f64],
-    ) {
-        self.0
-            .accumulate_field_tile(tx, ty, tz, sx, sy, sz, sq, pot, gx, gy, gz);
-    }
-
-    fn grad_flops_per_eval_gpu(&self) -> f64 {
-        self.0.grad_flops_per_eval_gpu()
-    }
-
-    fn grad_flops_per_eval_cpu(&self) -> f64 {
-        self.0.grad_flops_per_eval_cpu()
-    }
-}
-
-/// Everything one rank builds during the setup phase: local structures,
-/// the three exposed RMA windows (kept alive so remote ranks can keep
-/// fetching until the closing barrier), the assembled LETs, and the
-/// communication tally they cost.
-struct RankSetup {
-    tree: SourceTree,
-    batches: TargetBatches,
-    /// Fully landed LETs — empty in streaming mode, where each chunk is
-    /// evaluated and discarded inside [`setup_rank`] instead.
-    lets: Vec<RemoteLet>,
-    /// Per-LET fetch schedules (chunk metadata for the pipelined clock).
-    plans: Vec<LetPlan>,
-    let_stats: LetStats,
-    tally: CommTally,
-    /// Peak resident remote payload bytes (see
-    /// [`RankReport::peak_let_bytes`]).
-    peak_let_bytes: u64,
-    // Held, not read: dropping a window before the final barrier would
-    // tear down regions remote ranks may still be fetching from.
-    _meta_win: Window<NodeMeta>,
-    _part_win: Window<f64>,
-    _qhat_win: Window<f64>,
-}
-
-/// Where the streaming setup accumulates remote contributions while it
-/// lands-evaluates-discards each chunk: the rank's batch-order partial
-/// buffers plus its remote op/byte tallies, potential or field flavor.
-enum RemoteAccum<'a> {
-    Potential {
-        kernel: &'a dyn Kernel,
-        out: &'a mut [f64],
-        ops: &'a mut OpCounts,
-        device_bytes: &'a mut f64,
-    },
-    Field {
-        kernel: &'a dyn GradientKernel,
-        pot: &'a mut [f64],
-        gx: &'a mut [f64],
-        gy: &'a mut [f64],
-        gz: &'a mut [f64],
-        ops: &'a mut OpCounts,
-        device_bytes: &'a mut f64,
-    },
-}
-
-/// Steps 2–3 of the pipeline (shared by the potential and field paths):
-/// build local tree/batches/charges, expose the skeleton / particle /
-/// modified-charge windows, and construct this rank's LET view of every
-/// remote tree over passive-target RMA — staged as issue → plan → land
-/// per remote rank, retaining each LET's chunk schedule for the
-/// pipelined clock.
-///
-/// With `stream: None` every LET is landed whole and returned in
-/// [`RankSetup::lets`] for the caller to evaluate. With `stream:
-/// Some(accum)` — the memory-bounded mode the caller selects iff
-/// [`DistConfig::let_memory_budget`] is set — each chunk is landed,
-/// evaluated into `accum`, and discarded immediately, so no LET is ever
-/// resident in full; `lets` comes back empty and the remote
-/// contributions are already in the accumulator's buffers. Both modes
-/// issue identical gets in identical order and record identical
-/// traffic.
-fn setup_rank(
-    comm: &Comm,
-    local: &ParticleSet,
-    cfg: &DistConfig,
-    mut stream: Option<RemoteAccum<'_>>,
-) -> RankSetup {
-    let params = &cfg.params;
-    let m3 = params.proxy_count();
-
-    // ---- local structures (host) ------------------------------------
-    let tree = SourceTree::build(local, params);
-    let batches = TargetBatches::build(local, params);
-    let charges = ClusterCharges::compute_all(&tree, params.degree);
-
-    // ---- expose RMA windows (collective, like MPI_Win_create) -------
-    let meta: Vec<NodeMeta> = tree.nodes().iter().map(NodeMeta::from_node).collect();
-    let meta_win = comm.create_window(meta);
-
-    let tp = tree.particles();
-    let mut pdata = Vec::with_capacity(tp.len() * 4);
-    for j in 0..tp.len() {
-        pdata.extend_from_slice(&[tp.x[j], tp.y[j], tp.z[j], tp.q[j]]);
-    }
-    let part_win = comm.create_window(pdata);
-
-    let mut qdata = vec![0.0; tree.num_nodes() * m3];
-    for i in 0..tree.num_nodes() {
-        qdata[i * m3..(i + 1) * m3].copy_from_slice(charges.charges(i));
-    }
-    let qhat_win = comm.create_window(qdata);
-    comm.barrier(); // all windows exposed; passive epochs may begin
-
-    // ---- LET construction (fully one-sided, staged) -----------------
-    let mut tally = CommTally::default();
-    let mut lets = Vec::with_capacity(comm.size().saturating_sub(1));
-    let mut plans = Vec::with_capacity(comm.size().saturating_sub(1));
-    let mut let_stats = LetStats::default();
-    let mut peak_let_bytes = 0u64;
-    for t in 0..comm.size() {
-        if t == comm.rank() {
-            continue;
-        }
-        let issue = issue_remote_let(t, &batches, params, &meta_win, &mut tally);
-        let chunks = plan_chunks(&issue, &batches, m3, cfg.let_chunk, cfg.let_memory_budget);
-        let skeleton_bytes = issue.skeleton_bytes;
-        if let Some(accum) = stream.as_mut() {
-            // Evaluate-and-discard: the stats the retained path reads
-            // off the landed LET are derived from the issue stage and
-            // the chunk plans instead (same quantities by construction).
-            let_stats.remote_skeleton_nodes += issue.nodes.len() as u64;
-            let_stats.remote_approx_nodes += issue.approx.len() as u64;
-            let_stats.remote_direct_nodes += issue.direct.len() as u64;
-            let_stats.fetched_particles += chunks.iter().map(|c| c.fetched_particles).sum::<u64>();
-            let_stats.fetched_proxy_charges += (issue.approx.len() * m3) as u64;
-            let peak = match accum {
-                RemoteAccum::Potential {
-                    kernel,
-                    out,
-                    ops,
-                    device_bytes,
-                } => stream_remote_let(
-                    &issue,
-                    &chunks,
-                    &batches,
-                    &part_win,
-                    &qhat_win,
-                    m3,
-                    params,
-                    &mut tally,
-                    *kernel,
-                    out,
-                    ops,
-                    device_bytes,
-                ),
-                RemoteAccum::Field {
-                    kernel,
-                    pot,
-                    gx,
-                    gy,
-                    gz,
-                    ops,
-                    device_bytes,
-                } => stream_remote_let_field(
-                    &issue,
-                    &chunks,
-                    &batches,
-                    &part_win,
-                    &qhat_win,
-                    m3,
-                    params,
-                    &mut tally,
-                    *kernel,
-                    pot,
-                    gx,
-                    gy,
-                    gz,
-                    ops,
-                    device_bytes,
-                ),
-            };
-            peak_let_bytes = peak_let_bytes.max(peak);
-        } else {
-            lets.push(land_remote_let(
-                issue, &chunks, &part_win, &qhat_win, m3, params, &mut tally,
-            ));
-        }
-        plans.push(LetPlan {
-            target: t,
-            skeleton_bytes,
-            chunks,
-        });
-    }
-    if stream.is_none() {
-        for l in &lets {
-            let_stats.remote_skeleton_nodes += l.nodes.len() as u64;
-            let_stats.remote_approx_nodes += l.qhat.len() as u64;
-            let_stats.remote_direct_nodes += l.parts.len() as u64;
-            let_stats.fetched_particles += l.fetched_particles();
-            let_stats.fetched_proxy_charges += (l.qhat.len() * m3) as u64;
-        }
-        // Every LET stays resident through evaluation: the peak is the
-        // whole device-staged payload.
-        peak_let_bytes = tally.device_bytes;
-    }
-
-    RankSetup {
-        tree,
-        batches,
-        lets,
-        plans,
-        let_stats,
-        tally,
-        peak_let_bytes,
-        _meta_win: meta_win,
-        _part_win: part_win,
-        _qhat_win: qhat_win,
+impl PhaseMaxima {
+    /// Fold per-rank reports into the phase maxima.
+    pub fn over<'a>(ranks: impl IntoIterator<Item = &'a RankReport>) -> Self {
+        ranks.into_iter().fold(Self::default(), |m, r| Self {
+            setup_s: m.setup_s.max(r.setup_total()),
+            precompute_s: m.precompute_s.max(r.precompute_s),
+            compute_s: m.compute_s.max(r.compute_s),
+            total_s: m.total_s.max(r.total()),
+            pipelined_s: m.pipelined_s.max(r.pipelined_s()),
+        })
     }
 }
 
@@ -831,11 +602,14 @@ fn model_rank_clocks(
 /// Weight the retained LET chunk schedules by the evaluating kernel:
 /// the chunk structure is identical for the potential and field paths
 /// (same lists, same LET, same traffic — an invariant the tests pin);
-/// only the flops per interaction and the output columns per target
-/// (4 vs 7) differ.
-fn chunk_fetch_plans(setup: &RankSetup, flops_per_eval: f64, out_cols: u64) -> Vec<LetFetchPlan> {
-    setup
-        .plans
+/// only the flops per interaction and the `f64` columns a launch touches
+/// per target ([`TileOp::TARGET_COLS`]: 4 vs 7) differ.
+fn chunk_fetch_plans(
+    plans: &[LetPlan],
+    flops_per_eval: f64,
+    target_cols: u64,
+) -> Vec<LetFetchPlan> {
+    plans
         .iter()
         .map(|p| LetFetchPlan {
             target: p.target,
@@ -850,7 +624,7 @@ fn chunk_fetch_plans(setup: &RankSetup, flops_per_eval: f64, out_cols: u64) -> V
                     fetched_particles: c.fetched_particles,
                     launches: c.launches,
                     exec_flops: c.interactions as f64 * flops_per_eval,
-                    eval_bytes: ((c.eval_targets * out_cols + c.eval_sources * 4) * 8) as f64,
+                    eval_bytes: ((c.eval_targets * target_cols + c.eval_sources * 4) * 8) as f64,
                 })
                 .collect(),
         })
@@ -862,7 +636,8 @@ fn chunk_fetch_plans(setup: &RankSetup, flops_per_eval: f64, out_cols: u64) -> V
 /// evaluating. They must agree exactly — the pipelined clock feeds on
 /// the plan, the serial clock on the evaluation tallies.
 fn debug_assert_plans_reconcile(
-    setup: &RankSetup,
+    let_plans: &[LetPlan],
+    tally: &CommTally,
     plans: &[LetFetchPlan],
     remote_ops: &OpCounts,
     device_bytes: f64,
@@ -871,8 +646,7 @@ fn debug_assert_plans_reconcile(
         let chunks = || plans.iter().flat_map(|p| &p.chunks);
         let launches: u64 = chunks().map(|c| c.launches).sum();
         debug_assert_eq!(launches, remote_ops.kernel_launches);
-        let interactions: u64 = setup
-            .plans
+        let interactions: u64 = let_plans
             .iter()
             .flat_map(|p| &p.chunks)
             .map(|c| c.interactions)
@@ -884,19 +658,27 @@ fn debug_assert_plans_reconcile(
         let eval_bytes: f64 = chunks().map(|c| c.eval_bytes).sum();
         debug_assert_eq!(eval_bytes, device_bytes);
         let payload: u64 = chunks().map(|c| c.bytes).sum();
-        debug_assert_eq!(payload, setup.tally.device_bytes);
+        debug_assert_eq!(payload, tally.device_bytes);
         let messages: u64 = chunks().map(|c| c.messages).sum();
         debug_assert_eq!(
-            messages + setup.plans.len() as u64,
-            setup.tally.messages,
+            messages + let_plans.len() as u64,
+            tally.messages,
             "chunk gets + one skeleton get per LET must cover the tally"
         );
     }
 }
 
-/// Validate inputs and compute the RCB decomposition shared by both
-/// entry points.
-fn decompose(ps: &ParticleSet, ranks: usize, cfg: &DistConfig) -> (RcbPartition, Vec<ParticleSet>) {
+/// The one decomposition check behind every door that takes particles,
+/// a rank count and (optionally) a caller-supplied partition — the
+/// one-shots, [`run_distributed_field_on`] and
+/// [`FieldSession::launch_reusing`] — so bad input is refused on the
+/// driver thread, before any rank runs.
+pub(crate) fn check_decomposition(
+    ps: &ParticleSet,
+    ranks: usize,
+    part: Option<&RcbPartition>,
+    cfg: &DistConfig,
+) {
     assert!(ranks >= 1, "need at least one rank");
     assert!(!ps.is_empty(), "cannot distribute an empty particle set");
     assert!(
@@ -905,9 +687,232 @@ fn decompose(ps: &ParticleSet, ranks: usize, cfg: &DistConfig) -> (RcbPartition,
         ps.len()
     );
     cfg.params.validate();
-    let part = cfg.partition(ps, ranks);
-    let locals = partition_particles(ps, &part);
-    (part, locals)
+    if let Some(part) = part {
+        assert_eq!(
+            part.assignment.len(),
+            ps.len(),
+            "partition does not cover the particle set"
+        );
+        assert_eq!(
+            part.part_indices.len(),
+            ranks,
+            "partition has the wrong rank count"
+        );
+        assert!(
+            part.part_indices.iter().all(|p| !p.is_empty()),
+            "every rank needs at least one particle"
+        );
+    }
+}
+
+/// The rank-level body of a distributed evaluation — everything one rank
+/// does between entering and leaving the bulk-synchronous region, for
+/// either pass (`op` is `&dyn Kernel` for potentials, `&dyn
+/// GradientKernel` for potentials and gradients):
+///
+/// 1. **prepare once** — [`GpuEngine::stage`] builds the local tree,
+///    batches and lists and computes every cluster's modified charges on
+///    the simulated device;
+/// 2. **expose** the skeleton / particle / modified-charge windows — the
+///    charge window *is* the buffer the staged run's DtH copied back;
+/// 3. **LETs** — per remote rank issue → plan → land over passive-target
+///    RMA, evaluated into batch-order partial columns: chunk by chunk
+///    (evaluate-and-discard) iff [`DistConfig::let_memory_budget`] is
+///    set, otherwise after every LET has landed whole. Both modes issue
+///    identical gets in identical order and record identical traffic;
+/// 4. **local evaluation** — [`bltc_gpu::StagedRun::finish`] continues
+///    the staged device clock with the compute phase;
+/// 5. the modeled serial and pipelined clocks.
+///
+/// [`run_distributed`], [`run_distributed_field`] and
+/// [`run_distributed_field_on`] execute it under `run_spmd`;
+/// [`persistent::FieldSession`] (or any [`mpi_sim::Session::run_epoch`]
+/// closure) runs the *same* body as an epoch against live ranks. Must be
+/// called from every rank of the SPMD context with the same `cfg` — it
+/// contains collectives (window creation and the closing barrier).
+///
+/// Returns the rank's report and the pass's `C` output columns in **local
+/// particle order** (the order of `local`).
+pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
+    comm: &Comm,
+    local: &ParticleSet,
+    cfg: &DistConfig,
+    op: &O,
+) -> (RankReport, [Vec<f64>; C]) {
+    let params = &cfg.params;
+    let m3 = params.proxy_count();
+    let rank = comm.rank();
+
+    // ---- local preparation on the simulated GPU, then the windows ----
+    let mut staged = GpuEngine::with_spec(*params, cfg.spec)
+        .with_streams(cfg.streams)
+        .stage(local, local);
+    let qhat = std::mem::take(&mut staged.qhat_host);
+    let wins = LetWindows::expose(comm, staged.tree(), qhat);
+    let batches = staged.batches();
+
+    // ---- LET construction (fully one-sided, staged) + remote pass ----
+    let streaming = cfg.let_memory_budget.is_some();
+    let mut remote = RemoteEval::<C>::zeros(local.len());
+    let mut tally = CommTally::default();
+    let mut let_stats = LetStats::default();
+    let mut plans = Vec::with_capacity(comm.size().saturating_sub(1));
+    let mut lets = Vec::new();
+    let mut peak_let_bytes = 0u64;
+    for t in (0..comm.size()).filter(|&t| t != rank) {
+        let issue = issue_remote_let(t, batches, params, &wins, &mut tally);
+        let chunks = plan_chunks(&issue, batches, m3, cfg.let_chunk, cfg.let_memory_budget);
+        let_stats.remote_skeleton_nodes += issue.nodes.len() as u64;
+        let_stats.remote_approx_nodes += issue.approx.len() as u64;
+        let_stats.remote_direct_nodes += issue.direct.len() as u64;
+        let_stats.fetched_particles += chunks.iter().map(|c| c.fetched_particles).sum::<u64>();
+        let_stats.fetched_proxy_charges += (issue.approx.len() * m3) as u64;
+        let skeleton_bytes = issue.skeleton_bytes;
+        if streaming {
+            let peak = stream_remote_let(
+                &issue,
+                &chunks,
+                batches,
+                &wins,
+                params,
+                &mut tally,
+                op,
+                &mut remote,
+            );
+            peak_let_bytes = peak_let_bytes.max(peak);
+        } else {
+            lets.push(land_remote_let(issue, &chunks, &wins, params, &mut tally));
+        }
+        plans.push(LetPlan {
+            target: t,
+            skeleton_bytes,
+            chunks,
+        });
+    }
+    if !streaming {
+        // Every LET stays resident through evaluation: the peak is the
+        // whole device-staged payload.
+        peak_let_bytes = tally.device_bytes;
+        for l in &lets {
+            eval_remote_into(l, batches, op, &mut remote);
+        }
+    }
+    // Alone, a rank has no remote columns to add — and must not add
+    // zeros either: `-0.0 + 0.0` is `+0.0`.
+    let remote_cols = (comm.size() > 1).then(|| {
+        let cols = remote.cols.each_ref();
+        cols.map(|c| batches.scatter_to_original(c))
+    });
+    let (tree_nodes, num_batches) = (staged.tree().num_nodes(), batches.len());
+
+    // ---- local evaluation on the simulated GPU -----------------------
+    let gpu = staged.finish(op);
+    let mut columns = gpu.columns;
+    if let Some(remote_cols) = remote_cols {
+        for (col, rem) in columns.iter_mut().zip(remote_cols) {
+            for (p, r) in col.iter_mut().zip(rem) {
+                *p += r;
+            }
+        }
+    }
+    let ops = gpu.ops.merged(&remote.ops);
+
+    // ---- modeled clocks (the op's flops on the remote pass) -----------
+    let levels = gpu.tree_stats.max_level + 1;
+    let clocks = model_rank_clocks(
+        cfg,
+        rank,
+        &gpu.sim,
+        local.len(),
+        levels,
+        &ops,
+        &let_stats,
+        &tally,
+        &plans,
+        remote.ops.pass_flops(op, true),
+        remote.device_bytes,
+        remote.ops.kernel_launches,
+    );
+    let fetch_plans = chunk_fetch_plans(&plans, op.flops_per_pair(true), O::TARGET_COLS as u64);
+    debug_assert_plans_reconcile(
+        &plans,
+        &tally,
+        &fetch_plans,
+        &remote.ops,
+        remote.device_bytes,
+    );
+    let pipeline = pipelined_clock(
+        cfg,
+        rank,
+        &gpu.sim,
+        local.len(),
+        levels,
+        gpu.ops.kernel_launches,
+        &fetch_plans,
+        clocks.total(),
+    );
+
+    // Deposit this epoch's phase-DAG spans for the driver to drain
+    // (observational only; also carried in the report's pipeline).
+    if comm.tracing_enabled() {
+        comm.trace_spans(pipeline.spans.iter().copied());
+    }
+
+    // Epochs closed on every rank: only now may the windows go, every
+    // peer is done fetching.
+    comm.barrier();
+    drop(wins);
+
+    let report = RankReport {
+        rank,
+        n_local: local.len(),
+        tree_nodes,
+        num_batches,
+        let_stats,
+        let_messages: tally.messages,
+        let_bytes: tally.bytes,
+        peak_let_bytes,
+        setup_host_s: clocks.setup_host_s,
+        setup_comm_s: clocks.setup_comm_s,
+        setup_stage_s: clocks.setup_stage_s,
+        precompute_s: clocks.precompute_s,
+        compute_s: clocks.compute_s,
+        pipeline,
+        ops,
+    };
+    (report, columns)
+}
+
+/// One evaluation on a fresh SPMD world: scatter `ps` by `part`, run
+/// [`eval_rank`] on every rank, and assemble the pass's columns back into
+/// the original (global) target order.
+fn run_world<const C: usize, O: TileOp<C> + ?Sized>(
+    ps: &ParticleSet,
+    part: &RcbPartition,
+    cfg: &DistConfig,
+    op: &O,
+) -> ([Vec<f64>; C], Vec<RankReport>, TrafficMatrix) {
+    let locals = partition_particles(ps, part);
+    let out = run_spmd(part.num_parts(), |comm| {
+        eval_rank(&comm, &locals[comm.rank()], cfg, op)
+    });
+    let mut columns: [Vec<f64>; C] = std::array::from_fn(|_| vec![0.0; ps.len()]);
+    let mut reports = Vec::with_capacity(part.num_parts());
+    for ((report, local_cols), ids) in out.results.into_iter().zip(&part.part_indices) {
+        for (col, local_col) in columns.iter_mut().zip(&local_cols) {
+            for (&orig, &v) in ids.iter().zip(local_col) {
+                col[orig] = v;
+            }
+        }
+        reports.push(report);
+    }
+    (columns, reports, out.traffic)
+}
+
+/// Validate the inputs and compute the RCB decomposition `cfg` implies.
+fn decompose(ps: &ParticleSet, ranks: usize, cfg: &DistConfig) -> RcbPartition {
+    check_decomposition(ps, ranks, None, cfg);
+    cfg.partition(ps, ranks)
 }
 
 /// Run the full distributed pipeline on `ranks` simulated ranks.
@@ -917,164 +922,32 @@ fn decompose(ps: &ParticleSet, ranks: usize, cfg: &DistConfig) -> (RcbPartition,
 /// recorded in the returned traffic matrix. With `ranks == 1` the result
 /// is bitwise identical to `GpuEngine::with_spec(params, cfg.spec)` on
 /// the whole problem.
-pub fn run_distributed<K: Kernel + ?Sized>(
+pub fn run_distributed(
     ps: &ParticleSet,
     ranks: usize,
     cfg: &DistConfig,
-    kernel: &K,
+    kernel: &dyn Kernel,
 ) -> DistReport {
-    let (part, locals) = decompose(ps, ranks, cfg);
-    let kref = KernelRef(kernel);
-    let params = cfg.params;
-
-    let out = run_spmd(ranks, |comm| {
-        let rank = comm.rank();
-        let local = &locals[rank];
-        let kernel: &dyn Kernel = &kref;
-
-        // ---- setup: local structures, windows, LETs -----------------
-        // Streaming mode evaluates remote chunks into `remote_pot`
-        // (batch order) during setup itself; retained mode fills it
-        // from the landed LETs below. Either way it holds the same
-        // per-LET, per-cluster accumulation by the time it is merged.
-        let mut remote_pot = vec![0.0; local.len()];
-        let mut remote_ops = OpCounts::default();
-        let mut device_bytes = 0.0;
-        let streaming = cfg.let_memory_budget.is_some();
-        let setup = setup_rank(
-            &comm,
-            local,
-            cfg,
-            streaming.then_some(RemoteAccum::Potential {
-                kernel,
-                out: &mut remote_pot,
-                ops: &mut remote_ops,
-                device_bytes: &mut device_bytes,
-            }),
-        );
-
-        // ---- local evaluation on the simulated GPU ------------------
-        let gpu = GpuEngine::with_spec(params, cfg.spec)
-            .with_streams(cfg.streams)
-            .compute_detailed(local, local, kernel);
-
-        // ---- remote (LET) contributions -----------------------------
-        let mut potentials = gpu.result.potentials;
-        for l in &setup.lets {
-            eval_remote_into(
-                l,
-                &setup.batches,
-                kernel,
-                &mut remote_pot,
-                &mut remote_ops,
-                &mut device_bytes,
-            );
-        }
-        if comm.size() > 1 {
-            for (p, r) in potentials
-                .iter_mut()
-                .zip(setup.batches.scatter_to_original(&remote_pot))
-            {
-                *p += r;
-            }
-        }
-        let ops = gpu.result.ops.merged(&remote_ops);
-
-        // ---- modeled clocks -----------------------------------------
-        let levels = gpu.result.tree_stats.max_level + 1;
-        let clocks = model_rank_clocks(
-            cfg,
-            rank,
-            &gpu.sim,
-            local.len(),
-            levels,
-            &ops,
-            &setup.let_stats,
-            &setup.tally,
-            &setup.plans,
-            remote_ops.compute_flops(kernel, true),
-            device_bytes,
-            remote_ops.kernel_launches,
-        );
-        let fetch_plans = chunk_fetch_plans(&setup, kernel.flops_per_eval_gpu(), 4);
-        debug_assert_plans_reconcile(&setup, &fetch_plans, &remote_ops, device_bytes);
-        let pipeline = pipelined_clock(
-            cfg,
-            rank,
-            &gpu.sim,
-            local.len(),
-            levels,
-            gpu.result.ops.kernel_launches,
-            &fetch_plans,
-            clocks.total(),
-        );
-
-        if comm.tracing_enabled() {
-            comm.trace_spans(pipeline.spans.iter().copied());
-        }
-        comm.barrier(); // epochs closed on every rank
-
-        (
-            make_rank_report(rank, local.len(), &setup, clocks, pipeline, ops),
-            potentials,
-        )
-    });
-
-    // ---- assemble the global report ---------------------------------
-    let mut potentials = vec![0.0; ps.len()];
-    let mut reports = Vec::with_capacity(ranks);
-    for (rank, (report, local_pot)) in out.results.into_iter().enumerate() {
-        for (i, &orig) in part.part_indices[rank].iter().enumerate() {
-            potentials[orig] = local_pot[i];
-        }
-        reports.push(report);
-    }
-    let fmax = |f: &dyn Fn(&RankReport) -> f64| reports.iter().map(f).fold(0.0, f64::max);
+    let part = decompose(ps, ranks, cfg);
+    let ([potentials], ranks, traffic) = run_world(ps, &part, cfg, kernel);
+    let clocks = PhaseMaxima::over(&ranks);
     DistReport {
-        setup_s: fmax(&|r| r.setup_total()),
-        precompute_s: fmax(&|r| r.precompute_s),
-        compute_s: fmax(&|r| r.compute_s),
-        total_s: fmax(&|r| r.total()),
-        pipelined_s: fmax(&|r| r.pipelined_s()),
         potentials,
-        ranks: reports,
-        traffic: out.traffic,
-    }
-}
-
-/// Assemble a [`RankReport`] from the pieces every pipeline produces.
-fn make_rank_report(
-    rank: usize,
-    n_local: usize,
-    setup: &RankSetup,
-    clocks: RankClocks,
-    pipeline: PipelineReport,
-    ops: OpCounts,
-) -> RankReport {
-    RankReport {
-        rank,
-        n_local,
-        tree_nodes: setup.tree.num_nodes(),
-        num_batches: setup.batches.len(),
-        let_stats: setup.let_stats,
-        let_messages: setup.tally.messages,
-        let_bytes: setup.tally.bytes,
-        peak_let_bytes: setup.peak_let_bytes,
-        setup_host_s: clocks.setup_host_s,
-        setup_comm_s: clocks.setup_comm_s,
-        setup_stage_s: clocks.setup_stage_s,
+        ranks,
+        traffic,
+        setup_s: clocks.setup_s,
         precompute_s: clocks.precompute_s,
         compute_s: clocks.compute_s,
-        pipeline,
-        ops,
+        total_s: clocks.total_s,
+        pipelined_s: clocks.pipelined_s,
     }
 }
 
 /// Run the full distributed **field** pipeline on `ranks` simulated
-/// ranks: same decomposition, windows, and LET construction as
-/// [`run_distributed`], but every evaluation — the local simulated-GPU
-/// pass and the remote LET contributions — produces potentials *and*
-/// 3-component gradients through [`GradientKernel`].
+/// ranks: the same pipeline as [`run_distributed`] with a gradient
+/// kernel as the op, so every evaluation — the local simulated-GPU pass
+/// and the remote LET contributions — produces potentials *and*
+/// 3-component gradients.
 ///
 /// The LET is reused unchanged (modified charges differentiate for free
 /// with respect to the target), so the field run records exactly the
@@ -1082,14 +955,13 @@ fn make_rank_report(
 /// (~4× compute flops, 4× DtH volume) differs. With `ranks == 1` the
 /// result is bitwise identical to
 /// [`GpuEngine::compute_field_detailed`] on the whole problem.
-pub fn run_distributed_field<K: GradientKernel + ?Sized>(
+pub fn run_distributed_field(
     ps: &ParticleSet,
     ranks: usize,
     cfg: &DistConfig,
-    kernel: &K,
+    kernel: &dyn GradientKernel,
 ) -> DistFieldReport {
-    let (part, locals) = decompose(ps, ranks, cfg);
-    run_field_pipeline(ps, &part, &locals, cfg, kernel)
+    run_distributed_field_on(ps, &decompose(ps, ranks, cfg), cfg, kernel)
 }
 
 /// Step-level re-entry into the field pipeline: run it with a
@@ -1115,200 +987,24 @@ pub fn run_distributed_field<K: GradientKernel + ?Sized>(
 ///
 /// Panics if the partition does not cover `ps` (assignment length
 /// mismatch), if any part is empty, or on invalid `cfg.params`.
-pub fn run_distributed_field_on<K: GradientKernel + ?Sized>(
+pub fn run_distributed_field_on(
     ps: &ParticleSet,
     part: &RcbPartition,
-    cfg: &DistConfig,
-    kernel: &K,
-) -> DistFieldReport {
-    assert_eq!(
-        part.assignment.len(),
-        ps.len(),
-        "partition does not cover the particle set"
-    );
-    assert!(
-        part.part_indices.iter().all(|p| !p.is_empty()),
-        "every rank needs at least one particle"
-    );
-    cfg.params.validate();
-    let locals = partition_particles(ps, part);
-    run_field_pipeline(ps, part, &locals, cfg, kernel)
-}
-
-/// The rank-level body of a distributed **field** evaluation: local
-/// tree/window/LET setup, simulated-GPU evaluation, remote LET
-/// contributions, and the modeled phase clocks — everything one rank
-/// does between entering and leaving the bulk-synchronous region.
-///
-/// This is the piece [`run_distributed_field_on`] executes under
-/// `run_spmd`, factored out so the *same* body can run as an epoch
-/// against live ranks in a persistent session
-/// ([`persistent::FieldSession`], or any
-/// [`mpi_sim::Session::run_epoch`] closure). Must be called from every
-/// rank of the SPMD context with the same `cfg` — it contains
-/// collectives (window creation and the closing barrier).
-///
-/// Returns the rank's report and its field values in **local particle
-/// order** (the order of `local`).
-pub fn eval_field_rank(
-    comm: &Comm,
-    local: &ParticleSet,
     cfg: &DistConfig,
     kernel: &dyn GradientKernel,
-) -> (RankReport, FieldResult) {
-    let params = cfg.params;
-
-    // ---- setup: local structures, windows, LETs ---------------------
-    // Batch-order accumulators for the four remote outputs. Streaming
-    // mode fills them chunk by chunk during setup; retained mode fills
-    // them from the landed LETs below — identical accumulation either
-    // way.
-    let n = local.len();
-    let (mut rp, mut rx, mut ry, mut rz) = (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-    let mut remote_ops = OpCounts::default();
-    let mut device_bytes = 0.0;
-    let streaming = cfg.let_memory_budget.is_some();
-    let setup = setup_rank(
-        comm,
-        local,
-        cfg,
-        streaming.then_some(RemoteAccum::Field {
-            kernel,
-            pot: &mut rp,
-            gx: &mut rx,
-            gy: &mut ry,
-            gz: &mut rz,
-            ops: &mut remote_ops,
-            device_bytes: &mut device_bytes,
-        }),
-    );
-
-    // ---- local evaluation on the simulated GPU ----------------------
-    let gpu = GpuEngine::with_spec(params, cfg.spec)
-        .with_streams(cfg.streams)
-        .compute_field_detailed(local, local, kernel);
-
-    // ---- remote (LET) contributions ---------------------------------
-    let mut field = gpu.field;
-    for l in &setup.lets {
-        eval_remote_field_into(
-            l,
-            &setup.batches,
-            kernel,
-            &mut rp,
-            &mut rx,
-            &mut ry,
-            &mut rz,
-            &mut remote_ops,
-            &mut device_bytes,
-        );
-    }
-    if comm.size() > 1 {
-        let add = |dst: &mut [f64], src: Vec<f64>| {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        };
-        add(
-            &mut field.potentials,
-            setup.batches.scatter_to_original(&rp),
-        );
-        add(&mut field.gx, setup.batches.scatter_to_original(&rx));
-        add(&mut field.gy, setup.batches.scatter_to_original(&ry));
-        add(&mut field.gz, setup.batches.scatter_to_original(&rz));
-    }
-    let ops = gpu.ops.merged(&remote_ops);
-
-    // ---- modeled clocks (gradient flops on the remote pass) ---------
-    let levels = gpu.tree_stats.max_level + 1;
-    let clocks = model_rank_clocks(
-        cfg,
-        comm.rank(),
-        &gpu.sim,
-        local.len(),
-        levels,
-        &ops,
-        &setup.let_stats,
-        &setup.tally,
-        &setup.plans,
-        remote_ops.field_flops(kernel, true),
-        device_bytes,
-        remote_ops.kernel_launches,
-    );
-    let fetch_plans = chunk_fetch_plans(&setup, kernel.grad_flops_per_eval_gpu(), 7);
-    debug_assert_plans_reconcile(&setup, &fetch_plans, &remote_ops, device_bytes);
-    let pipeline = pipelined_clock(
-        cfg,
-        comm.rank(),
-        &gpu.sim,
-        local.len(),
-        levels,
-        gpu.ops.kernel_launches,
-        &fetch_plans,
-        clocks.total(),
-    );
-
-    // Deposit this epoch's phase-DAG spans for the driver to drain
-    // (observational only; also carried in the report's pipeline).
-    if comm.tracing_enabled() {
-        comm.trace_spans(pipeline.spans.iter().copied());
-    }
-
-    // Epochs closed on every rank; windows (held by `setup`) must stay
-    // alive until every peer is done fetching.
-    comm.barrier();
-
-    (
-        make_rank_report(comm.rank(), local.len(), &setup, clocks, pipeline, ops),
-        field,
-    )
-}
-
-/// Shared body of [`run_distributed_field`] /
-/// [`run_distributed_field_on`]: the SPMD run plus global assembly.
-fn run_field_pipeline<K: GradientKernel + ?Sized>(
-    ps: &ParticleSet,
-    part: &RcbPartition,
-    locals: &[ParticleSet],
-    cfg: &DistConfig,
-    kernel: &K,
 ) -> DistFieldReport {
-    let ranks = part.num_parts();
-    let kref = KernelRef(kernel);
-
-    let out = run_spmd(ranks, |comm| {
-        let local = &locals[comm.rank()];
-        eval_field_rank(&comm, local, cfg, &kref)
-    });
-
-    // ---- assemble the global report ---------------------------------
-    let n = ps.len();
-    let mut field = FieldResult {
-        potentials: vec![0.0; n],
-        gx: vec![0.0; n],
-        gy: vec![0.0; n],
-        gz: vec![0.0; n],
-    };
-    let mut reports = Vec::with_capacity(ranks);
-    for (rank, (report, local_field)) in out.results.into_iter().enumerate() {
-        for (i, &orig) in part.part_indices[rank].iter().enumerate() {
-            field.potentials[orig] = local_field.potentials[i];
-            field.gx[orig] = local_field.gx[i];
-            field.gy[orig] = local_field.gy[i];
-            field.gz[orig] = local_field.gz[i];
-        }
-        reports.push(report);
-    }
-    let fmax = |f: &dyn Fn(&RankReport) -> f64| reports.iter().map(f).fold(0.0, f64::max);
+    check_decomposition(ps, part.num_parts(), Some(part), cfg);
+    let (columns, ranks, traffic) = run_world(ps, part, cfg, kernel);
+    let clocks = PhaseMaxima::over(&ranks);
     DistFieldReport {
-        setup_s: fmax(&|r| r.setup_total()),
-        precompute_s: fmax(&|r| r.precompute_s),
-        compute_s: fmax(&|r| r.compute_s),
-        total_s: fmax(&|r| r.total()),
-        pipelined_s: fmax(&|r| r.pipelined_s()),
-        field,
-        ranks: reports,
-        traffic: out.traffic,
+        field: columns.into(),
+        ranks,
+        traffic,
+        setup_s: clocks.setup_s,
+        precompute_s: clocks.precompute_s,
+        compute_s: clocks.compute_s,
+        total_s: clocks.total_s,
+        pipelined_s: clocks.pipelined_s,
     }
 }
 

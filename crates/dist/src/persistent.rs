@@ -11,7 +11,7 @@
 //! - [`FieldSession::launch`] distributes the initial RCB partition and
 //!   spawns the rank threads — the session's only thread-spawn phase;
 //! - [`FieldSession::eval_field`] runs the *same rank-level body* as
-//!   `run_distributed_field_on` ([`crate::eval_field_rank`]) as one
+//!   `run_distributed_field_on` ([`crate::eval_rank`]) as one
 //!   epoch: windows are re-exposed for the epoch, LETs rebuilt from the
 //!   resident positions, and each rank's [`FieldResult`] is stored back
 //!   into its slot (nothing O(N) returns to the driver);
@@ -55,7 +55,7 @@ use mpi_sim::runtime::TrafficMatrix;
 use mpi_sim::{Comm, EpochReport, Session};
 use rcb::{partition_particles, RcbPartition};
 
-use crate::{eval_field_rank, DistConfig, RankReport};
+use crate::{check_decomposition, eval_rank, DistConfig, PhaseMaxima, RankReport};
 
 /// One rank's resident state: the particles it owns, kept sorted by
 /// ascending global id (the same order `partition_particles` produces,
@@ -230,8 +230,10 @@ impl FieldSession {
     ///
     /// Panics on the same invalid inputs as [`FieldSession::launch`],
     /// on a session whose rank count differs from `ranks` or that is
-    /// poisoned, or on a partition whose shape does not cover
-    /// `ps`/`ranks`.
+    /// poisoned, or on a partition that does not cover `ps`/`ranks` or
+    /// leaves a rank without particles — all on the calling thread,
+    /// before any epoch runs (a rank failing inside an epoch would
+    /// poison a pooled world).
     pub fn launch_reusing(
         ps: &ParticleSet,
         aux: &[Vec<f64>],
@@ -240,14 +242,7 @@ impl FieldSession {
         session: Option<Session>,
         part: Option<&RcbPartition>,
     ) -> Self {
-        assert!(ranks >= 1, "need at least one rank");
-        assert!(!ps.is_empty(), "cannot distribute an empty particle set");
-        assert!(
-            ranks <= ps.len(),
-            "more ranks ({ranks}) than particles ({})",
-            ps.len()
-        );
-        cfg.params.validate();
+        check_decomposition(ps, ranks, part, cfg);
         for (c, col) in aux.iter().enumerate() {
             assert_eq!(
                 col.len(),
@@ -258,19 +253,7 @@ impl FieldSession {
 
         let computed;
         let part = match part {
-            Some(p) => {
-                assert_eq!(
-                    p.assignment.len(),
-                    ps.len(),
-                    "cached partition does not cover the particle set"
-                );
-                assert_eq!(
-                    p.part_indices.len(),
-                    ranks,
-                    "cached partition has the wrong rank count"
-                );
-                p
-            }
+            Some(p) => p,
             None => {
                 computed = cfg.partition(ps, ranks);
                 &computed
@@ -425,17 +408,17 @@ impl FieldSession {
         let kernel = Arc::clone(kernel);
         let er = self.session.run_epoch(move |comm| {
             let mut slot = slots[comm.rank()].lock();
-            let (report, field) = eval_field_rank(comm, &slot.ps, &cfg, &*kernel);
-            slot.field = Some(field);
+            let (report, columns) = eval_rank(comm, &slot.ps, &cfg, &*kernel);
+            slot.field = Some(columns.into());
             report
         });
-        let fmax = |f: &dyn Fn(&RankReport) -> f64| er.results.iter().map(f).fold(0.0, f64::max);
+        let clocks = PhaseMaxima::over(&er.results);
         SessionFieldReport {
-            setup_s: fmax(&|r| r.setup_total()),
-            precompute_s: fmax(&|r| r.precompute_s),
-            compute_s: fmax(&|r| r.compute_s),
-            total_s: fmax(&|r| r.total()),
-            pipelined_s: fmax(&|r| r.pipelined_s()),
+            setup_s: clocks.setup_s,
+            precompute_s: clocks.precompute_s,
+            compute_s: clocks.compute_s,
+            total_s: clocks.total_s,
+            pipelined_s: clocks.pipelined_s,
             ranks: er.results,
             traffic: er.traffic,
             spans: er.spans,
@@ -809,6 +792,39 @@ mod tests {
             FieldSession::launch_reusing(&ps, &[], 3, &c, Some(s), None)
         }));
         assert!(r.is_err(), "2-rank world cannot serve a 3-rank job");
+    }
+
+    #[test]
+    fn empty_part_partition_is_refused_on_the_driver_before_any_epoch() {
+        // A cached partition that leaves rank 1 without particles used
+        // to pass the shape checks and die inside the first epoch
+        // ("spmd-rank-1 panicked: cannot build a tree over no sources"),
+        // poisoning a pooled world. Every door now refuses it up front.
+        let ps = ParticleSet::random_cube(60, 4);
+        let c = cfg();
+        let mut part = c.partition(&ps, 2);
+        let orphans = std::mem::take(&mut part.part_indices[1]);
+        for &i in &orphans {
+            part.assignment[i] = 0;
+        }
+        part.part_indices[0].extend(orphans);
+
+        let world = Session::spawn(2);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            FieldSession::launch_reusing(&ps, &[], 2, &c, Some(world), Some(&part))
+        }));
+        let payload = refused.err().expect("an empty part must be refused");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        // The driver's own assert, not a rank's panic relayed by the
+        // runtime: no epoch ran.
+        assert!(
+            message.starts_with("every rank needs at least one particle"),
+            "unexpected refusal: {message:?}"
+        );
     }
 
     #[test]

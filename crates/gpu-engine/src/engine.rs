@@ -14,6 +14,16 @@
 //!
 //! The engine reports both the measured host wall time of the setup work
 //! and the simulated device clock of every GPU phase.
+//!
+//! The pipeline runs in two halves. [`GpuEngine::stage`] is everything
+//! kernel-independent, up to and including the target copy; it returns a
+//! [`StagedRun`] that exposes the tree, the batches and the host copy of
+//! the modified charges the modeled DtH brought back. [`StagedRun::finish`]
+//! continues the same device clock with the compute phase of either pass
+//! (`&dyn Kernel`: potentials, `&dyn GradientKernel`: potentials and
+//! gradients). `compute_detailed` / `compute_field_detailed` are the two
+//! halves back to back; the distributed pipeline builds its RMA windows
+//! and LETs from the staged data in between, so a rank prepares once.
 
 use std::time::Instant;
 
@@ -22,16 +32,15 @@ use bltc_core::cost::OpCounts;
 use bltc_core::engine::{ComputeResult, PhaseTimings, TreecodeEngine};
 use bltc_core::field::FieldResult;
 use bltc_core::interp::tensor::TensorGrid;
-use bltc_core::kernel::{GradientKernel, Kernel};
+use bltc_core::kernel::{GradientKernel, Kernel, TileOp};
 use bltc_core::particles::ParticleSet;
 use bltc_core::traversal::InteractionLists;
 use bltc_core::tree::{batch::TargetBatches, SourceTree, TreeStats};
 use gpu_sim::{Device, DeviceSpec, LaunchConfig, WorkEstimate};
 
 use crate::kernels::{
-    launch_approx_field_kernel, launch_approx_kernel, launch_direct_field_kernel,
-    launch_direct_kernel, launch_precompute_phase1, launch_precompute_phase2, DeviceArrays,
-    FieldBuffers, THREADS_PER_BLOCK,
+    launch_approx_kernel, launch_direct_kernel, launch_precompute_phase1, launch_precompute_phase2,
+    DeviceArrays, THREADS_PER_BLOCK,
 };
 
 /// Simulated-clock breakdown of one GPU run (seconds).
@@ -111,11 +120,12 @@ pub struct GpuFieldRunReport {
     pub kernel_launches: u64,
 }
 
-/// Shared prologue of every GPU pipeline run: host setup, HtD staging,
-/// the two precompute kernels, DtH of the modified charges, and the
-/// target (LET) copy. The compute phase — potential-only or field —
-/// continues from `mark`.
-struct StagedPipeline {
+/// The kernel-independent first half of a GPU run ([`GpuEngine::stage`]):
+/// host setup, HtD staging, the two precompute kernels, DtH of the
+/// modified charges, and the target (LET) copy. [`StagedRun::finish`]
+/// continues the device clock from here with the compute phase.
+pub struct StagedRun {
+    engine: GpuEngine,
     tree: SourceTree,
     batches: TargetBatches,
     lists: InteractionLists,
@@ -123,6 +133,90 @@ struct StagedPipeline {
     arrays: DeviceArrays,
     sim: GpuSimBreakdown,
     mark: f64,
+    /// Host copy of every cluster's modified charges, as the modeled DtH
+    /// brought it back: node-major, `(n+1)³` per node — bit-equal to
+    /// [`bltc_core::charges::ClusterCharges::compute_all`] and already
+    /// the layout of the distributed `q̂` window (paper §3.1: the charges
+    /// are computed on the GPU and copied to the host, where the RMA
+    /// windows expose them). `finish` does not read it; the distributed
+    /// pipeline moves it out into its window.
+    pub qhat_host: Vec<f64>,
+}
+
+/// What a finished pass reports, for either column count.
+pub struct GpuPass<const C: usize> {
+    /// The pass's output columns in original target order (`[φ]`, or
+    /// `[φ, ∂ₓφ, ∂ᵧφ, ∂_zφ]`).
+    pub columns: [Vec<f64>; C],
+    /// Exact op counts of the local interaction lists.
+    pub ops: OpCounts,
+    /// Source-tree shape statistics.
+    pub tree_stats: TreeStats,
+    /// Fine-grained simulated breakdown.
+    pub sim: GpuSimBreakdown,
+    /// Per-kernel-class profile table.
+    pub profile_table: String,
+    /// Total kernel launches issued.
+    pub kernel_launches: u64,
+}
+
+impl StagedRun {
+    /// The source cluster tree.
+    pub fn tree(&self) -> &SourceTree {
+        &self.tree
+    }
+
+    /// The target batches.
+    pub fn batches(&self) -> &TargetBatches {
+        &self.batches
+    }
+
+    /// The compute phase of one pass: walk each batch's interaction list
+    /// launching the approximation and direct kernels while cycling the
+    /// stream id, then copy the `C` output columns back. A field pass
+    /// differs only in what the op supplies — four accumulators per
+    /// target, ~4× the flops (visible in `sim.compute_s`) and four
+    /// arrays in the closing DtH.
+    pub fn finish<const C: usize, O: TileOp<C> + ?Sized>(mut self, op: &O) -> GpuPass<C> {
+        let dev = &mut self.dev;
+        let n = self.batches.particles().len();
+        let out: [_; C] = std::array::from_fn(|_| dev.alloc_f64(vec![0.0; n]));
+
+        // ---- compute: walk interaction lists, cycling streams -------------
+        let streams = self.engine.streams;
+        let mut launch_counter = 0usize;
+        for (b, bl) in self.batches.batches().iter().zip(&self.lists.per_batch) {
+            let batch = (b.start, b.end);
+            for &ci in &bl.approx {
+                let stream = launch_counter % streams;
+                launch_counter += 1;
+                launch_approx_kernel(dev, &self.arrays, out, batch, ci as usize, op, stream);
+            }
+            for &ci in &bl.direct {
+                let stream = launch_counter % streams;
+                launch_counter += 1;
+                let node = self.tree.node(ci as usize);
+                let cluster = (node.start, node.end);
+                launch_direct_kernel(dev, &self.arrays, out, batch, cluster, op, stream);
+            }
+        }
+        dev.synchronize();
+        self.sim.compute_s = dev.now() - self.mark;
+        let mark = dev.now();
+
+        // ---- DtH: the output columns ---------------------------------------
+        let columns = out.map(|buf| self.batches.scatter_to_original(&dev.dtoh_f64(buf)));
+        self.sim.dtoh_potentials_s = dev.now() - mark;
+
+        GpuPass {
+            columns,
+            ops: OpCounts::from_lists(&self.lists, &self.batches, &self.tree, &self.engine.params),
+            tree_stats: self.tree.stats(),
+            sim: self.sim,
+            profile_table: dev.profiler().table(),
+            kernel_launches: dev.profiler().total_launches(),
+        }
+    }
 }
 
 /// The GPU treecode engine.
@@ -165,9 +259,9 @@ impl GpuEngine {
         self
     }
 
-    /// Run every phase up to (and including) the target/LET staging;
-    /// kernel-independent, shared by the potential-only and field paths.
-    fn stage(&self, targets: &ParticleSet, sources: &ParticleSet) -> StagedPipeline {
+    /// Run every phase up to (and including) the target/LET staging —
+    /// the kernel-independent first half of a run, shared by both passes.
+    pub fn stage(&self, targets: &ParticleSet, sources: &ParticleSet) -> StagedRun {
         self.params.validate();
         let mut sim = GpuSimBreakdown::default();
 
@@ -219,7 +313,6 @@ impl GpuEngine {
         let tx = dev.alloc_f64(vec![0.0; tp.len()]);
         let ty = dev.alloc_f64(vec![0.0; tp.len()]);
         let tz = dev.alloc_f64(vec![0.0; tp.len()]);
-        let pot = dev.alloc_f64(vec![0.0; tp.len()]);
 
         let arrays = DeviceArrays {
             sx,
@@ -229,7 +322,6 @@ impl GpuEngine {
             tx,
             ty,
             tz,
-            pot,
             proxy_x,
             proxy_y,
             proxy_z,
@@ -262,7 +354,7 @@ impl GpuEngine {
         mark = dev.now();
 
         // ---- DtH: modified charges (host RMA windows in the MPI version) -
-        let _qhat_host = dev.dtoh_f64(qhat);
+        let qhat_host = dev.dtoh_f64(qhat);
         sim.dtoh_charges_s = dev.now() - mark;
         mark = dev.now();
 
@@ -274,7 +366,8 @@ impl GpuEngine {
         sim.htod_let_s = dev.now() - mark;
         mark = dev.now();
 
-        StagedPipeline {
+        StagedRun {
+            engine: *self,
             tree,
             batches,
             lists,
@@ -282,6 +375,7 @@ impl GpuEngine {
             arrays,
             sim,
             mark,
+            qhat_host,
         }
     }
 
@@ -292,65 +386,18 @@ impl GpuEngine {
         sources: &ParticleSet,
         kernel: &dyn Kernel,
     ) -> GpuRunReport {
-        let StagedPipeline {
-            tree,
-            batches,
-            lists,
-            mut dev,
-            arrays,
-            mut sim,
-            mut mark,
-        } = self.stage(targets, sources);
-
-        // ---- compute: walk interaction lists, cycling streams -------------
-        let mut launch_counter = 0usize;
-        for (b, bl) in batches.batches().iter().zip(&lists.per_batch) {
-            for &ci in &bl.approx {
-                let stream = launch_counter % self.streams;
-                launch_counter += 1;
-                launch_approx_kernel(
-                    &mut dev,
-                    &arrays,
-                    (b.start, b.end),
-                    ci as usize,
-                    kernel,
-                    stream,
-                );
-            }
-            for &ci in &bl.direct {
-                let stream = launch_counter % self.streams;
-                launch_counter += 1;
-                let node = tree.node(ci as usize);
-                launch_direct_kernel(
-                    &mut dev,
-                    &arrays,
-                    (b.start, b.end),
-                    (node.start, node.end),
-                    kernel,
-                    stream,
-                );
-            }
-        }
-        dev.synchronize();
-        sim.compute_s = dev.now() - mark;
-        mark = dev.now();
-
-        // ---- DtH: potentials ----------------------------------------------
-        let pot_host = dev.dtoh_f64(arrays.pot);
-        sim.dtoh_potentials_s = dev.now() - mark;
-
-        let potentials = batches.scatter_to_original(&pot_host);
-        let ops = OpCounts::from_lists(&lists, &batches, &tree, &self.params);
+        let pass = self.stage(targets, sources).finish(kernel);
+        let [potentials] = pass.columns;
         GpuRunReport {
             result: ComputeResult {
                 potentials,
-                ops,
-                timings: sim.as_three_phases(),
-                tree_stats: tree.stats(),
+                ops: pass.ops,
+                timings: pass.sim.as_three_phases(),
+                tree_stats: pass.tree_stats,
             },
-            sim,
-            profile_table: dev.profiler().table(),
-            kernel_launches: dev.profiler().total_launches(),
+            sim: pass.sim,
+            profile_table: pass.profile_table,
+            kernel_launches: pass.kernel_launches,
         }
     }
 
@@ -364,80 +411,15 @@ impl GpuEngine {
         sources: &ParticleSet,
         kernel: &dyn GradientKernel,
     ) -> GpuFieldRunReport {
-        let StagedPipeline {
-            tree,
-            batches,
-            lists,
-            mut dev,
-            arrays,
-            mut sim,
-            mut mark,
-        } = self.stage(targets, sources);
-
-        let n = batches.particles().len();
-        let grads = FieldBuffers {
-            gx: dev.alloc_f64(vec![0.0; n]),
-            gy: dev.alloc_f64(vec![0.0; n]),
-            gz: dev.alloc_f64(vec![0.0; n]),
-        };
-
-        // ---- compute: gradient kernels over the same lists ----------------
-        let mut launch_counter = 0usize;
-        for (b, bl) in batches.batches().iter().zip(&lists.per_batch) {
-            for &ci in &bl.approx {
-                let stream = launch_counter % self.streams;
-                launch_counter += 1;
-                launch_approx_field_kernel(
-                    &mut dev,
-                    &arrays,
-                    &grads,
-                    (b.start, b.end),
-                    ci as usize,
-                    kernel,
-                    stream,
-                );
-            }
-            for &ci in &bl.direct {
-                let stream = launch_counter % self.streams;
-                launch_counter += 1;
-                let node = tree.node(ci as usize);
-                launch_direct_field_kernel(
-                    &mut dev,
-                    &arrays,
-                    &grads,
-                    (b.start, b.end),
-                    (node.start, node.end),
-                    kernel,
-                    stream,
-                );
-            }
-        }
-        dev.synchronize();
-        sim.compute_s = dev.now() - mark;
-        mark = dev.now();
-
-        // ---- DtH: potentials + gradients ----------------------------------
-        let pot_host = dev.dtoh_f64(arrays.pot);
-        let gx_host = dev.dtoh_f64(grads.gx);
-        let gy_host = dev.dtoh_f64(grads.gy);
-        let gz_host = dev.dtoh_f64(grads.gz);
-        sim.dtoh_potentials_s = dev.now() - mark;
-
-        let field = FieldResult {
-            potentials: batches.scatter_to_original(&pot_host),
-            gx: batches.scatter_to_original(&gx_host),
-            gy: batches.scatter_to_original(&gy_host),
-            gz: batches.scatter_to_original(&gz_host),
-        };
-        let ops = OpCounts::from_lists(&lists, &batches, &tree, &self.params);
+        let pass = self.stage(targets, sources).finish(kernel);
         GpuFieldRunReport {
-            field,
-            ops,
-            timings: sim.as_three_phases(),
-            tree_stats: tree.stats(),
-            sim,
-            profile_table: dev.profiler().table(),
-            kernel_launches: dev.profiler().total_launches(),
+            field: pass.columns.into(),
+            ops: pass.ops,
+            timings: pass.sim.as_three_phases(),
+            tree_stats: pass.tree_stats,
+            sim: pass.sim,
+            profile_table: pass.profile_table,
+            kernel_launches: pass.kernel_launches,
         }
     }
 }
@@ -606,6 +588,69 @@ mod tests {
         // Same lists, same order, same scalar potential expressions.
         assert_eq!(pot.result.potentials, fld.field.potentials);
         assert_eq!(pot.result.ops, fld.ops);
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The premise the distributed `q̂` window rests on: the host copy
+    /// the staged run's DtH brings back is, node by node and bit for bit,
+    /// `ClusterCharges::compute_all` in the node-major window layout —
+    /// at the widths the precompute kernels monomorphise (and one past
+    /// them), targets = sources and targets ≠ sources. And the two
+    /// halves are the whole run: `stage` + `finish` reproduces
+    /// `compute_detailed` / `compute_field_detailed` in results, counts
+    /// and every modeled clock (`setup_host_s` is wall time).
+    #[test]
+    fn staged_qhat_is_compute_all_and_stage_then_finish_is_the_whole_run() {
+        use bltc_core::charges::ClusterCharges;
+        let modeled = |sim: GpuSimBreakdown| GpuSimBreakdown {
+            setup_host_s: 0.0,
+            ..sim
+        };
+        let sources = cube(900, 94);
+        let mut probes = cube(300, 95);
+        for x in &mut probes.x {
+            *x += 0.75;
+        }
+        for degree in [1usize, 4, 8, 13, 14] {
+            let params = BltcParams::new(0.8, degree, 60, 60);
+            let m3 = params.proxy_count();
+            let engine = GpuEngine::new(params).with_streams(3);
+            for targets in [&sources, &probes] {
+                let staged = engine.stage(targets, &sources);
+                let nodes = staged.tree().num_nodes();
+                let host = ClusterCharges::compute_all(staged.tree(), degree);
+                assert_eq!(staged.qhat_host.len(), nodes * m3);
+                for i in 0..nodes {
+                    assert_eq!(
+                        bits(&staged.qhat_host[i * m3..(i + 1) * m3]),
+                        bits(host.charges(i)),
+                        "degree {degree}, node {i}"
+                    );
+                }
+
+                let pass = staged.finish(&Coulomb as &dyn Kernel);
+                let whole = engine.compute_detailed(targets, &sources, &Coulomb);
+                assert_eq!(bits(&pass.columns[0]), bits(&whole.result.potentials));
+                assert_eq!(pass.ops, whole.result.ops);
+                assert_eq!(pass.kernel_launches, whole.kernel_launches);
+                assert_eq!(modeled(pass.sim), modeled(whole.sim), "degree {degree}");
+
+                let yukawa = Yukawa::default();
+                let pass = (engine.stage(targets, &sources)).finish(&yukawa as &dyn GradientKernel);
+                let whole = engine.compute_field_detailed(targets, &sources, &yukawa);
+                let [p, gx, gy, gz] = &pass.columns;
+                let f = &whole.field;
+                for (a, b) in [(p, &f.potentials), (gx, &f.gx), (gy, &f.gy), (gz, &f.gz)] {
+                    assert_eq!(bits(a), bits(b), "degree {degree}");
+                }
+                assert_eq!(pass.ops, whole.ops);
+                assert_eq!(pass.kernel_launches, whole.kernel_launches);
+                assert_eq!(modeled(pass.sim), modeled(whole.sim), "degree {degree}");
+            }
+        }
     }
 
     #[test]

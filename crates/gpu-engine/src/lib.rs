@@ -14,12 +14,34 @@
 //!    with proxies in place of sources (the direct-sum *form* of the
 //!    barycentric approximation is exactly what makes this possible).
 //!
-//! The engine walks each batch's interaction list launching kernels and
-//! cycling the stream id through the available asynchronous streams, then
-//! synchronizes and copies potentials back — the full pipeline of the
-//! paper's "MPI + OpenACC BLTC" algorithm restricted to one rank. The
-//! distributed version (LET construction, remote charges) lives in
-//! `bltc-dist` and reuses these kernels unchanged.
+//! Kernels 3 and 4 are written once for both passes: a
+//! `bltc_core::kernel::TileOp` — `&dyn Kernel` for potentials,
+//! `&dyn GradientKernel` for potentials and gradients — decides how many
+//! output columns a launch accumulates, what a pair costs and what the
+//! launch is called in the profile.
+//!
+//! A run has two halves that share one device clock:
+//!
+//! ```text
+//!  GpuEngine::stage(targets, sources)          kernel-independent
+//!    host: tree, batches, interaction lists
+//!    HtD sources → precompute 1+2 per cluster → DtH q̂ → HtD targets
+//!    ⇒ StagedRun { tree(), batches(), qhat_host }
+//!  StagedRun::finish(op)                        one pass
+//!    per batch: approx + direct launches, stream id cycling
+//!    DtH of the pass's output columns
+//!    ⇒ GpuPass { columns, ops, sim, profile, launches }
+//! ```
+//!
+//! [`GpuEngine::compute_detailed`] and
+//! [`GpuEngine::compute_field_detailed`] are the two halves back to back
+//! — the full pipeline of the paper's "MPI + OpenACC BLTC" algorithm
+//! restricted to one rank. The distributed version in `bltc-dist` works
+//! between the halves: the modified charges the modeled DtH copied back
+//! (`StagedRun::qhat_host`) are exactly what its RMA window exposes to
+//! the other ranks (paper §3.1: computed on the GPU, copied to the host,
+//! served from there), and its LET traversal runs against the staged
+//! batches — so a rank prepares once per evaluation.
 //!
 //! Numerical results are produced by the same scalar code paths as the
 //! CPU engines (same summation order, same product association), so CPU
@@ -49,7 +71,7 @@ pub mod pipeline;
 
 pub use engine::{
     gpu_direct_sum, gpu_direct_sum_modeled_seconds, GpuDirectSumResult, GpuEngine,
-    GpuFieldRunReport, GpuRunReport, GpuSimBreakdown,
+    GpuFieldRunReport, GpuPass, GpuRunReport, GpuSimBreakdown, StagedRun,
 };
 pub use gpu_sim::KernelEvent;
 pub use pipeline::{dispatch_remote_chunks, ChunkDispatchReport, RemoteChunkWork};

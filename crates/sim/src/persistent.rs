@@ -17,7 +17,7 @@
 //!    deterministically, and only the particles whose owner changed
 //!    move ([`bltc_dist::FieldSession::migrate`]);
 //! 3. **evaluation epoch** — the same rank-level pipeline as the
-//!    respawn path ([`bltc_dist::eval_field_rank`]) rebuilds windows
+//!    respawn path ([`bltc_dist::eval_rank`]) rebuilds windows
 //!    and LETs from the resident positions, stores accelerations back
 //!    into the slots, completes the kick, and reduces the energies.
 //!
@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use bltc_core::field::FieldResult;
 use bltc_core::kernel::GradientKernel;
-use bltc_dist::{eval_field_rank, DistConfig, FieldSession, RankLocal, RankReport};
+use bltc_dist::{eval_rank, DistConfig, FieldSession, PhaseMaxima, RankLocal, RankReport};
 use bltc_trace::{Phase, Span, TraceRecorder, Track};
 use mpi_sim::runtime::TrafficMatrix;
 use mpi_sim::{Comm, Session};
@@ -66,7 +66,8 @@ fn eval_store_rank(
     kernel: &dyn GradientKernel,
     sign: f64,
 ) -> RankReport {
-    let (report, field) = eval_field_rank(comm, &slot.ps, cfg, kernel);
+    let (report, columns) = eval_rank(comm, &slot.ps, cfg, kernel);
+    let field = FieldResult::from(columns);
     for i in 0..slot.ps.len() {
         let c = sign * slot.ps.q[i] / slot.aux[AUX_MASS][i];
         slot.aux[AUX_AX][i] = c * field.gx[i];
@@ -492,9 +493,7 @@ impl PersistentIntegrator {
             (report, ke, pair)
         });
 
-        let fmax = |f: &dyn Fn(&RankReport) -> f64| {
-            er.results.iter().map(|(r, _, _)| f(r)).fold(0.0, f64::max)
-        };
+        let clocks = PhaseMaxima::over(er.results.iter().map(|(r, _, _)| r));
         let rank_msgs: u64 = er.results.iter().map(|(r, _, _)| r.let_messages).sum();
         let rank_bytes: u64 = er.results.iter().map(|(r, _, _)| r.let_bytes).sum();
         // The RankReport invariant, per epoch: call-site tallies equal
@@ -505,11 +504,11 @@ impl PersistentIntegrator {
         assert_eq!(rank_bytes, er.traffic.total_remote_bytes());
 
         let eval = EvalEpoch {
-            setup_s: fmax(&|r| r.setup_total()),
-            precompute_s: fmax(&|r| r.precompute_s),
-            compute_s: fmax(&|r| r.compute_s),
-            total_s: fmax(&|r| r.total()),
-            pipelined_s: fmax(&|r| r.pipelined_s()),
+            setup_s: clocks.setup_s,
+            precompute_s: clocks.precompute_s,
+            compute_s: clocks.compute_s,
+            total_s: clocks.total_s,
+            pipelined_s: clocks.pipelined_s,
             rank_msgs,
             rank_bytes,
             matrix_msgs: er.traffic.total_remote_messages(),

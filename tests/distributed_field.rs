@@ -135,29 +135,65 @@ fn gradient_evaluation_adds_no_unaccounted_rma_bytes() {
     // the same problem, and (b) reconcile the runtime's matrix exactly
     // with the per-rank tallies that drive the modeled comm clock — no
     // RMA byte may escape the phase accounting.
+    //
+    // Both runs are one rank body with a different op, so at every rank
+    // count and under every LET memory budget (retained, a chunked
+    // stream, one cluster per chunk) the field run's potentials are the
+    // potential run's bit for bit, and each rank built, fetched, held
+    // and launched exactly the same things.
     let ps = ParticleSet::random_cube(2500, 404);
     let params = BltcParams::new(0.8, 4, 80, 80);
-    let ranks = 4;
-    let pot = run_distributed(&ps, ranks, &cfg(params), &Coulomb);
-    let fld = run_distributed_field(&ps, ranks, &cfg(params), &Coulomb);
+    for ranks in [1usize, 2, 4, 7] {
+        for let_memory_budget in [None, Some(16 * 1024), Some(1)] {
+            let c = DistConfig {
+                let_memory_budget,
+                ..cfg(params)
+            };
+            let case = format!("{ranks} ranks, budget {let_memory_budget:?}");
+            let pot = run_distributed(&ps, ranks, &c, &Coulomb);
+            let fld = run_distributed_field(&ps, ranks, &c, &Coulomb);
 
-    // (a) per-pair identical traffic.
-    for o in 0..ranks {
-        for t in 0..ranks {
-            let (tp, tf) = (pot.traffic.get(o, t), fld.traffic.get(o, t));
-            assert_eq!(tp.bytes, tf.bytes, "bytes mismatch at ({o},{t})");
-            assert_eq!(tp.messages, tf.messages, "messages mismatch at ({o},{t})");
+            // (a) per-pair identical traffic.
+            for o in 0..ranks {
+                for t in 0..ranks {
+                    let (tp, tf) = (pot.traffic.get(o, t), fld.traffic.get(o, t));
+                    assert_eq!(tp.bytes, tf.bytes, "{case}: bytes mismatch at ({o},{t})");
+                    assert_eq!(
+                        tp.messages, tf.messages,
+                        "{case}: messages mismatch at ({o},{t})"
+                    );
+                }
+            }
+
+            // (b) each run's runtime matrix and per-rank tallies agree
+            // exactly.
+            for (reps, traffic) in [(&pot.ranks, &pot.traffic), (&fld.ranks, &fld.traffic)] {
+                let tally_bytes: u64 = reps.iter().map(|r| r.let_bytes).sum();
+                let tally_msgs: u64 = reps.iter().map(|r| r.let_messages).sum();
+                let matrix_bytes = traffic.total_remote_bytes();
+                let matrix_msgs: u64 = (0..ranks).map(|o| traffic.remote_messages_from(o)).sum();
+                assert_eq!(tally_bytes, matrix_bytes, "{case}: unaccounted RMA bytes");
+                assert_eq!(tally_msgs, matrix_msgs, "{case}: unaccounted RMA messages");
+            }
+
+            // (c) same bits, same LET, same launches.
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&pot.potentials), bits(&fld.field.potentials), "{case}");
+            for (p, f) in pot.ranks.iter().zip(&fld.ranks) {
+                let case = format!("{case}, rank {}", p.rank);
+                assert_eq!(p.let_stats, f.let_stats, "{case}");
+                assert_eq!(p.peak_let_bytes, f.peak_let_bytes, "{case}");
+                assert_eq!(
+                    p.ops.approx_interactions, f.ops.approx_interactions,
+                    "{case}"
+                );
+                assert_eq!(
+                    p.ops.direct_interactions, f.ops.direct_interactions,
+                    "{case}"
+                );
+                assert_eq!(p.ops.kernel_launches, f.ops.kernel_launches, "{case}");
+            }
         }
-    }
-
-    // (b) each run's runtime matrix and per-rank tallies agree exactly.
-    for (reps, traffic) in [(&pot.ranks, &pot.traffic), (&fld.ranks, &fld.traffic)] {
-        let tally_bytes: u64 = reps.iter().map(|r| r.let_bytes).sum();
-        let tally_msgs: u64 = reps.iter().map(|r| r.let_messages).sum();
-        let matrix_bytes = traffic.total_remote_bytes();
-        let matrix_msgs: u64 = (0..ranks).map(|o| traffic.remote_messages_from(o)).sum();
-        assert_eq!(tally_bytes, matrix_bytes, "unaccounted RMA bytes");
-        assert_eq!(tally_msgs, matrix_msgs, "unaccounted RMA messages");
     }
 }
 
