@@ -42,11 +42,145 @@
 //! implemented by `dyn Kernel` and `dyn GradientKernel`; each layer's
 //! loop is written once against it, and [`TileOp::tile`] is the only
 //! caller of the tile methods.
+//!
+//! ### What an override may change, and the one that exists
+//!
+//! An override of a tile method may change **which unit computes a
+//! correctly rounded result** and how many targets run side by side —
+//! nothing else. IEEE 754 admits exactly one result for `+ − × ÷ √` of
+//! given operands, so whatever delivers the correctly rounded value *is*
+//! the hardware instruction as far as bits go, and "same bits" stays an
+//! `assert_eq!` against it: no tolerance, no second set of goldens. What
+//! it may not change is everything that picks *which* values get rounded:
+//! `eval`'s operation sequence and association (`((dx·dx + dy·dy) +
+//! dz·dz) [+ ε²]`), a multiply and an add where `eval` has a multiply and
+//! an add (no FMA contraction), the `r² = 0 → 0` select before `· q`, the
+//! ascending sources, the accumulator from `0.0` and the single final
+//! `out[i] += acc`, also for an empty cluster. Re-associating or
+//! re-approximating anything (a vectorised `exp`, an `rsqrt` without the
+//! correction below) is a different engine with different bits.
+//!
+//! [`Coulomb`] and [`RegularizedCoulomb`] override the potential tile on
+//! exactly these terms. On an x86-64 host whose CPU reports AVX-512F (a
+//! run-time check; there is nothing to configure) the private `avx512`
+//! module walks sixteen targets per step with a masked last step, and
+//! computes `s = √r²` on the FMA pipes instead of the divider, the way a
+//! GPU — which has no FP64 divide or square-root unit at all — computes
+//! the paper's `1.0/sqrt(r2)` (§3.2): `y = rsqrt14(x)` (14 bits), `g =
+//! x·y ≈ √x`, `h = y/2 ≈ 1/(2√x)`; twice `r = ½ − g·h`, `g += g·r`, `h +=
+//! h·r`, each round squaring the relative error (2⁻¹⁴ → 2⁻²⁷ → under an
+//! ulp); then `d = x − g·g`, exact in one FMA, and `s = g + d·h` in one
+//! more, whose single rounding is the correct one: `√x` keeps a distance
+//! of ~2⁻¹⁰⁷ or more from every rounding boundary, and `g + d·h` is
+//! closer to `√x` than that (P. Markstein, *Computation of elementary
+//! functions on the IBM RISC System/6000 processor*, IBM J. Res. Dev. 34,
+//! 1990; M. Cornea, J. Harrison, P. T. P. Tang, *Scientific Computing on
+//! Itanium-based Systems*, 2002 — the software `fsqrt` of IA-64 and POWER
+//! and CUDA's `__dsqrt_rn`). Vectors with a lane outside `[2⁻⁷⁶⁷, 2⁷⁶⁸)` —
+//! every self term, every garbage input — take `vsqrtpd`. `1/s` stays the
+//! hardware divide. The module's tests compare the sequence with
+//! `f64::sqrt` on 10⁸ random inputs and, in nine binades, on the 141 579
+//! doubles of `[1, 4)` whose roots lie within 4·10⁵·2⁻¹⁰⁷ of a boundary —
+//! the hardest inputs there are; the tile oracle test below runs both
+//! bodies. Everywhere else, and for every other kernel, the provided body
+//! runs — it is the same function the override falls back to.
+//!
+//! Measured on the 2-vCPU AVX-512 host of the benchmark: the portable
+//! Coulomb tile needs 1.6 ns per pair, which is `sqrtpd` + `divpd` back
+//! to back on the one unpipelined divider, at any vector width; with the
+//! √ off the divider it is 0.8–0.95 ns, and `op_min_s` of
+//! `cube_coulomb_1rank` drops by a third. Two candidates were measured
+//! and left out. The *field* twin needs a second divide per pair (`c =
+//! −g/r²`), so the divider stays saturated and a velocity-Verlet step
+//! gains 3–8 %: not worth a second lane body. Everything Yukawa spends
+//! its time in glibc's `exp` (7.0 of 7.3 ns per pair), whose bits are
+//! glibc's and cannot be reproduced by another algorithm.
 
-/// Targets a tile walks together. Each keeps its own accumulator, so the
-/// block is `TILE_W` independent sums the compiler can put in SIMD lanes
-/// without changing any target's operation order.
+#[cfg(target_arch = "x86_64")]
+mod avx512;
+
+/// Targets the portable bodies ([`portable_tile`] and the provided
+/// [`GradientKernel::accumulate_field_tile`]) walk together. Each keeps
+/// its own accumulator, so the block is `TILE_W` independent sums the
+/// compiler can put in SIMD lanes without changing any target's operation
+/// order. (The AVX-512 body has its own width, its register size.)
 const TILE_W: usize = 4;
+
+/// The panics of [`Kernel::accumulate_tile`]: `nt` targets in each target
+/// slice, as many sources in each source slice as there are weights.
+#[inline]
+fn assert_tile_shape(
+    (tx, ty, tz): (&[f64], &[f64], &[f64]),
+    (sx, sy, sz, sq): (&[f64], &[f64], &[f64], &[f64]),
+    nt: usize,
+) {
+    assert!(
+        tx.len() == nt && ty.len() == nt && tz.len() == nt,
+        "tile target slices differ in length"
+    );
+    assert!(
+        sx.len() == sq.len() && sy.len() == sq.len() && sz.len() == sq.len(),
+        "tile source slices differ in length"
+    );
+}
+
+/// The portable potential tile: the body of the provided
+/// [`Kernel::accumulate_tile`], and what an override falls back to on a
+/// host without its instructions — the one copy of this loop.
+#[inline]
+fn portable_tile<K: Kernel + ?Sized>(
+    k: &K,
+    t: (&[f64], &[f64], &[f64]),
+    s: (&[f64], &[f64], &[f64], &[f64]),
+    out: &mut [f64],
+) {
+    let ((tx, ty, tz), (sx, sy, sz, sq)) = (t, s);
+    let (nt, ns) = (out.len(), sq.len());
+    assert_tile_shape(t, s, nt);
+    let blocked = nt - nt % TILE_W;
+    for i in (0..blocked).step_by(TILE_W) {
+        let x: [f64; TILE_W] = std::array::from_fn(|l| tx[i + l]);
+        let y: [f64; TILE_W] = std::array::from_fn(|l| ty[i + l]);
+        let z: [f64; TILE_W] = std::array::from_fn(|l| tz[i + l]);
+        let mut acc = [0.0; TILE_W];
+        for j in 0..ns {
+            for l in 0..TILE_W {
+                acc[l] += k.eval(x[l] - sx[j], y[l] - sy[j], z[l] - sz[j]) * sq[j];
+            }
+        }
+        for l in 0..TILE_W {
+            out[i + l] += acc[l];
+        }
+    }
+    for i in blocked..nt {
+        let mut acc = 0.0;
+        for j in 0..ns {
+            acc += k.eval(tx[i] - sx[j], ty[i] - sy[j], tz[i] - sz[j]) * sq[j];
+        }
+        out[i] += acc;
+    }
+}
+
+/// The potential tile of the two `1/√r²` kernels — `k` is [`Coulomb`]
+/// (`GUARD`: `r² = 0 → 0`, `eps2` unused) or [`RegularizedCoulomb`]
+/// (`eps2 = ε²`): the AVX-512 body where the host has it, `k`'s portable
+/// body everywhere else. The same bits either way, so this is a selection
+/// the code observes, not an option anyone sets.
+#[inline]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn inv_sqrt_tile<const GUARD: bool>(
+    k: &impl Kernel,
+    eps2: f64,
+    t: (&[f64], &[f64], &[f64]),
+    s: (&[f64], &[f64], &[f64], &[f64]),
+    out: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512::tile::<GUARD>(eps2, t, s, out) {
+        return;
+    }
+    portable_tile(k, t, s, out);
+}
 
 /// A pairwise interaction kernel evaluated on the displacement `x - y`.
 pub trait Kernel: Sync + Send {
@@ -86,37 +220,7 @@ pub trait Kernel: Sync + Send {
         sq: &[f64],
         out: &mut [f64],
     ) {
-        let (nt, ns) = (out.len(), sq.len());
-        assert!(
-            tx.len() == nt && ty.len() == nt && tz.len() == nt,
-            "tile target slices differ in length"
-        );
-        assert!(
-            sx.len() == ns && sy.len() == ns && sz.len() == ns,
-            "tile source slices differ in length"
-        );
-        let blocked = nt - nt % TILE_W;
-        for i in (0..blocked).step_by(TILE_W) {
-            let x: [f64; TILE_W] = std::array::from_fn(|l| tx[i + l]);
-            let y: [f64; TILE_W] = std::array::from_fn(|l| ty[i + l]);
-            let z: [f64; TILE_W] = std::array::from_fn(|l| tz[i + l]);
-            let mut acc = [0.0; TILE_W];
-            for j in 0..ns {
-                for l in 0..TILE_W {
-                    acc[l] += self.eval(x[l] - sx[j], y[l] - sy[j], z[l] - sz[j]) * sq[j];
-                }
-            }
-            for l in 0..TILE_W {
-                out[i + l] += acc[l];
-            }
-        }
-        for i in blocked..nt {
-            let mut acc = 0.0;
-            for j in 0..ns {
-                acc += self.eval(tx[i] - sx[j], ty[i] - sy[j], tz[i] - sz[j]) * sq[j];
-            }
-            out[i] += acc;
-        }
+        portable_tile(self, (tx, ty, tz), (sx, sy, sz, sq), out);
     }
 
     /// Single-precision evaluation, for the mixed-precision mode the
@@ -428,6 +532,20 @@ impl Kernel for Coulomb {
         }
     }
 
+    fn accumulate_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        sx: &[f64],
+        sy: &[f64],
+        sz: &[f64],
+        sq: &[f64],
+        out: &mut [f64],
+    ) {
+        inv_sqrt_tile::<true>(self, 0.0, (tx, ty, tz), (sx, sy, sz, sq), out);
+    }
+
     #[inline]
     fn eval_f32(&self, dx: f32, dy: f32, dz: f32) -> f32 {
         let r2 = dx * dx + dy * dy + dz * dz;
@@ -442,7 +560,10 @@ impl Kernel for Coulomb {
         "coulomb"
     }
 
-    // 3 mul + 2 add for r², sqrt ≈ 4, div ≈ 3 ⇒ ~12 flop-equivalents.
+    // 3 mul + 2 add for r², a divider √ ≈ 4, div ≈ 3 ⇒ ~12 flop-equivalents:
+    // the price of `eval`'s own instructions, which the portable tile and
+    // the oracles issue. The AVX-512 tile gets the same √ from the FMA
+    // pipes; the modeled CPU clocks keep charging this number regardless.
     fn flops_per_eval_cpu(&self) -> f64 {
         12.0
     }
@@ -594,6 +715,21 @@ impl Kernel for RegularizedCoulomb {
     fn eval(&self, dx: f64, dy: f64, dz: f64) -> f64 {
         let r2 = dx * dx + dy * dy + dz * dz + self.epsilon * self.epsilon;
         1.0 / r2.sqrt()
+    }
+
+    fn accumulate_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        sx: &[f64],
+        sy: &[f64],
+        sz: &[f64],
+        sq: &[f64],
+        out: &mut [f64],
+    ) {
+        let eps2 = self.epsilon * self.epsilon;
+        inv_sqrt_tile::<false>(self, eps2, (tx, ty, tz), (sx, sy, sz, sq), out);
     }
 
     fn name(&self) -> &'static str {
@@ -829,18 +965,30 @@ mod tests {
         }
     }
 
-    /// Tile shapes around the block width (0, 1, W±1, W, 2W±1, 2W, many)
-    /// against empty, single and proxy-sized clusters. Every other target
-    /// sits exactly on a source (the `r² = 0` self term), and the outputs
-    /// start non-zero so a tile that sums straight into them is caught.
+    /// Every target count up to past two AVX-512 vectors (0..=17: each lane
+    /// of both accumulators, each length of the masked final step, and the
+    /// portable block width 4 several times over), around the next vector
+    /// pair (31, 32, 33) and a batch-sized 50, against empty, single,
+    /// odd-sized and proxy-sized clusters. Every other target — even or odd
+    /// ones, alternating with the cluster size, so every lane gets its turn
+    /// — sits exactly on a source (the `r² = 0` self term, which also sends
+    /// its vector down `sqrt_cr`'s hardware path while its neighbours take
+    /// the FMA one), and the outputs start non-zero so a tile that sums
+    /// straight into them is caught.
+    ///
+    /// One last case leaves the range the FMA square root accepts: from a
+    /// source at the origin, targets at 1e-160 (`r²` subnormal), 1e-170
+    /// (`r²` underflows to 0 although the points differ: the guard fires),
+    /// 1e200 (`r² = ∞`) and NaN, spread over every lane position among
+    /// ordinary targets, with ordinary sources around.
     fn tile_cases() -> Vec<(ParticleSet, ParticleSet)> {
         let mut cases = Vec::new();
-        for (a, &nt) in [0usize, 1, 3, 4, 5, 7, 8, 50].iter().enumerate() {
-            for (b, &ns) in [0usize, 1, 125].iter().enumerate() {
+        for (a, nt) in (0..=17).chain([31, 32, 33, 50]).enumerate() {
+            for (b, &ns) in [0usize, 1, 7, 125].iter().enumerate() {
                 let seed = (10 * a + b) as u64;
                 let sources = ParticleSet::random_cube(ns, 900 + seed);
                 let mut targets = ParticleSet::random_cube(nt, 950 + seed);
-                for i in (0..nt).step_by(2).filter(|_| ns > 0) {
+                for i in (b % 2..nt).step_by(2).filter(|_| ns > 0) {
                     let j = (7 * i) % ns;
                     targets.x[i] = sources.x[j];
                     targets.y[i] = sources.y[j];
@@ -849,6 +997,15 @@ mod tests {
                 cases.push((targets, sources));
             }
         }
+        let mut sources = ParticleSet::random_cube(9, 1900);
+        (sources.x[4], sources.y[4], sources.z[4]) = (0.0, 0.0, 0.0);
+        let mut targets = ParticleSet::random_cube(37, 1950);
+        // Targets 0, 3, …, 36: all eight lanes, both accumulators, the tail.
+        let separations = [1e-160, 1e-170, 1e200, f64::NAN];
+        for (i, at) in (0..targets.len()).step_by(3).enumerate() {
+            (targets.x[at], targets.y[at], targets.z[at]) = (0.0, separations[i % 4], 0.0);
+        }
+        cases.push((targets, sources));
         cases
     }
 
@@ -856,8 +1013,11 @@ mod tests {
         (0..n).map(|i| salt + 0.37 * i as f64).collect()
     }
 
+    /// Bit patterns, with every NaN mapped to one: which NaN an operation
+    /// returns (sign, payload) is not part of any contract here.
     fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
+        let canonical = |x: &f64| if x.is_nan() { f64::NAN } else { *x };
+        v.iter().map(|x| canonical(x).to_bits()).collect()
     }
 
     #[test]
@@ -873,8 +1033,14 @@ mod tests {
         ];
         for k in &kernels {
             for (t, s) in tile_cases() {
+                // What the engines call (for `Coulomb` and
+                // `RegularizedCoulomb` the AVX-512 body, where the host has
+                // it), and the portable body whatever the dispatch picked.
                 let mut tile = prefilled(t.len(), -3.25);
                 k.accumulate_tile(&t.x, &t.y, &t.z, &s.x, &s.y, &s.z, &s.q, &mut tile);
+                let mut portable = prefilled(t.len(), -3.25);
+                let (tt, ss) = ((&*t.x, &*t.y, &*t.z), (&*s.x, &*s.y, &*s.z, &*s.q));
+                portable_tile(k.as_ref(), tt, ss, &mut portable);
                 let mut oracle = prefilled(t.len(), -3.25);
                 for (i, slot) in oracle.iter_mut().enumerate() {
                     let mut acc = 0.0;
@@ -885,6 +1051,7 @@ mod tests {
                 }
                 let shape = (k.name(), t.len(), s.len());
                 assert_eq!(bits(&tile), bits(&oracle), "{shape:?}");
+                assert_eq!(bits(&portable), bits(&oracle), "portable {shape:?}");
             }
         }
     }

@@ -324,6 +324,39 @@ fn trait_object_kernels_are_driven_by_tiles_on_every_distributed_door() {
     assert_eq!(pairs, 0, "FieldSession epoch fell back to per-pair calls");
 }
 
+/// FNV-1a digests of *potential* passes, recorded on the commit before
+/// `Coulomb` and `RegularizedCoulomb` got an AVX-512 tile (the two golden
+/// trajectory digests of `tests/service.rs` run field tiles only). The
+/// portable tile and the SIMD tile must both reproduce them, so a runner
+/// with `avx512f` and one without assert the same bits.
+const PIN_COULOMB_PARALLEL: u64 = 0x63cd_7190_b1ef_f6eb;
+const PIN_REGULARIZED_COULOMB_PARALLEL: u64 = 0x0081_a0c9_e81a_4553;
+const PIN_COULOMB_3RANK: u64 = 0xc7cc_519c_28ea_588f;
+
+#[test]
+fn potential_digests_are_pinned_across_instruction_sets() {
+    let ps = problem(3000, 120);
+    let params = BltcParams::new(0.8, 4, 60, 60);
+    let digest = |pot: &[f64]| bltc::service::fnv1a(pot.iter().map(|v| v.to_bits()));
+    let engine = ParallelEngine::new(params);
+    let coulomb = digest(&engine.compute(&ps, &ps, &Coulomb).potentials);
+    let softened = digest(
+        &engine
+            .compute(&ps, &ps, &RegularizedCoulomb::new(0.05))
+            .potentials,
+    );
+    let dist = digest(&run_distributed(&ps, 3, &DistConfig::comet(params), &Coulomb).potentials);
+    assert_eq!(
+        (coulomb, softened, dist),
+        (
+            PIN_COULOMB_PARALLEL,
+            PIN_REGULARIZED_COULOMB_PARALLEL,
+            PIN_COULOMB_3RANK
+        ),
+        "potential bits moved: {coulomb:#018x} {softened:#018x} {dist:#018x}"
+    );
+}
+
 #[test]
 fn facade_reexports_are_usable() {
     // The umbrella crate must expose every subsystem.
