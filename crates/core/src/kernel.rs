@@ -43,7 +43,7 @@
 //! loop is written once against it, and [`TileOp::tile`] is the only
 //! caller of the tile methods.
 //!
-//! ### What an override may change, and the one that exists
+//! ### What an override may change, and the two that exist
 //!
 //! An override of a tile method may change **which unit computes a
 //! correctly rounded result** and how many targets run side by side —
@@ -60,63 +60,111 @@
 //! re-approximating anything (a vectorised `exp`, an `rsqrt` without the
 //! correction below) is a different engine with different bits.
 //!
-//! [`Coulomb`] and [`RegularizedCoulomb`] override the potential tile on
-//! exactly these terms. On an x86-64 host whose CPU reports AVX-512F (a
-//! run-time check; there is nothing to configure) the private `avx512`
-//! module walks sixteen targets per step with a masked last step, and
-//! computes `s = √r²` on the FMA pipes instead of the divider, the way a
-//! GPU — which has no FP64 divide or square-root unit at all — computes
-//! the paper's `1.0/sqrt(r2)` (§3.2): `y = rsqrt14(x)` (14 bits), `g =
-//! x·y ≈ √x`, `h = y/2 ≈ 1/(2√x)`; twice `r = ½ − g·h`, `g += g·r`, `h +=
-//! h·r`, each round squaring the relative error (2⁻¹⁴ → 2⁻²⁷ → under an
-//! ulp); then `d = x − g·g`, exact in one FMA, and `s = g + d·h` in one
-//! more, whose single rounding is the correct one: `√x` keeps a distance
-//! of ~2⁻¹⁰⁷ or more from every rounding boundary, and `g + d·h` is
-//! closer to `√x` than that (P. Markstein, *Computation of elementary
-//! functions on the IBM RISC System/6000 processor*, IBM J. Res. Dev. 34,
-//! 1990; M. Cornea, J. Harrison, P. T. P. Tang, *Scientific Computing on
-//! Itanium-based Systems*, 2002 — the software `fsqrt` of IA-64 and POWER
-//! and CUDA's `__dsqrt_rn`). Vectors with a lane outside `[2⁻⁷⁶⁷, 2⁷⁶⁸)` —
-//! every self term, every garbage input — take `vsqrtpd`. `1/s` stays the
-//! hardware divide. The module's tests compare the sequence with
-//! `f64::sqrt` on 10⁸ random inputs and, in nine binades, on the 141 579
-//! doubles of `[1, 4)` whose roots lie within 4·10⁵·2⁻¹⁰⁷ of a boundary —
-//! the hardest inputs there are; the tile oracle test below runs both
-//! bodies. Everywhere else, and for every other kernel, the provided body
-//! runs — it is the same function the override falls back to.
+//! [`Coulomb`] and [`RegularizedCoulomb`] override both tiles on exactly
+//! these terms. On an x86-64 host whose CPU reports AVX-512F (a run-time
+//! check; there is nothing to configure) the private `avx512` module
+//! walks sixteen targets per step with a masked last step — one lane body
+//! for one column or four — and takes two operations off the divider, the
+//! way a GPU, which has no FP64 divide or square-root unit at all,
+//! computes the paper's `1.0/sqrt(r2)` (§3.2).
 //!
-//! Measured on the 2-vCPU AVX-512 host of the benchmark: the portable
-//! Coulomb tile needs 1.6 ns per pair, which is `sqrtpd` + `divpd` back
-//! to back on the one unpipelined divider, at any vector width; with the
-//! √ off the divider it is 0.8–0.95 ns, and `op_min_s` of
-//! `cube_coulomb_1rank` drops by a third. Two candidates were measured
-//! and left out. The *field* twin needs a second divide per pair (`c =
-//! −g/r²`), so the divider stays saturated and a velocity-Verlet step
-//! gains 3–8 %: not worth a second lane body. Everything Yukawa spends
+//! *The square root* `s = √r²`, in both tiles: `y = rsqrt14(x)` (14
+//! bits), `g = x·y ≈ √x`, `h = y/2 ≈ 1/(2√x)`; twice `r = ½ − g·h`, `g +=
+//! g·r`, `h += h·r`, each round squaring the relative error (2⁻¹⁴ → 2⁻²⁷
+//! → under an ulp); then `d = x − g·g`, exact in one FMA, and `s = g +
+//! d·h` in one more, whose single rounding is the correct one: `√x` keeps
+//! a distance of ~2⁻¹⁰⁷ or more from every rounding boundary, and `g +
+//! d·h` is closer to `√x` than that (P. Markstein, *Computation of
+//! elementary functions on the IBM RISC System/6000 processor*, IBM J.
+//! Res. Dev. 34, 1990; M. Cornea, J. Harrison, P. T. P. Tang, *Scientific
+//! Computing on Itanium-based Systems*, 2002 — the software `fsqrt` of
+//! IA-64 and POWER and CUDA's `__dsqrt_rn`). Vectors with a lane outside
+//! `[2⁻⁷⁶⁷, 2⁷⁶⁸)` — every self term, every garbage input — take
+//! `vsqrtpd`.
+//!
+//! *The reciprocal* `inv = 1/s`, in the field tile, where
+//! `eval_with_grad` divides twice (`inv = 1/s`, then `c = −inv/r²`). A
+//! correctly rounded reciprocal is a function exactly as `√` is, and the
+//! square root has already computed its seed: `y = h + h` is within about
+//! two ulps of `1/s`. One Newton step on the FMA pipes, `e = 1 − s·y`, `y
+//! += y·e`, brings it within one ulp, and from a `y` within one ulp the
+//! same two FMAs *are* `RN(1/s)` — unless the significand of `s` is all
+//! ones, the divisor just below a power of two, whose reciprocal lies
+//! closest above one (the same two references: it is IA-64's `frcpa`
+//! divide). `√r²` rounds to such an `s` exactly when `r²` is one of the
+//! two doubles below a power of four, which one masked compare on the
+//! bits of `r²` decides together with the range; a vector with such a
+//! lane takes `vsqrtpd` and `vdivpd` like a vector out of range: a rare
+//! slow vector, never a different bit. `c = −inv/r²` is a true quotient
+//! and stays one hardware `vdivpd`; in the potential tile, which has no
+//! other use for the divider, so does `1/s` (the FMA reciprocal there
+//! measured 1.0 against 0.85 ns a pair).
+//!
+//! The module's tests compare `s` and `inv` with `f64::sqrt` and `1.0 /
+//! s`, bit for bit, on 2·10⁸ random inputs, on the 141 579 doubles of
+//! `[1, 4)` whose roots lie within 4·10⁵·2⁻¹⁰⁷ of a rounding boundary, on
+//! the neighbourhood of every power of four — the all-ones `s` — and on
+//! the reciprocals closest to a rounding boundary; the tile oracle tests
+//! below run both bodies of both tiles. Everywhere else, and for every
+//! other kernel, the provided bodies run — the same functions the
+//! overrides fall back to.
+//!
+//! Measured on the 2-vCPU AVX-512 host of the benchmark (two 512-bit FMA
+//! ports, ≈ 2.9 GHz under AVX-512 whatever its name says), nanoseconds
+//! per pair. The portable potential tile needs 1.6, which is `sqrtpd` +
+//! `divpd` back to back on the one unpipelined divider, at any vector
+//! width; with the √ off the divider it is 0.8–0.95, and `op_min_s` of
+//! `cube_coulomb_1rank` dropped by a third. The portable field tile
+//! needs 2.4–2.5 (two lanes, `sqrtpd` + 2 × `divpd`; 4.5 for `Coulomb`
+//! while its guard was an early return that kept the loop scalar, 2.6
+//! since it is a select). The AVX-512 field tile needs 1.40 on a 150 ×
+//! 216 tile (1.55–1.7 on a 50-target batch, whose seventh vector holds
+//! two targets), and `op_min_s` of `plummer_vv_4rank` drops by more than
+//! a quarter. What the parts are worth, same tile: with `√` on the FMA
+//! pipes and *both* divides in hardware 1.50 — two `vdivpd` are 32 of
+//! its ≈ 35 cycles per eight pairs, the divider is the limit, which is
+//! why taking only the `√` off it once read as 3–8 % of a
+//! velocity-Verlet step and looked like the ceiling; with the reciprocal
+//! on the FMA pipes but its all-ones exception tested on `s`, in a
+//! second branch behind the square root, 1.47; with both tests in one
+//! mask on `r²`, 1.40; with no test at all (not an option: the tests
+//! are what makes the sequences exact) 1.30. The loop now issues about
+//! 50 µops per eight pairs on the two ports and runs at ≈ 32 cycles; the
+//! one `vdivpd` (16 cycles) hides underneath, so re-defining `c` to drop
+//! that divide would buy one µop, and what the figures above leave to be
+//! had is in the ≈ 7 µops of the test. Left out: everything Yukawa spends
 //! its time in glibc's `exp` (7.0 of 7.3 ns per pair), whose bits are
 //! glibc's and cannot be reproduced by another algorithm.
 
 #[cfg(target_arch = "x86_64")]
 mod avx512;
 
-/// Targets the portable bodies ([`portable_tile`] and the provided
-/// [`GradientKernel::accumulate_field_tile`]) walk together. Each keeps
-/// its own accumulator, so the block is `TILE_W` independent sums the
-/// compiler can put in SIMD lanes without changing any target's operation
-/// order. (The AVX-512 body has its own width, its register size.)
+/// Targets the portable bodies ([`portable_tile`] and
+/// [`portable_field_tile`]) walk together. Each keeps its own accumulator,
+/// so the block is `TILE_W` independent sums the compiler can put in SIMD
+/// lanes without changing any target's operation order. (The AVX-512 body
+/// has its own width, its register size.)
 const TILE_W: usize = 4;
 
-/// The panics of [`Kernel::accumulate_tile`]: `nt` targets in each target
-/// slice, as many sources in each source slice as there are weights.
+/// The panics of [`Kernel::accumulate_tile`] and
+/// [`GradientKernel::accumulate_field_tile`], and the only length check
+/// of every tile body: as many targets in each target slice as in each
+/// output column, as many sources in each source slice as there are
+/// weights.
 #[inline]
 fn assert_tile_shape(
     (tx, ty, tz): (&[f64], &[f64], &[f64]),
     (sx, sy, sz, sq): (&[f64], &[f64], &[f64], &[f64]),
-    nt: usize,
+    out: &[&mut [f64]],
 ) {
+    let nt = out[0].len();
     assert!(
         tx.len() == nt && ty.len() == nt && tz.len() == nt,
         "tile target slices differ in length"
+    );
+    assert!(
+        out.iter().all(|column| column.len() == nt),
+        "tile output slices differ in length"
     );
     assert!(
         sx.len() == sq.len() && sy.len() == sq.len() && sz.len() == sq.len(),
@@ -136,7 +184,7 @@ fn portable_tile<K: Kernel + ?Sized>(
 ) {
     let ((tx, ty, tz), (sx, sy, sz, sq)) = (t, s);
     let (nt, ns) = (out.len(), sq.len());
-    assert_tile_shape(t, s, nt);
+    assert_tile_shape(t, s, &[&mut *out]);
     let blocked = nt - nt % TILE_W;
     for i in (0..blocked).step_by(TILE_W) {
         let x: [f64; TILE_W] = std::array::from_fn(|l| tx[i + l]);
@@ -161,6 +209,59 @@ fn portable_tile<K: Kernel + ?Sized>(
     }
 }
 
+/// The portable field tile: the body of the provided
+/// [`GradientKernel::accumulate_field_tile`], and what an override falls
+/// back to — the one copy of this loop. `out` is `[pot, gx, gy, gz]`.
+#[inline]
+fn portable_field_tile<K: GradientKernel + ?Sized>(
+    k: &K,
+    t: (&[f64], &[f64], &[f64]),
+    s: (&[f64], &[f64], &[f64], &[f64]),
+    out: &mut [&mut [f64]; 4],
+) {
+    let ((tx, ty, tz), (sx, sy, sz, sq)) = (t, s);
+    assert_tile_shape(t, s, &*out);
+    let [pot, gx, gy, gz] = out;
+    let (nt, ns) = (pot.len(), sq.len());
+    let blocked = nt - nt % TILE_W;
+    for i in (0..blocked).step_by(TILE_W) {
+        let x: [f64; TILE_W] = std::array::from_fn(|l| tx[i + l]);
+        let y: [f64; TILE_W] = std::array::from_fn(|l| ty[i + l]);
+        let z: [f64; TILE_W] = std::array::from_fn(|l| tz[i + l]);
+        let (mut p, mut ax, mut ay, mut az) =
+            ([0.0; TILE_W], [0.0; TILE_W], [0.0; TILE_W], [0.0; TILE_W]);
+        for j in 0..ns {
+            for l in 0..TILE_W {
+                let (g, dgx, dgy, dgz) = k.eval_with_grad(x[l] - sx[j], y[l] - sy[j], z[l] - sz[j]);
+                p[l] += g * sq[j];
+                ax[l] += dgx * sq[j];
+                ay[l] += dgy * sq[j];
+                az[l] += dgz * sq[j];
+            }
+        }
+        for l in 0..TILE_W {
+            pot[i + l] += p[l];
+            gx[i + l] += ax[l];
+            gy[i + l] += ay[l];
+            gz[i + l] += az[l];
+        }
+    }
+    for i in blocked..nt {
+        let (mut p, mut ax, mut ay, mut az) = (0.0, 0.0, 0.0, 0.0);
+        for j in 0..ns {
+            let (g, dgx, dgy, dgz) = k.eval_with_grad(tx[i] - sx[j], ty[i] - sy[j], tz[i] - sz[j]);
+            p += g * sq[j];
+            ax += dgx * sq[j];
+            ay += dgy * sq[j];
+            az += dgz * sq[j];
+        }
+        pot[i] += p;
+        gx[i] += ax;
+        gy[i] += ay;
+        gz[i] += az;
+    }
+}
+
 /// The potential tile of the two `1/√r²` kernels — `k` is [`Coulomb`]
 /// (`GUARD`: `r² = 0 → 0`, `eps2` unused) or [`RegularizedCoulomb`]
 /// (`eps2 = ε²`): the AVX-512 body where the host has it, `k`'s portable
@@ -176,10 +277,27 @@ fn inv_sqrt_tile<const GUARD: bool>(
     out: &mut [f64],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if avx512::tile::<GUARD>(eps2, t, s, out) {
+    if avx512::tile::<GUARD, 1>(eps2, t, s, &mut [&mut *out]) {
         return;
     }
     portable_tile(k, t, s, out);
+}
+
+/// The field tile of the same two kernels, selected the same way.
+#[inline]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn inv_sqrt_field_tile<const GUARD: bool>(
+    k: &impl GradientKernel,
+    eps2: f64,
+    t: (&[f64], &[f64], &[f64]),
+    s: (&[f64], &[f64], &[f64], &[f64]),
+    out: &mut [&mut [f64]; 4],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512::tile::<GUARD, 4>(eps2, t, s, out) {
+        return;
+    }
+    portable_field_tile(k, t, s, out);
 }
 
 /// A pairwise interaction kernel evaluated on the displacement `x - y`.
@@ -279,58 +397,7 @@ pub trait GradientKernel: Kernel {
         gy: &mut [f64],
         gz: &mut [f64],
     ) {
-        let (nt, ns) = (pot.len(), sq.len());
-        assert!(
-            tx.len() == nt && ty.len() == nt && tz.len() == nt,
-            "tile target slices differ in length"
-        );
-        assert!(
-            gx.len() == nt && gy.len() == nt && gz.len() == nt,
-            "tile output slices differ in length"
-        );
-        assert!(
-            sx.len() == ns && sy.len() == ns && sz.len() == ns,
-            "tile source slices differ in length"
-        );
-        let blocked = nt - nt % TILE_W;
-        for i in (0..blocked).step_by(TILE_W) {
-            let x: [f64; TILE_W] = std::array::from_fn(|l| tx[i + l]);
-            let y: [f64; TILE_W] = std::array::from_fn(|l| ty[i + l]);
-            let z: [f64; TILE_W] = std::array::from_fn(|l| tz[i + l]);
-            let (mut p, mut ax, mut ay, mut az) =
-                ([0.0; TILE_W], [0.0; TILE_W], [0.0; TILE_W], [0.0; TILE_W]);
-            for j in 0..ns {
-                for l in 0..TILE_W {
-                    let (g, dgx, dgy, dgz) =
-                        self.eval_with_grad(x[l] - sx[j], y[l] - sy[j], z[l] - sz[j]);
-                    p[l] += g * sq[j];
-                    ax[l] += dgx * sq[j];
-                    ay[l] += dgy * sq[j];
-                    az[l] += dgz * sq[j];
-                }
-            }
-            for l in 0..TILE_W {
-                pot[i + l] += p[l];
-                gx[i + l] += ax[l];
-                gy[i + l] += ay[l];
-                gz[i + l] += az[l];
-            }
-        }
-        for i in blocked..nt {
-            let (mut p, mut ax, mut ay, mut az) = (0.0, 0.0, 0.0, 0.0);
-            for j in 0..ns {
-                let (g, dgx, dgy, dgz) =
-                    self.eval_with_grad(tx[i] - sx[j], ty[i] - sy[j], tz[i] - sz[j]);
-                p += g * sq[j];
-                ax += dgx * sq[j];
-                ay += dgy * sq[j];
-                az += dgz * sq[j];
-            }
-            pot[i] += p;
-            gx[i] += ax;
-            gy[i] += ay;
-            gz[i] += az;
-        }
+        portable_field_tile(self, (tx, ty, tz), (sx, sy, sz, sq), &mut [pot, gx, gy, gz]);
     }
 
     /// Flop-equivalents per gradient evaluation on the GPU. A field
@@ -436,13 +503,32 @@ impl GradientKernel for Coulomb {
     #[inline]
     fn eval_with_grad(&self, dx: f64, dy: f64, dz: f64) -> (f64, f64, f64, f64) {
         let r2 = dx * dx + dy * dy + dz * dz;
-        if r2 == 0.0 {
-            return (0.0, 0.0, 0.0, 0.0);
-        }
         let inv_r = 1.0 / r2.sqrt();
         // ∂(1/r)/∂dx = -dx / r³
         let c = -inv_r / r2;
-        (inv_r, c * dx, c * dy, c * dz)
+        // Four selects, not an early return, so that the portable tile
+        // vectorises (a plain `if` is turned back into a branch around the
+        // divides); what a select discards at `r² = 0` is ∞ or NaN.
+        let apart = |v: f64| std::hint::select_unpredictable(r2 == 0.0, 0.0, v);
+        (apart(inv_r), apart(c * dx), apart(c * dy), apart(c * dz))
+    }
+
+    fn accumulate_field_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        sx: &[f64],
+        sy: &[f64],
+        sz: &[f64],
+        sq: &[f64],
+        pot: &mut [f64],
+        gx: &mut [f64],
+        gy: &mut [f64],
+        gz: &mut [f64],
+    ) {
+        let (t, s) = ((tx, ty, tz), (sx, sy, sz, sq));
+        inv_sqrt_field_tile::<true>(self, 0.0, t, s, &mut [pot, gx, gy, gz]);
     }
 }
 
@@ -468,6 +554,25 @@ impl GradientKernel for RegularizedCoulomb {
         let inv_d = 1.0 / d2.sqrt();
         let c = -inv_d / d2;
         (inv_d, c * dx, c * dy, c * dz)
+    }
+
+    fn accumulate_field_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        sx: &[f64],
+        sy: &[f64],
+        sz: &[f64],
+        sq: &[f64],
+        pot: &mut [f64],
+        gx: &mut [f64],
+        gy: &mut [f64],
+        gz: &mut [f64],
+    ) {
+        let (t, s) = ((tx, ty, tz), (sx, sy, sz, sq));
+        let eps2 = self.epsilon * self.epsilon;
+        inv_sqrt_field_tile::<false>(self, eps2, t, s, &mut [pot, gx, gy, gz]);
     }
 }
 
@@ -977,10 +1082,12 @@ mod tests {
     /// straight into them is caught.
     ///
     /// One last case leaves the range the FMA square root accepts: from a
-    /// source at the origin, targets at 1e-160 (`r²` subnormal), 1e-170
-    /// (`r²` underflows to 0 although the points differ: the guard fires),
-    /// 1e200 (`r² = ∞`) and NaN, spread over every lane position among
-    /// ordinary targets, with ordinary sources around.
+    /// source at the origin, targets at 1e-160 (`r²` subnormal), ±1e-170
+    /// (`r²` underflows to 0 although the points differ: the guard fires,
+    /// and with a negative `dy` the discarded gradient term is not `+0`, so
+    /// the sign of the zero the guard hands to `· q` is compared too), 1e200
+    /// (`r² = ∞`) and NaN, spread over every lane position among ordinary
+    /// targets, with ordinary sources around.
     fn tile_cases() -> Vec<(ParticleSet, ParticleSet)> {
         let mut cases = Vec::new();
         for (a, nt) in (0..=17).chain([31, 32, 33, 50]).enumerate() {
@@ -1001,9 +1108,9 @@ mod tests {
         (sources.x[4], sources.y[4], sources.z[4]) = (0.0, 0.0, 0.0);
         let mut targets = ParticleSet::random_cube(37, 1950);
         // Targets 0, 3, …, 36: all eight lanes, both accumulators, the tail.
-        let separations = [1e-160, 1e-170, 1e200, f64::NAN];
+        let separations = [1e-160, 1e-170, 1e200, f64::NAN, -1e-170];
         for (i, at) in (0..targets.len()).step_by(3).enumerate() {
-            (targets.x[at], targets.y[at], targets.z[at]) = (0.0, separations[i % 4], 0.0);
+            (targets.x[at], targets.y[at], targets.z[at]) = (0.0, separations[i % 5], 0.0);
         }
         cases.push((targets, sources));
         cases
@@ -1068,10 +1175,20 @@ mod tests {
         ];
         for k in &kernels {
             for (t, s) in tile_cases() {
+                // As in the potential test: what the engines call, and the
+                // portable body whatever the dispatch picked.
                 let n = t.len();
                 let mut tile = [1.5, -0.75, 2.0, 9.0].map(|salt| prefilled(n, salt));
                 let [p, gx, gy, gz] = &mut tile;
                 k.accumulate_field_tile(&t.x, &t.y, &t.z, &s.x, &s.y, &s.z, &s.q, p, gx, gy, gz);
+                let mut portable = [1.5, -0.75, 2.0, 9.0].map(|salt| prefilled(n, salt));
+                let (tt, ss) = ((&*t.x, &*t.y, &*t.z), (&*s.x, &*s.y, &*s.z, &*s.q));
+                portable_field_tile(
+                    k.as_ref(),
+                    tt,
+                    ss,
+                    &mut portable.each_mut().map(|c| &mut c[..]),
+                );
                 let mut oracle = [1.5, -0.75, 2.0, 9.0].map(|salt| prefilled(n, salt));
                 for i in 0..n {
                     let mut acc = [0.0; 4];
@@ -1087,8 +1204,14 @@ mod tests {
                         col[i] += a;
                     }
                 }
-                for (c, (a, b)) in tile.iter().zip(&oracle).enumerate() {
-                    assert_eq!(bits(a), bits(b), "{:?} column {c}", (k.name(), n, s.len()));
+                let shape = (k.name(), n, s.len());
+                for c in 0..4 {
+                    assert_eq!(bits(&tile[c]), bits(&oracle[c]), "{shape:?} column {c}");
+                    assert_eq!(
+                        bits(&portable[c]),
+                        bits(&oracle[c]),
+                        "portable {shape:?} column {c}"
+                    );
                 }
             }
         }
@@ -1107,6 +1230,26 @@ mod tests {
             &[1.0],
             &[1.0],
             &mut out,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "tile output slices differ")]
+    fn field_tile_rejects_a_short_gradient_column() {
+        let (mut pot, mut gx, mut gy, mut gz) = ([0.0; 2], [0.0; 2], [0.0; 1], [0.0; 2]);
+        let t = [0.0, 1.0];
+        RegularizedCoulomb::new(0.1).accumulate_field_tile(
+            &t,
+            &t,
+            &t,
+            &[1.0],
+            &[1.0],
+            &[1.0],
+            &[1.0],
+            &mut pot,
+            &mut gx,
+            &mut gy,
+            &mut gz,
         );
     }
 

@@ -325,18 +325,25 @@ fn trait_object_kernels_are_driven_by_tiles_on_every_distributed_door() {
 }
 
 /// FNV-1a digests of *potential* passes, recorded on the commit before
-/// `Coulomb` and `RegularizedCoulomb` got an AVX-512 tile (the two golden
-/// trajectory digests of `tests/service.rs` run field tiles only). The
-/// portable tile and the SIMD tile must both reproduce them, so a runner
-/// with `avx512f` and one without assert the same bits.
+/// `Coulomb` and `RegularizedCoulomb` got an AVX-512 tile, and of *field*
+/// passes (all four columns, `φ, ∂ₓφ, ∂ᵧφ, ∂_zφ`, in that order), recorded
+/// on the commit before they got an AVX-512 field tile: of the two golden
+/// trajectory digests of `tests/service.rs` only the softened kernel runs
+/// a guarded-family field tile, and none runs `Coulomb`'s. The portable
+/// tile and the SIMD tile must both reproduce them, so a runner with
+/// `avx512f` and one without assert the same bits.
 const PIN_COULOMB_PARALLEL: u64 = 0x63cd_7190_b1ef_f6eb;
 const PIN_REGULARIZED_COULOMB_PARALLEL: u64 = 0x0081_a0c9_e81a_4553;
 const PIN_COULOMB_3RANK: u64 = 0xc7cc_519c_28ea_588f;
+const PIN_COULOMB_FIELD_PARALLEL: u64 = 0xfc8f_e0fb_0d8c_7224;
+const PIN_REGULARIZED_COULOMB_FIELD_PARALLEL: u64 = 0xf0da_425c_0306_56c5;
+const PIN_COULOMB_FIELD_3RANK: u64 = 0x8e24_92d6_6af6_70f5;
 
 #[test]
 fn potential_digests_are_pinned_across_instruction_sets() {
     let ps = problem(3000, 120);
     let params = BltcParams::new(0.8, 4, 60, 60);
+    let cfg = DistConfig::comet(params);
     let digest = |pot: &[f64]| bltc::service::fnv1a(pot.iter().map(|v| v.to_bits()));
     let engine = ParallelEngine::new(params);
     let coulomb = digest(&engine.compute(&ps, &ps, &Coulomb).potentials);
@@ -345,7 +352,7 @@ fn potential_digests_are_pinned_across_instruction_sets() {
             .compute(&ps, &ps, &RegularizedCoulomb::new(0.05))
             .potentials,
     );
-    let dist = digest(&run_distributed(&ps, 3, &DistConfig::comet(params), &Coulomb).potentials);
+    let dist = digest(&run_distributed(&ps, 3, &cfg, &Coulomb).potentials);
     assert_eq!(
         (coulomb, softened, dist),
         (
@@ -354,6 +361,24 @@ fn potential_digests_are_pinned_across_instruction_sets() {
             PIN_COULOMB_3RANK
         ),
         "potential bits moved: {coulomb:#018x} {softened:#018x} {dist:#018x}"
+    );
+
+    let digest = |f: &FieldResult| {
+        let columns = [&f.potentials, &f.gx, &f.gy, &f.gz];
+        bltc::service::fnv1a(columns.into_iter().flatten().map(|v| v.to_bits()))
+    };
+    let prep = PreparedTreecode::new(&ps, &ps, params);
+    let coulomb = digest(&prep.evaluate_field_parallel(&Coulomb));
+    let softened = digest(&prep.evaluate_field_parallel(&RegularizedCoulomb::new(0.05)));
+    let dist = digest(&run_distributed_field(&ps, 3, &cfg, &Coulomb).field);
+    assert_eq!(
+        (coulomb, softened, dist),
+        (
+            PIN_COULOMB_FIELD_PARALLEL,
+            PIN_REGULARIZED_COULOMB_FIELD_PARALLEL,
+            PIN_COULOMB_FIELD_3RANK
+        ),
+        "field bits moved: {coulomb:#018x} {softened:#018x} {dist:#018x}"
     );
 }
 
