@@ -9,7 +9,7 @@
 //! `N_L = N_B = 1000` (the `(n+1)³ = 729` proxy grid of the paper's
 //! n = 8 would exceed a scaled-down leaf, disabling approximation
 //! entirely, and batches below ~1000 targets leave the simulated GPU
-//! launch-bound — see EXPERIMENTS.md). Run times are the bulk-synchronous model:
+//! launch-bound). Run times are the bulk-synchronous model:
 //! max-over-ranks of (setup + precompute + compute).
 //!
 //! With `--forces` every configuration runs the distributed **field**

@@ -2,23 +2,20 @@
 //!
 //! One binary per table/figure of the paper's evaluation (§4):
 //!
-//! | binary             | reproduces |
-//! |--------------------|------------|
-//! | `fig2_rcb`         | Fig. 2 — RCB of the unit square, 4 & 6 parts |
-//! | `fig4_accuracy`    | Fig. 4 — run time vs error, CPU vs GPU, Coulomb & Yukawa |
-//! | `fig5_weak`        | Fig. 5 — weak scaling, 1→32 GPUs; `--stream` adds the memory-bounded LET-streaming sweep |
-//! | `fig6_strong`      | Fig. 6 — strong scaling + phase breakdown |
-//! | `ablation_streams` | §3.2 — async-stream ablation (~25% claim); `--multi` adds the multi-rank pipelined-epoch sweep |
-//! | `dynamics_steps`   | time-per-step scaling of the `bltc-sim` driver, 1→8 ranks |
-//! | `dynamics_persistent` | respawn-per-step vs persistent-session amortization, 1→8 ranks |
-//! | `service_throughput` | many-tenant job engine vs respawn-per-job baseline: jobs/sec, warm-world spawn amortization |
+//! | binary               | reproduces |
+//! |----------------------|------------|
+//! | `fig2_rcb`           | Fig. 2 — RCB of the unit square, 4 & 6 parts |
+//! | `fig4_accuracy`      | Fig. 4 — run time vs error, CPU vs GPU, Coulomb & Yukawa |
+//! | `fig5_weak`          | Fig. 5 — weak scaling, 1→32 GPUs; `--stream` adds the memory-bounded LET-streaming sweep |
+//! | `fig6_strong`        | Fig. 6 — strong scaling + phase breakdown |
+//! | `ablation_streams`   | §3.2 — async-stream ablation (~25% claim); `--multi` adds the multi-rank pipelined-epoch sweep |
+//! | `ablation_precision` | §5 — mixed-precision ablation |
 //!
 //! Default problem sizes are scaled to a single-core container (the paper
 //! ran 1M–1B particles on Titan V / 32×P100); every binary takes `--n`
 //! style flags to raise them. Times on the GPU side are the `gpu-sim`
 //! modeled clock; CPU-side times are modeled through
-//! [`bltc_core::cost::CpuSpec`] so the two are comparable (see
-//! EXPERIMENTS.md for the calibration discussion).
+//! [`bltc_core::cost::CpuSpec`] so the two are comparable.
 //!
 //! Wall-clock speed is not measured here: that is the `perf` package's
 //! job (`core.*` rows time the same calls with a real protocol).

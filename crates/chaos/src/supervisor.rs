@@ -8,7 +8,7 @@ use std::time::Duration;
 use bltc_core::field::FieldResult;
 use bltc_sim::{Checkpoint, ForceModel, PersistentIntegrator, SimConfig, SimReport, SimState};
 use bltc_trace::{MetricsSnapshot, Phase, Span, Track};
-use mpi_sim::HangReleased;
+use mpi_sim::{panic_message, HangReleased};
 
 use crate::plan::FaultPlan;
 
@@ -239,7 +239,7 @@ pub fn run_supervised(
                 if metrics.recoveries >= opts.max_recoveries {
                     return Err(SupervisorError::RecoveryBudgetExhausted {
                         attempts: attempt,
-                        message: panic_text(payload.as_ref()),
+                        message: panic_message(payload.as_ref()),
                     });
                 }
                 // Deterministic exponential backoff + the replacement
@@ -295,20 +295,6 @@ pub fn run_supervised(
         recovery: metrics,
         chaos_spans,
     })
-}
-
-/// Human-readable text of a panic payload (the supervisor's local
-/// mirror of the service-layer classifier).
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(h) = payload.downcast_ref::<HangReleased>() {
-        h.to_string()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -465,7 +451,7 @@ mod tests {
             )
         }));
         let payload = out.expect_err("must refuse to run an unwatched hang");
-        let msg = panic_text(payload.as_ref());
+        let msg = panic_message(payload.as_ref());
         assert!(msg.contains("epoch_deadline"), "got: {msg}");
     }
 

@@ -40,22 +40,10 @@ impl BltcParams {
         p
     }
 
-    /// The configuration of the paper's single-GPU accuracy study (Fig. 4)
-    /// at a given `(θ, n)` sweep point: `N_B = N_L = 2000`.
-    pub fn fig4(theta: f64, degree: usize) -> Self {
-        Self::new(theta, degree, 2000, 2000)
-    }
-
     /// The configuration of the paper's scaling studies (Figs. 5–6):
     /// `θ = 0.8, n = 8, N_B = N_L = 4000`, yielding 5–6 digit accuracy.
     pub fn scaling() -> Self {
         Self::new(0.8, 8, 4000, 4000)
-    }
-
-    /// A configuration scaled for small test problems (same θ and n as the
-    /// scaling study but smaller caps so small N still produces real trees).
-    pub fn scaling_small(leaf_cap: usize) -> Self {
-        Self::new(0.8, 8, leaf_cap, leaf_cap)
     }
 
     /// Number of proxy points per cluster, `(n+1)³` — the quantity the
@@ -94,8 +82,6 @@ mod tests {
 
     #[test]
     fn presets_match_paper() {
-        let f4 = BltcParams::fig4(0.5, 13);
-        assert_eq!((f4.leaf_cap, f4.batch_cap), (2000, 2000));
         let sc = BltcParams::scaling();
         assert_eq!(
             (sc.theta, sc.degree, sc.leaf_cap, sc.batch_cap),

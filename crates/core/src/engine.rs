@@ -167,7 +167,7 @@ impl PreparedTreecode {
 /// `out` (each of length `batch.num_targets()`). The simulated-GPU
 /// launches issue the same tile calls in the same order and so stay
 /// bitwise identical to it.
-pub fn eval_batch_into<const C: usize, O: TileOp<C> + ?Sized>(
+fn eval_batch_into<const C: usize, O: TileOp<C> + ?Sized>(
     batch: &Batch,
     lists: &BatchLists,
     tree: &SourceTree,
@@ -510,7 +510,6 @@ mod tests {
         sources: &ParticleSet,
         params: BltcParams,
     ) {
-        use crate::variants::TreecodeVariant::ClusterCluster;
         let lazy = PreparedTreecode::new(targets, sources, params);
         let full = prepared_around_compute_all(targets, sources, params);
         let used = lazy.lists.used_approx_nodes(lazy.tree.num_nodes());
@@ -529,11 +528,6 @@ mod tests {
         let want = bits(&full.evaluate_serial(&k).0);
         assert_eq!(bits(&lazy.evaluate_serial(&k).0), want);
         assert_eq!(bits(&lazy.evaluate_parallel(&k).0), want);
-        let (a, b) = (
-            lazy.evaluate_variant(&k, ClusterCluster),
-            full.evaluate_variant(&k, ClusterCluster),
-        );
-        assert_eq!(bits(&a), bits(&b), "cluster-cluster variant");
         let (a, b) = (
             lazy.evaluate_field_parallel(&k),
             full.evaluate_field_parallel(&k),

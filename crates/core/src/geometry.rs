@@ -50,15 +50,6 @@ impl Point3 {
         (dx * dx + dy * dy + dz * dz).sqrt()
     }
 
-    /// Squared Euclidean distance to another point.
-    #[inline]
-    pub fn dist2(&self, other: &Point3) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        let dz = self.z - other.z;
-        dx * dx + dy * dy + dz * dz
-    }
-
     /// Euclidean norm of this point interpreted as a vector.
     #[inline]
     pub fn norm(&self) -> f64 {
@@ -142,13 +133,6 @@ impl BoundingBox {
         [self.extent(0), self.extent(1), self.extent(2)]
     }
 
-    /// Longest edge length.
-    #[inline]
-    pub fn max_extent(&self) -> f64 {
-        let e = self.extents();
-        e[0].max(e[1]).max(e[2])
-    }
-
     /// Ratio of longest to shortest edge. Degenerate boxes (a zero edge)
     /// yield `f64::INFINITY`; a point box (all edges zero) yields `1.0`.
     pub fn aspect_ratio(&self) -> f64 {
@@ -173,11 +157,6 @@ impl BoundingBox {
     #[inline]
     pub fn interval(&self, dim: usize) -> (f64, f64) {
         (self.min.coord(dim), self.max.coord(dim))
-    }
-
-    /// Volume of the box (zero for degenerate boxes).
-    pub fn volume(&self) -> f64 {
-        self.extent(0) * self.extent(1) * self.extent(2)
     }
 }
 
@@ -207,7 +186,6 @@ mod tests {
         let a = Point3::new(0.0, 0.0, 0.0);
         let b = Point3::new(3.0, 4.0, 0.0);
         assert_eq!(a.dist(&b), 5.0);
-        assert_eq!(a.dist2(&b), 25.0);
         assert_eq!(b.norm(), 5.0);
     }
 
@@ -234,8 +212,6 @@ mod tests {
         let bb = BoundingBox::new(Point3::new(0.0, 0.0, 0.0), Point3::new(2.0, 2.0, 1.0));
         assert_eq!(bb.midpoint(), Point3::new(1.0, 1.0, 0.5));
         assert!((bb.radius() - 0.5 * 3.0).abs() < 1e-15);
-        assert_eq!(bb.max_extent(), 2.0);
-        assert_eq!(bb.volume(), 4.0);
     }
 
     #[test]

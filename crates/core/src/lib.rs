@@ -64,7 +64,6 @@ pub mod mac;
 pub mod particles;
 pub mod traversal;
 pub mod tree;
-pub mod variants;
 
 /// Convenient glob-import of the public API surface.
 pub mod prelude {
@@ -87,5 +86,4 @@ pub mod prelude {
     pub use crate::particles::ParticleSet;
     pub use crate::traversal::{InteractionKind, InteractionLists};
     pub use crate::tree::{batch::TargetBatches, SourceTree};
-    pub use crate::variants::TreecodeVariant;
 }

@@ -119,14 +119,6 @@ impl ParticleSet {
         out
     }
 
-    /// Concatenate another set onto this one.
-    pub fn extend_from(&mut self, other: &ParticleSet) {
-        self.x.extend_from_slice(&other.x);
-        self.y.extend_from_slice(&other.y);
-        self.z.extend_from_slice(&other.z);
-        self.q.extend_from_slice(&other.q);
-    }
-
     // ---------------------------------------------------------------
     // Generators (all deterministic in the seed)
     // ---------------------------------------------------------------

@@ -131,8 +131,6 @@
 //! [`DistConfig::intranode_net`] when the ranks share a node, the
 //! fabric [`DistConfig::net`] otherwise — in both the serial
 //! `setup_comm_s` and the pipelined clock ([`DistConfig::link`]).
-//! `mpi_sim::NodeMap` aggregates the recorded [`TrafficMatrix`]
-//! per-node so reports can split inter- from intra-node bytes.
 //!
 //! ## Example
 //!

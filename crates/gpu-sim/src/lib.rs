@@ -54,7 +54,7 @@ pub mod sched;
 pub mod spec;
 
 pub use atomic::AtomicF64Cell;
-pub use memory::{BufF64, BufU32, DeviceMemory};
+pub use memory::{BufF64, DeviceMemory};
 pub use profile::{KernelClassStats, Profiler};
 pub use sched::{KernelEvent, LaunchConfig, Scheduler, WorkEstimate};
 pub use spec::DeviceSpec;
@@ -91,23 +91,11 @@ impl Device {
         self.mem.alloc_f64(data)
     }
 
-    /// Allocate a device `u32` buffer without modeling a transfer.
-    pub fn alloc_u32(&mut self, data: Vec<u32>) -> BufU32 {
-        self.mem.alloc_u32(data)
-    }
-
     /// Host→device copy: allocates a buffer and charges the PCIe channel.
     pub fn htod_f64(&mut self, data: Vec<f64>) -> BufF64 {
         let bytes = (data.len() * 8) as f64;
         self.sched.transfer(bytes);
         self.mem.alloc_f64(data)
-    }
-
-    /// Host→device copy of index data.
-    pub fn htod_u32(&mut self, data: Vec<u32>) -> BufU32 {
-        let bytes = (data.len() * 4) as f64;
-        self.sched.transfer(bytes);
-        self.mem.alloc_u32(data)
     }
 
     /// Device→host copy: synchronizes outstanding kernels first (the copy
@@ -161,19 +149,9 @@ impl Device {
         &self.mem
     }
 
-    /// Mutable view of device memory (host-side initialization shortcuts).
-    pub fn memory_mut(&mut self) -> &mut DeviceMemory {
-        &mut self.mem
-    }
-
     /// Per-kernel-class profile.
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
-    }
-
-    /// Free all device buffers (keeps the clock and profile).
-    pub fn reset_memory(&mut self) {
-        self.mem = DeviceMemory::default();
     }
 }
 

@@ -1,6 +1,6 @@
 //! The device memory arena.
 //!
-//! Buffers are identified by typed handles (`BufF64`, `BufU32`) so kernel
+//! Buffers are identified by typed handles (`BufF64`) so kernel
 //! bodies — plain closures over `&mut DeviceMemory` — can address several
 //! buffers without fighting the borrow checker over disjoint `&mut`s.
 //! [`DeviceMemory::f64_split`] borrows a kernel's whole working set at
@@ -11,64 +11,27 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufF64(usize);
 
-/// Handle to a device-resident `u32` buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BufU32(usize);
-
-enum Slot {
-    F64(Vec<f64>),
-    U32(Vec<u32>),
-}
-
 /// The arena of device buffers.
 #[derive(Default)]
 pub struct DeviceMemory {
-    slots: Vec<Slot>,
+    slots: Vec<Vec<f64>>,
 }
 
 impl DeviceMemory {
     /// Allocate an `f64` buffer.
     pub fn alloc_f64(&mut self, data: Vec<f64>) -> BufF64 {
-        self.slots.push(Slot::F64(data));
+        self.slots.push(data);
         BufF64(self.slots.len() - 1)
-    }
-
-    /// Allocate a `u32` buffer.
-    pub fn alloc_u32(&mut self, data: Vec<u32>) -> BufU32 {
-        self.slots.push(Slot::U32(data));
-        BufU32(self.slots.len() - 1)
     }
 
     /// Immutable view of an `f64` buffer.
     pub fn f64(&self, h: BufF64) -> &[f64] {
-        match &self.slots[h.0] {
-            Slot::F64(v) => v,
-            Slot::U32(_) => unreachable!("typed handle cannot point at u32 slot"),
-        }
+        &self.slots[h.0]
     }
 
     /// Mutable view of an `f64` buffer.
     pub fn f64_mut(&mut self, h: BufF64) -> &mut [f64] {
-        match &mut self.slots[h.0] {
-            Slot::F64(v) => v,
-            Slot::U32(_) => unreachable!("typed handle cannot point at u32 slot"),
-        }
-    }
-
-    /// Immutable view of a `u32` buffer.
-    pub fn u32(&self, h: BufU32) -> &[u32] {
-        match &self.slots[h.0] {
-            Slot::U32(v) => v,
-            Slot::F64(_) => unreachable!("typed handle cannot point at f64 slot"),
-        }
-    }
-
-    /// Mutable view of a `u32` buffer.
-    pub fn u32_mut(&mut self, h: BufU32) -> &mut [u32] {
-        match &mut self.slots[h.0] {
-            Slot::U32(v) => v,
-            Slot::F64(_) => unreachable!("typed handle cannot point at f64 slot"),
-        }
+        &mut self.slots[h.0]
     }
 
     /// Split-borrow a kernel's working set: shared views of the `reads`
@@ -99,8 +62,7 @@ impl DeviceMemory {
         }
         let mut r: [&[f64]; R] = [&[]; R];
         let mut w: [&mut [f64]; W] = std::array::from_fn(|_| Default::default());
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            let Slot::F64(v) = slot else { continue };
+        for (idx, v) in self.slots.iter_mut().enumerate() {
             if let Some(k) = writes.iter().position(|h| h.0 == idx) {
                 w[k] = v;
             } else {
@@ -112,22 +74,6 @@ impl DeviceMemory {
         }
         (r, w)
     }
-
-    /// Number of live buffers.
-    pub fn num_buffers(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total bytes resident on the device.
-    pub fn resident_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| match s {
-                Slot::F64(v) => v.len() * 8,
-                Slot::U32(v) => v.len() * 4,
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -138,20 +84,18 @@ mod tests {
     fn alloc_and_access() {
         let mut m = DeviceMemory::default();
         let a = m.alloc_f64(vec![1.0, 2.0]);
-        let b = m.alloc_u32(vec![3, 4, 5]);
+        let b = m.alloc_f64(vec![3.0, 4.0, 5.0]);
         assert_eq!(m.f64(a), &[1.0, 2.0]);
-        assert_eq!(m.u32(b), &[3, 4, 5]);
+        assert_eq!(m.f64(b), &[3.0, 4.0, 5.0]);
         m.f64_mut(a)[0] = 9.0;
         assert_eq!(m.f64(a)[0], 9.0);
-        assert_eq!(m.num_buffers(), 2);
-        assert_eq!(m.resident_bytes(), 16 + 12);
     }
 
     #[test]
     fn split_returns_the_named_slices_in_argument_order() {
         let mut m = DeviceMemory::default();
         let a = m.alloc_f64(vec![1.0, 2.0]);
-        let _gap = m.alloc_u32(vec![7]);
+        let _gap = m.alloc_f64(vec![7.0]);
         let b = m.alloc_f64(vec![0.0, 0.0]);
         let c = m.alloc_f64(vec![5.0]);
         {

@@ -157,6 +157,34 @@ impl std::fmt::Display for HangReleased {
     }
 }
 
+/// Classify a caught panic payload as the message an error report
+/// carries (the service's `JobError::Panicked`, the supervisor's
+/// `RecoveryBudgetExhausted`). Strings pass through; the watchdog's
+/// typed [`HangReleased`] payload renders its message; any other
+/// payload is probed against the primitive types a `panic_any`
+/// plausibly carries so the error at least names the type (stable Rust
+/// cannot recover a type name from `dyn Any` directly).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        return (*s).to_string();
+    }
+    if let Some(s) = payload.downcast_ref::<String>() {
+        return s.clone();
+    }
+    if let Some(h) = payload.downcast_ref::<HangReleased>() {
+        return h.to_string();
+    }
+    macro_rules! probe {
+        ($($ty:ty),*) => {
+            $(if payload.is::<$ty>() {
+                return format!("non-string panic payload of type {}", stringify!($ty));
+            })*
+        };
+    }
+    probe!(i8, i16, i32, i64, i128, isize, u8, u16, u32, u64, u128, usize, f32, f64, bool, char);
+    "non-string panic payload".to_string()
+}
+
 /// A transient fault armed for the current epoch on one rank. Armed at
 /// epoch entry by the faulted rank itself; decremented at the traffic
 /// choke point (same thread); cleared by the driver at epoch end — so
@@ -394,11 +422,6 @@ impl ChaosSchedule {
         self.hang_cvar.notify_all();
     }
 
-    /// Whether [`ChaosSchedule::release_hangs`] has run.
-    pub fn hangs_released(&self) -> bool {
-        *self.hang_released.lock()
-    }
-
     /// Drain all recorded fault occurrences, rank-major (each rank's in
     /// its own program order) — the deterministic event stream a
     /// supervisor converts into chaos-track spans and MTTR counters.
@@ -562,5 +585,31 @@ mod tests {
         assert_eq!(events.len(), 1);
         let nominal = net.origin_seconds(&traffic, 0);
         assert_eq!(events[0].delay_s, 3.0 * nominal, "(1/0.25 - 1) = 3×");
+    }
+
+    #[test]
+    fn non_string_panic_payloads_name_their_type() {
+        fn classify(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+            let payload = std::panic::catch_unwind(f).unwrap_err();
+            panic_message(payload.as_ref())
+        }
+        assert_eq!(classify(|| panic!("plain &str")), "plain &str");
+        assert_eq!(classify(|| panic!("formatted {}", 7)), "formatted 7");
+        assert_eq!(
+            classify(|| std::panic::panic_any(42i32)),
+            "non-string panic payload of type i32"
+        );
+        assert_eq!(
+            classify(|| std::panic::panic_any(2.5f64)),
+            "non-string panic payload of type f64"
+        );
+        assert_eq!(
+            classify(|| std::panic::panic_any(true)),
+            "non-string panic payload of type bool"
+        );
+        assert_eq!(
+            classify(|| std::panic::panic_any(vec![1u8])),
+            "non-string panic payload"
+        );
     }
 }

@@ -86,12 +86,12 @@ pub mod rma;
 pub mod runtime;
 pub mod session;
 
-pub use chaos::{ChaosEvent, ChaosSchedule, FaultKind, FaultSpec, HangReleased};
+pub use chaos::{panic_message, ChaosEvent, ChaosSchedule, FaultKind, FaultSpec, HangReleased};
 pub use comm::Comm;
 pub use netmodel::NetworkSpec;
 pub use pool::{PoolStats, SessionPool};
 pub use rma::{Window, WindowReadGuard, WindowWriteGuard};
-pub use runtime::{run_spmd, NodeCoverageError, NodeMap, SpmdResult, Traffic, TrafficMatrix};
+pub use runtime::{run_spmd, SpmdResult, Traffic, TrafficMatrix};
 pub use session::{EpochReport, Session};
 
 /// Host-pool sizing policy for a world of `n_ranks` rank threads —
@@ -126,19 +126,6 @@ pub fn host_pool_workers(n_ranks: usize) -> usize {
     host_pool_workers_with(override_threads, n_ranks, avail)
 }
 
-/// Hierarchy-aware pool sizing for a two-level node×GPU world.
-///
-/// A hierarchical run executes `nodes × gpus_per_node` **leaf** rank
-/// threads — one per GPU — not one per node. The oversubscription guard
-/// in [`host_pool_workers`] divides the hardware parallelism by the
-/// runnable rank-thread count, so it must be fed the total leaf count:
-/// sizing from the top-level node count alone would oversubscribe the
-/// host by a factor of `gpus_per_node` (e.g. 2 nodes × 2 GPUs on an
-/// 8-way host is 4 runnable rank threads and 2 workers, not 4).
-pub fn host_pool_workers_hier(nodes: usize, gpus_per_node: usize) -> usize {
-    host_pool_workers(nodes.saturating_mul(gpus_per_node.max(1)))
-}
-
 /// The pure policy behind [`host_pool_workers`], with the environment
 /// override and hardware parallelism passed in explicitly (tests use
 /// this directly so they never mutate process-global state).
@@ -165,16 +152,10 @@ mod tests {
             host_pool_workers_with(None, 4, 8),
             "node-count sizing and leaf-count sizing must actually differ at 2×2 on 8 hw threads"
         );
-        // The public entry agrees with the flat entry fed total leaves,
-        // whatever the environment override says (both read the same).
-        assert_eq!(host_pool_workers_hier(2, 2), host_pool_workers(4));
-        assert_eq!(host_pool_workers_hier(3, 1), host_pool_workers(3));
     }
 
     #[test]
     fn hier_pool_sizing_saturates_instead_of_overflowing() {
         assert_eq!(host_pool_workers_with(None, usize::MAX, 16), 1);
-        // gpus_per_node == 0 is clamped to 1 rather than zeroing ranks.
-        assert_eq!(host_pool_workers_hier(4, 0), host_pool_workers(4));
     }
 }

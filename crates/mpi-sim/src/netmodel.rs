@@ -60,14 +60,6 @@ impl NetworkSpec {
         msgs * self.latency_s + bytes / (self.bandwidth_gbs * 1e9)
     }
 
-    /// Modeled seconds of the slowest rank (the quantity that extends the
-    /// critical path of a bulk-synchronous phase).
-    pub fn max_rank_seconds(&self, traffic: &TrafficMatrix) -> f64 {
-        (0..traffic.size())
-            .map(|o| self.origin_seconds(traffic, o))
-            .fold(0.0, f64::max)
-    }
-
     /// Modeled seconds for an explicit (messages, bytes) pair.
     pub fn seconds_for(&self, messages: u64, bytes: u64) -> f64 {
         messages as f64 * self.latency_s + bytes as f64 / (self.bandwidth_gbs * 1e9)
@@ -100,7 +92,6 @@ mod tests {
         let t1 = net.origin_seconds(&out.traffic, 1);
         assert!((t0 - (1.5e-6 + 8000.0 / 6.8e9)).abs() < 1e-12);
         assert_eq!(t1, 0.0);
-        assert_eq!(net.max_rank_seconds(&out.traffic), t0);
     }
 
     #[test]

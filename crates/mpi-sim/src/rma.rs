@@ -42,11 +42,6 @@ impl<T: Clone + Send + Sync + 'static> Window<T> {
         }
     }
 
-    /// Number of ranks exposing regions.
-    pub fn num_ranks(&self) -> usize {
-        self.regions.len()
-    }
-
     /// Length of a target rank's exposed region.
     ///
     /// Takes a momentary shared lock (like an `MPI_Get` of metadata —

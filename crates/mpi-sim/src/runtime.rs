@@ -32,101 +32,6 @@ pub struct Traffic {
     pub bytes: u64,
 }
 
-/// Mapping of flat leaf ranks onto compute nodes for the two-level
-/// node×GPU hierarchy: rank `r` lives on node `r / gpus_per_node` —
-/// the layout `rcb::rcb_partition_two_level` produces. The map lets
-/// [`TrafficMatrix`] aggregate per-node and split remote traffic into
-/// inter-node bytes (priced on the fabric) and intra-node bytes
-/// (priced on the PCIe/P2P path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeMap {
-    ranks: usize,
-    gpus_per_node: usize,
-}
-
-impl NodeMap {
-    /// `ranks` leaf ranks packed `gpus_per_node` to a node, node-major.
-    /// A trailing node may be partially filled when `ranks` is not a
-    /// multiple of `gpus_per_node`.
-    pub fn regular(ranks: usize, gpus_per_node: usize) -> Self {
-        assert!(gpus_per_node >= 1, "need at least one GPU per node");
-        Self {
-            ranks,
-            gpus_per_node,
-        }
-    }
-
-    /// Every rank its own node — the degenerate map under which all
-    /// remote traffic is inter-node (the flat pre-hierarchy pricing).
-    pub fn flat(ranks: usize) -> Self {
-        Self::regular(ranks, 1)
-    }
-
-    /// Leaf ranks covered by the map.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
-    /// GPUs (leaf ranks) per node.
-    pub fn gpus_per_node(&self) -> usize {
-        self.gpus_per_node
-    }
-
-    /// Number of compute nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.ranks.div_ceil(self.gpus_per_node)
-    }
-
-    /// The node hosting `rank`.
-    pub fn node_of(&self, rank: usize) -> usize {
-        rank / self.gpus_per_node
-    }
-
-    /// Whether two ranks share a node (their traffic never touches the
-    /// inter-node fabric).
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
-        self.node_of(a) == self.node_of(b)
-    }
-}
-
-/// A [`NodeMap`] that does not cover a [`TrafficMatrix`]: the map and
-/// the matrix disagree on the rank count, so some rank's traffic would
-/// be unattributable (map too small) or phantom nodes would appear
-/// (map too large). Returned by [`TrafficMatrix::aggregate_nodes`]
-/// instead of panicking — multi-tenant metering layers aggregate
-/// matrices that arrive from jobs with heterogeneous rank counts, and
-/// a mismatched map there is a recoverable caller error, not a runtime
-/// invariant violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeCoverageError {
-    /// Leaf ranks the node map covers.
-    pub map_ranks: usize,
-    /// Ranks the traffic matrix actually has.
-    pub matrix_ranks: usize,
-}
-
-impl std::fmt::Display for NodeCoverageError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.map_ranks < self.matrix_ranks {
-            write!(
-                f,
-                "node map covers only ranks 0..{} but the traffic matrix has {} ranks: \
-                 ranks {}..{} are unmapped",
-                self.map_ranks, self.matrix_ranks, self.map_ranks, self.matrix_ranks
-            )
-        } else {
-            write!(
-                f,
-                "node map covers ranks 0..{} but the traffic matrix has only {} ranks: \
-                 the map describes ranks that recorded no traffic",
-                self.map_ranks, self.matrix_ranks
-            )
-        }
-    }
-}
-
-impl std::error::Error for NodeCoverageError {}
-
 /// `size × size` matrix of [`Traffic`]; entry `[o][t]` is traffic with
 /// origin `o` and target `t`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -213,72 +118,6 @@ impl TrafficMatrix {
     /// Grand total of remote messages across all pairs.
     pub fn total_remote_messages(&self) -> u64 {
         (0..self.size()).map(|o| self.remote_messages_from(o)).sum()
-    }
-
-    /// Aggregate the per-rank matrix into a node×node matrix under
-    /// `map` (entry `[a][b]` sums every rank pair with origin on node
-    /// `a` and target on node `b`, rank-local operations included on
-    /// the diagonal).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`NodeCoverageError`] when `map` covers a different
-    /// rank count than the matrix — every rank of the matrix must be
-    /// mapped to a node (and the map must not invent extra ranks) for
-    /// the aggregation to be meaningful.
-    pub fn aggregate_nodes(&self, map: &NodeMap) -> Result<TrafficMatrix, NodeCoverageError> {
-        if map.ranks() != self.size() {
-            return Err(NodeCoverageError {
-                map_ranks: map.ranks(),
-                matrix_ranks: self.size(),
-            });
-        }
-        let mut m = TrafficMatrix::new(map.num_nodes());
-        for (o, row) in self.entries.iter().enumerate() {
-            for (t, e) in row.iter().enumerate() {
-                let d = &mut m.entries[map.node_of(o)][map.node_of(t)];
-                d.messages += e.messages;
-                d.bytes += e.bytes;
-            }
-        }
-        Ok(m)
-    }
-
-    /// Total remote (rank≠rank) traffic whose endpoints live on
-    /// *different* nodes under `map` — the share that crosses the
-    /// inter-node fabric.
-    pub fn internode(&self, map: &NodeMap) -> Traffic {
-        self.split_by_node(map).0
-    }
-
-    /// Total remote (rank≠rank) traffic whose endpoints share a node
-    /// under `map` — the share that stays on the intra-node path.
-    pub fn intranode(&self, map: &NodeMap) -> Traffic {
-        self.split_by_node(map).1
-    }
-
-    fn split_by_node(&self, map: &NodeMap) -> (Traffic, Traffic) {
-        assert_eq!(
-            map.ranks(),
-            self.size(),
-            "node map covers a different rank count than the matrix"
-        );
-        let (mut inter, mut intra) = (Traffic::default(), Traffic::default());
-        for (o, row) in self.entries.iter().enumerate() {
-            for (t, e) in row.iter().enumerate() {
-                if o == t {
-                    continue; // rank-local: no network path at all
-                }
-                let d = if map.same_node(o, t) {
-                    &mut intra
-                } else {
-                    &mut inter
-                };
-                d.messages += e.messages;
-                d.bytes += e.bytes;
-            }
-        }
-        (inter, intra)
     }
 }
 
@@ -732,102 +571,6 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert!(msg.contains("rank 7"), "culprit named: {msg}");
-    }
-
-    #[test]
-    fn node_map_layout_is_node_major() {
-        let map = NodeMap::regular(8, 4);
-        assert_eq!(map.num_nodes(), 2);
-        assert_eq!(map.node_of(0), 0);
-        assert_eq!(map.node_of(3), 0);
-        assert_eq!(map.node_of(4), 1);
-        assert!(map.same_node(0, 3));
-        assert!(!map.same_node(3, 4));
-        // Flat map: every rank its own node.
-        let flat = NodeMap::flat(5);
-        assert_eq!(flat.num_nodes(), 5);
-        assert!(!flat.same_node(0, 1));
-        // Partial trailing node.
-        assert_eq!(NodeMap::regular(7, 4).num_nodes(), 2);
-    }
-
-    #[test]
-    fn node_aggregation_splits_inter_and_intra() {
-        let mut m = TrafficMatrix::new(4);
-        let map = NodeMap::regular(4, 2); // nodes {0,1}, {2,3}
-        m.entries[0][1] = Traffic {
-            messages: 2,
-            bytes: 100,
-        }; // intra (node 0)
-        m.entries[0][2] = Traffic {
-            messages: 3,
-            bytes: 50,
-        }; // inter
-        m.entries[3][2] = Traffic {
-            messages: 1,
-            bytes: 7,
-        }; // intra (node 1)
-        m.entries[1][1] = Traffic {
-            messages: 9,
-            bytes: 999,
-        }; // rank-local: excluded from both splits
-
-        let inter = m.internode(&map);
-        let intra = m.intranode(&map);
-        assert_eq!(inter.messages, 3);
-        assert_eq!(inter.bytes, 50);
-        assert_eq!(intra.messages, 3);
-        assert_eq!(intra.bytes, 107);
-        // The split covers all remote traffic exactly.
-        assert_eq!(
-            inter.bytes + intra.bytes,
-            m.total_remote_bytes(),
-            "inter + intra must cover every remote byte"
-        );
-        assert_eq!(inter.messages + intra.messages, m.total_remote_messages());
-
-        // Node×node aggregation preserves totals (diagonal included).
-        let agg = m.aggregate_nodes(&map).expect("map covers the matrix");
-        assert_eq!(agg.size(), 2);
-        assert_eq!(agg.get(0, 1).bytes, 50);
-        assert_eq!(agg.get(0, 0).bytes, 100 + 999);
-        assert_eq!(agg.get(1, 1).bytes, 7);
-        // Under the node view, only node-crossing traffic is "remote".
-        assert_eq!(agg.total_remote_bytes(), inter.bytes);
-    }
-
-    #[test]
-    fn node_aggregation_size_mismatch_is_a_descriptive_error() {
-        // Regression: an unmapped rank used to trip an assert (panic);
-        // metering layers aggregate matrices from jobs with varying
-        // rank counts and need a recoverable, descriptive error.
-        let m = TrafficMatrix::new(4);
-        let err = m
-            .aggregate_nodes(&NodeMap::regular(6, 2))
-            .expect_err("oversized map must be rejected");
-        assert_eq!(
-            err,
-            NodeCoverageError {
-                map_ranks: 6,
-                matrix_ranks: 4
-            }
-        );
-        assert!(
-            err.to_string().contains("only 4 ranks"),
-            "descriptive message, got: {err}"
-        );
-
-        // The unmapped-rank direction: map smaller than the matrix.
-        let err = m
-            .aggregate_nodes(&NodeMap::regular(2, 2))
-            .expect_err("unmapped ranks must be rejected");
-        assert!(
-            err.to_string().contains("ranks 2..4 are unmapped"),
-            "error names the unmapped ranks, got: {err}"
-        );
-
-        // A covering map still works and reports through Ok.
-        assert!(m.aggregate_nodes(&NodeMap::regular(4, 2)).is_ok());
     }
 
     #[test]

@@ -109,8 +109,8 @@ pub fn rcb_partition(
 /// across `nodes` compute nodes first, then an independent RCB across
 /// `gpus_per_node` GPUs *within* each node's region. Leaf rank ids are
 /// laid out `node * gpus_per_node + gpu`, so `rank / gpus_per_node`
-/// recovers the node — the convention `mpi_sim`'s `NodeMap` encodes
-/// when it prices inter- vs intra-node traffic.
+/// recovers the node — the convention `bltc_dist::DistConfig::link`
+/// uses when it prices inter- vs intra-node traffic.
 ///
 /// The result is a flat [`RcbPartition`] over `nodes × gpus_per_node`
 /// leaf parts, so every downstream consumer (window setup, LET

@@ -39,7 +39,9 @@ use std::time::Duration;
 use bltc_core::field::FieldResult;
 use bltc_sim::{Checkpoint, ForceModel, PersistentIntegrator, SimReport, SimState, WorldReuse};
 use bltc_trace::{sort_spans, Phase, Span, TraceRecorder, Track};
-use mpi_sim::{ChaosSchedule, FaultKind, FaultSpec, HangReleased, PoolStats, Session, SessionPool};
+use mpi_sim::{
+    panic_message, ChaosSchedule, FaultKind, FaultSpec, PoolStats, Session, SessionPool,
+};
 use rcb::RcbPartition;
 
 use crate::digest::{field_digest, state_digest};
@@ -1042,32 +1044,6 @@ fn run_attempt(
     (final_state, field, report, integ.into_session())
 }
 
-/// Classify a panic payload for [`JobError::Panicked`]. Strings pass
-/// through; the watchdog's typed [`HangReleased`] payload renders its
-/// message; any other payload is probed against the primitive types a
-/// `panic_any` plausibly carries so the error at least names the type
-/// (stable Rust cannot recover a type name from `dyn Any` directly).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        return (*s).to_string();
-    }
-    if let Some(s) = payload.downcast_ref::<String>() {
-        return s.clone();
-    }
-    if let Some(h) = payload.downcast_ref::<HangReleased>() {
-        return h.to_string();
-    }
-    macro_rules! probe {
-        ($($ty:ty),*) => {
-            $(if payload.is::<$ty>() {
-                return format!("non-string panic payload of type {}", stringify!($ty));
-            })*
-        };
-    }
-    probe!(i8, i16, i32, i64, i128, isize, u8, u16, u32, u64, u128, usize, f32, f64, bool, char);
-    "non-string panic payload".to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1225,31 +1201,5 @@ mod tests {
         let t = svc.submit(1, spec(60, 1, 2, 1)).expect("admitted");
         drop(svc);
         t.wait().expect("drop drains gracefully");
-    }
-
-    #[test]
-    fn non_string_panic_payloads_name_their_type() {
-        fn classify(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
-            let payload = std::panic::catch_unwind(f).unwrap_err();
-            panic_message(payload.as_ref())
-        }
-        assert_eq!(classify(|| panic!("plain &str")), "plain &str");
-        assert_eq!(classify(|| panic!("formatted {}", 7)), "formatted 7");
-        assert_eq!(
-            classify(|| std::panic::panic_any(42i32)),
-            "non-string panic payload of type i32"
-        );
-        assert_eq!(
-            classify(|| std::panic::panic_any(2.5f64)),
-            "non-string panic payload of type f64"
-        );
-        assert_eq!(
-            classify(|| std::panic::panic_any(true)),
-            "non-string panic payload of type bool"
-        );
-        assert_eq!(
-            classify(|| std::panic::panic_any(vec![1u8])),
-            "non-string panic payload"
-        );
     }
 }

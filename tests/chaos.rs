@@ -145,16 +145,30 @@ fn supervisor_recovers_bitwise_at_ranks_2_and_4() {
             &SupervisorConfig::default(),
         )
         .unwrap();
+        // The panic is pinned to an epoch and checkpoints are epochs too,
+        // so the step it lands in (and the step restored from) moves with
+        // the cadence; whatever it is, the recovered bits are the clean
+        // run's and the restart point is one the cadence checkpoints.
         let plan = FaultPlan::new(ranks).panic_at(7, ranks - 1);
-        let opts = SupervisorConfig {
-            checkpoint_every: Some(2),
-            ..SupervisorConfig::default()
-        };
-        let out = run_supervised(cfg, &state, &model, 4, &plan, &opts).unwrap();
-        assert_eq!(out.final_state, clean.final_state);
-        assert_eq!(out.field, clean.field);
-        assert_eq!(out.report, clean.report);
-        assert_eq!(out.recovery.recoveries, 1, "ranks {ranks}");
+        for cadence in [None, Some(3), Some(2), Some(1)] {
+            let opts = SupervisorConfig {
+                checkpoint_every: cadence,
+                ..SupervisorConfig::default()
+            };
+            let out = run_supervised(cfg, &state, &model, 4, &plan, &opts).unwrap();
+            assert_eq!(out.final_state, clean.final_state);
+            assert_eq!(out.field, clean.field);
+            assert_eq!(out.report, clean.report);
+            assert_eq!(out.recovery.recoveries, 1, "ranks {ranks}");
+            let restored = out.recovery.episodes[0].restored_from_step;
+            match cadence {
+                None => assert_eq!(restored, 0, "ranks {ranks}: nothing to restore"),
+                Some(k) => assert!(
+                    restored.is_multiple_of(k) && restored < 4,
+                    "ranks {ranks}, cadence {k}: restored from step {restored}"
+                ),
+            }
+        }
     }
 }
 
