@@ -109,10 +109,9 @@ impl HostModel {
     /// per rank, plus the driver-side scatter/gather of every particle
     /// record that a one-shot (`run_spmd`-style) entry implies.
     ///
-    /// The respawn-per-step integrator pays this on **every** force
-    /// evaluation; a persistent session pays it once at launch and then
-    /// [`HostModel::epoch_seconds`] per epoch — the amortization the
-    /// session subsystem exists to win.
+    /// A persistent session pays this once at launch (a restore onto a
+    /// fresh world pays it again) and then [`HostModel::epoch_seconds`]
+    /// per epoch.
     pub fn world_spawn_seconds(&self, n: usize, ranks: usize) -> f64 {
         self.base_s + self.rank_spawn_s * ranks as f64 + self.per_particle_gather_s * n as f64
     }

@@ -39,10 +39,10 @@
 //! bit-identical to the one a driver-side
 //! [`DistConfig::partition`] over the same positions would produce
 //! (flat RCB, or the two-level node×GPU split when the config sets
-//! `gpus_per_node > 1`) —
-//! resident local sets (kept sorted by global id) therefore match the
-//! respawn path's `partition_particles` output exactly, and a
-//! persistent run reproduces the respawn trajectory bitwise.
+//! `gpus_per_node > 1`) — and resident local sets (kept sorted by
+//! global id) match `partition_particles` of that partition exactly, so
+//! an evaluation epoch is bit-equal to [`crate::run_distributed_field_on`]
+//! over it.
 
 use std::sync::Arc;
 
@@ -59,7 +59,7 @@ use crate::{check_decomposition, eval_rank, DistConfig, PhaseMaxima, RankReport}
 
 /// One rank's resident state: the particles it owns, kept sorted by
 /// ascending global id (the same order `partition_particles` produces,
-/// which is what makes persistent and respawn runs bitwise comparable).
+/// so an epoch evaluates exactly what the one-shot pipeline would).
 #[derive(Debug, Clone)]
 pub struct RankLocal {
     /// Global particle ids, ascending.
@@ -306,31 +306,9 @@ impl FieldSession {
         self.session.size()
     }
 
-    /// Global particle count (conserved by migration).
-    pub fn n_global(&self) -> usize {
-        self.n_global
-    }
-
-    /// Number of auxiliary columns registered at launch.
-    pub fn aux_cols(&self) -> usize {
-        self.aux_cols
-    }
-
     /// Epochs completed so far (evaluations + migrations + custom).
     pub fn epochs_run(&self) -> u64 {
         self.session.epochs_run()
-    }
-
-    /// The distributed configuration shared by every epoch.
-    pub fn config(&self) -> &DistConfig {
-        &self.cfg
-    }
-
-    /// Whether a rank panic has poisoned the underlying world (see
-    /// [`mpi_sim::Session::is_poisoned`]). A poisoned session must not
-    /// be recycled to another tenant.
-    pub fn is_poisoned(&self) -> bool {
-        self.session.is_poisoned()
     }
 
     /// Enable or disable trace-span collection on the underlying world
@@ -354,21 +332,11 @@ impl FieldSession {
         self.session.set_chaos(schedule);
     }
 
-    /// The attached fault timeline, if any.
-    pub fn chaos(&self) -> Option<std::sync::Arc<mpi_sim::ChaosSchedule>> {
-        self.session.chaos()
-    }
-
     /// Arm (or disarm) the epoch watchdog on the underlying session
     /// (see [`mpi_sim::Session::set_deadline`]): a rank that never
     /// reports becomes a poisoned world instead of a hung driver.
     pub fn set_deadline(&mut self, deadline: Option<std::time::Duration>) {
         self.session.set_deadline(deadline);
-    }
-
-    /// How many times the epoch watchdog has fired on this session.
-    pub fn watchdog_fires(&self) -> u64 {
-        self.session.watchdog_fires()
     }
 
     /// Tear down the driver-side state and hand the live world back —

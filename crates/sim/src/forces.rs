@@ -22,6 +22,7 @@ use bltc_core::kernel::GradientKernel;
 /// Both are the exact gradient of the same pairwise energy
 /// `U = -sign · ½ Σ_i q_i φ_i`, which is why the integrator can check
 /// energy conservation without any scenario-specific code.
+#[derive(Clone)]
 pub struct ForceModel {
     kernel: Arc<dyn GradientKernel>,
     /// `+1` for attractive (gravitational), `-1` for electrostatic.

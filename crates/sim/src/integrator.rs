@@ -1,11 +1,7 @@
-//! The velocity-Verlet driver over the distributed field pipeline.
+//! Configuration and reports of a velocity-Verlet run.
 
-use bltc_dist::{run_distributed_field_on, DistConfig, DistFieldReport};
+use bltc_dist::DistConfig;
 use mpi_sim::runtime::TrafficMatrix;
-use rcb::RcbPartition;
-
-use crate::forces::ForceModel;
-use crate::state::SimState;
 
 /// Configuration of a distributed dynamics run.
 #[derive(Debug, Clone, Copy)]
@@ -70,8 +66,8 @@ impl SimConfig {
 /// the per-rank [`bltc_dist::RankReport`] call-site tallies and the
 /// runtime [`TrafficMatrix`] totals — and the two must agree exactly
 /// (`rank_msgs == matrix_msgs`, `rank_bytes == matrix_bytes`); the
-/// integrator asserts it on every step, and the dynamics example
-/// re-checks it externally.
+/// integrator asserts it on every evaluation epoch, and the dynamics
+/// example re-checks it externally.
 #[derive(Debug, Clone, Copy)]
 pub struct StepReport {
     /// Step index after this step (first step reports 1).
@@ -82,18 +78,10 @@ pub struct StepReport {
     pub repartitioned: bool,
     /// Modeled host seconds of the repartition (zero when not taken).
     pub repartition_host_s: f64,
-    /// Modeled host seconds spent standing up the SPMD world for this
-    /// step's evaluation. The respawn-per-step driver pays
-    /// [`bltc_dist::HostModel::world_spawn_seconds`] here on **every**
-    /// step; a persistent session pays zero (its single spawn was
-    /// charged at launch).
-    pub spawn_host_s: f64,
-    /// Modeled host seconds submitting epochs to live ranks (persistent
-    /// sessions only; zero on the respawn path).
+    /// Modeled host seconds submitting this step's epochs to the live
+    /// ranks (the world's one spawn was charged at launch).
     pub epoch_host_s: f64,
-    /// Particles whose ownership moved rank-to-rank this step
-    /// (persistent sessions; the respawn path redistributes everything
-    /// through the driver instead, which never counts here).
+    /// Particles whose ownership moved rank-to-rank this step.
     pub migrated_particles: u64,
     /// Bytes of migrated records plus the rank-to-rank repartition
     /// coordinate gather (a separate traffic phase from LET bytes).
@@ -111,7 +99,7 @@ pub struct StepReport {
     /// Bulk-synchronous compute seconds.
     pub compute_s: f64,
     /// Modeled step seconds: field-evaluation total plus the host
-    /// (spawn/epoch/repartition) and migration costs of the step.
+    /// (epoch/repartition) and migration costs of the step.
     pub total_s: f64,
     /// Pipelined seconds of this step's field evaluation: max over
     /// ranks of the overlap-aware critical path (`≤ setup_s +
@@ -156,15 +144,14 @@ pub struct SimReport {
     pub force_evals: u64,
     /// RCB repartitions performed (including the initial one).
     pub repartitions: u64,
-    /// SPMD worlds stood up over the run: one per force evaluation on
-    /// the respawn path, exactly **one** (the launch) for a persistent
-    /// session.
+    /// SPMD worlds stood up over the run: exactly **one** (the launch),
+    /// or zero when the world was checked out of a pool.
     pub world_spawns: u64,
     /// Summed modeled host seconds of those world spawns.
     pub spawn_host_s: f64,
-    /// Summed modeled host seconds submitting epochs (persistent only).
+    /// Summed modeled host seconds submitting epochs.
     pub epoch_host_s: f64,
-    /// Migration epochs performed (persistent only).
+    /// Migration epochs performed.
     pub migrations: u64,
     /// Total particles migrated rank-to-rank.
     pub migrated_particles: u64,
@@ -207,9 +194,7 @@ pub struct SimReport {
 impl SimReport {
     /// The starting record of a run: zeroed counters, `ranks`-sized
     /// traffic matrices, the initial decomposition's host cost, and the
-    /// spawn accounting of the chosen stepping path (one world per
-    /// evaluation for the respawn integrator, a single up-front spawn
-    /// for a persistent session).
+    /// launch's spawn accounting (one world, or none for a pooled one).
     pub fn starting(
         ranks: usize,
         repartition_host_s: f64,
@@ -258,219 +243,4 @@ impl SimReport {
     pub fn seconds_per_step(&self) -> f64 {
         self.total_s / (self.force_evals.max(1)) as f64
     }
-}
-
-/// A velocity-Verlet integrator driving [`run_distributed_field_on`]
-/// once per step.
-///
-/// Construction performs the initial RCB decomposition and force
-/// evaluation; each [`Integrator::step`] then does the standard
-/// kick–drift–(evaluate)–kick update, reusing the cached accelerations
-/// from the previous step's evaluation so every step costs exactly one
-/// distributed field evaluation.
-pub struct Integrator {
-    cfg: SimConfig,
-    part: RcbPartition,
-    ax: Vec<f64>,
-    ay: Vec<f64>,
-    az: Vec<f64>,
-    potentials: Vec<f64>,
-    report: SimReport,
-}
-
-impl Integrator {
-    /// Decompose the initial state, evaluate initial forces, and record
-    /// the initial energy.
-    pub fn new(cfg: SimConfig, state: &SimState, model: &ForceModel) -> Self {
-        cfg.validate(state.len());
-        let n = state.len();
-        let part = cfg.dist.partition(&state.particles, cfg.ranks);
-        let repartition_host_s = cfg.dist.host.repartition_seconds(n, cfg.ranks);
-        let mut this = Self {
-            cfg,
-            part,
-            ax: vec![0.0; n],
-            ay: vec![0.0; n],
-            az: vec![0.0; n],
-            potentials: vec![0.0; n],
-            report: SimReport::starting(cfg.ranks, repartition_host_s, 0, 0.0),
-        };
-        this.eval_forces(state, model);
-        let e0 =
-            state.kinetic_energy() + model.potential_energy(&state.particles.q, &this.potentials);
-        this.report.initial_energy = e0;
-        this.report.final_energy = e0;
-        this
-    }
-
-    /// The cumulative run record so far.
-    pub fn report(&self) -> &SimReport {
-        &self.report
-    }
-
-    /// Accelerations at the current positions (from the latest
-    /// evaluation).
-    pub fn accelerations(&self) -> (&[f64], &[f64], &[f64]) {
-        (&self.ax, &self.ay, &self.az)
-    }
-
-    /// Potentials at the current positions (from the latest
-    /// evaluation).
-    pub fn potentials(&self) -> &[f64] {
-        &self.potentials
-    }
-
-    /// Total energy of `state` against the cached potentials.
-    pub fn total_energy(&self, state: &SimState, model: &ForceModel) -> f64 {
-        state.kinetic_energy() + model.potential_energy(&state.particles.q, &self.potentials)
-    }
-
-    /// Evaluate the distributed field at the state's current positions,
-    /// refresh cached accelerations/potentials, and fold the report
-    /// into the cumulative record. Returns the evaluation report.
-    fn eval_forces(&mut self, state: &SimState, model: &ForceModel) -> DistFieldReport {
-        let rep =
-            run_distributed_field_on(&state.particles, &self.part, &self.cfg.dist, model.kernel());
-        model.accelerations_into(
-            &rep.field,
-            &state.particles.q,
-            &state.mass,
-            &mut self.ax,
-            &mut self.ay,
-            &mut self.az,
-        );
-        self.potentials.copy_from_slice(&rep.field.potentials);
-
-        let (rank_msgs, rank_bytes) = rank_tallies(&rep);
-        // Invariant 1 of `RankReport`: call-site tallies must equal the
-        // runtime matrix. A violation is a bug in the LET layer, not a
-        // property of the problem — fail loudly even in release.
-        assert_eq!(rank_msgs, rep.traffic.total_remote_messages());
-        assert_eq!(rank_bytes, rep.traffic.total_remote_bytes());
-
-        // Each respawn-path evaluation stands up (and tears down) a
-        // whole SPMD world — the host tax a persistent session
-        // amortizes away.
-        let spawn_s = self
-            .cfg
-            .dist
-            .host
-            .world_spawn_seconds(state.len(), self.cfg.ranks);
-        self.report.world_spawns += 1;
-        self.report.spawn_host_s += spawn_s;
-
-        self.report.force_evals += 1;
-        self.report.setup_s += rep.setup_s;
-        self.report.precompute_s += rep.precompute_s;
-        self.report.compute_s += rep.compute_s;
-        self.report.total_s += rep.total_s + spawn_s;
-        self.report.pipelined_s += rep.pipelined_s;
-        self.report.rma_messages += rank_msgs;
-        self.report.rma_bytes += rank_bytes;
-        self.report.traffic.accumulate(&rep.traffic);
-        rep
-    }
-
-    /// Advance one velocity-Verlet step of `cfg.dt`.
-    ///
-    /// Order: half-kick with the cached accelerations, drift, optional
-    /// repartition on the cadence, one distributed field evaluation at
-    /// the new positions, half-kick with the new accelerations.
-    pub fn step(&mut self, state: &mut SimState, model: &ForceModel) -> StepReport {
-        let dt = self.cfg.dt;
-        let half = 0.5 * dt;
-
-        // Half-kick + drift.
-        for i in 0..state.len() {
-            state.vx[i] += half * self.ax[i];
-            state.vy[i] += half * self.ay[i];
-            state.vz[i] += half * self.az[i];
-            state.particles.x[i] += dt * state.vx[i];
-            state.particles.y[i] += dt * state.vy[i];
-            state.particles.z[i] += dt * state.vz[i];
-        }
-        state.step += 1;
-        state.time += dt;
-
-        // Repartition on the cadence; otherwise reuse the (stale but
-        // correct) decomposition.
-        let repartitioned = state.step.is_multiple_of(self.cfg.repartition_every);
-        let mut repartition_host_s = 0.0;
-        if repartitioned {
-            self.part = self.cfg.dist.partition(&state.particles, self.cfg.ranks);
-            repartition_host_s = self
-                .cfg
-                .dist
-                .host
-                .repartition_seconds(state.len(), self.cfg.ranks);
-            self.report.repartitions += 1;
-            self.report.repartition_host_s += repartition_host_s;
-            self.report.total_s += repartition_host_s;
-        }
-
-        // One distributed field evaluation at the new positions.
-        let rep = self.eval_forces(state, model);
-
-        // Half-kick with the new accelerations.
-        for i in 0..state.len() {
-            state.vx[i] += half * self.ax[i];
-            state.vy[i] += half * self.ay[i];
-            state.vz[i] += half * self.az[i];
-        }
-
-        // Energies from the same evaluation that produced the forces.
-        let kinetic = state.kinetic_energy();
-        let potential = model.potential_energy(&state.particles.q, &self.potentials);
-        self.report.steps += 1;
-        self.report.final_energy = kinetic + potential;
-        let drift = (self.report.final_energy - self.report.initial_energy).abs();
-        self.report.max_abs_energy_drift = self.report.max_abs_energy_drift.max(drift);
-
-        let (rank_msgs, rank_bytes) = rank_tallies(&rep);
-        let spawn_host_s = self
-            .cfg
-            .dist
-            .host
-            .world_spawn_seconds(state.len(), self.cfg.ranks);
-        StepReport {
-            step: state.step,
-            time: state.time,
-            repartitioned,
-            repartition_host_s,
-            spawn_host_s,
-            epoch_host_s: 0.0,
-            migrated_particles: 0,
-            migration_bytes: 0,
-            full_exchange_bytes: 0,
-            migration_comm_s: 0.0,
-            setup_s: rep.setup_s,
-            precompute_s: rep.precompute_s,
-            compute_s: rep.compute_s,
-            total_s: rep.total_s + repartition_host_s + spawn_host_s,
-            pipelined_s: rep.pipelined_s,
-            rank_msgs,
-            rank_bytes,
-            matrix_msgs: rep.traffic.total_remote_messages(),
-            matrix_bytes: rep.traffic.total_remote_bytes(),
-            kinetic,
-            potential,
-        }
-    }
-
-    /// Advance `steps` steps, returning the per-step reports.
-    pub fn run(
-        &mut self,
-        state: &mut SimState,
-        model: &ForceModel,
-        steps: usize,
-    ) -> Vec<StepReport> {
-        (0..steps).map(|_| self.step(state, model)).collect()
-    }
-}
-
-fn rank_tallies(rep: &DistFieldReport) -> (u64, u64) {
-    (
-        rep.ranks.iter().map(|r| r.let_messages).sum(),
-        rep.ranks.iter().map(|r| r.let_bytes).sum(),
-    )
 }

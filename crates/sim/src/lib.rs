@@ -1,57 +1,47 @@
 //! # bltc-sim — distributed time integration on the BLTC
 //!
 //! The dynamics layer the treecode exists to power: a velocity-Verlet
-//! (leapfrog) integrator that drives the distributed force evaluation
-//! ([`bltc_dist::run_distributed_field_on`]) once per step, so the
-//! MD/astrophysics workloads the source paper targets — gravitating
-//! Plummer spheres, screened-electrolyte boxes — can actually be
-//! integrated over time across simulated ranks.
+//! (leapfrog) integrator, [`PersistentIntegrator`], that drives the
+//! distributed force evaluation once per step, so the MD/astrophysics
+//! workloads the source paper targets — gravitating Plummer spheres,
+//! screened-electrolyte boxes — can actually be integrated over time
+//! across simulated ranks.
 //!
-//! Each step is one bulk-synchronous distributed evaluation:
+//! Like the paper's ranks, the integrator is one long-lived job: it
+//! launches one [`bltc_dist::FieldSession`] (the run's only world
+//! spawn) and keeps positions, velocities, masses and cached
+//! accelerations **resident on the ranks**. Each step is three epochs
+//! against those live ranks:
 //!
 //! 1. **half-kick + drift** — velocities advance half a step on the
 //!    cached accelerations, positions a full step,
 //! 2. **repartition (on cadence)** — every
-//!    [`SimConfig::repartition_every`] steps the RCB decomposition is
-//!    recomputed from the drifted positions (its host cost charged via
-//!    [`bltc_dist::HostModel::repartition_seconds`]); between cadence
-//!    boundaries the stale partition is reused — still correct, just
-//!    less compact, which surfaces honestly as extra LET traffic,
-//! 3. **distributed field evaluation** — per-rank trees, windows, and
-//!    LETs rebuilt from the new positions, potentials *and* gradients
-//!    evaluated on the simulated GPUs,
-//! 4. **half-kick** — velocities complete the step on the new
-//!    accelerations.
+//!    [`SimConfig::repartition_every`] steps the ranks gather
+//!    coordinates rank-to-rank, recompute the RCB decomposition
+//!    redundantly (its host cost charged via
+//!    [`bltc_dist::HostModel::repartition_seconds`]) and migrate only
+//!    the particles whose owner changed; between cadence boundaries the
+//!    stale partition is reused — still correct, just less compact,
+//!    which surfaces honestly as extra LET traffic,
+//! 3. **distributed field evaluation + half-kick** — per-rank trees,
+//!    windows, and LETs rebuilt from the new positions
+//!    ([`bltc_dist::eval_rank`]), potentials *and* gradients evaluated
+//!    on the simulated GPUs, velocities completing the step on the new
+//!    accelerations, and the energies reduced.
 //!
 //! Because the field evaluation returns potentials alongside
 //! gradients, total energy is monitored every step at **zero** extra
 //! cost, and every step's RMA traffic is reconciled exactly against
 //! the runtime [`mpi_sim::runtime::TrafficMatrix`]; the cumulative
 //! [`SimReport`] accumulates per-phase clocks and per-pair traffic
-//! across the whole run.
+//! across the whole run. The driver receives [`StepReport`]s and, on
+//! request, an explicit [`PersistentIntegrator::snapshot`].
 //!
-//! ## Respawn vs persistent stepping
-//!
-//! Two integrators share `SimConfig`, `StepReport`, and the physics:
-//!
-//! - [`Integrator`] re-enters `run_distributed_field_on` per step,
-//!   standing up a fresh SPMD world (thread spawn + driver
-//!   scatter/gather, charged via
-//!   [`bltc_dist::HostModel::world_spawn_seconds`]) every evaluation;
-//! - [`PersistentIntegrator`] launches one
-//!   [`bltc_dist::FieldSession`] and keeps positions, velocities,
-//!   masses, and cached accelerations **resident on the ranks**,
-//!   advancing via epochs (kick–drift, optional migration, evaluate +
-//!   kick + energy reduction). Repartitioning gathers coordinates
-//!   rank-to-rank and migrates only ownership deltas; the driver
-//!   receives [`StepReport`]s and, on request, an explicit
-//!   [`PersistentIntegrator::snapshot`].
-//!
-//! The two produce **bitwise identical** trajectories (resident local
-//! sets are kept in the exact order `partition_particles` yields); the
-//! persistent path differs only in its modeled host clock and in
-//! moving repartition data across the simulated fabric instead of
-//! through the driver.
+//! Resident local sets are kept sorted by global id — the order
+//! `rcb::partition_particles` yields — so a session run is bit-equal to
+//! the same half-kick/drift loop run on the driver with one
+//! [`bltc_dist::run_distributed_field_on`] per evaluation over a
+//! driver-side partition (the oracle `tests/persistent.rs` keeps).
 //!
 //! ## Host parallelism
 //!
@@ -75,20 +65,21 @@
 //! ```
 //! use bltc_core::config::BltcParams;
 //! use bltc_dist::DistConfig;
-//! use bltc_sim::{plummer_sphere, Integrator, SimConfig};
+//! use bltc_sim::{plummer_sphere, PersistentIntegrator, SimConfig};
 //!
-//! let (mut state, model) = plummer_sphere(96, 1.0, 0.05, 11);
+//! let (state, model) = plummer_sphere(96, 1.0, 0.05, 11);
 //! let dist = DistConfig::comet(BltcParams::new(0.7, 3, 40, 40));
 //! let cfg = SimConfig::new(dist, 2, 1e-3).with_repartition_every(2);
 //!
-//! let mut integrator = Integrator::new(cfg, &state, &model);
-//! for report in integrator.run(&mut state, &model, 3) {
+//! let mut integrator = PersistentIntegrator::new(cfg, &state, &model);
+//! for report in integrator.run(3) {
 //!     // Per-rank RMA tallies always equal the runtime's matrix.
 //!     assert_eq!(report.rank_bytes, report.matrix_bytes);
 //! }
 //! let report = integrator.report();
-//! assert_eq!(report.steps, 3);
+//! assert_eq!((report.steps, report.world_spawns), (3, 1));
 //! assert!(report.max_relative_energy_drift() < 1e-2);
+//! assert_eq!(integrator.snapshot().step, 3);
 //! ```
 
 mod forces;
@@ -98,7 +89,7 @@ pub mod scenario;
 mod state;
 
 pub use forces::ForceModel;
-pub use integrator::{Integrator, SimConfig, SimReport, StepReport};
+pub use integrator::{SimConfig, SimReport, StepReport};
 pub use persistent::{Checkpoint, PersistentIntegrator, RestoreCost, WorldReuse};
 pub use scenario::{electrolyte_box, plummer_sphere};
 pub use state::SimState;

@@ -2,12 +2,9 @@
 //! spawned once, the mechanical state lives on the ranks, and the
 //! driver only ever receives [`StepReport`]s (plus explicit snapshots).
 //!
-//! The respawn-path [`crate::Integrator`] re-enters
-//! `bltc_dist::run_distributed_field_on` once per step, paying a fresh
-//! SPMD world (thread spawn + communicator setup + driver-side
-//! scatter/gather of every particle record) every time. The
-//! [`PersistentIntegrator`] instead launches one
-//! [`bltc_dist::FieldSession`] and advances it with epochs:
+//! The [`PersistentIntegrator`] launches one [`bltc_dist::FieldSession`]
+//! — the run's only world spawn, charged `world_spawn_seconds` — and
+//! advances it with epochs, each charged `epoch_seconds`:
 //!
 //! 1. **kick–drift epoch** — each rank half-kicks and drifts its
 //!    resident particles (velocities, masses, and cached accelerations
@@ -16,24 +13,17 @@
 //!    gather rank-to-rank, every rank recomputes the RCB partition
 //!    deterministically, and only the particles whose owner changed
 //!    move ([`bltc_dist::FieldSession::migrate`]);
-//! 3. **evaluation epoch** — the same rank-level pipeline as the
-//!    respawn path ([`bltc_dist::eval_rank`]) rebuilds windows
-//!    and LETs from the resident positions, stores accelerations back
-//!    into the slots, completes the kick, and reduces the energies.
+//! 3. **evaluation epoch** — the rank-level pipeline of the one-shot
+//!    entries ([`bltc_dist::eval_rank`]) rebuilds windows and LETs from
+//!    the resident positions, stores accelerations back into the slots,
+//!    completes the kick, and reduces the energies.
 //!
-//! Because the per-rank local sets are kept sorted by global id —
-//! exactly the order `partition_particles` produces — every arithmetic
-//! step matches the respawn integrator operation-for-operation, and the
-//! two paths produce **bitwise identical trajectories**. What changes
-//! is the modeled host clock: one `world_spawn_seconds` at launch plus
-//! a few `epoch_seconds` per step, instead of a full world spawn per
-//! evaluation; repartition data flows rank-to-rank (the driver's gather
-//! bytes are zero), and migration moves deltas instead of everything.
+//! Repartition data flows rank-to-rank (the driver's gather bytes are
+//! zero), and migration moves deltas instead of everything.
 
 use std::sync::Arc;
 
 use bltc_core::field::FieldResult;
-use bltc_core::kernel::GradientKernel;
 use bltc_dist::{eval_rank, DistConfig, FieldSession, PhaseMaxima, RankLocal, RankReport};
 use bltc_trace::{Phase, Span, TraceRecorder, Track};
 use mpi_sim::runtime::TrafficMatrix;
@@ -55,25 +45,21 @@ const AUX_AZ: usize = 6;
 const AUX_COLS: usize = 7;
 
 /// The rank-level evaluation body: distributed field evaluation at the
-/// resident positions, then accelerations written back into the aux
-/// columns with exactly the arithmetic of
-/// [`ForceModel::accelerations_into`] (bitwise parity with the respawn
-/// path).
+/// resident positions, then [`ForceModel::accelerations_into`] writes
+/// the accelerations back into the aux columns.
 fn eval_store_rank(
     comm: &Comm,
     slot: &mut RankLocal,
     cfg: &DistConfig,
-    kernel: &dyn GradientKernel,
-    sign: f64,
+    model: &ForceModel,
 ) -> RankReport {
-    let (report, columns) = eval_rank(comm, &slot.ps, cfg, kernel);
+    let (report, columns) = eval_rank(comm, &slot.ps, cfg, model.kernel());
     let field = FieldResult::from(columns);
-    for i in 0..slot.ps.len() {
-        let c = sign * slot.ps.q[i] / slot.aux[AUX_MASS][i];
-        slot.aux[AUX_AX][i] = c * field.gx[i];
-        slot.aux[AUX_AY][i] = c * field.gy[i];
-        slot.aux[AUX_AZ][i] = c * field.gz[i];
-    }
+    let (head, accel) = slot.aux.split_at_mut(AUX_AX);
+    let [ax, ay, az] = accel else {
+        unreachable!("three acceleration columns follow the mass");
+    };
+    model.accelerations_into(&field, &slot.ps.q, &head[AUX_MASS], ax, ay, az);
     slot.field = Some(field);
     report
 }
@@ -153,11 +139,6 @@ impl Checkpoint {
         self.step
     }
 
-    /// Simulation time at the checkpoint.
-    pub fn time(&self) -> f64 {
-        self.time
-    }
-
     /// The cumulative report at the checkpoint.
     pub fn report(&self) -> &SimReport {
         &self.report
@@ -168,11 +149,6 @@ impl Checkpoint {
     /// layouts are not portable across rank counts).
     pub fn ranks(&self) -> usize {
         self.ownership.len()
-    }
-
-    /// Global particle count.
-    pub fn n(&self) -> usize {
-        self.ps.len()
     }
 }
 
@@ -200,8 +176,7 @@ pub struct RestoreCost {
 pub struct PersistentIntegrator {
     cfg: SimConfig,
     session: FieldSession,
-    kernel: Arc<dyn GradientKernel>,
-    sign: f64,
+    model: Arc<ForceModel>,
     g0: f64,
     step: u64,
     time: f64,
@@ -260,14 +235,11 @@ impl PersistentIntegrator {
         } else {
             (1, cfg.dist.host.world_spawn_seconds(n, cfg.ranks))
         };
-        let kernel = model.kernel_shared();
-        let g0 = kernel.eval(0.0, 0.0, 0.0);
         let mut this = Self {
             cfg,
             session,
-            kernel,
-            sign: model.sign,
-            g0,
+            model: Arc::new(model.clone()),
+            g0: model.kernel().eval(0.0, 0.0, 0.0),
             step: state.step,
             time: state.time,
             report: SimReport::starting(cfg.ranks, repartition_host_s, world_spawns, spawn_host_s),
@@ -345,15 +317,12 @@ impl PersistentIntegrator {
                 spawn_host_s: cfg.dist.host.world_spawn_seconds(n, cfg.ranks),
             }
         };
-        let kernel = model.kernel_shared();
-        let g0 = kernel.eval(0.0, 0.0, 0.0);
         (
             Self {
                 cfg,
                 session,
-                kernel,
-                sign: model.sign,
-                g0,
+                model: Arc::new(model.clone()),
+                g0: model.kernel().eval(0.0, 0.0, 0.0),
                 step: ck.step,
                 time: ck.time,
                 report: ck.report.clone(),
@@ -399,18 +368,10 @@ impl PersistentIntegrator {
     }
 
     /// The underlying distributed session — the hook a job engine uses
-    /// for custom epochs (e.g. fault injection in tests) and poison
-    /// inspection. Epochs run through this handle share the resident
-    /// state with the integrator.
+    /// for custom epochs and fault injection. Epochs run through this
+    /// handle share the resident state with the integrator.
     pub fn field_session(&mut self) -> &mut FieldSession {
         &mut self.session
-    }
-
-    /// Whether a rank panic has poisoned the underlying world. A
-    /// poisoned integrator can no longer step; its world must not be
-    /// recycled.
-    pub fn is_poisoned(&self) -> bool {
-        self.session.is_poisoned()
     }
 
     /// Tear down the integrator and hand the live world back for reuse
@@ -434,11 +395,6 @@ impl PersistentIntegrator {
     pub fn set_tracer(&mut self, tracer: Option<Arc<TraceRecorder>>) {
         self.session.set_tracing(tracer.is_some());
         self.tracer = tracer;
-    }
-
-    /// The attached trace recorder, if any.
-    pub fn tracer(&self) -> Option<&Arc<TraceRecorder>> {
-        self.tracer.as_ref()
     }
 
     /// Gather the most recent field evaluation back into global
@@ -468,7 +424,7 @@ impl PersistentIntegrator {
     }
 
     fn pair_to_potential(&self, pair_sum: f64) -> f64 {
-        -self.sign * 0.5 * pair_sum
+        -self.model.sign * 0.5 * pair_sum
     }
 
     /// Run one evaluation epoch: field eval + acceleration store, an
@@ -476,12 +432,11 @@ impl PersistentIntegrator {
     /// phase clocks and tallies into the cumulative report.
     fn eval_epoch(&mut self, kick_after: bool) -> EvalEpoch {
         let cfg = self.cfg.dist;
-        let kernel = Arc::clone(&self.kernel);
-        let sign = self.sign;
+        let model = Arc::clone(&self.model);
         let g0 = self.g0;
         let half = 0.5 * self.cfg.dt;
         let er = self.session.run_epoch(move |comm, slot| {
-            let report = eval_store_rank(comm, slot, &cfg, &*kernel, sign);
+            let report = eval_store_rank(comm, slot, &cfg, &model);
             if kick_after {
                 for i in 0..slot.ps.len() {
                     slot.aux[AUX_VX][i] += half * slot.aux[AUX_AX][i];
@@ -629,7 +584,6 @@ impl PersistentIntegrator {
             time: self.time,
             repartitioned,
             repartition_host_s,
-            spawn_host_s: 0.0, // the session's one spawn was paid at launch
             epoch_host_s,
             migrated_particles,
             migration_bytes,
@@ -656,8 +610,8 @@ impl PersistentIntegrator {
 
     /// Gather the resident state back into a global-order [`SimState`]
     /// — the explicit snapshot channel (checkpoints, trajectory
-    /// comparison against the respawn path). Costs one epoch and one
-    /// O(N) driver assembly; the stepping path never does this.
+    /// comparisons). Costs one epoch and one O(N) driver assembly; the
+    /// stepping path never does this.
     pub fn snapshot(&mut self) -> SimState {
         let snap = self.session.snapshot();
         let mut cols = snap.aux.into_iter();

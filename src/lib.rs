@@ -17,10 +17,12 @@
 //!   (`dist::run_distributed_field`) run distributed; see
 //!   `examples/distributed_forces.rs`.
 //! - [`sim`] — distributed time integration on top of the field
-//!   pipeline: a velocity-Verlet driver with RCB repartition cadence,
-//!   per-step energy monitoring, and cumulative phase/traffic
-//!   accounting; ready-made Plummer-sphere and screened-electrolyte
-//!   scenarios. See `examples/distributed_dynamics.rs`.
+//!   pipeline: one velocity-Verlet integrator on a persistent rank
+//!   session (state resident on the ranks, RCB repartition by
+//!   rank-to-rank migration on a cadence), per-step energy monitoring,
+//!   and cumulative phase/traffic accounting; ready-made Plummer-sphere
+//!   and screened-electrolyte scenarios. See
+//!   `examples/distributed_dynamics.rs`.
 //! - [`trace`] — deterministic tracing and metrics: modeled-clock spans
 //!   over named resource tracks, Chrome trace-event (Perfetto) export,
 //!   flame summaries, and fixed-bucket histograms. Tracing is bitwise

@@ -1,12 +1,12 @@
-//! Integration tests of the distributed time-stepping driver
-//! (`bltc::sim`): velocity-Verlet energy conservation over ≥100 steps,
-//! multi-rank vs single-rank trajectory parity, repartition-cadence
-//! behavior, and the cumulative RMA-traffic reconciliation the
-//! `SimReport` guarantees.
+//! Integration tests of the distributed time integrator
+//! (`bltc::sim::PersistentIntegrator`): velocity-Verlet energy
+//! conservation over ≥100 steps, multi-rank vs single-rank trajectory
+//! parity, repartition-cadence behavior, and the cumulative RMA-traffic
+//! reconciliation the `SimReport` guarantees.
 
 use bltc::core::prelude::*;
 use bltc::dist::DistConfig;
-use bltc::sim::{plummer_sphere, Integrator, SimConfig, SimState};
+use bltc::sim::{plummer_sphere, PersistentIntegrator, SimConfig, SimState};
 
 /// Small-problem treecode parameters that keep debug-build steps cheap
 /// while staying well inside MAC accuracy.
@@ -25,10 +25,10 @@ fn plummer_energy_drift_bounded_over_100_steps() {
     // relative total-energy drift ≤ 1e-3. (The release-mode example
     // runs the full-size version; symplectic integration + treecode
     // forces typically land orders of magnitude below the bound.)
-    let (mut state, model) = plummer_sphere(400, 1.0, 0.05, 9);
+    let (state, model) = plummer_sphere(400, 1.0, 0.05, 9);
     let mut integrator =
-        Integrator::new(sim_cfg(4, 1e-3).with_repartition_every(10), &state, &model);
-    integrator.run(&mut state, &model, 110);
+        PersistentIntegrator::new(sim_cfg(4, 1e-3).with_repartition_every(10), &state, &model);
+    integrator.run(110);
 
     let report = integrator.report();
     assert_eq!(report.steps, 110);
@@ -40,6 +40,7 @@ fn plummer_energy_drift_bounded_over_100_steps() {
     let drift = report.max_relative_energy_drift();
     assert!(drift <= 1e-3, "energy drift {drift} exceeds 1e-3");
     // The state clock advanced with the integrator.
+    let state = integrator.snapshot();
     assert_eq!(state.step, 110);
     assert!((state.time - 0.11).abs() < 1e-12);
 }
@@ -49,11 +50,11 @@ fn momentum_is_conserved() {
     // Pairwise-antisymmetric forces conserve linear momentum; the
     // treecode approximation breaks exact antisymmetry only at MAC
     // accuracy, so drift must stay tiny relative to typical speeds.
-    let (mut state, model) = plummer_sphere(300, 1.0, 0.05, 5);
+    let (state, model) = plummer_sphere(300, 1.0, 0.05, 5);
     let p0 = state.momentum();
-    let mut integrator = Integrator::new(sim_cfg(3, 1e-3), &state, &model);
-    integrator.run(&mut state, &model, 30);
-    let p1 = state.momentum();
+    let mut integrator = PersistentIntegrator::new(sim_cfg(3, 1e-3), &state, &model);
+    integrator.run(30);
+    let p1 = integrator.snapshot().momentum();
     let dp = ((p1.0 - p0.0).powi(2) + (p1.1 - p0.1).powi(2) + (p1.2 - p0.2).powi(2)).sqrt();
     assert!(dp < 1e-6, "momentum drift {dp}");
 }
@@ -64,17 +65,15 @@ fn multi_rank_trajectories_match_single_rank() {
     // the trees (and therefore the approximation), so trajectories
     // agree to MAC accuracy, not bitwise — but after 20 steps they must
     // still be far closer than any physical displacement.
-    let steps = 20;
-    let reference: SimState = {
-        let (mut state, model) = plummer_sphere(350, 1.0, 0.05, 17);
-        let mut integrator = Integrator::new(sim_cfg(1, 1e-3), &state, &model);
-        integrator.run(&mut state, &model, steps);
-        state
+    let run = |ranks: usize| -> SimState {
+        let (state, model) = plummer_sphere(350, 1.0, 0.05, 17);
+        let mut integrator = PersistentIntegrator::new(sim_cfg(ranks, 1e-3), &state, &model);
+        integrator.run(20);
+        integrator.snapshot()
     };
+    let reference = run(1);
     for ranks in [2usize, 4] {
-        let (mut state, model) = plummer_sphere(350, 1.0, 0.05, 17);
-        let mut integrator = Integrator::new(sim_cfg(ranks, 1e-3), &state, &model);
-        integrator.run(&mut state, &model, steps);
+        let state = run(ranks);
         for (axis, a, b) in [
             ("x", &state.particles.x, &reference.particles.x),
             ("y", &state.particles.y, &reference.particles.y),
@@ -89,9 +88,9 @@ fn multi_rank_trajectories_match_single_rank() {
 
 #[test]
 fn single_rank_runs_have_no_rma_traffic() {
-    let (mut state, model) = plummer_sphere(200, 1.0, 0.05, 3);
-    let mut integrator = Integrator::new(sim_cfg(1, 1e-3), &state, &model);
-    let steps = integrator.run(&mut state, &model, 5);
+    let (state, model) = plummer_sphere(200, 1.0, 0.05, 3);
+    let mut integrator = PersistentIntegrator::new(sim_cfg(1, 1e-3), &state, &model);
+    let steps = integrator.run(5);
     for s in &steps {
         assert_eq!(s.rank_bytes, 0);
         assert_eq!(s.matrix_bytes, 0);
@@ -101,14 +100,14 @@ fn single_rank_runs_have_no_rma_traffic() {
 
 #[test]
 fn per_step_and_cumulative_traffic_reconcile() {
-    let (mut state, model) = plummer_sphere(320, 1.0, 0.05, 23);
+    let (state, model) = plummer_sphere(320, 1.0, 0.05, 23);
     let mut integrator =
-        Integrator::new(sim_cfg(4, 1e-3).with_repartition_every(4), &state, &model);
+        PersistentIntegrator::new(sim_cfg(4, 1e-3).with_repartition_every(4), &state, &model);
     let e0_msgs = integrator.report().rma_messages;
     let e0_bytes = integrator.report().rma_bytes;
     assert!(e0_bytes > 0, "initial evaluation already fetches LETs");
 
-    let steps = integrator.run(&mut state, &model, 9);
+    let steps = integrator.run(9);
     let report = integrator.report();
 
     // Every step: the per-rank call-site tallies equal the runtime
@@ -133,12 +132,12 @@ fn per_step_and_cumulative_traffic_reconcile() {
 
 #[test]
 fn repartition_cadence_is_respected_and_charged() {
-    let (mut state, model) = plummer_sphere(250, 1.0, 0.05, 31);
+    let (state, model) = plummer_sphere(250, 1.0, 0.05, 31);
     // Cadence 3 over 7 steps: repartitions at steps 3 and 6, plus the
     // initial decomposition.
     let mut integrator =
-        Integrator::new(sim_cfg(2, 1e-3).with_repartition_every(3), &state, &model);
-    let steps = integrator.run(&mut state, &model, 7);
+        PersistentIntegrator::new(sim_cfg(2, 1e-3).with_repartition_every(3), &state, &model);
+    let steps = integrator.run(7);
     let taken: Vec<u64> = steps
         .iter()
         .filter(|s| s.repartitioned)
@@ -154,13 +153,8 @@ fn repartition_cadence_is_respected_and_charged() {
     }
     // The modeled run clock contains every phase and nothing else:
     // per-step totals (max over ranks) can never exceed the sum of the
-    // per-phase maxima. The respawn path pays a world spawn per force
-    // evaluation (the host tax persistent sessions amortize away).
+    // per-phase maxima.
     assert!(report.total_s > 0.0);
-    assert_eq!(report.world_spawns, report.force_evals);
-    assert!(report.spawn_host_s > 0.0);
-    assert_eq!(report.epoch_host_s, 0.0, "respawn path submits no epochs");
-    assert_eq!(report.migrations, 0, "respawn path never migrates");
     assert!(
         report.total_s
             <= report.setup_s
@@ -168,6 +162,8 @@ fn repartition_cadence_is_respected_and_charged() {
                 + report.compute_s
                 + report.repartition_host_s
                 + report.spawn_host_s
+                + report.epoch_host_s
+                + report.migration_comm_s
                 + 1e-12,
         "phase clocks must bound the total"
     );
@@ -180,14 +176,14 @@ fn stale_partitions_stay_correct() {
     // every-step-repartition run to treecode accuracy.
     let steps = 12;
     let run = |every: u64| {
-        let (mut state, model) = plummer_sphere(300, 1.0, 0.05, 41);
-        let mut integrator = Integrator::new(
+        let (state, model) = plummer_sphere(300, 1.0, 0.05, 41);
+        let mut integrator = PersistentIntegrator::new(
             sim_cfg(3, 2e-3).with_repartition_every(every),
             &state,
             &model,
         );
-        integrator.run(&mut state, &model, steps);
-        (state, integrator.report().repartitions)
+        integrator.run(steps);
+        (integrator.snapshot(), integrator.report().repartitions)
     };
     let (fresh, fresh_reparts) = run(1);
     let (stale, stale_reparts) = run(1000);
@@ -206,10 +202,10 @@ fn stale_partitions_stay_correct() {
 #[test]
 fn deterministic_across_runs() {
     let run = || {
-        let (mut state, model) = plummer_sphere(200, 1.0, 0.05, 13);
-        let mut integrator = Integrator::new(sim_cfg(3, 1e-3), &state, &model);
-        integrator.run(&mut state, &model, 6);
-        (state, integrator.report().clone())
+        let (state, model) = plummer_sphere(200, 1.0, 0.05, 13);
+        let mut integrator = PersistentIntegrator::new(sim_cfg(3, 1e-3), &state, &model);
+        integrator.run(6);
+        (integrator.snapshot(), integrator.report().clone())
     };
     let (s1, r1) = run();
     let (s2, r2) = run();

@@ -15,7 +15,7 @@ use bltc_core::engine::{direct_sum, ParallelEngine, PreparedTreecode, TreecodeEn
 use bltc_core::kernel::{Coulomb, Yukawa};
 use bltc_core::particles::ParticleSet;
 use bltc_dist::{run_distributed_field, DistConfig};
-use bltc_sim::{plummer_sphere, Integrator, SimConfig};
+use bltc_sim::{plummer_sphere, PersistentIntegrator, SimConfig};
 use proptest::prelude::*;
 
 const POOL_SIZES: [usize; 3] = [1, 2, 7];
@@ -120,16 +120,16 @@ fn distributed_field_bitwise_identical_across_pool_sizes() {
 
 #[test]
 fn trajectories_bitwise_identical_across_pool_sizes() {
-    // Five velocity-Verlet steps on two ranks: positions and
-    // velocities after the run must agree to the bit (PR 4's
-    // persistent-vs-respawn parity extends to any pool size).
+    // Five velocity-Verlet steps on two ranks, with migration epochs at
+    // steps 2 and 4: positions and velocities after the run must agree
+    // to the bit.
     let run = || {
-        let (mut state, model) = plummer_sphere(160, 1.0, 0.05, 31);
+        let (state, model) = plummer_sphere(160, 1.0, 0.05, 31);
         let cfg = SimConfig::new(DistConfig::comet(BltcParams::new(0.7, 3, 50, 50)), 2, 1e-3)
             .with_repartition_every(2);
-        let mut integrator = Integrator::new(cfg, &state, &model);
-        integrator.run(&mut state, &model, 5);
-        state
+        let mut integrator = PersistentIntegrator::new(cfg, &state, &model);
+        integrator.run(5);
+        integrator.snapshot()
     };
     let reference = pool(POOL_SIZES[0]).install(run);
     for &w in &POOL_SIZES[1..] {

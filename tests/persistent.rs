@@ -1,16 +1,18 @@
-//! Integration tests of the persistent-session subsystem: trajectory
-//! parity between the respawn-per-step and persistent integrators,
-//! single-spawn/epoch accounting, and the particle-migration invariants
-//! (multiset preservation, bitwise ownership against a fresh RCB, exact
-//! traffic reconciliation) — including property-based coverage.
+//! Integration tests of the persistent-session subsystem: the
+//! persistent integrator against a driver-side velocity-Verlet oracle
+//! (trajectories, phase clocks and LET traffic bit for bit, across
+//! migrations), single-spawn/epoch accounting, and the particle-migration
+//! invariants (multiset preservation, bitwise ownership against a fresh
+//! RCB, exact traffic reconciliation) — including property-based
+//! coverage.
 
 use std::sync::Arc;
 
 use bltc::core::prelude::*;
-use bltc::dist::{DistConfig, FieldSession};
-use bltc::sim::{plummer_sphere, Integrator, PersistentIntegrator, SimConfig};
+use bltc::dist::{run_distributed_field_on, DistConfig, DistFieldReport, FieldSession};
+use bltc::sim::{plummer_sphere, ForceModel, PersistentIntegrator, SimConfig, SimState};
 use proptest::prelude::*;
-use rcb::rcb_partition;
+use rcb::{rcb_partition, RcbPartition};
 
 fn sim_cfg(ranks: usize, every: u64) -> SimConfig {
     SimConfig::new(
@@ -25,46 +27,115 @@ fn dist_cfg() -> DistConfig {
     DistConfig::comet(BltcParams::new(0.8, 3, 60, 60))
 }
 
+/// The velocity-Verlet loop run on the driver: half-kick and drift over
+/// the global state, a fresh driver-side RCB on the repartition
+/// cadence, one [`run_distributed_field_on`] per force evaluation, and
+/// the closing half-kick. Returns the launch evaluation's report
+/// followed by one per step.
+fn driver_side_vv(
+    cfg: SimConfig,
+    state: &mut SimState,
+    model: &ForceModel,
+    steps: usize,
+) -> Vec<DistFieldReport> {
+    let n = state.len();
+    let (dt, half) = (cfg.dt, 0.5 * cfg.dt);
+    let evaluate = |state: &SimState, part: &RcbPartition, a: &mut [Vec<f64>; 3]| {
+        let rep = run_distributed_field_on(&state.particles, part, &cfg.dist, model.kernel());
+        let [ax, ay, az] = a;
+        model.accelerations_into(&rep.field, &state.particles.q, &state.mass, ax, ay, az);
+        rep
+    };
+    let kick = |state: &mut SimState, [ax, ay, az]: &[Vec<f64>; 3]| {
+        for i in 0..n {
+            state.vx[i] += half * ax[i];
+            state.vy[i] += half * ay[i];
+            state.vz[i] += half * az[i];
+        }
+    };
+    let mut a = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+    let mut part = cfg.dist.partition(&state.particles, cfg.ranks);
+    let mut reports = vec![evaluate(state, &part, &mut a)];
+    for _ in 0..steps {
+        kick(state, &a);
+        for i in 0..n {
+            state.particles.x[i] += dt * state.vx[i];
+            state.particles.y[i] += dt * state.vy[i];
+            state.particles.z[i] += dt * state.vz[i];
+        }
+        state.step += 1;
+        state.time += dt;
+        if state.step.is_multiple_of(cfg.repartition_every) {
+            part = cfg.dist.partition(&state.particles, cfg.ranks);
+        }
+        reports.push(evaluate(state, &part, &mut a));
+        kick(state, &a);
+    }
+    reports
+}
+
 #[test]
 fn persistent_trajectory_matches_respawn_bitwise() {
-    // The acceptance-criterion parity at test scale (the release-mode
-    // example runs the full 4-rank × 100-step version): same scenario,
-    // same cadence, one integrator respawning a world per step, the
-    // other running epochs against live ranks. Local sets are kept in
-    // identical order on both paths, so the trajectories must agree
-    // not merely to 1e-12 but bitwise.
-    let steps = 25;
-    let (mut state, model) = plummer_sphere(400, 1.0, 0.05, 9);
-    let (pstate, pmodel) = plummer_sphere(400, 1.0, 0.05, 9);
+    // One integrator running epochs against live ranks, with particles
+    // migrating rank-to-rank on the cadence, against the same loop run
+    // on the driver: resident local sets are kept in the order a
+    // driver-side partition yields, so every step must agree bit for
+    // bit — positions, velocities, the phase clocks and the LET traffic
+    // matrix of each step's evaluation.
+    for (ranks, every, steps) in [(4usize, 5u64, 25usize), (2, 3, 10)] {
+        let (mut state, model) = plummer_sphere(400, 1.0, 0.05, 9);
+        let mut persistent = PersistentIntegrator::new(sim_cfg(ranks, every), &state, &model);
+        let oracle = driver_side_vv(sim_cfg(ranks, every), &mut state, &model, steps);
+        let at = |step: u64| format!("{ranks} ranks, step {step}");
 
-    let mut respawn = Integrator::new(sim_cfg(4, 5), &state, &model);
-    respawn.run(&mut state, &model, steps);
-
-    let mut persistent = PersistentIntegrator::new(sim_cfg(4, 5), &pstate, &pmodel);
-    persistent.run(steps);
-    let snap = persistent.snapshot();
-
-    for i in 0..state.len() {
-        for (axis, a, b) in [
-            ("x", state.particles.x[i], snap.particles.x[i]),
-            ("y", state.particles.y[i], snap.particles.y[i]),
-            ("z", state.particles.z[i], snap.particles.z[i]),
-            ("vx", state.vx[i], snap.vx[i]),
-            ("vy", state.vy[i], snap.vy[i]),
-            ("vz", state.vz[i], snap.vz[i]),
-        ] {
-            assert!(
-                (a - b).abs() <= 1e-12,
-                "particle {i} {axis}: respawn {a} vs persistent {b}"
-            );
-            assert_eq!(a.to_bits(), b.to_bits(), "particle {i} {axis} not bitwise");
+        let mut traffic = oracle[0].traffic.clone();
+        assert_eq!(persistent.report().traffic, traffic, "{}", at(0));
+        for want in &oracle[1..] {
+            let got = persistent.step();
+            let step = got.step;
+            for (what, p, d) in [
+                ("setup_s", got.setup_s, want.setup_s),
+                ("precompute_s", got.precompute_s, want.precompute_s),
+                ("compute_s", got.compute_s, want.compute_s),
+                ("pipelined_s", got.pipelined_s, want.pipelined_s),
+            ] {
+                assert_eq!(p.to_bits(), d.to_bits(), "{} {what}", at(step));
+            }
+            assert!(got.pipelined_s > 0.0 && got.pipelined_s <= got.total_s);
+            assert_eq!(got.repartitioned, step.is_multiple_of(every));
+            // Per-step LET matrices agree exactly iff the running sums do.
+            traffic.accumulate(&want.traffic);
+            assert_eq!(persistent.report().traffic, traffic, "{}", at(step));
+            assert_eq!(got.matrix_bytes, want.traffic.total_remote_bytes());
         }
-    }
-    assert_eq!((snap.step, snap.time), (state.step, state.time));
+        let report = persistent.report();
+        assert!(report.migrations > 0 && report.migrated_particles > 0);
+        let pipelined = oracle.iter().fold(0.0, |acc, r| acc + r.pipelined_s);
+        assert_eq!(report.pipelined_s.to_bits(), pipelined.to_bits());
+        assert!(report.pipelined_s <= report.total_s);
+        // Energy conservation holds on the persistent path by itself.
+        let drift = report.max_relative_energy_drift();
+        assert!(drift <= 1e-3, "{ranks} ranks: persistent drift {drift}");
 
-    // Energy conservation holds on the persistent path by itself.
-    let drift = persistent.report().max_relative_energy_drift();
-    assert!(drift <= 1e-3, "persistent drift {drift}");
+        let snap = persistent.snapshot();
+        for (axis, p, d) in [
+            ("x", &snap.particles.x, &state.particles.x),
+            ("y", &snap.particles.y, &state.particles.y),
+            ("z", &snap.particles.z, &state.particles.z),
+            ("vx", &snap.vx, &state.vx),
+            ("vy", &snap.vy, &state.vy),
+            ("vz", &snap.vz, &state.vz),
+        ] {
+            for (i, (p, d)) in p.iter().zip(d).enumerate() {
+                assert_eq!(
+                    p.to_bits(),
+                    d.to_bits(),
+                    "{ranks} ranks: particle {i} {axis}"
+                );
+            }
+        }
+        assert_eq!((snap.step, snap.time), (state.step, state.time));
+    }
 }
 
 #[test]
@@ -75,34 +146,18 @@ fn persistent_run_spawns_exactly_one_world() {
     p.run(steps);
     let report = p.report();
 
-    // One thread-spawn phase for the whole run; the respawn path pays
-    // one per evaluation.
+    // One thread-spawn phase for the whole run; every evaluation after
+    // it is an epoch on the live ranks.
     assert_eq!(report.world_spawns, 1);
     assert_eq!(report.force_evals, steps as u64 + 1);
     assert!(report.epoch_host_s > 0.0, "epochs charged instead");
-
-    let (mut rstate, rmodel) = plummer_sphere(300, 1.0, 0.05, 21);
-    let mut r = Integrator::new(sim_cfg(3, 4), &rstate, &rmodel);
-    r.run(&mut rstate, &rmodel, steps);
-    assert_eq!(r.report().world_spawns, steps as u64 + 1);
-    // Identical physics, identical evaluation clocks — the persistent
-    // path wins exactly the spawn-vs-epoch difference on the host side.
-    assert_eq!(report.setup_s, r.report().setup_s);
-    assert_eq!(report.compute_s, r.report().compute_s);
-    assert!(
-        report.total_s < r.report().total_s,
-        "persistent {} !< respawn {}",
-        report.total_s,
-        r.report().total_s
-    );
 }
 
 #[test]
 fn repartition_data_flows_rank_to_rank() {
-    // The persistent path's repartition exchange must appear in the
-    // rank-to-rank traffic matrix (migration phase), with nothing
-    // gathered through the driver; the respawn path repartitions
-    // through the driver, so its matrix shows zero repartition bytes.
+    // The repartition exchange must appear in the rank-to-rank traffic
+    // matrix (migration phase), with nothing gathered through the
+    // driver.
     let steps = 10;
     let (state, model) = plummer_sphere(350, 1.0, 0.05, 33);
     let mut p = PersistentIntegrator::new(sim_cfg(4, 3), &state, &model);
@@ -137,13 +192,6 @@ fn repartition_data_flows_rank_to_rank() {
             assert_eq!(s.full_exchange_bytes, 0);
         }
     }
-
-    // Respawn comparison: its repartitions move zero matrix bytes.
-    let (mut rstate, rmodel) = plummer_sphere(350, 1.0, 0.05, 33);
-    let mut r = Integrator::new(sim_cfg(4, 3), &rstate, &rmodel);
-    r.run(&mut rstate, &rmodel, steps);
-    assert_eq!(r.report().migration_bytes, 0);
-    assert_eq!(r.report().migration_traffic.total_remote_bytes(), 0);
 }
 
 #[test]
@@ -193,21 +241,21 @@ fn poisoned_session_surfaces_rank_panics() {
 #[test]
 fn field_session_eval_matches_run_distributed_field_on() {
     // The "execute as an epoch against live ranks" re-entry: identical
-    // clocks and traffic to the respawn pipeline on the same partition.
+    // clocks and traffic to the one-shot pipeline on the same partition.
     let ps = ParticleSet::random_cube(800, 13);
     let c = dist_cfg();
     let part = rcb_partition(&ps, 4, None);
-    let respawn = bltc::dist::run_distributed_field_on(&ps, &part, &c, &Coulomb);
+    let one_shot = run_distributed_field_on(&ps, &part, &c, &Coulomb);
 
     let mut fs = FieldSession::launch(&ps, &[], 4, &c);
     let kernel: Arc<dyn GradientKernel> = Arc::new(Coulomb);
     let rep = fs.eval_field(&kernel);
-    assert_eq!(rep.total_s, respawn.total_s);
+    assert_eq!(rep.total_s, one_shot.total_s);
     assert_eq!(
         rep.traffic.total_remote_bytes(),
-        respawn.traffic.total_remote_bytes()
+        one_shot.traffic.total_remote_bytes()
     );
-    for (a, b) in rep.ranks.iter().zip(&respawn.ranks) {
+    for (a, b) in rep.ranks.iter().zip(&one_shot.ranks) {
         assert_eq!(a.let_bytes, b.let_bytes);
         assert_eq!(a.ops, b.ops);
     }

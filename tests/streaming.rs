@@ -15,7 +15,7 @@ use bltc_core::config::BltcParams;
 use bltc_core::kernel::{Coulomb, Yukawa};
 use bltc_core::particles::ParticleSet;
 use bltc_dist::{run_distributed, run_distributed_field, DistConfig};
-use bltc_sim::{plummer_sphere, Integrator, SimConfig};
+use bltc_sim::{plummer_sphere, PersistentIntegrator, SimConfig};
 use proptest::prelude::*;
 
 const RANK_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -148,16 +148,17 @@ fn streaming_peak_is_bounded_and_below_the_retained_footprint() {
 #[test]
 fn trajectories_bitwise_identical_across_budgets() {
     // Whole velocity-Verlet trajectories: the streaming budget must be
-    // invisible to the dynamics, including across repartitions.
+    // invisible to the dynamics, including across the migration epochs
+    // at steps 2 and 4.
     let run = |budget: Option<u64>, workers: usize| {
         pool(workers).install(|| {
-            let (mut state, model) = plummer_sphere(220, 1.0, 0.05, 41);
+            let (state, model) = plummer_sphere(220, 1.0, 0.05, 41);
             let mut dist = DistConfig::comet(BltcParams::new(0.7, 3, 50, 50));
             dist.let_memory_budget = budget;
             let cfg = SimConfig::new(dist, 4, 1e-3).with_repartition_every(2);
-            let mut integrator = Integrator::new(cfg, &state, &model);
-            let reports = integrator.run(&mut state, &model, 5);
-            (state, reports)
+            let mut integrator = PersistentIntegrator::new(cfg, &state, &model);
+            let reports = integrator.run(5);
+            (integrator.snapshot(), reports)
         })
     };
     let (ref_state, ref_reports) = run(None, 1);
