@@ -4,23 +4,12 @@
 //! is replaced by a simpler model that covers every call site in this
 //! workspace: an **indexed** iterator knows its length and can produce
 //! the item at any index independently ([`ParallelIterator::fetch`]).
-//! Every combinator preserves index addressing, so `collect` can write
-//! item `i` straight into slot `i` of the output vector — which is the
-//! whole determinism story: results are assembled by *index*, never by
-//! completion order, making every collect bitwise identical to serial
-//! execution at any pool size.
-//!
-//! Reductions ([`ParallelIterator::sum`]) materialize the items first
-//! and fold them in index order on one thread — a fixed-order
-//! reduction. The parallel win comes from producing the items (the
-//! expensive part at every workspace call site); the fold itself is
-//!`O(len)` additions.
+//! Every combinator preserves index addressing, which is the whole
+//! determinism story: [`ParallelIterator::collect`] puts item `i` in
+//! slot `i` whichever thread produced it, making every collect bitwise
+//! identical to serial execution at any pool size.
 
-use crate::pool::for_each_index;
-
-// ---------------------------------------------------------------------
-// Core trait
-// ---------------------------------------------------------------------
+use crate::pool::map_chunks;
 
 /// An indexed parallel iterator: `len` items, item `i` computable
 /// independently of every other item.
@@ -58,42 +47,31 @@ pub trait ParallelIterator: Sized + Send + Sync {
         }
     }
 
-    /// Execute `f` on every item (order unspecified; any output must
-    /// be index-addressed by the caller to stay deterministic).
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Send + Sync,
-    {
-        for_each_index(self.par_len(), &|i| f(self.fetch(i)));
-    }
-
-    /// Collect into `C`. Items are produced in parallel and written
-    /// each to its own index, so the result is bitwise identical to
-    /// the serial collect for any pool size.
-    fn collect<C>(self) -> C
-    where
-        C: FromParallelIterator<Self::Item>,
-    {
-        C::from_par_iter(self)
-    }
-
-    /// Fixed-order sum: items are produced in parallel, then folded in
-    /// ascending index order on the calling thread — deterministic for
-    /// non-associative arithmetic (floats) at any pool size.
-    fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<Self::Item> + Send,
-    {
-        collect_vec(self).into_iter().sum()
+    /// Collect into `C` (a `Vec`, or anything built from one). Each
+    /// pool chunk collects its index range into a `Vec`, and the chunks
+    /// are concatenated in chunk order, so item `i` lands in slot `i`
+    /// and the result is bitwise identical to the serial collect at any
+    /// pool size. If producing an item panics, every item already
+    /// produced is dropped once and the panic is re-raised.
+    fn collect<C: From<Vec<Self::Item>>>(self) -> C {
+        let len = self.par_len();
+        let chunks = map_chunks(len, |range| {
+            range.map(|i| self.fetch(i)).collect::<Vec<_>>()
+        });
+        let mut chunks = chunks.into_iter();
+        let mut out = chunks.next().unwrap_or_default();
+        out.reserve_exact(len - out.len());
+        for chunk in chunks {
+            out.extend(chunk);
+        }
+        C::from(out)
     }
 }
 
 /// Conversion into a [`ParallelIterator`] (rayon's entry-point trait).
 pub trait IntoParallelIterator {
     /// The resulting iterator.
-    type Iter: ParallelIterator<Item = Self::Item>;
-    /// The element type.
-    type Item: Send;
+    type Iter: ParallelIterator;
 
     /// Convert.
     fn into_par_iter(self) -> Self::Iter;
@@ -101,119 +79,45 @@ pub trait IntoParallelIterator {
 
 impl<P: ParallelIterator> IntoParallelIterator for P {
     type Iter = P;
-    type Item = P::Item;
 
     fn into_par_iter(self) -> Self::Iter {
         self
     }
 }
 
-/// `par_iter` on borrowed collections (rayon's by-reference entry
-/// point).
-pub trait IntoParallelRefIterator<'data> {
-    /// The resulting iterator.
-    type Iter: ParallelIterator<Item = Self::Item>;
-    /// The element type (a reference).
-    type Item: Send + 'data;
-
-    /// Iterate over `&self` in parallel.
-    fn par_iter(&'data self) -> Self::Iter;
-}
-
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for [T] {
-    type Iter = SliceIter<'data, T>;
-    type Item = &'data T;
-
-    fn par_iter(&'data self) -> Self::Iter {
-        SliceIter { slice: self }
-    }
-}
-
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for Vec<T> {
-    type Iter = SliceIter<'data, T>;
-    type Item = &'data T;
-
-    fn par_iter(&'data self) -> Self::Iter {
-        SliceIter { slice: self }
-    }
-}
-
-/// Chunked views of slices (`par_chunks`).
+/// `par_iter` and `par_chunks` on slices, and on `Vec`s through deref.
 pub trait ParallelSlice<T: Sync> {
+    /// Iterate over the items by reference, in parallel.
+    fn par_iter(&self) -> SliceIter<'_, T>;
+
     /// Split into contiguous chunks of (at most) `chunk_size` items,
     /// iterated in parallel. Chunk boundaries depend only on the slice
     /// length and `chunk_size` — never on the pool — so chunked
     /// reductions stay deterministic.
-    fn par_chunks(&self, chunk_size: usize) -> ChunksIter<'_, T>;
+    fn par_chunks<'data>(
+        &'data self,
+        chunk_size: usize,
+    ) -> impl ParallelIterator<Item = &'data [T]>
+    where
+        T: 'data;
 }
 
 impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, chunk_size: usize) -> ChunksIter<'_, T> {
+    fn par_iter(&self) -> SliceIter<'_, T> {
+        SliceIter { slice: self }
+    }
+
+    fn par_chunks<'data>(&'data self, chunk_size: usize) -> impl ParallelIterator<Item = &'data [T]>
+    where
+        T: 'data,
+    {
         assert!(chunk_size > 0, "chunk size must be positive");
-        ChunksIter {
-            slice: self,
-            chunk_size,
-        }
+        let chunks = self.len().div_ceil(chunk_size);
+        (0..chunks)
+            .into_par_iter()
+            .map(move |k| &self[k * chunk_size..self.len().min((k + 1) * chunk_size)])
     }
 }
-
-// ---------------------------------------------------------------------
-// Collect
-// ---------------------------------------------------------------------
-
-/// Types constructible from a parallel iterator (rayon's
-/// `FromParallelIterator`).
-pub trait FromParallelIterator<T: Send>: Sized {
-    /// Build `Self` from the iterator's items.
-    fn from_par_iter<I>(iter: I) -> Self
-    where
-        I: ParallelIterator<Item = T>;
-}
-
-impl<T: Send> FromParallelIterator<T> for Vec<T> {
-    fn from_par_iter<I>(iter: I) -> Self
-    where
-        I: ParallelIterator<Item = T>,
-    {
-        collect_vec(iter)
-    }
-}
-
-/// Wrapper making a raw output pointer shareable across workers; each
-/// index is written exactly once, so concurrent writers never alias.
-struct SharedPtr<T>(*mut T);
-unsafe impl<T: Send> Sync for SharedPtr<T> {}
-
-impl<T> SharedPtr<T> {
-    // Accessor (rather than field access) so closures capture the
-    // Sync wrapper, not the raw pointer field.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-fn collect_vec<I: ParallelIterator>(iter: I) -> Vec<I::Item> {
-    let len = iter.par_len();
-    let mut out: Vec<I::Item> = Vec::with_capacity(len);
-    {
-        let ptr = SharedPtr(out.as_mut_ptr());
-        for_each_index(len, &|i| {
-            // SAFETY: index-addressed write into reserved capacity;
-            // each slot written exactly once; `set_len` happens only
-            // after every write completed (for_each_index returns —
-            // or unwinds, in which case the vec stays at len 0 and
-            // the written items leak rather than double-drop).
-            unsafe { ptr.get().add(i).write(iter.fetch(i)) };
-        });
-    }
-    // SAFETY: all `len` slots initialized above.
-    unsafe { out.set_len(len) };
-    out
-}
-
-// ---------------------------------------------------------------------
-// Sources
-// ---------------------------------------------------------------------
 
 /// Parallel iterator over `&[T]`.
 pub struct SliceIter<'data, T> {
@@ -232,23 +136,11 @@ impl<'data, T: Sync + 'data> ParallelIterator for SliceIter<'data, T> {
     }
 }
 
-/// Parallel iterator over contiguous chunks of a slice.
-pub struct ChunksIter<'data, T> {
-    slice: &'data [T],
-    chunk_size: usize,
-}
+impl<'data, T: Sync + 'data> IntoParallelIterator for &'data Vec<T> {
+    type Iter = SliceIter<'data, T>;
 
-impl<'data, T: Sync + 'data> ParallelIterator for ChunksIter<'data, T> {
-    type Item = &'data [T];
-
-    fn par_len(&self) -> usize {
-        self.slice.len().div_ceil(self.chunk_size)
-    }
-
-    fn fetch(&self, index: usize) -> Self::Item {
-        let lo = index * self.chunk_size;
-        let hi = (lo + self.chunk_size).min(self.slice.len());
-        &self.slice[lo..hi]
+    fn into_par_iter(self) -> Self::Iter {
+        self.par_iter()
     }
 }
 
@@ -262,14 +154,9 @@ macro_rules! range_impl {
     ($($t:ty),*) => {$(
         impl IntoParallelIterator for std::ops::Range<$t> {
             type Iter = RangeIter<$t>;
-            type Item = $t;
 
             fn into_par_iter(self) -> Self::Iter {
-                let len = if self.end > self.start {
-                    (self.end - self.start) as usize
-                } else {
-                    0
-                };
+                let len = self.end.saturating_sub(self.start) as usize;
                 RangeIter { start: self.start, len }
             }
         }
@@ -288,29 +175,7 @@ macro_rules! range_impl {
     )*};
 }
 
-range_impl!(usize, u32, u64, i32, i64);
-
-impl<'data, T: Sync + 'data> IntoParallelIterator for &'data [T] {
-    type Iter = SliceIter<'data, T>;
-    type Item = &'data T;
-
-    fn into_par_iter(self) -> Self::Iter {
-        SliceIter { slice: self }
-    }
-}
-
-impl<'data, T: Sync + 'data> IntoParallelIterator for &'data Vec<T> {
-    type Iter = SliceIter<'data, T>;
-    type Item = &'data T;
-
-    fn into_par_iter(self) -> Self::Iter {
-        SliceIter { slice: self }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Adapters
-// ---------------------------------------------------------------------
+range_impl!(usize, u64);
 
 /// Map adapter; see [`ParallelIterator::map`].
 pub struct Map<I, F> {
@@ -360,134 +225,127 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::ThreadPoolBuilder;
+    use crate::pool::tests::{pool, seeded, SEEDS};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn pool(n: usize) -> crate::ThreadPool {
-        ThreadPoolBuilder::new().num_threads(n).build().unwrap()
+    const POOL_SIZES: [usize; 3] = [1, 2, 7];
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Every adaptor the workspace calls, against its serial twin, bit
+    /// for bit, with every index produced exactly once — under each
+    /// seed's perturbed schedule, at pools of 1, 2 and 7 workers.
     #[test]
-    fn range_map_collect_is_in_order() {
-        let p = pool(4);
-        let v: Vec<usize> = p.install(|| (0..1000usize).into_par_iter().map(|i| i * 2).collect());
-        assert_eq!(v.len(), 1000);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == 2 * i));
-    }
-
-    #[test]
-    fn slice_zip_map_collect() {
-        let a: Vec<f64> = (0..500).map(|i| i as f64).collect();
-        let b: Vec<f64> = (0..500).map(|i| (i * 3) as f64).collect();
-        let p = pool(3);
-        let v: Vec<f64> =
-            p.install(|| a.par_iter().zip(b.par_iter()).map(|(x, y)| x + y).collect());
-        let serial: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-        assert_eq!(v, serial);
-    }
-
-    #[test]
-    fn par_chunks_partitions_without_overlap() {
-        let data: Vec<u32> = (0..1003).collect();
-        let p = pool(4);
-        let sums: Vec<u64> = p.install(|| {
-            data.par_chunks(100)
-                .map(|c| c.iter().map(|&x| x as u64).sum::<u64>())
-                .collect()
-        });
-        assert_eq!(sums.len(), 11);
-        assert_eq!(
-            sums.iter().sum::<u64>(),
-            (0..1003u64).sum::<u64>(),
-            "chunks must cover the slice exactly once"
-        );
-        assert_eq!(sums[10], (1000..1003u64).sum::<u64>(), "last chunk short");
-    }
-
-    #[test]
-    fn sum_is_fixed_order_across_pool_sizes() {
-        // Sum of floats whose value depends on association order —
-        // must come out bitwise identical at every pool size.
-        let serial: f64 = (0..10_000)
-            .map(|i| ((i * 2654435761u64 as usize) % 1000) as f64 * 1e-3 + 1.0)
-            .sum();
-        for threads in [1, 2, 7] {
-            let p = pool(threads);
-            let par: f64 = p.install(|| {
-                (0..10_000usize)
-                    .into_par_iter()
-                    .map(|i| ((i * 2654435761u64 as usize) % 1000) as f64 * 1e-3 + 1.0)
-                    .sum()
-            });
-            assert_eq!(par.to_bits(), serial.to_bits(), "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn collect_bitwise_identical_across_pool_sizes() {
-        let produce = || -> Vec<f64> {
-            (0..5000usize)
-                .into_par_iter()
-                .map(|i| (i as f64).sqrt().sin() / (i as f64 + 0.5))
-                .collect()
-        };
-        let reference = pool(1).install(produce);
-        for threads in [2, 4, 7] {
-            let got = pool(threads).install(produce);
-            assert!(
-                reference
-                    .iter()
-                    .zip(&got)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{threads} threads diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn for_each_with_index_addressed_writes() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let p = pool(4);
-        let out: Vec<AtomicU64> = (0..2000).map(|_| AtomicU64::new(0)).collect();
-        p.install(|| {
-            (0..2000usize)
-                .into_par_iter()
-                .for_each(|i| out[i].store(i as u64 + 1, Ordering::Relaxed))
-        });
-        assert!(out
-            .iter()
-            .enumerate()
-            .all(|(i, v)| v.load(Ordering::Relaxed) == i as u64 + 1));
-    }
-
-    #[test]
-    fn empty_inputs_are_fine() {
-        let p = pool(2);
-        let v: Vec<usize> = p.install(|| (0..0usize).into_par_iter().map(|i| i).collect());
-        assert!(v.is_empty());
-        let e: Vec<f64> = Vec::new();
-        let s: f64 = p.install(|| e.par_iter().map(|&x| x).sum());
-        assert_eq!(s, 0.0);
-    }
-
-    #[test]
-    fn panic_in_map_propagates_and_leaks_no_unsoundness() {
-        let p = pool(2);
-        let caught = p.install(|| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _: Vec<String> = (0..100usize)
-                    .into_par_iter()
-                    .map(|i| {
-                        if i == 57 {
-                            panic!("bad item");
-                        }
-                        i.to_string()
+    fn adaptors_match_their_serial_twins_under_seeds() {
+        let a: Vec<f64> = (0..1013).map(|i| (i as f64).sqrt().sin()).collect();
+        let b: Vec<f64> = (0..977).map(|i| 1.0 / (i as f64 + 0.5)).collect();
+        let twin_map: Vec<f64> = (0..a.len()).map(|i| a[i] * 3.0 + 1e-3).collect();
+        let twin_zip: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x / y).collect();
+        let twin_chunks: Vec<f64> = a.chunks(37).map(|c| c.iter().sum()).collect();
+        let twin_pairs: Vec<(u64, usize)> = (5..600u64).zip(0..580usize).collect();
+        for seed in SEEDS {
+            for workers in POOL_SIZES {
+                let ctx = format!("seed {seed:#x}, {workers} workers");
+                let hits: Vec<AtomicUsize> = (0..a.len()).map(|_| AtomicUsize::new(0)).collect();
+                let p = seeded(seed, || pool(workers));
+                let (mapped, zipped, chunked, pairs, refs) = seeded(seed, || {
+                    p.install(|| {
+                        let mapped: Vec<f64> = (0..a.len())
+                            .into_par_iter()
+                            .map(|i| {
+                                hits[i].fetch_add(1, Ordering::Relaxed);
+                                a[i] * 3.0 + 1e-3
+                            })
+                            .collect();
+                        let zipped: Vec<f64> = a.par_iter().zip(&b).map(|(x, y)| x / y).collect();
+                        let chunked: Vec<f64> = a.par_chunks(37).map(|c| c.iter().sum()).collect();
+                        let pairs: Vec<(u64, usize)> =
+                            (5..600u64).into_par_iter().zip(0..580usize).collect();
+                        let refs: Vec<(&f64, &f64)> = b.par_iter().zip(a.par_iter()).collect();
+                        (mapped, zipped, chunked, pairs, refs)
                     })
+                });
+                assert_eq!(bits(&mapped), bits(&twin_map), "map: {ctx}");
+                assert_eq!(bits(&zipped), bits(&twin_zip), "zip: {ctx}");
+                assert_eq!(bits(&chunked), bits(&twin_chunks), "par_chunks: {ctx}");
+                assert_eq!(pairs, twin_pairs, "range zip: {ctx}");
+                assert!(
+                    refs.iter()
+                        .zip(b.iter().zip(&a))
+                        .all(|(r, s)| std::ptr::eq(r.0, s.0) && std::ptr::eq(r.1, s.1)),
+                    "par_iter zip: {ctx}"
+                );
+                let not_once: Vec<usize> = (0..hits.len())
+                    .filter(|&i| hits[i].load(Ordering::Relaxed) != 1)
                     .collect();
-            }))
-        });
-        assert!(caught.is_err());
-        // Pool unaffected.
-        let v: Vec<usize> = p.install(|| (0..10usize).into_par_iter().map(|i| i).collect());
-        assert_eq!(v, (0..10).collect::<Vec<_>>());
+                assert!(
+                    not_once.is_empty(),
+                    "indices not produced once: {not_once:?}, {ctx}"
+                );
+            }
+        }
+    }
+
+    /// Counts its own drops.
+    struct Tracked<'a>(&'a AtomicUsize);
+
+    impl Drop for Tracked<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn panic_mid_collect_drops_every_produced_item_once() {
+        for seed in SEEDS {
+            for workers in POOL_SIZES {
+                let (made, dropped) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                let p = seeded(seed, || pool(workers));
+                let caught = seeded(seed, || {
+                    p.install(|| {
+                        catch_unwind(AssertUnwindSafe(|| {
+                            let _: Vec<Tracked> = (0..300usize)
+                                .into_par_iter()
+                                .map(|i| {
+                                    if i == 157 {
+                                        panic!("item 157");
+                                    }
+                                    made.fetch_add(1, Ordering::Relaxed);
+                                    Tracked(&dropped)
+                                })
+                                .collect();
+                        }))
+                    })
+                });
+                let ctx = format!("seed {seed:#x}, {workers} workers");
+                let payload = caught.expect_err(&ctx);
+                assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 157"), "{ctx}");
+                assert!(made.load(Ordering::Relaxed) > 0, "{ctx}");
+                assert_eq!(
+                    dropped.load(Ordering::Relaxed),
+                    made.load(Ordering::Relaxed),
+                    "every produced item dropped exactly once: {ctx}"
+                );
+                // The pool keeps serving after the panic.
+                let v: Vec<usize> = p.install(|| (0..10usize).into_par_iter().collect());
+                assert_eq!(v, (0..10).collect::<Vec<_>>(), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_short_inputs() {
+        let p = pool(2);
+        let v: Vec<usize> = p.install(|| (0..0usize).into_par_iter().collect());
+        assert!(v.is_empty());
+        let (start, end) = (5u64, 3u64);
+        let v: Vec<u64> = p.install(|| (start..end).into_par_iter().collect());
+        assert!(v.is_empty(), "reversed range is empty");
+        let one: Vec<u32> = vec![9];
+        let v: Vec<u32> = p.install(|| one.par_chunks(4).map(|c| c[0]).collect());
+        assert_eq!(v, vec![9]);
     }
 }

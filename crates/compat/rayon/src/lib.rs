@@ -1,21 +1,14 @@
-//! Work-stealing drop-in for the subset of rayon used by this
-//! workspace — **really parallel** since PR 5.
-//!
-//! A hand-rolled, std-only pool ([`mod@pool`]): worker threads with
-//! per-worker chunked deques, LIFO owner pops, FIFO stealing, a shared
-//! injector for non-pool threads, and helping waits (a thread blocked
-//! on a `join` half or a scope executes other pool jobs, so nested
-//! parallelism cannot deadlock). The iterator layer ([`mod@iter`]) is
-//! an *indexed* model: every combinator knows its length and computes
-//! item `i` independently, and `collect` writes item `i` into slot `i`
-//! — which is why every result is **bitwise identical to serial
-//! execution at any pool size** (the workspace's determinism
-//! contract; see `crates/compat/README.md`).
-//!
-//! Pool sizing: `ThreadPoolBuilder::num_threads(n)`, or the
-//! `BLTC_HOST_THREADS` environment variable (then `RAYON_NUM_THREADS`,
-//! then `available_parallelism`) for every default-sized pool
-//! including the implicit global one.
+//! Drop-in for the subset of rayon this workspace calls: flat, indexed
+//! `par_iter` / `into_par_iter` / `par_chunks` loops with `map`, `zip`
+//! and `collect`, run on a real host thread pool ([`mod@pool`]: one job
+//! per parallel call, its chunks claimed by the workers and the calling
+//! thread). The iterator layer ([`mod@iter`]) computes item `i`
+//! independently of every other and `collect` puts it in slot `i`, so
+//! every result is **bitwise identical to serial execution at any pool
+//! size**. Pools are sized by `ThreadPoolBuilder::num_threads(n)`, else
+//! `BLTC_HOST_THREADS` → `RAYON_NUM_THREADS` → `available_parallelism`.
+//! `crates/compat/README.md` has the scheduling model and the
+//! divergences from crates.io rayon.
 //!
 //! ```
 //! use rayon::prelude::*;
@@ -23,41 +16,19 @@
 //! let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
 //! let squares: Vec<u64> = pool.install(|| (0..100u64).into_par_iter().map(|i| i * i).collect());
 //! assert_eq!(squares[7], 49);
-//! let (a, b) = pool.install(|| rayon::join(|| 1 + 1, || 2 + 2));
-//! assert_eq!((a, b), (2, 4));
+//! let xs = [1.0, 2.0, 3.0];
+//! let scaled: Vec<f64> = pool.install(|| xs.par_iter().zip(&squares).map(|(x, s)| x * *s as f64).collect());
+//! assert_eq!(scaled, vec![0.0, 2.0, 12.0]);
 //! ```
 
 pub mod iter;
 pub mod pool;
 
 pub use pool::{
-    current_num_threads, current_pool, default_num_threads, for_each_index, join, scope, Scope,
-    ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder, HOST_THREADS_ENV, MAX_POOL_THREADS,
+    current_num_threads, current_pool, ThreadPool, ThreadPoolBuilder, HOST_THREADS_ENV,
 };
 
 /// The traits every call site imports (`use rayon::prelude::*`).
 pub mod prelude {
-    pub use crate::iter::{
-        FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
-        ParallelSlice,
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-
-    #[test]
-    fn range_into_par_iter_collects_in_order() {
-        let v: Vec<usize> = (0..5usize).into_par_iter().map(|i| i * 2).collect();
-        assert_eq!(v, vec![0, 2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn slice_par_iter_zips() {
-        let a = [1, 2, 3];
-        let b = vec![10, 20, 30];
-        let v: Vec<i32> = a.par_iter().zip(b.par_iter()).map(|(x, y)| x + y).collect();
-        assert_eq!(v, vec![11, 22, 33]);
-    }
+    pub use crate::iter::{IntoParallelIterator, ParallelIterator, ParallelSlice};
 }

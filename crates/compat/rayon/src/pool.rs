@@ -1,528 +1,249 @@
-//! The work-stealing host thread pool.
+//! The host thread pool: a fixed set of workers serving flat, indexed
+//! parallel loops, one job per call.
 //!
-//! A hand-rolled, std-only replacement for rayon-core's registry:
-//! `N` worker threads, each owning a chunked deque of jobs, stealing
-//! from each other (and from a shared injector fed by non-pool
-//! threads) when their own deque runs dry. The public surface mirrors
-//! the rayon-core subset this workspace uses — [`join`], [`scope`],
-//! [`ThreadPool`], [`ThreadPoolBuilder`], [`current_num_threads`] —
-//! and the iterator layer in [`crate::iter`] builds everything on top
-//! of [`join`].
-//!
-//! ## Scheduling model
-//!
-//! - **Owner end.** A worker pushes split halves of its work onto the
-//!   *back* of its own deque and pops them back LIFO — the cache-hot
-//!   depth-first order.
-//! - **Thief end.** Idle workers steal from the *front* of a victim's
-//!   deque (the oldest, largest chunks) or from the shared injector —
-//!   the breadth-first order that balances load.
-//! - **Waiting helps.** A worker blocked on a [`Latch`] (the second
-//!   half of a `join`, a scope's completion) executes other pending
-//!   jobs instead of sleeping, so nested parallelism can never
-//!   deadlock the pool. Non-pool threads park on a condvar instead.
-//!
-//! ## Determinism contract
-//!
-//! The pool schedules *execution*, never *results*: every construct
-//! exposed here returns values in a thread-count-independent order
-//! (`join` returns `(ra, rb)` positionally; the iterator layer writes
-//! each element to its own index). Callers that follow the workspace
-//! rule — index-addressed output writes, fixed-order reductions —
-//! get bitwise-identical results at any pool size.
-//!
-//! ## Panic discipline
-//!
-//! A panicking job never unwinds a worker: the payload is caught,
-//! stored in the job's result slot, and re-raised on the thread that
-//! *waits* on the job (`join` re-raises after both halves complete;
-//! `scope` after all spawned tasks complete). Workers survive and keep
-//! serving unrelated jobs.
+//! `map_chunks` cuts `0..len` into about four chunks per worker and
+//! lists one job, `{chunks, next, helpers, first panic, body}`, that
+//! lives on the caller's stack. Workers *and the caller* claim chunk
+//! indices from the job's one counter with `fetch_add` until it runs
+//! out, so the caller always drains its own job: rank threads help
+//! while they wait, and a nested call (a chunk body that calls
+//! `par_iter`) cannot deadlock. The caller then unlists the job and
+//! waits only for the workers still attached to it. Chunk `k`'s result
+//! is returned in position `k`, whichever thread ran it. A chunk's
+//! panic is caught and the first payload re-raised on the caller once
+//! every claimed chunk has completed; workers keep serving. The
+//! scheduling model and the determinism contract are written out in
+//! `crates/compat/README.md`.
 
 use std::any::Any;
-use std::cell::{Cell, RefCell, UnsafeCell};
-use std::collections::VecDeque;
+use std::cell::RefCell;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, LazyLock, Mutex, MutexGuard, PoisonError};
 
-/// Hard sanity cap on pool size (an oversubscription guard: far above
-/// any sane `ranks × workers` product, low enough to catch a runaway
-/// configuration like `BLTC_HOST_THREADS=1000000`).
-pub const MAX_POOL_THREADS: usize = 256;
+/// Hard cap on pool size: far above any sane `ranks × workers`
+/// product, low enough to catch a runaway `BLTC_HOST_THREADS=1000000`.
+const MAX_POOL_THREADS: usize = 256;
 
-/// Environment variable overriding the default worker count of every
-/// pool built without an explicit `num_threads` (including the global
-/// pool). Takes precedence over `RAYON_NUM_THREADS`.
+/// Sizes every pool built without `num_threads`, the global one
+/// included; takes precedence over `RAYON_NUM_THREADS`.
 pub const HOST_THREADS_ENV: &str = "BLTC_HOST_THREADS";
 
-// ---------------------------------------------------------------------
-// Job references
-// ---------------------------------------------------------------------
-
-/// Type-erased pointer to a job living either on a waiting thread's
-/// stack ([`StackJob`]) or on the heap ([`HeapJob`]). The owner
-/// guarantees the pointee outlives execution (stack jobs are waited on
-/// before their frame exits; heap jobs are boxed).
-#[derive(Clone, Copy)]
-struct JobRef {
-    data: *const (),
-    exec: unsafe fn(*const ()),
+/// A poisoned lock only means a thread panicked while holding it; every
+/// value guarded here is valid after each single update.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-// Jobs are identified by their data pointer alone (unique per live
-// job); function pointers are not reliably comparable.
-impl PartialEq for JobRef {
-    fn eq(&self, other: &Self) -> bool {
-        std::ptr::eq(self.data, other.data)
-    }
+/// The scheduling edges the test build perturbs (see the tests module).
+enum Edge {
+    Claim,
+    Complete,
+    Park,
+    Wake,
 }
 
-impl Eq for JobRef {}
+#[cfg(not(test))]
+#[inline(always)]
+fn perturb(_: Edge) {}
 
-// SAFETY: the job protocol (latch-before-frame-exit for stack jobs,
-// box ownership transfer for heap jobs) makes the pointer valid on
-// whichever thread executes it.
-unsafe impl Send for JobRef {}
+#[cfg(test)]
+use tests::perturb;
 
-impl JobRef {
-    unsafe fn execute(self) {
-        (self.exec)(self.data)
-    }
+/// One parallel call: `chunks` chunk indices handed out by `next`.
+struct Job<'a> {
+    chunks: usize,
+    next: AtomicUsize,
+    /// Workers attached to the job; changed and read only under the
+    /// pool lock, which orders every attached chunk's completion before
+    /// the caller's return.
+    helpers: AtomicUsize,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    body: &'a (dyn Fn(usize) + Sync),
 }
 
-/// Completion flag. Deliberately nothing but one atomic: a latch
-/// usually lives on the *waiting* thread's stack, and the waiter may
-/// destroy it the instant `probe()` turns true — so the setter's last
-/// (and only) touch of latch memory must be the single `done` store.
-/// All wakeup machinery (mutex + condvar) lives in the [`Registry`],
-/// which outlives every job; [`Registry::notify_event`] is called
-/// *after* the store and touches only registry memory.
-struct Latch {
-    done: AtomicBool,
-}
-
-impl Latch {
-    fn new() -> Self {
-        Self {
-            done: AtomicBool::new(false),
-        }
-    }
-
-    fn probe(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    /// Set the flag, then wake sleepers through the registry. After
-    /// the store returns, this function never touches `self` again —
-    /// the waiter is free to deallocate the latch concurrently.
-    fn set(&self, registry: &Registry) {
-        self.done.store(true, Ordering::Release);
-        registry.notify_event();
-    }
-}
-
-/// A `join` half on the waiter's stack: closure in, result (or panic
-/// payload) out, latch signalled on completion.
-struct StackJob<F, R> {
-    f: UnsafeCell<Option<F>>,
-    result: UnsafeCell<Option<std::thread::Result<R>>>,
-    latch: Latch,
-    /// The pool this job belongs to. Raw pointer, not `Arc`: the
-    /// waiting caller holds an `Arc` for the job's whole life, and the
-    /// executing thread holds its own (worker main loop or helper
-    /// context), so the pointee strictly outlives execution.
-    registry: *const Registry,
-}
-
-// SAFETY: access is handshaked through the latch — exactly one thread
-// executes (writing `result`), and the owner reads it only after the
-// latch is set. The registry pointer is valid for the job's life (see
-// field docs).
-unsafe impl<F: Send, R: Send> Sync for StackJob<F, R> {}
-
-impl<F, R> StackJob<F, R>
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    fn new(f: F, registry: &Arc<Registry>) -> Self {
-        Self {
-            f: UnsafeCell::new(Some(f)),
-            result: UnsafeCell::new(None),
-            latch: Latch::new(),
-            registry: Arc::as_ptr(registry),
-        }
-    }
-
-    fn as_job_ref(&self) -> JobRef {
-        JobRef {
-            data: self as *const Self as *const (),
-            exec: Self::exec,
-        }
-    }
-
-    unsafe fn exec(data: *const ()) {
-        let this = &*(data as *const Self);
-        let registry = &*this.registry;
-        let f = (*this.f.get()).take().expect("job executed twice");
-        let result = catch_unwind(AssertUnwindSafe(f));
-        *this.result.get() = Some(result);
-        // `set` stores the flag as its ONLY touch of `this`; the
-        // waiter may free the job the moment the flag flips, while we
-        // are still inside `notify_event` — which touches only the
-        // registry. Never touch `this` after this line.
-        this.latch.set(registry);
-    }
-
-    /// Take the result after the latch fired; re-raises a captured
-    /// panic on the caller.
-    fn into_result(self) -> R {
-        match self.result.into_inner().expect("latch set without result") {
-            Ok(r) => r,
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-}
-
-/// A heap-allocated fire-and-forget job (scope tasks).
-struct HeapJob {
-    body: Box<dyn FnOnce() + Send>,
-}
-
-impl HeapJob {
-    fn into_job_ref(body: Box<dyn FnOnce() + Send>) -> JobRef {
-        let boxed = Box::new(HeapJob { body });
-        JobRef {
-            data: Box::into_raw(boxed) as *const (),
-            exec: Self::exec,
-        }
-    }
-
-    unsafe fn exec(data: *const ()) {
-        let boxed = Box::from_raw(data as *mut HeapJob);
-        // Panic containment is the *scope's* job (it records the
-        // payload); nothing may unwind past a worker loop.
-        (boxed.body)();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Registry: deques, injector, sleep machinery
-// ---------------------------------------------------------------------
-
-/// Shared state of one pool.
-pub(crate) struct Registry {
-    /// One deque per worker. Owner pushes/pops at the back; thieves
-    /// (and [`pop_specific`](Registry::pop_specific)) take from the
-    /// front.
-    deques: Vec<Mutex<VecDeque<JobRef>>>,
-    /// Submission queue for jobs originating outside the pool.
-    injector: Mutex<VecDeque<JobRef>>,
-    /// Count of queued-but-unclaimed jobs (wakeup hint).
-    pending: AtomicUsize,
-    /// Event rendezvous: idle workers *and* threads blocked on a latch
-    /// park here; every push and every latch set broadcasts. Lives in
-    /// the registry (never on a job) so completion notifications touch
-    /// only memory that outlives every job — see [`Latch`].
-    event_lock: Mutex<()>,
-    event_cv: Condvar,
-    shutdown: AtomicBool,
-}
-
-impl Registry {
-    fn new(n_threads: usize) -> Self {
-        Self {
-            deques: (0..n_threads)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            injector: Mutex::new(VecDeque::new()),
-            pending: AtomicUsize::new(0),
-            event_lock: Mutex::new(()),
-            event_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        }
-    }
-
-    pub(crate) fn num_threads(&self) -> usize {
-        self.deques.len()
-    }
-
-    fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-        m.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Broadcast "something happened" (new job, latch set, shutdown).
-    /// Taking the lock before notifying pairs with sleepers' re-check
-    /// under the same lock, closing the missed-wakeup window.
-    fn notify_event(&self) {
-        let _g = Self::lock(&self.event_lock);
-        self.event_cv.notify_all();
-    }
-
-    fn push_local(&self, worker: usize, job: JobRef) {
-        Self::lock(&self.deques[worker]).push_back(job);
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        self.notify_event();
-    }
-
-    fn push_injector(&self, job: JobRef) {
-        Self::lock(&self.injector).push_back(job);
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        self.notify_event();
-    }
-
-    /// Pop the caller's most recent push if nobody has stolen it
-    /// (LIFO fast path of `join`).
-    fn pop_specific_local(&self, worker: usize, job: JobRef) -> bool {
-        let mut dq = Self::lock(&self.deques[worker]);
-        if dq.back() == Some(&job) {
-            dq.pop_back();
-            drop(dq);
-            self.pending.fetch_sub(1, Ordering::SeqCst);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Reclaim a job from the injector (external `join` fast path).
-    fn pop_specific_injector(&self, job: JobRef) -> bool {
-        let mut q = Self::lock(&self.injector);
-        if let Some(pos) = q.iter().position(|j| *j == job) {
-            q.remove(pos);
-            drop(q);
-            self.pending.fetch_sub(1, Ordering::SeqCst);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Find any runnable job: own deque (back), then steal from peers
-    /// (front), then the injector (front).
-    fn find_job(&self, worker: Option<usize>) -> Option<JobRef> {
-        if let Some(w) = worker {
-            if let Some(job) = Self::lock(&self.deques[w]).pop_back() {
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                return Some(job);
-            }
-            let n = self.deques.len();
-            for k in 1..n {
-                let victim = (w + k) % n;
-                if let Some(job) = Self::lock(&self.deques[victim]).pop_front() {
-                    self.pending.fetch_sub(1, Ordering::SeqCst);
-                    return Some(job);
-                }
-            }
-        }
-        if let Some(job) = Self::lock(&self.injector).pop_front() {
-            self.pending.fetch_sub(1, Ordering::SeqCst);
-            return Some(job);
-        }
-        // A non-worker helper may also relieve a worker deque: take
-        // the oldest chunk, exactly like a thief.
-        if worker.is_none() {
-            for dq in &self.deques {
-                if let Some(job) = Self::lock(dq).pop_front() {
-                    self.pending.fetch_sub(1, Ordering::SeqCst);
-                    return Some(job);
-                }
-            }
-        }
-        None
-    }
-
-    /// Wait on `latch`, executing other jobs while it is unset — this
-    /// is what makes nested `join` deadlock-free: a thread that owes a
-    /// result keeps the pool moving instead of parking. When nothing
-    /// is runnable, park on the event condvar (woken by any push or
-    /// any latch set; timed as a belt-and-braces backstop).
-    fn wait_helping(&self, worker: Option<usize>, latch: &Latch) {
-        let mut idle_spins = 0u32;
-        while !latch.probe() {
-            if let Some(job) = self.find_job(worker) {
-                idle_spins = 0;
-                unsafe { job.execute() };
-                continue;
-            }
-            idle_spins += 1;
-            if idle_spins < 64 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let g = Self::lock(&self.event_lock);
-            // Re-check under the lock (pairs with notify_event).
-            if latch.probe() || self.pending.load(Ordering::SeqCst) > 0 {
-                continue;
-            }
-            let _ = self
-                .event_cv
-                .wait_timeout(g, Duration::from_millis(10))
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn worker_main(self: &Arc<Self>, index: usize) {
-        WORKER.with(|w| {
-            w.set(Some(WorkerContext {
-                registry: Arc::as_ptr(self),
-                index,
-            }))
-        });
+impl Job<'_> {
+    /// Claim and run chunks until the counter runs out. `Relaxed` claims
+    /// suffice: an index needs only a single owner, which the
+    /// read-modify-write gives, and a chunk's result is published
+    /// through its own slot lock. Never unwinds: a chunk's panic is
+    /// caught and the first payload kept for the caller.
+    fn drain(&self) {
         loop {
-            if let Some(job) = self.find_job(Some(index)) {
-                unsafe { job.execute() };
-                continue;
-            }
-            if self.shutdown.load(Ordering::SeqCst) {
+            perturb(Edge::Claim);
+            let k = self.next.fetch_add(1, Ordering::Relaxed);
+            if k >= self.chunks {
                 return;
             }
-            let g = Self::lock(&self.event_lock);
-            if self.pending.load(Ordering::SeqCst) > 0 || self.shutdown.load(Ordering::SeqCst) {
-                continue;
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.body)(k))) {
+                lock(&self.panic).get_or_insert(payload);
             }
-            // Timed wait as a belt-and-braces guard against a missed
-            // wakeup; pushes notify under `event_lock`, so the check
-            // above cannot race with a publish.
-            let _ = self
-                .event_cv
-                .wait_timeout(g, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner());
+            perturb(Edge::Complete);
         }
     }
 }
 
-/// TLS record marking the current thread as a pool worker.
-#[derive(Clone, Copy)]
-struct WorkerContext {
-    registry: *const Registry,
-    index: usize,
+/// What the pool lock guards.
+#[derive(Default)]
+struct State {
+    /// Jobs that may still have chunks to claim, oldest first.
+    jobs: Vec<&'static Job<'static>>,
+    shutdown: bool,
+}
+
+struct Shared {
+    workers: usize,
+    state: Mutex<State>,
+    /// Idle workers park here until a job is listed or shutdown.
+    work: Condvar,
+    /// Callers park here until their job's helpers detach.
+    idle: Condvar,
+}
+
+impl Shared {
+    /// A worker's life: attach to the oldest listed job, drain it,
+    /// unlist it, detach; park while nothing is listed.
+    fn work(&self) {
+        let mut state = lock(&self.state);
+        while !state.shutdown {
+            let Some(&job) = state.jobs.first() else {
+                state = park(&self.work, state);
+                continue;
+            };
+            job.helpers.fetch_add(1, Ordering::Relaxed);
+            drop(state);
+            job.drain();
+            state = lock(&self.state);
+            // The counter ran out: nobody else should attach in vain.
+            state.jobs.retain(|&j| !std::ptr::eq(j, job));
+            if job.helpers.fetch_sub(1, Ordering::Relaxed) == 1 {
+                self.idle.notify_all();
+            }
+        }
+    }
+
+    /// Run `body(k)` for every `k in 0..chunks` on this pool and the
+    /// calling thread; returns once every chunk has completed, and
+    /// re-raises the first chunk panic.
+    fn run(&self, chunks: usize, body: &(dyn Fn(usize) + Sync)) {
+        let job = Job {
+            chunks,
+            next: AtomicUsize::new(0),
+            helpers: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+            body,
+        };
+        // SAFETY: the listed reference outlives `job` and the borrows in
+        // `body` only on paper. Workers reach a job only through the
+        // list, attach to it under the pool lock, and never touch it
+        // after detaching under that lock. Below, the caller unlists
+        // the job and waits, under the lock, until no worker is
+        // attached before `job` can drop — the join-before-return that
+        // `std::thread::scope` enforces. Nothing between listing and
+        // that wait unwinds: `drain` catches every chunk's panic and
+        // `lock` recovers poisoned guards.
+        let listed = unsafe { std::mem::transmute::<&Job<'_>, &'static Job<'static>>(&job) };
+        lock(&self.state).jobs.push(listed);
+        self.work.notify_all();
+        job.drain();
+        let mut state = lock(&self.state);
+        state.jobs.retain(|&j| !std::ptr::eq(j, listed));
+        while job.helpers.load(Ordering::Relaxed) > 0 {
+            state = park(&self.idle, state);
+        }
+        drop(state);
+        let panic = lock(&job.panic).take();
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+    }
+}
+
+/// Wait on one of the pool's condvars, between the park and wake edges.
+fn park<'a>(cv: &Condvar, state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+    perturb(Edge::Park);
+    let state = cv.wait(state).unwrap_or_else(PoisonError::into_inner);
+    perturb(Edge::Wake);
+    state
+}
+
+/// Split `0..len` into chunks, run `body` on each over the current pool
+/// (the calling thread included), and return the results in chunk
+/// order. A 1-worker pool, or a single item, runs `body(0..len)` inline.
+pub(crate) fn map_chunks<T: Send>(len: usize, body: impl Fn(Range<usize>) -> T + Sync) -> Vec<T> {
+    let shared = current_pool().shared;
+    if shared.workers <= 1 || len <= 1 {
+        return vec![body(0..len)];
+    }
+    let chunk = (len / (shared.workers * 4)).max(1);
+    let slots: Vec<Mutex<Option<T>>> = (0..len.div_ceil(chunk)).map(|_| Mutex::default()).collect();
+    shared.run(slots.len(), &|k| {
+        let out = body(k * chunk..len.min((k + 1) * chunk));
+        *lock(&slots[k]) = Some(out);
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .map(|out| out.expect("run returns only after every chunk completed"))
+        .collect()
 }
 
 thread_local! {
-    static WORKER: Cell<Option<WorkerContext>> = const { Cell::new(None) };
-    /// Stack of pools entered via [`ThreadPool::install`] on non-pool
-    /// threads.
-    static INSTALLED: RefCell<Vec<Arc<Registry>>> = const { RefCell::new(Vec::new()) };
+    /// Pools entered with [`ThreadPool::install`] on this thread,
+    /// innermost last. A worker's own pool sits at the bottom of its
+    /// stack, so nested calls on a worker stay on its pool.
+    static INSTALLED: RefCell<Vec<Arc<Shared>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// If the current thread is a worker of `registry`, its index.
-fn worker_index_in(registry: &Arc<Registry>) -> Option<usize> {
-    WORKER.with(|w| {
-        w.get()
-            .filter(|ctx| std::ptr::eq(ctx.registry, Arc::as_ptr(registry)))
-            .map(|ctx| ctx.index)
-    })
+/// Stops and joins the workers when the last owning handle drops.
+struct Workers {
+    shared: Arc<Shared>,
+    handles: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// The registry parallel constructs on this thread dispatch to:
-/// the worker's own pool, else the innermost installed pool, else the
-/// global pool.
-pub(crate) fn current_registry() -> Arc<Registry> {
-    if let Some(ctx) = WORKER.with(|w| w.get()) {
-        // SAFETY: a worker thread outlives its registry Arc reference;
-        // the pointer is valid for the worker's whole life.
-        let registry = unsafe { &*ctx.registry };
-        // Re-wrap without taking ownership.
-        unsafe {
-            Arc::increment_strong_count(ctx.registry);
-            return Arc::from_raw(registry);
-        }
-    }
-    if let Some(reg) = INSTALLED.with(|s| s.borrow().last().cloned()) {
-        return reg;
-    }
-    global_pool().registry.clone()
-}
-
-// ---------------------------------------------------------------------
-// Pool handles
-// ---------------------------------------------------------------------
-
-/// Joins the workers when the last *owning* [`ThreadPool`] clone
-/// drops. Secondary handles (from [`current_pool`]) share the
-/// registry but must never tear it down — `owns_workers` is false for
-/// them and their drop is a no-op.
-struct PoolShutdown {
-    registry: Arc<Registry>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    owns_workers: bool,
-}
-
-impl Drop for PoolShutdown {
+impl Drop for Workers {
     fn drop(&mut self) {
-        if !self.owns_workers {
-            return;
-        }
-        self.registry.shutdown.store(true, Ordering::SeqCst);
-        self.registry.notify_event();
-        for h in Self::lock_handles(&self.handles).drain(..) {
+        lock(&self.shared.state).shutdown = true;
+        self.shared.work.notify_all();
+        for h in self.handles.drain(..) {
+            // A worker catches every chunk panic: nothing to report.
             let _ = h.join();
         }
     }
 }
 
-impl PoolShutdown {
-    fn lock_handles(
-        m: &Mutex<Vec<std::thread::JoinHandle<()>>>,
-    ) -> std::sync::MutexGuard<'_, Vec<std::thread::JoinHandle<()>>> {
-        m.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// A handle to a work-stealing pool. Cloning shares the pool; the
-/// workers shut down when the last clone of the *owning* handle (the
-/// one [`ThreadPoolBuilder::build`] returned) drops — secondary
-/// handles from [`current_pool`] never tear the pool down.
+/// A handle to a pool; clones share it. The workers stop when the last
+/// clone of the handle [`ThreadPoolBuilder::build`] returned drops, and
+/// later work through a [`current_pool`] handle runs on the caller
+/// alone, chunked as before, with unchanged results.
 #[derive(Clone)]
 pub struct ThreadPool {
-    registry: Arc<Registry>,
-    _shutdown: Arc<PoolShutdown>,
+    shared: Arc<Shared>,
+    _owner: Option<Arc<Workers>>,
 }
 
 impl ThreadPool {
     /// Number of worker threads.
     pub fn current_num_threads(&self) -> usize {
-        self.registry.num_threads()
+        self.shared.workers
     }
 
-    /// Run `f` with this pool as the dispatch target for every
-    /// parallel construct it (transitively) invokes on this thread.
-    ///
-    /// Divergence from rayon: `f` itself stays on the calling thread
-    /// (rayon migrates it onto a worker); only the parallel work
-    /// inside is executed by the pool. Results are identical — the
-    /// difference is which thread runs the sequential spine.
+    /// Run `f` with this pool as the target of every parallel call it
+    /// makes on this thread. Unlike rayon, `f` itself stays on the
+    /// calling thread; results are identical.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        INSTALLED.with(|s| s.borrow_mut().push(self.registry.clone()));
-        struct Guard;
-        impl Drop for Guard {
+        struct Pop;
+        impl Drop for Pop {
             fn drop(&mut self) {
-                INSTALLED.with(|s| {
-                    s.borrow_mut().pop();
-                });
+                INSTALLED.with(|s| s.borrow_mut().pop());
             }
         }
-        let _g = Guard;
+        INSTALLED.with(|s| s.borrow_mut().push(Arc::clone(&self.shared)));
+        let _pop = Pop;
         f()
     }
 }
-
-/// Error type of [`ThreadPoolBuilder::build`] (shape-compatible with
-/// rayon's; building cannot actually fail here short of thread-spawn
-/// failure, which panics).
-#[derive(Debug)]
-pub struct ThreadPoolBuildError(());
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "thread pool build error")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
 
 /// Builder for a [`ThreadPool`].
 #[derive(Debug, Default)]
@@ -536,499 +257,255 @@ impl ThreadPoolBuilder {
         Self::default()
     }
 
-    /// Worker-thread count; `0` (the default) resolves through
-    /// [`default_num_threads`] (`BLTC_HOST_THREADS` →
-    /// `RAYON_NUM_THREADS` → `available_parallelism`).
+    /// Worker-thread count; `0` (the default) resolves
+    /// `BLTC_HOST_THREADS` → `RAYON_NUM_THREADS` →
+    /// `available_parallelism`.
     pub fn num_threads(mut self, n: usize) -> Self {
         self.num_threads = n;
         self
     }
 
-    /// Spawn the workers.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let n = match self.num_threads {
+    /// Spawn the workers. Fails only if a thread cannot spawn, after
+    /// stopping the ones that did.
+    pub fn build(self) -> std::io::Result<ThreadPool> {
+        let workers = match self.num_threads {
             0 => default_num_threads(),
             n => n,
         }
         .min(MAX_POOL_THREADS);
-        let registry = Arc::new(Registry::new(n));
-        let mut handles = Vec::with_capacity(n);
-        for index in 0..n {
-            let reg = Arc::clone(&registry);
-            let h = std::thread::Builder::new()
-                .name(format!("bltc-pool-{index}"))
-                .spawn(move || reg.worker_main(index))
-                .expect("failed to spawn pool worker");
-            handles.push(h);
+        let shared = Arc::new(Shared {
+            workers,
+            state: Mutex::default(),
+            work: Condvar::new(),
+            idle: Condvar::new(),
+        });
+        let mut owner = Workers {
+            shared: Arc::clone(&shared),
+            handles: Vec::with_capacity(workers),
+        };
+        for index in 0..workers {
+            let shared = Arc::clone(&shared);
+            #[cfg(test)]
+            let seed = tests::worker_seed(index);
+            let spawn = std::thread::Builder::new().name(format!("bltc-pool-{index}"));
+            owner.handles.push(spawn.spawn(move || {
+                #[cfg(test)]
+                tests::seed_thread(seed);
+                INSTALLED.with(|s| s.borrow_mut().push(Arc::clone(&shared)));
+                shared.work();
+            })?);
         }
         Ok(ThreadPool {
-            registry: Arc::clone(&registry),
-            _shutdown: Arc::new(PoolShutdown {
-                registry,
-                handles: Mutex::new(handles),
-                owns_workers: true,
-            }),
+            shared,
+            _owner: Some(Arc::new(owner)),
         })
     }
 }
 
-/// Default worker count: `BLTC_HOST_THREADS`, else `RAYON_NUM_THREADS`,
-/// else `std::thread::available_parallelism()` (1 if unknown). Values
-/// are clamped to `1..=`[`MAX_POOL_THREADS`].
-pub fn default_num_threads() -> usize {
-    for var in [HOST_THREADS_ENV, "RAYON_NUM_THREADS"] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n.min(MAX_POOL_THREADS);
-                }
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(MAX_POOL_THREADS)
+/// `BLTC_HOST_THREADS`, else `RAYON_NUM_THREADS`, else
+/// `available_parallelism` (1 if unknown).
+fn default_num_threads() -> usize {
+    [HOST_THREADS_ENV, "RAYON_NUM_THREADS"]
+        .iter()
+        .find_map(|var| {
+            let n = std::env::var(var).ok()?.trim().parse::<usize>().ok()?;
+            (n >= 1).then_some(n)
+        })
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-fn global_pool() -> &'static ThreadPool {
-    static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
+/// Worker count of the pool parallel calls on this thread would use.
+pub fn current_num_threads() -> usize {
+    current_pool().shared.workers
+}
+
+/// The pool parallel calls on this thread dispatch to — the innermost
+/// installed pool, else the global one — as a handle that never stops
+/// its workers. `mpi-sim` captures it on the driver thread and installs
+/// it in every rank thread, so rank bodies and the driver share one
+/// process-wide pool.
+pub fn current_pool() -> ThreadPool {
+    static GLOBAL: LazyLock<ThreadPool> = LazyLock::new(|| {
         ThreadPoolBuilder::new()
             .build()
-            .expect("failed to build global pool")
-    })
-}
-
-/// Worker count of the pool parallel constructs on this thread would
-/// use right now.
-pub fn current_num_threads() -> usize {
-    current_registry().num_threads()
-}
-
-/// The pool parallel constructs on this thread dispatch to, as a
-/// shareable handle. `mpi-sim` captures this on the driver thread and
-/// re-installs it inside every rank thread, so SPMD rank bodies and
-/// the driver share one process-wide pool (see the session rustdoc
-/// for the pool-per-process rationale).
-pub fn current_pool() -> ThreadPool {
-    if let Some(reg) = INSTALLED.with(|s| s.borrow().last().cloned()) {
-        // Reconstruct a handle sharing the installed registry. The
-        // shutdown guard is shared through the original handle; a
-        // handle made here must keep the pool alive too, so we clone
-        // from the TLS-stored Arc and keep workers alive via the
-        // registry — the original ThreadPool's guard joins them.
-        return ThreadPool {
-            registry: Arc::clone(&reg),
-            _shutdown: keepalive_for(&reg),
-        };
+            .expect("build the global pool")
+    });
+    match INSTALLED.with(|s| s.borrow().last().cloned()) {
+        Some(shared) => ThreadPool {
+            shared,
+            _owner: None,
+        },
+        None => GLOBAL.clone(),
     }
-    if WORKER.with(|w| w.get()).is_some() {
-        let registry = current_registry();
-        return ThreadPool {
-            _shutdown: keepalive_for(&registry),
-            registry,
-        };
-    }
-    global_pool().clone()
-}
-
-/// A no-op shutdown guard for secondary handles: shutdown and joining
-/// are owned exclusively by the originating [`ThreadPool`]
-/// (`owns_workers: false` makes this guard's drop inert). Secondary
-/// handles only keep the registry allocation alive; if the owning
-/// handle drops first, later work on a secondary handle degrades to
-/// helping-thread execution (correct results, no pool workers).
-fn keepalive_for(registry: &Arc<Registry>) -> Arc<PoolShutdown> {
-    Arc::new(PoolShutdown {
-        registry: Arc::clone(registry),
-        handles: Mutex::new(Vec::new()),
-        owns_workers: false,
-    })
-}
-
-// ---------------------------------------------------------------------
-// join
-// ---------------------------------------------------------------------
-
-/// Run two closures, potentially in parallel, and return both results
-/// positionally — rayon's fork–join primitive.
-///
-/// `b` is published to the pool; `a` runs on the calling thread. If
-/// nobody stole `b`, the caller reclaims and runs it inline (the
-/// common, allocation-cheap path); otherwise the caller helps execute
-/// other pool jobs until `b` completes. Panics in either closure are
-/// re-raised here — after **both** halves finished, so no job ever
-/// outlives its stack frame.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let registry = current_registry();
-    join_in(&registry, a, b)
-}
-
-pub(crate) fn join_in<A, B, RA, RB>(registry: &Arc<Registry>, a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let worker = worker_index_in(registry);
-    let job_b = StackJob::new(b, registry);
-    let jref = job_b.as_job_ref();
-    match worker {
-        Some(idx) => registry.push_local(idx, jref),
-        None => registry.push_injector(jref),
-    }
-
-    // Run `a`, but never unwind before `b` is accounted for.
-    let ra = match catch_unwind(AssertUnwindSafe(a)) {
-        Ok(ra) => ra,
-        Err(payload) => {
-            finish_b(registry, worker, &job_b, jref);
-            resume_unwind(payload);
-        }
-    };
-    finish_b(registry, worker, &job_b, jref);
-    (ra, job_b.into_result())
-}
-
-/// Ensure the `b` half of a join has executed: reclaim it if still
-/// queued (running it inline), otherwise help until its latch fires.
-fn finish_b<F, R>(
-    registry: &Arc<Registry>,
-    worker: Option<usize>,
-    job: &StackJob<F, R>,
-    jref: JobRef,
-) where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    let reclaimed = match worker {
-        Some(idx) => registry.pop_specific_local(idx, jref),
-        None => registry.pop_specific_injector(jref),
-    };
-    if reclaimed {
-        unsafe { jref.execute() };
-    } else if !job.latch.probe() {
-        // Workers and non-pool threads both help while waiting (a
-        // non-pool thread may hold the only runnable continuation of
-        // a nested join); wait_helping parks on the event condvar
-        // when nothing is runnable.
-        registry.wait_helping(worker, &job.latch);
-    }
-}
-
-// ---------------------------------------------------------------------
-// scope
-// ---------------------------------------------------------------------
-
-/// A scope for spawning borrowing tasks; see [`scope`].
-pub struct Scope<'scope> {
-    registry: Arc<Registry>,
-    /// Outstanding tasks + the scope body itself.
-    counter: AtomicUsize,
-    /// First panic payload from a spawned task.
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-    latch: Latch,
-    marker: std::marker::PhantomData<fn(&'scope ()) -> &'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawn a task that may borrow from the enclosing scope. Tasks
-    /// always execute on pool workers (never inline), may spawn
-    /// further tasks, and complete before [`scope`] returns.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        self.counter.fetch_add(1, Ordering::SeqCst);
-        // Sendable wrapper for the scope pointer (raw pointers are not
-        // Send; the scope itself is Sync and outlives the task).
-        struct ScopePtr<'s>(*const Scope<'s>);
-        unsafe impl Send for ScopePtr<'_> {}
-        impl<'s> ScopePtr<'s> {
-            // Accessor (rather than field access) so the closure
-            // captures the Send wrapper, not the raw pointer field.
-            fn get(&self) -> *const Scope<'s> {
-                self.0
-            }
-        }
-        let self_ptr = ScopePtr(self as *const Scope<'scope>);
-        // Erase the 'scope lifetime: the scope outlives every task by
-        // construction (scope() blocks on the latch before its frame —
-        // and anything 'scope borrows — can die).
-        let body: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            // SAFETY: see lifetime argument above.
-            let scope = unsafe { &*self_ptr.get() };
-            let result = catch_unwind(AssertUnwindSafe(|| f(scope)));
-            if let Err(payload) = result {
-                let mut slot = scope.panic.lock().unwrap_or_else(|e| e.into_inner());
-                slot.get_or_insert(payload);
-            }
-            scope.complete_one();
-        });
-        let body: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(body) };
-        let jref = HeapJob::into_job_ref(body);
-        match worker_index_in(&self.registry) {
-            Some(idx) => self.registry.push_local(idx, jref),
-            None => self.registry.push_injector(jref),
-        }
-    }
-
-    fn complete_one(&self) {
-        if self.counter.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // The registry reference outlives this call even if the
-            // waiting `scope()` frame (and with it this Scope) dies
-            // the instant the flag flips: `set` touches the Scope
-            // only for the atomic store, then notifies through the
-            // registry, which the executing thread keeps alive.
-            let registry: &Registry = &self.registry;
-            self.latch.set(registry);
-        }
-    }
-}
-
-/// Create a scope in which tasks borrowing local state can be spawned;
-/// blocks until every spawned task (transitively) completes. The first
-/// panic from the body or any task is re-raised after all tasks
-/// finish.
-pub fn scope<'scope, OP, R>(op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R,
-{
-    let registry = current_registry();
-    let s = Scope {
-        registry: Arc::clone(&registry),
-        counter: AtomicUsize::new(1), // the body
-        panic: Mutex::new(None),
-        latch: Latch::new(),
-        marker: std::marker::PhantomData,
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| op(&s)));
-    if let Err(payload) = &result {
-        let _ = payload; // recorded below after tasks drain
-    }
-    s.complete_one();
-    if !s.latch.probe() {
-        registry.wait_helping(worker_index_in(&registry), &s.latch);
-    }
-    // Body panic wins (it is the earliest); else first task panic.
-    match result {
-        Err(payload) => resume_unwind(payload),
-        Ok(r) => {
-            let task_panic = s.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
-            if let Some(payload) = task_panic {
-                resume_unwind(payload);
-            }
-            r
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Indexed parallel-for (the iterator layer's engine)
-// ---------------------------------------------------------------------
-
-/// Execute `body(i)` for every `i in 0..len`, splitting the index
-/// range over the current pool via recursive [`join`]. Output
-/// determinism is the *caller's* contract: `body` must write only to
-/// index-addressed locations (slot `i` for index `i`), which makes the
-/// result bitwise independent of thread count and steal order.
-pub fn for_each_index(len: usize, body: &(dyn Fn(usize) + Sync)) {
-    if len == 0 {
-        return;
-    }
-    let registry = current_registry();
-    let workers = registry.num_threads();
-    // Chunky leaves: enough splits for stealing to balance load
-    // (4 per worker), few enough that job overhead stays negligible.
-    let grain = (len / (workers * 4)).max(1);
-    if workers <= 1 {
-        // Degenerate pool: skip the scheduler entirely (identical
-        // results by the index-addressing contract, zero overhead).
-        for i in 0..len {
-            body(i);
-        }
-        return;
-    }
-    split_range(&registry, 0, len, grain, body);
-}
-
-fn split_range(
-    registry: &Arc<Registry>,
-    lo: usize,
-    hi: usize,
-    grain: usize,
-    body: &(dyn Fn(usize) + Sync),
-) {
-    if hi - lo <= grain {
-        for i in lo..hi {
-            body(i);
-        }
-        return;
-    }
-    let mid = lo + (hi - lo) / 2;
-    join_in(
-        registry,
-        || split_range(registry, lo, mid, grain, body),
-        || split_range(registry, mid, hi, grain, body),
-    );
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
-    fn pool(n: usize) -> ThreadPool {
+    /// The perturbed legs' seeds. A failing leg prints its seed; adding
+    /// that seed here replays its perturbation streams.
+    pub(crate) const SEEDS: [u64; 6] = [1, 2, 0x5eed, 0xdead_beef, 0x9e37_79b9, 424_242];
+
+    thread_local! {
+        /// This thread's splitmix64 state; `None` leaves it unperturbed.
+        static STREAM: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    pub(super) fn seed_thread(seed: Option<u64>) {
+        STREAM.with(|s| s.set(seed));
+    }
+
+    /// The stream of worker `index` of a pool built on this thread: a
+    /// pool built under a seeded test is perturbed, every other is not.
+    pub(super) fn worker_seed(index: usize) -> Option<u64> {
+        STREAM.with(Cell::get).map(|mut s| {
+            s ^= (index as u64 + 1) << 48;
+            splitmix64(&mut s)
+        })
+    }
+
+    /// The hook at every claim, complete, park and wake edge: on a
+    /// seeded thread, draw from its stream and run on, yield, spin or
+    /// sleep.
+    pub(super) fn perturb(edge: Edge) {
+        let Some(mut s) = STREAM.with(Cell::get) else {
+            return;
+        };
+        let r = splitmix64(&mut s) ^ edge as u64;
+        STREAM.with(|c| c.set(Some(s)));
+        match r % 8 {
+            0..=2 => {}
+            3 | 4 => std::thread::yield_now(),
+            5 | 6 => (0..(r >> 8) % 4096).for_each(|_| std::hint::spin_loop()),
+            _ => std::thread::sleep(Duration::from_micros((r >> 8) % 300)),
+        }
+    }
+
+    /// Run `f` with this thread's stream seeded by `seed`.
+    pub(crate) fn seeded<R>(seed: u64, f: impl FnOnce() -> R) -> R {
+        seed_thread(Some(seed));
+        let out = f();
+        seed_thread(None);
+        out
+    }
+
+    pub(crate) fn pool(n: usize) -> ThreadPool {
         ThreadPoolBuilder::new().num_threads(n).build().unwrap()
     }
 
+    /// Nested calls from three concurrent callers on one perturbed pool:
+    /// every chunk runs exactly once, results come back in chunk order,
+    /// and nothing deadlocks.
     #[test]
-    fn join_returns_both_results() {
-        let p = pool(2);
-        let (a, b) = p.install(|| join(|| 6 * 7, || "b"));
-        assert_eq!(a, 42);
-        assert_eq!(b, "b");
-    }
-
-    #[test]
-    fn nested_join_computes_correctly() {
-        fn sum(lo: u64, hi: u64) -> u64 {
-            if hi - lo <= 8 {
-                (lo..hi).sum()
-            } else {
-                let mid = lo + (hi - lo) / 2;
-                let (a, b) = join(|| sum(lo, mid), || sum(mid, hi));
-                a + b
+    fn nested_calls_from_concurrent_callers_under_seeds() {
+        for seed in SEEDS {
+            for workers in [1, 2, 7] {
+                let p = seeded(seed, || pool(workers));
+                std::thread::scope(|s| {
+                    for caller in 0..3u64 {
+                        let p = &p;
+                        s.spawn(move || {
+                            seeded(seed ^ (caller << 40), || {
+                                p.install(|| nested(seed, workers))
+                            })
+                        });
+                    }
+                });
             }
         }
-        let p = pool(4);
-        let total = p.install(|| sum(0, 10_000));
-        assert_eq!(total, 10_000 * 9_999 / 2);
     }
 
-    #[test]
-    fn join_panic_in_b_propagates_and_pool_survives() {
-        let p = pool(2);
-        let caught = p.install(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                join(|| 1, || -> i32 { panic!("boom-b") })
-            }))
-        });
-        let payload = caught.expect_err("panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "boom-b");
-        // Pool still serves jobs.
-        let (a, b) = p.install(|| join(|| 2, || 3));
-        assert_eq!((a, b), (2, 3));
+    fn nested(seed: u64, workers: usize) {
+        let ctx = format!("seed {seed:#x}, {workers} workers");
+        for len in [0, 1, 2, 9, 64, 301] {
+            let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+            let ranges = map_chunks(len, |r| {
+                let inner = map_chunks(r.len() * 3, |q| q.len());
+                assert_eq!(inner.iter().sum::<usize>(), r.len() * 3, "inner: {ctx}");
+                r.clone().for_each(|i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+                r
+            });
+            let starts: Vec<usize> = ranges.iter().map(|r| r.start).collect();
+            let ends: Vec<usize> = ranges.iter().map(|r| r.end).collect();
+            assert_eq!(starts[0], 0, "len {len}: {ctx}");
+            assert_eq!(
+                starts[1..],
+                ends[..ends.len() - 1],
+                "chunk order, len {len}: {ctx}"
+            );
+            assert_eq!(*ends.last().unwrap(), len, "len {len}: {ctx}");
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "every index once, len {len}: {ctx}"
+            );
+        }
     }
 
+    /// Claims under contention: chunk bodies long enough that workers
+    /// claim beside the caller, and every chunk must run exactly once.
     #[test]
-    fn join_panic_in_a_still_waits_for_b() {
-        let p = pool(2);
-        let b_ran = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&b_ran);
-        let caught = p.install(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                join(
-                    || -> i32 { panic!("boom-a") },
-                    move || flag.store(true, Ordering::SeqCst),
-                )
-            }))
-        });
-        assert!(caught.is_err());
-        assert!(
-            b_ran.load(Ordering::SeqCst),
-            "b must complete before join unwinds"
-        );
+    fn contended_claims_run_each_chunk_once() {
+        for workers in [2, 7] {
+            let p = pool(workers);
+            for round in 0..2000 {
+                let hits: Vec<AtomicUsize> =
+                    (0..workers * 4).map(|_| AtomicUsize::new(0)).collect();
+                p.install(|| {
+                    map_chunks(hits.len(), |r| {
+                        (0..50).for_each(|_| std::hint::spin_loop());
+                        hits[r.start].fetch_add(1, Ordering::Relaxed);
+                    })
+                });
+                let runs: Vec<usize> = hits.iter().map(|h| h.load(Ordering::Relaxed)).collect();
+                assert!(
+                    runs.iter().all(|&n| n == 1),
+                    "round {round}, {workers} workers: runs per chunk {runs:?}"
+                );
+            }
+        }
     }
 
+    /// The caller re-raises a chunk's panic only after every other
+    /// chunk, those still sleeping on workers included, has completed.
     #[test]
-    fn scope_tasks_run_on_workers_and_complete() {
-        let p = pool(3);
-        let ids = Mutex::new(HashSet::new());
-        let count = AtomicU64::new(0);
-        p.install(|| {
-            scope(|s| {
-                for _ in 0..16 {
-                    s.spawn(|_| {
-                        ids.lock().unwrap().insert(std::thread::current().id());
-                        count.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-                // Park the caller so the workers drain the queue; the
-                // caller only *helps* once it reaches the scope wait,
-                // so after this nap every task should already be done
-                // — executed by worker threads.
-                std::thread::sleep(Duration::from_millis(300));
-            })
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 16);
-        let me = std::thread::current().id();
-        let ids = ids.lock().unwrap();
-        assert!(
-            ids.iter().any(|&id| id != me),
-            "with the caller parked, pool workers must have executed tasks"
-        );
-    }
-
-    #[test]
-    fn scope_tasks_can_spawn_more_tasks() {
-        let p = pool(2);
-        let count = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&count);
-        p.install(|| {
-            scope(|s| {
-                for _ in 0..4 {
-                    let c = Arc::clone(&c);
-                    s.spawn(move |s2| {
-                        c.fetch_add(1, Ordering::SeqCst);
-                        let c = Arc::clone(&c);
-                        s2.spawn(move |_| {
-                            c.fetch_add(10, Ordering::SeqCst);
-                        });
-                    });
-                }
-            })
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 44);
-    }
-
-    #[test]
-    fn scope_panic_in_task_propagates_without_deadlock() {
-        let p = pool(2);
-        let caught = p.install(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                scope(|s| {
-                    s.spawn(|_| panic!("task-boom"));
-                    s.spawn(|_| { /* healthy sibling */ });
-                })
-            }))
-        });
-        assert!(caught.is_err());
-        // Workers survived the task panic.
-        assert_eq!(p.install(|| join(|| 1, || 1)), (1, 1));
-    }
-
-    #[test]
-    fn for_each_index_covers_every_index_exactly_once() {
-        let p = pool(4);
-        let n = 10_000;
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        p.install(|| {
-            for_each_index(n, &|i| {
-                hits[i].fetch_add(1, Ordering::SeqCst);
-            })
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+    fn panic_is_reraised_after_every_claimed_chunk_completes() {
+        for seed in SEEDS {
+            for workers in [2, 7] {
+                let p = seeded(seed, || pool(workers));
+                let done = AtomicUsize::new(0);
+                let caught = seeded(seed, || {
+                    p.install(|| {
+                        catch_unwind(AssertUnwindSafe(|| {
+                            map_chunks(workers * 4, |r| {
+                                if r.start == 0 {
+                                    panic!("chunk 0");
+                                }
+                                std::thread::sleep(Duration::from_millis(2));
+                                done.fetch_add(1, Ordering::SeqCst);
+                            })
+                        }))
+                    })
+                });
+                let ctx = format!("seed {seed:#x}, {workers} workers");
+                let payload = caught.expect_err(&ctx);
+                assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk 0"), "{ctx}");
+                assert_eq!(done.load(Ordering::SeqCst), workers * 4 - 1, "{ctx}");
+            }
+        }
     }
 
     #[test]
@@ -1065,61 +542,41 @@ mod tests {
         });
     }
 
+    /// Which threads ran the chunks of one slow call on `p`.
+    fn chunk_threads(p: &ThreadPool) -> HashSet<std::thread::ThreadId> {
+        p.install(|| {
+            map_chunks(16, |_| {
+                std::thread::sleep(Duration::from_millis(5));
+                std::thread::current().id()
+            })
+        })
+        .into_iter()
+        .collect()
+    }
+
     #[test]
-    fn current_pool_round_trips_installed_pool() {
+    fn secondary_handles_share_the_pool_and_never_stop_it() {
         let p = pool(3);
         let handle = p.install(current_pool);
         assert_eq!(handle.current_num_threads(), 3);
-        // The secondary handle dispatches to the same registry.
         handle.install(|| assert_eq!(current_num_threads(), 3));
+        // Dropping a secondary handle (as every run_spmd does) leaves
+        // the workers running.
+        drop(handle);
+        let me = std::thread::current().id();
+        assert!(chunk_threads(&p).iter().any(|&id| id != me));
     }
 
     #[test]
-    fn dropping_secondary_handle_keeps_workers_alive() {
-        // Regression: a current_pool() handle going out of scope (as
-        // happens at the end of every run_spmd) must NOT shut down
-        // the originating pool's workers.
+    fn work_after_the_owner_dropped_runs_on_the_caller() {
         let p = pool(2);
         let handle = p.install(current_pool);
-        drop(handle);
-        // Workers must still execute jobs: scope tasks never run
-        // inline before the caller starts waiting, so park the caller
-        // and check a worker picked the task up.
-        let ran_on = Mutex::new(None);
-        p.install(|| {
-            scope(|s| {
-                s.spawn(|_| {
-                    *ran_on.lock().unwrap() = Some(std::thread::current().id());
-                });
-                std::thread::sleep(Duration::from_millis(200));
-            })
-        });
-        let id = ran_on.lock().unwrap().expect("task must have run");
-        assert_ne!(
-            id,
-            std::thread::current().id(),
-            "task should have run on a still-alive worker"
-        );
-    }
-
-    #[test]
-    fn deep_join_torture() {
-        // Depth ~2^12 leaves through every scheduling path, all pool
-        // sizes; results must be identical.
-        fn build(lo: u64, hi: u64) -> Vec<u64> {
-            if hi - lo <= 4 {
-                (lo..hi).map(|x| x * x).collect()
-            } else {
-                let mid = lo + (hi - lo) / 2;
-                let (mut a, b) = join(|| build(lo, mid), || build(mid, hi));
-                a.extend(b);
-                a
-            }
-        }
-        let expect: Vec<u64> = (0..4096).map(|x| x * x).collect();
-        for threads in [1, 2, 7] {
-            let p = pool(threads);
-            assert_eq!(p.install(|| build(0, 4096)), expect, "{threads} threads");
-        }
+        drop(p);
+        let me = std::thread::current().id();
+        assert_eq!(chunk_threads(&handle), HashSet::from([me]));
+        let v: Vec<usize> = handle.install(|| map_chunks(50, |r| r.len()));
+        assert_eq!(v.iter().sum::<usize>(), 50);
+        // 50 items on 2 workers: chunks of 50 / 8 = 6, as with workers.
+        assert_eq!(v.len(), 9);
     }
 }

@@ -93,69 +93,3 @@ pub use pool::{PoolStats, SessionPool};
 pub use rma::{Window, WindowReadGuard, WindowWriteGuard};
 pub use runtime::{run_spmd, SpmdResult, Traffic, TrafficMatrix};
 pub use session::{EpochReport, Session};
-
-/// Host-pool sizing policy for a world of `n_ranks` rank threads —
-/// the `ranks × workers` composition rule.
-///
-/// Rank threads inherit the driver's pool ([`run_spmd`] /
-/// [`Session::spawn`] install it per closure/epoch), so the process
-/// runs `n_ranks` rank threads plus **one** shared pool of `W`
-/// workers. This helper picks `W`:
-///
-/// 1. **Env override wins:** `BLTC_HOST_THREADS`, if set to a positive
-///    integer, is returned verbatim (the operator asked for it — even
-///    if it oversubscribes).
-/// 2. **Oversubscribe guard:** otherwise `W = max(1,
-///    available_parallelism / max(1, n_ranks))`, so rank threads (which
-///    are runnable whenever their parallel regions are — they help the
-///    pool rather than sleeping) plus workers stay within roughly one
-///    runnable thread per hardware thread instead of the `ranks ×
-///    workers` blow-up of a pool per rank.
-///
-/// Benches pass the result to
-/// `rayon::ThreadPoolBuilder::num_threads`; library code normally
-/// never calls this — it inherits whatever the driver installed.
-pub fn host_pool_workers(n_ranks: usize) -> usize {
-    let override_threads = std::env::var(rayon::HOST_THREADS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1);
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    host_pool_workers_with(override_threads, n_ranks, avail)
-}
-
-/// The pure policy behind [`host_pool_workers`], with the environment
-/// override and hardware parallelism passed in explicitly (tests use
-/// this directly so they never mutate process-global state).
-fn host_pool_workers_with(override_threads: Option<usize>, n_ranks: usize, avail: usize) -> usize {
-    if let Some(n) = override_threads {
-        return n.min(rayon::MAX_POOL_THREADS);
-    }
-    (avail / n_ranks.max(1)).max(1)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hier_pool_sizing_uses_total_leaf_ranks() {
-        // 2 nodes × 2 GPUs = 4 leaf rank threads. On an 8-way host the
-        // guard must yield 8/4 = 2 workers — dividing by the top-level
-        // node count (8/2 = 4) would run 4 ranks × 4 workers and
-        // oversubscribe the host 2×.
-        assert_eq!(host_pool_workers_with(None, 2 * 2, 8), 2);
-        assert_ne!(
-            host_pool_workers_with(None, 2, 8),
-            host_pool_workers_with(None, 4, 8),
-            "node-count sizing and leaf-count sizing must actually differ at 2×2 on 8 hw threads"
-        );
-    }
-
-    #[test]
-    fn hier_pool_sizing_saturates_instead_of_overflowing() {
-        assert_eq!(host_pool_workers_with(None, usize::MAX, 16), 1);
-    }
-}

@@ -47,7 +47,12 @@
 //!   the session's whole life). All ranks share that one pool: a
 //!   pool per rank would put `ranks × workers` runnable threads on
 //!   the host — the oversubscription the shared pool exists to avoid.
-//!   See [`crate::host_pool_workers`] for the sizing policy.
+//!   Each parallel call a rank makes is one job on that pool, and the
+//!   rank thread claims chunks of its own job beside the workers, so
+//!   ranks help rather than sleep and even a 1-worker pool makes
+//!   progress under any rank count. If the driver drops the pool's
+//!   owning handle mid-session, the ranks' parallel calls run on the
+//!   rank threads alone, chunked as before, so results do not change.
 //!
 //! ## Example
 //!
@@ -597,29 +602,6 @@ mod tests {
             assert_eq!(threads, 2);
             assert_eq!(last, 126);
         }
-    }
-
-    #[test]
-    fn host_pool_workers_policy() {
-        // Exercised through the pure core so the test never mutates
-        // process-global environment (CI pins BLTC_HOST_THREADS for
-        // the whole suite; tests must not race with or erase it).
-        let w = crate::host_pool_workers_with;
-        // Env override wins, even oversubscribed; insane values clamp.
-        assert_eq!(w(Some(6), 4, 1), 6);
-        assert_eq!(w(Some(100_000), 2, 8), rayon::MAX_POOL_THREADS);
-        // Guarded default: never zero, never above the hardware
-        // parallelism, monotonically non-increasing in rank count.
-        for avail in [1usize, 4, 64] {
-            let w1 = w(None, 1, avail);
-            let w8 = w(None, 8, avail);
-            assert_eq!(w1, avail);
-            assert!((1..=w1).contains(&w8));
-            assert_eq!(w(None, usize::MAX, avail), 1);
-        }
-        // The env-reading wrapper agrees with the policy's bounds.
-        let got = crate::host_pool_workers(2);
-        assert!((1..=rayon::MAX_POOL_THREADS).contains(&got));
     }
 
     #[test]

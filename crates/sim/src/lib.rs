@@ -47,15 +47,15 @@
 //!
 //! By default every per-rank host phase under a step — tree and batch
 //! construction, modified charges, LET traversal, remote-LET
-//! evaluation — runs on the process-wide work-stealing pool (the
-//! `rayon` compat layer): rank threads inherit the driver's pool, so
-//! an integrator launched inside `ThreadPool::install` (or under
-//! `BLTC_HOST_THREADS=N`) steps with `N` host workers shared across
-//! all ranks. Trajectories are part of the workspace determinism
-//! contract: **bitwise identical at any pool size** (asserted by
-//! `tests/host_parallel.rs`), so thread count is purely a wall-clock
-//! knob — `mpi_sim::host_pool_workers` gives the recommended sizing
-//! for a given rank count.
+//! evaluation — runs on the process-wide host pool (the `rayon` compat
+//! layer, where each parallel call is one job whose chunks the workers
+//! and the calling rank thread claim): rank threads inherit the
+//! driver's pool, so an integrator launched inside
+//! `ThreadPool::install` (or under `BLTC_HOST_THREADS=N`) steps with
+//! `N` host workers shared across all ranks. Trajectories are part of
+//! the workspace determinism contract: **bitwise identical at any pool
+//! size** (asserted by `tests/host_parallel.rs`), so thread count is
+//! purely a wall-clock knob.
 //!
 //! ## Example
 //!
