@@ -27,28 +27,27 @@
 //! the property tests compare against bit for bit.
 //!
 //! **Where the paper's two kernels survive.** §3.2 launches two kernels
-//! per cluster, Eq. 14 (`q̃_j`, [`phase1_intermediates_into`]) and
-//! Eq. 15 (`q̂_k` from `q̃`, [`phase2_accumulate_into`]), with `q̃` in
-//! a device buffer between them. The simulated device keeps that split,
-//! because its modeled clock charges two launches and the `q̃` traffic;
-//! both bodies are views of the same term pass, so
-//! `phase2(phase1(·))` equals the fused host pass
-//! ([`compute_charges_into`]) bit for bit. The host never materializes
-//! `q̃`.
+//! per cluster, Eq. 14 (`q̃_j`) and Eq. 15 (`q̂_k` from `q̃`), with `q̃`
+//! in a device buffer between them. They survive as two ledger records
+//! per cluster on the simulated device, priced with
+//! [`PHASE1_FLOPS_PER_TERM`] and [`PHASE2_FLOPS_PER_TERM`] work and the
+//! `q̃` traffic; the numbers themselves come from the fused pass here
+//! ([`compute_charges_into`]), which never materializes `q̃`.
 //!
 //! **Who computes what.** [`PreparedTreecode::new`] computes only the
 //! clusters its interaction lists approximate
 //! ([`ClusterCharges::compute_selected`]); [`ClusterCharges::compute_all`]
-//! is the same constructor with every cluster selected — the host
-//! reference for the simulated device's all-cluster two-kernel pass,
-//! whose device-to-host copy is what the distributed `q̂` window exposes
-//! (remote ranks choose what they read; `bltc-gpu` pins the two
-//! bit-equal).
+//! is the same constructor with every cluster selected — what the
+//! simulated device's all-cluster precompute stands for, and whose
+//! node-major concatenation the distributed `q̂` window exposes (remote
+//! ranks choose what they read).
 //!
 //! Because `Σ_k L_k(y) = 1` in every dimension, the transform conserves
 //! total charge: `Σ_k q̂_k = Σ_j q_j` — a key test invariant.
 //!
 //! [`PreparedTreecode::new`]: crate::engine::PreparedTreecode::new
+//! [`PHASE1_FLOPS_PER_TERM`]: crate::cost::PHASE1_FLOPS_PER_TERM
+//! [`PHASE2_FLOPS_PER_TERM`]: crate::cost::PHASE2_FLOPS_PER_TERM
 
 use rayon::prelude::*;
 
@@ -179,47 +178,6 @@ pub fn compute_charges_into(
     });
 }
 
-/// Phase 1 (Eq. 14): the per-source intermediates
-/// `q̃_j = q_j / (D_1 D_2 D_3)` (coincident dimensions contribute factor
-/// 1 — their basis is already a Kronecker delta), written over `qt`.
-///
-/// This is exactly the work of the paper's first preprocessing kernel;
-/// the GPU engine calls it from inside its simulated kernel body so CPU
-/// and GPU results agree bit-for-bit.
-pub fn phase1_intermediates_into(
-    grid: &TensorGrid,
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    qs: &[f64],
-    qt: &mut [f64],
-) {
-    assert_eq!(qs.len(), xs.len(), "charge count mismatch");
-    assert_eq!(qt.len(), xs.len(), "intermediate count mismatch");
-    for_each_particle(grid, [xs, ys, zs], |j, [f1, f2, f3], _| {
-        qt[j] = qs[j] * f1 * f2 * f3;
-    });
-}
-
-/// Phase 2 (Eq. 15): the modified charges from the intermediates,
-/// `q̂_k = Σ_j t_{k1} t_{k2} t_{k3} q̃_j`, written over `qhat`
-/// (`grid.len()` slots) — the paper's second preprocessing kernel.
-pub fn phase2_accumulate_into(
-    grid: &TensorGrid,
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    qt: &[f64],
-    qhat: &mut [f64],
-) {
-    assert_eq!(qt.len(), xs.len(), "intermediate count mismatch");
-    assert_eq!(qhat.len(), grid.len(), "modified charge count mismatch");
-    qhat.fill(0.0);
-    for_each_particle(grid, [xs, ys, zs], |j, _, terms| {
-        scatter(qt[j], terms, qhat);
-    });
-}
-
 /// Run the term pass over a cluster's particles at the grid's width:
 /// `each(j, [f₁, f₂, f₃], [t₁, t₂, t₃])` per particle, ascending `j`.
 ///
@@ -274,7 +232,7 @@ fn term_pass<R: AsMut<[f64]>>(
 
 /// Add one particle's contribution `c · t₁[k1] · t₂[k2] · t₃[k3]` to
 /// every proxy slot (`(k1·m + k2)·m + k3`, the linear proxy layout shared
-/// with the device buffers).
+/// with the distributed `q̂` window).
 ///
 /// The zero skips are load-bearing: with a Kronecker row they leave the
 /// slots outside the row untouched instead of adding `±0` or `0·∞`.
@@ -561,23 +519,17 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Fused pass, both phase views and `phase2(phase1(·))` against the
-    /// oracle, bit for bit, on one cluster.
+    /// The fused pass against the two-pass oracle, bit for bit, on one
+    /// cluster; the in-place form writes over whatever the buffer held.
     fn assert_matches_oracle(grid: &TensorGrid, [xs, ys, zs, qs]: [&[f64]; 4]) {
-        let want_qt = oracle::phase1_intermediates(grid, xs, ys, zs, qs);
         let want = oracle::compute_charges_from_slices(grid, xs, ys, zs, qs);
-        assert!(want.iter().chain(&want_qt).all(|v| v.is_finite()));
+        assert!(want.iter().all(|v| v.is_finite()));
 
         let fused = compute_charges_from_slices(grid, xs, ys, zs, qs);
         assert_eq!(bits(&fused), bits(&want), "fused pass");
-
-        // The views write over whatever the buffers held.
-        let mut qt = vec![f64::NAN; xs.len()];
-        phase1_intermediates_into(grid, xs, ys, zs, qs, &mut qt);
-        assert_eq!(bits(&qt), bits(&want_qt), "phase 1");
-        let mut split = vec![f64::NAN; grid.len()];
-        phase2_accumulate_into(grid, xs, ys, zs, &qt, &mut split);
-        assert_eq!(bits(&split), bits(&want), "phase 2 of phase 1");
+        let mut into = vec![f64::NAN; grid.len()];
+        compute_charges_into(grid, xs, ys, zs, qs, &mut into);
+        assert_eq!(bits(&into), bits(&want), "in-place pass");
     }
 
     #[test]

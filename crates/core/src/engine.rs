@@ -124,11 +124,12 @@ impl PreparedTreecode {
         (potentials, t0.elapsed().as_secs_f64())
     }
 
-    /// The evaluation behind every `evaluate_*` door: each batch's `C`
-    /// output columns from its interaction lists — one pool task per
-    /// batch when `parallel`, a plain loop otherwise, the same bits
-    /// either way — assembled into original target order.
-    pub(crate) fn evaluate<const C: usize, O: TileOp<C> + ?Sized>(
+    /// The evaluation behind every `evaluate_*` door and the simulated
+    /// GPU's compute phase: each batch's `C` output columns from its
+    /// interaction lists — one pool task per batch when `parallel`, a
+    /// plain loop otherwise, the same bits either way — assembled into
+    /// original target order.
+    pub fn evaluate<const C: usize, O: TileOp<C> + ?Sized>(
         &self,
         op: &O,
         parallel: bool,
@@ -164,9 +165,8 @@ impl PreparedTreecode {
 
 /// Evaluate one batch against its interaction lists, accumulating the
 /// pass's `C` output columns for the batch's (reordered) targets into
-/// `out` (each of length `batch.num_targets()`). The simulated-GPU
-/// launches issue the same tile calls in the same order and so stay
-/// bitwise identical to it.
+/// `out` (each of length `batch.num_targets()`). The simulated GPU
+/// computes with this very body and prices one launch per tile call.
 fn eval_batch_into<const C: usize, O: TileOp<C> + ?Sized>(
     batch: &Batch,
     lists: &BatchLists,

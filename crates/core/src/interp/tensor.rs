@@ -107,7 +107,8 @@ impl TensorGrid {
 
     /// All proxy coordinates as flat `(x, y, z)` slices in linear order
     /// (`k3` fastest) — the layout of the modified charges and of the
-    /// device buffers; `proxies().0[k] == point_linear(k).x` bit for bit.
+    /// distributed `q̂` window; `proxies().0[k] == point_linear(k).x` bit
+    /// for bit.
     #[inline]
     pub fn proxies(&self) -> (&[f64], &[f64], &[f64]) {
         (&self.px, &self.py, &self.pz)

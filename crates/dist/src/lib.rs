@@ -9,10 +9,11 @@
 //! 2. **One local preparation + windows** — every rank stages its own
 //!    particles on the simulated GPU once (`bltc_gpu::GpuEngine::stage`:
 //!    source tree, batches, local lists, and every cluster's modified
-//!    charges computed on the device and copied back), then exposes
+//!    charges, computed on the host while the device clock prices the
+//!    paper's precompute kernels and their copy back), then exposes
 //!    three RMA windows: the tree *skeleton*, the tree-ordered
-//!    particles, and the per-cluster modified charges — the very buffer
-//!    that device-to-host copy produced (paper §3.1–3.2).
+//!    particles, and the per-cluster modified charges — the buffer that
+//!    modeled device-to-host copy brings back (paper §3.1–3.2).
 //! 3. **Locally essential trees** — each rank, fully asynchronously,
 //!    fetches remote skeletons with one-sided gets, runs its batch-MAC
 //!    traversal against them, and pulls only the clusters it needs:
@@ -709,17 +710,20 @@ pub(crate) fn check_decomposition(
 /// GradientKernel` for potentials and gradients):
 ///
 /// 1. **prepare once** — [`GpuEngine::stage`] builds the local tree,
-///    batches and lists and computes every cluster's modified charges on
-///    the simulated device;
+///    batches and lists and every cluster's modified charges on the
+///    host, and prices the precompute kernels and their DtH on the
+///    simulated device's clock;
 /// 2. **expose** the skeleton / particle / modified-charge windows — the
-///    charge window *is* the buffer the staged run's DtH copied back;
+///    charge window *is* the staged run's node-major host copy of the
+///    charges (`StagedRun::qhat_host`);
 /// 3. **LETs** — per remote rank issue → plan → land over passive-target
 ///    RMA, evaluated into batch-order partial columns: chunk by chunk
 ///    (evaluate-and-discard) iff [`DistConfig::let_memory_budget`] is
 ///    set, otherwise after every LET has landed whole. Both modes issue
 ///    identical gets in identical order and record identical traffic;
-/// 4. **local evaluation** — [`bltc_gpu::StagedRun::finish`] continues
-///    the staged device clock with the compute phase;
+/// 4. **local evaluation** — [`bltc_gpu::StagedRun::finish`] evaluates
+///    the local lists on the host and continues the staged device clock
+///    with the compute phase's launches;
 /// 5. the modeled serial and pipelined clocks.
 ///
 /// [`run_distributed`], [`run_distributed_field`] and

@@ -15,33 +15,38 @@
 //! The engine reports both the measured host wall time of the setup work
 //! and the simulated device clock of every GPU phase.
 //!
+//! The host computes and the device prices. Every number comes from a
+//! [`PreparedTreecode`] — the tree, batches and lists, every cluster's
+//! modified charges, and core's one batch evaluation — and the
+//! [`Device`] is told, step by step, what the paper's pipeline above
+//! would cost: each transfer's bytes, and each launch's grid, stream and
+//! work, in the order the OpenACC code issues them.
+//!
 //! The pipeline runs in two halves. [`GpuEngine::stage`] is everything
 //! kernel-independent, up to and including the target copy; it returns a
-//! [`StagedRun`] that exposes the tree, the batches and the host copy of
-//! the modified charges the modeled DtH brought back. [`StagedRun::finish`]
-//! continues the same device clock with the compute phase of either pass
-//! (`&dyn Kernel`: potentials, `&dyn GradientKernel`: potentials and
-//! gradients). `compute_detailed` / `compute_field_detailed` are the two
-//! halves back to back; the distributed pipeline builds its RMA windows
-//! and LETs from the staged data in between, so a rank prepares once.
+//! [`StagedRun`] holding the preparation and the host copy of the
+//! modified charges the modeled DtH brought back. [`StagedRun::finish`]
+//! evaluates one pass (`&dyn Kernel`: potentials, `&dyn GradientKernel`:
+//! potentials and gradients) and continues the same device clock with
+//! its compute phase. `compute_detailed` / `compute_field_detailed` are
+//! the two halves back to back; the distributed pipeline builds its RMA
+//! windows and LETs from the staged data in between, so a rank prepares
+//! once.
 
 use std::time::Instant;
 
+use bltc_core::charges::ClusterCharges;
 use bltc_core::config::BltcParams;
 use bltc_core::cost::OpCounts;
-use bltc_core::engine::{ComputeResult, PhaseTimings, TreecodeEngine};
+use bltc_core::engine::{ComputeResult, PhaseTimings, PreparedTreecode, TreecodeEngine};
 use bltc_core::field::FieldResult;
-use bltc_core::interp::tensor::TensorGrid;
 use bltc_core::kernel::{GradientKernel, Kernel, TileOp};
 use bltc_core::particles::ParticleSet;
 use bltc_core::traversal::InteractionLists;
 use bltc_core::tree::{batch::TargetBatches, SourceTree, TreeStats};
-use gpu_sim::{Device, DeviceSpec, LaunchConfig, WorkEstimate};
+use gpu_sim::{Device, DeviceSpec};
 
-use crate::kernels::{
-    launch_approx_kernel, launch_direct_kernel, launch_precompute_phase1, launch_precompute_phase2,
-    DeviceArrays, THREADS_PER_BLOCK,
-};
+use crate::kernels::{launch_precompute, launch_tile};
 
 /// Simulated-clock breakdown of one GPU run (seconds).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -125,22 +130,21 @@ pub struct GpuFieldRunReport {
 /// modified charges, and the target (LET) copy. [`StagedRun::finish`]
 /// continues the device clock from here with the compute phase.
 pub struct StagedRun {
-    engine: GpuEngine,
-    tree: SourceTree,
-    batches: TargetBatches,
-    lists: InteractionLists,
+    /// The host half: tree, batches, interaction lists, and the grid and
+    /// modified charges of every cluster
+    /// ([`ClusterCharges::compute_all`]). `finish` evaluates over it.
+    pub prep: PreparedTreecode,
+    /// Every cluster's modified charges as the modeled DtH brings them
+    /// back: node-major, `(n+1)³` per node — already the layout of the
+    /// distributed `q̂` window (paper §3.1: the charges are computed on
+    /// the GPU and copied to the host, where the RMA windows expose
+    /// them). `finish` does not read it; the distributed pipeline moves
+    /// it out into its window.
+    pub qhat_host: Vec<f64>,
+    streams: usize,
     dev: Device,
-    arrays: DeviceArrays,
     sim: GpuSimBreakdown,
     mark: f64,
-    /// Host copy of every cluster's modified charges, as the modeled DtH
-    /// brought it back: node-major, `(n+1)³` per node — bit-equal to
-    /// [`bltc_core::charges::ClusterCharges::compute_all`] and already
-    /// the layout of the distributed `q̂` window (paper §3.1: the charges
-    /// are computed on the GPU and copied to the host, where the RMA
-    /// windows expose them). `finish` does not read it; the distributed
-    /// pipeline moves it out into its window.
-    pub qhat_host: Vec<f64>,
 }
 
 /// What a finished pass reports, for either column count.
@@ -163,41 +167,44 @@ pub struct GpuPass<const C: usize> {
 impl StagedRun {
     /// The source cluster tree.
     pub fn tree(&self) -> &SourceTree {
-        &self.tree
+        &self.prep.tree
     }
 
     /// The target batches.
     pub fn batches(&self) -> &TargetBatches {
-        &self.batches
+        &self.prep.batches
     }
 
-    /// The compute phase of one pass: walk each batch's interaction list
-    /// launching the approximation and direct kernels while cycling the
-    /// stream id, then copy the `C` output columns back. A field pass
-    /// differs only in what the op supplies — four accumulators per
-    /// target, ~4× the flops (visible in `sim.compute_s`) and four
-    /// arrays in the closing DtH.
+    /// The compute phase of one pass: the host evaluates the `C` output
+    /// columns with core's batch evaluation, and the device prices what
+    /// the GPU does for them — per batch, one approximation launch per
+    /// approximated cluster and then one direct launch per direct
+    /// cluster, the stream id cycling across launches — and the copy of
+    /// the columns back. A field pass differs only in what the op
+    /// supplies: four columns, ~4× the flops (visible in
+    /// `sim.compute_s`) and four arrays in the closing DtH.
     pub fn finish<const C: usize, O: TileOp<C> + ?Sized>(mut self, op: &O) -> GpuPass<C> {
-        let dev = &mut self.dev;
-        let n = self.batches.particles().len();
-        let out: [_; C] = std::array::from_fn(|_| dev.alloc_f64(vec![0.0; n]));
+        let prep = &self.prep;
+        let columns = prep.evaluate(op, false);
 
         // ---- compute: walk interaction lists, cycling streams -------------
-        let streams = self.engine.streams;
+        let dev = &mut self.dev;
+        let m3 = prep.params.proxy_count();
+        let streams = self.streams;
         let mut launch_counter = 0usize;
-        for (b, bl) in self.batches.batches().iter().zip(&self.lists.per_batch) {
-            let batch = (b.start, b.end);
-            for &ci in &bl.approx {
-                let stream = launch_counter % streams;
-                launch_counter += 1;
-                launch_approx_kernel(dev, &self.arrays, out, batch, ci as usize, op, stream);
+        let mut next_stream = || {
+            let stream = launch_counter % streams;
+            launch_counter += 1;
+            stream
+        };
+        for (b, bl) in prep.batches.batches().iter().zip(&prep.lists.per_batch) {
+            let nb = b.num_targets();
+            for _ in &bl.approx {
+                launch_tile(dev, O::APPROX_LAUNCH, (nb, m3), op, next_stream());
             }
             for &ci in &bl.direct {
-                let stream = launch_counter % streams;
-                launch_counter += 1;
-                let node = self.tree.node(ci as usize);
-                let cluster = (node.start, node.end);
-                launch_direct_kernel(dev, &self.arrays, out, batch, cluster, op, stream);
+                let nc = prep.tree.node(ci as usize).num_particles();
+                launch_tile(dev, O::DIRECT_LAUNCH, (nb, nc), op, next_stream());
             }
         }
         dev.synchronize();
@@ -205,13 +212,15 @@ impl StagedRun {
         let mark = dev.now();
 
         // ---- DtH: the output columns ---------------------------------------
-        let columns = out.map(|buf| self.batches.scatter_to_original(&dev.dtoh_f64(buf)));
+        for _ in 0..C {
+            dev.dtoh(prep.batches.particles().len() * 8);
+        }
         self.sim.dtoh_potentials_s = dev.now() - mark;
 
         GpuPass {
             columns,
-            ops: OpCounts::from_lists(&self.lists, &self.batches, &self.tree, &self.engine.params),
-            tree_stats: self.tree.stats(),
+            ops: prep.ops,
+            tree_stats: prep.tree.stats(),
             sim: self.sim,
             profile_table: dev.profiler().table(),
             kernel_launches: dev.profiler().total_launches(),
@@ -262,91 +271,41 @@ impl GpuEngine {
     /// Run every phase up to (and including) the target/LET staging —
     /// the kernel-independent first half of a run, shared by both passes.
     pub fn stage(&self, targets: &ParticleSet, sources: &ParticleSet) -> StagedRun {
-        self.params.validate();
+        let params = self.params;
+        params.validate();
         let mut sim = GpuSimBreakdown::default();
 
         // ---- host setup -------------------------------------------------
         let t_host = Instant::now();
-        let tree = SourceTree::build(sources, &self.params);
-        let batches = TargetBatches::build(targets, &self.params);
-        let lists = InteractionLists::build(&batches, &tree, &self.params);
-        let grids: Vec<TensorGrid> = tree
-            .nodes()
-            .iter()
-            .map(|n| TensorGrid::new(self.params.degree, &n.bbox))
-            .collect();
+        let tree = SourceTree::build(sources, &params);
+        let batches = TargetBatches::build(targets, &params);
+        let lists = InteractionLists::build(&batches, &tree, &params);
         sim.setup_host_s = t_host.elapsed().as_secs_f64();
+        let t_charges = Instant::now();
+        let charges = ClusterCharges::compute_all(&tree, params.degree);
+        let precompute_seconds = t_charges.elapsed().as_secs_f64();
+        let qhat_host: Vec<f64> = (0..tree.num_nodes())
+            .flat_map(|i| charges.charges(i))
+            .copied()
+            .collect();
 
         let mut dev = Device::new(self.spec);
-        let m3 = self.params.proxy_count();
-        let num_nodes = tree.num_nodes();
 
-        // ---- HtD: source data -------------------------------------------
-        let sp = tree.particles();
-        let sx = dev.htod_f64(sp.x.clone());
-        let sy = dev.htod_f64(sp.y.clone());
-        let sz = dev.htod_f64(sp.z.clone());
-        let sq = dev.htod_f64(sp.q.clone());
+        // ---- HtD: source data (x, y, z, q) ---------------------------------
+        for _ in 0..4 {
+            dev.htod(tree.particles().len() * 8);
+        }
         dev.synchronize();
         let mut mark = dev.now();
         sim.htod_sources_s = mark;
 
-        // Device-resident interpolation state (generated on device).
-        let mut px = Vec::with_capacity(num_nodes * m3);
-        let mut py = Vec::with_capacity(num_nodes * m3);
-        let mut pz = Vec::with_capacity(num_nodes * m3);
-        for grid in &grids {
-            let (gx, gy, gz) = grid.proxies();
-            px.extend_from_slice(gx);
-            py.extend_from_slice(gy);
-            pz.extend_from_slice(gz);
-        }
-        let proxy_x = dev.alloc_f64(px);
-        let proxy_y = dev.alloc_f64(py);
-        let proxy_z = dev.alloc_f64(pz);
-        let qhat = dev.alloc_f64(vec![0.0; num_nodes * m3]);
-        let qtilde = dev.alloc_f64(vec![0.0; sp.len()]);
-
-        // Target staging happens later (after precompute, like the LET
-        // copy in the distributed pipeline); allocate placeholders now.
-        let tp = batches.particles();
-        let tx = dev.alloc_f64(vec![0.0; tp.len()]);
-        let ty = dev.alloc_f64(vec![0.0; tp.len()]);
-        let tz = dev.alloc_f64(vec![0.0; tp.len()]);
-
-        let arrays = DeviceArrays {
-            sx,
-            sy,
-            sz,
-            sq,
-            tx,
-            ty,
-            tz,
-            proxy_x,
-            proxy_y,
-            proxy_z,
-            qhat,
-            qtilde,
-            proxy_per_node: m3,
-        };
-
         // ---- precompute: modified charges for every cluster --------------
         for (ni, node) in tree.nodes().iter().enumerate() {
-            let stream = ni % self.streams;
-            launch_precompute_phase1(
+            launch_precompute(
                 &mut dev,
-                &arrays,
-                &grids[ni],
-                (node.start, node.end),
-                stream,
-            );
-            launch_precompute_phase2(
-                &mut dev,
-                &arrays,
-                &grids[ni],
-                ni,
-                (node.start, node.end),
-                stream,
+                params.degree,
+                node.num_particles(),
+                ni % self.streams,
             );
         }
         dev.synchronize();
@@ -354,28 +313,35 @@ impl GpuEngine {
         mark = dev.now();
 
         // ---- DtH: modified charges (host RMA windows in the MPI version) -
-        let qhat_host = dev.dtoh_f64(qhat);
+        dev.dtoh(qhat_host.len() * 8);
         sim.dtoh_charges_s = dev.now() - mark;
         mark = dev.now();
 
-        // ---- HtD: targets (the LET copy) ---------------------------------
-        dev.htod_update_f64(tx, &tp.x);
-        dev.htod_update_f64(ty, &tp.y);
-        dev.htod_update_f64(tz, &tp.z);
+        // ---- HtD: targets (the LET copy: x, y, z) --------------------------
+        for _ in 0..3 {
+            dev.htod(batches.particles().len() * 8);
+        }
         dev.synchronize();
         sim.htod_let_s = dev.now() - mark;
         mark = dev.now();
 
+        let ops = OpCounts::from_lists(&lists, &batches, &tree, &params);
         StagedRun {
-            engine: *self,
-            tree,
-            batches,
-            lists,
+            prep: PreparedTreecode {
+                params,
+                tree,
+                batches,
+                lists,
+                charges,
+                ops,
+                setup_seconds: sim.setup_host_s,
+                precompute_seconds,
+            },
+            qhat_host,
+            streams: self.streams,
             dev,
-            arrays,
             sim,
             mark,
-            qhat_host,
         }
     }
 
@@ -439,18 +405,12 @@ impl TreecodeEngine for GpuEngine {
     }
 }
 
-/// Result of the single-launch GPU direct sum.
-pub struct GpuDirectSumResult {
-    /// Potentials in target order.
-    pub potentials: Vec<f64>,
-    /// Total simulated seconds (transfers + the one kernel).
-    pub sim_seconds: f64,
-}
-
-/// Analytic simulated time of the single-launch GPU direct sum, without
-/// executing the `O(N²)` body — used by the figure harnesses to draw the
-/// Fig. 4 reference line at particle counts too large to evaluate on the
-/// host. Matches [`gpu_direct_sum`]'s clock exactly.
+/// Modeled seconds of the GPU direct sum: "one launch of the
+/// batch-cluster direct sum kernel for a batch consisting of all target
+/// particles and a cluster consisting of all source particles" (§4) —
+/// the red dashed reference line of Fig. 4 — in closed form: seven HtD
+/// copies, the one launch and the DtH of the potentials, as the device
+/// clock prices them.
 pub fn gpu_direct_sum_modeled_seconds(
     spec: DeviceSpec,
     n_targets: usize,
@@ -471,44 +431,6 @@ pub fn gpu_direct_sum_modeled_seconds(
     // DtH of the potentials.
     t += spec.transfer_seconds((n_targets * 8) as f64);
     t
-}
-
-/// GPU direct summation: "one launch of the batch-cluster direct sum
-/// kernel for a batch consisting of all target particles and a cluster
-/// consisting of all source particles" (§4) — the red dashed reference
-/// line of Fig. 4.
-pub fn gpu_direct_sum(
-    spec: DeviceSpec,
-    targets: &ParticleSet,
-    sources: &ParticleSet,
-    kernel: &dyn Kernel,
-) -> GpuDirectSumResult {
-    let mut dev = Device::new(spec);
-    let sx = dev.htod_f64(sources.x.clone());
-    let sy = dev.htod_f64(sources.y.clone());
-    let sz = dev.htod_f64(sources.z.clone());
-    let sq = dev.htod_f64(sources.q.clone());
-    let tx = dev.htod_f64(targets.x.clone());
-    let ty = dev.htod_f64(targets.y.clone());
-    let tz = dev.htod_f64(targets.z.clone());
-    let pot = dev.alloc_f64(vec![0.0; targets.len()]);
-    let nb = targets.len();
-    let nc = sources.len();
-    let work = WorkEstimate::new(
-        nb as f64 * nc as f64 * kernel.flops_per_eval_gpu(),
-        ((nb + nc) * 4 * 8) as f64,
-    );
-    let cfg = LaunchConfig::new("direct_sum_full", nb.max(1), THREADS_PER_BLOCK);
-    dev.launch(cfg, work, |mem| {
-        let ([tx, ty, tz, sx, sy, sz, sq], [out]) =
-            mem.f64_split([tx, ty, tz, sx, sy, sz, sq], [pot]);
-        kernel.accumulate_tile(tx, ty, tz, sx, sy, sz, sq, out);
-    });
-    let potentials = dev.dtoh_f64(pot);
-    GpuDirectSumResult {
-        potentials,
-        sim_seconds: dev.now(),
-    }
 }
 
 #[cfg(test)]
@@ -717,16 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn gpu_direct_sum_matches_reference() {
-        let ps = cube(600, 84);
-        let gpu = gpu_direct_sum(DeviceSpec::titan_v(), &ps, &ps, &Coulomb);
-        let exact = direct_sum(&ps, &ps, &Coulomb);
-        let err = relative_l2_error(&exact, &gpu.potentials);
-        assert!(err < 1e-14, "gpu direct sum must be exact, err {err}");
-        assert!(gpu.sim_seconds > 0.0);
-    }
-
-    #[test]
     fn treecode_vs_direct_crossover_trend() {
         // Fig. 4, conclusion (4): the GPU direct sum wins at small N (the
         // treecode is launch-overhead bound) but loses at large N because
@@ -755,17 +667,33 @@ mod tests {
         assert!(tc_growth < ds_growth);
     }
 
+    /// The closed form is the device's own clock: seven HtD copies, one
+    /// `direct_sum_full` launch and one DtH, priced on a `Device`.
     #[test]
-    fn modeled_direct_sum_matches_executed_clock() {
-        let ps = cube(700, 89);
-        let executed = gpu_direct_sum(DeviceSpec::titan_v(), &ps, &ps, &Coulomb);
-        let modeled =
-            gpu_direct_sum_modeled_seconds(DeviceSpec::titan_v(), ps.len(), ps.len(), &Coulomb);
-        let rel = (executed.sim_seconds - modeled).abs() / executed.sim_seconds;
+    fn modeled_direct_sum_matches_the_device_clock() {
+        use crate::kernels::THREADS_PER_BLOCK;
+        use gpu_sim::{LaunchConfig, WorkEstimate};
+        let spec = DeviceSpec::titan_v();
+        let (nt, ns) = (700, 900);
+        let mut dev = Device::new(spec);
+        for len in [ns, ns, ns, ns, nt, nt, nt] {
+            dev.htod(len * 8);
+        }
+        let work = WorkEstimate::new(
+            nt as f64 * ns as f64 * Coulomb.flops_per_eval_gpu(),
+            ((nt + ns) * 4 * 8) as f64,
+        );
+        dev.launch(
+            LaunchConfig::new("direct_sum_full", nt, THREADS_PER_BLOCK),
+            work,
+        );
+        dev.dtoh(nt * 8);
+        let modeled = gpu_direct_sum_modeled_seconds(spec, nt, ns, &Coulomb);
+        let rel = (dev.now() - modeled).abs() / dev.now();
         assert!(
             rel < 1e-9,
-            "model {modeled} vs executed {} (rel {rel})",
-            executed.sim_seconds
+            "model {modeled} vs device {} (rel {rel})",
+            dev.now()
         );
     }
 

@@ -1,7 +1,11 @@
 //! # bltc-gpu — the BLTC mapped onto the simulated GPU
 //!
-//! This crate is the Rust analogue of the paper's OpenACC port (§3.2). It
-//! implements the four compute kernels on the `gpu-sim` execution model:
+//! This crate is the Rust analogue of the paper's OpenACC port (§3.2).
+//! The host computes and the device prices: every number comes from
+//! `bltc_core` (its tree, lists, modified charges and batch evaluation),
+//! while the `gpu-sim` device clock is handed the paper's four compute
+//! kernels as launches — geometry, stream and work — and every copy as
+//! bytes:
 //!
 //! 1. **precompute phase 1** — per-source intermediates `q̃_j` (Eq. 14);
 //!    one block per source particle, threads over the interpolation
@@ -17,19 +21,20 @@
 //! Kernels 3 and 4 are written once for both passes: a
 //! `bltc_core::kernel::TileOp` — `&dyn Kernel` for potentials,
 //! `&dyn GradientKernel` for potentials and gradients — decides how many
-//! output columns a launch accumulates, what a pair costs and what the
+//! output columns a launch writes, what a pair costs and what the
 //! launch is called in the profile.
 //!
 //! A run has two halves that share one device clock:
 //!
 //! ```text
 //!  GpuEngine::stage(targets, sources)          kernel-independent
-//!    host: tree, batches, interaction lists
-//!    HtD sources → precompute 1+2 per cluster → DtH q̂ → HtD targets
-//!    ⇒ StagedRun { tree(), batches(), qhat_host }
+//!    host:   tree, batches, lists, q̂ of every cluster (PreparedTreecode)
+//!    priced: HtD sources → precompute 1+2 per cluster → DtH q̂ → HtD targets
+//!    ⇒ StagedRun { prep, qhat_host }
 //!  StagedRun::finish(op)                        one pass
-//!    per batch: approx + direct launches, stream id cycling
-//!    DtH of the pass's output columns
+//!    host:   PreparedTreecode::evaluate(op)
+//!    priced: per batch approx + direct launches, stream id cycling;
+//!            DtH of the pass's output columns
 //!    ⇒ GpuPass { columns, ops, sim, profile, launches }
 //! ```
 //!
@@ -43,9 +48,9 @@
 //! served from there), and its LET traversal runs against the staged
 //! batches — so a rank prepares once per evaluation.
 //!
-//! Numerical results are produced by the same scalar code paths as the
-//! CPU engines (same summation order, same product association), so CPU
-//! and GPU potentials agree **bitwise**; only the *clock* differs.
+//! Numerical results are produced by the very code the CPU engines run
+//! (same summation order, same product association), so CPU and GPU
+//! potentials agree **bitwise**; only the *clock* differs.
 //!
 //! ## Example
 //!
@@ -70,8 +75,8 @@ pub mod kernels;
 pub mod pipeline;
 
 pub use engine::{
-    gpu_direct_sum, gpu_direct_sum_modeled_seconds, GpuDirectSumResult, GpuEngine,
-    GpuFieldRunReport, GpuPass, GpuRunReport, GpuSimBreakdown, StagedRun,
+    gpu_direct_sum_modeled_seconds, GpuEngine, GpuFieldRunReport, GpuPass, GpuRunReport,
+    GpuSimBreakdown, StagedRun,
 };
 pub use gpu_sim::KernelEvent;
 pub use pipeline::{dispatch_remote_chunks, ChunkDispatchReport, RemoteChunkWork};

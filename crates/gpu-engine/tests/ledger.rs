@@ -1,0 +1,176 @@
+//! The golden ledger: everything the simulated device prices for one
+//! fixed problem — the six modeled `GpuSimBreakdown` phases (as bits),
+//! the launch count and the exact profile table — over degrees
+//! {1, 4, 8} × streams {1, 3, 4}, for a Coulomb potential pass and a
+//! Yukawa field pass. Any moved stream pick, launch geometry, work
+//! estimate or transfer size changes a line here.
+//!
+//! The targets are the source cube plus a probe cloud beside it, so every
+//! degree prices both launch kinds: the cube's own batches are mostly
+//! direct, and the probes approximate the root even at degree 8.
+//!
+//! On a mismatch the test prints the whole rendered ledger to stderr;
+//! a deliberate re-pin pastes it over `GOLDEN`. Every profile table
+//! opens with `TABLE_HEADER`; the rows below it are in `GOLDEN`.
+
+use bltc_core::config::BltcParams;
+use bltc_core::geometry::Point3;
+use bltc_core::kernel::{Coulomb, Yukawa};
+use bltc_core::particles::ParticleSet;
+use bltc_gpu::{GpuEngine, GpuSimBreakdown};
+
+fn problem() -> (ParticleSet, ParticleSet) {
+    let sources = ParticleSet::random_cube(2000, 97);
+    let mut targets = sources.clone();
+    let probes = ParticleSet::random_cube(400, 98);
+    for i in 0..probes.len() {
+        let p = Point3::new(probes.x[i] + 3.0, probes.y[i], probes.z[i]);
+        targets.push(p, probes.q[i]);
+    }
+    (targets, sources)
+}
+
+const TABLE_HEADER: &str =
+    "kernel                    launches      blocks(avg)      GFLOP     exec(ms)\n";
+
+/// One case: a line with the launch count and the six modeled phases as
+/// hex bits, then the profile table's rows.
+fn render(out: &mut String, case: &str, sim: &GpuSimBreakdown, launches: u64, table: &str) {
+    out.push_str(&format!("{case} launches={launches}"));
+    for s in [
+        sim.htod_sources_s,
+        sim.precompute_s,
+        sim.dtoh_charges_s,
+        sim.htod_let_s,
+        sim.compute_s,
+        sim.dtoh_potentials_s,
+    ] {
+        out.push_str(&format!(" {:016x}", s.to_bits()));
+    }
+    out.push('\n');
+    out.push_str(
+        table
+            .strip_prefix(TABLE_HEADER)
+            .expect("profile table header"),
+    );
+}
+
+#[test]
+fn modeled_ledger_is_pinned() {
+    let (targets, sources) = problem();
+    let mut got = String::new();
+    for degree in [1, 4, 8] {
+        let params = BltcParams::new(0.8, degree, 60, 60);
+        for streams in [1, 3, 4] {
+            let engine = GpuEngine::new(params).with_streams(streams);
+            let case = format!("d{degree} s{streams}");
+            let pot = engine.compute_detailed(&targets, &sources, &Coulomb);
+            let (sim, n) = (&pot.sim, pot.kernel_launches);
+            render(&mut got, &format!("{case} pot"), sim, n, &pot.profile_table);
+            let fld = engine.compute_field_detailed(&targets, &sources, &Yukawa::default());
+            let (sim, n) = (&fld.sim, fld.kernel_launches);
+            render(&mut got, &format!("{case} fld"), sim, n, &fld.profile_table);
+        }
+    }
+    if got != GOLDEN {
+        eprintln!("{got}");
+    }
+    let (want, have): (Vec<_>, Vec<_>) = (GOLDEN.lines().collect(), got.lines().collect());
+    for (i, (w, h)) in want.iter().zip(&have).enumerate() {
+        assert_eq!(h, w, "ledger line {}", i + 1);
+    }
+    assert_eq!(have.len(), want.len(), "ledger line count");
+}
+
+const GOLDEN: &str = "\
+d1 s1 pot launches=3578 3f07c4897901bb33 3f4cde1b511fe166 3ee5c9bb19c14180 3f023ec6e52c3f10 3f951bddcc2fe4fc 3ee853b3dc3b0000
+batch_cluster_approx          2294             31.8      0.004        0.004
+batch_cluster_direct          1138             31.5      0.008        0.004
+precompute_phase1               73             82.2      0.000        0.000
+precompute_phase2               73              8.0      0.000        0.000
+d1 s1 fld launches=3578 3f07c4897901bb33 3f4cde1b511fe166 3ee5c9bb19c14180 3f023ec6e52c3f10 3f952a3d6907c9dc 3f0853b3dc3b0000
+batch_cluster_approx_field      2294             31.8      0.025        0.010
+batch_cluster_direct_field      1138             31.5      0.048        0.020
+precompute_phase1               73             82.2      0.000        0.000
+precompute_phase2               73              8.0      0.000        0.000
+d1 s3 pot launches=3578 3f07c4897901bb33 3f33e0b21197fb80 3ee5c9bb19c14180 3f023ec6e52c3f28 3f7c2956f716d43d 3ee853b3dc3afe00
+batch_cluster_approx          2294             31.8      0.004        0.004
+batch_cluster_direct          1138             31.5      0.008        0.004
+precompute_phase1               73             82.2      0.000        0.000
+precompute_phase2               73              8.0      0.000        0.000
+d1 s3 fld launches=3578 3f07c4897901bb33 3f33e0b21197fb80 3ee5c9bb19c14180 3f023ec6e52c3f28 3f7c3c6e95447207 3f0853b3dc3afe00
+batch_cluster_approx_field      2294             31.8      0.025        0.010
+batch_cluster_direct_field      1138             31.5      0.048        0.020
+precompute_phase1               73             82.2      0.000        0.000
+precompute_phase2               73              8.0      0.000        0.000
+d1 s4 pot launches=3578 3f07c4897901bb33 3f2e4d69b7277319 3ee5c9bb19c14180 3f023ec6e52c3f28 3f7521c7470c32af 3ee853b3dc3afe00
+batch_cluster_approx          2294             31.8      0.004        0.004
+batch_cluster_direct          1138             31.5      0.008        0.004
+precompute_phase1               73             82.2      0.000        0.000
+precompute_phase2               73              8.0      0.000        0.000
+d1 s4 fld launches=3578 3f07c4897901bb33 3f2e4d69b7277319 3ee5c9bb19c14180 3f023ec6e52c3f28 3f75304825a4a7d3 3f0853b3dc3afe00
+batch_cluster_approx_field      2294             31.8      0.025        0.010
+batch_cluster_direct_field      1138             31.5      0.048        0.020
+precompute_phase1               73             82.2      0.000        0.000
+precompute_phase2               73              8.0      0.000        0.000
+d4 s1 pot launches=3578 3f07c4897901bb33 3f4cd1ca35870426 3ef0dd564036e020 3f023ec6e52c3f10 3f951e7b049aac08 3ee853b3dc3b0000
+batch_cluster_approx           136             35.4      0.004        0.002
+batch_cluster_direct          3296             31.6      0.023        0.010
+precompute_phase1               73             82.2      0.000        0.000
+precompute_phase2               73            125.0      0.004        0.002
+d4 s1 fld launches=3578 3f07c4897901bb33 3f4cd1ca35870426 3ef0dd564036e020 3f023ec6e52c3f10 3f95423cfccde44c 3f0853b3dc3b0000
+batch_cluster_approx_field       136             35.4      0.025        0.010
+batch_cluster_direct_field      3296             31.6      0.137        0.057
+precompute_phase1               73             82.2      0.000        0.000
+precompute_phase2               73            125.0      0.004        0.002
+d4 s3 pot launches=3578 3f07c4897901bb33 3f33d3c496637981 3ef0dd564036e020 3f023ec6e52c3f28 3f7c2cf2bb4b9560 3ee853b3dc3afe00
+batch_cluster_approx           136             35.4      0.004        0.002
+batch_cluster_direct          3296             31.6      0.023        0.010
+precompute_phase1               73             82.2      0.000        0.000
+precompute_phase2               73            125.0      0.004        0.002
+d4 s3 fld launches=3578 3f07c4897901bb33 3f33d3c496637981 3ef0dd564036e020 3f023ec6e52c3f28 3f7c5d40a8d72615 3f0853b3dc3afe00
+batch_cluster_approx_field       136             35.4      0.025        0.010
+batch_cluster_direct_field      3296             31.6      0.137        0.057
+precompute_phase1               73             82.2      0.000        0.000
+precompute_phase2               73            125.0      0.004        0.002
+d4 s4 pot launches=3578 3f07c4897901bb33 3f2e35334c106c25 3ef0dd564036e020 3f023ec6e52c3f28 3f75245e1b42adcd 3ee853b3dc3afe00
+batch_cluster_approx           136             35.4      0.004        0.002
+batch_cluster_direct          3296             31.6      0.023        0.010
+precompute_phase1               73             82.2      0.000        0.000
+precompute_phase2               73            125.0      0.004        0.002
+d4 s4 fld launches=3578 3f07c4897901bb33 3f2e35334c106c25 3ef0dd564036e020 3f023ec6e52c3f28 3f7547f903abdb60 3f0853b3dc3afe00
+batch_cluster_approx_field       136             35.4      0.025        0.010
+batch_cluster_direct_field      3296             31.6      0.137        0.057
+precompute_phase1               73             82.2      0.000        0.000
+precompute_phase2               73            125.0      0.004        0.002
+d8 s1 pot launches=3578 3f07c4897901bb33 3f4d10bb0172a054 3f07d7f42e76c710 3f023ec6e52c3f40 3f951fa0fd6505fd 3ee853b3dc3b0000
+batch_cluster_approx             4             48.8      0.001        0.000
+batch_cluster_direct          3428             31.7      0.031        0.014
+precompute_phase1               73             82.2      0.001        0.000
+precompute_phase2               73            729.0      0.022        0.009
+d8 s1 fld launches=3578 3f07c4897901bb33 3f4d10bb0172a054 3f07d7f42e76c710 3f023ec6e52c3f40 3f954920d18c0065 3f0853b3dc3b0000
+batch_cluster_approx_field         4             48.8      0.006        0.002
+batch_cluster_direct_field      3428             31.7      0.185        0.077
+precompute_phase1               73             82.2      0.001        0.000
+precompute_phase2               73            729.0      0.022        0.009
+d8 s3 pot launches=3578 3f07c4897901bb33 3f341bee3085a999 3f07d7f42e76c718 3f023ec6e52c3f28 3f7c2e8e1b24edcb 3ee853b3dc3afe00
+batch_cluster_approx             4             48.8      0.001        0.000
+batch_cluster_direct          3428             31.7      0.031        0.014
+precompute_phase1               73             82.2      0.001        0.000
+precompute_phase2               73            729.0      0.022        0.009
+d8 s3 fld launches=3578 3f07c4897901bb33 3f341bee3085a999 3f07d7f42e76c718 3f023ec6e52c3f28 3f7c66e10547173e 3f0853b3dc3afe00
+batch_cluster_approx_field         4             48.8      0.006        0.002
+batch_cluster_direct_field      3428             31.7      0.185        0.077
+precompute_phase1               73             82.2      0.001        0.000
+precompute_phase2               73            729.0      0.022        0.009
+d8 s4 pot launches=3578 3f07c4897901bb33 3f2ebfcf7a8fce57 3f07d7f42e76c718 3f023ec6e52c3f28 3f7525dc44551202 3ee853b3dc3afe00
+batch_cluster_approx             4             48.8      0.001        0.000
+batch_cluster_direct          3428             31.7      0.031        0.014
+precompute_phase1               73             82.2      0.001        0.000
+precompute_phase2               73            729.0      0.022        0.009
+d8 s4 fld launches=3578 3f07c4897901bb33 3f2ebfcf7a8fce57 3f07d7f42e76c718 3f023ec6e52c3f28 3f75510f57636ecd 3f0853b3dc3afe00
+batch_cluster_approx_field         4             48.8      0.006        0.002
+batch_cluster_direct_field      3428             31.7      0.185        0.077
+precompute_phase1               73             82.2      0.001        0.000
+precompute_phase2               73            729.0      0.022        0.009
+";

@@ -1,9 +1,11 @@
 //! # gpu-sim — a discrete-event GPU execution model
 //!
-//! A stand-in for the OpenACC + NVIDIA stack the paper runs on. Kernel
-//! *bodies* execute on the host (bit-real results); kernel *timing* is
-//! modeled by a discrete-event scheduler that reproduces the GPU behaviors
-//! the paper's design decisions react to:
+//! A stand-in for the OpenACC + NVIDIA stack the paper runs on. The
+//! device holds no data and runs no code: the caller computes on the
+//! host, and tells the device what each step *would* cost — a transfer
+//! of so many bytes, a kernel of such a grid and such a work estimate on
+//! such a stream. A discrete-event scheduler prices that ledger,
+//! reproducing the GPU behaviors the paper's design decisions react to:
 //!
 //! - **launch latency** — every kernel pays a fixed setup cost that
 //!   occupies its stream but not the compute units; queuing kernels on
@@ -19,6 +21,11 @@
 //! - **throughput** — compute time is `max(flops / (peak·efficiency),
 //!   bytes / bandwidth)` for the exec phase of each kernel.
 //!
+//! Concurrent streams accumulating into one target's potential need
+//! `#pragma acc atomic` on the paper's GPU. Here the host's tile adds
+//! each target's terms in a fixed sequential order, which is the
+//! deterministic model of that atomic update.
+//!
 //! The model makes no claim about absolute seconds on real silicon; it is
 //! calibrated (SM counts, DP throughput, PCIe numbers from public spec
 //! sheets) so that *relative* behavior — GPU≫CPU, stream ablation,
@@ -31,39 +38,27 @@
 //! use gpu_sim::{Device, DeviceSpec, LaunchConfig, WorkEstimate};
 //!
 //! let mut dev = Device::new(DeviceSpec::titan_v());
-//! let buf = dev.alloc_f64(vec![1.0; 1024]);
-//! let out = dev.alloc_f64(vec![0.0; 1024]);
+//! dev.htod(1024 * 8);
 //! dev.launch(
 //!     LaunchConfig::new("scale", 8, 128).stream(0),
 //!     WorkEstimate::flops(1024.0),
-//!     |mem| {
-//!         let ([src], [dst]) = mem.f64_split([buf], [out]);
-//!         for (d, s) in dst.iter_mut().zip(src) { *d = 2.0 * s; }
-//!     },
 //! );
-//! dev.synchronize();
-//! let host = dev.dtoh_f64(out);
-//! assert!(host.iter().all(|&v| v == 2.0));
+//! dev.dtoh(1024 * 8);
+//! assert_eq!(dev.profiler().class("scale").unwrap().launches, 1);
 //! assert!(dev.now() > 0.0);
 //! ```
 
-pub mod atomic;
-pub mod memory;
 pub mod profile;
 pub mod sched;
 pub mod spec;
 
-pub use atomic::AtomicF64Cell;
-pub use memory::{BufF64, DeviceMemory};
 pub use profile::{KernelClassStats, Profiler};
 pub use sched::{KernelEvent, LaunchConfig, Scheduler, WorkEstimate};
 pub use spec::DeviceSpec;
 
-/// A simulated GPU: memory arena + stream scheduler + profiler, driven by
-/// a simulated clock.
+/// A simulated GPU: a stream scheduler and a profiler, driven by a
+/// simulated clock.
 pub struct Device {
-    spec: DeviceSpec,
-    mem: DeviceMemory,
     sched: Scheduler,
     profiler: Profiler,
 }
@@ -71,63 +66,28 @@ pub struct Device {
 impl Device {
     /// Create a device from a hardware spec.
     pub fn new(spec: DeviceSpec) -> Self {
-        let sched = Scheduler::new(spec);
         Self {
-            spec,
-            mem: DeviceMemory::default(),
-            sched,
+            sched: Scheduler::new(spec),
             profiler: Profiler::default(),
         }
     }
 
-    /// The hardware spec.
-    pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
+    /// Host→device copy of `bytes`: waits for pending kernels, then
+    /// charges the PCIe channel.
+    pub fn htod(&mut self, bytes: usize) {
+        self.sched.transfer(bytes as f64);
     }
 
-    /// Allocate a device `f64` buffer initialized from host data,
-    /// *without* modeling a transfer (device-resident scratch).
-    pub fn alloc_f64(&mut self, data: Vec<f64>) -> BufF64 {
-        self.mem.alloc_f64(data)
+    /// Device→host copy of `bytes`: waits for pending kernels (the copy
+    /// depends on their results), then charges the PCIe channel.
+    pub fn dtoh(&mut self, bytes: usize) {
+        self.sched.transfer(bytes as f64);
     }
 
-    /// Host→device copy: allocates a buffer and charges the PCIe channel.
-    pub fn htod_f64(&mut self, data: Vec<f64>) -> BufF64 {
-        let bytes = (data.len() * 8) as f64;
-        self.sched.transfer(bytes);
-        self.mem.alloc_f64(data)
-    }
-
-    /// Device→host copy: synchronizes outstanding kernels first (the copy
-    /// depends on their results), charges the PCIe channel, and returns a
-    /// host clone of the buffer.
-    pub fn dtoh_f64(&mut self, buf: BufF64) -> Vec<f64> {
-        self.sched.synchronize();
-        let data = self.mem.f64(buf).to_vec();
-        self.sched.transfer((data.len() * 8) as f64);
-        data
-    }
-
-    /// Overwrite an existing device buffer from host data, modeling the
-    /// HtD transfer (used when re-staging per-phase data into a
-    /// preallocated region).
-    pub fn htod_update_f64(&mut self, buf: BufF64, data: &[f64]) {
-        self.sched.transfer((data.len() * 8) as f64);
-        let dst = self.mem.f64_mut(buf);
-        assert_eq!(dst.len(), data.len(), "htod update length mismatch");
-        dst.copy_from_slice(data);
-    }
-
-    /// Launch a kernel asynchronously on `cfg.stream`.
-    ///
-    /// The body runs immediately on the host against the device memory
-    /// arena (results are real); the timing cost is enqueued on the
-    /// simulated stream and realized at the next [`Device::synchronize`].
-    pub fn launch<F>(&mut self, cfg: LaunchConfig, work: WorkEstimate, body: F)
-    where
-        F: FnOnce(&mut DeviceMemory),
-    {
-        body(&mut self.mem);
+    /// Launch a kernel asynchronously on `cfg.stream`: its cost is
+    /// enqueued on the simulated stream and realized at the next
+    /// [`Device::synchronize`] or transfer.
+    pub fn launch(&mut self, cfg: LaunchConfig, work: WorkEstimate) {
         let exec = self.sched.enqueue(cfg, work);
         self.profiler
             .record(cfg.name, work.flops, exec, cfg.grid_blocks);
@@ -139,14 +99,9 @@ impl Device {
     }
 
     /// Current simulated time in seconds (meaningful after a
-    /// synchronize/dtoh).
+    /// synchronize or a transfer).
     pub fn now(&self) -> f64 {
         self.sched.now()
-    }
-
-    /// Immutable view of device memory (for tests/diagnostics).
-    pub fn memory(&self) -> &DeviceMemory {
-        &self.mem
     }
 
     /// Per-kernel-class profile.
@@ -161,40 +116,26 @@ mod tests {
 
     #[test]
     fn end_to_end_smoke() {
-        let mut dev = Device::new(DeviceSpec::titan_v());
-        let a = dev.htod_f64(vec![1.0, 2.0, 3.0]);
-        dev.synchronize();
+        let spec = DeviceSpec::titan_v();
+        let mut dev = Device::new(spec);
+        dev.htod(3 * 8);
         let t_after_copy = dev.now();
-        assert!(t_after_copy > 0.0, "transfer must cost time");
-        dev.launch(
-            LaunchConfig::new("double", 1, 32),
-            WorkEstimate::flops(3.0),
-            |mem| {
-                for v in mem.f64_mut(a) {
-                    *v *= 2.0;
-                }
-            },
-        );
-        let host = dev.dtoh_f64(a);
-        assert_eq!(host, vec![2.0, 4.0, 6.0]);
-        assert!(dev.now() > t_after_copy);
+        assert_eq!(t_after_copy, spec.transfer_seconds(24.0));
+        dev.launch(LaunchConfig::new("double", 1, 32), WorkEstimate::flops(3.0));
+        dev.dtoh(3 * 8);
+        assert!(dev.now() > t_after_copy + spec.transfer_seconds(24.0));
         assert_eq!(dev.profiler().class("double").unwrap().launches, 1);
     }
 
+    /// A launch is on the ledger at once; its cost lands on the clock
+    /// only when the device synchronizes.
     #[test]
     fn launches_before_synchronize_execute_but_clock_waits() {
         let mut dev = Device::new(DeviceSpec::titan_v());
-        let a = dev.alloc_f64(vec![0.0; 4]);
-        dev.launch(
-            LaunchConfig::new("w", 1, 32),
-            WorkEstimate::flops(1e6),
-            |mem| mem.f64_mut(a)[0] = 7.0,
-        );
-        // Body already ran (eager execution)...
-        assert_eq!(dev.memory().f64(a)[0], 7.0);
+        dev.launch(LaunchConfig::new("w", 1, 32), WorkEstimate::flops(1e6));
+        assert_eq!(dev.profiler().total_launches(), 1);
         let before = dev.now();
         dev.synchronize();
-        // ...but simulated time only advances at synchronization.
         assert!(dev.now() > before);
     }
 }

@@ -1,6 +1,6 @@
-//! Per-kernel-class profiling: launch counts, flops, modeled exec time,
-//! and block-count (occupancy) statistics. This is what the `gpu_profile`
-//! example prints and what the stream-ablation harness reads.
+//! Per-kernel-class profiling: launch counts, flops, modeled exec time
+//! and blocks launched (occupancy). This is the table the `gpu_profile`
+//! example prints and every GPU run report carries.
 
 use std::collections::BTreeMap;
 
@@ -15,10 +15,6 @@ pub struct KernelClassStats {
     pub exec_seconds: f64,
     /// Total blocks launched.
     pub blocks: u64,
-    /// Smallest grid seen.
-    pub min_blocks: u64,
-    /// Largest grid seen.
-    pub max_blocks: u64,
 }
 
 /// Collector of per-class statistics.
@@ -30,16 +26,11 @@ pub struct Profiler {
 impl Profiler {
     /// Record one launch.
     pub fn record(&mut self, name: &'static str, flops: f64, exec_seconds: f64, blocks: usize) {
-        let e = self.classes.entry(name).or_insert(KernelClassStats {
-            min_blocks: u64::MAX,
-            ..Default::default()
-        });
+        let e = self.classes.entry(name).or_default();
         e.launches += 1;
         e.flops += flops;
         e.exec_seconds += exec_seconds;
         e.blocks += blocks as u64;
-        e.min_blocks = e.min_blocks.min(blocks as u64);
-        e.max_blocks = e.max_blocks.max(blocks as u64);
     }
 
     /// Stats for one class.
@@ -47,36 +38,21 @@ impl Profiler {
         self.classes.get(name)
     }
 
-    /// Iterate all classes in name order.
-    pub fn classes(&self) -> impl Iterator<Item = (&'static str, &KernelClassStats)> {
-        self.classes.iter().map(|(k, v)| (*k, v))
-    }
-
     /// Total launches across classes.
     pub fn total_launches(&self) -> u64 {
         self.classes.values().map(|c| c.launches).sum()
     }
 
-    /// Total flops across classes.
-    pub fn total_flops(&self) -> f64 {
-        self.classes.values().map(|c| c.flops).sum()
-    }
-
-    /// Render a fixed-width table (one row per class).
+    /// Render a fixed-width table (one row per class, in name order).
     pub fn table(&self) -> String {
         let mut out = String::from(
             "kernel                    launches      blocks(avg)      GFLOP     exec(ms)\n",
         );
-        for (name, c) in self.classes() {
-            let avg_blocks = if c.launches > 0 {
-                c.blocks as f64 / c.launches as f64
-            } else {
-                0.0
-            };
+        for (name, c) in &self.classes {
             out.push_str(&format!(
                 "{name:<24} {:>9} {:>16.1} {:>10.3} {:>12.3}\n",
                 c.launches,
-                avg_blocks,
+                c.blocks as f64 / c.launches as f64,
                 c.flops / 1e9,
                 c.exec_seconds * 1e3,
             ));
@@ -99,10 +75,7 @@ mod tests {
         assert_eq!(d.launches, 2);
         assert!((d.flops - 4e6).abs() < 1.0);
         assert_eq!(d.blocks, 400);
-        assert_eq!(d.min_blocks, 100);
-        assert_eq!(d.max_blocks, 300);
         assert_eq!(p.total_launches(), 3);
-        assert!((p.total_flops() - 9e6).abs() < 1.0);
         assert!(p.class("missing").is_none());
     }
 

@@ -350,11 +350,6 @@ impl Scheduler {
         ev.sort_by_key(|e| e.seq);
         ev
     }
-
-    /// Number of hardware streams.
-    pub fn num_streams(&self) -> usize {
-        self.queues.len()
-    }
 }
 
 #[cfg(test)]
@@ -405,7 +400,9 @@ mod tests {
         );
     }
 
-    /// Same-stream kernels serialize (including their latencies).
+    /// Same-stream kernels serialize, latencies included: four saturating
+    /// kernels issued `host_enqueue_s` apart each wait for their
+    /// predecessor, so the last retires at `enqueue + 4·(latency + exec)`.
     #[test]
     fn same_stream_serializes() {
         let mut s = sched();
@@ -414,16 +411,18 @@ mod tests {
             s.enqueue(LaunchConfig::new("k", 1000, 256), WorkEstimate::flops(w));
         }
         s.synchronize();
+        let (enqueue, latency) = (spec().host_enqueue_s, spec().launch_latency_s);
         let exec = spec().exec_seconds(w, 0.0);
-        let expect = 4.0
-            * spec()
-                .host_enqueue_s // host issues up-front
-                .max(0.0)
-            + 0.0;
-        // Lower bound: 4 execs + 4 latencies serialized on one stream.
-        let lower = 4.0 * (exec + spec().launch_latency_s);
-        assert!(s.now() >= lower - 1e-12, "now {} < lower {lower}", s.now());
-        let _ = expect;
+        assert!(
+            enqueue < latency + exec,
+            "each issue precedes the predecessor's retirement"
+        );
+        let expect = enqueue + 4.0 * (latency + exec);
+        assert!(
+            (s.now() - expect).abs() < 1e-12,
+            "got {}, expect {expect}",
+            s.now()
+        );
     }
 
     /// Four low-occupancy kernels on four streams run ~concurrently,
