@@ -81,8 +81,9 @@ impl ClusterCharges {
     }
 
     /// Compute the tensor grid of every cluster and the modified charges
-    /// of the clusters with `selected[idx]` — one pool task per cluster
-    /// (the paper: one OpenMP task per cluster). A cluster's grid and
+    /// of the clusters with `selected[idx]`, in parallel over clusters
+    /// (the paper: one OpenMP task per cluster; the pool's workers claim
+    /// chunks of `max(len / (4·workers), 1)` clusters). A cluster's grid and
     /// charges depend only on that cluster's box and particles and land
     /// in that cluster's slot, so every computed slot is bitwise the
     /// same at any pool size and under any selection.

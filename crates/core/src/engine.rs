@@ -1,5 +1,5 @@
 //! CPU compute engines: a serial reference and a shared-memory-parallel
-//! engine (rayon task per target batch — the analogue of the paper's
+//! engine (parallel over target batches — the analogue of the paper's
 //! OpenMP port, which assigns each batch to one OpenMP thread), plus
 //! direct summation as the accuracy/performance baseline.
 //!
@@ -115,9 +115,10 @@ impl PreparedTreecode {
         (potentials, t0.elapsed().as_secs_f64())
     }
 
-    /// Evaluate the potentials with one rayon task per batch (batches own
-    /// disjoint contiguous target ranges, so results are deterministic and
-    /// bitwise identical to the serial path).
+    /// Evaluate the potentials in parallel over batches: the pool's
+    /// workers claim chunks of `max(len / (4·workers), 1)` batches.
+    /// Batches own disjoint contiguous target ranges, so results are
+    /// deterministic and bitwise identical to the serial path.
     pub fn evaluate_parallel(&self, kernel: &dyn Kernel) -> (Vec<f64>, f64) {
         let t0 = Instant::now();
         let [potentials] = self.evaluate(kernel, true);
@@ -126,8 +127,9 @@ impl PreparedTreecode {
 
     /// The evaluation behind every `evaluate_*` door and the simulated
     /// GPU's compute phase: each batch's `C` output columns from its
-    /// interaction lists — one pool task per batch when `parallel`, a
-    /// plain loop otherwise, the same bits either way — assembled into
+    /// interaction lists — claimed by the pool's workers in chunks of
+    /// `max(len / (4·workers), 1)` batches when `parallel`, a plain loop
+    /// otherwise, the same bits either way — assembled into
     /// original target order.
     pub fn evaluate<const C: usize, O: TileOp<C> + ?Sized>(
         &self,
@@ -244,7 +246,7 @@ impl TreecodeEngine for SerialEngine {
     }
 }
 
-/// Shared-memory parallel engine (rayon task per batch — the OpenMP
+/// Shared-memory parallel engine (parallel over batches — the OpenMP
 /// analogue of §4's CPU baseline).
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelEngine {

@@ -50,7 +50,7 @@ impl PreparedTreecode {
         self.evaluate(kernel, false).into()
     }
 
-    /// Evaluate potentials and gradients with one rayon task per batch.
+    /// Evaluate potentials and gradients in parallel over batches.
     /// Batches own disjoint contiguous target ranges, so the result is
     /// deterministic and bitwise identical to [`Self::evaluate_field`].
     pub fn evaluate_field_parallel(&self, kernel: &dyn GradientKernel) -> FieldResult {

@@ -43,7 +43,7 @@
 //! loop is written once against it, and [`TileOp::tile`] is the only
 //! caller of the tile methods.
 //!
-//! ### What an override may change, and the two that exist
+//! ### What an override may change, and the overrides that exist
 //!
 //! An override of a tile method may change **which unit computes a
 //! correctly rounded result** and how many targets run side by side —
@@ -105,9 +105,8 @@
 //! `[1, 4)` whose roots lie within 4·10⁵·2⁻¹⁰⁷ of a rounding boundary, on
 //! the neighbourhood of every power of four — the all-ones `s` — and on
 //! the reciprocals closest to a rounding boundary; the tile oracle tests
-//! below run both bodies of both tiles. Everywhere else, and for every
-//! other kernel, the provided bodies run — the same functions the
-//! overrides fall back to.
+//! below run both bodies of both tiles. Everywhere else the provided
+//! bodies run — the same functions the overrides fall back to.
 //!
 //! Measured on the 2-vCPU AVX-512 host of the benchmark (two 512-bit FMA
 //! ports, ≈ 2.9 GHz under AVX-512 whatever its name says), nanoseconds
@@ -132,9 +131,34 @@
 //! 50 µops per eight pairs on the two ports and runs at ≈ 32 cycles; the
 //! one `vdivpd` (16 cycles) hides underneath, so re-defining `c` to drop
 //! that divide would buy one µop, and what the figures above leave to be
-//! had is in the ≈ 7 µops of the test. Left out: everything Yukawa spends
-//! its time in glibc's `exp` (7.0 of 7.3 ns per pair), whose bits are
-//! glibc's and cannot be reproduced by another algorithm.
+//! had is in the ≈ 7 µops of the test.
+//!
+//! ### The exp family
+//!
+//! [`Yukawa`] (guarded) and [`RegularizedYukawa`] (`ε²` added) override
+//! both tiles with one portable lane body, `exp_tile`, for one column or
+//! four. It walks eight targets at a time. Per source, a lane loop forms
+//! `dx, dy, dz`, `r²` and `r = √r²`; a scalar loop calls the C library's
+//! `exp((−κ)·r)` once per live lane (a pad lane of the last block, or a
+//! guarded lane at `r² = 0`, calls nothing); a second lane loop forms `g =
+//! e/r`, the field's `c = ((−g)·(κ·r + 1))/r²`, the guard's select per
+//! column and the terms. `exp` stays the C library's: its bits are
+//! glibc's, and a vectorised `exp` would be a different engine. What moved
+//! is everything around it — in the provided body each pair's `r² = 0`
+//! branch wrapped a scalar `sqrtsd → call exp → divsd` chain, so neither
+//! the `√` nor the `÷` ever reached a vector lane.
+//!
+//! Measured on the same host, nanoseconds per pair on 32 × 300 and 150 ×
+//! 20 000 Plummer tiles: a dependency-free stream of glibc `exp` calls
+//! costs 5.9–6.4. The `Yukawa` potential tile went from 9.3–10.3 to
+//! 7.8–8.6 and its field tile from 13.1–15.3 to 10.0–11.6; the
+//! `RegularizedYukawa` potential from 8.3–9.8 to 7.6–8.1, and its field
+//! tile, whose provided body had no branch to lose, from 10.0–11.8 to
+//! 9.6–11.6. What is left above `exp` is `sqrtpd` and `divpd` on the
+//! divider. There is no AVX-512 body: built with `-C target-cpu=native`
+//! the same potential body needs 12.4–13.3, because every call to `exp`
+//! clobbers every vector register, and a `#[target_feature]` copy would
+//! pay the same.
 
 #[cfg(target_arch = "x86_64")]
 mod avx512;
@@ -298,6 +322,87 @@ fn inv_sqrt_field_tile<const GUARD: bool>(
         return;
     }
     portable_field_tile(k, t, s, out);
+}
+
+/// Targets [`exp_tile`] walks together: its lane loops fill one 512-bit
+/// or two 256-bit vectors, and its scalar `exp` loop has this many
+/// independent calls to overlap.
+const EXP_W: usize = 8;
+
+/// The potential (`C = 1`) or field (`C = 4`) tile of the two
+/// `e^{−κr}/r` kernels — [`Yukawa`] (`GUARD`: `r² = 0 → 0`, `eps2`
+/// unused) or [`RegularizedYukawa`] (`eps2 = ε²`). Per source, one lane
+/// loop forms `r² = ((dx·dx + dy·dy) + dz·dz) [+ ε²]` and `r = √r²` for
+/// eight targets, a scalar loop calls the C library's `exp((−κ)·r)` once
+/// per live lane, and a second lane loop forms `g = e / r`, the field's
+/// `c = ((−g)·(κ·r + 1)) / r²`, the guard's select per column and the
+/// terms. Every target keeps `eval`'s (or `eval_with_grad`'s) operation
+/// sequence, its own accumulators from `0.0` over ascending sources, and
+/// one final `+=`: the provided tiles' bits, by construction.
+#[inline]
+fn exp_tile<const GUARD: bool, const C: usize>(
+    kappa: f64,
+    eps2: f64,
+    t: (&[f64], &[f64], &[f64]),
+    s: (&[f64], &[f64], &[f64], &[f64]),
+    out: &mut [&mut [f64]; C],
+) {
+    let ((tx, ty, tz), (sx, sy, sz, sq)) = (t, s);
+    assert_tile_shape(t, s, &*out);
+    let nt = out[0].len();
+    for i in (0..nt).step_by(EXP_W) {
+        // The last block pads with dead lanes: they never call `exp` and
+        // are never stored.
+        let live = EXP_W.min(nt - i);
+        let lane = |v: &[f64]| -> [f64; EXP_W] {
+            std::array::from_fn(|l| if l < live { v[i + l] } else { 0.0 })
+        };
+        let (x, y, z) = (lane(tx), lane(ty), lane(tz));
+        let mut acc = [[0.0; EXP_W]; C];
+        let mut e = [0.0; EXP_W];
+        for j in 0..sq.len() {
+            let (mut d, mut r2, mut r) = ([[0.0; EXP_W]; 3], [0.0; EXP_W], [0.0; EXP_W]);
+            for l in 0..EXP_W {
+                d[0][l] = x[l] - sx[j];
+                d[1][l] = y[l] - sy[j];
+                d[2][l] = z[l] - sz[j];
+                r2[l] = d[0][l] * d[0][l] + d[1][l] * d[1][l] + d[2][l] * d[2][l];
+                if !GUARD {
+                    r2[l] += eps2;
+                }
+                r[l] = r2[l].sqrt();
+            }
+            for l in 0..live {
+                if !GUARD || r2[l] != 0.0 {
+                    e[l] = (-kappa * r[l]).exp();
+                }
+            }
+            // What a guarded lane discards at `r² = 0` is a stale `e`
+            // over zero: ∞ or NaN.
+            let apart = |l: usize, v: f64| {
+                if GUARD {
+                    std::hint::select_unpredictable(r2[l] == 0.0, 0.0, v)
+                } else {
+                    v
+                }
+            };
+            for l in 0..EXP_W {
+                let g = e[l] / r[l];
+                acc[0][l] += apart(l, g) * sq[j];
+                if C == 4 {
+                    let c = -g * (kappa * r[l] + 1.0) / r2[l];
+                    for k in 0..3 {
+                        acc[k + 1][l] += apart(l, c * d[k][l]) * sq[j];
+                    }
+                }
+            }
+        }
+        for (column, a) in out.iter_mut().zip(&acc) {
+            for l in 0..live {
+                column[i + l] += a[l];
+            }
+        }
+    }
 }
 
 /// A pairwise interaction kernel evaluated on the displacement `x - y`.
@@ -545,6 +650,24 @@ impl GradientKernel for Yukawa {
         let c = -g * (self.kappa * r + 1.0) / r2;
         (g, c * dx, c * dy, c * dz)
     }
+
+    fn accumulate_field_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        sx: &[f64],
+        sy: &[f64],
+        sz: &[f64],
+        sq: &[f64],
+        pot: &mut [f64],
+        gx: &mut [f64],
+        gy: &mut [f64],
+        gz: &mut [f64],
+    ) {
+        let (t, s) = ((tx, ty, tz), (sx, sy, sz, sq));
+        exp_tile::<true, 4>(self.kappa, 0.0, t, s, &mut [pot, gx, gy, gz]);
+    }
 }
 
 impl GradientKernel for RegularizedCoulomb {
@@ -714,6 +837,20 @@ impl Kernel for Yukawa {
         }
     }
 
+    fn accumulate_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        sx: &[f64],
+        sy: &[f64],
+        sz: &[f64],
+        sq: &[f64],
+        out: &mut [f64],
+    ) {
+        exp_tile::<true, 1>(self.kappa, 0.0, (tx, ty, tz), (sx, sy, sz, sq), &mut [out]);
+    }
+
     #[inline]
     fn eval_f32(&self, dx: f32, dy: f32, dz: f32) -> f32 {
         let r2 = dx * dx + dy * dy + dz * dz;
@@ -772,6 +909,21 @@ impl Kernel for RegularizedYukawa {
         (-self.kappa * d).exp() / d
     }
 
+    fn accumulate_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        sx: &[f64],
+        sy: &[f64],
+        sz: &[f64],
+        sq: &[f64],
+        out: &mut [f64],
+    ) {
+        let eps2 = self.epsilon * self.epsilon;
+        exp_tile::<false, 1>(self.kappa, eps2, (tx, ty, tz), (sx, sy, sz, sq), &mut [out]);
+    }
+
     fn name(&self) -> &'static str {
         "regularized-yukawa"
     }
@@ -795,6 +947,25 @@ impl GradientKernel for RegularizedYukawa {
         // ∂(e^{-κd}/d)/∂dx = -dx (κ d + 1) e^{-κd} / d³
         let c = -g * (self.kappa * d + 1.0) / d2;
         (g, c * dx, c * dy, c * dz)
+    }
+
+    fn accumulate_field_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        sx: &[f64],
+        sy: &[f64],
+        sz: &[f64],
+        sq: &[f64],
+        pot: &mut [f64],
+        gx: &mut [f64],
+        gy: &mut [f64],
+        gz: &mut [f64],
+    ) {
+        let (t, s) = ((tx, ty, tz), (sx, sy, sz, sq));
+        let eps2 = self.epsilon * self.epsilon;
+        exp_tile::<false, 4>(self.kappa, eps2, t, s, &mut [pot, gx, gy, gz]);
     }
 }
 

@@ -89,22 +89,6 @@ impl ParticleSet {
         self.q.iter().sum()
     }
 
-    /// Gather a permuted copy: output particle `i` is input `perm[i]`.
-    ///
-    /// Used by tree construction to make every cluster own a contiguous
-    /// index range. `perm` must be a permutation of `0..len`.
-    pub fn gather(&self, perm: &[usize]) -> Self {
-        assert_eq!(perm.len(), self.len(), "permutation length mismatch");
-        let mut out = Self::with_capacity(self.len());
-        for &j in perm {
-            out.x.push(self.x[j]);
-            out.y.push(self.y[j]);
-            out.z.push(self.z[j]);
-            out.q.push(self.q[j]);
-        }
-        out
-    }
-
     /// Extract the sub-set at the given indices (not necessarily a
     /// permutation) — used by the distributed pipeline to slice a rank's
     /// partition out of a global set.
@@ -258,20 +242,6 @@ mod tests {
         for &q in &a.q {
             assert!((-1.0..1.0).contains(&q));
         }
-    }
-
-    #[test]
-    fn gather_permutes() {
-        let p = ParticleSet::new(
-            vec![1.0, 2.0, 3.0],
-            vec![4.0, 5.0, 6.0],
-            vec![7.0, 8.0, 9.0],
-            vec![0.1, 0.2, 0.3],
-        );
-        let g = p.gather(&[2, 0, 1]);
-        assert_eq!(g.x, vec![3.0, 1.0, 2.0]);
-        assert_eq!(g.q, vec![0.3, 0.1, 0.2]);
-        assert_eq!(g.total_charge(), p.total_charge());
     }
 
     #[test]

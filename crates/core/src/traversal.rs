@@ -39,8 +39,9 @@ pub struct InteractionLists {
 }
 
 impl InteractionLists {
-    /// Run the traversal for every batch — one pool task per batch
-    /// (the paper's OpenMP-parallel list construction). Each batch's
+    /// Run the traversal for every batch, in parallel over batches (the
+    /// paper's OpenMP-parallel list construction; the pool's workers
+    /// claim chunks of `max(len / (4·workers), 1)` batches). Each batch's
     /// lists depend only on that batch's geometry and are collected
     /// into that batch's slot, so the result is bitwise identical at
     /// any pool size.

@@ -49,8 +49,7 @@ impl TargetBatches {
     /// Partition `targets` into batches of at most `params.batch_cap`.
     pub fn build(targets: &ParticleSet, params: &BltcParams) -> Self {
         assert!(!targets.is_empty(), "cannot batch an empty target set");
-        let (nodes, perm) = build_nodes(targets, params.batch_cap, params.max_depth);
-        let particles = targets.gather(&perm);
+        let (nodes, particles, perm) = build_nodes(targets, params.batch_cap, params.max_depth);
         let batches = nodes
             .iter()
             .filter(|n| n.num_children == 0)

@@ -96,8 +96,7 @@ impl SourceTree {
     /// Build the tree for `sources` with leaf capacity `params.leaf_cap`.
     pub fn build(sources: &ParticleSet, params: &BltcParams) -> Self {
         assert!(!sources.is_empty(), "cannot build a tree over no sources");
-        let (nodes, perm) = build_nodes(sources, params.leaf_cap, params.max_depth);
-        let particles = sources.gather(&perm);
+        let (nodes, particles, perm) = build_nodes(sources, params.leaf_cap, params.max_depth);
         let nodes = nodes
             .into_iter()
             .map(|r: RawNode| ClusterNode {

@@ -29,7 +29,7 @@
 //!
 //! - **Retain** ([`land_remote_let`], then [`eval_remote_into`]): land
 //!   every chunk into one [`RemoteLet`], then evaluate each batch's whole
-//!   lists, one pool task per batch. Peak resident remote payload = the
+//!   lists, in parallel over batches. Peak resident remote payload = the
 //!   whole LET.
 //! - **Stream** ([`stream_remote_let`]): land one chunk, evaluate just
 //!   that chunk's clusters into persistent per-batch partials, drop the
@@ -253,7 +253,7 @@ pub(crate) fn issue_remote_let(
     let nodes: Vec<ClusterNode> = metas.into_iter().map(NodeMeta::to_cluster).collect();
 
     // Local traversal against the remote skeleton: no communication —
-    // one pool task per batch (the paper's OpenMP-parallel LET
+    // parallel over batches (the paper's OpenMP-parallel LET
     // traversal). Each batch's lists land in that batch's slot, and
     // the distinct-cluster sets are ordered (BTreeSet) and built from
     // the per-batch lists afterwards, so both the lists and the fetch
@@ -601,7 +601,7 @@ pub(crate) fn land_remote_let(
 }
 
 /// The **retain** driver, second half: add a landed LET's contribution
-/// to `acc`. One pool task per batch, each evaluating the batch's whole
+/// to `acc`, in parallel over batches, each evaluating the batch's whole
 /// lists into its own partial; the merge runs in fixed batch order, so
 /// the columns and the modeled clocks are bitwise independent of the
 /// pool size.

@@ -332,12 +332,26 @@ fn trait_object_kernels_are_driven_by_tiles_on_every_distributed_door() {
 /// a guarded-family field tile, and none runs `Coulomb`'s. The portable
 /// tile and the SIMD tile must both reproduce them, so a runner with
 /// `avx512f` and one without assert the same bits.
+///
+/// The `*YUKAWA*` rows were recorded on the commit before the exp-family
+/// tiles got their lane body. They are **libm-dependent**: every pair
+/// calls the C library's `exp`, so they pin glibc's `exp` as much as they
+/// pin this code, and a host with another libm may fail them with no bug
+/// here. The Coulomb rows use only `+ − × ÷ √` and are libm-free.
 const PIN_COULOMB_PARALLEL: u64 = 0x63cd_7190_b1ef_f6eb;
 const PIN_REGULARIZED_COULOMB_PARALLEL: u64 = 0x0081_a0c9_e81a_4553;
 const PIN_COULOMB_3RANK: u64 = 0xc7cc_519c_28ea_588f;
 const PIN_COULOMB_FIELD_PARALLEL: u64 = 0xfc8f_e0fb_0d8c_7224;
 const PIN_REGULARIZED_COULOMB_FIELD_PARALLEL: u64 = 0xf0da_425c_0306_56c5;
 const PIN_COULOMB_FIELD_3RANK: u64 = 0x8e24_92d6_6af6_70f5;
+const PIN_YUKAWA_SERIAL: u64 = 0xedf4_5999_cfb8_7151;
+const PIN_REGULARIZED_YUKAWA_SERIAL: u64 = 0xf3ec_fc11_181a_a8f2;
+const PIN_YUKAWA_3RANK: u64 = 0x5833_1eed_9b21_0e45;
+const PIN_REGULARIZED_YUKAWA_3RANK: u64 = 0xef53_d305_b035_67f1;
+const PIN_YUKAWA_FIELD_PARALLEL: u64 = 0x8836_b0a0_5d74_a7da;
+const PIN_REGULARIZED_YUKAWA_FIELD_PARALLEL: u64 = 0x1ff4_494e_a00b_bdc1;
+const PIN_YUKAWA_FIELD_3RANK: u64 = 0xb483_fb03_be75_6d07;
+const PIN_REGULARIZED_YUKAWA_FIELD_3RANK: u64 = 0xf2ab_d577_504b_722e;
 
 #[test]
 fn potential_digests_are_pinned_across_instruction_sets() {
@@ -362,6 +376,24 @@ fn potential_digests_are_pinned_across_instruction_sets() {
         ),
         "potential bits moved: {coulomb:#018x} {softened:#018x} {dist:#018x}"
     );
+    let (yukawa, softened_yukawa) = (Yukawa::new(0.5), RegularizedYukawa::new(0.5, 0.05));
+    let serial = SerialEngine::new(params);
+    let exp_rows = [
+        digest(&serial.compute(&ps, &ps, &yukawa).potentials),
+        digest(&serial.compute(&ps, &ps, &softened_yukawa).potentials),
+        digest(&run_distributed(&ps, 3, &cfg, &yukawa).potentials),
+        digest(&run_distributed(&ps, 3, &cfg, &softened_yukawa).potentials),
+    ];
+    assert_eq!(
+        exp_rows,
+        [
+            PIN_YUKAWA_SERIAL,
+            PIN_REGULARIZED_YUKAWA_SERIAL,
+            PIN_YUKAWA_3RANK,
+            PIN_REGULARIZED_YUKAWA_3RANK
+        ],
+        "exp-family potential bits moved: {exp_rows:#018x?}"
+    );
 
     let digest = |f: &FieldResult| {
         let columns = [&f.potentials, &f.gx, &f.gy, &f.gz];
@@ -379,6 +411,22 @@ fn potential_digests_are_pinned_across_instruction_sets() {
             PIN_COULOMB_FIELD_3RANK
         ),
         "field bits moved: {coulomb:#018x} {softened:#018x} {dist:#018x}"
+    );
+    let exp_rows = [
+        digest(&prep.evaluate_field_parallel(&yukawa)),
+        digest(&prep.evaluate_field_parallel(&softened_yukawa)),
+        digest(&run_distributed_field(&ps, 3, &cfg, &yukawa).field),
+        digest(&run_distributed_field(&ps, 3, &cfg, &softened_yukawa).field),
+    ];
+    assert_eq!(
+        exp_rows,
+        [
+            PIN_YUKAWA_FIELD_PARALLEL,
+            PIN_REGULARIZED_YUKAWA_FIELD_PARALLEL,
+            PIN_YUKAWA_FIELD_3RANK,
+            PIN_REGULARIZED_YUKAWA_FIELD_3RANK
+        ],
+        "exp-family field bits moved: {exp_rows:#018x?}"
     );
 }
 
