@@ -7,6 +7,8 @@
 //! and with chaos disabled the whole machinery is bitwise invisible to
 //! every existing golden digest.
 
+mod golden;
+
 use std::time::Duration;
 
 use bltc::chaos::{run_supervised, FaultPlan, SupervisorConfig};
@@ -18,6 +20,7 @@ use bltc::service::{
 };
 use bltc::sim::scenario::plummer_sphere;
 use bltc::sim::{PersistentIntegrator, SimConfig, SimReport, SimState};
+use golden::{GOLDEN_ELECTROLYTE_STATE, GOLDEN_PLUMMER_STATE};
 use proptest::prelude::*;
 
 fn dist_cfg() -> DistConfig {
@@ -307,12 +310,8 @@ fn service_backoff_and_lost_spawns_are_exactly_recomputable() {
 
 // ---------------------------------------------------------------- (d)
 
-/// Committed digests of the two golden 4-rank trajectories — the same
-/// constants `tests/service.rs` pins. Resilience knobs switched on but
-/// never firing must not move a single bit.
-const GOLDEN_PLUMMER_STATE: u64 = 0x3d54_0002_3de0_7f3b;
-const GOLDEN_ELECTROLYTE_STATE: u64 = 0x1617_ce0a_6dc9_8687;
-
+/// Resilience knobs switched on but never firing must not move a single
+/// bit of the two golden 4-rank trajectories.
 #[test]
 fn chaos_machinery_disabled_is_bitwise_invisible_to_goldens() {
     let mut p = plummer(128, 42, 4, 3);

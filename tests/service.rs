@@ -7,6 +7,8 @@
 //! [`PersistentIntegrator`] — across pool sizes × tenant mixes, on
 //! cache hits and misses, and with a panicking tenant in the mix.
 
+mod golden;
+
 use std::collections::BTreeMap;
 
 use bltc::core::config::BltcParams;
@@ -17,6 +19,7 @@ use bltc::service::{
     Scenario, ServiceConfig, SimService, TenantId,
 };
 use bltc::sim::{PersistentIntegrator, SimReport, SimState};
+use golden::{GOLDEN_ELECTROLYTE_STATE, GOLDEN_PLUMMER_STATE};
 use proptest::prelude::*;
 
 fn dist_cfg() -> DistConfig {
@@ -372,9 +375,9 @@ fn metering_reconciles_exactly_against_drained_traffic() {
 /// (kernel evaluation, RCB, LET assembly, integrator arithmetic, RNG)
 /// fails here loudly instead of silently shifting benches.
 ///
-/// If a change is *intended* to alter numerics, regenerate with:
-/// `cargo test --release golden -- --nocapture` after temporarily
-/// printing the digests (the assert messages include the new values).
+/// If a change is *intended* to alter numerics, the assert messages
+/// print the new values; the digests are defined once, in
+/// `tests/golden/mod.rs`.
 #[test]
 fn golden_4rank_trajectory_digests() {
     let plummer_spec = plummer(128, 42, 4, 3);
@@ -402,11 +405,6 @@ fn golden_4rank_trajectory_digests() {
     assert_eq!(eo.state_digest, GOLDEN_ELECTROLYTE_STATE);
     drop(svc);
 }
-
-/// Committed digests of the two golden trajectories (see
-/// [`golden_4rank_trajectory_digests`]).
-const GOLDEN_PLUMMER_STATE: u64 = 0x3d54_0002_3de0_7f3b;
-const GOLDEN_ELECTROLYTE_STATE: u64 = 0x1617_ce0a_6dc9_8687;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
