@@ -57,8 +57,16 @@
 //! an add (no FMA contraction), the `r² = 0 → 0` select before `· q`, the
 //! ascending sources, the accumulator from `0.0` and the single final
 //! `out[i] += acc`, also for an empty cluster. Re-associating or
-//! re-approximating anything (a vectorised `exp`, an `rsqrt` without the
-//! correction below) is a different engine with different bits.
+//! re-approximating anything (an `rsqrt` without the correction below, a
+//! second exponential beside the crate's own) is a different engine with
+//! different bits.
+//!
+//! The exponential is the one function here that IEEE 754 does not pin.
+//! The exp family therefore calls one exponential of this crate's own,
+//! `exp::exp` — `+ − ×` on a table, no FMA, no libm — in `eval`,
+//! `eval_with_grad` and the tiles alike, so its bits are the same on every
+//! host and in every vector width, and a tile that runs it lane by lane
+//! still equals the per-pair `eval` loop under `assert_eq!`.
 //!
 //! [`Coulomb`] and [`RegularizedCoulomb`] override both tiles on exactly
 //! these terms. On an x86-64 host whose CPU reports AVX-512F (a run-time
@@ -136,32 +144,39 @@
 //! ### The exp family
 //!
 //! [`Yukawa`] (guarded) and [`RegularizedYukawa`] (`ε²` added) override
-//! both tiles with one portable lane body, `exp_tile`, for one column or
-//! four. It walks eight targets at a time. Per source, a lane loop forms
-//! `dx, dy, dz`, `r²` and `r = √r²`; a scalar loop calls the C library's
-//! `exp((−κ)·r)` once per live lane (a pad lane of the last block, or a
-//! guarded lane at `r² = 0`, calls nothing); a second lane loop forms `g =
-//! e/r`, the field's `c = ((−g)·(κ·r + 1))/r²`, the guard's select per
-//! column and the terms. `exp` stays the C library's: its bits are
-//! glibc's, and a vectorised `exp` would be a different engine. What moved
-//! is everything around it — in the provided body each pair's `r² = 0`
-//! branch wrapped a scalar `sqrtsd → call exp → divsd` chain, so neither
-//! the `√` nor the `÷` ever reached a vector lane.
+//! both tiles with one lane body, `exp_tile`, for one column or four, and
+//! [`Gaussian`] runs the provided tiles; all three take `eˣ` from the
+//! private `exp` module: P. T. P. Tang's table-driven method (ACM TOMS 15,
+//! 1989) with 128 entries, within one ulp of `eˣ` and one ulp of glibc,
+//! equal to glibc's on all but about 0.1 % of inputs (see that module).
+//! The body walks eight targets at a time. Per source, a lane loop forms
+//! `dx, dy, dz`, `r²`, `r = √r²` and `e = exp((−κ)·r)` for all eight
+//! lanes — a dead pad lane, or a guarded lane at `r² = 0`, computes a
+//! value that is discarded — and a lane whose argument leaves the
+//! exponential's branch-free range (`κr > 707.5`, where `e` is subnormal
+//! or zero) is recomputed by its scalar branch. A second lane loop forms
+//! `g = e/r`, the field's `c = ((−g)·(κ·r + 1))/r²`, the guard's select
+//! per column and the terms. On an x86-64 host with AVX-512F the `avx512`
+//! module runs the same Rust body compiled for that instruction set; it
+//! uses no intrinsics, and Rust never contracts a multiply and an add, so
+//! its bits are the portable body's by construction, and the tile tests
+//! below compare both with the per-pair loop.
 //!
-//! Measured on the same host, nanoseconds per pair on 32 × 300 and 150 ×
-//! 20 000 Plummer tiles: a dependency-free stream of glibc `exp` calls
-//! costs 5.9–6.4. The `Yukawa` potential tile went from 9.3–10.3 to
-//! 7.8–8.6 and its field tile from 13.1–15.3 to 10.0–11.6; the
-//! `RegularizedYukawa` potential from 8.3–9.8 to 7.6–8.1, and its field
-//! tile, whose provided body had no branch to lose, from 10.0–11.8 to
-//! 9.6–11.6. What is left above `exp` is `sqrtpd` and `divpd` on the
-//! divider. There is no AVX-512 body: built with `-C target-cpu=native`
-//! the same potential body needs 12.4–13.3, because every call to `exp`
-//! clobbers every vector register, and a `#[target_feature]` copy would
-//! pay the same.
+//! Measured on the benchmark's 2-vCPU AVX-512 host, nanoseconds per pair,
+//! best of seven, on 32 × 343 and 150 × 2000 tiles. With glibc's `exp`
+//! called once per live lane, between two lane loops: `Yukawa` potential
+//! 9.0–13.5, field 11.2–17.1; `RegularizedYukawa` potential 7.7–12.1,
+//! field 9.2–14.4 (a dependency-free stream of glibc `exp` calls alone
+//! costs 5.6–6.4, and every call clobbered every vector register, so an
+//! AVX-512 copy of that body was slower). The portable body with the
+//! lane exponential: potential 5.5–8.0, field 8.2–13.7. The AVX-512 copy:
+//! potential 2.4–3.2, field 3.9–5.8 — three times faster than glibc's
+//! body — and `op_min_s` of `probe_yukawa_1rank`, which spends four
+//! fifths of its op in these tiles, falls by more than half.
 
 #[cfg(target_arch = "x86_64")]
 mod avx512;
+mod exp;
 
 /// Targets the portable bodies ([`portable_tile`] and
 /// [`portable_field_tile`]) walk together. Each keeps its own accumulator,
@@ -324,23 +339,45 @@ fn inv_sqrt_field_tile<const GUARD: bool>(
     portable_field_tile(k, t, s, out);
 }
 
-/// Targets [`exp_tile`] walks together: its lane loops fill one 512-bit
-/// or two 256-bit vectors, and its scalar `exp` loop has this many
-/// independent calls to overlap.
+/// Targets [`portable_exp_tile`] walks together: its lane loops fill one
+/// 512-bit or two 256-bit vectors.
 const EXP_W: usize = 8;
 
 /// The potential (`C = 1`) or field (`C = 4`) tile of the two
 /// `e^{−κr}/r` kernels — [`Yukawa`] (`GUARD`: `r² = 0 → 0`, `eps2`
-/// unused) or [`RegularizedYukawa`] (`eps2 = ε²`). Per source, one lane
-/// loop forms `r² = ((dx·dx + dy·dy) + dz·dz) [+ ε²]` and `r = √r²` for
-/// eight targets, a scalar loop calls the C library's `exp((−κ)·r)` once
-/// per live lane, and a second lane loop forms `g = e / r`, the field's
-/// `c = ((−g)·(κ·r + 1)) / r²`, the guard's select per column and the
-/// terms. Every target keeps `eval`'s (or `eval_with_grad`'s) operation
-/// sequence, its own accumulators from `0.0` over ascending sources, and
-/// one final `+=`: the provided tiles' bits, by construction.
+/// unused) or [`RegularizedYukawa`] (`eps2 = ε²`): the AVX-512 copy of
+/// [`portable_exp_tile`] where the host has AVX-512F, the portable body
+/// everywhere else. The same Rust either way, so the same bits.
 #[inline]
 fn exp_tile<const GUARD: bool, const C: usize>(
+    kappa: f64,
+    eps2: f64,
+    t: (&[f64], &[f64], &[f64]),
+    s: (&[f64], &[f64], &[f64], &[f64]),
+    out: &mut [&mut [f64]; C],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512::exp_tile::<GUARD, C>(kappa, eps2, t, s, out) {
+        return;
+    }
+    portable_exp_tile::<GUARD, C>(kappa, eps2, t, s, out);
+}
+
+/// The body of [`exp_tile`]. Per source, one lane loop over eight targets
+/// forms `r² = ((dx·dx + dy·dy) + dz·dz) [+ ε²]`, `r = √r²` and `e =
+/// exp((−κ)·r)` by the fast half of the in-crate exponential; a lane whose
+/// argument leaves its range (rare: `κr > 707.5`, or a NaN) is recomputed
+/// by the scalar branch, which together give `exp::exp`'s bits. A second
+/// lane loop forms `g = e / r`, the field's `c = ((−g)·(κ·r + 1)) / r²`,
+/// the guard's select per column and the terms. Every target keeps
+/// `eval`'s (or `eval_with_grad`'s) operation sequence, its own
+/// accumulators from `0.0` over ascending sources, and one final `+=`:
+/// the provided tiles' bits, by construction.
+///
+/// `inline(always)`, so that the AVX-512 copy compiles all of it, the
+/// fast exponential included, for its instruction set.
+#[inline(always)]
+fn portable_exp_tile<const GUARD: bool, const C: usize>(
     kappa: f64,
     eps2: f64,
     t: (&[f64], &[f64], &[f64]),
@@ -351,17 +388,17 @@ fn exp_tile<const GUARD: bool, const C: usize>(
     assert_tile_shape(t, s, &*out);
     let nt = out[0].len();
     for i in (0..nt).step_by(EXP_W) {
-        // The last block pads with dead lanes: they never call `exp` and
-        // are never stored.
+        // The last block pads with dead lanes: they compute a value that
+        // is never stored.
         let live = EXP_W.min(nt - i);
         let lane = |v: &[f64]| -> [f64; EXP_W] {
             std::array::from_fn(|l| if l < live { v[i + l] } else { 0.0 })
         };
         let (x, y, z) = (lane(tx), lane(ty), lane(tz));
         let mut acc = [[0.0; EXP_W]; C];
-        let mut e = [0.0; EXP_W];
         for j in 0..sq.len() {
             let (mut d, mut r2, mut r) = ([[0.0; EXP_W]; 3], [0.0; EXP_W], [0.0; EXP_W]);
+            let (mut arg, mut e) = ([0.0; EXP_W], [0.0; EXP_W]);
             for l in 0..EXP_W {
                 d[0][l] = x[l] - sx[j];
                 d[1][l] = y[l] - sy[j];
@@ -371,14 +408,20 @@ fn exp_tile<const GUARD: bool, const C: usize>(
                     r2[l] += eps2;
                 }
                 r[l] = r2[l].sqrt();
+                arg[l] = -kappa * r[l];
+                e[l] = exp::exp_fast(arg[l]);
             }
-            for l in 0..live {
-                if !GUARD || r2[l] != 0.0 {
-                    e[l] = (-kappa * r[l]).exp();
+            if arg
+                .iter()
+                .fold(false, |out, &a| out | !exp::in_fast_range(a))
+            {
+                for l in 0..EXP_W {
+                    if !exp::in_fast_range(arg[l]) {
+                        e[l] = exp::exp_outside(arg[l]);
+                    }
                 }
             }
-            // What a guarded lane discards at `r² = 0` is a stale `e`
-            // over zero: ∞ or NaN.
+            // What a guarded lane discards at `r² = 0` is `1/0 = ∞`.
             let apart = |l: usize, v: f64| {
                 if GUARD {
                     std::hint::select_unpredictable(r2[l] == 0.0, 0.0, v)
@@ -645,7 +688,7 @@ impl GradientKernel for Yukawa {
             return (0.0, 0.0, 0.0, 0.0);
         }
         let r = r2.sqrt();
-        let g = (-self.kappa * r).exp() / r;
+        let g = exp::exp(-self.kappa * r) / r;
         // ∂(e^{-κr}/r)/∂dx = -dx (κ r + 1) e^{-κr} / r³
         let c = -g * (self.kappa * r + 1.0) / r2;
         (g, c * dx, c * dy, c * dz)
@@ -703,7 +746,7 @@ impl GradientKernel for Gaussian {
     #[inline]
     fn eval_with_grad(&self, dx: f64, dy: f64, dz: f64) -> (f64, f64, f64, f64) {
         let r2 = dx * dx + dy * dy + dz * dz;
-        let g = (-r2 / (self.sigma * self.sigma)).exp();
+        let g = exp::exp(-r2 / (self.sigma * self.sigma));
         let c = -2.0 / (self.sigma * self.sigma) * g;
         (g, c * dx, c * dy, c * dz)
     }
@@ -833,7 +876,7 @@ impl Kernel for Yukawa {
             0.0
         } else {
             let r = r2.sqrt();
-            (-self.kappa * r).exp() / r
+            exp::exp(-self.kappa * r) / r
         }
     }
 
@@ -866,7 +909,10 @@ impl Kernel for Yukawa {
         "yukawa"
     }
 
-    // Coulomb cost + libm exp ≈ 9 ⇒ ≈ 1.8× the Coulomb CPU cost.
+    // Coulomb cost + libm exp ≈ 9 ⇒ ≈ 1.8× the Coulomb CPU cost: the
+    // paper's observation. The tiles compute `exp` in lanes, at well under
+    // libm's price; the modeled CPU clocks keep charging this number
+    // regardless.
     fn flops_per_eval_cpu(&self) -> f64 {
         21.6
     }
@@ -906,7 +952,7 @@ impl Kernel for RegularizedYukawa {
     fn eval(&self, dx: f64, dy: f64, dz: f64) -> f64 {
         let d2 = dx * dx + dy * dy + dz * dz + self.epsilon * self.epsilon;
         let d = d2.sqrt();
-        (-self.kappa * d).exp() / d
+        exp::exp(-self.kappa * d) / d
     }
 
     fn accumulate_tile(
@@ -943,7 +989,7 @@ impl GradientKernel for RegularizedYukawa {
     fn eval_with_grad(&self, dx: f64, dy: f64, dz: f64) -> (f64, f64, f64, f64) {
         let d2 = dx * dx + dy * dy + dz * dz + self.epsilon * self.epsilon;
         let d = d2.sqrt();
-        let g = (-self.kappa * d).exp() / d;
+        let g = exp::exp(-self.kappa * d) / d;
         // ∂(e^{-κd}/d)/∂dx = -dx (κ d + 1) e^{-κd} / d³
         let c = -g * (self.kappa * d + 1.0) / d2;
         (g, c * dx, c * dy, c * dz)
@@ -1041,7 +1087,7 @@ impl Kernel for Gaussian {
     #[inline]
     fn eval(&self, dx: f64, dy: f64, dz: f64) -> f64 {
         let r2 = dx * dx + dy * dy + dz * dz;
-        (-r2 / (self.sigma * self.sigma)).exp()
+        exp::exp(-r2 / (self.sigma * self.sigma))
     }
 
     fn name(&self) -> &'static str {
@@ -1298,27 +1344,69 @@ mod tests {
         v.iter().map(|x| canonical(x).to_bits()).collect()
     }
 
+    /// The parameters of [`portable_exp_tile`] for an exp-family kernel:
+    /// `(κ, None)` for [`Yukawa`] (guarded), `(κ, Some(ε²))` for
+    /// [`RegularizedYukawa`]; `None` for any other kernel.
+    type ExpBody = Option<(f64, Option<f64>)>;
+
+    /// The exp-family kernels of both tile tests. `Yukawa::new(800.0)`
+    /// sends the exponential's argument out of its fast range for every
+    /// pair more than 0.885 apart, so the tile's scalar branch runs among
+    /// fast lanes, on subnormal and zero results.
+    fn exp_family() -> Vec<(Box<dyn GradientKernel>, ExpBody)> {
+        vec![
+            (Box::new(Yukawa::new(0.5)), Some((0.5, None))),
+            (Box::new(Yukawa::new(800.0)), Some((800.0, None))),
+            (
+                Box::new(RegularizedYukawa::new(0.5, 0.05)),
+                Some((0.5, Some(0.05 * 0.05))),
+            ),
+        ]
+    }
+
+    /// [`portable_exp_tile`] with `body`'s parameters, whatever the
+    /// dispatch of [`exp_tile`] picks on this host; nothing for a kernel
+    /// outside the exp family.
+    fn portable_exp<const C: usize>(
+        body: ExpBody,
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; C],
+    ) {
+        match body {
+            Some((kappa, None)) => portable_exp_tile::<true, C>(kappa, 0.0, t, s, out),
+            Some((kappa, Some(eps2))) => portable_exp_tile::<false, C>(kappa, eps2, t, s, out),
+            None => {}
+        }
+    }
+
     #[test]
     fn tile_equals_per_target_eval_loop_bitwise() {
-        let kernels: Vec<Box<dyn Kernel>> = vec![
-            Box::new(Coulomb),
-            Box::new(Yukawa::new(0.5)),
-            Box::new(RegularizedCoulomb::new(0.05)),
-            Box::new(RegularizedYukawa::new(0.5, 0.05)),
-            Box::new(Gaussian::new(1.5)),
-            Box::new(MixedPrecision(Coulomb)),
-            Box::new(InverseSquare),
+        let mut kernels: Vec<(Box<dyn Kernel>, ExpBody)> = vec![
+            (Box::new(Coulomb), None),
+            (Box::new(RegularizedCoulomb::new(0.05)), None),
+            (Box::new(Gaussian::new(1.5)), None),
+            (Box::new(MixedPrecision(Coulomb)), None),
+            (Box::new(InverseSquare), None),
         ];
-        for k in &kernels {
+        kernels.extend(
+            exp_family()
+                .into_iter()
+                .map(|(k, body)| (k as Box<dyn Kernel>, body)),
+        );
+        for (k, body) in &kernels {
             for (t, s) in tile_cases() {
-                // What the engines call (for `Coulomb` and
-                // `RegularizedCoulomb` the AVX-512 body, where the host has
-                // it), and the portable body whatever the dispatch picked.
+                // What the engines call (for the Coulomb and the Yukawa
+                // family the AVX-512 body, where the host has it), the
+                // provided body and, for the exp family, `exp_tile`'s
+                // portable body, whatever the dispatch picked.
                 let mut tile = prefilled(t.len(), -3.25);
                 k.accumulate_tile(&t.x, &t.y, &t.z, &s.x, &s.y, &s.z, &s.q, &mut tile);
                 let mut portable = prefilled(t.len(), -3.25);
                 let (tt, ss) = ((&*t.x, &*t.y, &*t.z), (&*s.x, &*s.y, &*s.z, &*s.q));
                 portable_tile(k.as_ref(), tt, ss, &mut portable);
+                let mut lanes = prefilled(t.len(), -3.25);
+                portable_exp(*body, tt, ss, &mut [&mut lanes]);
                 let mut oracle = prefilled(t.len(), -3.25);
                 for (i, slot) in oracle.iter_mut().enumerate() {
                     let mut acc = 0.0;
@@ -1330,37 +1418,42 @@ mod tests {
                 let shape = (k.name(), t.len(), s.len());
                 assert_eq!(bits(&tile), bits(&oracle), "{shape:?}");
                 assert_eq!(bits(&portable), bits(&oracle), "portable {shape:?}");
+                if body.is_some() {
+                    assert_eq!(bits(&lanes), bits(&oracle), "portable exp_tile {shape:?}");
+                }
             }
         }
     }
 
     #[test]
     fn field_tile_equals_per_target_eval_loop_bitwise() {
-        let kernels: Vec<Box<dyn GradientKernel>> = vec![
-            Box::new(Coulomb),
-            Box::new(Yukawa::new(0.5)),
-            Box::new(RegularizedCoulomb::new(0.05)),
-            Box::new(RegularizedYukawa::new(0.5, 0.05)),
-            Box::new(Gaussian::new(1.5)),
-            Box::new(InverseSquare),
+        let mut kernels: Vec<(Box<dyn GradientKernel>, ExpBody)> = vec![
+            (Box::new(Coulomb), None),
+            (Box::new(RegularizedCoulomb::new(0.05)), None),
+            (Box::new(Gaussian::new(1.5)), None),
+            (Box::new(InverseSquare), None),
         ];
-        for k in &kernels {
+        kernels.extend(exp_family());
+        for (k, body) in &kernels {
             for (t, s) in tile_cases() {
-                // As in the potential test: what the engines call, and the
-                // portable body whatever the dispatch picked.
+                // As in the potential test: what the engines call, the
+                // provided body and `exp_tile`'s portable body.
                 let n = t.len();
-                let mut tile = [1.5, -0.75, 2.0, 9.0].map(|salt| prefilled(n, salt));
+                let salted = || [1.5, -0.75, 2.0, 9.0].map(|salt| prefilled(n, salt));
+                let mut tile = salted();
                 let [p, gx, gy, gz] = &mut tile;
                 k.accumulate_field_tile(&t.x, &t.y, &t.z, &s.x, &s.y, &s.z, &s.q, p, gx, gy, gz);
-                let mut portable = [1.5, -0.75, 2.0, 9.0].map(|salt| prefilled(n, salt));
                 let (tt, ss) = ((&*t.x, &*t.y, &*t.z), (&*s.x, &*s.y, &*s.z, &*s.q));
+                let mut portable = salted();
                 portable_field_tile(
                     k.as_ref(),
                     tt,
                     ss,
                     &mut portable.each_mut().map(|c| &mut c[..]),
                 );
-                let mut oracle = [1.5, -0.75, 2.0, 9.0].map(|salt| prefilled(n, salt));
+                let mut lanes = salted();
+                portable_exp(*body, tt, ss, &mut lanes.each_mut().map(|c| &mut c[..]));
+                let mut oracle = salted();
                 for i in 0..n {
                     let mut acc = [0.0; 4];
                     for j in 0..s.len() {
@@ -1378,11 +1471,16 @@ mod tests {
                 let shape = (k.name(), n, s.len());
                 for c in 0..4 {
                     assert_eq!(bits(&tile[c]), bits(&oracle[c]), "{shape:?} column {c}");
-                    assert_eq!(
-                        bits(&portable[c]),
-                        bits(&oracle[c]),
-                        "portable {shape:?} column {c}"
-                    );
+                    let portable = bits(&portable[c]);
+                    assert_eq!(portable, bits(&oracle[c]), "portable {shape:?} column {c}");
+                    if body.is_some() {
+                        let lanes = bits(&lanes[c]);
+                        assert_eq!(
+                            lanes,
+                            bits(&oracle[c]),
+                            "portable exp_tile {shape:?} column {c}"
+                        );
+                    }
                 }
             }
         }

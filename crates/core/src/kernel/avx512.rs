@@ -1,12 +1,14 @@
 //! The AVX-512 potential and field tiles of the Coulomb family (`1/√r²`,
 //! bare or softened), and the two correctly rounded FMA sequences inside
-//! them: the square root, and the reciprocal of that square root.
+//! them: the square root, and the reciprocal of that square root. Beside
+//! them, [`exp_tile`]: the exp family's portable lane body, compiled a
+//! second time for AVX-512F.
 //!
 //! Everything here computes exactly what the portable tiles compute — see
 //! "Tiles" in the [parent module](super) for what that means and why it
 //! can be asserted with `==`. This is the only module of the library
-//! crates that contains `unsafe`: two masked memory accesses and the one
-//! call from [`tile`] into `#[target_feature]` code.
+//! crates that contains `unsafe`: two masked memory accesses and the two
+//! calls, from [`tile`] and [`exp_tile`], into `#[target_feature]` code.
 //!
 //! Neither [`sqrt_fma`]'s nor [`recip_fma`]'s operation sequence may be
 //! shortened, reordered or given a wider accepted range: each is correct
@@ -318,6 +320,40 @@ pub(super) fn tile<const GUARD: bool, const C: usize>(
     // SAFETY: AVX-512F, the one feature `tile_avx512` is compiled for,
     // was detected above.
     unsafe { tile_avx512::<GUARD, C>(eps2, t, s, out) };
+    true
+}
+
+/// The exp-family tile body of the parent module, compiled for AVX-512F:
+/// the same Rust, hence the same operations in the same order — Rust
+/// never contracts a multiply and an add into an FMA — in 512-bit lanes,
+/// with a hardware gather for the exponential's table.
+#[target_feature(enable = "avx512f")]
+fn exp_tile_avx512<const GUARD: bool, const C: usize>(
+    kappa: f64,
+    eps2: f64,
+    t: (&[f64], &[f64], &[f64]),
+    s: (&[f64], &[f64], &[f64], &[f64]),
+    out: &mut [&mut [f64]; C],
+) {
+    super::portable_exp_tile::<GUARD, C>(kappa, eps2, t, s, out);
+}
+
+/// The parent module's `exp_tile` on AVX-512F: `e^{−κr}/r` with the guard
+/// (`GUARD`) or `e^{−κd}/d` with `d = √(r² + eps2)`, one column or four.
+/// Returns `false`, having done nothing, on a host without AVX-512F.
+pub(super) fn exp_tile<const GUARD: bool, const C: usize>(
+    kappa: f64,
+    eps2: f64,
+    t: (&[f64], &[f64], &[f64]),
+    s: (&[f64], &[f64], &[f64], &[f64]),
+    out: &mut [&mut [f64]; C],
+) -> bool {
+    if !is_x86_feature_detected!("avx512f") {
+        return false;
+    }
+    // SAFETY: AVX-512F, the one feature `exp_tile_avx512` is compiled
+    // for, was detected above.
+    unsafe { exp_tile_avx512::<GUARD, C>(kappa, eps2, t, s, out) };
     true
 }
 

@@ -333,25 +333,25 @@ fn trait_object_kernels_are_driven_by_tiles_on_every_distributed_door() {
 /// tile and the SIMD tile must both reproduce them, so a runner with
 /// `avx512f` and one without assert the same bits.
 ///
-/// The `*YUKAWA*` rows were recorded on the commit before the exp-family
-/// tiles got their lane body. They are **libm-dependent**: every pair
-/// calls the C library's `exp`, so they pin glibc's `exp` as much as they
-/// pin this code, and a host with another libm may fail them with no bug
-/// here. The Coulomb rows use only `+ − × ÷ √` and are libm-free.
+/// The `*YUKAWA*` rows were recorded when the exp family got its own
+/// exponential (`kernel/exp.rs`). Like the Coulomb rows they are
+/// libm-free: `exp` is `+ − ×` on this crate's table, and together with
+/// `÷ √` it has the same bits on every IEEE 754 host, so every row must
+/// hold on any runner, whatever its C library.
 const PIN_COULOMB_PARALLEL: u64 = 0x63cd_7190_b1ef_f6eb;
 const PIN_REGULARIZED_COULOMB_PARALLEL: u64 = 0x0081_a0c9_e81a_4553;
 const PIN_COULOMB_3RANK: u64 = 0xc7cc_519c_28ea_588f;
 const PIN_COULOMB_FIELD_PARALLEL: u64 = 0xfc8f_e0fb_0d8c_7224;
 const PIN_REGULARIZED_COULOMB_FIELD_PARALLEL: u64 = 0xf0da_425c_0306_56c5;
 const PIN_COULOMB_FIELD_3RANK: u64 = 0x8e24_92d6_6af6_70f5;
-const PIN_YUKAWA_SERIAL: u64 = 0xedf4_5999_cfb8_7151;
-const PIN_REGULARIZED_YUKAWA_SERIAL: u64 = 0xf3ec_fc11_181a_a8f2;
-const PIN_YUKAWA_3RANK: u64 = 0x5833_1eed_9b21_0e45;
-const PIN_REGULARIZED_YUKAWA_3RANK: u64 = 0xef53_d305_b035_67f1;
-const PIN_YUKAWA_FIELD_PARALLEL: u64 = 0x8836_b0a0_5d74_a7da;
-const PIN_REGULARIZED_YUKAWA_FIELD_PARALLEL: u64 = 0x1ff4_494e_a00b_bdc1;
-const PIN_YUKAWA_FIELD_3RANK: u64 = 0xb483_fb03_be75_6d07;
-const PIN_REGULARIZED_YUKAWA_FIELD_3RANK: u64 = 0xf2ab_d577_504b_722e;
+const PIN_YUKAWA_SERIAL: u64 = 0xa678_4c6e_bb2b_b48e;
+const PIN_REGULARIZED_YUKAWA_SERIAL: u64 = 0xca63_22c5_0628_3e0b;
+const PIN_YUKAWA_3RANK: u64 = 0xfeca_8f7d_4f6a_a893;
+const PIN_REGULARIZED_YUKAWA_3RANK: u64 = 0xca15_533b_90f9_0abb;
+const PIN_YUKAWA_FIELD_PARALLEL: u64 = 0xcf6a_d51f_8849_2204;
+const PIN_REGULARIZED_YUKAWA_FIELD_PARALLEL: u64 = 0x561d_2caf_b9df_f472;
+const PIN_YUKAWA_FIELD_3RANK: u64 = 0xb795_72f6_ad8a_1255;
+const PIN_REGULARIZED_YUKAWA_FIELD_3RANK: u64 = 0x5262_79c7_b27a_64aa;
 
 #[test]
 fn potential_digests_are_pinned_across_instruction_sets() {
