@@ -23,18 +23,18 @@
 //! no FMA (Rust never contracts `a * b + c` into one) and no libm call, so
 //! the result is the same on every IEEE 754 target, scalar or in any
 //! vector width. Measured against a double-double reference in the tests
-//! below, the result is within one ulp everywhere — correctly rounded
-//! except on a small share of inputs, where it is the other neighbour —
-//! and it differs from glibc's `exp` on about 0.1 % of inputs, by one ulp.
+//! below, the result is within one ulp of `eˣ` on every input tried
+//! (0.75 ulp at worst on 10⁸ random inputs), and it differs from glibc's
+//! `exp` on 0.08 % of those, by one ulp.
 //!
 //! [`exp_fast`] is the whole method without a branch, trusted for `|x| ≤
 //! FAST_MAX`, where `eˣ` is a normal double and the exponent addition
 //! cannot leave the exponent field. Everything else — NaN, ±∞, overflow,
 //! results that are subnormal or round to zero — takes one scalar branch,
-//! [`exp_outside`]. [`exp`] is the one selects between them; the
-//! exp-family tile calls the two halves itself, one lane loop for all
-//! lanes and the branch only for a lane outside the range, which gives
-//! [`exp`]'s bits by construction.
+//! [`exp_outside`]. [`exp`] selects between them; the exp-family tile
+//! calls the two halves itself, one lane loop for all lanes and the
+//! branch only for a lane outside the range, which gives [`exp`]'s bits
+//! by construction.
 
 /// `|x|` up to which [`exp_fast`] is trusted: above it `k div 128` may
 /// reach `−1022`, where a `y` just below 1 would be scaled into the

@@ -218,23 +218,6 @@ fn trajectory_rows_are_pinned() {
     check(CORPUS.iter().filter(|row| row.1 == Trajectory));
 }
 
-#[test]
-fn the_table_covers_every_kernel_and_output_once() {
-    let mut seen: Vec<_> = CORPUS
-        .iter()
-        .map(|&(name, output, ..)| (name, output))
-        .collect();
-    seen.sort_by_key(|&(name, output)| (name, output as u8));
-    seen.dedup();
-    assert_eq!(seen.len(), CORPUS.len(), "a row appears twice");
-    for (name, output, ..) in CORPUS.iter().filter(|row| row.1 != Trajectory) {
-        let has_gradient = kernel(name).1.is_some();
-        let outputs = if has_gradient { 4 } else { 2 };
-        let rows = CORPUS.iter().filter(|row| row.0 == *name).count();
-        assert_eq!(rows, outputs, "{name} {output:?}");
-    }
-}
-
 /// Relative L2 error of the force, `‖∇φ − ∇φ_exact‖ / ‖∇φ_exact‖` over
 /// all three components.
 fn force_error(exact: &FieldResult, got: &FieldResult) -> f64 {
