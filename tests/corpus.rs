@@ -3,9 +3,10 @@
 //! the Yukawa kernel as upper bounds.
 //!
 //! Each row of [`CORPUS`] is the FNV-1a digest of one output's bit
-//! patterns: the potentials of a serial or 3-rank pass, all four columns
-//! (`φ, ∂ₓφ, ∂ᵧφ, ∂_zφ`) of a parallel or 3-rank field pass, or the state
-//! digest of a velocity-Verlet trajectory. Each row carries a tag:
+//! patterns: the potentials of a serial or distributed pass, all four
+//! columns (`φ, ∂ₓφ, ∂ᵧφ, ∂_zφ`) of a parallel or distributed field pass,
+//! a 3-rank run's traffic matrix or modeled clocks, or the state digest of
+//! a velocity-Verlet trajectory. Each row carries a tag:
 //! - `LibmFree`: every operation behind it is `+ − × ÷ √` or bit
 //!   manipulation, whose results IEEE 754 pins, so the row holds on every
 //!   conforming host and under every instruction selection;
@@ -24,12 +25,15 @@ mod golden;
 
 use bltc::core::kernel::MixedPrecision;
 use bltc::core::prelude::*;
-use bltc::dist::{run_distributed, run_distributed_field, DistConfig};
+use bltc::dist::{run_distributed, run_distributed_field, DistConfig, DistReport};
 use bltc::service::{fnv1a, state_digest, Fault, JobSpec, Scenario};
 use bltc::sim::PersistentIntegrator;
 use golden::{GOLDEN_ELECTROLYTE_STATE, GOLDEN_PLUMMER_STATE};
 use Libm::{LibmDependent, LibmFree};
-use Output::{ParallelField, RankField, RankPotential, SerialPotential, Trajectory};
+use Output::{
+    Clocks, NodePairPotential, ParallelField, RankField, RankPotential, SerialPotential,
+    TightClocks, TightRankField, TightRankPotential, TightTraffic, Traffic, Trajectory,
+};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Libm {
@@ -47,6 +51,23 @@ enum Output {
     RankPotential,
     /// `run_distributed_field` on 3 ranks, all four columns.
     RankField,
+    /// [`RankPotential`] with every LET streamed under [`TIGHT_BUDGET`].
+    TightRankPotential,
+    /// [`RankField`] with every LET streamed under [`TIGHT_BUDGET`].
+    TightRankField,
+    /// `run_distributed` potentials on 4 ranks, two GPUs per node.
+    NodePairPotential,
+    /// Messages and bytes of every (origin, target) pair of a 3-rank
+    /// potential run.
+    Traffic,
+    /// [`Traffic`] under [`TIGHT_BUDGET`].
+    TightTraffic,
+    /// The modeled clocks of a 3-rank potential run: per rank the five
+    /// serial phases, `pipelined_s`, `peak_let_bytes` and every chunk's
+    /// land and ready times.
+    Clocks,
+    /// [`Clocks`] under [`TIGHT_BUDGET`].
+    TightClocks,
     /// The state digest after 3 velocity-Verlet steps on 4 ranks.
     Trajectory,
 }
@@ -54,9 +75,15 @@ enum Output {
 /// (kernel or scenario, output, tag, digest).
 type Row = (&'static str, Output, Libm, u64);
 
+/// The `let_memory_budget` of the `Tight*` rows: well under every rank's
+/// whole LET, above any single cluster's payload.
+const TIGHT_BUDGET: u64 = 16 * 1024;
+
 /// Recorded on the commit before the exp family got its own exponential;
 /// the Yukawa, regularized-Yukawa and Gaussian rows were re-pinned, and
-/// became libm-free, when it did.
+/// became libm-free, when it did. The `Tight*`, `NodePairPotential`,
+/// `Traffic` and `Clocks` rows were recorded before the retained and the
+/// streamed LET consumers became one driver.
 #[rustfmt::skip]
 const CORPUS: &[Row] = &[
     ("coulomb", SerialPotential, LibmFree, 0xaa9c_27eb_d4d8_8874),
@@ -83,6 +110,15 @@ const CORPUS: &[Row] = &[
     ("mixed-precision-coulomb", RankPotential, LibmFree, 0xfdb7_135f_830b_d36c),
     ("mixed-precision-yukawa", SerialPotential, LibmDependent, 0x9436_820e_f8df_115d),
     ("mixed-precision-yukawa", RankPotential, LibmDependent, 0x4f07_8a94_a827_6187),
+    ("coulomb", TightRankPotential, LibmFree, 0xa090_268c_ab25_d49f),
+    ("coulomb", TightRankField, LibmFree, 0x4392_4610_7093_fb97),
+    ("yukawa", TightRankPotential, LibmFree, 0x4f01_0e08_f3fa_603a),
+    ("yukawa", TightRankField, LibmFree, 0xd6f0_d126_1833_34ce),
+    ("coulomb", NodePairPotential, LibmFree, 0x89ae_eaaa_7139_d0ac),
+    ("coulomb", Traffic, LibmFree, 0x133e_1cd3_591c_caa3),
+    ("coulomb", TightTraffic, LibmFree, 0x133e_1cd3_591c_caa3),
+    ("coulomb", Clocks, LibmFree, 0x90b0_f469_3c5c_79fd),
+    ("coulomb", TightClocks, LibmFree, 0x7885_720e_85da_933f),
     ("plummer", Trajectory, LibmDependent, GOLDEN_PLUMMER_STATE),
     ("electrolyte", Trajectory, LibmDependent, GOLDEN_ELECTROLYTE_STATE),
 ];
@@ -166,6 +202,14 @@ fn compute(name: &str, output: Output) -> u64 {
         let columns = [&f.potentials, &f.gx, &f.gy, &f.gz];
         fnv1a(columns.into_iter().flatten().map(|v| v.to_bits()))
     };
+    let tight = DistConfig {
+        let_memory_budget: Some(TIGHT_BUDGET),
+        ..cfg
+    };
+    let node_pairs = DistConfig {
+        gpus_per_node: 2,
+        ..cfg
+    };
     let (k, grad) = kernel(name);
     let grad = || {
         grad.as_deref()
@@ -178,8 +222,47 @@ fn compute(name: &str, output: Output) -> u64 {
         }
         RankPotential => potentials(&run_distributed(&ps, 3, &cfg, &*k).potentials),
         RankField => field(&run_distributed_field(&ps, 3, &cfg, grad()).field),
+        TightRankPotential => potentials(&run_distributed(&ps, 3, &tight, &*k).potentials),
+        TightRankField => field(&run_distributed_field(&ps, 3, &tight, grad()).field),
+        NodePairPotential => potentials(&run_distributed(&ps, 4, &node_pairs, &*k).potentials),
+        Traffic => traffic(&run_distributed(&ps, 3, &cfg, &*k)),
+        TightTraffic => traffic(&run_distributed(&ps, 3, &tight, &*k)),
+        Clocks => clocks(&run_distributed(&ps, 3, &cfg, &*k)),
+        TightClocks => clocks(&run_distributed(&ps, 3, &tight, &*k)),
         Trajectory => unreachable!(),
     }
+}
+
+/// Messages, then bytes, of every (origin, target) pair, row-major.
+fn traffic(rep: &DistReport) -> u64 {
+    let n = rep.traffic.size();
+    let pairs = (0..n).flat_map(|o| (0..n).map(move |t| (o, t)));
+    fnv1a(pairs.flat_map(|(o, t)| {
+        let cell = rep.traffic.get(o, t);
+        [cell.messages, cell.bytes]
+    }))
+}
+
+/// Per rank: the five serial phase clocks, `pipelined_s`,
+/// `peak_let_bytes`, then every chunk's land and ready times.
+fn clocks(rep: &DistReport) -> u64 {
+    fnv1a(rep.ranks.iter().flat_map(|r| {
+        let phases = [
+            r.setup_host_s,
+            r.setup_comm_s,
+            r.setup_stage_s,
+            r.precompute_s,
+            r.compute_s,
+            r.pipelined_s(),
+        ];
+        let chunks = r.pipeline.chunks.iter().flat_map(|c| [c.land_s, c.ready_s]);
+        phases
+            .into_iter()
+            .map(f64::to_bits)
+            .chain([r.peak_let_bytes])
+            .chain(chunks.map(f64::to_bits))
+            .collect::<Vec<_>>()
+    }))
 }
 
 /// The row as it appears in [`CORPUS`].
