@@ -268,17 +268,24 @@ impl DistConfig {
     /// With `gpus_per_node > 1`, panics unless `ranks` is a whole
     /// number of nodes.
     pub fn partition(&self, ps: &ParticleSet, ranks: usize) -> RcbPartition {
+        self.assert_whole_nodes(ranks);
         let g = self.gpus_per_node.max(1);
         if g == 1 {
             rcb_partition(ps, ranks, None)
         } else {
-            assert_eq!(
-                ranks % g,
-                0,
-                "rank count {ranks} is not a whole number of {g}-GPU nodes"
-            );
             rcb_partition_two_level(ps, ranks / g, g, None)
         }
+    }
+
+    /// The node×GPU hierarchy's one shape rule: `ranks` leaf ranks must
+    /// fill whole `gpus_per_node`-GPU nodes, or [`DistConfig::link`] and
+    /// the two-level RCB disagree about which ranks share a node.
+    fn assert_whole_nodes(&self, ranks: usize) {
+        let g = self.gpus_per_node.max(1);
+        assert!(
+            ranks % g == 0,
+            "rank count {ranks} is not a whole number of {g}-GPU nodes"
+        );
     }
 }
 
@@ -686,6 +693,7 @@ pub(crate) fn check_decomposition(
         ps.len()
     );
     cfg.params.validate();
+    cfg.assert_whole_nodes(ranks);
     if let Some(part) = part {
         assert_eq!(
             part.assignment.len(),

@@ -796,6 +796,38 @@ mod tests {
     }
 
     #[test]
+    fn partial_node_partition_is_refused_on_the_driver_before_any_epoch() {
+        // A flat 3-part partition handed to a 2-GPU-per-node config used
+        // to launch and evaluate, then fail on every rank inside the
+        // first migration epoch (which re-partitions through
+        // `DistConfig::partition`), poisoning a pooled world. The
+        // whole-node rule is now part of the one driver-side check.
+        let ps = ParticleSet::random_cube(60, 5);
+        let c = DistConfig {
+            gpus_per_node: 2,
+            ..cfg()
+        };
+        let part = rcb_partition(&ps, 3, None);
+
+        let world = Session::spawn(3);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            FieldSession::launch_reusing(&ps, &[], 3, &c, Some(world), Some(&part))
+        }));
+        let payload = refused.err().expect("a partial node must be refused");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        // The driver's own assert, not a rank's panic relayed by the
+        // runtime: no epoch ran.
+        assert_eq!(
+            message, "rank count 3 is not a whole number of 2-GPU nodes",
+            "unexpected refusal"
+        );
+    }
+
+    #[test]
     fn aux_columns_are_validated() {
         let ps = ParticleSet::random_cube(50, 2);
         let bad = vec![vec![0.0; 49]];

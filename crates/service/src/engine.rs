@@ -750,25 +750,26 @@ fn run_job(shared: &Shared, job: &QueuedJob) -> Result<JobOutput, JobError> {
     let spec = job.spec;
     let (prep, cache_hit) = shared.cache.lock().unwrap().get_or_build(&spec);
     let out = run_resilient(shared, job, &spec, &prep, cache_hit, JobOutcome::Completed);
+    // Graceful degradation: the submitted world size cannot survive a
+    // rank loss, so re-admit onto one rank fewer with a fresh RCB over
+    // the surviving capacity. The fault is dropped (the lost rank is
+    // simply not part of the new world) and any full-world checkpoint is
+    // useless — the degraded run restarts from step zero and must equal
+    // the same spec run solo at the smaller size. It is admitted like
+    // any job: a world one rank smaller that no longer fills whole nodes
+    // is no rerun at all.
+    let mut degraded = spec;
+    degraded.ranks = spec.ranks.saturating_sub(1);
+    degraded.fault = Fault::None;
+    degraded.checkpoint_every = None;
     let out = match out {
         Ok(out) => Ok(out),
         Err(JobError::Panicked {
             attempts, recovery, ..
         }) if matches!(spec.fault, Fault::RankLossAtStep(_))
             && spec.allow_degraded
-            && spec.ranks > 1 =>
+            && degraded.validate().is_ok() =>
         {
-            // Graceful degradation: the submitted world size cannot
-            // survive the rank loss, so re-admit onto one rank fewer
-            // with a fresh RCB over the surviving capacity. The fault
-            // is dropped (the lost rank is simply not part of the new
-            // world) and any full-world checkpoint is useless — the
-            // degraded run restarts from step zero and must equal the
-            // same spec run solo at the smaller size.
-            let mut degraded = spec;
-            degraded.ranks -= 1;
-            degraded.fault = Fault::None;
-            degraded.checkpoint_every = None;
             let (dprep, dcache_hit) = shared.cache.lock().unwrap().get_or_build(&degraded);
             run_resilient(
                 shared,

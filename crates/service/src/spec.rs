@@ -286,6 +286,13 @@ impl JobSpec {
                 self.ranks, self.n
             ));
         }
+        let g = self.dist.gpus_per_node.max(1);
+        if self.ranks % g != 0 {
+            return Err(format!(
+                "rank count {} is not a whole number of {g}-GPU nodes",
+                self.ranks
+            ));
+        }
         if !(self.dt.is_finite() && self.dt > 0.0) {
             return Err(format!("dt must be positive and finite, got {}", self.dt));
         }
@@ -397,6 +404,9 @@ mod tests {
         let mut s = base();
         s.deadline_s = Some(-1.0);
         assert!(s.validate().unwrap_err().contains("deadline"));
+        let mut s = base();
+        s.dist.gpus_per_node = 2;
+        assert!(s.validate().unwrap_err().contains("2-GPU nodes"));
     }
 
     #[test]

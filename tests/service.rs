@@ -309,6 +309,60 @@ fn panic_once_retries_to_the_fault_free_bits() {
 }
 
 #[test]
+fn partial_node_spec_is_refused_at_admission_and_the_worker_lives_on() {
+    // 3 ranks cannot fill 2-GPU nodes. Such a spec used to be admitted
+    // and kill the only worker while it held the preparation cache's
+    // lock, so every later job waited forever.
+    let mut partial = plummer(80, 21, 3, 2);
+    partial.dist.gpus_per_node = 2;
+    let svc = SimService::start(ServiceConfig::with_workers(1));
+    match svc.submit(1, partial) {
+        Err(RejectReason::Invalid(msg)) => {
+            assert!(msg.contains("whole number of 2-GPU nodes"), "{msg}")
+        }
+        Err(other) => panic!("unexpected rejection: {other}"),
+        Ok(ticket) => panic!("admitted as {:?}", ticket.admission),
+    }
+    let valid = plummer(80, 21, 2, 2);
+    let out = svc
+        .submit(1, valid)
+        .unwrap()
+        .wait()
+        .expect("the next job runs");
+    assert_bitwise(&out, &solo(&valid));
+    let stats = svc.shutdown();
+    assert_eq!((stats.jobs_rejected, stats.jobs_completed), (1, 1));
+}
+
+#[test]
+fn degraded_rerun_that_breaks_whole_nodes_keeps_the_original_error() {
+    // One rank fewer than 4 ranks on 2-GPU nodes is no world at all: the
+    // degraded rerun is skipped and the full-world failure stands,
+    // instead of the worker dying while it prepares a 3-rank world.
+    let mut doomed = plummer(90, 13, 4, 3);
+    doomed.dist.gpus_per_node = 2;
+    doomed.fault = Fault::RankLossAtStep(1);
+    doomed.allow_degraded = true;
+    let svc = SimService::start(ServiceConfig {
+        max_retries: 1,
+        ..ServiceConfig::with_workers(1)
+    });
+    match svc.submit(1, doomed).unwrap().wait() {
+        Err(JobError::Panicked { attempts, .. }) => assert_eq!(attempts, 2),
+        other => panic!("expected Panicked, got {other:?}"),
+    }
+    let valid = plummer(80, 21, 2, 2);
+    let out = svc
+        .submit(1, valid)
+        .unwrap()
+        .wait()
+        .expect("the next job runs");
+    assert_bitwise(&out, &solo(&valid));
+    let stats = svc.shutdown();
+    assert_eq!((stats.jobs_failed, stats.jobs_completed), (1, 1));
+}
+
+#[test]
 fn metering_reconciles_exactly_against_drained_traffic() {
     // The meter is a fold over job reports, and each report's counters
     // reconcile against its drained matrices — so per-tenant totals
