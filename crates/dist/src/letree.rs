@@ -24,29 +24,27 @@
 //! each in ascending id — through [`TileOp::tile`], with the op count,
 //! launch and device-byte tallies taken beside each tile. The pass
 //! (potentials, or potentials and gradients) is whatever op the caller
-//! hands over; nothing here is written per pass. Two short drivers
-//! decide *when* the body runs:
+//! hands over; nothing here is written per pass.
 //!
-//! - **Retain** ([`land_remote_let`], then [`eval_remote_into`]): land
-//!   every chunk into one [`RemoteLet`], then evaluate each batch's whole
-//!   lists, in parallel over batches. Peak resident remote payload = the
-//!   whole LET.
-//! - **Stream** ([`stream_remote_let`]): land one chunk, evaluate just
-//!   that chunk's clusters into persistent per-batch partials, drop the
-//!   payload, land the next. Peak resident remote payload = the largest
-//!   single chunk, which [`plan_chunks`] caps at the caller's byte budget
-//!   — the memory-bounded mode that lets a rank's LET far exceed its
-//!   staging memory.
+//! One driver, [`eval_remote_let`], runs the body for each remote rank:
+//! it lands a **window** of planned chunks, evaluates the window's
+//! clusters into that LET's per-batch partials in parallel over batches,
+//! drops the payload, and after the last window merges the partials into
+//! the rank's batch-order columns ([`RemoteEval::merge`]). The window is
+//! the whole LET without a memory budget and one chunk under one — the
+//! memory-bounded mode that lets a rank's LET far exceed its staging
+//! memory, since [`plan_chunks`] caps each chunk at the budget.
+//! [`resident_bytes`] is the one statement of what each choice keeps
+//! resident, read by the rank's peak and by the pipelined clock's spans.
 //!
-//! Both drivers execute identical gets in identical order, start every
-//! batch's partial at zero, feed it the same clusters in the same
-//! ascending order and merge it into the rank's batch-order columns once
-//! per LET ([`RemoteEval::merge`]), so potentials, forces, op counts and
-//! recorded traffic are bitwise independent of the mode and of the
-//! budget.
+//! Every window size executes identical gets in identical order, starts
+//! every batch's partial at zero once per LET and feeds it the same
+//! clusters in the same ascending order, so potentials, forces, op
+//! counts and recorded traffic are bitwise independent of the budget.
 
 use std::collections::BTreeMap;
 
+use parking_lot::Mutex;
 use rayon::prelude::*;
 
 use bltc_core::config::BltcParams;
@@ -170,10 +168,9 @@ struct RemoteParticles {
     q: Vec<f64>,
 }
 
-/// Landed payload of one LET (or, while streaming, of one chunk of it),
-/// keyed by remote cluster id.
+/// Landed payload of one window of a LET, keyed by remote cluster id.
 #[derive(Default)]
-pub(crate) struct LetPayload {
+struct LetPayload {
     /// Fetched modified charges of MAC-accepted clusters.
     qhat: BTreeMap<u32, Vec<f64>>,
     /// Proxy grids of MAC-accepted clusters (derived locally from the
@@ -181,14 +178,6 @@ pub(crate) struct LetPayload {
     grids: BTreeMap<u32, TensorGrid>,
     /// Fetched particles of direct clusters.
     parts: BTreeMap<u32, RemoteParticles>,
-}
-
-/// The locally essential view of one remote rank's tree, fully landed.
-pub(crate) struct RemoteLet {
-    /// Per-local-batch interaction lists against the remote tree
-    /// (approx node ids, direct node ids), in batch order.
-    per_batch: Vec<(Vec<u32>, Vec<u32>)>,
-    payload: LetPayload,
 }
 
 /// Recursive batch-vs-remote-skeleton traversal — the exact dual-tree
@@ -281,9 +270,9 @@ pub(crate) fn issue_remote_let(
     // pushes ids in descent order, which is not monotone in the array
     // layout; every consumer accumulates per-cluster contributions
     // additively, so one fixed order pins the fp accumulation order —
-    // and ascending id is exactly the order the streaming mode replays
-    // chunk by chunk, which is what makes evaluate-and-discard bitwise
-    // identical to retain-everything.
+    // and ascending id is exactly the order the consumer replays window
+    // by window, which is what makes a one-chunk window bitwise
+    // identical to a whole-LET one.
     for (approx, direct) in &mut per_batch {
         approx.sort_unstable();
         direct.sort_unstable();
@@ -305,8 +294,9 @@ pub(crate) fn issue_remote_let(
     }
 }
 
-/// The retained fetch schedule of one LET: what the pipelined clock
-/// needs after the land stage has consumed the [`LetIssue`].
+/// The fetch schedule of one LET, kept after evaluation: what the
+/// serial and pipelined clocks, the residency and the plan-vs-tally
+/// check read.
 pub(crate) struct LetPlan {
     /// Remote rank this LET views.
     pub target: usize,
@@ -363,8 +353,8 @@ pub(crate) struct ChunkPlan {
 ///
 /// Chunk granularity obeys two caps: at most `chunk_clusters` clusters
 /// per chunk, and — when `budget` is set — at most `budget` payload
-/// bytes per chunk, so the streaming consumer never holds more than
-/// `budget` resident remote bytes. The minimum resident unit is one
+/// bytes per chunk, so the consumer's one-chunk window never holds more
+/// than `budget` resident remote bytes. The minimum resident unit is one
 /// cluster: a cluster whose payload alone exceeds the budget still gets
 /// its own (over-budget) chunk, which the caller can detect by comparing
 /// the reported peak against the budget. Every emitted chunk carries at
@@ -458,8 +448,8 @@ pub(crate) fn plan_chunks(
 
 /// Land one planned chunk: execute its per-cluster one-sided gets in
 /// ascending cluster order under a single shared-lock epoch, inserting
-/// the payloads into `payload`. Both drivers go through this one
-/// implementation, so their recorded traffic and fetched bytes are
+/// the payloads into `payload`. Every window size goes through this one
+/// implementation, so the recorded traffic and fetched bytes are
 /// identical by construction.
 fn land_chunk(
     issue: &LetIssue,
@@ -511,7 +501,7 @@ fn land_chunk(
 /// A rank's remote contributions while its LETs are evaluated: the
 /// pass's `C` output columns over a range of batch-order targets, plus
 /// the op counts and the modeled device bytes of the launches that
-/// produced them. The rank holds one over all its targets; each driver
+/// produced them. The rank holds one over all its targets; the consumer
 /// holds one per batch (starting at zero, per LET) and folds it in with
 /// [`RemoteEval::merge`].
 pub(crate) struct RemoteEval<const C: usize> {
@@ -543,6 +533,16 @@ impl<const C: usize> RemoteEval<C> {
     }
 }
 
+/// Device-memory bytes of batch–cluster launches over `targets` targets
+/// and `sources` sources in all (the GPU clock's roofline term): every
+/// launch reads and writes `target_cols` `f64` per target and reads four
+/// per source. Linear in both counts, so it prices one launch as exactly
+/// as a chunk's Σ targets and Σ sources ([`ChunkPlan::eval_targets`],
+/// [`ChunkPlan::eval_sources`]).
+pub(crate) fn launch_bytes(targets: u64, sources: u64, target_cols: usize) -> f64 {
+    ((targets * target_cols as u64 + sources * 4) * 8) as f64
+}
+
 /// The LET cluster loop — the remote twin of
 /// `bltc_core::engine::eval_batch_into`: one batch's targets `t` against
 /// landed remote clusters, approximated ones first (Eq. 11, proxies with
@@ -567,131 +567,108 @@ fn eval_clusters<const C: usize, O: TileOp<C> + ?Sized>(
         op.tile(t, (px, py, pz, qh), &mut out);
         acc.ops.approx_interactions += (nb * qh.len()) as u64;
         acc.ops.kernel_launches += 1;
-        acc.device_bytes += ((nb * O::TARGET_COLS + qh.len() * 4) * 8) as f64;
+        acc.device_bytes += launch_bytes(nb as u64, qh.len() as u64, O::TARGET_COLS);
     }
     for ci in direct {
         let p = &payload.parts[ci];
         op.tile(t, (&p.x, &p.y, &p.z, &p.q), &mut out);
         acc.ops.direct_interactions += (nb * p.x.len()) as u64;
         acc.ops.kernel_launches += 1;
-        acc.device_bytes += ((nb * O::TARGET_COLS + p.x.len() * 4) * 8) as f64;
+        acc.device_bytes += launch_bytes(nb as u64, p.x.len() as u64, O::TARGET_COLS);
     }
 }
 
-/// The **retain** driver, first half: execute every planned chunk's gets
-/// — in exactly the order the streaming driver does, so the recorded
-/// traffic and the fetched data are byte-identical (each chunk merely
-/// gets its own passive-target epoch, which costs nothing in the α–β
-/// model) — and keep the whole payload.
-pub(crate) fn land_remote_let(
-    issue: LetIssue,
-    plans: &[ChunkPlan],
+/// The one LET consumer: land the planned chunks of one LET a *window*
+/// at a time, evaluate each window's clusters into that LET's per-batch
+/// partials, in parallel over batches, drop the window's payload, and
+/// merge the partials into `acc` once, in batch order. The window is the
+/// whole LET without a memory budget and one chunk under one
+/// ([`resident_bytes`] prices what each choice keeps resident).
+///
+/// Windows hold consecutive chunks, approx chunks before direct ones,
+/// each an ascending run of cluster ids, and a batch's lists are sorted
+/// ascending — so every batch's one partial receives exactly its lists,
+/// approximated clusters first, each in ascending id, whatever the
+/// window. Each batch owns its partial (one uncontended lock), so the
+/// columns are bitwise independent of the window and of the pool size.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn eval_remote_let<const C: usize, O: TileOp<C> + ?Sized>(
+    issue: &LetIssue,
+    chunks: &[ChunkPlan],
+    budget: Option<u64>,
+    batches: &TargetBatches,
     wins: &LetWindows,
     params: &BltcParams,
     tally: &mut CommTally,
-) -> RemoteLet {
-    let mut payload = LetPayload::default();
-    for plan in plans {
-        land_chunk(&issue, plan, wins, params, tally, &mut payload);
-    }
-    RemoteLet {
-        per_batch: issue.per_batch,
-        payload,
-    }
-}
-
-/// The **retain** driver, second half: add a landed LET's contribution
-/// to `acc`, in parallel over batches, each evaluating the batch's whole
-/// lists into its own partial; the merge runs in fixed batch order, so
-/// the columns and the modeled clocks are bitwise independent of the
-/// pool size.
-pub(crate) fn eval_remote_into<const C: usize, O: TileOp<C> + ?Sized>(
-    let_view: &RemoteLet,
-    batches: &TargetBatches,
     op: &O,
     acc: &mut RemoteEval<C>,
 ) {
     let tp = batches.particles();
-    let partial: Vec<RemoteEval<C>> = batches
+    let partials: Vec<Mutex<RemoteEval<C>>> = batches
         .batches()
-        .par_iter()
-        .zip(&let_view.per_batch)
-        .map(|(b, (approx, direct))| {
-            let mut part = RemoteEval::zeros(b.num_targets());
-            let t = tp.xyz(b.start..b.end);
-            eval_clusters(op, t, approx, direct, &let_view.payload, &mut part);
-            part
-        })
+        .iter()
+        .map(|b| Mutex::new(RemoteEval::zeros(b.num_targets())))
         .collect();
-    for (b, part) in batches.batches().iter().zip(&partial) {
-        acc.merge(b.start..b.end, part);
+    let window = if budget.is_some() { 1 } else { chunks.len() };
+    for window in chunks.chunks(window.max(1)) {
+        let mut payload = LetPayload::default();
+        for plan in window {
+            land_chunk(issue, plan, wins, params, tally, &mut payload);
+        }
+        batches
+            .batches()
+            .par_iter()
+            .zip(&issue.per_batch)
+            .zip(&partials)
+            .map(|((b, (approx, direct)), part)| {
+                let t = tp.xyz(b.start..b.end);
+                let (approx, direct) = (held(approx, &payload.qhat), held(direct, &payload.parts));
+                eval_clusters(op, t, approx, direct, &payload, &mut part.lock());
+            })
+            .collect::<Vec<()>>();
+        // Evaluate-and-discard: the window's payload dies here, before
+        // the next window lands.
+    }
+    for (b, part) in batches.batches().iter().zip(partials) {
+        acc.merge(b.start..b.end, &part.into_inner());
     }
 }
 
-/// The **stream** driver: land each planned chunk, evaluate just that
-/// chunk's clusters into persistent per-batch partials, and drop the
-/// payload before landing the next — so the resident remote payload
-/// never exceeds one chunk (which [`plan_chunks`] bounds by the caller's
-/// byte budget). Returns the peak resident payload bytes (the largest
-/// single chunk landed).
-///
-/// Chunks hold ascending runs of cluster ids, approx chunks before direct
-/// ones, so chunk-major replay feeds every batch's partial exactly the
-/// sequence the retained driver feeds it in one go. The batch loop runs
-/// serially: the chunk loop is the outer loop here, and a serial inner
-/// loop is trivially independent of the host pool size.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stream_remote_let<const C: usize, O: TileOp<C> + ?Sized>(
-    issue: &LetIssue,
-    plans: &[ChunkPlan],
-    batches: &TargetBatches,
-    wins: &LetWindows,
-    params: &BltcParams,
-    tally: &mut CommTally,
-    op: &O,
-    acc: &mut RemoteEval<C>,
-) -> u64 {
-    let tp = batches.particles();
-    let mut partial: Vec<RemoteEval<C>> = batches
-        .batches()
-        .iter()
-        .map(|b| RemoteEval::zeros(b.num_targets()))
-        .collect();
-    let mut peak = 0u64;
-    for plan in plans {
-        let mut payload = LetPayload::default();
-        land_chunk(issue, plan, wins, params, tally, &mut payload);
-        peak = peak.max(plan.bytes);
-        // Every planned chunk holds at least one cluster.
-        let ids = match plan.kind {
-            ChunkKind::Approx => &issue.approx,
-            ChunkKind::Direct => &issue.direct,
-        };
-        let (lo, hi) = (ids[plan.first], ids[plan.first + plan.len - 1]);
-        // A batch list is sorted ascending, so the clusters this chunk
-        // holds form one contiguous run of it.
-        let held =
-            |list: &[u32]| list.partition_point(|&c| c < lo)..list.partition_point(|&c| c <= hi);
-        for ((b, (approx, direct)), part) in batches
-            .batches()
-            .iter()
-            .zip(&issue.per_batch)
-            .zip(&mut partial)
-        {
-            let (approx, direct) = match plan.kind {
-                ChunkKind::Approx => (&approx[held(approx)], &[][..]),
-                ChunkKind::Direct => (&[][..], &direct[held(direct)]),
-            };
-            let t = tp.xyz(b.start..b.end);
-            eval_clusters(op, t, approx, direct, &payload, part);
+/// The run of an ascending batch list that a window's payload `landed`
+/// holds. A window's clusters of one kind are one ascending run of the
+/// LET's distinct ids, so they are the ids between its first and last.
+fn held<'a, V>(list: &'a [u32], landed: &BTreeMap<u32, V>) -> &'a [u32] {
+    match (landed.keys().next(), landed.keys().next_back()) {
+        (Some(&lo), Some(&hi)) => {
+            &list[list.partition_point(|&c| c < lo)..list.partition_point(|&c| c <= hi)]
         }
-        // Evaluate-and-discard: the payload dies here, before the next
-        // chunk lands.
+        _ => &[],
     }
-    for (b, part) in batches.batches().iter().zip(&partial) {
-        acc.merge(b.start..b.end, part);
-    }
-    peak
+}
+
+/// The LET's residency, decided here alone: the remote payload bytes
+/// resident while each chunk of a rank's `plans` is evaluated, in land
+/// order. Under a memory budget a chunk is dropped before the next lands,
+/// so only its own payload is resident. Without one every LET lands whole
+/// and its payload stays staged on the device until the epoch's compute
+/// phase is over (the serial clock stages all of it before computing), so
+/// the resident payload is everything landed so far.
+/// [`RankReport::peak_let_bytes`](crate::RankReport::peak_let_bytes) is
+/// the maximum, and the pipelined clock stamps each chunk-get span with
+/// its value.
+pub(crate) fn resident_bytes(
+    plans: &[LetPlan],
+    budget: Option<u64>,
+) -> impl Iterator<Item = u64> + '_ {
+    let mut resident = 0;
+    plans.iter().flat_map(|p| &p.chunks).map(move |c| {
+        resident = if budget.is_some() {
+            c.bytes
+        } else {
+            resident + c.bytes
+        };
+        resident
+    })
 }
 
 #[cfg(test)]

@@ -79,15 +79,18 @@
 //!   gradients (`&dyn GradientKernel`) into a [`DistFieldReport`], for
 //!   the astrophysics / MD workloads where forces `F = -q∇φ` are the
 //!   quantity of interest;
-//! - [`run_distributed_field_on`] — the same with a caller-supplied
-//!   (cached) RCB partition, so a time-stepping driver can refresh the
-//!   decomposition on a cadence instead of every step;
+//! - [`run_distributed_field_on`] — the same with a caller-supplied RCB
+//!   partition; the respawn oracle that the persistent session is
+//!   checked against bit for bit;
 //! - [`FieldSession::eval_field`] — the same body as an epoch against
 //!   live ranks whose particles stay resident between calls (`bltc-sim`
 //!   steps through it).
 //!
 //! All of them validate their decomposition with one driver-side check
-//! and fold their per-rank reports through one [`PhaseMaxima`].
+//! and fold their per-rank reports through one [`PhaseMaxima`]. Behind
+//! every door each remote rank's LET goes through one consumer — land a
+//! window of planned chunks, evaluate it, drop it — and one chunk plan
+//! feeds the evaluation, the serial clock and the pipelined clock alike.
 //!
 //! A field pass reuses the *same* LET as a potential pass: modified
 //! charges and fetched particles differentiate for free with respect to
@@ -98,22 +101,23 @@
 //! reconcile exactly with the runtime's [`TrafficMatrix`] (see the
 //! invariants on [`RankReport`]).
 //!
-//! ## Memory-bounded LET streaming
+//! ## Memory-bounded LET evaluation
 //!
-//! By default every rank retains its whole LET (all fetched charges and
-//! particles) through evaluation, so peak resident remote payload grows
-//! with the surface of the rank's region — the wall between the 32-rank
-//! harness and the paper's billion-particle runs. Setting
-//! [`DistConfig::let_memory_budget`] switches the remote path to
-//! **evaluate-and-discard streaming**: each fetch chunk (capped at the
-//! budget in payload bytes) is landed in its own passive-target epoch,
-//! its clusters are evaluated into persistent batch-order partials, and
-//! its payload is dropped before the next chunk lands. The peak
-//! resident payload — reported per rank as
+//! A rank lands each remote LET a window of fetch chunks at a time,
+//! evaluates the window's clusters into one persistent partial per batch
+//! (in parallel over batches), drops the window's payload, and merges the
+//! partials once per LET. [`DistConfig::let_memory_budget`] chooses only
+//! the window. By default (`None`) it is the whole LET, and the modeled
+//! device keeps every LET it has staged until the compute phase is over,
+//! so the peak resident remote payload grows with the surface of the
+//! rank's region — the wall between the 32-rank harness and the paper's
+//! billion-particle runs. With a budget the window is one chunk, capped
+//! at the budget in payload bytes, dropped before the next one lands: the
+//! peak resident payload — reported per rank as
 //! [`RankReport::peak_let_bytes`] — is then the largest single chunk
 //! instead of the whole LET.
 //!
-//! Streaming is **bitwise invisible** everywhere except that peak and
+//! The budget is **bitwise invisible** everywhere except that peak and
 //! the pipelined clock's chunk granularity: the same gets run in the
 //! same order (identical [`TrafficMatrix`]), and each target slot
 //! accumulates the same per-cluster contributions in the same ascending
@@ -174,10 +178,10 @@ use mpi_sim::{run_spmd, Comm, NetworkSpec};
 use rcb::{partition_particles, rcb_partition, rcb_partition_two_level, RcbPartition};
 
 use letree::{
-    eval_remote_into, issue_remote_let, land_remote_let, plan_chunks, stream_remote_let, CommTally,
+    eval_remote_let, issue_remote_let, launch_bytes, plan_chunks, resident_bytes, CommTally,
     LetPlan, LetWindows, RemoteEval,
 };
-use model::{pipelined_clock, ChunkCost, LetFetchPlan};
+use model::pipelined_clock;
 
 /// Configuration of a distributed run: treecode parameters plus the
 /// hardware models of one compute node class and its fabric.
@@ -200,13 +204,14 @@ pub struct DistConfig {
     pub let_chunk: usize,
     /// Memory budget for resident remote-LET payload bytes per rank.
     ///
-    /// `None` (the default) retains every LET through evaluation — peak
-    /// resident payload is the whole LET. `Some(b)` switches the remote
-    /// path to **streaming** (evaluate-and-discard): each fetch chunk is
-    /// landed, evaluated, and dropped before the next lands, and the
-    /// chunk planner additionally caps chunk payloads at `b` bytes (a
-    /// single cluster whose payload alone exceeds `b` still travels as
-    /// its own over-budget chunk — the minimum resident unit). Results,
+    /// It chooses the window of the one LET consumer, which lands a
+    /// window of fetch chunks, evaluates it, and drops it before the next
+    /// lands. `None` (the default) makes the window a whole LET, and the
+    /// peak resident payload is the rank's whole LET payload. `Some(b)`
+    /// makes it one chunk, and the chunk planner additionally caps chunk
+    /// payloads at `b` bytes (a single cluster whose payload alone
+    /// exceeds `b` still travels as its own over-budget chunk — the
+    /// minimum resident unit), so the peak is the largest chunk. Results,
     /// forces, op counts, and recorded traffic are **bitwise identical**
     /// at every budget including `None`; only
     /// [`RankReport::peak_let_bytes`] and the pipelined clock's chunk
@@ -283,7 +288,7 @@ impl DistConfig {
     fn assert_whole_nodes(&self, ranks: usize) {
         let g = self.gpus_per_node.max(1);
         assert!(
-            ranks % g == 0,
+            ranks.is_multiple_of(g),
             "rank count {ranks} is not a whole number of {g}-GPU nodes"
         );
     }
@@ -360,11 +365,11 @@ pub struct RankReport {
     /// Peak resident remote-LET payload bytes on this rank (modified
     /// charges + particles — the same device-staged classification the
     /// traffic tally uses; skeletons and locally derived grids are
-    /// excluded). Retained mode holds every LET through evaluation, so
-    /// the peak is the whole payload; streaming mode
-    /// ([`DistConfig::let_memory_budget`]) holds one chunk at a time,
-    /// so the peak is the largest single chunk — `≤` the budget
-    /// whenever every single-cluster payload fits it.
+    /// excluded). Without a [`DistConfig::let_memory_budget`] every LET
+    /// stays staged until the compute phase is over, so the peak is the
+    /// whole payload; under one, one chunk is resident at a time, so the
+    /// peak is the largest single chunk — `≤` the budget whenever every
+    /// single-cluster payload fits it.
     pub peak_let_bytes: u64,
     /// Modeled host seconds (tree/batch/list build + LET assembly).
     pub setup_host_s: f64,
@@ -573,19 +578,11 @@ fn model_rank_clocks(
     // budget); with `gpus_per_node == 1` it degenerates to pricing the
     // whole tally on the fabric, per target.
     let mut setup_comm_s = 0.0;
-    let (mut msgs_total, mut bytes_total) = (0u64, 0u64);
     for p in plans {
         let msgs = 1 + p.chunks.iter().map(|c| c.messages).sum::<u64>();
         let bytes = p.skeleton_bytes + p.chunks.iter().map(|c| c.bytes).sum::<u64>();
         setup_comm_s += cfg.link(rank, p.target).seconds_for(msgs, bytes);
-        msgs_total += msgs;
-        bytes_total += bytes;
     }
-    debug_assert_eq!(
-        (msgs_total, bytes_total),
-        (tally.messages, tally.bytes),
-        "per-target LET schedules must cover the rank's whole one-sided tally"
-    );
     let stage_let_s = if tally.device_bytes > 0 {
         cfg.spec.transfer_seconds(tally.device_bytes as f64)
     } else {
@@ -605,69 +602,36 @@ fn model_rank_clocks(
     }
 }
 
-/// Weight the retained LET chunk schedules by the evaluating kernel:
-/// the chunk structure is identical for the potential and field paths
-/// (same lists, same LET, same traffic — an invariant the tests pin);
-/// only the flops per interaction and the `f64` columns a launch touches
-/// per target ([`TileOp::TARGET_COLS`]: 4 vs 7) differ.
-fn chunk_fetch_plans(
-    plans: &[LetPlan],
-    flops_per_eval: f64,
-    target_cols: u64,
-) -> Vec<LetFetchPlan> {
-    plans
-        .iter()
-        .map(|p| LetFetchPlan {
-            target: p.target,
-            skeleton_bytes: p.skeleton_bytes,
-            traversal_launches: p.chunks.iter().map(|c| c.launches).sum(),
-            chunks: p
-                .chunks
-                .iter()
-                .map(|c| ChunkCost {
-                    messages: c.messages,
-                    bytes: c.bytes,
-                    fetched_particles: c.fetched_particles,
-                    launches: c.launches,
-                    exec_flops: c.interactions as f64 * flops_per_eval,
-                    eval_bytes: ((c.eval_targets * target_cols + c.eval_sources * 4) * 8) as f64,
-                })
-                .collect(),
-        })
-        .collect()
-}
-
 /// The plan stage derives every chunk cost analytically from the
 /// interaction lists; the consume stage counts the same quantities while
 /// evaluating. They must agree exactly — the pipelined clock feeds on
 /// the plan, the serial clock on the evaluation tallies.
-fn debug_assert_plans_reconcile(
-    let_plans: &[LetPlan],
+fn debug_assert_plans_reconcile<const C: usize>(
+    plans: &[LetPlan],
     tally: &CommTally,
-    plans: &[LetFetchPlan],
-    remote_ops: &OpCounts,
-    device_bytes: f64,
+    remote: &RemoteEval<C>,
+    target_cols: usize,
 ) {
     if cfg!(debug_assertions) {
         let chunks = || plans.iter().flat_map(|p| &p.chunks);
         let launches: u64 = chunks().map(|c| c.launches).sum();
-        debug_assert_eq!(launches, remote_ops.kernel_launches);
-        let interactions: u64 = let_plans
-            .iter()
-            .flat_map(|p| &p.chunks)
-            .map(|c| c.interactions)
-            .sum();
+        debug_assert_eq!(launches, remote.ops.kernel_launches);
+        let interactions: u64 = chunks().map(|c| c.interactions).sum();
         debug_assert_eq!(
             interactions,
-            remote_ops.approx_interactions + remote_ops.direct_interactions
+            remote.ops.approx_interactions + remote.ops.direct_interactions
         );
-        let eval_bytes: f64 = chunks().map(|c| c.eval_bytes).sum();
-        debug_assert_eq!(eval_bytes, device_bytes);
+        let eval_bytes: f64 = chunks()
+            .map(|c| launch_bytes(c.eval_targets, c.eval_sources, target_cols))
+            .sum();
+        debug_assert_eq!(eval_bytes, remote.device_bytes);
         let payload: u64 = chunks().map(|c| c.bytes).sum();
         debug_assert_eq!(payload, tally.device_bytes);
+        let skeletons: u64 = plans.iter().map(|p| p.skeleton_bytes).sum();
+        debug_assert_eq!(payload + skeletons, tally.bytes);
         let messages: u64 = chunks().map(|c| c.messages).sum();
         debug_assert_eq!(
-            messages + let_plans.len() as u64,
+            messages + plans.len() as u64,
             tally.messages,
             "chunk gets + one skeleton get per LET must cover the tally"
         );
@@ -678,7 +642,10 @@ fn debug_assert_plans_reconcile(
 /// a rank count and (optionally) a caller-supplied partition — the
 /// one-shots, [`run_distributed_field_on`] and
 /// [`FieldSession::launch_reusing`] — so bad input is refused on the
-/// driver thread, before any rank runs.
+/// driver thread, before any rank runs. It includes the whole-node rule
+/// [`DistConfig::partition`] applies: a rank count that leaves a node
+/// partly filled would otherwise pass here and fail on every rank at the
+/// first re-partition, inside an epoch.
 pub(crate) fn check_decomposition(
     ps: &ParticleSet,
     ranks: usize,
@@ -724,11 +691,12 @@ pub(crate) fn check_decomposition(
 /// 2. **expose** the skeleton / particle / modified-charge windows — the
 ///    charge window *is* the staged run's node-major host copy of the
 ///    charges (`StagedRun::qhat_host`);
-/// 3. **LETs** — per remote rank issue → plan → land over passive-target
-///    RMA, evaluated into batch-order partial columns: chunk by chunk
-///    (evaluate-and-discard) iff [`DistConfig::let_memory_budget`] is
-///    set, otherwise after every LET has landed whole. Both modes issue
-///    identical gets in identical order and record identical traffic;
+/// 3. **LETs** — per remote rank issue → plan, then the one consumer:
+///    land a window of chunks over passive-target RMA, evaluate it into
+///    per-batch partials, drop it, and merge the partials once per LET.
+///    The window is one chunk iff [`DistConfig::let_memory_budget`] is
+///    set and the whole LET otherwise; the gets, their order and the
+///    recorded traffic are the same either way;
 /// 4. **local evaluation** — [`bltc_gpu::StagedRun::finish`] evaluates
 ///    the local lists on the host and continues the staged device clock
 ///    with the compute phase's launches;
@@ -762,51 +730,37 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
     let batches = staged.batches();
 
     // ---- LET construction (fully one-sided, staged) + remote pass ----
-    let streaming = cfg.let_memory_budget.is_some();
+    let budget = cfg.let_memory_budget;
     let mut remote = RemoteEval::<C>::zeros(local.len());
     let mut tally = CommTally::default();
     let mut let_stats = LetStats::default();
     let mut plans = Vec::with_capacity(comm.size().saturating_sub(1));
-    let mut lets = Vec::new();
-    let mut peak_let_bytes = 0u64;
     for t in (0..comm.size()).filter(|&t| t != rank) {
         let issue = issue_remote_let(t, batches, params, &wins, &mut tally);
-        let chunks = plan_chunks(&issue, batches, m3, cfg.let_chunk, cfg.let_memory_budget);
+        let chunks = plan_chunks(&issue, batches, m3, cfg.let_chunk, budget);
         let_stats.remote_skeleton_nodes += issue.nodes.len() as u64;
         let_stats.remote_approx_nodes += issue.approx.len() as u64;
         let_stats.remote_direct_nodes += issue.direct.len() as u64;
         let_stats.fetched_particles += chunks.iter().map(|c| c.fetched_particles).sum::<u64>();
         let_stats.fetched_proxy_charges += (issue.approx.len() * m3) as u64;
-        let skeleton_bytes = issue.skeleton_bytes;
-        if streaming {
-            let peak = stream_remote_let(
-                &issue,
-                &chunks,
-                batches,
-                &wins,
-                params,
-                &mut tally,
-                op,
-                &mut remote,
-            );
-            peak_let_bytes = peak_let_bytes.max(peak);
-        } else {
-            lets.push(land_remote_let(issue, &chunks, &wins, params, &mut tally));
-        }
+        eval_remote_let(
+            &issue,
+            &chunks,
+            budget,
+            batches,
+            &wins,
+            params,
+            &mut tally,
+            op,
+            &mut remote,
+        );
         plans.push(LetPlan {
             target: t,
-            skeleton_bytes,
+            skeleton_bytes: issue.skeleton_bytes,
             chunks,
         });
     }
-    if !streaming {
-        // Every LET stays resident through evaluation: the peak is the
-        // whole device-staged payload.
-        peak_let_bytes = tally.device_bytes;
-        for l in &lets {
-            eval_remote_into(l, batches, op, &mut remote);
-        }
-    }
+    let peak_let_bytes = resident_bytes(&plans, budget).max().unwrap_or(0);
     // Alone, a rank has no remote columns to add — and must not add
     // zeros either: `-0.0 + 0.0` is `+0.0`.
     let remote_cols = (comm.size() > 1).then(|| {
@@ -843,14 +797,7 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
         remote.device_bytes,
         remote.ops.kernel_launches,
     );
-    let fetch_plans = chunk_fetch_plans(&plans, op.flops_per_pair(true), O::TARGET_COLS as u64);
-    debug_assert_plans_reconcile(
-        &plans,
-        &tally,
-        &fetch_plans,
-        &remote.ops,
-        remote.device_bytes,
-    );
+    debug_assert_plans_reconcile(&plans, &tally, &remote, O::TARGET_COLS);
     let pipeline = pipelined_clock(
         cfg,
         rank,
@@ -858,7 +805,9 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
         local.len(),
         levels,
         gpu.ops.kernel_launches,
-        &fetch_plans,
+        &plans,
+        op.flops_per_pair(true),
+        O::TARGET_COLS,
         clocks.total(),
     );
 
@@ -974,18 +923,17 @@ pub fn run_distributed_field(
     run_distributed_field_on(ps, &decompose(ps, ranks, cfg), cfg, kernel)
 }
 
-/// Step-level re-entry into the field pipeline: run it with a
-/// **caller-supplied** RCB partition instead of recomputing one.
+/// The field pipeline on a fresh world with a **caller-supplied** RCB
+/// partition instead of a recomputed one.
 ///
-/// Time-stepping drivers (`bltc-sim`) call the force evaluation once
-/// per step while particle *positions* drift slowly relative to the
-/// decomposition; re-partitioning every step would charge the RCB host
-/// cost N times for no accuracy gain. This entry point lets the driver
-/// hold the partition fixed between repartition-cadence boundaries:
-/// rank ownership is frozen (so per-rank particle counts cannot
-/// change), while trees, charges, windows, and LETs are rebuilt from
-/// the *current* positions on every call — they must be, since every
-/// particle has moved.
+/// `bltc-sim` steps through [`FieldSession`], not through this; its
+/// callers are the respawn oracle the persistent session is checked
+/// against (`tests/persistent.rs` runs the velocity-Verlet loop on the
+/// driver, with one call per force evaluation and a partition held
+/// fixed between repartition-cadence boundaries) and a unit test of
+/// [`persistent`]. Rank ownership follows `part`, while trees, charges,
+/// windows, and LETs are built from the *current* positions on every
+/// call.
 ///
 /// A stale partition is still *correct* — the per-rank source trees are
 /// built from the particles' live bounding boxes, not from the original
@@ -996,7 +944,8 @@ pub fn run_distributed_field(
 /// # Panics
 ///
 /// Panics if the partition does not cover `ps` (assignment length
-/// mismatch), if any part is empty, or on invalid `cfg.params`.
+/// mismatch), if any part is empty, if its part count is not a whole
+/// number of `cfg.gpus_per_node`-GPU nodes, or on invalid `cfg.params`.
 pub fn run_distributed_field_on(
     ps: &ParticleSet,
     part: &RcbPartition,

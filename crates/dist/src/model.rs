@@ -16,11 +16,14 @@
 //! an explicit phase DAG instead of one serial chain. It never changes
 //! what work exists — every second the serial phases charge appears in
 //! the DAG exactly once — so its makespan is provably ≤ the serial
-//! phase sum.
+//! phase sum. Its LET work is the chunk plans the evaluation consumed
+//! (`letree::LetPlan`), and its resident-byte stamps come from the one
+//! residency rule beside them (`letree::resident_bytes`).
 
 use bltc_gpu::{dispatch_remote_chunks, GpuSimBreakdown, RemoteChunkWork};
 use bltc_trace::{Phase, Span, Track};
 
+use crate::letree::{launch_bytes, resident_bytes, ChunkPlan, LetPlan};
 use crate::DistConfig;
 
 /// Linear cost model for host-side setup work.
@@ -122,40 +125,6 @@ impl HostModel {
     }
 }
 
-/// Modeled cost of fetching and evaluating one LET chunk — the exact
-/// counts the plan stage derives from the interaction lists, weighted by
-/// the evaluating kernel (potential vs gradient flops).
-#[derive(Debug, Clone, Copy)]
-pub struct ChunkCost {
-    /// One-sided gets the chunk issues.
-    pub messages: u64,
-    /// Payload bytes fetched (all staged onto the device over PCIe).
-    pub bytes: u64,
-    /// Remote particles unpacked on the host (direct chunks).
-    pub fetched_particles: u64,
-    /// Remote-eval kernel launches gated on this chunk.
-    pub launches: u64,
-    /// Flops of those launches.
-    pub exec_flops: f64,
-    /// Device-memory bytes of those launches (roofline term).
-    pub eval_bytes: f64,
-}
-
-/// One remote rank's LET fetch stream: the skeleton get, the traversal
-/// it unblocks, and the payload chunks that follow.
-#[derive(Debug, Clone)]
-pub struct LetFetchPlan {
-    /// Remote rank this LET views.
-    pub target: usize,
-    /// Skeleton payload bytes (host-side metadata, one get).
-    pub skeleton_bytes: u64,
-    /// Batch–cluster pairs the traversal against this skeleton emits
-    /// (host interaction-list work, charged per launch).
-    pub traversal_launches: u64,
-    /// Payload chunks in land order.
-    pub chunks: Vec<ChunkCost>,
-}
-
 /// Per-chunk landing clocks of a pipelined epoch, in land order.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkClock {
@@ -225,6 +194,10 @@ pub struct PipelineReport {
 /// makespan cannot exceed the serial sum; the result is clamped to
 /// `serial_total_s` so the invariant survives floating-point
 /// reassociation.
+///
+/// The LET work is the rank's chunk plans, weighted by the evaluating
+/// op: `flops_per_pair` per interaction and `target_cols` `f64` per
+/// target in each launch's device traffic.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pipelined_clock(
     cfg: &DistConfig,
@@ -233,7 +206,9 @@ pub(crate) fn pipelined_clock(
     n: usize,
     levels: usize,
     local_launches: u64,
-    plans: &[LetFetchPlan],
+    plans: &[LetPlan],
+    flops_per_pair: f64,
+    target_cols: usize,
     serial_total_s: f64,
 ) -> PipelineReport {
     let h = &cfg.host;
@@ -262,7 +237,9 @@ pub(crate) fn pipelined_clock(
                 .target(p.target as u32),
         );
         nic_free = land;
-        let traverse_s = h.per_launch_s * p.traversal_launches as f64;
+        // The traversal emits one batch–cluster pair per launch.
+        let traversal_launches: u64 = p.chunks.iter().map(|c| c.launches).sum();
+        let traverse_s = h.per_launch_s * traversal_launches as f64;
         let t_start = host_free.max(land);
         host_free = t_start + traverse_s;
         spans.push(
@@ -277,18 +254,13 @@ pub(crate) fn pipelined_clock(
     // Aggregate remote work, apportioned to chunks as proportional
     // shares: Σ of shares equals the serial aggregate by construction
     // (a per-chunk roofline could exceed it — max is subadditive).
-    let total_flops: f64 = plans
-        .iter()
-        .flat_map(|p| &p.chunks)
-        .map(|c| c.exec_flops)
-        .sum();
-    let total_eval_bytes: f64 = plans
-        .iter()
-        .flat_map(|p| &p.chunks)
-        .map(|c| c.eval_bytes)
-        .sum();
-    let device_bytes: u64 = plans.iter().flat_map(|p| &p.chunks).map(|c| c.bytes).sum();
-    let num_chunks = plans.iter().map(|p| p.chunks.len()).sum::<usize>();
+    let all_chunks = || plans.iter().flat_map(|p| &p.chunks);
+    let exec_flops = |c: &ChunkPlan| c.interactions as f64 * flops_per_pair;
+    let total_flops: f64 = all_chunks().map(exec_flops).sum();
+    let eval_bytes = |c: &ChunkPlan| launch_bytes(c.eval_targets, c.eval_sources, target_cols);
+    let total_eval_bytes: f64 = all_chunks().map(eval_bytes).sum();
+    let device_bytes: u64 = all_chunks().map(|c| c.bytes).sum();
+    let num_chunks = all_chunks().count();
     let exec_total = cfg.spec.exec_seconds(total_flops, total_eval_bytes);
     let stage_total = if device_bytes > 0 {
         cfg.spec.transfer_seconds(device_bytes as f64)
@@ -296,18 +268,15 @@ pub(crate) fn pipelined_clock(
         0.0
     };
 
-    // Streaming (budgeted) LET keeps only the in-flight chunk resident;
-    // retained LET accumulates every chunk through evaluation — the
-    // exact semantics `RankReport::peak_let_bytes` reports.
-    let streaming = cfg.let_memory_budget.is_some();
     let launch_overhead_s = cfg.spec.host_enqueue_s + cfg.spec.launch_latency_s;
-    let mut resident_bytes = 0u64;
+    let resident: Vec<u64> = resident_bytes(plans, cfg.let_memory_budget).collect();
     let mut chunk_id = 0u32;
     // (chunk id, billed seconds, flops) of each kernel the dispatcher
     // will enqueue, in enqueue order — correlates `dispatch.events` back
     // to chunks and carries the exact serial billing of each kernel.
+    // Every chunk with flops has launches (its flops are its
+    // interactions'), so these bill the whole remote exec aggregate.
     let mut kernel_meta: Vec<(u32, f64, f64)> = Vec::new();
-    let mut exec_billed = 0.0f64;
 
     let mut pcie_free = 0.0f64;
     let mut works = Vec::with_capacity(num_chunks);
@@ -321,11 +290,6 @@ pub(crate) fn pipelined_clock(
             let land = nic_start + get_s;
             nic_free = land;
             last_land = land;
-            resident_bytes = if streaming {
-                c.bytes
-            } else {
-                resident_bytes + c.bytes
-            };
             spans.push(
                 Span::new(Track::Nic(r), "let-chunk-get", nic_start, land)
                     .phase(Phase::SetupComm)
@@ -333,7 +297,7 @@ pub(crate) fn pipelined_clock(
                     .bytes(c.bytes)
                     .chunk(chunk_id)
                     .target(p.target as u32)
-                    .resident(resident_bytes),
+                    .resident(resident[chunk_id as usize]),
             );
             let unpack_s = h.per_fetched_particle_s * c.fetched_particles as f64;
             let unpack_start = host_free.max(land);
@@ -362,16 +326,16 @@ pub(crate) fn pipelined_clock(
                     .chunk(chunk_id)
                     .target(p.target as u32),
             );
+            let chunk_flops = exec_flops(c);
             let exec_share = if total_flops > 0.0 {
-                c.exec_flops / total_flops
+                chunk_flops / total_flops
             } else {
                 1.0 / num_chunks.max(1) as f64
             };
             if c.launches > 0 {
                 let chunk_exec_s = exec_total * exec_share;
-                exec_billed += chunk_exec_s;
                 let per_exec_s = chunk_exec_s / c.launches as f64;
-                let per_flops = c.exec_flops / c.launches as f64;
+                let per_flops = chunk_flops / c.launches as f64;
                 for _ in 0..c.launches {
                     kernel_meta.push((chunk_id, per_exec_s + launch_overhead_s, per_flops));
                 }
@@ -436,22 +400,6 @@ pub(crate) fn pipelined_clock(
             .chunk(chunk),
         );
     }
-    // Exec share of chunks that carry flops but no launches (should not
-    // occur — launches generate the flops — but keep the compute-phase
-    // reconciliation exact rather than silently leaking the share).
-    let exec_residual = exec_total - exec_billed;
-    if exec_residual > exec_total * 1e-9 {
-        spans.push(
-            Span::new(
-                Track::DeviceStream(r, 0),
-                "remote-exec-residual",
-                dispatch.done_s,
-                dispatch.done_s,
-            )
-            .phase(Phase::Compute)
-            .billed(exec_residual),
-        );
-    }
     let raw = dispatch.done_s + sim.dtoh_potentials_s;
 
     // `pipelined ≤ serial` holds structurally (every serial second
@@ -501,6 +449,7 @@ pub(crate) fn pipelined_clock(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::letree::ChunkKind;
 
     #[test]
     fn monotone_in_every_argument() {
@@ -559,21 +508,25 @@ mod tests {
             compute_s: 0.0,
             dtoh_potentials_s: 0.0,
         };
-        let plans = vec![LetFetchPlan {
+        // 10¹⁴ interactions at 10 flops each.
+        let plans = vec![LetPlan {
             target: 1,
             skeleton_bytes: 64,
-            traversal_launches: 1,
-            chunks: vec![ChunkCost {
+            chunks: vec![ChunkPlan {
+                kind: ChunkKind::Approx,
+                first: 0,
+                len: 1,
                 messages: 1,
                 bytes: 1024,
                 fetched_particles: 0,
                 launches: 1,
-                exec_flops: 1e15,
-                eval_bytes: 1e9,
+                eval_targets: 1,
+                eval_sources: 1,
+                interactions: 100_000_000_000_000,
             }],
         }];
         let trip = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pipelined_clock(&cfg, 0, &sim, 100, 3, 10, &plans, 1e-9)
+            pipelined_clock(&cfg, 0, &sim, 100, 3, 10, &plans, 10.0, 4, 1e-9)
         }));
         assert!(
             trip.is_err(),

@@ -230,10 +230,11 @@ impl FieldSession {
     ///
     /// Panics on the same invalid inputs as [`FieldSession::launch`],
     /// on a session whose rank count differs from `ranks` or that is
-    /// poisoned, or on a partition that does not cover `ps`/`ranks` or
-    /// leaves a rank without particles — all on the calling thread,
-    /// before any epoch runs (a rank failing inside an epoch would
-    /// poison a pooled world).
+    /// poisoned, on a rank count that is not a whole number of
+    /// `cfg.gpus_per_node`-GPU nodes, or on a partition that does not
+    /// cover `ps`/`ranks` or leaves a rank without particles — all on
+    /// the calling thread, before any epoch runs (a rank failing inside
+    /// an epoch would poison a pooled world).
     pub fn launch_reusing(
         ps: &ParticleSet,
         aux: &[Vec<f64>],
@@ -777,22 +778,28 @@ mod tests {
         }
         part.part_indices[0].extend(orphans);
 
-        let world = Session::spawn(2);
-        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            FieldSession::launch_reusing(&ps, &[], 2, &c, Some(world), Some(&part))
-        }));
-        let payload = refused.err().expect("an empty part must be refused");
-        let message = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or_default();
-        // The driver's own assert, not a rank's panic relayed by the
-        // runtime: no epoch ran.
+        let message = refusal(&ps, &c, &part);
         assert!(
             message.starts_with("every rank needs at least one particle"),
             "unexpected refusal: {message:?}"
         );
+    }
+
+    /// The panic message of launching on a pooled world with `part`.
+    /// Every caller expects the driver's own assert, not a rank's panic
+    /// relayed by the runtime — that is, no epoch ran.
+    fn refusal(ps: &ParticleSet, c: &DistConfig, part: &RcbPartition) -> String {
+        let ranks = part.num_parts();
+        let world = Session::spawn(ranks);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            FieldSession::launch_reusing(ps, &[], ranks, c, Some(world), Some(part))
+        }));
+        let payload = refused.err().expect("the partition must be refused");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        message.unwrap_or_default().to_string()
     }
 
     #[test]
@@ -808,22 +815,9 @@ mod tests {
             ..cfg()
         };
         let part = rcb_partition(&ps, 3, None);
-
-        let world = Session::spawn(3);
-        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            FieldSession::launch_reusing(&ps, &[], 3, &c, Some(world), Some(&part))
-        }));
-        let payload = refused.err().expect("a partial node must be refused");
-        let message = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or_default();
-        // The driver's own assert, not a rank's panic relayed by the
-        // runtime: no epoch ran.
         assert_eq!(
-            message, "rank count 3 is not a whole number of 2-GPU nodes",
-            "unexpected refusal"
+            refusal(&ps, &c, &part),
+            "rank count 3 is not a whole number of 2-GPU nodes"
         );
     }
 
