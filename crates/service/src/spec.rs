@@ -287,7 +287,7 @@ impl JobSpec {
             ));
         }
         let g = self.dist.gpus_per_node.max(1);
-        if self.ranks % g != 0 {
+        if !self.ranks.is_multiple_of(g) {
             return Err(format!(
                 "rank count {} is not a whole number of {g}-GPU nodes",
                 self.ranks
