@@ -170,9 +170,11 @@ impl std::error::Error for SupervisorError {}
 ///
 /// # Panics
 ///
-/// Panics if the plan's world size disagrees with `cfg.ranks`, or if
+/// Panics if the plan's world size disagrees with `cfg.ranks`, if
 /// the plan contains hang faults but `opts.epoch_deadline` is `None`
-/// (an unwatched hang would block forever).
+/// (an unwatched hang would block forever), or with the message of
+/// [`SimConfig::validate`] — a bad config is refused before any
+/// attempt, not retried as if it were a fault.
 pub fn run_supervised(
     cfg: SimConfig,
     state: &SimState,
@@ -196,6 +198,7 @@ pub fn run_supervised(
     if let Some(every) = opts.checkpoint_every {
         assert!(every >= 1, "checkpoint cadence must be >= 1");
     }
+    cfg.validate(state.len()).unwrap_or_else(|e| panic!("{e}"));
 
     let schedule = plan.compile();
     let mut checkpoint: Option<Checkpoint> = None;
@@ -453,6 +456,28 @@ mod tests {
         let payload = out.expect_err("must refuse to run an unwatched hang");
         let msg = panic_message(payload.as_ref());
         assert!(msg.contains("epoch_deadline"), "got: {msg}");
+    }
+
+    #[test]
+    fn bad_config_is_rejected_up_front() {
+        // A config no attempt can run used to be retried as a fault:
+        // five recoveries, backoff and respawns, then a budget error.
+        let (state, model) = plummer_sphere(48, 1.0, 0.05, 5);
+        let plan = FaultPlan::new(2);
+        let nan_dt = SimConfig {
+            dt: f64::NAN,
+            ..cfg(2)
+        };
+        let mut no_streams = cfg(2);
+        no_streams.dist.streams = 0;
+        for (bad, expected) in [(nan_dt, "dt must be positive"), (no_streams, "streams")] {
+            let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_supervised(bad, &state, &model, 1, &plan, &SupervisorConfig::default())
+            }));
+            let payload = out.expect_err("a bad config is not a fault to recover from");
+            let msg = panic_message(payload.as_ref());
+            assert!(msg.contains(expected), "got: {msg}");
+        }
     }
 
     #[test]

@@ -28,6 +28,11 @@ pub struct BltcParams {
 
 impl BltcParams {
     /// Construct and validate parameters.
+    ///
+    /// # Panics
+    ///
+    /// With the message of [`BltcParams::validate`] on out-of-range
+    /// parameters.
     pub fn new(theta: f64, degree: usize, leaf_cap: usize, batch_cap: usize) -> Self {
         let p = Self {
             theta,
@@ -36,7 +41,7 @@ impl BltcParams {
             batch_cap,
             max_depth: 64,
         };
-        p.validate();
+        p.validate().unwrap_or_else(|e| panic!("{e}"));
         p
     }
 
@@ -54,17 +59,26 @@ impl BltcParams {
         m * m * m
     }
 
-    /// Panic on out-of-range parameters.
-    pub fn validate(&self) {
-        assert!(
-            self.theta > 0.0 && self.theta < 1.0 && self.theta.is_finite(),
-            "theta must lie in (0, 1), got {}",
-            self.theta
-        );
-        assert!(self.degree >= 1, "degree must be >= 1");
-        assert!(self.leaf_cap >= 1, "leaf_cap must be >= 1");
-        assert!(self.batch_cap >= 1, "batch_cap must be >= 1");
-        assert!(self.max_depth >= 1, "max_depth must be >= 1");
+    /// The treecode's five rules, the only statement of them: `θ` in
+    /// `(0, 1)`, and `degree`, `leaf_cap`, `batch_cap` and `max_depth`
+    /// each at least 1. The error names the first field that breaks
+    /// one. The treecode doors run this once per rank per epoch, so the
+    /// message is built only on failure.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.theta > 0.0 && self.theta < 1.0 && self.theta.is_finite()) {
+            return Err(format!("theta must lie in (0, 1), got {}", self.theta));
+        }
+        for (field, v) in [
+            ("degree", self.degree),
+            ("leaf_cap", self.leaf_cap),
+            ("batch_cap", self.batch_cap),
+            ("max_depth", self.max_depth),
+        ] {
+            if v < 1 {
+                return Err(format!("{field} must be >= 1"));
+            }
+        }
+        Ok(())
     }
 }
 

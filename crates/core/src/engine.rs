@@ -81,7 +81,7 @@ impl PreparedTreecode {
     /// Build trees, batches, interaction lists and the modified charges
     /// of the clusters those lists approximate.
     pub fn new(targets: &ParticleSet, sources: &ParticleSet, params: BltcParams) -> Self {
-        params.validate();
+        params.validate().unwrap_or_else(|e| panic!("{e}"));
         let t0 = Instant::now();
         let tree = SourceTree::build(sources, &params);
         let batches = TargetBatches::build(targets, &params);

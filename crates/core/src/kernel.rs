@@ -858,9 +858,22 @@ pub struct Yukawa {
 
 impl Yukawa {
     /// Construct with screening parameter `κ >= 0` (the paper uses 0.5).
+    ///
+    /// # Panics
+    ///
+    /// With the message of [`Yukawa::validate`].
     pub fn new(kappa: f64) -> Self {
-        assert!(kappa >= 0.0 && kappa.is_finite(), "invalid kappa: {kappa}");
-        Self { kappa }
+        let k = Self { kappa };
+        k.validate().unwrap_or_else(|e| panic!("{e}"));
+        k
+    }
+
+    /// `κ` must be finite and non-negative.
+    pub fn validate(&self) -> Result<(), String> {
+        match self.kappa {
+            k if k >= 0.0 && k.is_finite() => Ok(()),
+            k => Err(format!("invalid kappa: {k} (must be finite and >= 0)")),
+        }
     }
 }
 
@@ -943,10 +956,21 @@ pub struct RegularizedYukawa {
 
 impl RegularizedYukawa {
     /// Construct with screening `κ ≥ 0` and softening `ε > 0`.
+    ///
+    /// # Panics
+    ///
+    /// With the message of [`RegularizedYukawa::validate`].
     pub fn new(kappa: f64, epsilon: f64) -> Self {
-        assert!(kappa >= 0.0 && kappa.is_finite(), "invalid kappa: {kappa}");
-        assert!(epsilon > 0.0 && epsilon.is_finite(), "invalid epsilon");
-        Self { kappa, epsilon }
+        let k = Self { kappa, epsilon };
+        k.validate().unwrap_or_else(|e| panic!("{e}"));
+        k
+    }
+
+    /// [`Yukawa`]'s rule on `κ` and [`RegularizedCoulomb`]'s on `ε`.
+    pub fn validate(&self) -> Result<(), String> {
+        let Self { kappa, epsilon } = *self;
+        Yukawa { kappa }.validate()?;
+        RegularizedCoulomb { epsilon }.validate()
     }
 }
 
@@ -1029,9 +1053,22 @@ pub struct RegularizedCoulomb {
 
 impl RegularizedCoulomb {
     /// Construct with softening length `ε > 0`.
+    ///
+    /// # Panics
+    ///
+    /// With the message of [`RegularizedCoulomb::validate`].
     pub fn new(epsilon: f64) -> Self {
-        assert!(epsilon > 0.0 && epsilon.is_finite(), "invalid epsilon");
-        Self { epsilon }
+        let k = Self { epsilon };
+        k.validate().unwrap_or_else(|e| panic!("{e}"));
+        k
+    }
+
+    /// `ε` must be finite and positive.
+    pub fn validate(&self) -> Result<(), String> {
+        match self.epsilon {
+            e if e > 0.0 && e.is_finite() => Ok(()),
+            e => Err(format!("invalid epsilon: {e} (must be finite and > 0)")),
+        }
     }
 }
 
@@ -1080,9 +1117,22 @@ pub struct Gaussian {
 
 impl Gaussian {
     /// Construct with length scale `σ > 0`.
+    ///
+    /// # Panics
+    ///
+    /// With the message of [`Gaussian::validate`].
     pub fn new(sigma: f64) -> Self {
-        assert!(sigma > 0.0 && sigma.is_finite(), "invalid sigma");
-        Self { sigma }
+        let k = Self { sigma };
+        k.validate().unwrap_or_else(|e| panic!("{e}"));
+        k
+    }
+
+    /// `σ` must be finite and positive.
+    pub fn validate(&self) -> Result<(), String> {
+        match self.sigma {
+            s if s > 0.0 && s.is_finite() => Ok(()),
+            s => Err(format!("invalid sigma: {s} (must be finite and > 0)")),
+        }
     }
 }
 

@@ -270,10 +270,12 @@ impl DistConfig {
     ///
     /// # Panics
     ///
-    /// With `gpus_per_node > 1`, panics unless `ranks` is a whole
-    /// number of nodes.
+    /// With the message of [`DistConfig::validate`] for `ranks` ranks
+    /// over `ps` — among others, when `ranks` leaves a node partly
+    /// filled.
     pub fn partition(&self, ps: &ParticleSet, ranks: usize) -> RcbPartition {
-        self.assert_whole_nodes(ranks);
+        self.validate(ranks, ps.len())
+            .unwrap_or_else(|e| panic!("{e}"));
         let g = self.gpus_per_node.max(1);
         if g == 1 {
             rcb_partition(ps, ranks, None)
@@ -282,15 +284,32 @@ impl DistConfig {
         }
     }
 
-    /// The node×GPU hierarchy's one shape rule: `ranks` leaf ranks must
-    /// fill whole `gpus_per_node`-GPU nodes, or [`DistConfig::link`] and
-    /// the two-level RCB disagree about which ranks share a node.
-    fn assert_whole_nodes(&self, ranks: usize) {
+    /// The rules of a run over `n` particles on `ranks` leaf ranks:
+    /// `1 ≤ ranks ≤ n`; `ranks` fills whole `gpus_per_node`-GPU nodes
+    /// (else [`DistConfig::link`] and the two-level RCB disagree about
+    /// which ranks share a node); [`BltcParams::validate`];
+    /// [`DeviceSpec::validate`]; and at least one stream. Every
+    /// distributed door checks them on the driver, before any rank
+    /// runs. The message is built only on failure.
+    pub fn validate(&self, ranks: usize, n: usize) -> Result<(), String> {
+        if ranks < 1 {
+            return Err("need at least one rank".into());
+        }
+        if ranks > n {
+            return Err(format!("more ranks ({ranks}) than particles ({n})"));
+        }
         let g = self.gpus_per_node.max(1);
-        assert!(
-            ranks.is_multiple_of(g),
-            "rank count {ranks} is not a whole number of {g}-GPU nodes"
-        );
+        if !ranks.is_multiple_of(g) {
+            return Err(format!(
+                "rank count {ranks} is not a whole number of {g}-GPU nodes"
+            ));
+        }
+        self.params.validate()?;
+        self.spec.validate()?;
+        if self.streams < 1 {
+            return Err("streams must be at least 1, got 0".into());
+        }
+        Ok(())
     }
 }
 
@@ -642,25 +661,19 @@ fn debug_assert_plans_reconcile<const C: usize>(
 /// a rank count and (optionally) a caller-supplied partition — the
 /// one-shots, [`run_distributed_field_on`] and
 /// [`FieldSession::launch_reusing`] — so bad input is refused on the
-/// driver thread, before any rank runs. It includes the whole-node rule
-/// [`DistConfig::partition`] applies: a rank count that leaves a node
-/// partly filled would otherwise pass here and fail on every rank at the
-/// first re-partition, inside an epoch.
+/// driver thread, before any rank runs (a rank failing inside an epoch
+/// would poison a pooled world). The config's rules are
+/// [`DistConfig::validate`]'s, and a failure panics with its message;
+/// this adds only a non-empty set and the partition's shape.
 pub(crate) fn check_decomposition(
     ps: &ParticleSet,
     ranks: usize,
     part: Option<&RcbPartition>,
     cfg: &DistConfig,
 ) {
-    assert!(ranks >= 1, "need at least one rank");
     assert!(!ps.is_empty(), "cannot distribute an empty particle set");
-    assert!(
-        ranks <= ps.len(),
-        "more ranks ({ranks}) than particles ({})",
-        ps.len()
-    );
-    cfg.params.validate();
-    cfg.assert_whole_nodes(ranks);
+    cfg.validate(ranks, ps.len())
+        .unwrap_or_else(|e| panic!("{e}"));
     if let Some(part) = part {
         assert_eq!(
             part.assignment.len(),
@@ -944,8 +957,8 @@ pub fn run_distributed_field(
 /// # Panics
 ///
 /// Panics if the partition does not cover `ps` (assignment length
-/// mismatch), if any part is empty, if its part count is not a whole
-/// number of `cfg.gpus_per_node`-GPU nodes, or on invalid `cfg.params`.
+/// mismatch), if any part is empty, or with the message of
+/// [`DistConfig::validate`] for the partition's part count.
 pub fn run_distributed_field_on(
     ps: &ParticleSet,
     part: &RcbPartition,

@@ -228,13 +228,13 @@ impl FieldSession {
     ///
     /// # Panics
     ///
-    /// Panics on the same invalid inputs as [`FieldSession::launch`],
-    /// on a session whose rank count differs from `ranks` or that is
-    /// poisoned, on a rank count that is not a whole number of
-    /// `cfg.gpus_per_node`-GPU nodes, or on a partition that does not
-    /// cover `ps`/`ranks` or leaves a rank without particles — all on
-    /// the calling thread, before any epoch runs (a rank failing inside
-    /// an epoch would poison a pooled world).
+    /// Panics on the same invalid inputs as [`FieldSession::launch`]
+    /// (among them every rule of [`DistConfig::validate`], with its
+    /// message), on a session whose rank count differs from `ranks` or
+    /// that is poisoned, or on a partition that does not cover
+    /// `ps`/`ranks` or leaves a rank without particles — all on the
+    /// calling thread, before any epoch runs (a rank failing inside an
+    /// epoch would poison a pooled world).
     pub fn launch_reusing(
         ps: &ParticleSet,
         aux: &[Vec<f64>],
@@ -819,6 +819,19 @@ mod tests {
             refusal(&ps, &c, &part),
             "rank count 3 is not a whole number of 2-GPU nodes"
         );
+    }
+
+    #[test]
+    fn zero_streams_are_refused_on_the_driver_before_any_epoch() {
+        // Zero streams used to pass the driver's checks and fail on every
+        // rank inside the launch epoch, poisoning a pooled world.
+        let ps = ParticleSet::random_cube(60, 5);
+        let c = DistConfig {
+            streams: 0,
+            ..cfg()
+        };
+        let part = rcb_partition(&ps, 2, None);
+        assert_eq!(refusal(&ps, &c, &part), "streams must be at least 1, got 0");
     }
 
     #[test]

@@ -272,7 +272,7 @@ impl GpuEngine {
     /// the kernel-independent first half of a run, shared by both passes.
     pub fn stage(&self, targets: &ParticleSet, sources: &ParticleSet) -> StagedRun {
         let params = self.params;
-        params.validate();
+        params.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut sim = GpuSimBreakdown::default();
 
         // ---- host setup -------------------------------------------------

@@ -146,8 +146,12 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// New scheduler for a device.
+    ///
+    /// # Panics
+    ///
+    /// With the message of [`DeviceSpec::validate`].
     pub fn new(spec: DeviceSpec) -> Self {
-        spec.validate();
+        spec.validate().unwrap_or_else(|e| panic!("{e}"));
         Self {
             spec,
             clock: 0.0,

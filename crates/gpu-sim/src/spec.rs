@@ -93,15 +93,30 @@ impl DeviceSpec {
         (blocks as f64 / self.sm_count as f64).min(1.0)
     }
 
-    /// Validate invariants (all strictly positive where required).
-    pub fn validate(&self) {
-        assert!(self.sm_count > 0);
-        assert!(self.peak_dp_gflops > 0.0);
-        assert!(self.efficiency > 0.0 && self.efficiency <= 1.0);
-        assert!(self.mem_bandwidth_gbs > 0.0);
-        assert!(self.pcie_bandwidth_gbs > 0.0);
-        assert!(self.num_streams >= 1);
-        assert!(self.max_threads_per_block >= 32);
+    /// The device model's seven rules; the error names the first field
+    /// that breaks one. Every simulated device checks them when it is
+    /// created, once per rank per epoch, so the message is built only on
+    /// failure.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = |v: f64| v > 0.0;
+        let broken = if self.sm_count == 0 {
+            "sm_count must be positive"
+        } else if !positive(self.peak_dp_gflops) {
+            "peak_dp_gflops must be positive"
+        } else if !(positive(self.efficiency) && self.efficiency <= 1.0) {
+            "efficiency must lie in (0, 1]"
+        } else if !positive(self.mem_bandwidth_gbs) {
+            "mem_bandwidth_gbs must be positive"
+        } else if !positive(self.pcie_bandwidth_gbs) {
+            "pcie_bandwidth_gbs must be positive"
+        } else if self.num_streams == 0 {
+            "num_streams must be at least 1"
+        } else if self.max_threads_per_block < 32 {
+            "max_threads_per_block must be at least 32"
+        } else {
+            return Ok(());
+        };
+        Err(broken.into())
     }
 }
 
@@ -111,8 +126,8 @@ mod tests {
 
     #[test]
     fn presets_validate() {
-        DeviceSpec::titan_v().validate();
-        DeviceSpec::p100().validate();
+        assert_eq!(DeviceSpec::titan_v().validate(), Ok(()));
+        assert_eq!(DeviceSpec::p100().validate(), Ok(()));
     }
 
     #[test]

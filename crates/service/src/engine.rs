@@ -1114,9 +1114,18 @@ mod tests {
             Err(RejectReason::Invalid(msg)) => assert!(msg.contains("more ranks")),
             other => panic!("expected Invalid, got {other:?}"),
         }
+        // Zero streams once passed admission and panicked every rank of
+        // two spawned worlds; the door now refuses it before any spawn.
+        let mut bad = spec(10, 1, 2, 1);
+        bad.dist.streams = 0;
+        match svc.submit(5, bad) {
+            Err(RejectReason::Invalid(msg)) => assert!(msg.contains("streams"), "{msg}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        assert_eq!(svc.pool_stats().spawned, 0);
         let stats = svc.shutdown();
-        assert_eq!(stats.jobs_rejected, 1);
-        assert_eq!(stats.meters[&5].jobs_rejected, 1);
+        assert_eq!(stats.jobs_rejected, 2);
+        assert_eq!(stats.meters[&5].jobs_rejected, 2);
     }
 
     #[test]

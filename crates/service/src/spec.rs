@@ -45,47 +45,15 @@ pub enum KernelSpec {
 }
 
 impl KernelSpec {
+    /// The named kernel's own rule.
     fn validate(&self) -> Result<(), String> {
-        let finite = |v: f64, what: &str| {
-            if v.is_finite() {
-                Ok(())
-            } else {
-                Err(format!("{what} must be finite, got {v}"))
-            }
-        };
         match *self {
             KernelSpec::Coulomb => Ok(()),
-            KernelSpec::Yukawa { kappa } => {
-                finite(kappa, "kappa")?;
-                if kappa < 0.0 {
-                    return Err(format!("kappa must be non-negative, got {kappa}"));
-                }
-                Ok(())
-            }
-            KernelSpec::RegularizedCoulomb { epsilon } => {
-                finite(epsilon, "epsilon")?;
-                if epsilon <= 0.0 {
-                    return Err(format!("epsilon must be positive, got {epsilon}"));
-                }
-                Ok(())
-            }
-            KernelSpec::Gaussian { sigma } => {
-                finite(sigma, "sigma")?;
-                if sigma <= 0.0 {
-                    return Err(format!("sigma must be positive, got {sigma}"));
-                }
-                Ok(())
-            }
+            KernelSpec::Yukawa { kappa } => Yukawa { kappa }.validate(),
+            KernelSpec::RegularizedCoulomb { epsilon } => RegularizedCoulomb { epsilon }.validate(),
+            KernelSpec::Gaussian { sigma } => Gaussian { sigma }.validate(),
             KernelSpec::RegularizedYukawa { kappa, epsilon } => {
-                finite(kappa, "kappa")?;
-                finite(epsilon, "epsilon")?;
-                if kappa < 0.0 {
-                    return Err(format!("kappa must be non-negative, got {kappa}"));
-                }
-                if epsilon <= 0.0 {
-                    return Err(format!("epsilon must be positive, got {epsilon}"));
-                }
-                Ok(())
+                RegularizedYukawa { kappa, epsilon }.validate()
             }
         }
     }
@@ -269,43 +237,20 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Admission-time validation: every constraint the downstream
-    /// layers would `assert!`, surfaced as a descriptive rejection
-    /// instead of a worker panic.
+    /// Admission-time validation: the scenario's rules, at least two
+    /// particles, [`SimConfig::validate`] (which composes
+    /// [`DistConfig::validate`]: ranks, whole nodes, treecode
+    /// parameters, device and streams), a checkpoint cadence of at
+    /// least one step and a positive finite deadline. Each rule is
+    /// stated once, by the type that owns it, so every constraint the
+    /// downstream layers would `assert!` is refused here with the same
+    /// message instead of panicking a worker.
     pub fn validate(&self) -> Result<(), String> {
         self.scenario.validate()?;
         if self.n < 2 {
             return Err(format!("need at least two particles, got {}", self.n));
         }
-        if self.ranks < 1 {
-            return Err("need at least one rank".into());
-        }
-        if self.ranks > self.n {
-            return Err(format!(
-                "more ranks ({}) than particles ({})",
-                self.ranks, self.n
-            ));
-        }
-        let g = self.dist.gpus_per_node.max(1);
-        if !self.ranks.is_multiple_of(g) {
-            return Err(format!(
-                "rank count {} is not a whole number of {g}-GPU nodes",
-                self.ranks
-            ));
-        }
-        if !(self.dt.is_finite() && self.dt > 0.0) {
-            return Err(format!("dt must be positive and finite, got {}", self.dt));
-        }
-        if self.repartition_every < 1 {
-            return Err("repartition cadence must be at least 1".into());
-        }
-        let p = &self.dist.params;
-        if !(p.theta.is_finite() && p.theta > 0.0 && p.theta < 1.0) {
-            return Err(format!("theta must be in (0, 1), got {}", p.theta));
-        }
-        if p.degree < 1 || p.leaf_cap < 1 || p.batch_cap < 1 || p.max_depth < 1 {
-            return Err("degree, leaf_cap, batch_cap, max_depth must all be at least 1".into());
-        }
+        self.sim_config().validate(self.n)?;
         if self.checkpoint_every == Some(0) {
             return Err("checkpoint cadence must be at least 1 step".into());
         }
@@ -407,6 +352,17 @@ mod tests {
         let mut s = base();
         s.dist.gpus_per_node = 2;
         assert!(s.validate().unwrap_err().contains("2-GPU nodes"));
+        // Each of these once passed admission and then panicked inside
+        // every rank of every attempt.
+        let mut s = base();
+        s.dist.streams = 0;
+        assert!(s.validate().unwrap_err().contains("streams"));
+        let mut s = base();
+        s.dist.spec.efficiency = 0.0;
+        assert!(s.validate().unwrap_err().contains("efficiency"));
+        let mut s = base();
+        s.dist.spec.num_streams = 0;
+        assert!(s.validate().unwrap_err().contains("num_streams"));
     }
 
     #[test]

@@ -61,27 +61,6 @@ impl ForceModel {
         Arc::clone(&self.kernel)
     }
 
-    /// Total pair potential energy
-    /// `U = -sign · ½ Σ_{i≠j} q_i q_j G(x_i, x_j)` from the potentials
-    /// of a field evaluation (the ½ removes the double count of each
-    /// pair).
-    ///
-    /// Singular kernels exclude the `i = j` term by the zero-at-origin
-    /// convention, but *softened* kernels have finite `G(0)`, so their
-    /// evaluated `φ_i` contains a constant self-energy `q_i G(0)` —
-    /// subtracted here so `U` is the physical pair energy for every
-    /// kernel (the self term carries zero force either way).
-    pub fn potential_energy(&self, q: &[f64], potentials: &[f64]) -> f64 {
-        debug_assert_eq!(q.len(), potentials.len());
-        let g0 = self.kernel.eval(0.0, 0.0, 0.0);
-        let pair_sum: f64 = q
-            .iter()
-            .zip(potentials)
-            .map(|(qi, pi)| qi * (pi - qi * g0))
-            .sum();
-        -self.sign * 0.5 * pair_sum
-    }
-
     /// Overwrite `(ax, ay, az)` with accelerations from an evaluated
     /// field: `a_i = sign · (q_i / m_i) · ∇φ_i`.
     pub fn accelerations_into(
@@ -105,7 +84,7 @@ impl ForceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bltc_core::kernel::{Coulomb, RegularizedCoulomb};
+    use bltc_core::kernel::Coulomb;
 
     #[test]
     fn sign_conventions() {
@@ -113,20 +92,6 @@ mod tests {
         let e = ForceModel::electrostatic(Coulomb, "e");
         assert_eq!(g.sign, 1.0);
         assert_eq!(e.sign, -1.0);
-        // Gravity: U = -½ Σ qφ; electrostatics: U = +½ Σ qφ (Coulomb has
-        // G(0) = 0, so no self-energy correction applies).
-        assert_eq!(g.potential_energy(&[2.0], &[3.0]), -3.0);
-        assert_eq!(e.potential_energy(&[2.0], &[3.0]), 3.0);
-    }
-
-    #[test]
-    fn softened_kernel_self_energy_subtracted() {
-        // RegularizedCoulomb(0.1) has G(0) = 10: a lone particle's φ is
-        // pure self-interaction and its pair energy must be zero.
-        let g = ForceModel::gravitational(RegularizedCoulomb::new(0.1), "g");
-        let q = [2.0];
-        let phi = [2.0 * 10.0];
-        assert_eq!(g.potential_energy(&q, &phi), 0.0);
     }
 
     #[test]

@@ -40,23 +40,18 @@ impl SimConfig {
         self
     }
 
-    pub(crate) fn validate(&self, n: usize) {
-        assert!(self.ranks >= 1, "need at least one rank");
-        assert!(
-            self.ranks <= n,
-            "more ranks ({}) than particles ({n})",
-            self.ranks
-        );
-        assert!(
-            self.dt > 0.0 && self.dt.is_finite(),
-            "dt must be positive and finite, got {}",
-            self.dt
-        );
-        assert!(
-            self.repartition_every >= 1,
-            "repartition cadence must be >= 1"
-        );
-        self.dist.params.validate();
+    /// The rules of a run over `n` particles: [`DistConfig::validate`]
+    /// for `ranks`, plus a positive finite `dt` and a repartition
+    /// cadence of at least 1. The message is built only on failure.
+    pub fn validate(&self, n: usize) -> Result<(), String> {
+        self.dist.validate(self.ranks, n)?;
+        if !(self.dt > 0.0 && self.dt.is_finite()) {
+            return Err(format!("dt must be positive and finite, got {}", self.dt));
+        }
+        if self.repartition_every < 1 {
+            return Err("repartition cadence must be at least 1".into());
+        }
+        Ok(())
     }
 }
 

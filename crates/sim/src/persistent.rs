@@ -188,6 +188,11 @@ impl PersistentIntegrator {
     /// Launch the session (initial RCB + the run's **only** thread
     /// spawn), evaluate initial forces on the ranks, and record the
     /// initial energy.
+    ///
+    /// # Panics
+    ///
+    /// With the message of [`SimConfig::validate`] for the state's
+    /// particle count, on the calling thread before any rank runs.
     pub fn new(cfg: SimConfig, state: &SimState, model: &ForceModel) -> Self {
         Self::with_world(cfg, state, model, WorldReuse::default())
     }
@@ -207,7 +212,7 @@ impl PersistentIntegrator {
         model: &ForceModel,
         reuse: WorldReuse,
     ) -> Self {
-        cfg.validate(state.len());
+        cfg.validate(state.len()).unwrap_or_else(|e| panic!("{e}"));
         let n = state.len();
         let aux = vec![
             state.vx.clone(),
@@ -270,14 +275,15 @@ impl PersistentIntegrator {
     /// # Panics
     ///
     /// Panics if `cfg` disagrees with the checkpoint's layout (rank
-    /// count, particle count) or fails its own validation.
+    /// count, particle count), or with the message of
+    /// [`SimConfig::validate`].
     pub fn restore(
         cfg: SimConfig,
         model: &ForceModel,
         ck: &Checkpoint,
         session: Option<Session>,
     ) -> (Self, RestoreCost) {
-        cfg.validate(ck.ps.len());
+        cfg.validate(ck.ps.len()).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(
             cfg.ranks,
             ck.ranks(),

@@ -221,3 +221,61 @@ proptest! {
         }
     }
 }
+
+// A service spec is admitted iff its configs' own rules pass, and those
+// rules are every config assert the run can reach: a spec that passes
+// `JobSpec::validate` runs solo without panicking, and one that fails is
+// refused at the door.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn validated_specs_reach_no_config_assert(
+        streams in 0usize..8,
+        efficiency in -0.1f64..1.1,
+        num_streams in 0usize..8,
+        theta in -0.1f64..1.1,
+        ranks in 0usize..5,
+        gpus_per_node in 0usize..3,
+        dt in -0.002f64..0.01,
+        checkpoint_every in 0u64..8,
+    ) {
+        use bltc::service::{Fault, JobSpec, RejectReason, Scenario, ServiceConfig, SimService};
+        use bltc::sim::PersistentIntegrator;
+        let mut dist = bltc::dist::DistConfig::comet(BltcParams::new(0.7, 2, 16, 16));
+        dist.streams = streams;
+        dist.spec.efficiency = efficiency;
+        dist.spec.num_streams = num_streams;
+        dist.params.theta = theta;
+        dist.gpus_per_node = gpus_per_node;
+        let spec = JobSpec {
+            scenario: Scenario::Plummer { a: 1.0, softening: 0.05 },
+            n: 40,
+            seed: 3,
+            ranks,
+            steps: 1,
+            dt,
+            repartition_every: 1,
+            dist,
+            fault: Fault::None,
+            checkpoint_every: Some(checkpoint_every),
+            deadline_s: None,
+            allow_degraded: false,
+        };
+        if spec.validate().is_ok() {
+            let solo = std::panic::catch_unwind(|| {
+                let (state, model) = spec.scenario.build(spec.n, spec.seed);
+                PersistentIntegrator::new(spec.sim_config(), &state, &model).step();
+            });
+            prop_assert!(solo.is_ok(), "a validated spec panicked: {:?}", spec);
+        } else {
+            let svc = SimService::start(ServiceConfig::with_workers(1));
+            let verdict = svc.submit(0, spec);
+            prop_assert!(
+                matches!(verdict, Err(RejectReason::Invalid(_))),
+                "an invalid spec was not refused: {:?}", spec
+            );
+            svc.shutdown();
+        }
+    }
+}
