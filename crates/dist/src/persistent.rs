@@ -823,7 +823,7 @@ mod tests {
 
     #[test]
     fn zero_streams_are_refused_on_the_driver_before_any_epoch() {
-        // Zero streams used to pass the driver's checks and fail on every
+        // Zero streams used to pass the submitting thread's validation and fail on every
         // rank inside the launch epoch, poisoning a pooled world.
         let ps = ParticleSet::random_cube(60, 5);
         let c = DistConfig {
