@@ -31,8 +31,9 @@ use bltc::sim::PersistentIntegrator;
 use golden::{GOLDEN_ELECTROLYTE_STATE, GOLDEN_PLUMMER_STATE};
 use Libm::{LibmDependent, LibmFree};
 use Output::{
-    Clocks, NodePairPotential, ParallelField, RankField, RankPotential, SerialPotential,
-    TightClocks, TightRankField, TightRankPotential, TightTraffic, Traffic, Trajectory,
+    Clocks, ModifiedCharges, NodePairPotential, ParallelField, RankField, RankPotential,
+    SerialPotential, TightClocks, TightRankField, TightRankPotential, TightTraffic, Traffic,
+    Trajectory,
 };
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,6 +71,9 @@ enum Output {
     TightClocks,
     /// The state digest after 3 velocity-Verlet steps on 4 ranks.
     Trajectory,
+    /// `ClusterCharges::compute_all` at this degree over [`charge_cloud`]:
+    /// every cluster's `q̂`, node-major.
+    ModifiedCharges(usize),
 }
 
 /// (kernel or scenario, output, tag, digest).
@@ -83,7 +87,8 @@ const TIGHT_BUDGET: u64 = 16 * 1024;
 /// the Yukawa, regularized-Yukawa and Gaussian rows were re-pinned, and
 /// became libm-free, when it did. The `Tight*`, `NodePairPotential`,
 /// `Traffic` and `Clocks` rows were recorded before the retained and the
-/// streamed LET consumers became one driver.
+/// streamed LET consumers became one driver. The `ModifiedCharges` rows
+/// were recorded on the portable (scalar) charge kernel.
 #[rustfmt::skip]
 const CORPUS: &[Row] = &[
     ("coulomb", SerialPotential, LibmFree, 0xaa9c_27eb_d4d8_8874),
@@ -121,6 +126,14 @@ const CORPUS: &[Row] = &[
     ("coulomb", TightClocks, LibmFree, 0x7885_720e_85da_933f),
     ("plummer", Trajectory, LibmDependent, GOLDEN_PLUMMER_STATE),
     ("electrolyte", Trajectory, LibmDependent, GOLDEN_ELECTROLYTE_STATE),
+    ("cloud", ModifiedCharges(1), LibmDependent, 0x4f5c_cb05_0532_0937),
+    ("cloud", ModifiedCharges(2), LibmDependent, 0x0d73_da04_a98f_fefa),
+    ("cloud", ModifiedCharges(3), LibmDependent, 0x6c71_71b3_8010_05a7),
+    ("cloud", ModifiedCharges(4), LibmDependent, 0x7a18_7f61_4896_696f),
+    ("cloud", ModifiedCharges(5), LibmDependent, 0xb138_e414_31a5_a91b),
+    ("cloud", ModifiedCharges(6), LibmDependent, 0x86b0_4725_402c_556c),
+    ("cloud", ModifiedCharges(7), LibmDependent, 0x44dc_edc0_b613_9514),
+    ("cloud", ModifiedCharges(8), LibmDependent, 0xa73c_f44b_2464_4c66),
 ];
 
 /// The seven kernels of the table, by row name: the potential kernel,
@@ -191,8 +204,10 @@ fn trajectory(name: &str) -> u64 {
 /// 4, leaves and batches of 60 — enough that both the approximated and
 /// the direct paths carry weight.
 fn compute(name: &str, output: Output) -> u64 {
-    if output == Trajectory {
-        return trajectory(name);
+    match output {
+        Trajectory => return trajectory(name),
+        ModifiedCharges(degree) => return modified_charges(name, degree),
+        _ => {}
     }
     let ps = ParticleSet::random_cube(1200, 31);
     let params = BltcParams::new(0.8, 4, 60, 60);
@@ -229,8 +244,45 @@ fn compute(name: &str, output: Output) -> u64 {
         TightTraffic => traffic(&run_distributed(&ps, 3, &tight, &*k)),
         Clocks => clocks(&run_distributed(&ps, 3, &cfg, &*k)),
         TightClocks => clocks(&run_distributed(&ps, 3, &tight, &*k)),
-        Trajectory => unreachable!(),
+        Trajectory | ModifiedCharges(_) => unreachable!(),
     }
+}
+
+/// The cloud of the [`ModifiedCharges`] rows, built to reach every path
+/// of the charge kernel: a random cube, its eight corners, duplicated
+/// particles, zero charges, and a patch apart from the cube whose
+/// particles share one `z`, so the clusters over it are collapsed along
+/// that axis. Leaves of 40 give clusters of many sizes on both sides of
+/// eight particles.
+fn charge_cloud() -> ParticleSet {
+    let mut ps = ParticleSet::random_cube(300, 53);
+    for corner in 0..8 {
+        let bit = |b: usize| f64::from((corner >> b & 1) as u8);
+        ps.push(Point3::new(bit(0), bit(1), bit(2)), 0.5 - bit(2));
+    }
+    for j in (0..300).step_by(9) {
+        let (p, q) = (ps.position(j), ps.q[j]);
+        ps.push(p, -q);
+    }
+    for j in 0..48 {
+        let t = f64::from(j as u8) / 48.0;
+        let x = 2.0 + 0.5 * t;
+        let y = 2.0 + 0.5 * (7.0 * t).fract();
+        ps.push(Point3::new(x, y, 0.25), 1.0 - 2.0 * (3.0 * t).fract());
+    }
+    for q in ps.q.iter_mut().step_by(7) {
+        *q = 0.0;
+    }
+    ps
+}
+
+/// The digest of every cluster's modified charges over [`charge_cloud`].
+fn modified_charges(name: &str, degree: usize) -> u64 {
+    assert_eq!(name, "cloud", "no charge corpus cloud named {name}");
+    let tree = SourceTree::build(&charge_cloud(), &BltcParams::new(0.8, degree, 40, 40));
+    let cc = ClusterCharges::compute_all(&tree, degree);
+    let qhat = (0..cc.num_nodes()).flat_map(|idx| cc.charges(idx));
+    fnv1a(qhat.map(|v| v.to_bits()))
 }
 
 /// Messages, then bytes, of every (origin, target) pair, row-major.
@@ -293,12 +345,26 @@ fn check(rows: impl Iterator<Item = &'static Row>) {
 
 #[test]
 fn kernel_rows_are_pinned() {
-    check(CORPUS.iter().filter(|row| row.1 != Trajectory));
+    check(
+        CORPUS
+            .iter()
+            .filter(|row| !matches!(row.1, Trajectory | ModifiedCharges(_))),
+    );
 }
 
 #[test]
 fn trajectory_rows_are_pinned() {
     check(CORPUS.iter().filter(|row| row.1 == Trajectory));
+}
+
+/// Degrees 1–8: grid widths 2–9, on both sides of eight lanes.
+#[test]
+fn modified_charge_rows_are_pinned() {
+    check(
+        CORPUS
+            .iter()
+            .filter(|row| matches!(row.1, ModifiedCharges(_))),
+    );
 }
 
 /// Relative L2 error of the force, `‖∇φ − ∇φ_exact‖ / ‖∇φ_exact‖` over
