@@ -11,9 +11,13 @@
 //!   manipulation, whose results IEEE 754 pins, so the row holds on every
 //!   conforming host and under every instruction selection;
 //! - `LibmDependent`: the output also passes through a C library function
-//!   (`exp`, `expf`, `powf`, …), whose results differ between libm builds.
-//!   Such a row pins the host's libm as much as this code, and may fail on
-//!   a host with another libm with no bug here.
+//!   (`cos`, `exp`, `expf`, `powf`, …), whose results differ between libm
+//!   builds. Such a row pins the host's libm as much as this code, and may
+//!   fail on a host with another libm with no bug here. Every row whose
+//!   pass approximates a cluster is one: `ChebyshevGrid1D::new` places
+//!   the interior Chebyshev nodes with `f64::cos`, and the nodes reach
+//!   every modified charge and every proxy evaluation. Only the traffic
+//!   and clock rows, which read no computed value, are libm-free.
 //!
 //! A deliberate change of bits is re-pinned with
 //! `BLTC_BLESS=1 cargo test --test corpus -- --nocapture`, which prints
@@ -84,42 +88,43 @@ type Row = (&'static str, Output, Libm, u64);
 const TIGHT_BUDGET: u64 = 16 * 1024;
 
 /// Recorded on the commit before the exp family got its own exponential;
-/// the Yukawa, regularized-Yukawa and Gaussian rows were re-pinned, and
-/// became libm-free, when it did. The `Tight*`, `NodePairPotential`,
+/// the Yukawa, regularized-Yukawa and Gaussian rows were re-pinned when it
+/// did, and no longer depend on libm's `exp` (they still depend on its
+/// `cos`, as every row of an approximating pass does). The `Tight*`, `NodePairPotential`,
 /// `Traffic` and `Clocks` rows were recorded before the retained and the
 /// streamed LET consumers became one driver. The `ModifiedCharges` rows
 /// were recorded on the portable (scalar) charge kernel.
 #[rustfmt::skip]
 const CORPUS: &[Row] = &[
-    ("coulomb", SerialPotential, LibmFree, 0xaa9c_27eb_d4d8_8874),
-    ("coulomb", ParallelField, LibmFree, 0xb118_1875_a5c0_aa2f),
-    ("coulomb", RankPotential, LibmFree, 0xa090_268c_ab25_d49f),
-    ("coulomb", RankField, LibmFree, 0x4392_4610_7093_fb97),
-    ("regularized-coulomb", SerialPotential, LibmFree, 0xe0c5_6e94_6a4b_0085),
-    ("regularized-coulomb", ParallelField, LibmFree, 0xb53c_bd81_91a9_490d),
-    ("regularized-coulomb", RankPotential, LibmFree, 0x0cb3_874a_e46d_2e2c),
-    ("regularized-coulomb", RankField, LibmFree, 0x6d8a_f86b_44dd_dd7c),
-    ("yukawa", SerialPotential, LibmFree, 0x77b5_195d_890d_cce4),
-    ("yukawa", ParallelField, LibmFree, 0x2801_80a1_5720_019b),
-    ("yukawa", RankPotential, LibmFree, 0x4f01_0e08_f3fa_603a),
-    ("yukawa", RankField, LibmFree, 0xd6f0_d126_1833_34ce),
-    ("regularized-yukawa", SerialPotential, LibmFree, 0x5cb7_9065_f24e_1df7),
-    ("regularized-yukawa", ParallelField, LibmFree, 0xc70a_3b17_f163_4ad7),
-    ("regularized-yukawa", RankPotential, LibmFree, 0x2d15_b260_6f68_fd08),
-    ("regularized-yukawa", RankField, LibmFree, 0x0b62_8e4d_4404_455d),
-    ("gaussian", SerialPotential, LibmFree, 0x31dc_64db_2ab8_4adb),
-    ("gaussian", ParallelField, LibmFree, 0x0ece_bc44_61f4_4ebc),
-    ("gaussian", RankPotential, LibmFree, 0x9e99_b530_c08d_651d),
-    ("gaussian", RankField, LibmFree, 0xf7ed_739e_1d65_bd16),
-    ("mixed-precision-coulomb", SerialPotential, LibmFree, 0x565d_27a8_5bd1_4825),
-    ("mixed-precision-coulomb", RankPotential, LibmFree, 0xfdb7_135f_830b_d36c),
+    ("coulomb", SerialPotential, LibmDependent, 0xaa9c_27eb_d4d8_8874),
+    ("coulomb", ParallelField, LibmDependent, 0xb118_1875_a5c0_aa2f),
+    ("coulomb", RankPotential, LibmDependent, 0xa090_268c_ab25_d49f),
+    ("coulomb", RankField, LibmDependent, 0x4392_4610_7093_fb97),
+    ("regularized-coulomb", SerialPotential, LibmDependent, 0xe0c5_6e94_6a4b_0085),
+    ("regularized-coulomb", ParallelField, LibmDependent, 0xb53c_bd81_91a9_490d),
+    ("regularized-coulomb", RankPotential, LibmDependent, 0x0cb3_874a_e46d_2e2c),
+    ("regularized-coulomb", RankField, LibmDependent, 0x6d8a_f86b_44dd_dd7c),
+    ("yukawa", SerialPotential, LibmDependent, 0x77b5_195d_890d_cce4),
+    ("yukawa", ParallelField, LibmDependent, 0x2801_80a1_5720_019b),
+    ("yukawa", RankPotential, LibmDependent, 0x4f01_0e08_f3fa_603a),
+    ("yukawa", RankField, LibmDependent, 0xd6f0_d126_1833_34ce),
+    ("regularized-yukawa", SerialPotential, LibmDependent, 0x5cb7_9065_f24e_1df7),
+    ("regularized-yukawa", ParallelField, LibmDependent, 0xc70a_3b17_f163_4ad7),
+    ("regularized-yukawa", RankPotential, LibmDependent, 0x2d15_b260_6f68_fd08),
+    ("regularized-yukawa", RankField, LibmDependent, 0x0b62_8e4d_4404_455d),
+    ("gaussian", SerialPotential, LibmDependent, 0x31dc_64db_2ab8_4adb),
+    ("gaussian", ParallelField, LibmDependent, 0x0ece_bc44_61f4_4ebc),
+    ("gaussian", RankPotential, LibmDependent, 0x9e99_b530_c08d_651d),
+    ("gaussian", RankField, LibmDependent, 0xf7ed_739e_1d65_bd16),
+    ("mixed-precision-coulomb", SerialPotential, LibmDependent, 0x565d_27a8_5bd1_4825),
+    ("mixed-precision-coulomb", RankPotential, LibmDependent, 0xfdb7_135f_830b_d36c),
     ("mixed-precision-yukawa", SerialPotential, LibmDependent, 0x9436_820e_f8df_115d),
     ("mixed-precision-yukawa", RankPotential, LibmDependent, 0x4f07_8a94_a827_6187),
-    ("coulomb", TightRankPotential, LibmFree, 0xa090_268c_ab25_d49f),
-    ("coulomb", TightRankField, LibmFree, 0x4392_4610_7093_fb97),
-    ("yukawa", TightRankPotential, LibmFree, 0x4f01_0e08_f3fa_603a),
-    ("yukawa", TightRankField, LibmFree, 0xd6f0_d126_1833_34ce),
-    ("coulomb", NodePairPotential, LibmFree, 0x89ae_eaaa_7139_d0ac),
+    ("coulomb", TightRankPotential, LibmDependent, 0xa090_268c_ab25_d49f),
+    ("coulomb", TightRankField, LibmDependent, 0x4392_4610_7093_fb97),
+    ("yukawa", TightRankPotential, LibmDependent, 0x4f01_0e08_f3fa_603a),
+    ("yukawa", TightRankField, LibmDependent, 0xd6f0_d126_1833_34ce),
+    ("coulomb", NodePairPotential, LibmDependent, 0x89ae_eaaa_7139_d0ac),
     ("coulomb", Traffic, LibmFree, 0x133e_1cd3_591c_caa3),
     ("coulomb", TightTraffic, LibmFree, 0x133e_1cd3_591c_caa3),
     ("coulomb", Clocks, LibmFree, 0x90b0_f469_3c5c_79fd),

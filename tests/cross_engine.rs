@@ -334,10 +334,12 @@ fn trait_object_kernels_are_driven_by_tiles_on_every_distributed_door() {
 /// `avx512f` and one without assert the same bits.
 ///
 /// The `*YUKAWA*` rows were recorded when the exp family got its own
-/// exponential (`kernel/exp.rs`). Like the Coulomb rows they are
-/// libm-free: `exp` is `+ − ×` on this crate's table, and together with
-/// `÷ √` it has the same bits on every IEEE 754 host, so every row must
-/// hold on any runner, whatever its C library.
+/// exponential (`kernel/exp.rs`). Like the Coulomb rows they no longer
+/// depend on libm's `exp`: it is `+ − ×` on this crate's table, and
+/// together with `÷ √` it has the same bits on every IEEE 754 host, so
+/// every row holds under any instruction selection. Every row still
+/// depends on libm's `cos`, which places the interior Chebyshev nodes
+/// (`ChebyshevGrid1D::new`) of every approximated cluster.
 const PIN_COULOMB_PARALLEL: u64 = 0x63cd_7190_b1ef_f6eb;
 const PIN_REGULARIZED_COULOMB_PARALLEL: u64 = 0x0081_a0c9_e81a_4553;
 const PIN_COULOMB_3RANK: u64 = 0xc7cc_519c_28ea_588f;
