@@ -43,6 +43,11 @@ pub(crate) fn split_dims(bbox: &BoundingBox) -> [bool; 3] {
 /// Build the node array (pre-order), the reordered particle set whose
 /// contiguous ranges the nodes own, and the permutation: `perm[i]` is
 /// the original index of reordered particle `i`.
+///
+/// # Panics
+/// On an empty set, or on a particle with a NaN or infinite coordinate
+/// (the message names its index): a NaN would drop out of every box
+/// comparison and poison every potential silently.
 pub(crate) fn build_nodes(
     ps: &ParticleSet,
     leaf_cap: usize,
@@ -61,7 +66,7 @@ pub(crate) fn build_nodes(
     // children are materialized when their parent is processed, so the
     // node array comes out in pre-order with contiguous sibling ranges.
     let mut nodes = vec![RawNode {
-        bbox: bbox_of(&sorted, 0..n),
+        bbox: bbox_of(&sorted, 0..n, true),
         start: 0,
         end: n,
         children: [0; 8],
@@ -131,7 +136,7 @@ pub(crate) fn build_nodes(
             children[num_children as usize] = nodes.len() as u32;
             num_children += 1;
             nodes.push(RawNode {
-                bbox: bbox_of(&sorted, cs..ce),
+                bbox: bbox_of(&sorted, cs..ce, false),
                 start: cs,
                 end: ce,
                 children: [0; 8],
@@ -171,11 +176,25 @@ fn scatter<T: Copy>(column: &mut [T], dest: &[usize], spill: &mut [T]) {
 /// equal coordinates the first stays, so which of `−0.0` and `+0.0`
 /// bounds a box does not depend on the instructions the compiler picks
 /// (`f64::min` leaves that open, and a vectorised reduction of it
-/// differs). NaN coordinates are skipped; a non-finite corner panics.
-fn bbox_of(ps: &ParticleSet, range: std::ops::Range<usize>) -> BoundingBox {
+/// differs). With `refuse_non_finite` (the root's scan, which sees every
+/// particle once) a NaN or infinite coordinate panics, naming the
+/// particle; the children's scans need not look again.
+fn bbox_of(
+    ps: &ParticleSet,
+    range: std::ops::Range<usize>,
+    refuse_non_finite: bool,
+) -> BoundingBox {
+    let start = range.start;
     let (xs, ys, zs) = ps.xyz(range);
     let (mut min, mut max) = ([f64::INFINITY; 3], [f64::NEG_INFINITY; 3]);
-    for ((&x, &y), &z) in xs.iter().zip(ys).zip(zs) {
+    for (i, ((&x, &y), &z)) in xs.iter().zip(ys).zip(zs).enumerate() {
+        if refuse_non_finite {
+            assert!(
+                x.is_finite() && y.is_finite() && z.is_finite(),
+                "particle {} has a non-finite coordinate ({x}, {y}, {z})",
+                start + i
+            );
+        }
         for (d, v) in [x, y, z].into_iter().enumerate() {
             if v < min[d] {
                 min[d] = v;

@@ -94,8 +94,16 @@ pub struct SourceTree {
 
 impl SourceTree {
     /// Build the tree for `sources` with leaf capacity `params.leaf_cap`.
+    ///
+    /// # Panics
+    /// On an empty set, or on a source with a NaN or infinite coordinate
+    /// or charge: one such source would make every potential non-finite
+    /// without a word. The message names the source's index.
     pub fn build(sources: &ParticleSet, params: &BltcParams) -> Self {
         assert!(!sources.is_empty(), "cannot build a tree over no sources");
+        if let Some(j) = sources.q.iter().position(|q| !q.is_finite()) {
+            panic!("source {j} has a non-finite charge {}", sources.q[j]);
+        }
         let (nodes, particles, perm) = build_nodes(sources, params.leaf_cap, params.max_depth);
         let nodes = nodes
             .into_iter()
@@ -214,6 +222,24 @@ mod tests {
         assert_eq!(root.level, 0);
         let bb = ps.bounding_box().unwrap();
         assert_eq!(root.bbox, bb, "root box is the minimal bbox of all");
+    }
+
+    /// A NaN escapes every box comparison; before the door refused it,
+    /// one NaN `x` made every potential of the cube NaN.
+    #[test]
+    #[should_panic(expected = "particle 17 has a non-finite coordinate (NaN, ")]
+    fn a_nan_coordinate_is_refused_at_the_tree_door() {
+        let mut ps = ParticleSet::random_cube(300, 2);
+        ps.x[17] = f64::NAN;
+        SourceTree::build(&ps, &params(50));
+    }
+
+    #[test]
+    #[should_panic(expected = "source 42 has a non-finite charge inf")]
+    fn an_infinite_charge_is_refused_at_the_tree_door() {
+        let mut ps = ParticleSet::random_cube(300, 3);
+        ps.q[42] = f64::INFINITY;
+        SourceTree::build(&ps, &params(50));
     }
 
     #[test]
