@@ -175,7 +175,7 @@
 //! fifths of its op in these tiles, falls by more than half.
 
 #[cfg(target_arch = "x86_64")]
-mod avx512;
+pub(crate) mod avx512;
 mod exp;
 
 /// Targets the portable bodies ([`portable_tile`] and

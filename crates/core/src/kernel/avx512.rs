@@ -2,13 +2,18 @@
 //! bare or softened), and the two correctly rounded FMA sequences inside
 //! them: the square root, and the reciprocal of that square root. Beside
 //! them, [`exp_tile`]: the exp family's portable lane body, compiled a
-//! second time for AVX-512F.
+//! second time for AVX-512F. And [`charges`]: the modified-charge body of
+//! [`crate::charges`] for grids up to eight nodes wide, a term pass with
+//! eight particles in lanes and a scatter that keeps a block of `q̂` in
+//! registers (measured in `ClusterCharges::compute_selected`'s doc).
 //!
-//! Everything here computes exactly what the portable tiles compute — see
-//! "Tiles" in the [parent module](super) for what that means and why it
-//! can be asserted with `==`. This is the only module of the library
-//! crates that contains `unsafe`: two masked memory accesses and the two
-//! calls, from [`tile`] and [`exp_tile`], into `#[target_feature]` code.
+//! Everything here computes exactly what the portable bodies compute —
+//! see "Tiles" in the [parent module](super), and "Why the bits cannot
+//! move" in [`crate::charges`], for what that means and why it can be
+//! asserted with `==`. This is the only module of the library crates that
+//! contains `unsafe`: masked memory accesses, and the three calls, from
+//! [`tile`], [`exp_tile`] and [`charges`], into `#[target_feature]`
+//! code.
 //!
 //! Neither [`sqrt_fma`]'s nor [`recip_fma`]'s operation sequence may be
 //! shortened, reordered or given a wider accepted range: each is correct
@@ -27,6 +32,9 @@
 //! corpus.
 
 use std::arch::x86_64::*;
+
+use crate::interp::barycentric::{dim_terms, SINGULARITY_TOL};
+use crate::interp::tensor::TensorGrid;
 
 /// Targets in one `__m512d`.
 const LANES: usize = 8;
@@ -357,6 +365,231 @@ pub(super) fn exp_tile<const GUARD: bool, const C: usize>(
     true
 }
 
+/// Particles whose terms the charge body keeps at a time: its term pass
+/// fills three `[f64; 8]` rows and one `c` per particle of a chunk (25
+/// KiB at most, within L1), and its scatter then walks the chunk once
+/// per `k1`.
+pub(crate) const CHARGE_CHUNK: usize = 128;
+
+/// `c[..min(len, LANES)]`, the other lanes zero.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn load_lanes(c: &[f64]) -> __m512d {
+    // SAFETY: a masked load touches only the lanes in its mask (faults on
+    // the others are suppressed), and those are `c[..min(len, LANES)]`.
+    unsafe { _mm512_maskz_loadu_pd(first_lanes(c.len()), c.as_ptr()) }
+}
+
+/// `out[l] = v[l]` for the first `min(out.len(), LANES)` lanes.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn store_lanes(out: &mut [f64], v: __m512d) {
+    // SAFETY: a masked store touches only lanes `..min(len, LANES)` of
+    // `out`, which the exclusive borrow makes ours to write.
+    unsafe { _mm512_mask_storeu_pd(out.as_mut_ptr(), first_lanes(out.len()), v) }
+}
+
+/// The 8 × 8 transpose in registers: lane `r` of `v[c]` becomes lane `c`
+/// of the result's `r`-th vector. Pairs of lanes, then pairs of pairs,
+/// then halves.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn transpose(v: [__m512d; LANES]) -> [__m512d; LANES] {
+    // `a[2i]` holds the even lanes of `v[2i]` and `v[2i + 1]`, interleaved
+    // (`v[2i][0], v[2i+1][0], v[2i][2], …`), `a[2i + 1]` the odd ones.
+    let mut a = [_mm512_setzero_pd(); LANES];
+    for i in 0..LANES / 2 {
+        a[2 * i] = _mm512_unpacklo_pd(v[2 * i], v[2 * i + 1]);
+        a[2 * i + 1] = _mm512_unpackhi_pd(v[2 * i], v[2 * i + 1]);
+    }
+    // `0x88` takes the even 128-bit blocks of each operand, `0xdd` the odd.
+    let mut out = [_mm512_setzero_pd(); LANES];
+    for p in 0..2 {
+        let even_lo = _mm512_shuffle_f64x2::<0x88>(a[p], a[p + 2]);
+        let odd_lo = _mm512_shuffle_f64x2::<0xdd>(a[p], a[p + 2]);
+        let even_hi = _mm512_shuffle_f64x2::<0x88>(a[p + 4], a[p + 6]);
+        let odd_hi = _mm512_shuffle_f64x2::<0xdd>(a[p + 4], a[p + 6]);
+        out[p] = _mm512_shuffle_f64x2::<0x88>(even_lo, even_hi);
+        out[p + 4] = _mm512_shuffle_f64x2::<0xdd>(even_lo, even_hi);
+        out[p + 2] = _mm512_shuffle_f64x2::<0x88>(odd_lo, odd_hi);
+        out[p + 6] = _mm512_shuffle_f64x2::<0xdd>(odd_lo, odd_hi);
+    }
+    out
+}
+
+/// One chunk's worth of the term pass: per dimension and particle the
+/// row of [`dim_terms`] (`M` terms, zero beyond), and per particle `c =
+/// ((q·f₁)·f₂)·f₃`.
+struct ChunkTerms {
+    rows: [Vec<[f64; LANES]>; 3],
+    c: Vec<f64>,
+}
+
+/// The term pass over the particles `group` (at most eight, one per lane)
+/// into rows `at..at + 8` of `terms`. Per dimension and node: `diff = x −
+/// s_k`, `t_k = w_k / diff` and `D += t_k` in ascending `k`, then `f =
+/// 1/D` — [`dim_terms`]'s operations in its order. A lane where some
+/// `|diff| <` [`SINGULARITY_TOL`] is then done again by [`dim_terms`]
+/// itself, which writes its Kronecker row and returns the factor 1. Pad
+/// lanes are copies of the group's first particle, and nothing reads
+/// them.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn term_group<const M: usize>(
+    grid: &TensorGrid,
+    coords: [&[f64]; 3],
+    qs: &[f64],
+    group: std::ops::Range<usize>,
+    terms: &mut ChunkTerms,
+    at: usize,
+) {
+    let tol = _mm512_set1_pd(SINGULARITY_TOL);
+    let mut factors = [[0.0; LANES]; 3];
+    for (d, factor) in factors.iter_mut().enumerate() {
+        let (g, xs) = (grid.dim(d), &coords[d][group.clone()]);
+        let (nodes, weights) = (&g.nodes()[..M], &g.weights()[..M]);
+        let x = load_padded(xs);
+        let mut t = [_mm512_setzero_pd(); LANES];
+        let (mut denom, mut singular) = (_mm512_setzero_pd(), 0);
+        for k in 0..M {
+            let diff = _mm512_sub_pd(x, _mm512_set1_pd(nodes[k]));
+            singular |= _mm512_cmp_pd_mask::<_CMP_LT_OQ>(_mm512_abs_pd(diff), tol);
+            t[k] = _mm512_div_pd(_mm512_set1_pd(weights[k]), diff);
+            denom = _mm512_add_pd(denom, t[k]);
+        }
+        store_lanes(factor, _mm512_div_pd(_mm512_set1_pd(1.0), denom));
+        let rows = &mut terms.rows[d][at..at + LANES];
+        for (row, v) in rows.iter_mut().zip(transpose(t)) {
+            store_lanes(row, v);
+        }
+        let mut singular = singular & first_lanes(xs.len());
+        while singular != 0 {
+            let r = singular.trailing_zeros() as usize;
+            factor[r] = dim_terms(g, xs[r], &mut rows[r][..M]);
+            singular &= singular - 1;
+        }
+    }
+    let q = load_padded(&qs[group]);
+    let qf1 = _mm512_mul_pd(q, load_lanes(&factors[0]));
+    let qf12 = _mm512_mul_pd(qf1, load_lanes(&factors[1]));
+    let c = _mm512_mul_pd(qf12, load_lanes(&factors[2]));
+    store_lanes(&mut terms.c[at..at + LANES], c);
+}
+
+/// Adds the first `len` particles of `terms` to `qhat`, interchanged and
+/// register-blocked. Per `k1`, the `M × M` block of slots `(k1, ·, ·)`
+/// stays in registers, transposed: register `k3` holds slot `(k1, k2,
+/// k3)` in lane `k2`. Every particle then forms `c₁ = t₁[k1]·c` and `c₁₂
+/// = c₁·t₂` (one multiply for all `k2`) and adds `c₁₂ · t₃[k3]` to
+/// register `k3`. A zero `c₁` skips the particle, and a zero lane of `c₁₂`
+/// is masked out of every add: the two zero skips of the portable
+/// `scatter`. Per slot the additions come in ascending `j`, as there.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn scatter_chunk<const M: usize>(terms: &ChunkTerms, len: usize, qhat: &mut [f64]) {
+    let (t1, t2, t3) = (
+        &terms.rows[0][..len],
+        &terms.rows[1][..len],
+        &terms.rows[2][..len],
+    );
+    let c = &terms.c[..len];
+    let zero = _mm512_setzero_pd();
+    for k1 in 0..M {
+        let block = &mut qhat[k1 * M * M..(k1 + 1) * M * M];
+        let mut rows = [zero; LANES];
+        for (k2, row) in rows.iter_mut().take(M).enumerate() {
+            *row = load_lanes(&block[k2 * M..(k2 + 1) * M]);
+        }
+        let mut acc = transpose(rows);
+        for j in 0..len {
+            let c1 = t1[j][k1] * c[j];
+            if c1 == 0.0 {
+                continue;
+            }
+            let c12 = _mm512_mul_pd(_mm512_set1_pd(c1), load_lanes(&t2[j]));
+            let live = _mm512_cmpneq_pd_mask(c12, zero);
+            for (acc, &t) in acc.iter_mut().zip(&t3[j][..M]) {
+                let term = _mm512_mul_pd(c12, _mm512_set1_pd(t));
+                *acc = _mm512_mask_add_pd(*acc, live, *acc, term);
+            }
+        }
+        for (k2, row) in transpose(acc).into_iter().take(M).enumerate() {
+            store_lanes(&mut block[k2 * M..(k2 + 1) * M], row);
+        }
+    }
+}
+
+/// The charge body at grid width `M`: per chunk of [`CHARGE_CHUNK`]
+/// particles, in ascending order, the term pass eight particles at a
+/// time and then the scatter.
+#[target_feature(enable = "avx512f")]
+fn charges_avx512<const M: usize>(
+    grid: &TensorGrid,
+    coords: [&[f64]; 3],
+    qs: &[f64],
+    qhat: &mut [f64],
+) {
+    qhat.fill(0.0);
+    let n = qs.len();
+    let cap = n.min(CHARGE_CHUNK).next_multiple_of(LANES);
+    let mut terms = ChunkTerms {
+        rows: [
+            vec![[0.0; LANES]; cap],
+            vec![[0.0; LANES]; cap],
+            vec![[0.0; LANES]; cap],
+        ],
+        c: vec![0.0; cap],
+    };
+    for start in (0..n).step_by(CHARGE_CHUNK) {
+        let end = n.min(start + CHARGE_CHUNK);
+        for at in (0..end - start).step_by(LANES) {
+            let group = start + at..end.min(start + at + LANES);
+            term_group::<M>(grid, coords, qs, group, &mut terms, at);
+        }
+        scatter_chunk::<M>(&terms, end - start, qhat);
+    }
+}
+
+/// The modified charges of one cluster, written over `qhat`, under the
+/// contract of [`compute_charges_into`](crate::charges::compute_charges_into)
+/// and with its bits: a term pass with eight particles in lanes, and a
+/// scatter that keeps a block of `q̂` in registers while the particles
+/// stream past (see "Why the bits cannot move" in [`crate::charges`]).
+///
+/// Returns `false`, having done nothing, on a host without AVX-512F or
+/// for a grid wider than eight nodes: the caller then runs the portable
+/// body. Panics on mismatched slice lengths.
+pub(crate) fn charges(
+    grid: &TensorGrid,
+    coords: [&[f64]; 3],
+    qs: &[f64],
+    qhat: &mut [f64],
+) -> bool {
+    let m = grid.nodes_per_dim();
+    if m > LANES || !is_x86_feature_detected!("avx512f") {
+        return false;
+    }
+    assert!(
+        coords.iter().all(|c| c.len() == qs.len()),
+        "charge count mismatch"
+    );
+    assert_eq!(qhat.len(), grid.len(), "modified charge count mismatch");
+    let body = match m {
+        2 => charges_avx512::<2>,
+        3 => charges_avx512::<3>,
+        4 => charges_avx512::<4>,
+        5 => charges_avx512::<5>,
+        6 => charges_avx512::<6>,
+        7 => charges_avx512::<7>,
+        8 => charges_avx512::<8>,
+        _ => unreachable!("a grid has at least two nodes per dimension"),
+    };
+    // SAFETY: AVX-512F, the one feature `charges_avx512` is compiled for,
+    // was detected above.
+    unsafe { body(grid, coords, qs, qhat) };
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,6 +842,86 @@ mod tests {
             (1..=28).contains(&(seen.vectors - seen.fma_recips)),
             "{seen:?}"
         );
+    }
+
+    /// The register-blocked scatter against the portable one, bit for bit
+    /// (a NaN must be a NaN), on term rows no cluster produces: zeros and
+    /// Kronecker rows beside infinities and NaNs. With finite particles
+    /// no term is infinite, and a slot that starts at `+0` never holds
+    /// `−0`, so adding a zero product changes no bit and the oracle tests
+    /// cannot see the two zero skips. Here `0·∞` can: without the `c₁`
+    /// skip or the `c₁₂` mask a NaN lands in a slot the portable scatter
+    /// leaves alone.
+    #[test]
+    fn charge_scatter_equals_the_portable_scatter_on_non_finite_rows() {
+        #[target_feature(enable = "avx512f")]
+        fn go<const M: usize>(rng: &mut StdRng) {
+            let specials = [
+                0.0,
+                -0.0,
+                1.0,
+                -0.5,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+            ];
+            let value = |rng: &mut StdRng| {
+                if rng.gen_range(0..3usize) == 0 {
+                    specials[rng.gen_range(0..specials.len())]
+                } else {
+                    rng.gen_range(-2.0..2.0)
+                }
+            };
+            for len in [1, 3, 8, 19] {
+                for case in 0..40 {
+                    let mut rows = [(); 3].map(|()| vec![[0.0; LANES]; len]);
+                    for (d, rows) in rows.iter_mut().enumerate() {
+                        for (j, row) in rows.iter_mut().enumerate() {
+                            // Every other row of a dimension is a Kronecker row.
+                            if (j + d + case) % 2 == 0 {
+                                row[(j + case) % M] = 1.0;
+                            } else {
+                                row[..M].iter_mut().for_each(|t| *t = value(rng));
+                            }
+                        }
+                    }
+                    let c: Vec<f64> = (0..len).map(|_| value(rng)).collect();
+                    let mut want = vec![0.0; M * M * M];
+                    for j in 0..len {
+                        let [t1, t2, t3] = [0, 1, 2].map(|d| &rows[d][j][..M]);
+                        crate::charges::scatter(c[j], [t1, t2, t3], &mut want);
+                    }
+                    let mut got = vec![0.0; M * M * M];
+                    scatter_chunk::<M>(
+                        &ChunkTerms {
+                            rows: rows.clone(),
+                            c,
+                        },
+                        len,
+                        &mut got,
+                    );
+                    for (slot, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                            "width {M}, {len} particles, case {case}, slot {slot}: {g:e}, portable {w:e}"
+                        );
+                    }
+                }
+            }
+        }
+        if !is_x86_feature_detected!("avx512f") {
+            eprintln!("no avx512f on this host: nothing is compared, portable scatter only");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0x5ca7);
+        // SAFETY: AVX-512F was detected above.
+        unsafe {
+            go::<2>(&mut rng);
+            go::<3>(&mut rng);
+            go::<5>(&mut rng);
+            go::<7>(&mut rng);
+            go::<8>(&mut rng);
+        }
     }
 
     #[test]
