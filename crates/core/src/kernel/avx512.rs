@@ -190,17 +190,29 @@ fn load_padded(c: &[f64]) -> __m512d {
     unsafe { _mm512_mask_loadu_pd(pad, first_lanes(c.len()), c.as_ptr()) }
 }
 
+/// `c[..min(len, LANES)]`, the other lanes zero.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn load_lanes(c: &[f64]) -> __m512d {
+    // SAFETY: a masked load touches only the lanes in its mask (faults on
+    // the others are suppressed), and those are `c[..min(len, LANES)]`.
+    unsafe { _mm512_maskz_loadu_pd(first_lanes(c.len()), c.as_ptr()) }
+}
+
+/// `out[l] = v[l]` for the first `min(out.len(), LANES)` lanes.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn store_lanes(out: &mut [f64], v: __m512d) {
+    // SAFETY: a masked store touches only lanes `..min(len, LANES)` of
+    // `out`, which the exclusive borrow makes ours to write.
+    unsafe { _mm512_mask_storeu_pd(out.as_mut_ptr(), first_lanes(out.len()), v) }
+}
+
 /// `out[l] += acc[l]` for the first `min(out.len(), LANES)` lanes.
 #[inline]
 #[target_feature(enable = "avx512f")]
 fn add_into(out: &mut [f64], acc: __m512d) {
-    let k = first_lanes(out.len());
-    // SAFETY: masked load and store touch only lanes `..min(len, LANES)`
-    // of `out`, which the exclusive borrow makes ours to read and write.
-    unsafe {
-        let sum = _mm512_add_pd(_mm512_maskz_loadu_pd(k, out.as_ptr()), acc);
-        _mm512_mask_storeu_pd(out.as_mut_ptr(), k, sum);
-    }
+    store_lanes(out, _mm512_add_pd(load_lanes(out), acc));
 }
 
 /// What one pair contributes to each of the `C` columns before `· q`:
@@ -370,24 +382,6 @@ pub(super) fn exp_tile<const GUARD: bool, const C: usize>(
 /// KiB at most, within L1), and its scatter then walks the chunk once
 /// per `k1`.
 pub(crate) const CHARGE_CHUNK: usize = 128;
-
-/// `c[..min(len, LANES)]`, the other lanes zero.
-#[inline]
-#[target_feature(enable = "avx512f")]
-fn load_lanes(c: &[f64]) -> __m512d {
-    // SAFETY: a masked load touches only the lanes in its mask (faults on
-    // the others are suppressed), and those are `c[..min(len, LANES)]`.
-    unsafe { _mm512_maskz_loadu_pd(first_lanes(c.len()), c.as_ptr()) }
-}
-
-/// `out[l] = v[l]` for the first `min(out.len(), LANES)` lanes.
-#[inline]
-#[target_feature(enable = "avx512f")]
-fn store_lanes(out: &mut [f64], v: __m512d) {
-    // SAFETY: a masked store touches only lanes `..min(len, LANES)` of
-    // `out`, which the exclusive borrow makes ours to write.
-    unsafe { _mm512_mask_storeu_pd(out.as_mut_ptr(), first_lanes(out.len()), v) }
-}
 
 /// The 8 × 8 transpose in registers: lane `r` of `v[c]` becomes lane `c`
 /// of the result's `r`-th vector. Pairs of lanes, then pairs of pairs,
