@@ -4,11 +4,12 @@
 //! rank misbehaves how at which epoch* (panic, hang, transient RMA
 //! failure with bounded retry, straggler host clock, degraded NIC
 //! link), compiles to an [`mpi_sim::ChaosSchedule`] injected at the
-//! SPMD runtime layer, and a [`run_supervised`] driver wires recovery
-//! on top: checkpoint on a cadence ([`bltc_sim::Checkpoint`]), restore
-//! onto a fresh world on world poison, deterministic exponential
-//! backoff between attempts, and an epoch watchdog that converts a hung
-//! rank into an ordinary poisoned-world error.
+//! SPMD runtime layer, and [`run_supervised`] runs it in the stack's
+//! one recovery loop, [`bltc_sim::run_with_retries`], which the service
+//! shares: checkpoint on a cadence, restore onto a fresh world on world
+//! poison, exponential backoff between attempts, and an epoch watchdog
+//! that turns a hung rank into a poisoned world. Its
+//! [`RecoveryMetrics::recoveries`] counts every retried failure.
 //!
 //! The contract that makes every failure scenario a regression test
 //! (the IPN-V lesson — scheduled fault timelines over random chaos):

@@ -64,18 +64,18 @@ impl FaultPlan {
             .any(|f| matches!(f.kind, FaultKind::Hang))
     }
 
+    /// Every builder method ends here, so a fault that breaks
+    /// [`FaultSpec::validate`] panics with its message where it is
+    /// written, not later at [`FaultPlan::compile`].
     fn push(mut self, epoch: u64, rank: usize, kind: FaultKind) -> Self {
-        assert!(
-            rank < self.ranks,
-            "fault targets rank {rank} but the plan's world has {} ranks",
-            self.ranks
-        );
-        self.faults.push(FaultSpec {
+        let fault = FaultSpec {
             epoch,
             rank,
             kind,
             once: true,
-        });
+        };
+        fault.validate(self.ranks).unwrap_or_else(|e| panic!("{e}"));
+        self.faults.push(fault);
         self
     }
 
@@ -190,6 +190,18 @@ mod tests {
     #[should_panic(expected = "fault targets rank 5")]
     fn out_of_world_rank_rejected_at_build() {
         let _ = FaultPlan::new(2).panic_at(0, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "degraded-link multiplier must be in (0, 1], got 0")]
+    fn dead_link_rejected_at_build() {
+        let _ = FaultPlan::new(2).degraded_link_at(1, 0, 0.0, NetworkSpec::infiniband_fdr());
+    }
+
+    #[test]
+    #[should_panic(expected = "fault delay must be non-negative and finite, got -0.001")]
+    fn negative_delay_rejected_at_build() {
+        let _ = FaultPlan::new(2).straggler_at(1, 1, -1e-3);
     }
 
     #[test]

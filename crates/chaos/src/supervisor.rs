@@ -1,32 +1,27 @@
-//! The recovery supervisor: checkpoint / restore / backoff around a
-//! [`PersistentIntegrator`] under an attached fault plan.
+//! The recovery supervisor: a compiled fault plan attached to every
+//! attempt of the stack's one recovery loop,
+//! [`bltc_sim::run_with_retries`].
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bltc_core::field::FieldResult;
-use bltc_sim::{Checkpoint, ForceModel, PersistentIntegrator, SimConfig, SimReport, SimState};
+use bltc_sim::{
+    run_with_retries, ForceModel, PersistentIntegrator, RetryPolicy, SimConfig, SimReport, SimState,
+};
 use bltc_trace::{MetricsSnapshot, Phase, Span, Track};
-use mpi_sim::{panic_message, HangReleased};
 
 use crate::plan::FaultPlan;
 
 /// Recovery policy for [`run_supervised`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorConfig {
-    /// Checkpoint cadence in steps (`None` = never): after every
-    /// `k`-th step the full resident state is serialized into a
-    /// driver-held [`Checkpoint`]. Checkpointing is bitwise invisible
-    /// to the trajectory and the report; it only bounds how much work
-    /// a recovery has to replay.
+    /// Checkpoint cadence ([`RetryPolicy::checkpoint_every`]).
     pub checkpoint_every: Option<u64>,
     /// Recovery episodes allowed before giving up.
     pub max_recoveries: u32,
-    /// Base of the deterministic exponential backoff: recovery `k`
-    /// (1-based) charges `backoff_base_s · 2^(k-1)` **modeled** seconds
-    /// — bookkept in [`RecoveryMetrics`], never slept and never folded
-    /// into the report.
+    /// Backoff base ([`RetryPolicy::backoff_base_s`]), bookkept in
+    /// [`RecoveryMetrics`] and never folded into the report.
     pub backoff_base_s: f64,
     /// Wall-clock epoch watchdog (see [`mpi_sim::Session::set_deadline`]).
     /// Required when the plan contains hang faults.
@@ -150,13 +145,12 @@ impl std::fmt::Display for SupervisorError {
 impl std::error::Error for SupervisorError {}
 
 /// Run `steps` velocity-Verlet steps of `(cfg, state, model)` under
-/// `plan`, supervising recovery per `opts`: the plan's schedule is
-/// attached to every attempt's world, checkpoints are taken on the
-/// cadence, and when a fatal fault poisons the world the supervisor
-/// charges deterministic exponential backoff, restores the latest
-/// checkpoint onto a **fresh** world (or restarts from scratch when
-/// none exists yet), and resumes. Fired faults stay spent across
-/// attempts, so the replay runs clean past the fault site.
+/// `plan` in the recovery loop [`bltc_sim::run_with_retries`]: the
+/// plan's schedule is attached to every attempt's world, and a retry
+/// restores the latest checkpoint onto a **fresh** world (or restarts
+/// from scratch). Fired faults stay spent across attempts, so the
+/// replay runs clean past the fault site. Every retried failure is one
+/// [`RecoveryEpisode`], whether or not a checkpoint existed.
 ///
 /// On success the returned trajectory, field, and report are bitwise
 /// identical to the run whose plan never fired; all fault and recovery
@@ -173,8 +167,8 @@ impl std::error::Error for SupervisorError {}
 /// Panics if the plan's world size disagrees with `cfg.ranks`, if
 /// the plan contains hang faults but `opts.epoch_deadline` is `None`
 /// (an unwatched hang would block forever), or with the message of
-/// [`SimConfig::validate`] — a bad config is refused before any
-/// attempt, not retried as if it were a fault.
+/// [`RetryPolicy::validate`] or [`SimConfig::validate`]: bad input is
+/// refused before any attempt, not retried as if it were a fault.
 pub fn run_supervised(
     cfg: SimConfig,
     state: &SimState,
@@ -195,106 +189,69 @@ pub fn run_supervised(
         "fault plan contains hang faults; set SupervisorConfig::epoch_deadline \
          so the watchdog can resolve them"
     );
-    if let Some(every) = opts.checkpoint_every {
-        assert!(every >= 1, "checkpoint cadence must be >= 1");
-    }
     cfg.validate(state.len()).unwrap_or_else(|e| panic!("{e}"));
 
     let schedule = plan.compile();
-    let mut checkpoint: Option<Checkpoint> = None;
-    let mut metrics = RecoveryMetrics::default();
-    let mut attempt: u32 = 0;
-
-    let (final_state, field, report) = loop {
-        attempt += 1;
-        let restore_from = checkpoint.clone();
-        let result = {
-            let checkpoint = &mut checkpoint;
-            let schedule = Arc::clone(&schedule);
-            catch_unwind(AssertUnwindSafe(move || {
-                let mut integ = match restore_from.as_ref() {
-                    Some(ck) => PersistentIntegrator::restore(cfg, model, ck, None).0,
-                    None => PersistentIntegrator::new(cfg, state, model),
-                };
-                integ.field_session().set_chaos(Some(schedule));
-                integ.field_session().set_deadline(opts.epoch_deadline);
-                let start = integ.steps();
-                for s in (start + 1)..=steps {
-                    integ.step();
-                    if let Some(every) = opts.checkpoint_every {
-                        if s.is_multiple_of(every) && s < steps {
-                            *checkpoint = Some(integ.checkpoint());
-                        }
-                    }
-                }
-                let field = integ.last_field();
-                let final_state = integ.snapshot();
-                let report = integ.report().clone();
-                (final_state, field, report)
-            }))
+    let start = |_, restore_from: Option<&_>| {
+        let mut integ = match restore_from {
+            Some(ck) => PersistentIntegrator::restore(cfg, model, ck, None).0,
+            None => PersistentIntegrator::new(cfg, state, model),
         };
-        match result {
-            Ok(out) => break out,
-            Err(payload) => {
-                if payload.downcast_ref::<HangReleased>().is_some() {
-                    metrics.watchdog_fires += 1;
-                }
-                if metrics.recoveries >= opts.max_recoveries {
-                    return Err(SupervisorError::RecoveryBudgetExhausted {
-                        attempts: attempt,
-                        message: panic_message(payload.as_ref()),
-                    });
-                }
-                // Deterministic exponential backoff + the replacement
-                // world's modeled spawn: both recovery-side only.
-                let backoff = opts.backoff_base_s * 2f64.powi(metrics.recoveries as i32);
-                let respawn = cfg.dist.host.world_spawn_seconds(state.len(), cfg.ranks);
-                metrics.recoveries += 1;
-                metrics.backoff_s += backoff;
-                metrics.respawn_s += respawn;
-                metrics.episodes.push(RecoveryEpisode {
-                    attempt,
-                    restored_from_step: checkpoint.as_ref().map_or(0, Checkpoint::step),
-                    backoff_s: backoff,
-                    respawn_s: respawn,
-                });
-            }
-        }
+        integ.field_session().set_chaos(Some(Arc::clone(&schedule)));
+        integ.field_session().set_deadline(opts.epoch_deadline);
+        integ
     };
+    let policy = RetryPolicy {
+        checkpoint_every: opts.checkpoint_every,
+        max_retries: opts.max_recoveries,
+        backoff_base_s: opts.backoff_base_s,
+    };
+    let run = run_with_retries(&policy, steps, start, |_, _, _| {}).map_err(|failures| {
+        let last = failures.last().expect("an exhausted budget has a failure");
+        SupervisorError::RecoveryBudgetExhausted {
+            attempts: last.attempt,
+            message: last.message.clone(),
+        }
+    })?;
 
-    metrics.mttr_s = metrics.backoff_s + metrics.respawn_s;
+    // The chaos track, laid end to end as a timeline of everything the
+    // plan cost: fault events in deterministic (rank-major) order, then
+    // one `recovery` episode per failure — all were retried, since the
+    // run finished — billed its backoff and a replacement world's spawn.
     let events = schedule.drain_events();
-    metrics.faults_seen = events.len() as u64;
-    metrics.chaos_delay_s = events.iter().fold(0.0, |acc, e| acc + e.delay_s);
-
-    // The chaos track: fault events in deterministic (rank-major)
-    // order, then recovery episodes — laid end to end so the track
-    // reads as a timeline of everything the plan cost.
-    let mut chaos_spans = Vec::with_capacity(events.len() + metrics.episodes.len());
+    let respawn = cfg.dist.host.world_spawn_seconds(state.len(), cfg.ranks);
+    let mut metrics = RecoveryMetrics::default();
+    let mut chaos_spans = Vec::with_capacity(events.len() + run.failures.len());
     let mut cursor = 0.0;
-    for e in &events {
-        chaos_spans.push(
-            Span::new(Track::Chaos, e.label, cursor, cursor + e.delay_s)
-                .phase(Phase::Chaos)
-                .billed(e.delay_s)
-                .target(e.rank as u32),
-        );
-        cursor += e.delay_s;
-    }
-    for ep in &metrics.episodes {
-        let dur = ep.backoff_s + ep.respawn_s;
-        chaos_spans.push(
-            Span::new(Track::Chaos, "recovery", cursor, cursor + dur)
-                .phase(Phase::Chaos)
-                .billed(dur),
-        );
+    let mut bill = |name, dur: f64| {
+        let span = Span::new(Track::Chaos, name, cursor, cursor + dur);
         cursor += dur;
+        span.phase(Phase::Chaos).billed(dur)
+    };
+    for e in &events {
+        chaos_spans.push(bill(e.label, e.delay_s).target(e.rank as u32));
+        metrics.faults_seen += 1;
+        metrics.chaos_delay_s += e.delay_s;
     }
+    for f in &run.failures {
+        chaos_spans.push(bill("recovery", f.backoff_s + respawn));
+        metrics.recoveries += 1;
+        metrics.watchdog_fires += u64::from(f.watchdog);
+        metrics.backoff_s += f.backoff_s;
+        metrics.respawn_s += respawn;
+        metrics.episodes.push(RecoveryEpisode {
+            attempt: f.attempt,
+            restored_from_step: f.resume_from.unwrap_or(0),
+            backoff_s: f.backoff_s,
+            respawn_s: respawn,
+        });
+    }
+    metrics.mttr_s = metrics.backoff_s + metrics.respawn_s;
 
     Ok(SupervisedRun {
-        final_state,
-        field,
-        report,
+        report: run.integrator.report().clone(),
+        final_state: run.final_state,
+        field: run.field,
         recovery: metrics,
         chaos_spans,
     })
@@ -306,6 +263,8 @@ mod tests {
     use bltc_core::config::BltcParams;
     use bltc_dist::DistConfig;
     use bltc_sim::scenario::plummer_sphere;
+    use mpi_sim::panic_message;
+    use std::panic::AssertUnwindSafe;
 
     fn cfg(ranks: usize) -> SimConfig {
         SimConfig::new(

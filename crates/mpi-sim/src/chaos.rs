@@ -122,6 +122,37 @@ pub struct FaultSpec {
     pub once: bool,
 }
 
+impl FaultSpec {
+    /// The one statement of what a fault may be in a world of `ranks`
+    /// ranks: its rank inside `0..ranks`, a delay that is finite and
+    /// non-negative, a degraded-link multiplier in `(0, 1]`.
+    pub fn validate(&self, ranks: usize) -> Result<(), String> {
+        if self.rank >= ranks {
+            return Err(format!(
+                "fault targets rank {} but the world has {ranks} ranks",
+                self.rank
+            ));
+        }
+        match self.kind {
+            FaultKind::Transient { delay_s, .. } | FaultKind::Straggler { delay_s }
+                if !(delay_s.is_finite() && delay_s >= 0.0) =>
+            {
+                Err(format!(
+                    "fault delay must be non-negative and finite, got {delay_s}"
+                ))
+            }
+            FaultKind::DegradedLink { multiplier, .. }
+                if !(multiplier.is_finite() && multiplier > 0.0 && multiplier <= 1.0) =>
+            {
+                Err(format!(
+                    "degraded-link multiplier must be in (0, 1], got {multiplier}"
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// One recorded fault occurrence, in deterministic rank-major order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosEvent {
@@ -215,32 +246,12 @@ impl ChaosSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if a fault names a rank outside `0..ranks`, a
-    /// [`FaultKind::DegradedLink`] multiplier outside `(0, 1]`, or a
-    /// negative/non-finite delay.
+    /// Panics if `ranks` is zero, or with the message of
+    /// [`FaultSpec::validate`] for the first fault that breaks it.
     pub fn new(faults: Vec<FaultSpec>, ranks: usize) -> Arc<Self> {
         assert!(ranks >= 1, "need at least one rank");
         for f in &faults {
-            assert!(
-                f.rank < ranks,
-                "fault targets rank {} but the world has {ranks} ranks",
-                f.rank
-            );
-            match f.kind {
-                FaultKind::Transient { delay_s, .. } | FaultKind::Straggler { delay_s } => {
-                    assert!(
-                        delay_s.is_finite() && delay_s >= 0.0,
-                        "fault delay must be non-negative and finite, got {delay_s}"
-                    );
-                }
-                FaultKind::DegradedLink { multiplier, .. } => {
-                    assert!(
-                        multiplier.is_finite() && multiplier > 0.0 && multiplier <= 1.0,
-                        "degraded-link multiplier must be in (0, 1], got {multiplier}"
-                    );
-                }
-                FaultKind::Panic | FaultKind::Hang => {}
-            }
+            f.validate(ranks).unwrap_or_else(|e| panic!("{e}"));
         }
         let fired = faults.iter().map(|_| AtomicBool::new(false)).collect();
         Arc::new(Self {

@@ -25,23 +25,23 @@
 //!    functions of the spec — no rank-side epoch is ever skipped, so
 //!    traffic and clocks also match a solo run exactly.
 //! 3. **Contained failure** — a rank panic poisons only the panicking
-//!    job's world. The worker catches the unwind, the world is dropped
-//!    (never re-pooled — [`SessionPool::checkin`] would refuse it
-//!    anyway), and the job either retries on a fresh world or fails
+//!    job's world. The recovery loop catches the unwind, the world is
+//!    dropped (never re-pooled — [`SessionPool::checkin`] would refuse
+//!    it anyway), and the job either retries on a fresh world or fails
 //!    alone. Peers never observe any of it.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bltc_core::field::FieldResult;
-use bltc_sim::{Checkpoint, ForceModel, PersistentIntegrator, SimReport, SimState, WorldReuse};
-use bltc_trace::{sort_spans, Phase, Span, TraceRecorder, Track};
-use mpi_sim::{
-    panic_message, ChaosSchedule, FaultKind, FaultSpec, PoolStats, Session, SessionPool,
+use bltc_sim::{
+    run_with_retries, Checkpoint, FailedAttempt, ForceModel, PersistentIntegrator, RetryPolicy,
+    SimReport, SimState, WorldReuse,
 };
+use bltc_trace::{sort_spans, Phase, Span, TraceRecorder, Track};
+use mpi_sim::{ChaosSchedule, FaultKind, FaultSpec, PoolStats, SessionPool};
 use rcb::RcbPartition;
 
 use crate::digest::{field_digest, state_digest};
@@ -79,11 +79,8 @@ pub struct ServiceConfig {
     /// shutdown. Purely observational — results, digests, reports, and
     /// meters are bitwise identical either way (`tests/trace.rs`).
     pub trace: bool,
-    /// Base of the deterministic exponential backoff charged between
-    /// retry attempts: attempt `k`'s retry waits a **modeled**
-    /// `backoff_base_s · 2^(k-1)` seconds. Pure accounting against the
-    /// job's deadline budget — never wall-clock sleep, never part of
-    /// the job's report.
+    /// Backoff base ([`RetryPolicy::backoff_base_s`]), billed against
+    /// the job's deadline budget and never part of its report.
     pub backoff_base_s: f64,
     /// Wall-clock budget an epoch may stay unreported before the
     /// watchdog converts the hung rank into a poisoned world (armed
@@ -93,6 +90,16 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
+    /// The recovery loop's policy for a job that checkpoints every
+    /// `checkpoint_every` steps.
+    fn policy(&self, checkpoint_every: Option<u64>) -> RetryPolicy {
+        RetryPolicy {
+            checkpoint_every,
+            max_retries: self.max_retries,
+            backoff_base_s: self.backoff_base_s,
+        }
+    }
+
     /// A sensible default shape for `workers` workers.
     pub fn with_workers(workers: usize) -> Self {
         Self {
@@ -191,8 +198,32 @@ pub struct RecoveryCharge {
 }
 
 impl RecoveryCharge {
-    /// Fold another job phase's charges in (used when a degraded rerun
-    /// inherits the failed full-world attempts' accounting).
+    /// Bill one spec's attempts from the loop's failure records and,
+    /// per attempt, whether its world was recycled. Lost are the cold
+    /// worlds no final report carries: a restore's replacement (the
+    /// report continues from the checkpoint), and a scratch attempt's
+    /// that died before its first checkpoint.
+    fn bill(failures: &[FailedAttempt], reused: &[bool], spawn_s: f64) -> Self {
+        let mut charge = Self::default();
+        let mut restoring = false;
+        for (k, &reused) in reused.iter().enumerate() {
+            let failure = failures.get(k);
+            let lost = restoring || failure.is_some_and(|f| f.resume_from.is_none());
+            if lost && !reused {
+                charge.lost_spawns += 1;
+                charge.lost_spawn_host_s += spawn_s;
+            }
+            charge.recoveries += u32::from(restoring);
+            if let Some(f) = failure {
+                charge.backoff_s += f.backoff_s;
+                restoring = f.resume_from.is_some();
+            }
+        }
+        charge
+    }
+
+    /// Fold another job phase's charges in (a degraded rerun inherits
+    /// the failed full-world attempts' accounting).
     fn merge(&mut self, other: &RecoveryCharge) {
         self.lost_spawns += other.lost_spawns;
         self.lost_spawn_host_s += other.lost_spawn_host_s;
@@ -464,9 +495,13 @@ impl SimService {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.workers == 0`.
+    /// Panics if `cfg.workers == 0`, or with the message of
+    /// [`RetryPolicy::validate`] for a bad backoff base.
     pub fn start(cfg: ServiceConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
+        cfg.policy(None)
+            .validate()
+            .unwrap_or_else(|e| panic!("{e}"));
         let shared = Arc::new(Shared {
             cfg,
             sched: Mutex::new(SchedState {
@@ -678,7 +713,7 @@ fn worker_loop(shared: &Shared) {
         {
             let mut meters = shared.meters.lock().unwrap();
             let meter = meters.entry(job.tenant).or_default();
-            match &result {
+            let recovery = match &result {
                 Ok(out) => {
                     meter.absorb(
                         &out.report,
@@ -687,15 +722,10 @@ fn worker_loop(shared: &Shared) {
                         out.retries,
                         job.queue_pos,
                     );
-                    meter.charge_recovery(
-                        out.recovery.lost_spawns,
-                        out.recovery.lost_spawn_host_s,
-                        out.recovery.backoff_s,
-                        out.recovery.recoveries,
-                    );
                     if matches!(out.outcome, JobOutcome::Degraded { .. }) {
                         meter.degraded_jobs += 1;
                     }
+                    &out.recovery
                 }
                 Err(
                     JobError::Panicked {
@@ -707,17 +737,13 @@ fn worker_loop(shared: &Shared) {
                 ) => {
                     meter.jobs_failed += 1;
                     meter.retries += attempts.saturating_sub(1) as u64;
-                    // A panicked attempt's world spawn is still the
-                    // tenant's spend — the dying report hid it, the
-                    // recovery side channel does not.
-                    meter.charge_recovery(
-                        recovery.lost_spawns,
-                        recovery.lost_spawn_host_s,
-                        recovery.backoff_s,
-                        recovery.recoveries,
-                    );
+                    recovery
                 }
-            }
+            };
+            // A panicked attempt's world spawn is still the tenant's
+            // spend — the dying report hid it, the recovery side
+            // channel does not.
+            meter.charge_recovery(recovery);
         }
         if let Ok(out) = &result {
             if !out.trace_spans.is_empty() {
@@ -742,14 +768,12 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Execute one job end to end: run it resiliently at the submitted
-/// world size, fall back to a degraded smaller world on permanent rank
-/// loss when the spec allows it, then enforce the modeled deadline
-/// budget on whatever came out.
+/// Execute one job end to end: serve it at the submitted world size,
+/// fall back to a degraded smaller world on permanent rank loss when
+/// the spec allows it, then enforce the modeled deadline budget on
+/// whatever came out.
 fn run_job(shared: &Shared, job: &QueuedJob) -> Result<JobOutput, JobError> {
     let spec = job.spec;
-    let (prep, cache_hit) = shared.cache.lock().unwrap().get_or_build(&spec);
-    let out = run_resilient(shared, job, &spec, &prep, cache_hit, JobOutcome::Completed);
     // Graceful degradation: the submitted world size cannot survive a
     // rank loss, so re-admit onto one rank fewer with a fresh RCB over
     // the surviving capacity. The fault is dropped (the lost rank is
@@ -762,32 +786,16 @@ fn run_job(shared: &Shared, job: &QueuedJob) -> Result<JobOutput, JobError> {
     degraded.ranks = spec.ranks.saturating_sub(1);
     degraded.fault = Fault::None;
     degraded.checkpoint_every = None;
-    let out = match out {
-        Ok(out) => Ok(out),
+    let out = match serve(shared, job, &spec, None) {
         Err(JobError::Panicked {
             attempts, recovery, ..
         }) if matches!(spec.fault, Fault::RankLossAtStep(_))
             && spec.allow_degraded
             && degraded.validate().is_ok() =>
         {
-            let (dprep, dcache_hit) = shared.cache.lock().unwrap().get_or_build(&degraded);
-            run_resilient(
-                shared,
-                job,
-                &degraded,
-                &dprep,
-                dcache_hit,
-                JobOutcome::Degraded { ranks_lost: 1 },
-            )
-            .map(|mut out| {
-                // The failed full-world attempts stay on the bill.
-                out.retries += attempts;
-                out.recovery.merge(&recovery);
-                out
-            })
-            .map_err(|err| err.merged_with(attempts, &recovery))
+            serve(shared, job, &degraded, Some((attempts, recovery)))
         }
-        Err(err) => Err(err),
+        out => out,
     }?;
     if let Some(deadline) = spec.deadline_s {
         let spent = out.report.total_s + out.recovery.backoff_s + out.recovery.lost_spawn_host_s;
@@ -805,187 +813,40 @@ fn run_job(shared: &Shared, job: &QueuedJob) -> Result<JobOutput, JobError> {
     Ok(out)
 }
 
-impl JobError {
-    /// Fold an earlier phase's attempt count and recovery charges into
-    /// this error (degraded rerun failing after full-world attempts).
-    fn merged_with(mut self, extra_attempts: u32, extra: &RecoveryCharge) -> Self {
-        match &mut self {
-            JobError::Panicked {
-                attempts, recovery, ..
-            }
-            | JobError::DeadlineExceeded {
-                attempts, recovery, ..
-            } => {
-                *attempts += extra_attempts;
-                recovery.merge(extra);
-            }
-        }
-        self
-    }
-}
-
-/// Run one spec to completion at its submitted world size: check a
-/// warm world out, run the integrator, check the world back in —
-/// retrying when an attempt panics, up to the budget. Retries restore
-/// the latest driver-held checkpoint when the spec keeps one,
-/// otherwise restart from scratch; either way the surviving bits are
-/// identical to the fault-free run's.
-fn run_resilient(
+/// Run one spec at its world size in the recovery loop
+/// [`run_with_retries`]: every attempt starts on a pooled world when
+/// one is warm, and the job's fault enters from the before-step hook.
+/// A panicked attempt's world was dropped by the unwind, never checked
+/// in; the finished one's goes back to the pool. A degraded rerun
+/// carries the failed full-world attempts and their charge, which stay
+/// on the bill.
+fn serve(
     shared: &Shared,
     job: &QueuedJob,
     spec: &JobSpec,
-    prep: &Prepared,
-    cache_hit: bool,
-    outcome: JobOutcome,
+    degraded_after: Option<(u32, RecoveryCharge)>,
 ) -> Result<JobOutput, JobError> {
-    let mut attempts = 0u32;
-    let mut checkpoint: Option<Checkpoint> = None;
-    let mut recovery = RecoveryCharge::default();
-    loop {
-        attempts += 1;
-        let fault_step = match spec.fault {
-            Fault::None | Fault::HangAtStep(_) => None,
-            Fault::PanicAtStep(s) | Fault::RankLossAtStep(s) => Some(s),
-            Fault::PanicOnceAtStep(s) => (attempts == 1).then_some(s),
-        };
-        let hang_step = match spec.fault {
-            Fault::HangAtStep(s) => (attempts == 1).then_some(s),
-            _ => None,
-        };
+    let (prep, cache_hit) = shared.cache.lock().unwrap().get_or_build(spec);
+    let mut reused = Vec::new();
+    let mut tracer = None;
+    let start = |_, restore_from: Option<&Checkpoint>| {
         // Reuse-only checkout: on a miss the integrator spawns (and
         // charges) the fresh world itself, exactly as a solo run
         // would — keeping the job's report bitwise identical to solo.
         let session = shared.pool.try_checkout(spec.ranks);
-        let world_reused = session.is_some();
-        // A restore's replacement world never reaches the job's report
-        // (the report continues from the checkpoint untouched), so its
-        // spawn is charged here, up front — the charge must survive
-        // even if this attempt dies too.
-        let restoring = checkpoint.is_some();
-        if restoring {
-            recovery.recoveries += 1;
-            if !world_reused {
-                recovery.lost_spawns += 1;
-                recovery.lost_spawn_host_s +=
-                    spec.dist.host.world_spawn_seconds(spec.n, spec.ranks);
-            }
-        }
+        reused.push(session.is_some());
         // One recorder per attempt: a panicked attempt's spans die with
         // its world, so the surviving trace describes exactly the run
         // that produced the returned bits.
-        let tracer = shared
+        tracer = shared
             .cfg
             .trace
             .then(|| Arc::new(TraceRecorder::for_job(job.tenant, job.job_id)));
-        let resume = checkpoint.clone();
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            run_attempt(
-                spec,
-                prep,
-                session,
-                resume,
-                &mut checkpoint,
-                fault_step,
-                hang_step,
-                shared.cfg.epoch_watchdog,
-                tracer.clone(),
-            )
-        }));
-        match attempt {
-            Ok((final_state, field, report, session)) => {
-                // A healthy world goes back to serve the next tenant;
-                // checkin refuses poisoned ones as a second line of
-                // defense (a panicked attempt never even gets here —
-                // its world was consumed by the unwind).
-                shared.pool.checkin(session);
-                let trace_spans = tracer
-                    .map(|tr| {
-                        // The job envelope: one span covering the whole
-                        // per-job timeline, billed at the modeled
-                        // end-to-end clock.
-                        tr.push_absolute(
-                            Span::new(Track::Driver, "job", 0.0, tr.cursor_s())
-                                .phase(Phase::Job)
-                                .billed(report.total_s),
-                        );
-                        tr.take_spans()
-                    })
-                    .unwrap_or_default();
-                return Ok(JobOutput {
-                    job_id: job.job_id,
-                    tenant: job.tenant,
-                    state_digest: state_digest(&final_state),
-                    field_digest: field_digest(&field),
-                    final_state,
-                    field,
-                    report,
-                    cache_hit,
-                    world_reused,
-                    retries: attempts - 1,
-                    outcome,
-                    recovery,
-                    trace_spans,
-                });
+        let mut integ = match restore_from {
+            Some(ck) => {
+                PersistentIntegrator::restore(spec.sim_config(), &prep.model, ck, session).0
             }
-            Err(payload) => {
-                // A scratch attempt that died without leaving a
-                // checkpoint takes its whole report down with it —
-                // including the cold spawn it charged — so the spawn
-                // moves to the recovery side channel. (With a
-                // checkpoint, the spawn lives on in the checkpoint's
-                // report and reaches the final bill through restore.)
-                if !restoring && checkpoint.is_none() && !world_reused {
-                    recovery.lost_spawns += 1;
-                    recovery.lost_spawn_host_s +=
-                        spec.dist.host.world_spawn_seconds(spec.n, spec.ranks);
-                }
-                if attempts > shared.cfg.max_retries {
-                    return Err(JobError::Panicked {
-                        job_id: job.job_id,
-                        tenant: job.tenant,
-                        attempts,
-                        message: panic_message(payload.as_ref()),
-                        recovery,
-                    });
-                }
-                // Deterministic exponential backoff before the retry —
-                // modeled seconds against the deadline budget, not a
-                // wall-clock sleep.
-                recovery.backoff_s += shared.cfg.backoff_base_s * 2f64.powi((attempts - 1) as i32);
-            }
-        }
-    }
-}
-
-/// One attempt on one world. Returns the world for re-pooling; a panic
-/// anywhere in here unwinds through the integrator, dropping the
-/// poisoned world (its rank threads join) without touching the pool.
-/// Checkpoints taken on the spec's cadence land in `ck_sink`, which
-/// outlives the attempt — that is what a retry restores.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    spec: &JobSpec,
-    prep: &Prepared,
-    session: Option<Session>,
-    resume: Option<Checkpoint>,
-    ck_sink: &mut Option<Checkpoint>,
-    fault_step: Option<u64>,
-    hang_step: Option<u64>,
-    watchdog: Duration,
-    tracer: Option<Arc<TraceRecorder>>,
-) -> (SimState, FieldResult, SimReport, Session) {
-    let (mut integ, start) = match resume {
-        Some(ck) => {
-            // Restore skips the launch evaluation entirely — the
-            // checkpoint carries accelerations — and the report
-            // continues from the checkpoint, so the recovered run's
-            // bits and clocks equal the unfaulted run's.
-            let (integ, _respawn_charged_by_caller) =
-                PersistentIntegrator::restore(spec.sim_config(), &prep.model, &ck, session);
-            (integ, ck.step())
-        }
-        None => (
-            PersistentIntegrator::with_world(
+            None => PersistentIntegrator::with_world(
                 spec.sim_config(),
                 &prep.state,
                 &prep.model,
@@ -994,55 +855,79 @@ fn run_attempt(
                     partition: Some(prep.part.clone()),
                 },
             ),
-            0,
-        ),
+        };
+        integ.set_tracer(tracer.clone());
+        integ
     };
-    integ.set_tracer(tracer);
-    for step in (start + 1)..=spec.steps {
-        if fault_step == Some(step) {
-            // The injected tenant bug: one rank dies mid-collective.
-            // The poison machinery fails the peers' next collective
-            // fast and re-raises the payload here on the driver.
-            integ.field_session().run_epoch(|comm, _slot| {
-                if comm.rank() == 0 {
-                    panic!("injected tenant fault");
-                }
-                comm.barrier();
-            });
+    // The job's fault enters as the one-fault schedule a compiled plan
+    // would attach: rank 0 faults as it enters the step's first epoch.
+    let inject = |integ: &mut PersistentIntegrator, attempt, step| {
+        let kind = match spec.fault {
+            Fault::PanicAtStep(s) | Fault::RankLossAtStep(s) if s == step => FaultKind::Panic,
+            Fault::PanicOnceAtStep(s) if s == step && attempt == 1 => FaultKind::Panic,
+            Fault::HangAtStep(s) if s == step && attempt == 1 => FaultKind::Hang,
+            _ => return,
+        };
+        let epoch = integ.epochs_run();
+        let fault = FaultSpec {
+            epoch,
+            rank: 0,
+            kind,
+            once: true,
+        };
+        let fs = integ.field_session();
+        fs.set_chaos(Some(ChaosSchedule::new(vec![fault], spec.ranks)));
+        if kind == FaultKind::Hang {
+            fs.set_deadline(Some(shared.cfg.epoch_watchdog));
         }
-        if hang_step == Some(step) {
-            // The injected infrastructure fault: one rank parks inside
-            // its epoch and never reports. The watchdog deadline
-            // converts the hang into a poisoned world, so the driver
-            // unwinds with [`HangReleased`] instead of deadlocking.
-            let schedule = ChaosSchedule::new(
-                vec![FaultSpec {
-                    epoch: integ.epochs_run(),
-                    rank: 0,
-                    kind: FaultKind::Hang,
-                    once: true,
-                }],
-                spec.ranks,
+    };
+    let policy = shared.cfg.policy(spec.checkpoint_every);
+    let run = run_with_retries(&policy, spec.steps, start, inject);
+    let failures = run.as_ref().map_or_else(|f| &f[..], |r| &r.failures[..]);
+    let spawn_s = spec.dist.host.world_spawn_seconds(spec.n, spec.ranks);
+    let (earlier_attempts, earlier) = degraded_after.unwrap_or_default();
+    let mut recovery = RecoveryCharge::bill(failures, &reused, spawn_s);
+    recovery.merge(&earlier);
+    let failed = earlier_attempts + failures.len() as u32;
+    let run = run.map_err(|failures| JobError::Panicked {
+        job_id: job.job_id,
+        tenant: job.tenant,
+        attempts: failed,
+        message: failures.last().expect("a failure").message.clone(),
+        recovery,
+    })?;
+    let report = run.integrator.report().clone();
+    shared.pool.checkin(run.integrator.into_session());
+    let trace_spans = tracer
+        .map(|tr| {
+            // The job envelope: one span covering the whole per-job
+            // timeline, billed at the modeled end-to-end clock.
+            tr.push_absolute(
+                Span::new(Track::Driver, "job", 0.0, tr.cursor_s())
+                    .phase(Phase::Job)
+                    .billed(report.total_s),
             );
-            let fs = integ.field_session();
-            fs.set_chaos(Some(schedule));
-            fs.set_deadline(Some(watchdog));
-            fs.run_epoch(|comm, _slot| comm.barrier());
-            unreachable!("the epoch watchdog must poison the hung world");
-        }
-        integ.step();
-        if let Some(every) = spec.checkpoint_every {
-            // No point checkpointing the final state we are about to
-            // return. The snapshot epoch is bitwise invisible.
-            if step % every == 0 && step < spec.steps {
-                *ck_sink = Some(integ.checkpoint());
-            }
-        }
-    }
-    let field = integ.last_field();
-    let final_state = integ.snapshot();
-    let report = integ.report().clone();
-    (final_state, field, report, integ.into_session())
+            tr.take_spans()
+        })
+        .unwrap_or_default();
+    Ok(JobOutput {
+        job_id: job.job_id,
+        tenant: job.tenant,
+        state_digest: state_digest(&run.final_state),
+        field_digest: field_digest(&run.field),
+        final_state: run.final_state,
+        field: run.field,
+        report,
+        cache_hit,
+        world_reused: reused.last().copied().unwrap_or(false),
+        retries: failed,
+        outcome: match degraded_after {
+            Some(_) => JobOutcome::Degraded { ranks_lost: 1 },
+            None => JobOutcome::Completed,
+        },
+        recovery,
+        trace_spans,
+    })
 }
 
 #[cfg(test)]

@@ -33,9 +33,13 @@
 //!    [`TenantMeter`] absorbs the report's drained traffic matrices
 //!    and modeled clocks.
 //!
-//! A rank panic poisons only the panicking job's world: the worker
-//! catches it, discards the world (never re-pooled), retries on a
-//! fresh one up to `max_retries`, and peers never notice.
+//! A rank panic poisons only the panicking job's world. Jobs run in
+//! the stack's one recovery loop, [`bltc_sim::run_with_retries`], as
+//! `bltc_chaos::run_supervised` does: it catches the panic, discards
+//! the world (never re-pooled) and retries on a fresh one up to
+//! `max_retries`; peers never notice. Its records bill the job's
+//! [`RecoveryCharge`], whose `recoveries` counts checkpoint resumes
+//! ([`JobOutput::retries`] counts every failed attempt).
 //! [`SimService::shutdown`] drains gracefully: queued jobs complete,
 //! new work is rejected, workers join, warm worlds drop.
 //!

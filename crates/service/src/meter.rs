@@ -17,6 +17,8 @@
 use bltc_sim::SimReport;
 use bltc_trace::{Histogram, MetricsSnapshot};
 
+use crate::engine::RecoveryCharge;
+
 /// Modeled job-latency bucket bounds (seconds). Jobs in this stack run
 /// from sub-millisecond smoke specs to multi-second campaigns.
 const LATENCY_BOUNDS: [f64; 6] = [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
@@ -155,21 +157,14 @@ impl TenantMeter {
 
     /// Charge the recovery overhead of one job, successful or not:
     /// worlds consumed by panicked attempts or checkpoint restores
-    /// (`lost_spawns` worlds, `lost_spawn_host_s` modeled seconds —
-    /// spawns a panicked attempt's dying report would otherwise hide),
+    /// (spawns a panicked attempt's dying report would otherwise hide),
     /// the deterministic exponential retry backoff, and how many
     /// attempts resumed from a checkpoint.
-    pub fn charge_recovery(
-        &mut self,
-        lost_spawns: u64,
-        lost_spawn_host_s: f64,
-        backoff_s: f64,
-        recoveries: u32,
-    ) {
-        self.world_spawns += lost_spawns;
-        self.spawn_host_s += lost_spawn_host_s;
-        self.recovery_s += backoff_s + lost_spawn_host_s;
-        self.recoveries += recoveries as u64;
+    pub fn charge_recovery(&mut self, charge: &RecoveryCharge) {
+        self.world_spawns += charge.lost_spawns;
+        self.spawn_host_s += charge.lost_spawn_host_s;
+        self.recovery_s += charge.backoff_s + charge.lost_spawn_host_s;
+        self.recoveries += charge.recoveries as u64;
     }
 
     /// Render this meter as a deterministic [`MetricsSnapshot`]:
@@ -251,7 +246,12 @@ mod tests {
         assert_eq!(m.world_spawns, 1);
         assert_eq!(m.spawn_host_s, 0.25);
         // …and the panicked attempt's lost world is charged on top.
-        m.charge_recovery(1, 0.25, 0.125, 1);
+        m.charge_recovery(&RecoveryCharge {
+            lost_spawns: 1,
+            lost_spawn_host_s: 0.25,
+            backoff_s: 0.125,
+            recoveries: 1,
+        });
         assert_eq!(m.world_spawns, 2);
         assert_eq!(m.spawn_host_s, 0.5);
         assert_eq!(m.recoveries, 1);

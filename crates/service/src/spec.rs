@@ -11,7 +11,7 @@ use bltc_core::kernel::{Coulomb, Gaussian, RegularizedCoulomb, RegularizedYukawa
 use bltc_core::particles::ParticleSet;
 use bltc_dist::DistConfig;
 use bltc_sim::scenario::{electrolyte_box, plummer_sphere};
-use bltc_sim::{ForceModel, SimConfig, SimState};
+use bltc_sim::{ForceModel, RetryPolicy, SimConfig, SimState};
 
 /// Kernel selection for [`Scenario::Custom`] jobs — the service-facing
 /// mirror of the concrete [`bltc_core::kernel`] types (the trait
@@ -171,22 +171,22 @@ pub enum Fault {
     /// No injected fault.
     #[default]
     None,
-    /// Panic a rank just before velocity-Verlet step `step` (1-based)
+    /// Panic a rank as it enters velocity-Verlet step `step` (1-based)
     /// on **every** attempt — the job fails permanently after the
     /// retry budget.
     PanicAtStep(u64),
-    /// Panic a rank just before step `step` on the **first** attempt
+    /// Panic a rank as it enters step `step` on the **first** attempt
     /// only — the retry runs clean on a fresh world and must reproduce
     /// the fault-free bits.
     PanicOnceAtStep(u64),
-    /// Hang a rank just before step `step` on the **first** attempt:
+    /// Hang a rank as it enters step `step` on the **first** attempt:
     /// the injected rank parks inside its epoch and never reports. The
     /// engine's epoch watchdog ([`crate::ServiceConfig::epoch_watchdog`])
     /// converts the hang into a poisoned world, so the attempt fails
     /// like a panic instead of deadlocking the worker; the retry runs
     /// clean.
     HangAtStep(u64),
-    /// Permanently lose a rank just before step `step` on **every**
+    /// Permanently lose a rank as it enters step `step` on **every**
     /// attempt at the submitted world size — the job can only finish
     /// degraded ([`JobSpec::allow_degraded`]) on a smaller world
     /// re-partitioned over the surviving capacity.
@@ -241,19 +241,21 @@ impl JobSpec {
     /// particles, [`SimConfig::validate`] (which composes
     /// [`DistConfig::validate`]: ranks, whole nodes, treecode
     /// parameters, device and streams), a checkpoint cadence of at
-    /// least one step and a positive finite deadline. Each rule is
-    /// stated once, by the type that owns it, so every constraint the
-    /// downstream layers would `assert!` is refused here with the same
-    /// message instead of panicking a worker.
+    /// least one step ([`RetryPolicy::validate`]) and a positive finite
+    /// deadline. Each rule is stated once, by the type that owns it, so
+    /// every constraint the downstream layers would `assert!` is refused
+    /// here with the same message instead of panicking a worker.
     pub fn validate(&self) -> Result<(), String> {
         self.scenario.validate()?;
         if self.n < 2 {
             return Err(format!("need at least two particles, got {}", self.n));
         }
         self.sim_config().validate(self.n)?;
-        if self.checkpoint_every == Some(0) {
-            return Err("checkpoint cadence must be at least 1 step".into());
+        RetryPolicy {
+            checkpoint_every: self.checkpoint_every,
+            ..RetryPolicy::default()
         }
+        .validate()?;
         if let Some(d) = self.deadline_s {
             if !(d.is_finite() && d > 0.0) {
                 return Err(format!("deadline must be positive and finite, got {d}"));

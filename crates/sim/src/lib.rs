@@ -37,6 +37,11 @@
 //! across the whole run. The driver receives [`StepReport`]s and, on
 //! request, an explicit [`PersistentIntegrator::snapshot`].
 //!
+//! [`run_with_retries`] is the stack's one recovery loop. The chaos
+//! supervisor and the service both run it and bill from its
+//! [`FailedAttempt`] records: the supervisor's `recoveries` counts every
+//! retried failure, the service's counts checkpoint resumes.
+//!
 //! Resident local sets are kept sorted by global id — the order
 //! `rcb::partition_particles` yields — so a session run is bit-equal to
 //! the same half-kick/drift loop run on the driver with one
@@ -85,11 +90,13 @@
 mod forces;
 mod integrator;
 mod persistent;
+mod recovery;
 pub mod scenario;
 mod state;
 
 pub use forces::ForceModel;
 pub use integrator::{SimConfig, SimReport, StepReport};
 pub use persistent::{Checkpoint, PersistentIntegrator, RestoreCost, WorldReuse};
+pub use recovery::{run_with_retries, FailedAttempt, Recovered, RetryPolicy};
 pub use scenario::{electrolyte_box, plummer_sphere};
 pub use state::SimState;

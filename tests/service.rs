@@ -257,7 +257,7 @@ fn mid_run_tenant_panic_does_not_perturb_survivors() {
         }) => {
             assert_eq!(tenant, 99);
             assert_eq!(attempts, 1);
-            assert!(message.contains("injected tenant fault"), "got: {message}");
+            assert!(message.contains("chaos: injected panic"), "got: {message}");
         }
         Ok(_) => panic!("the faulted job must fail"),
         Err(other) => panic!("expected Panicked, got {other}"),
