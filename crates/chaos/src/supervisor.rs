@@ -166,7 +166,8 @@ impl std::error::Error for SupervisorError {}
 ///
 /// Panics if the plan's world size disagrees with `cfg.ranks`, if
 /// the plan contains hang faults but `opts.epoch_deadline` is `None`
-/// (an unwatched hang would block forever), or with the message of
+/// (an unwatched hang would block forever), if `opts.epoch_deadline`
+/// is zero (every healthy epoch would die), or with the message of
 /// [`RetryPolicy::validate`] or [`SimConfig::validate`]: bad input is
 /// refused before any attempt, not retried as if it were a fault.
 pub fn run_supervised(
@@ -188,6 +189,11 @@ pub fn run_supervised(
         !plan.has_hang() || opts.epoch_deadline.is_some(),
         "fault plan contains hang faults; set SupervisorConfig::epoch_deadline \
          so the watchdog can resolve them"
+    );
+    assert!(
+        opts.epoch_deadline != Some(Duration::ZERO),
+        "SupervisorConfig::epoch_deadline must be positive: a zero deadline kills every \
+         healthy epoch"
     );
     cfg.validate(state.len()).unwrap_or_else(|e| panic!("{e}"));
 
@@ -415,6 +421,19 @@ mod tests {
         let payload = out.expect_err("must refuse to run an unwatched hang");
         let msg = panic_message(payload.as_ref());
         assert!(msg.contains("epoch_deadline"), "got: {msg}");
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch_deadline must be positive")]
+    fn zero_deadline_is_rejected_up_front() {
+        // A zero deadline used to be armed on every epoch of every
+        // attempt and killed healthy worlds until the budget ran out.
+        let (state, model) = plummer_sphere(48, 1.0, 0.05, 5);
+        let opts = SupervisorConfig {
+            epoch_deadline: Some(Duration::ZERO),
+            ..SupervisorConfig::default()
+        };
+        let _ = run_supervised(cfg(2), &state, &model, 1, &FaultPlan::new(2), &opts);
     }
 
     #[test]

@@ -68,23 +68,25 @@
 //! produce bitwise-identical potentials — so `pipelined_s ≤ total_s`
 //! is a checkable invariant, with equality on one rank.
 //!
-//! ## One pipeline, four doors
+//! ## One pipeline, four doors, one epoch
 //!
-//! Every entry point is a thin wrapper around [`eval_rank`]; they differ
-//! in who owns the world and where the result lands:
+//! Every door is an epoch of a [`FieldSessionIn`] — one
+//! [`FieldSessionIn::eval`] of [`eval_rank`] against ranks that hold
+//! their particles; the doors differ only in how long the world lives
+//! and where the result lands:
 //!
-//! - [`run_distributed`] — potentials (`&dyn Kernel`) on a fresh
-//!   `run_spmd` world, assembled into a [`DistReport`];
+//! - [`run_distributed`] — potentials (`&dyn Kernel`) on a world scoped
+//!   to the call (launch, one epoch, gather by id, drop), assembled into
+//!   a [`DistReport`];
 //! - [`run_distributed_field`] — potentials **and** 3-component
 //!   gradients (`&dyn GradientKernel`) into a [`DistFieldReport`], for
 //!   the astrophysics / MD workloads where forces `F = -q∇φ` are the
 //!   quantity of interest;
 //! - [`run_distributed_field_on`] — the same with a caller-supplied RCB
-//!   partition; the respawn oracle that the persistent session is
-//!   checked against bit for bit;
-//! - [`FieldSession::eval_field`] — the same body as an epoch against
-//!   live ranks whose particles stay resident between calls (`bltc-sim`
-//!   steps through it).
+//!   partition;
+//! - [`FieldSession::eval_field`] — the same epoch against a live world
+//!   whose particles stay resident between calls, each rank's field
+//!   stored in its slot (`bltc-sim` steps through it).
 //!
 //! All of them validate their decomposition with one driver-side check
 //! and fold their per-rank reports through one [`PhaseMaxima`]. Behind
@@ -163,7 +165,8 @@ pub mod persistent;
 
 pub use model::{ChunkClock, HostModel, PipelineReport};
 pub use persistent::{
-    FieldSession, MigrationRankStats, MigrationReport, RankLocal, SessionFieldReport, Snapshot,
+    FieldSession, FieldSessionIn, MigrationRankStats, MigrationReport, RankLocal,
+    SessionFieldReport, Snapshot,
 };
 
 use bltc_core::config::BltcParams;
@@ -174,8 +177,8 @@ use bltc_core::particles::ParticleSet;
 use bltc_gpu::{GpuEngine, GpuSimBreakdown};
 use gpu_sim::DeviceSpec;
 use mpi_sim::runtime::TrafficMatrix;
-use mpi_sim::{run_spmd, Comm, NetworkSpec};
-use rcb::{partition_particles, rcb_partition, rcb_partition_two_level, RcbPartition};
+use mpi_sim::{Comm, NetworkSpec, SessionIn};
+use rcb::{rcb_partition, rcb_partition_two_level, RcbPartition};
 
 use letree::{
     eval_remote_let, issue_remote_let, launch_bytes, plan_chunks, resident_bytes, CommTally,
@@ -288,9 +291,11 @@ impl DistConfig {
     /// `1 ≤ ranks ≤ n`; `ranks` fills whole `gpus_per_node`-GPU nodes
     /// (else [`DistConfig::link`] and the two-level RCB disagree about
     /// which ranks share a node); [`BltcParams::validate`];
-    /// [`DeviceSpec::validate`]; and at least one stream. Every
-    /// distributed door checks them on the driver, before any rank
-    /// runs. The message is built only on failure.
+    /// [`DeviceSpec::validate`]; at least one stream; and the specs the
+    /// modeled clocks price with — [`NetworkSpec::validate`] for both
+    /// fabrics and [`HostModel::validate`]. Every distributed door
+    /// checks them on the driver, before any rank runs. The message is
+    /// built only on failure.
     pub fn validate(&self, ranks: usize, n: usize) -> Result<(), String> {
         if ranks < 1 {
             return Err("need at least one rank".into());
@@ -309,7 +314,9 @@ impl DistConfig {
         if self.streams < 1 {
             return Err("streams must be at least 1, got 0".into());
         }
-        Ok(())
+        self.net.validate()?;
+        self.intranode_net.validate()?;
+        self.host.validate()
     }
 }
 
@@ -657,12 +664,11 @@ fn debug_assert_plans_reconcile<const C: usize>(
     }
 }
 
-/// The one decomposition check behind every door that takes particles,
-/// a rank count and (optionally) a caller-supplied partition — the
-/// one-shots, [`run_distributed_field_on`] and
-/// [`FieldSession::launch_reusing`] — so bad input is refused on the
-/// driver thread, before any rank runs (a rank failing inside an epoch
-/// would poison a pooled world). The config's rules are
+/// The one decomposition check behind every door, run where a field
+/// session is launched ([`FieldSessionIn::launch_in`], and
+/// [`FieldSession::launch_reusing`] before it spawns) — so bad input is
+/// refused on the driver thread, before any epoch runs (a rank failing
+/// inside an epoch would poison a pooled world). The config's rules are
 /// [`DistConfig::validate`]'s, and a failure panics with its message;
 /// this adds only a non-empty set and the partition's shape.
 pub(crate) fn check_decomposition(
@@ -715,12 +721,10 @@ pub(crate) fn check_decomposition(
 ///    with the compute phase's launches;
 /// 5. the modeled serial and pipelined clocks.
 ///
-/// [`run_distributed`], [`run_distributed_field`] and
-/// [`run_distributed_field_on`] execute it under `run_spmd`;
-/// [`persistent::FieldSession`] (or any [`mpi_sim::Session::run_epoch`]
-/// closure) runs the *same* body as an epoch against live ranks. Must be
-/// called from every rank of the SPMD context with the same `cfg` — it
-/// contains collectives (window creation and the closing barrier).
+/// Every door runs it as a [`FieldSessionIn::eval`] epoch (so may any
+/// [`mpi_sim::SessionIn::run_epoch`] closure). Must be called from every
+/// rank of the SPMD context with the same `cfg` — it contains
+/// collectives (window creation and the closing barrier).
 ///
 /// Returns the rank's report and the pass's `C` output columns in **local
 /// particle order** (the order of `local`).
@@ -855,22 +859,24 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
     (report, columns)
 }
 
-/// One evaluation on a fresh SPMD world: scatter `ps` by `part`, run
-/// [`eval_rank`] on every rank, and assemble the pass's columns back into
-/// the original (global) target order.
-fn run_world<const C: usize, O: TileOp<C> + ?Sized>(
+/// One evaluation on a world that lives for this call only: open a
+/// scope, launch a [`FieldSessionIn`] on scoped rank threads by `part`,
+/// run one [`FieldSessionIn::eval`] epoch with the borrowed `op`, gather
+/// the columns by global id, and drop the session before the scope ends.
+fn one_shot<const C: usize, O: TileOp<C> + ?Sized>(
     ps: &ParticleSet,
     part: &RcbPartition,
     cfg: &DistConfig,
     op: &O,
 ) -> ([Vec<f64>; C], Vec<RankReport>, TrafficMatrix) {
-    let locals = partition_particles(ps, part);
-    let out = run_spmd(part.num_parts(), |comm| {
-        eval_rank(&comm, &locals[comm.rank()], cfg, op)
+    let ranks = part.num_parts();
+    let er = std::thread::scope(|scope| {
+        let world = SessionIn::spawn_in(scope, ranks);
+        FieldSessionIn::launch_in(ps, &[], ranks, cfg, world, Some(part)).eval(op)
     });
     let mut columns: [Vec<f64>; C] = std::array::from_fn(|_| vec![0.0; ps.len()]);
-    let mut reports = Vec::with_capacity(part.num_parts());
-    for ((report, local_cols), ids) in out.results.into_iter().zip(&part.part_indices) {
+    let mut reports = Vec::with_capacity(ranks);
+    for ((report, local_cols), ids) in er.results.into_iter().zip(&part.part_indices) {
         for (col, local_col) in columns.iter_mut().zip(&local_cols) {
             for (&orig, &v) in ids.iter().zip(local_col) {
                 col[orig] = v;
@@ -878,30 +884,24 @@ fn run_world<const C: usize, O: TileOp<C> + ?Sized>(
         }
         reports.push(report);
     }
-    (columns, reports, out.traffic)
-}
-
-/// Validate the inputs and compute the RCB decomposition `cfg` implies.
-fn decompose(ps: &ParticleSet, ranks: usize, cfg: &DistConfig) -> RcbPartition {
-    check_decomposition(ps, ranks, None, cfg);
-    cfg.partition(ps, ranks)
+    (columns, reports, er.traffic)
 }
 
 /// Run the full distributed pipeline on `ranks` simulated ranks.
 ///
-/// Ranks execute as real OS threads under `mpi_sim::run_spmd`; all
-/// inter-rank data movement happens through one-sided RMA windows and is
-/// recorded in the returned traffic matrix. With `ranks == 1` the result
-/// is bitwise identical to `GpuEngine::with_spec(params, cfg.spec)` on
-/// the whole problem.
+/// Ranks execute as real OS threads scoped to the call, running one
+/// [`FieldSessionIn::eval`] epoch; all inter-rank data movement happens
+/// through one-sided RMA windows and is recorded in the returned traffic
+/// matrix. With `ranks == 1` the result is bitwise identical to
+/// `GpuEngine::with_spec(params, cfg.spec)` on the whole problem.
 pub fn run_distributed(
     ps: &ParticleSet,
     ranks: usize,
     cfg: &DistConfig,
     kernel: &dyn Kernel,
 ) -> DistReport {
-    let part = decompose(ps, ranks, cfg);
-    let ([potentials], ranks, traffic) = run_world(ps, &part, cfg, kernel);
+    let part = cfg.partition(ps, ranks);
+    let ([potentials], ranks, traffic) = one_shot(ps, &part, cfg, kernel);
     let clocks = PhaseMaxima::over(&ranks);
     DistReport {
         potentials,
@@ -933,20 +933,22 @@ pub fn run_distributed_field(
     cfg: &DistConfig,
     kernel: &dyn GradientKernel,
 ) -> DistFieldReport {
-    run_distributed_field_on(ps, &decompose(ps, ranks, cfg), cfg, kernel)
+    run_distributed_field_on(ps, &cfg.partition(ps, ranks), cfg, kernel)
 }
 
-/// The field pipeline on a fresh world with a **caller-supplied** RCB
-/// partition instead of a recomputed one.
+/// The field pipeline on a world scoped to the call, with a
+/// **caller-supplied** RCB partition instead of a recomputed one.
 ///
-/// `bltc-sim` steps through [`FieldSession`], not through this; its
-/// callers are the respawn oracle the persistent session is checked
-/// against (`tests/persistent.rs` runs the velocity-Verlet loop on the
-/// driver, with one call per force evaluation and a partition held
-/// fixed between repartition-cadence boundaries) and a unit test of
-/// [`persistent`]. Rank ownership follows `part`, while trees, charges,
-/// windows, and LETs are built from the *current* positions on every
-/// call.
+/// `bltc-sim` steps through [`FieldSession`], not through this. Its
+/// callers are `tests/persistent.rs`, which runs the velocity-Verlet
+/// loop on the driver with one call per force evaluation and a partition
+/// held fixed between repartition-cadence boundaries, and a unit test of
+/// [`persistent`]. Both run the same [`FieldSessionIn::eval`] epoch as
+/// the session, so they check a world per call against one kept alive
+/// with migrating particles; the corpus rows recorded before the doors
+/// shared that epoch are the independent check. Rank ownership follows
+/// `part`, while trees, charges, windows, and LETs are built from the
+/// *current* positions on every call.
 ///
 /// A stale partition is still *correct* — the per-rank source trees are
 /// built from the particles' live bounding boxes, not from the original
@@ -965,8 +967,7 @@ pub fn run_distributed_field_on(
     cfg: &DistConfig,
     kernel: &dyn GradientKernel,
 ) -> DistFieldReport {
-    check_decomposition(ps, part.num_parts(), Some(part), cfg);
-    let (columns, ranks, traffic) = run_world(ps, part, cfg, kernel);
+    let (columns, ranks, traffic) = one_shot(ps, part, cfg, kernel);
     let clocks = PhaseMaxima::over(&ranks);
     DistFieldReport {
         field: columns.into(),
@@ -997,6 +998,51 @@ mod tests {
         assert_eq!(c.spec.name, DeviceSpec::p100().name);
         assert_eq!(c.net.name, NetworkSpec::infiniband_fdr().name);
         assert!(c.streams >= 1);
+        assert_eq!(c.validate(2, 100), Ok(()), "the preset validates");
+        assert_eq!(HostModel::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn broken_fabrics_and_host_models_are_refused_at_run_distributed() {
+        // Before `DistConfig::validate` checked fabrics and host models,
+        // these ran: every rank panicked at a debug assertion in the
+        // clock model, and a release build reported `inf` (zero
+        // bandwidth) or `0` (NaN host) seconds.
+        let ps = ParticleSet::random_cube(200, 3);
+        let zero_bandwidth = DistConfig {
+            net: NetworkSpec {
+                bandwidth_gbs: 0.0,
+                ..NetworkSpec::infiniband_fdr()
+            },
+            ..cfg()
+        };
+        let nan_launch = DistConfig {
+            host: HostModel {
+                per_launch_s: f64::NAN,
+                ..HostModel::default()
+            },
+            ..cfg()
+        };
+        let negative_p2p = DistConfig {
+            intranode_net: NetworkSpec {
+                latency_s: -1.0,
+                ..NetworkSpec::intranode_p2p()
+            },
+            ..cfg()
+        };
+        for (bad, rule) in [
+            (zero_bandwidth, "bandwidth_gbs must be positive and finite"),
+            (
+                nan_launch,
+                "host model per_launch_s must be non-negative and finite",
+            ),
+            (negative_p2p, "latency_s must be non-negative and finite"),
+        ] {
+            let refused = std::panic::catch_unwind(|| run_distributed(&ps, 2, &bad, &Coulomb));
+            let payload = refused.expect_err("a broken spec must be refused");
+            let message = mpi_sim::panic_message(payload.as_ref());
+            assert!(message.contains(rule), "{message}");
+        }
     }
 
     #[test]

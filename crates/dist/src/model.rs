@@ -48,8 +48,9 @@ pub struct HostModel {
     /// creation, barrier/rendezvous setup, window infrastructure).
     pub rank_spawn_s: f64,
     /// Seconds per particle the *driver* pays to scatter the inputs and
-    /// gather the results of a one-shot world (`run_spmd`-style entry,
-    /// where all particle data passes through the driver every call).
+    /// gather the results of a world that lives for one call (the
+    /// one-shot doors, where all particle data passes through the driver
+    /// every call).
     pub per_particle_gather_s: f64,
     /// Seconds to submit one epoch to the live ranks of a persistent
     /// session (rendezvous hand-off; no particle data moves).
@@ -74,6 +75,29 @@ impl Default for HostModel {
 }
 
 impl HostModel {
+    /// Every coefficient finite and non-negative: a `NaN` or negative
+    /// coefficient would poison or invert every host clock it prices.
+    pub fn validate(&self) -> Result<(), String> {
+        let coefficients = [
+            ("per_particle_level_s", self.per_particle_level_s),
+            ("per_launch_s", self.per_launch_s),
+            ("per_fetched_particle_s", self.per_fetched_particle_s),
+            ("base_s", self.base_s),
+            ("rank_spawn_s", self.rank_spawn_s),
+            ("per_particle_gather_s", self.per_particle_gather_s),
+            ("epoch_submit_s", self.epoch_submit_s),
+        ];
+        match coefficients
+            .iter()
+            .find(|(_, v)| !(v.is_finite() && *v >= 0.0))
+        {
+            Some((name, v)) => Err(format!(
+                "host model {name} must be non-negative and finite, got {v}"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Modeled setup seconds for one rank.
     ///
     /// * `n` — particles the rank builds trees/batches over,
@@ -110,7 +134,7 @@ impl HostModel {
     /// Modeled host seconds to stand up one SPMD world over `n`
     /// particles on `ranks` ranks: thread spawn + communicator setup
     /// per rank, plus the driver-side scatter/gather of every particle
-    /// record that a one-shot (`run_spmd`-style) entry implies.
+    /// record that a one-shot door implies.
     ///
     /// A persistent session pays this once at launch (a restore onto a
     /// fresh world pays it again) and then [`HostModel::epoch_seconds`]

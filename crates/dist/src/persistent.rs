@@ -2,19 +2,24 @@
 //! *epochs* against live ranks, with collectives-based repartitioning
 //! and particle **migration** instead of full redistribution.
 //!
-//! [`crate::run_distributed_field_on`] pays, on every call, a full
-//! `run_spmd` world: thread spawn, communicator construction, and a
-//! driver-side scatter/gather of all particle data. A [`FieldSession`]
-//! instead keeps the ranks alive ([`mpi_sim::Session`]) and keeps the
-//! particles **resident on their owning ranks** between calls:
+//! A [`FieldSessionIn`] keeps the ranks alive ([`mpi_sim::SessionIn`])
+//! and keeps the particles **resident on their owning ranks** between
+//! calls. Its world is plain ([`FieldSession`], which may come from a
+//! pool and go back to it) or scoped to a caller's stack — the one-shot
+//! doors ([`crate::run_distributed`] and its field twins) are a scoped
+//! field session that runs one epoch and drops:
 //!
 //! - [`FieldSession::launch`] distributes the initial RCB partition and
 //!   spawns the rank threads — the session's only thread-spawn phase;
-//! - [`FieldSession::eval_field`] runs the *same rank-level body* as
-//!   `run_distributed_field_on` ([`crate::eval_rank`]) as one
-//!   epoch: windows are re-exposed for the epoch, LETs rebuilt from the
-//!   resident positions, and each rank's [`FieldResult`] is stored back
-//!   into its slot (nothing O(N) returns to the driver);
+//!   [`FieldSessionIn::launch_in`] does the same onto a world the
+//!   caller brings;
+//! - [`FieldSessionIn::eval`] runs the rank-level body
+//!   ([`crate::eval_rank`]) of any pass as one epoch: windows are
+//!   re-exposed for the epoch, LETs rebuilt from the resident positions,
+//!   and each rank's columns come back in local order;
+//!   [`FieldSessionIn::eval_field`] is that with a gradient kernel, each
+//!   rank's [`FieldResult`] moved into its slot (nothing O(N) is
+//!   copied);
 //! - [`FieldSession::migrate`] repartitions **rank-to-rank**: a
 //!   variable-count all-gather of coordinates
 //!   ([`mpi_sim::Comm::all_gather_varcount`]) lets every rank compute
@@ -42,17 +47,18 @@
 //! `gpus_per_node > 1`) — and resident local sets (kept sorted by
 //! global id) match `partition_particles` of that partition exactly, so
 //! an evaluation epoch is bit-equal to [`crate::run_distributed_field_on`]
-//! over it.
+//! over it, a world per call against one kept alive.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use bltc_core::field::FieldResult;
-use bltc_core::kernel::GradientKernel;
+use bltc_core::kernel::{GradientKernel, TileOp};
 use bltc_core::particles::ParticleSet;
 use mpi_sim::runtime::TrafficMatrix;
-use mpi_sim::{Comm, EpochReport, Session};
+use mpi_sim::{Comm, EpochReport, Session, SessionIn};
 use rcb::{partition_particles, RcbPartition};
 
 use crate::{check_decomposition, eval_rank, DistConfig, PhaseMaxima, RankReport};
@@ -183,16 +189,21 @@ pub struct Snapshot {
     pub ownership: Vec<Vec<usize>>,
 }
 
-/// A persistent distributed field session: live ranks, resident
-/// particles, epoch-based evaluation, and delta migration. See the
-/// module docs for the lifecycle.
-pub struct FieldSession {
-    session: Session,
+/// A persistent distributed field session whose epochs may borrow
+/// anything that lives for `'env`: live ranks, resident particles,
+/// epoch-based evaluation, and delta migration. See the module docs for
+/// the lifecycle.
+pub struct FieldSessionIn<'env> {
+    session: SessionIn<'env>,
     cfg: DistConfig,
     slots: Arc<Vec<Mutex<RankLocal>>>,
     n_global: usize,
     aux_cols: usize,
 }
+
+/// A field session on plain rank threads, which it spawns itself or
+/// takes from a pool.
+pub type FieldSession = FieldSessionIn<'static>;
 
 impl FieldSession {
     /// Compute the initial RCB partition of `ps`, distribute each part
@@ -214,10 +225,10 @@ impl FieldSession {
     ///
     /// - `session`: a live world checked out of a pool (e.g.
     ///   [`mpi_sim::SessionPool`]) instead of spawning rank threads —
-    ///   the session must have exactly `ranks` ranks and must not be
-    ///   poisoned. Everything rank-resident is rebuilt from `ps`/`aux`,
-    ///   so a recycled world carries **no** state from its previous
-    ///   tenant; only the thread spawn is skipped.
+    ///   see [`FieldSessionIn::launch_in`] for what it must satisfy.
+    ///   Everything rank-resident is rebuilt from `ps`/`aux`, so a
+    ///   recycled world carries **no** state from its previous tenant;
+    ///   only the thread spawn is skipped.
     /// - `part`: a previously computed initial RCB partition of *these
     ///   same positions* — skips the driver-side `cfg.partition` call.
     ///   RCB is deterministic in the positions, so a cached partition is
@@ -228,19 +239,43 @@ impl FieldSession {
     ///
     /// # Panics
     ///
-    /// Panics on the same invalid inputs as [`FieldSession::launch`]
-    /// (among them every rule of [`DistConfig::validate`], with its
-    /// message), on a session whose rank count differs from `ranks` or
-    /// that is poisoned, or on a partition that does not cover
-    /// `ps`/`ranks` or leaves a rank without particles — all on the
-    /// calling thread, before any epoch runs (a rank failing inside an
-    /// epoch would poison a pooled world).
+    /// As [`FieldSessionIn::launch_in`], and before any thread spawns.
     pub fn launch_reusing(
         ps: &ParticleSet,
         aux: &[Vec<f64>],
         ranks: usize,
         cfg: &DistConfig,
         session: Option<Session>,
+        part: Option<&RcbPartition>,
+    ) -> Self {
+        check_decomposition(ps, ranks, part, cfg);
+        let session = session.unwrap_or_else(|| Session::spawn(ranks));
+        Self::launch_in(ps, aux, ranks, cfg, session, part)
+    }
+}
+
+impl<'env> FieldSessionIn<'env> {
+    /// Distribute `ps` (plus its slice of every `aux` column) onto the
+    /// live world `session` by `part`, or by the RCB partition `cfg`
+    /// implies when `part` is `None`. The world may be scoped — that is
+    /// how the one-shot doors run their one epoch — or a plain one.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same invalid inputs as
+    /// [`crate::run_distributed_field`] (among them every rule of
+    /// [`DistConfig::validate`], with its message), if an `aux` column's
+    /// length differs from the particle count, on a session whose rank
+    /// count differs from `ranks` or that is poisoned, or on a partition
+    /// that does not cover `ps`/`ranks` or leaves a rank without
+    /// particles — all on the calling thread, before any epoch runs (a
+    /// rank failing inside an epoch would poison a pooled world).
+    pub fn launch_in(
+        ps: &ParticleSet,
+        aux: &[Vec<f64>],
+        ranks: usize,
+        cfg: &DistConfig,
+        session: SessionIn<'env>,
         part: Option<&RcbPartition>,
     ) -> Self {
         check_decomposition(ps, ranks, part, cfg);
@@ -251,6 +286,13 @@ impl FieldSession {
                 "aux column {c} does not cover the particle set"
             );
         }
+        assert_eq!(
+            session.size(),
+            ranks,
+            "reused session has {} ranks, job needs {ranks}",
+            session.size()
+        );
+        assert!(!session.is_poisoned(), "cannot reuse a poisoned session");
 
         let computed;
         let part = match part {
@@ -279,20 +321,6 @@ impl FieldSession {
             })
             .collect();
 
-        let session = match session {
-            Some(s) => {
-                assert_eq!(
-                    s.size(),
-                    ranks,
-                    "reused session has {} ranks, job needs {ranks}",
-                    s.size()
-                );
-                assert!(!s.is_poisoned(), "cannot reuse a poisoned session");
-                s
-            }
-            None => Session::spawn(ranks),
-        };
-
         Self {
             session,
             cfg: *cfg,
@@ -313,7 +341,7 @@ impl FieldSession {
     }
 
     /// Enable or disable trace-span collection on the underlying world
-    /// (see [`mpi_sim::Session::set_tracing`]). Observational only:
+    /// (see [`mpi_sim::SessionIn::set_tracing`]). Observational only:
     /// fields, trajectories, traffic, and all modeled clocks are
     /// bitwise identical either way.
     pub fn set_tracing(&self, enabled: bool) {
@@ -326,7 +354,7 @@ impl FieldSession {
     }
 
     /// Attach (or detach) a deterministic fault timeline on the
-    /// underlying world (see [`mpi_sim::Session::set_chaos`]). Every
+    /// underlying world (see [`mpi_sim::SessionIn::set_chaos`]). Every
     /// epoch this session runs — evaluation, migration, snapshot —
     /// passes through the schedule's injection points.
     pub fn set_chaos(&self, schedule: Option<std::sync::Arc<mpi_sim::ChaosSchedule>>) {
@@ -334,7 +362,7 @@ impl FieldSession {
     }
 
     /// Arm (or disarm) the epoch watchdog on the underlying session
-    /// (see [`mpi_sim::Session::set_deadline`]): a rank that never
+    /// (see [`mpi_sim::SessionIn::set_deadline`]): a rank that never
     /// reports becomes a poisoned world instead of a hung driver.
     pub fn set_deadline(&mut self, deadline: Option<std::time::Duration>) {
         self.session.set_deadline(deadline);
@@ -344,7 +372,7 @@ impl FieldSession {
     /// the return half of warm-world reuse. The resident slots are
     /// dropped; the rank threads stay up for the next
     /// [`FieldSession::launch_reusing`].
-    pub fn into_session(self) -> Session {
+    pub fn into_session(self) -> SessionIn<'env> {
         self.session
     }
 
@@ -356,7 +384,7 @@ impl FieldSession {
     pub fn run_epoch<R, F>(&mut self, f: F) -> EpochReport<R>
     where
         R: Send + 'static,
-        F: Fn(&Comm, &mut RankLocal) -> R + Send + Sync + 'static,
+        F: Fn(&Comm, &mut RankLocal) -> R + Send + Sync + 'env,
     {
         let slots = Arc::clone(&self.slots);
         self.session.run_epoch(move |comm| {
@@ -365,30 +393,43 @@ impl FieldSession {
         })
     }
 
-    /// Evaluate the distributed field at the resident positions as one
-    /// epoch — the persistent re-entry of
-    /// [`crate::run_distributed_field_on`]. Windows are exposed for the
-    /// epoch, LETs rebuilt, and each rank's [`FieldResult`] is stored
-    /// into its [`RankLocal::field`]; only phase clocks and tallies
-    /// return to the driver.
-    pub fn eval_field(&mut self, kernel: &Arc<dyn GradientKernel>) -> SessionFieldReport {
-        let slots = Arc::clone(&self.slots);
+    /// Evaluate the pass `op` names at the resident positions as one
+    /// epoch: every rank runs [`crate::eval_rank`] on its particles —
+    /// windows exposed for the epoch, LETs rebuilt — and hands back its
+    /// report and its `C` output columns in local (ascending-id) order.
+    /// `op` is anything that dereferences to the pass: a borrowed
+    /// `&dyn Kernel` for `C = 1`, an `Arc<dyn GradientKernel>` for
+    /// `C = 4`. The columns move, nothing is copied; resident state is
+    /// untouched.
+    pub fn eval<const C: usize, O>(
+        &mut self,
+        op: impl Deref<Target = O> + Send + Sync + 'env,
+    ) -> EpochReport<(RankReport, [Vec<f64>; C])>
+    where
+        O: TileOp<C> + ?Sized,
+    {
         let cfg = self.cfg;
-        let kernel = Arc::clone(kernel);
-        let er = self.session.run_epoch(move |comm| {
-            let mut slot = slots[comm.rank()].lock();
-            let (report, columns) = eval_rank(comm, &slot.ps, &cfg, &*kernel);
-            slot.field = Some(columns.into());
-            report
-        });
-        let clocks = PhaseMaxima::over(&er.results);
+        self.run_epoch(move |comm, slot| eval_rank(comm, &slot.ps, &cfg, &*op))
+    }
+
+    /// Evaluate the distributed field at the resident positions as one
+    /// [`FieldSessionIn::eval`] epoch and move each rank's columns, as a
+    /// [`FieldResult`], into its [`RankLocal::field`] without a copy; the
+    /// report keeps only phase clocks and tallies.
+    pub fn eval_field(&mut self, kernel: &Arc<dyn GradientKernel>) -> SessionFieldReport {
+        let er = self.eval(Arc::clone(kernel));
+        let (ranks, fields): (Vec<_>, Vec<_>) = er.results.into_iter().unzip();
+        for (slot, columns) in self.slots.iter().zip(fields) {
+            slot.lock().field = Some(columns.into());
+        }
+        let clocks = PhaseMaxima::over(&ranks);
         SessionFieldReport {
             setup_s: clocks.setup_s,
             precompute_s: clocks.precompute_s,
             compute_s: clocks.compute_s,
             total_s: clocks.total_s,
             pipelined_s: clocks.pipelined_s,
-            ranks: er.results,
+            ranks,
             traffic: er.traffic,
             spans: er.spans,
             epoch: er.epoch,
@@ -401,14 +442,9 @@ impl FieldSession {
     /// changed. Resident slots end sorted by global id and any cached
     /// field is invalidated.
     pub fn migrate(&mut self) -> MigrationReport {
-        let slots = Arc::clone(&self.slots);
-        let n_global = self.n_global;
-        let aux_cols = self.aux_cols;
-        let cfg = self.cfg;
-        let er = self.session.run_epoch(move |comm| {
-            let mut slot = slots[comm.rank()].lock();
-            migrate_rank(comm, &mut slot, n_global, aux_cols, &cfg)
-        });
+        let (n_global, aux_cols, cfg) = (self.n_global, self.aux_cols, self.cfg);
+        let er =
+            self.run_epoch(move |comm, slot| migrate_rank(comm, slot, n_global, aux_cols, &cfg));
 
         let stats = er.results;
         let record_bytes = ((5 + self.aux_cols) * 8) as u64;
@@ -620,7 +656,8 @@ mod tests {
     use super::*;
     use crate::run_distributed_field_on;
     use bltc_core::config::BltcParams;
-    use bltc_core::kernel::Coulomb;
+    use bltc_core::kernel::{Coulomb, Kernel};
+    use mpi_sim::NetworkSpec;
     use rcb::rcb_partition;
 
     fn cfg() -> DistConfig {
@@ -659,6 +696,94 @@ mod tests {
                 assert_eq!(field.gy[i], respawn.field.gy[id]);
                 assert_eq!(field.gz[i], respawn.field.gz[id]);
             }
+        }
+    }
+
+    /// A kernel that borrows its softening: not `'static`, so only a
+    /// scoped session can run it.
+    struct Softened<'a> {
+        eps2: &'a f64,
+    }
+
+    impl Kernel for Softened<'_> {
+        fn eval(&self, dx: f64, dy: f64, dz: f64) -> f64 {
+            1.0 / (dx * dx + dy * dy + dz * dz + self.eps2).sqrt()
+        }
+        fn name(&self) -> &'static str {
+            "softened"
+        }
+        fn flops_per_eval_cpu(&self) -> f64 {
+            20.0
+        }
+        fn flops_per_eval_gpu(&self) -> f64 {
+            10.0
+        }
+    }
+
+    #[test]
+    fn scoped_session_epochs_borrow_the_stack() {
+        // Two evaluation epochs with a non-'static kernel and one custom
+        // epoch reading a stack Vec, on scoped ranks; each epoch drains
+        // its own traffic, and the session drops inside the scope.
+        let ps = ParticleSet::random_cube(600, 13);
+        let c = cfg();
+        let part = c.partition(&ps, 3);
+        let eps2 = 0.01;
+        let kernel = Softened { eps2: &eps2 };
+        let op: &dyn Kernel = &kernel;
+        let scale = vec![1.0, 10.0, 100.0];
+        let (first, second, sizes) = std::thread::scope(|scope| {
+            let world = SessionIn::spawn_in(scope, 3);
+            let mut fs = FieldSessionIn::launch_in(&ps, &[], 3, &c, world, Some(&part));
+            let first = fs.eval(op);
+            let second = fs.eval(op);
+            let sizes = fs.run_epoch(|comm, slot| slot.ids.len() as f64 * scale[comm.rank()]);
+            assert_eq!(fs.epochs_run(), 3);
+            drop(fs);
+            (first, second, sizes)
+        });
+        assert!(first.traffic.total_remote_bytes() > 0);
+        assert_eq!(first.traffic, second.traffic, "traffic is per epoch");
+        assert_eq!(sizes.traffic.total_remote_bytes(), 0);
+        let expected: Vec<f64> = part
+            .part_indices
+            .iter()
+            .zip(&scale)
+            .map(|(ids, s)| ids.len() as f64 * s)
+            .collect();
+        assert_eq!(sizes.results, expected);
+        // Both epochs, and the one-shot door, give the same bits.
+        let one_shot = crate::run_distributed(&ps, 3, &c, op);
+        for ((a, b), ids) in first
+            .results
+            .iter()
+            .zip(&second.results)
+            .zip(&part.part_indices)
+        {
+            assert_eq!(a.1, b.1);
+            for (&id, &v) in ids.iter().zip(&a.1[0]) {
+                assert_eq!(v.to_bits(), one_shot.potentials[id].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn scoped_potential_epoch_matches_the_field_epochs_potentials() {
+        let ps = ParticleSet::random_cube(700, 17);
+        let c = cfg();
+        let part = c.partition(&ps, 3);
+        let potentials = std::thread::scope(|scope| {
+            let world = SessionIn::spawn_in(scope, 3);
+            let mut fs = FieldSessionIn::launch_in(&ps, &[], 3, &c, world, Some(&part));
+            fs.eval(&Coulomb as &dyn Kernel)
+        });
+        let mut fs = FieldSession::launch_reusing(&ps, &[], 3, &c, None, Some(&part));
+        let field = fs.eval_field(&kernel());
+        let resident = fs.run_epoch(|_c, slot| slot.field.clone().expect("evaluated"));
+        assert_eq!(potentials.traffic, field.traffic);
+        for ((report, [pot]), f) in potentials.results.iter().zip(&resident.results) {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(pot), bits(&f.potentials), "rank {}", report.rank);
         }
     }
 
@@ -832,6 +957,34 @@ mod tests {
         };
         let part = rcb_partition(&ps, 2, None);
         assert_eq!(refusal(&ps, &c, &part), "streams must be at least 1, got 0");
+    }
+
+    #[test]
+    fn broken_fabric_is_refused_on_the_driver_before_any_epoch() {
+        let ps = ParticleSet::random_cube(60, 5);
+        let c = DistConfig {
+            net: NetworkSpec {
+                bandwidth_gbs: 0.0,
+                ..NetworkSpec::infiniband_fdr()
+            },
+            ..cfg()
+        };
+        let part = rcb_partition(&ps, 2, None);
+        assert_eq!(
+            refusal(&ps, &c, &part),
+            "network \"InfiniBand FDR\": bandwidth_gbs must be positive and finite"
+        );
+        let c = DistConfig {
+            host: crate::HostModel {
+                per_launch_s: f64::NAN,
+                ..Default::default()
+            },
+            ..cfg()
+        };
+        assert_eq!(
+            refusal(&ps, &c, &part),
+            "host model per_launch_s must be non-negative and finite, got NaN"
+        );
     }
 
     #[test]

@@ -125,7 +125,8 @@ pub struct FaultSpec {
 impl FaultSpec {
     /// The one statement of what a fault may be in a world of `ranks`
     /// ranks: its rank inside `0..ranks`, a delay that is finite and
-    /// non-negative, a degraded-link multiplier in `(0, 1]`.
+    /// non-negative, a degraded-link multiplier in `(0, 1]` over a
+    /// fabric that passes [`NetworkSpec::validate`].
     pub fn validate(&self, ranks: usize) -> Result<(), String> {
         if self.rank >= ranks {
             return Err(format!(
@@ -148,6 +149,7 @@ impl FaultSpec {
                     "degraded-link multiplier must be in (0, 1], got {multiplier}"
                 ))
             }
+            FaultKind::DegradedLink { net, .. } => net.validate(),
             _ => Ok(()),
         }
     }
@@ -487,6 +489,20 @@ mod tests {
             )
         });
         assert!(bad_mult.is_err(), "multiplier above 1 must be rejected");
+        let dead_fabric = FaultSpec {
+            epoch: 0,
+            rank: 0,
+            kind: FaultKind::DegradedLink {
+                multiplier: 0.5,
+                net: NetworkSpec {
+                    bandwidth_gbs: 0.0,
+                    ..NetworkSpec::infiniband_fdr()
+                },
+            },
+            once: true,
+        };
+        let e = dead_fabric.validate(2).unwrap_err();
+        assert!(e.contains("bandwidth_gbs must be positive"), "{e}");
     }
 
     #[test]

@@ -53,10 +53,10 @@ impl Comm {
     }
 
     /// Deposit trace spans into this rank's buffer. Spans are drained
-    /// by the driver per epoch ([`crate::session::EpochReport::spans`])
-    /// or per run ([`crate::SpmdResult::spans`]); discarded when
-    /// tracing is disabled. Not a collective — any rank may deposit any
-    /// number of times.
+    /// by the driver per epoch ([`crate::session::EpochReport::spans`];
+    /// a [`crate::run_spmd`] call is one epoch); discarded when tracing
+    /// is disabled. Not a collective — any rank may deposit any number
+    /// of times.
     pub fn trace_spans(&self, spans: impl IntoIterator<Item = bltc_trace::Span>) {
         self.world.trace.deposit(self.rank, spans);
     }

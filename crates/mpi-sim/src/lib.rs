@@ -21,20 +21,24 @@
 //! between rank heaps), so races and epoch misuse are real bugs here just
 //! as they are under MPI.
 //!
-//! ## One-shot worlds vs. persistent sessions
+//! ## One runtime, two thread lifetimes
 //!
-//! Two execution modes share the runtime:
+//! Every world is a [`session::SessionIn`]: rank threads spawned once,
+//! running **one** rank loop that executes a sequence of *epochs*
+//! (closures submitted over a rendezvous channel) against the live
+//! ranks. What differs is only how long the threads live:
 //!
-//! - [`run_spmd`] spawns the rank threads, runs **one** closure, and
-//!   tears the world down — `MPI_Init → work → MPI_Finalize` per call.
-//! - [`session::Session`] spawns the rank threads **once** and then
-//!   executes a sequence of *epochs* (closures submitted over a
-//!   rendezvous channel) against the live ranks — the analogue of a
+//! - [`Session::spawn`] (`Session = SessionIn<'static>`) spawns plain
+//!   threads that live until the session drops — the analogue of a
 //!   long-lived MPI job with persistent communicators, which is what a
 //!   time-stepping driver needs to avoid paying thread spawn and world
-//!   construction on every step.
+//!   construction on every step. Epochs are `'static` closures.
+//! - [`session::SessionIn::spawn_in`] spawns them on a
+//!   [`std::thread::Scope`], so epochs may borrow the caller's stack.
+//!   [`run_spmd`] is that with one epoch — `MPI_Init → work →
+//!   MPI_Finalize` per call.
 //!
-//! The session lifecycle in MPI terms: `Session::spawn` ≈ `MPI_Init` +
+//! The session lifecycle in MPI terms: spawning ≈ `MPI_Init` +
 //! `MPI_Comm_dup` (once); each epoch is a bulk-synchronous region over
 //! that communicator in which windows are exposed and freed
 //! (`MPI_Win_create`/`MPI_Win_free` per epoch) while rank-local memory
@@ -44,10 +48,10 @@
 //! into its own [`session::EpochReport`] so drivers can attribute bytes
 //! to phases. See the [`session`] module docs for the full rules.
 //!
-//! A rank that panics between collectives — mid-epoch or mid-`run_spmd`
-//! — **poisons** the world: surviving ranks fail fast at their next
-//! collective with a clear error naming the culprit, instead of
-//! deadlocking the way real MPI ranks would.
+//! A rank that panics between collectives **poisons** the world:
+//! surviving ranks fail fast at their next collective with a clear
+//! error naming the culprit, instead of deadlocking the way real MPI
+//! ranks would.
 //!
 //! Collectives come in two flavors: control-plane calls ([`Comm::all_gather`],
 //! [`Comm::barrier`], window creation) record no traffic, while the
@@ -92,4 +96,4 @@ pub use netmodel::NetworkSpec;
 pub use pool::{PoolStats, SessionPool};
 pub use rma::{Window, WindowReadGuard, WindowWriteGuard};
 pub use runtime::{run_spmd, SpmdResult, Traffic, TrafficMatrix};
-pub use session::{EpochReport, Session};
+pub use session::{EpochReport, Session, SessionIn};

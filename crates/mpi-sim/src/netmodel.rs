@@ -53,6 +53,20 @@ impl NetworkSpec {
         }
     }
 
+    /// The rules every α–β price relies on: a finite, non-negative
+    /// latency and a finite, positive bandwidth (a zero or `NaN`
+    /// bandwidth makes every transfer `inf` or `NaN` seconds).
+    pub fn validate(&self) -> Result<(), String> {
+        let broken = if !(self.latency_s.is_finite() && self.latency_s >= 0.0) {
+            "latency_s must be non-negative and finite"
+        } else if !(self.bandwidth_gbs.is_finite() && self.bandwidth_gbs > 0.0) {
+            "bandwidth_gbs must be positive and finite"
+        } else {
+            return Ok(());
+        };
+        Err(format!("network {:?}: {broken}", self.name))
+    }
+
     /// Modeled seconds for one rank's outgoing traffic.
     pub fn origin_seconds(&self, traffic: &TrafficMatrix, origin: usize) -> f64 {
         let msgs = traffic.remote_messages_from(origin) as f64;
@@ -70,6 +84,51 @@ impl NetworkSpec {
 mod tests {
     use super::*;
     use crate::runtime::run_spmd;
+
+    #[test]
+    fn presets_validate_and_broken_links_do_not() {
+        for net in [
+            NetworkSpec::infiniband_fdr(),
+            NetworkSpec::ethernet_10g(),
+            NetworkSpec::intranode_p2p(),
+        ] {
+            assert_eq!(net.validate(), Ok(()));
+        }
+        let fdr = NetworkSpec::infiniband_fdr();
+        for (bad, rule) in [
+            (
+                NetworkSpec {
+                    bandwidth_gbs: 0.0,
+                    ..fdr
+                },
+                "bandwidth_gbs",
+            ),
+            (
+                NetworkSpec {
+                    bandwidth_gbs: f64::INFINITY,
+                    ..fdr
+                },
+                "bandwidth_gbs",
+            ),
+            (
+                NetworkSpec {
+                    latency_s: -1e-6,
+                    ..fdr
+                },
+                "latency_s",
+            ),
+            (
+                NetworkSpec {
+                    latency_s: f64::NAN,
+                    ..fdr
+                },
+                "latency_s",
+            ),
+        ] {
+            let e = bad.validate().unwrap_err();
+            assert!(e.contains(rule), "{e}");
+        }
+    }
 
     #[test]
     fn seconds_for_postal_model() {

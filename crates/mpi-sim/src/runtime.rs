@@ -1,19 +1,16 @@
-//! The SPMD runtime: rank threads, the shared world, rendezvous-based
-//! collectives, and traffic accounting.
+//! The SPMD runtime's shared state — the world behind every rank's
+//! [`crate::Comm`]: the poisonable barrier, the rendezvous table behind
+//! the collectives, traffic accounting and the trace sink — plus
+//! [`run_spmd`], the one-epoch wrapper over a scoped
+//! [`crate::session::SessionIn`].
 //!
-//! Two entry points share the same (crate-private) world state:
-//!
-//! - [`run_spmd`] — spawn `n_ranks` threads, run one closure to
-//!   completion, tear the world down (the original per-call mode);
-//! - [`crate::session::Session`] — spawn the threads **once** and feed
-//!   them a sequence of epochs, the persistent-rank mode a
-//!   time-stepping driver needs.
-//!
-//! Both are protected by the same panic discipline: every collective
-//! waits on a *poisonable* barrier, so a rank that panics between
-//! collectives poisons the world and surviving ranks fail fast with a
-//! clear error instead of deadlocking (the documented hazard of real
-//! MPI, where a dead rank hangs its peers forever).
+//! There is one runtime and one rank-thread loop (in
+//! [`crate::session`]); what differs between a one-shot world and a
+//! persistent one is only how long the rank threads live. Every
+//! collective waits on a *poisonable* barrier, so a rank that panics
+//! between collectives poisons the world and surviving ranks fail fast
+//! with a clear error instead of deadlocking (the documented hazard of
+//! real MPI, where a dead rank hangs its peers forever).
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -40,17 +37,13 @@ pub struct TrafficMatrix {
 }
 
 impl TrafficMatrix {
-    fn new(size: usize) -> Self {
-        Self {
-            entries: vec![vec![Traffic::default(); size]; size],
-        }
-    }
-
     /// An all-zero `size × size` matrix — the identity for
     /// [`TrafficMatrix::accumulate`]. Time-stepping drivers start from
     /// this and fold in the matrix of every step's distributed run.
     pub fn zeros(size: usize) -> Self {
-        Self::new(size)
+        Self {
+            entries: vec![vec![Traffic::default(); size]; size],
+        }
     }
 
     /// Element-wise add another run's traffic into this matrix.
@@ -251,8 +244,7 @@ impl TraceSink {
     }
 }
 
-/// Shared world state (one per `run_spmd` invocation, or one per
-/// [`crate::session::Session`] lifetime).
+/// Shared world state, one per session lifetime.
 pub(crate) struct World {
     pub(crate) size: usize,
     pub(crate) barrier: PoisonBarrier,
@@ -277,7 +269,7 @@ impl World {
             size,
             barrier: PoisonBarrier::new(size),
             rendezvous: Mutex::new(HashMap::new()),
-            traffic: Mutex::new(TrafficMatrix::new(size)),
+            traffic: Mutex::new(TrafficMatrix::zeros(size)),
             trace: TraceSink::new(size),
             chaos: Mutex::new(None),
             chaos_attached: AtomicBool::new(false),
@@ -319,42 +311,24 @@ impl World {
     /// Take the traffic recorded since the last drain, leaving zeros —
     /// how a [`crate::session::Session`] attributes traffic to epochs.
     pub(crate) fn drain_traffic(&self) -> TrafficMatrix {
-        std::mem::replace(&mut *self.traffic.lock(), TrafficMatrix::new(self.size))
+        std::mem::replace(&mut *self.traffic.lock(), TrafficMatrix::zeros(self.size))
     }
 }
 
-/// Result of an SPMD run: per-rank return values plus the recorded
-/// one-sided traffic matrix and deposited trace spans.
-#[derive(Debug)]
-pub struct SpmdResult<R> {
-    /// Return value of each rank, indexed by rank.
-    pub results: Vec<R>,
-    /// One-sided traffic recorded during the run.
-    pub traffic: TrafficMatrix,
-    /// Trace spans deposited by rank bodies via
-    /// [`crate::Comm::trace_spans`] (rank-major, each rank's in deposit
-    /// order). Purely observational — identical results with or without
-    /// them.
-    pub spans: Vec<Span>,
-}
+/// Result of a [`run_spmd`] call: the report of its one epoch.
+pub type SpmdResult<R> = crate::session::EpochReport<R>;
 
 /// Run `f` on `n_ranks` rank threads; blocks until all ranks return.
 ///
-/// The closure receives this rank's [`crate::Comm`]. All ranks must make
-/// collective calls (barriers, window creations, gathers) in the same
-/// order — the SPMD discipline MPI itself requires.
-///
-/// ## Host-pool inheritance (pool-per-process)
-///
-/// Rank threads are fresh OS threads and would otherwise dispatch any
-/// shared-memory parallelism (`rayon` in the rank body) to the global
-/// pool regardless of what the driver selected. Instead, the driver's
-/// current pool is captured here and installed inside every rank
-/// thread for the duration of the closure: all ranks share **one**
-/// process-wide pool (a pool per rank would oversubscribe the host at
-/// `ranks × workers` threads). Rank threads additionally *help* the
-/// pool while waiting on their own parallel regions, so even a
-/// 1-worker pool makes progress under any rank count.
+/// The closure receives this rank's [`crate::Comm`] and may borrow from
+/// the caller. All ranks must make collective calls (barriers, window
+/// creations, gathers) in the same order — the SPMD discipline MPI
+/// itself requires. This is one epoch of a session whose rank threads
+/// are scoped to the call (`MPI_Init → work → MPI_Finalize`), so it
+/// inherits the session's rules: the driver's current `rayon` pool is
+/// installed in every rank for the epoch (one process-wide pool, which
+/// ranks help rather than sleep on), and traffic and spans are the
+/// epoch's.
 ///
 /// # Panics
 ///
@@ -366,59 +340,13 @@ pub struct SpmdResult<R> {
 /// panic payload.
 pub fn run_spmd<R, F>(n_ranks: usize, f: F) -> SpmdResult<R>
 where
-    R: Send,
-    F: Fn(crate::Comm) -> R + Sync,
+    R: Send + 'static,
+    F: Fn(&crate::Comm) -> R + Sync,
 {
-    assert!(n_ranks > 0, "need at least one rank");
-    let world = Arc::new(World::new(n_ranks));
-    let pool = rayon::current_pool();
-    let outcomes: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_ranks)
-            .map(|rank| {
-                let world = Arc::clone(&world);
-                let f = &f;
-                let pool = pool.clone();
-                scope.spawn(move || {
-                    let comm = crate::Comm::new(rank, Arc::clone(&world));
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        pool.install(|| f(comm))
-                    }));
-                    if out.is_err() {
-                        world.barrier.poison(rank);
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread died outside catch_unwind"))
-            .collect()
-    });
-    // Re-raise the poisoner's original panic (peers' "world poisoned"
-    // panics are secondary noise).
-    if outcomes.iter().any(|o| o.is_err()) {
-        let culprit = world
-            .barrier
-            .poisoned_by()
-            .expect("panic recorded a poisoner");
-        let payload = match outcomes.into_iter().nth(culprit) {
-            Some(Err(payload)) => payload,
-            _ => unreachable!("culprit rank recorded an Err outcome"),
-        };
-        std::panic::resume_unwind(payload);
-    }
-    let results: Vec<R> = outcomes
-        .into_iter()
-        .map(|o| o.expect("checked above"))
-        .collect();
-    let traffic = world.traffic.lock().clone();
-    let spans = world.trace.drain();
-    SpmdResult {
-        results,
-        traffic,
-        spans,
-    }
+    std::thread::scope(|scope| {
+        let mut session = crate::session::SessionIn::spawn_in(scope, n_ranks);
+        session.run_epoch(&f)
+    })
 }
 
 #[cfg(test)]
@@ -451,7 +379,7 @@ mod tests {
 
     #[test]
     fn traffic_matrix_accounting() {
-        let mut m = TrafficMatrix::new(3);
+        let mut m = TrafficMatrix::zeros(3);
         m.entries[0][1] = Traffic {
             messages: 2,
             bytes: 100,

@@ -1,13 +1,24 @@
-//! Persistent rank sessions: spawn the SPMD world **once**, then run a
-//! sequence of *epochs* against the live ranks.
+//! Rank sessions: spawn the SPMD world **once**, then run a sequence
+//! of *epochs* against the live ranks — the runtime's one rank-thread
+//! loop.
 //!
-//! [`crate::run_spmd`] models `MPI_Init → work → MPI_Finalize` per
-//! call: every invocation pays thread spawn, world construction, and a
-//! driver-side gather of the results. A [`Session`] instead models a
-//! long-lived MPI job (persistent communicators): `n_ranks` threads are
-//! spawned at [`Session::spawn`] and stay parked on a rendezvous
-//! channel; each [`Session::run_epoch`] submits one closure that every
-//! rank executes SPMD-style, exactly as a `run_spmd` body would.
+//! A [`SessionIn`] models a long-lived MPI job (persistent
+//! communicators): `n_ranks` threads are spawned once and stay parked on
+//! a rendezvous channel; each [`SessionIn::run_epoch`] submits one
+//! closure that every rank executes SPMD-style. The rank threads have
+//! one of two lifetimes, and both run the same loop:
+//!
+//! - [`Session::spawn`] (`Session = SessionIn<'static>`) spawns plain
+//!   named threads that live until the session drops; epoch closures
+//!   must then be `'static`;
+//! - [`SessionIn::spawn_in`] spawns them on a [`std::thread::Scope`],
+//!   so epoch closures may borrow anything that outlives the scope
+//!   (`'env`). The session must drop — closing its channels — before
+//!   the scope ends, or the scope waits on its parked ranks forever.
+//!   [`crate::run_spmd`] is this: scope, spawn, one epoch, drop.
+//!
+//! Results always travel back as `Box<dyn Any + Send>`, so they are
+//! `'static` either way.
 //!
 //! ## Epoch lifecycle
 //!
@@ -33,34 +44,39 @@
 //!   each [`EpochReport`] carries exactly the one-sided traffic its
 //!   epoch generated, so drivers can attribute bytes to phases
 //!   (evaluation vs. migration) without bookkeeping inside the closures.
-//! - **Panics:** a rank panicking mid-epoch poisons the world
-//!   (see [`crate::runtime::run_spmd`]); surviving ranks fail fast, the
+//! - **Panics:** a rank panicking mid-epoch poisons the world: every
+//!   collective waits on a poisonable barrier, so surviving ranks fail
+//!   fast instead of deadlocking (the hazard real MPI has). The
 //!   original payload is re-raised from `run_epoch`, and the rank
 //!   threads survive to reject later epochs with the same clear error.
+//! - **Watchdog:** with [`SessionIn::set_deadline`] armed, a rank that
+//!   reports nothing for a whole deadline gets the world poisoned and
+//!   any chaos-parked hang released — at most once per epoch; the rest
+//!   of that epoch's reports are then awaited without a deadline.
 //! - **Host pool (pool-per-process):** the driver's current `rayon`
-//!   pool is captured **once** at [`Session::spawn`] and re-installed
-//!   inside each rank thread *per epoch* — the install guard lives
-//!   exactly as long as the epoch closure, so no rank holds a pool
-//!   guard across epochs (a guard pinned across the rendezvous would
-//!   keep the driver's pool selection frozen in a rank even after the
-//!   driver switched pools, and would keep a dropped pool alive for
-//!   the session's whole life). All ranks share that one pool: a
-//!   pool per rank would put `ranks × workers` runnable threads on
-//!   the host — the oversubscription the shared pool exists to avoid.
-//!   Each parallel call a rank makes is one job on that pool, and the
-//!   rank thread claims chunks of its own job beside the workers, so
-//!   ranks help rather than sleep and even a 1-worker pool makes
-//!   progress under any rank count. If the driver drops the pool's
-//!   owning handle mid-session, the ranks' parallel calls run on the
-//!   rank threads alone, chunked as before, so results do not change.
+//!   pool is captured **once** at spawn and re-installed inside each
+//!   rank thread *per epoch* — the install guard lives exactly as long
+//!   as the epoch closure, so no rank holds a pool guard across epochs
+//!   (a guard pinned across the rendezvous would keep the driver's pool
+//!   selection frozen in a rank even after the driver switched pools,
+//!   and would keep a dropped pool alive for the session's whole life).
+//!   All ranks share that one pool: a pool per rank would put
+//!   `ranks × workers` runnable threads on the host — the
+//!   oversubscription the shared pool exists to avoid. Each parallel
+//!   call a rank makes is one job on that pool, and the rank thread
+//!   claims chunks of its own job beside the workers, so ranks help
+//!   rather than sleep and even a 1-worker pool makes progress under
+//!   any rank count. If the driver drops the pool's owning handle
+//!   mid-session, the ranks' parallel calls run on the rank threads
+//!   alone, chunked as before, so results do not change.
 //!
 //! ## Example
 //!
 //! ```
-//! use mpi_sim::session::Session;
+//! use mpi_sim::session::{Session, SessionIn};
 //!
 //! let mut session = Session::spawn(3);
-//! // Epoch 1: windows + one-sided reads, like any run_spmd body.
+//! // Epoch 1: windows + one-sided reads.
 //! let e1 = session.run_epoch(|comm| {
 //!     let win = comm.create_window(vec![comm.rank() as f64]);
 //!     let v = win.lock_shared((comm.rank() + 1) % comm.size()).get(0..1)[0];
@@ -73,6 +89,14 @@
 //! assert_eq!(e2.results, vec![3.0; 3]);
 //! assert_eq!(e2.traffic.total_remote_bytes(), 0);
 //! assert_eq!(session.epochs_run(), 2);
+//!
+//! // Scoped ranks: epochs borrow the caller's stack.
+//! let weights = vec![0.5, 1.5];
+//! let total = std::thread::scope(|scope| {
+//!     let mut session = SessionIn::spawn_in(scope, 2);
+//!     session.run_epoch(|comm| comm.all_reduce_sum(weights[comm.rank()])).results[0]
+//! });
+//! assert_eq!(total, 2.0);
 //! ```
 
 use std::any::Any;
@@ -80,7 +104,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{Builder, JoinHandle, Scope};
 use std::time::Duration;
 
 use crate::chaos::ChaosSchedule;
@@ -88,7 +112,7 @@ use crate::comm::Comm;
 use crate::runtime::{TrafficMatrix, World};
 
 /// One submitted epoch: the closure every rank runs.
-type EpochFn = Arc<dyn Fn(&Comm) -> Box<dyn Any + Send> + Send + Sync>;
+type EpochFn<'env> = Arc<dyn Fn(&Comm) -> Box<dyn Any + Send> + Send + Sync + 'env>;
 
 /// What one rank sent back: its rank id and the epoch outcome.
 type RankOutcome = (usize, std::thread::Result<Box<dyn Any + Send>>);
@@ -111,21 +135,31 @@ pub struct EpochReport<R> {
     pub epoch: u64,
 }
 
-/// A persistent SPMD world: rank threads spawned once, executing the
+/// A rank thread's whole life: the runtime's one rank loop, spawned on
+/// a plain or a scoped thread.
+type RankBody<'env> = Box<dyn FnOnce() + Send + 'env>;
+
+/// A persistent SPMD world whose epoch closures may borrow anything
+/// that lives for `'env`: rank threads spawned once, executing the
 /// sequence of epochs the driver submits. See the module docs for the
 /// lifecycle rules.
-pub struct Session {
+pub struct SessionIn<'env> {
     world: Arc<World>,
-    submit: Vec<Sender<EpochFn>>,
+    submit: Vec<Sender<EpochFn<'env>>>,
     collect: Receiver<RankOutcome>,
+    /// Plain threads only; a scope joins its own.
     handles: Vec<JoinHandle<()>>,
     epochs: u64,
     deadline: Option<Duration>,
     watchdog_fires: u64,
 }
 
+/// A session on plain threads: epochs are `'static` closures, and the
+/// session joins its ranks when it drops.
+pub type Session = SessionIn<'static>;
+
 impl Session {
-    /// Spawn `n_ranks` rank threads — the session's single
+    /// Spawn `n_ranks` named rank threads — the session's single
     /// thread-spawn phase. The threads stay alive (parked between
     /// epochs) until the session is dropped.
     ///
@@ -133,47 +167,70 @@ impl Session {
     ///
     /// Panics if `n_ranks == 0`.
     pub fn spawn(n_ranks: usize) -> Self {
+        Self::start(n_ranks, |name, body| {
+            let thread = Builder::new().name(name).spawn(body);
+            Some(thread.expect("failed to spawn rank thread"))
+        })
+    }
+}
+
+impl<'env> SessionIn<'env> {
+    /// Spawn `n_ranks` named rank threads on `scope`, so epochs may
+    /// borrow from the scope's environment. Drop the session before the
+    /// scope ends: that closes the epoch channels, the ranks leave their
+    /// loop, and the scope joins them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_ranks == 0`.
+    pub fn spawn_in<'scope>(scope: &'scope Scope<'scope, 'env>, n_ranks: usize) -> Self {
+        Self::start(n_ranks, |name, body| {
+            let thread = Builder::new().name(name).spawn_scoped(scope, body);
+            thread.expect("failed to spawn rank thread");
+            None
+        })
+    }
+
+    /// Build the world and hand each rank's body to `spawn`, which
+    /// returns a handle to join at drop unless a scope joins the thread.
+    fn start(
+        n_ranks: usize,
+        mut spawn: impl FnMut(String, RankBody<'env>) -> Option<JoinHandle<()>>,
+    ) -> Self {
         assert!(n_ranks > 0, "need at least one rank");
         let world = Arc::new(World::new(n_ranks));
-        let (result_tx, collect) = channel::<RankOutcome>();
-        let mut submit = Vec::with_capacity(n_ranks);
-        let mut handles = Vec::with_capacity(n_ranks);
-        // Captured once here; installed per epoch below (see the
-        // module docs' pool-per-process paragraph).
+        let (outcomes, collect) = channel::<RankOutcome>();
+        // Captured once here; installed per epoch (see the module docs'
+        // pool-per-process paragraph).
         let pool = rayon::current_pool();
+        let mut submit = Vec::with_capacity(n_ranks);
+        let mut handles = Vec::new();
         for rank in 0..n_ranks {
-            let (tx, rx) = channel::<EpochFn>();
+            let (tx, jobs) = channel::<EpochFn<'env>>();
             submit.push(tx);
-            let world = Arc::clone(&world);
-            let result_tx = result_tx.clone();
-            let pool = pool.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("spmd-rank-{rank}"))
-                .spawn(move || {
-                    // The Comm — and with it the collective sequence
-                    // counter — lives for the whole session.
-                    let comm = Comm::new(rank, Arc::clone(&world));
-                    while let Ok(job) = rx.recv() {
-                        // The install guard is scoped to this one
-                        // epoch; between epochs the rank thread holds
-                        // only the cloned pool handle. Chaos injection
-                        // happens at epoch entry, inside the unwind
-                        // boundary, so an injected panic poisons the
-                        // world exactly like an organic one.
-                        let out = catch_unwind(AssertUnwindSafe(|| {
-                            world.chaos_epoch_begin(rank);
-                            pool.install(|| job(&comm))
-                        }));
-                        if out.is_err() {
-                            world.barrier.poison(rank);
-                        }
-                        if result_tx.send((rank, out)).is_err() {
-                            break; // driver gone; shut down
-                        }
+            let (world, outcomes, pool) = (Arc::clone(&world), outcomes.clone(), pool.clone());
+            let body: RankBody<'env> = Box::new(move || {
+                // The Comm — and with it the collective sequence counter
+                // — lives for the whole session.
+                let comm = Comm::new(rank, Arc::clone(&world));
+                while let Ok(job) = jobs.recv() {
+                    // The install guard is scoped to this one epoch.
+                    // Chaos injection happens at epoch entry, inside the
+                    // unwind boundary, so an injected panic poisons the
+                    // world exactly like an organic one.
+                    let out = catch_unwind(AssertUnwindSafe(|| {
+                        world.chaos_epoch_begin(rank);
+                        pool.install(|| job(&comm))
+                    }));
+                    if out.is_err() {
+                        world.barrier.poison(rank);
                     }
-                })
-                .expect("failed to spawn rank thread");
-            handles.push(handle);
+                    if outcomes.send((rank, out)).is_err() {
+                        break; // driver gone; shut down
+                    }
+                }
+            });
+            handles.extend(spawn(format!("spmd-rank-{rank}"), body));
         }
         Self {
             world,
@@ -250,13 +307,23 @@ impl Session {
     /// an epoch outcome within `deadline` of the previous report, the
     /// driver poisons the world on the first missing rank and releases
     /// any chaos-parked hangs instead of blocking forever — converting
-    /// a hung rank into the ordinary poisoned-world error path.
+    /// a hung rank into the ordinary poisoned-world error path. It
+    /// fires at most once per epoch: once the world is poisoned, the
+    /// remaining reports are awaited without a deadline.
     ///
     /// This is a *wall-clock* bound on the simulated cluster's host
     /// threads, so it must comfortably exceed any legitimate epoch;
     /// the outcome (which rank is blamed, what error surfaces) stays
     /// deterministic even though the firing time is not.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero deadline, which would kill every healthy epoch.
     pub fn set_deadline(&mut self, deadline: Option<Duration>) {
+        assert!(
+            deadline != Some(Duration::ZERO),
+            "epoch deadline must be positive: a zero deadline kills every healthy epoch"
+        );
         self.deadline = deadline;
     }
 
@@ -277,9 +344,9 @@ impl Session {
     pub fn run_epoch<R, F>(&mut self, f: F) -> EpochReport<R>
     where
         R: Send + 'static,
-        F: Fn(&Comm) -> R + Send + Sync + 'static,
+        F: Fn(&Comm) -> R + Send + Sync + 'env,
     {
-        let job: EpochFn = Arc::new(move |comm| Box::new(f(comm)) as Box<dyn Any + Send>);
+        let job: EpochFn<'env> = Arc::new(move |comm| Box::new(f(comm)) as Box<dyn Any + Send>);
         // Ranks read the epoch index at their chaos injection point;
         // store-before-submit is race-free because collection below is
         // fully synchronous.
@@ -292,52 +359,27 @@ impl Session {
         }
         let mut slots: Vec<Option<std::thread::Result<Box<dyn Any + Send>>>> =
             (0..self.size()).map(|_| None).collect();
-        let mut collected = 0;
-        while collected < self.size() {
-            let outcome = match self.deadline {
-                None => self
-                    .collect
-                    .recv()
-                    .expect("rank thread exited while session alive"),
-                Some(deadline) => match self.collect.recv_timeout(deadline) {
-                    Ok(outcome) => outcome,
+        let mut deadline = self.deadline;
+        for _ in 0..self.size() {
+            let (rank, out) = loop {
+                let Some(limit) = deadline else {
+                    break self
+                        .collect
+                        .recv()
+                        .expect("rank thread exited while session alive");
+                };
+                match self.collect.recv_timeout(limit) {
+                    Ok(outcome) => break outcome,
                     Err(RecvTimeoutError::Timeout) => {
-                        // Watchdog: poison the world so barrier-parked
-                        // peers fail fast, and release any chaos-parked
-                        // hangs so every rank (including the hung one)
-                        // reports; collection then completes normally.
-                        // Blame the scheduled hang's rank when there is
-                        // one — the peers missing alongside it are just
-                        // waiting on a collective — else the first rank
-                        // that has not reported.
-                        let chaos = self.world.chaos_schedule();
-                        let blamed = chaos
-                            .as_deref()
-                            .and_then(|c| {
-                                c.faults().iter().find_map(|f| {
-                                    (matches!(f.kind, crate::chaos::FaultKind::Hang)
-                                        && f.epoch == self.epochs
-                                        && slots[f.rank].is_none())
-                                    .then_some(f.rank)
-                                })
-                            })
-                            .or_else(|| slots.iter().position(|s| s.is_none()))
-                            .expect("timeout with all ranks collected");
-                        self.watchdog_fires += 1;
-                        self.world.barrier.poison(blamed);
-                        if let Some(chaos) = chaos {
-                            chaos.release_hangs();
-                        }
-                        continue;
+                        self.fire_watchdog(&slots);
+                        deadline = None;
                     }
                     Err(RecvTimeoutError::Disconnected) => {
                         panic!("rank thread exited while session alive")
                     }
-                },
+                }
             };
-            let (rank, out) = outcome;
             slots[rank] = Some(out);
-            collected += 1;
         }
         let epoch = self.epochs;
         self.epochs += 1;
@@ -347,29 +389,23 @@ impl Session {
             chaos.at_epoch_end(epoch, &traffic);
         }
 
-        // Re-raise the first poisoner's payload, as run_spmd does. In a
-        // *later* epoch of an already-poisoned session the original
-        // culprit's closure may well return Ok (e.g. it branches by
-        // rank and never reaches a collective), so fall back to the
-        // first Err of this epoch when the culprit's slot is clean.
-        if slots.iter().any(|s| matches!(s, Some(Err(_)))) {
-            let mut slots = slots;
+        // Re-raise the first poisoner's payload. In a *later* epoch of
+        // an already-poisoned session the original culprit's closure may
+        // well return Ok (e.g. it branches by rank and never reaches a
+        // collective), so fall back to the first Err of this epoch when
+        // the culprit's slot is clean.
+        let failed = |s: &Option<std::thread::Result<_>>| matches!(s, Some(Err(_)));
+        if slots.iter().any(failed) {
             let idx = self
                 .world
                 .barrier
                 .poisoned_by()
-                .filter(|&c| matches!(slots[c], Some(Err(_))))
-                .unwrap_or_else(|| {
-                    slots
-                        .iter()
-                        .position(|s| matches!(s, Some(Err(_))))
-                        .expect("checked above")
-                });
-            let payload = match slots[idx].take() {
-                Some(Err(payload)) => payload,
+                .filter(|&c| failed(&slots[c]))
+                .unwrap_or_else(|| slots.iter().position(failed).expect("checked above"));
+            match slots.swap_remove(idx) {
+                Some(Err(payload)) => resume_unwind(payload),
                 _ => unreachable!("index selected an Err outcome"),
-            };
-            resume_unwind(payload);
+            }
         }
 
         let results = slots
@@ -388,9 +424,36 @@ impl Session {
             epoch,
         }
     }
+
+    /// The watchdog's one act per epoch: poison the world so
+    /// barrier-parked peers fail fast, and release any chaos-parked
+    /// hangs so every rank (including the hung one) reports. Blame the
+    /// scheduled hang's rank when there is one — the peers missing
+    /// alongside it are just waiting on a collective — else the first
+    /// rank that has not reported.
+    fn fire_watchdog<T>(&mut self, slots: &[Option<T>]) {
+        let chaos = self.world.chaos_schedule();
+        let blamed = chaos
+            .as_deref()
+            .and_then(|c| {
+                c.faults().iter().find_map(|f| {
+                    (matches!(f.kind, crate::chaos::FaultKind::Hang)
+                        && f.epoch == self.epochs
+                        && slots[f.rank].is_none())
+                    .then_some(f.rank)
+                })
+            })
+            .or_else(|| slots.iter().position(|s| s.is_none()))
+            .expect("timeout with all ranks collected");
+        self.watchdog_fires += 1;
+        self.world.barrier.poison(blamed);
+        if let Some(chaos) = chaos {
+            chaos.release_hangs();
+        }
+    }
 }
 
-impl Drop for Session {
+impl Drop for SessionIn<'_> {
     fn drop(&mut self) {
         // Closing the submit channels ends each rank's epoch loop.
         self.submit.clear();
@@ -745,5 +808,97 @@ mod tests {
         let er = s.run_epoch(deposit);
         assert!(er.spans.is_empty());
         assert_eq!(er.results, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn scoped_epochs_borrow_the_callers_stack() {
+        // Two epochs on scoped ranks read a stack Vec and write through a
+        // stack Mutex; traffic is drained per epoch, and the session
+        // drops inside the scope (else the scope would wait forever).
+        let weights: Vec<f64> = (0..3).map(|r| f64::from(1 << r)).collect(); // 1, 2, 4
+        let seen = Mutex::new(Vec::new());
+        let (e0, e1) = std::thread::scope(|scope| {
+            let mut s = SessionIn::spawn_in(scope, 3);
+            let e0 = s.run_epoch(|comm| {
+                let win = comm.create_window(vec![weights[comm.rank()]; 2]);
+                let nbr = (comm.rank() + 1) % comm.size();
+                let v = win.lock_shared(nbr).get(0..2)[0]; // 16 bytes
+                comm.barrier();
+                v
+            });
+            let e1 = s.run_epoch(|comm| {
+                seen.lock().push(comm.rank());
+                comm.all_reduce_sum(weights[comm.rank()])
+            });
+            assert_eq!(s.epochs_run(), 2);
+            drop(s);
+            (e0, e1)
+        });
+        assert_eq!(e0.results, vec![2.0, 4.0, 1.0]);
+        assert_eq!(e0.traffic.total_remote_bytes(), 3 * 16);
+        assert_eq!(e1.results, vec![7.0; 3]);
+        assert_eq!(e1.traffic.total_remote_bytes(), 0, "epoch 1 moved nothing");
+        assert_eq!((e0.epoch, e1.epoch), (0, 1));
+        let mut seen = seen.into_inner();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch deadline must be positive")]
+    fn zero_deadline_rejected() {
+        Session::spawn(1).set_deadline(Some(Duration::ZERO));
+    }
+
+    #[test]
+    fn watchdog_fires_once_per_epoch() {
+        // Rank 2 hangs; rank 1 stays busy for about four deadlines before
+        // it reports. The watchdog poisons and releases once; the wait
+        // for rank 1's late report must not fire it again.
+        use crate::chaos::{FaultKind, FaultSpec};
+        let deadline = Duration::from_millis(50);
+        let mut s = Session::spawn(3);
+        s.set_chaos(Some(ChaosSchedule::new(
+            vec![FaultSpec {
+                epoch: 0,
+                rank: 2,
+                kind: FaultKind::Hang,
+                once: true,
+            }],
+            3,
+        )));
+        s.set_deadline(Some(deadline));
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            s.run_epoch(move |comm| {
+                if comm.rank() == 1 {
+                    std::thread::sleep(4 * deadline);
+                }
+                comm.barrier();
+            })
+        }));
+        assert!(out.is_err(), "the hang resolves into an error");
+        assert!(s.is_poisoned());
+        assert_eq!(s.watchdog_fires(), 1);
+    }
+
+    #[test]
+    fn watchdog_spares_a_slow_live_epoch() {
+        // A live epoch delayed by a quarter of its deadline: one rank
+        // sleeps 0.5 s under a 2 s deadline (a 4x margin) before it
+        // reports, three epochs running. The watchdog must never fire
+        // and the world must never poison.
+        let mut s = Session::spawn(3);
+        s.set_deadline(Some(Duration::from_secs(2)));
+        for _ in 0..3 {
+            let rep = s.run_epoch(|comm| {
+                if comm.rank() == 0 {
+                    std::thread::sleep(Duration::from_millis(500));
+                }
+                comm.all_reduce_sum(1.0)
+            });
+            assert_eq!(rep.results, vec![3.0; 3]);
+        }
+        assert_eq!(s.watchdog_fires(), 0);
+        assert!(!s.is_poisoned());
     }
 }

@@ -495,10 +495,15 @@ impl SimService {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.workers == 0`, or with the message of
-    /// [`RetryPolicy::validate`] for a bad backoff base.
+    /// Panics if `cfg.workers == 0`, if `cfg.epoch_watchdog` is zero,
+    /// or with the message of [`RetryPolicy::validate`] for a bad
+    /// backoff base.
     pub fn start(cfg: ServiceConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
+        assert!(
+            !cfg.epoch_watchdog.is_zero(),
+            "epoch_watchdog must be positive: a zero deadline kills every healthy epoch"
+        );
         cfg.policy(None)
             .validate()
             .unwrap_or_else(|e| panic!("{e}"));
@@ -988,6 +993,34 @@ mod tests {
         let stats = svc.shutdown();
         assert_eq!(stats.pool.spawned, 1);
         assert_eq!(stats.cache_hits, 1);
+    }
+
+    #[test]
+    fn broken_fabrics_and_host_models_are_rejected_at_the_door() {
+        let svc = SimService::start(ServiceConfig::with_workers(1));
+        let mut bad = spec(10, 1, 2, 1);
+        bad.dist.net.bandwidth_gbs = 0.0;
+        match svc.submit(5, bad) {
+            Err(RejectReason::Invalid(msg)) => assert!(msg.contains("bandwidth_gbs"), "{msg}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        let mut bad = spec(10, 1, 2, 1);
+        bad.dist.host.per_launch_s = f64::NAN;
+        match svc.submit(5, bad) {
+            Err(RejectReason::Invalid(msg)) => assert!(msg.contains("per_launch_s"), "{msg}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        assert_eq!(svc.pool_stats().spawned, 0);
+        assert_eq!(svc.shutdown().jobs_rejected, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch_watchdog must be positive")]
+    fn zero_watchdog_is_rejected_at_start() {
+        let _ = SimService::start(ServiceConfig {
+            epoch_watchdog: Duration::ZERO,
+            ..ServiceConfig::with_workers(1)
+        });
     }
 
     #[test]

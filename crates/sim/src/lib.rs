@@ -46,7 +46,11 @@
 //! `rcb::partition_particles` yields — so a session run is bit-equal to
 //! the same half-kick/drift loop run on the driver with one
 //! [`bltc_dist::run_distributed_field_on`] per evaluation over a
-//! driver-side partition (the oracle `tests/persistent.rs` keeps).
+//! driver-side partition (`tests/persistent.rs` keeps that check). Both
+//! run the same evaluation epoch, one on a world per call, so the
+//! independent check is the corpus rows (`tests/corpus.rs`) recorded
+//! before the distributed doors became epochs: 3 ranks, a tight LET
+//! budget, two GPUs per node, traffic matrices and modeled clocks.
 //!
 //! ## Host parallelism
 //!
