@@ -30,14 +30,12 @@
 //! cargo run --release --bin fig4_accuracy [-- --n 20000 --samples 500 --forces]
 //! ```
 
-use bltc_bench::{
-    cpu_modeled_field_seconds, cpu_modeled_seconds, sampled_gradient_error, sci, Args,
-};
+use bltc_bench::{cpu_modeled_seconds, sampled_gradient_error, sci, Args};
 use bltc_core::cost::CpuSpec;
 use bltc_core::engine::direct_sum_subset;
 use bltc_core::error::{sample_indices, sampled_relative_l2_error};
 use bltc_core::field::direct_sum_field;
-use bltc_core::kernel::{Coulomb, GradientKernel, Yukawa};
+use bltc_core::kernel::{Coulomb, GradientKernel, Kernel, Yukawa};
 use bltc_core::prelude::*;
 use bltc_dist::model::HostModel;
 use bltc_gpu::{gpu_direct_sum_modeled_seconds, GpuEngine};
@@ -128,9 +126,9 @@ fn main() {
                 let setup = HostModel::default().setup_seconds(n, levels, ops.kernel_launches, 0);
                 let t_gpu = sim_s + setup;
                 let t_cpu = if forces {
-                    cpu_modeled_field_seconds(&ops, kernel.as_ref(), setup, &cpu)
-                } else {
                     cpu_modeled_seconds(&ops, kernel.as_ref(), setup, &cpu)
+                } else {
+                    cpu_modeled_seconds(&ops, kernel.as_ref() as &dyn Kernel, setup, &cpu)
                 };
                 let speedup = t_cpu / t_gpu;
                 min_speedup = min_speedup.min(speedup);

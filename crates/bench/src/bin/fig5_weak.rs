@@ -13,9 +13,10 @@
 //! max-over-ranks of (setup + precompute + compute).
 //!
 //! With `--forces` every configuration runs the distributed **field**
-//! pipeline (`run_distributed_field`): gradient kernels on every rank
-//! (~4× compute flops on the device clock, same LET traffic) and the
-//! sampled error reported over the gradient components.
+//! pass: gradient kernels on every rank (~4× compute flops on the
+//! device clock, same LET traffic) and the sampled error reported over
+//! the gradient components. Both passes go through the one generic door,
+//! `run_distributed_on`.
 //!
 //! ```text
 //! cargo run --release --bin fig5_weak [-- --per-rank 4000 --max-ranks 32 --forces]
@@ -40,7 +41,11 @@
 //! model to a ≥10⁸-particle point — the budget-capped per-rank resident
 //! footprint is scale-invariant, which is the whole point. Rows land in
 //! `--out` (default `BENCH_streaming.json`); `--smoke` shrinks sizes
-//! and hard-asserts `peak ≤ budget` on every rank.
+//! and hard-asserts `peak ≤ budget` on every rank. Every row is a
+//! clock or a byte count, so this mode runs the pipeline *priced*
+//! (`bltc_core::kernel::Priced`): the same LET gets, launches and
+//! clocks, with the pair math skipped. The default mode reports a
+//! sampled error and runs the kernels.
 //!
 //! `--trace out.json` (either mode) exports the last swept
 //! configuration's per-rank span timeline as Perfetto-loadable Chrome
@@ -51,9 +56,9 @@ use bltc_bench::{sampled_gradient_error, sci, write_trace, Args};
 use bltc_core::engine::direct_sum_subset;
 use bltc_core::error::{sample_indices, sampled_relative_l2_error};
 use bltc_core::field::direct_sum_field;
-use bltc_core::kernel::{Coulomb, GradientKernel, Yukawa};
+use bltc_core::kernel::{Coulomb, GradientKernel, Kernel, Priced, Yukawa};
 use bltc_core::prelude::*;
-use bltc_dist::{run_distributed, run_distributed_field, DistConfig};
+use bltc_dist::{run_distributed_on, DistConfig, PhaseMaxima};
 
 fn main() {
     let args = Args::from_env();
@@ -117,45 +122,35 @@ fn main() {
                 // reports 7.6e-6 / 1.5e-5 at 1.024B).
                 let idx =
                     (ranks == *ranks_list.last().unwrap()).then(|| sample_indices(n, 200, seed));
-                let (setup_s, precompute_s, compute_s, serial_s, pipelined_s, err) = if forces {
-                    let rep = run_distributed_field(&ps, ranks, &cfg, kernel.as_ref());
+                let part = cfg.partition(&ps, ranks);
+                let (reports, err) = if forces {
+                    let (columns, reports, _) =
+                        run_distributed_on(&ps, &part, &cfg, kernel.as_ref());
                     let err = idx.as_ref().map(|idx| {
                         let exact = direct_sum_field(&ps.subset(idx), &ps, kernel.as_ref());
-                        sampled_gradient_error(&exact, &rep.field, idx)
+                        sampled_gradient_error(&exact, &columns.into(), idx)
                     });
-                    trace_spans = rep
-                        .ranks
-                        .iter()
-                        .flat_map(|r| r.pipeline.spans.iter().copied())
-                        .collect();
-                    (
-                        rep.setup_s,
-                        rep.precompute_s,
-                        rep.compute_s,
-                        rep.total_s,
-                        rep.pipelined_s,
-                        err,
-                    )
+                    (reports, err)
                 } else {
-                    let rep = run_distributed(&ps, ranks, &cfg, kernel.as_ref());
+                    let op = kernel.as_ref() as &dyn Kernel;
+                    let ([potentials], reports, _) = run_distributed_on(&ps, &part, &cfg, op);
                     let err = idx.as_ref().map(|idx| {
-                        let exact = direct_sum_subset(&ps, idx, &ps, kernel.as_ref());
-                        sampled_relative_l2_error(&exact, &rep.potentials, idx)
+                        let exact = direct_sum_subset(&ps, idx, &ps, op);
+                        sampled_relative_l2_error(&exact, &potentials, idx)
                     });
-                    trace_spans = rep
-                        .ranks
-                        .iter()
-                        .flat_map(|r| r.pipeline.spans.iter().copied())
-                        .collect();
-                    (
-                        rep.setup_s,
-                        rep.precompute_s,
-                        rep.compute_s,
-                        rep.total_s,
-                        rep.pipelined_s,
-                        err,
-                    )
+                    (reports, err)
                 };
+                trace_spans = reports
+                    .iter()
+                    .flat_map(|r| r.pipeline.spans.iter().copied())
+                    .collect();
+                let PhaseMaxima {
+                    setup_s,
+                    precompute_s,
+                    compute_s,
+                    total_s: serial_s,
+                    pipelined_s,
+                } = PhaseMaxima::over(&reports);
                 let total = if pipeline { pipelined_s } else { serial_s };
                 let phase_sum = setup_s + precompute_s + compute_s;
                 if pipeline {
@@ -251,14 +246,18 @@ fn run_streaming(args: &Args) {
         let mut cfg = DistConfig::comet(params);
         cfg.let_memory_budget = Some(budget);
         cfg.gpus_per_node = gpus_per_node;
-        let rep = run_distributed(&ps, ranks, &cfg, &Coulomb);
-        trace_spans = rep
-            .ranks
+        // Every column of this sweep is a clock, a byte count or a
+        // peak: priced, not run.
+        let part = cfg.partition(&ps, ranks);
+        let (_, reports, _) =
+            run_distributed_on(&ps, &part, &cfg, &Priced(&Coulomb as &dyn Kernel));
+        let clocks = PhaseMaxima::over(&reports);
+        trace_spans = reports
             .iter()
             .flat_map(|r| r.pipeline.spans.iter().copied())
             .collect();
-        let peak = rep.ranks.iter().map(|r| r.peak_let_bytes).max().unwrap();
-        for r in &rep.ranks {
+        let peak = reports.iter().map(|r| r.peak_let_bytes).max().unwrap();
+        for r in &reports {
             // The streaming contract: the resident footprint never
             // exceeds the budget. Hard failure, not a report field.
             assert!(
@@ -270,15 +269,15 @@ fn run_streaming(args: &Args) {
         }
         println!(
             "{ranks:>8}  {base:>9}  {n:>11}  {:>12}  {:>12}  {peak:>12}",
-            sci(rep.total_s),
-            sci(rep.pipelined_s)
+            sci(clocks.total_s),
+            sci(clocks.pipelined_s)
         );
         rows.push(StreamRow {
             ranks,
             per_rank: base,
             n_total: n,
-            total_s: rep.total_s,
-            pipelined_s: rep.pipelined_s,
+            total_s: clocks.total_s,
+            pipelined_s: clocks.pipelined_s,
             peak_let_bytes_max: peak,
             modeled: false,
         });

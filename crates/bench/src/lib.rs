@@ -15,7 +15,16 @@
 //! ran 1M–1B particles on Titan V / 32×P100); every binary takes `--n`
 //! style flags to raise them. Times on the GPU side are the `gpu-sim`
 //! modeled clock; CPU-side times are modeled through
-//! [`bltc_core::cost::CpuSpec`] so the two are comparable.
+//! [`bltc_core::cost::CpuSpec`] and [`cpu_modeled_seconds`] (one
+//! function for both passes) so the two are comparable.
+//!
+//! A sweep whose every column is a clock, a count or a byte total runs
+//! *priced*: it hands `bltc_core::kernel::Priced(op)` to the same
+//! pipeline, which walks the same launches, LET gets and clocks and
+//! skips the pair math. `fig5_weak --stream` does. Every sweep that
+//! reports an error (`fig4_accuracy`, `fig5_weak` and `fig6_strong`
+//! without `--stream`) and `ablation_streams`, which checks potentials
+//! bitwise across stream counts, runs the kernels.
 //!
 //! Wall-clock speed is not measured here: that is the `perf` package's
 //! job (`core.*` rows time the same calls with a real protocol).
@@ -41,7 +50,7 @@
 use bltc_core::cost::{CpuSpec, OpCounts};
 use bltc_core::error::relative_l2_error;
 use bltc_core::field::FieldResult;
-use bltc_core::kernel::{GradientKernel, Kernel};
+use bltc_core::kernel::TileOp;
 
 /// The shared deterministic JSON writer (re-exported from
 /// [`bltc_trace`]): every `BENCH_*.json` artifact renders through
@@ -119,29 +128,18 @@ pub fn host_pool(args: &Args) -> rayon::ThreadPool {
         .expect("failed to build host pool")
 }
 
-/// Modeled CPU run time of a treecode evaluation on the paper's 6-core
-/// Xeon X5650 baseline: compute + precompute flops through the CPU spec,
-/// plus the (host-model) setup seconds supplied by the caller.
-pub fn cpu_modeled_seconds(
+/// Modeled CPU run time of a treecode pass on the paper's 6-core Xeon
+/// X5650 baseline: compute + precompute flops through the CPU spec, plus
+/// the (host-model) setup seconds supplied by the caller. `op` is `&dyn
+/// Kernel` for potentials, `&dyn GradientKernel` for fields (the
+/// `--forces` runs, ~4× the compute flops).
+pub fn cpu_modeled_seconds<const C: usize>(
     ops: &OpCounts,
-    kernel: &dyn Kernel,
+    op: &(impl TileOp<C> + ?Sized),
     setup_seconds: f64,
     cpu: &CpuSpec,
 ) -> f64 {
-    let flops = ops.compute_flops(kernel, false) + ops.precompute_flops();
-    setup_seconds + cpu.seconds(flops)
-}
-
-/// Modeled CPU run time of a treecode **field** (potential + gradient)
-/// evaluation — the `--forces` counterpart of [`cpu_modeled_seconds`];
-/// gradient kernels charge ~4× the compute flops.
-pub fn cpu_modeled_field_seconds(
-    ops: &OpCounts,
-    kernel: &dyn GradientKernel,
-    setup_seconds: f64,
-    cpu: &CpuSpec,
-) -> f64 {
-    let flops = ops.field_flops(kernel, false) + ops.precompute_flops();
+    let flops = ops.pass_flops(op, false) + ops.precompute_flops();
     setup_seconds + cpu.seconds(flops)
 }
 
@@ -186,7 +184,7 @@ pub fn write_trace(args: &Args, spans: &[bltc_trace::Span]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bltc_core::kernel::Coulomb;
+    use bltc_core::kernel::{Coulomb, GradientKernel, Kernel};
 
     #[test]
     fn args_parse_pairs_and_flags() {
@@ -211,8 +209,8 @@ mod tests {
             direct_interactions: 1_000_000,
             ..Default::default()
         };
-        let pot = cpu_modeled_seconds(&ops, &Coulomb, 0.0, &cpu);
-        let fld = cpu_modeled_field_seconds(&ops, &Coulomb, 0.0, &cpu);
+        let pot = cpu_modeled_seconds(&ops, &Coulomb as &dyn Kernel, 0.0, &cpu);
+        let fld = cpu_modeled_seconds(&ops, &Coulomb as &dyn GradientKernel, 0.0, &cpu);
         assert!((fld / pot - 4.0).abs() < 1e-9);
     }
 
@@ -245,8 +243,8 @@ mod tests {
             direct_interactions: 1_000_000,
             ..Default::default()
         };
-        let ts = cpu_modeled_seconds(&small, &Coulomb, 0.0, &cpu);
-        let tb = cpu_modeled_seconds(&big, &Coulomb, 0.0, &cpu);
+        let ts = cpu_modeled_seconds(&small, &Coulomb as &dyn Kernel, 0.0, &cpu);
+        let tb = cpu_modeled_seconds(&big, &Coulomb as &dyn Kernel, 0.0, &cpu);
         assert!(tb > ts * 100.0);
     }
 }

@@ -15,7 +15,7 @@
 //!    ≥100× speedup *shape* without NVIDIA hardware.
 
 use crate::config::BltcParams;
-use crate::kernel::{GradientKernel, Kernel, TileOp};
+use crate::kernel::TileOp;
 use crate::traversal::InteractionLists;
 use crate::tree::{batch::TargetBatches, SourceTree};
 
@@ -96,24 +96,13 @@ impl OpCounts {
         self.direct_interactions + self.approx_interactions
     }
 
-    /// Compute-phase flops of a pass (`op` is `&dyn Kernel` for
-    /// potentials, `&dyn GradientKernel` for fields) on a given device
-    /// class.
+    /// Compute-phase flops of a pass on a given device class: `op` is
+    /// `&dyn Kernel` for potentials, `&dyn GradientKernel` for fields.
+    /// Gradient kernels charge ~4× the potential-only flops (see
+    /// [`crate::kernel::GradientKernel::grad_flops_per_eval_gpu`]),
+    /// which is how force evaluation shows up in the modeled clocks.
     pub fn pass_flops<const C: usize>(&self, op: &(impl TileOp<C> + ?Sized), gpu: bool) -> f64 {
         self.kernel_evals() as f64 * op.flops_per_pair(gpu)
-    }
-
-    /// Compute-phase flops of a potential evaluation.
-    pub fn compute_flops(&self, kernel: &dyn Kernel, gpu: bool) -> f64 {
-        self.pass_flops(kernel, gpu)
-    }
-
-    /// Compute-phase flops of a **field** (potential + gradient)
-    /// evaluation. Gradient kernels charge ~4× the potential-only flops
-    /// (see [`GradientKernel::grad_flops_per_eval_gpu`]), which is how
-    /// force evaluation shows up in the modeled clocks.
-    pub fn field_flops(&self, kernel: &dyn GradientKernel, gpu: bool) -> f64 {
-        self.pass_flops(kernel, gpu)
     }
 
     /// Precompute-phase flops (kernel-independent).
@@ -179,7 +168,7 @@ impl CpuSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{Coulomb, Yukawa};
+    use crate::kernel::{Coulomb, GradientKernel, Kernel, Yukawa};
     use crate::particles::ParticleSet;
 
     fn counts(n: usize, params: &BltcParams) -> OpCounts {
@@ -223,11 +212,12 @@ mod tests {
     fn yukawa_costs_more_flops_than_coulomb() {
         let params = BltcParams::new(0.7, 4, 100, 100);
         let c = counts(2_000, &params);
-        let fc = c.compute_flops(&Coulomb, false);
-        let fy = c.compute_flops(&Yukawa::default(), false);
+        let pot = |k: &dyn Kernel, gpu| c.pass_flops(k, gpu);
+        let fc = pot(&Coulomb, false);
+        let fy = pot(&Yukawa::default(), false);
         assert!((fy / fc - 1.8).abs() < 0.05);
-        let gc = c.compute_flops(&Coulomb, true);
-        let gy = c.compute_flops(&Yukawa::default(), true);
+        let gc = pot(&Coulomb, true);
+        let gy = pot(&Yukawa::default(), true);
         assert!((gy / gc - 1.5).abs() < 0.05);
     }
 
@@ -236,8 +226,8 @@ mod tests {
         let params = BltcParams::new(0.7, 4, 100, 100);
         let c = counts(2_000, &params);
         for gpu in [false, true] {
-            let pot = c.compute_flops(&Coulomb, gpu);
-            let fld = c.field_flops(&Coulomb, gpu);
+            let pot = c.pass_flops(&Coulomb as &dyn Kernel, gpu);
+            let fld = c.pass_flops(&Coulomb as &dyn GradientKernel, gpu);
             assert!((fld / pot - 4.0).abs() < 1e-12, "gpu={gpu}: {}", fld / pot);
         }
     }

@@ -220,6 +220,31 @@ impl SerialEngine {
     }
 }
 
+/// The one body of both CPU engines: prepare, evaluate the potentials
+/// (over the pool's workers when `parallel`, the same bits either way),
+/// and report the counts and the measured phases.
+fn compute_on_host(
+    params: BltcParams,
+    targets: &ParticleSet,
+    sources: &ParticleSet,
+    kernel: &dyn Kernel,
+    parallel: bool,
+) -> ComputeResult {
+    let prep = PreparedTreecode::new(targets, sources, params);
+    let t0 = Instant::now();
+    let [potentials] = prep.evaluate(kernel, parallel);
+    ComputeResult {
+        potentials,
+        ops: prep.ops,
+        timings: PhaseTimings {
+            setup: prep.setup_seconds,
+            precompute: prep.precompute_seconds,
+            compute: t0.elapsed().as_secs_f64(),
+        },
+        tree_stats: prep.tree.stats(),
+    }
+}
+
 impl TreecodeEngine for SerialEngine {
     fn compute(
         &self,
@@ -227,18 +252,7 @@ impl TreecodeEngine for SerialEngine {
         sources: &ParticleSet,
         kernel: &dyn Kernel,
     ) -> ComputeResult {
-        let prep = PreparedTreecode::new(targets, sources, self.params);
-        let (potentials, compute) = prep.evaluate_serial(kernel);
-        ComputeResult {
-            potentials,
-            ops: prep.ops,
-            timings: PhaseTimings {
-                setup: prep.setup_seconds,
-                precompute: prep.precompute_seconds,
-                compute,
-            },
-            tree_stats: prep.tree.stats(),
-        }
+        compute_on_host(self.params, targets, sources, kernel, false)
     }
 
     fn name(&self) -> &'static str {
@@ -268,18 +282,7 @@ impl TreecodeEngine for ParallelEngine {
         sources: &ParticleSet,
         kernel: &dyn Kernel,
     ) -> ComputeResult {
-        let prep = PreparedTreecode::new(targets, sources, self.params);
-        let (potentials, compute) = prep.evaluate_parallel(kernel);
-        ComputeResult {
-            potentials,
-            ops: prep.ops,
-            timings: PhaseTimings {
-                setup: prep.setup_seconds,
-                precompute: prep.precompute_seconds,
-                compute,
-            },
-            tree_stats: prep.tree.stats(),
-        }
+        compute_on_host(self.params, targets, sources, kernel, true)
     }
 
     fn name(&self) -> &'static str {

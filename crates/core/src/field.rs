@@ -43,16 +43,11 @@ impl From<[Vec<f64>; 4]> for FieldResult {
 }
 
 impl PreparedTreecode {
-    /// Evaluate potentials and gradients serially over the interaction
-    /// lists (same preparation as potential-only evaluation — the
-    /// modified charges are shared).
-    pub fn evaluate_field(&self, kernel: &dyn GradientKernel) -> FieldResult {
-        self.evaluate(kernel, false).into()
-    }
-
-    /// Evaluate potentials and gradients in parallel over batches.
-    /// Batches own disjoint contiguous target ranges, so the result is
-    /// deterministic and bitwise identical to [`Self::evaluate_field`].
+    /// Evaluate potentials and gradients in parallel over batches, over
+    /// the same preparation as a potential-only evaluation (the modified
+    /// charges are shared). Batches own disjoint contiguous target
+    /// ranges, so the result is deterministic and bitwise identical to
+    /// the serial `evaluate(kernel, false).into()`.
     pub fn evaluate_field_parallel(&self, kernel: &dyn GradientKernel) -> FieldResult {
         self.evaluate(kernel, true).into()
     }
@@ -105,6 +100,11 @@ mod tests {
     use crate::geometry::Point3;
     use crate::kernel::{Coulomb, Gaussian, RegularizedCoulomb, Yukawa};
 
+    /// The serial field pass.
+    fn serial(prep: &PreparedTreecode, kernel: &dyn GradientKernel) -> FieldResult {
+        prep.evaluate(kernel, false).into()
+    }
+
     /// Analytic gradients must match central finite differences of the
     /// potential for every built-in kernel.
     #[test]
@@ -135,7 +135,7 @@ mod tests {
         let ps = ParticleSet::random_cube(2500, 500);
         let params = BltcParams::new(0.7, 7, 120, 120);
         let prep = PreparedTreecode::new(&ps, &ps, params);
-        let tc = prep.evaluate_field(&Coulomb);
+        let tc = serial(&prep, &Coulomb);
         let ds = direct_sum_field(&ps, &ps, &Coulomb);
         assert!(relative_l2_error(&ds.potentials, &tc.potentials) < 1e-4);
         // Gradients converge one order slower than potentials; still
@@ -151,7 +151,7 @@ mod tests {
         let params = BltcParams::new(0.8, 5, 100, 100);
         let prep = PreparedTreecode::new(&ps, &ps, params);
         let (pot_only, _) = prep.evaluate_serial(&Coulomb);
-        let field = prep.evaluate_field(&Coulomb);
+        let field = serial(&prep, &Coulomb);
         // Same lists, same charges, same order ⇒ bitwise equal.
         assert_eq!(pot_only, field.potentials);
     }
@@ -166,7 +166,7 @@ mod tests {
         for degree in [1usize, 3, 5, 7] {
             let params = BltcParams::new(0.8, degree, 120, 120);
             let prep = PreparedTreecode::new(&ps, &ps, params);
-            let tc = prep.evaluate_field(&Yukawa::default());
+            let tc = serial(&prep, &Yukawa::default());
             let err = relative_l2_error(&ds.gx, &tc.gx);
             assert!(err < prev, "degree {degree}: {err} !< {prev}");
             prev = err;
@@ -184,7 +184,7 @@ mod tests {
             &Yukawa::new(0.5),
             &RegularizedCoulomb::new(0.05),
         ] {
-            let s = prep.evaluate_field(k);
+            let s = serial(&prep, k);
             let p = prep.evaluate_field_parallel(k);
             assert_eq!(s.potentials, p.potentials, "{}", k.name());
             assert_eq!(s.gx, p.gx, "{}", k.name());

@@ -43,6 +43,19 @@
 //! loop is written once against it, and [`TileOp::tile`] is the only
 //! caller of the tile methods.
 //!
+//! [`Priced`] is the one `TileOp` that computes nothing. It forwards its
+//! op's launch names, column count and flops per pair, and its tile is
+//! empty. Every clock in this workspace is a pure function of trees,
+//! batches, lists and LET sizes, and the op adds only those constants.
+//! So a layer handed `Priced(op)` walks the same launches, LET gets and
+//! clocks as with `op`, and returns zero columns. That is valid wherever
+//! the caller reads no computed value: modeled clocks, op counts,
+//! profile tables, traffic matrices. It is never valid for an error, a
+//! digest or dynamics, where the next positions are computed values.
+//! The type system keeps it out of dynamics: `Priced` is not a
+//! [`Kernel`], and a force model, a field session's `eval_field` and the
+//! service take a kernel.
+//!
 //! ### What an override may change, and the overrides that exist
 //!
 //! An override of a tile method may change **which unit computes a
@@ -647,6 +660,32 @@ impl TileOp<4> for dyn GradientKernel + '_ {
         } else {
             self.grad_flops_per_eval_cpu()
         }
+    }
+}
+
+/// The pass `O` priced, not run: `O`'s launch names, column count and
+/// flops per pair, and a tile that computes nothing. Handed to any layer
+/// in place of `O`, it walks the same batches, lists, launches, LET gets
+/// and clocks, and returns zero columns. See the `Tiles` section above
+/// for where it is valid.
+pub struct Priced<'a, O: ?Sized>(pub &'a O);
+
+impl<const C: usize, O: TileOp<C> + ?Sized> TileOp<C> for Priced<'_, O> {
+    const APPROX_LAUNCH: &'static str = O::APPROX_LAUNCH;
+    const DIRECT_LAUNCH: &'static str = O::DIRECT_LAUNCH;
+    const TARGET_COLS: usize = O::TARGET_COLS;
+
+    #[inline]
+    fn tile(
+        &self,
+        _: (&[f64], &[f64], &[f64]),
+        _: (&[f64], &[f64], &[f64], &[f64]),
+        _: &mut [&mut [f64]; C],
+    ) {
+    }
+
+    fn flops_per_pair(&self, gpu: bool) -> f64 {
+        self.0.flops_per_pair(gpu)
     }
 }
 

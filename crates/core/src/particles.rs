@@ -126,8 +126,12 @@ impl ParticleSet {
     /// A Plummer sphere of `n` unit-mass/`n` particles with scale radius
     /// `a` — the classic gravitational N-body initial condition (strongly
     /// non-uniform; exercises deep, uneven trees).
+    ///
+    /// # Panics
+    ///
+    /// With the message of [`ParticleSet::validate_plummer`].
     pub fn plummer(n: usize, a: f64, seed: u64) -> Self {
-        assert!(a > 0.0, "plummer scale radius must be positive");
+        Self::validate_plummer(a).unwrap_or_else(|e| panic!("{e}"));
         let mut rng = StdRng::seed_from_u64(seed);
         let mut out = Self::with_capacity(n);
         let mass = 1.0 / n.max(1) as f64;
@@ -151,6 +155,19 @@ impl ParticleSet {
             );
         }
         out
+    }
+
+    /// The rule of [`ParticleSet::plummer`]: a positive, finite scale
+    /// radius. An infinite one would make every sampled radius
+    /// non-finite, and the sampler would reject them forever.
+    pub fn validate_plummer(a: f64) -> Result<(), String> {
+        if a.is_finite() && a > 0.0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "plummer scale radius must be positive and finite, got {a}"
+            ))
+        }
     }
 
     /// `blobs` Gaussian clusters of width `sigma` centred uniformly in the
@@ -266,6 +283,13 @@ mod tests {
         );
         assert!(within_3a as f64 / 4000.0 > 0.8);
         assert!((p.total_charge() - 1.0).abs() < 1e-9, "total mass is 1");
+    }
+
+    /// An infinite scale radius passed `a > 0` and then hung the sampler.
+    #[test]
+    #[should_panic(expected = "plummer scale radius must be positive and finite, got inf")]
+    fn infinite_plummer_radius_panics() {
+        let _ = ParticleSet::plummer(4, f64::INFINITY, 1);
     }
 
     #[test]

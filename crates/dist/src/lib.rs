@@ -68,25 +68,30 @@
 //! produce bitwise-identical potentials — so `pipelined_s ≤ total_s`
 //! is a checkable invariant, with equality on one rank.
 //!
-//! ## One pipeline, four doors, one epoch
+//! ## One pipeline, two doors, one epoch
 //!
 //! Every door is an epoch of a [`FieldSessionIn`] — one
 //! [`FieldSessionIn::eval`] of [`eval_rank`] against ranks that hold
-//! their particles; the doors differ only in how long the world lives
-//! and where the result lands:
+//! their particles. There are two doors, which differ only in how long
+//! the world lives and where the result lands:
 //!
-//! - [`run_distributed`] — potentials (`&dyn Kernel`) on a world scoped
-//!   to the call (launch, one epoch, gather by id, drop), assembled into
-//!   a [`DistReport`];
-//! - [`run_distributed_field`] — potentials **and** 3-component
-//!   gradients (`&dyn GradientKernel`) into a [`DistFieldReport`], for
-//!   the astrophysics / MD workloads where forces `F = -q∇φ` are the
-//!   quantity of interest;
-//! - [`run_distributed_field_on`] — the same with a caller-supplied RCB
-//!   partition;
+//! - [`run_distributed_on`] — the one-shot door, generic over the op:
+//!   a world scoped to the call by a caller-supplied RCB partition
+//!   (launch, one epoch, gather by id, drop), returning the columns, the
+//!   per-rank reports and the traffic matrix. Three thin wrappers name
+//!   its common uses: [`run_distributed`] (potentials, `&dyn Kernel`,
+//!   into a [`DistReport`]), [`run_distributed_field`] (potentials
+//!   **and** 3-component gradients, `&dyn GradientKernel`, into a
+//!   [`DistFieldReport`], for the astrophysics / MD workloads where
+//!   forces `F = -q∇φ` are the quantity of interest) and
+//!   [`run_distributed_field_on`] (the same on a given partition). A
+//!   caller that reads only clocks, counts and traffic hands it
+//!   `bltc_core::kernel::Priced(op)`: the same gets, launches and clocks,
+//!   and no pair math;
 //! - [`FieldSession::eval_field`] — the same epoch against a live world
 //!   whose particles stay resident between calls, each rank's field
-//!   stored in its slot (`bltc-sim` steps through it).
+//!   stored in its slot (`bltc-sim` steps through it). It takes a
+//!   gradient kernel, so a priced op cannot reach dynamics.
 //!
 //! All of them validate their decomposition with one driver-side check
 //! and fold their per-rank reports through one [`PhaseMaxima`]. Behind
@@ -859,11 +864,25 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
     (report, columns)
 }
 
-/// One evaluation on a world that lives for this call only: open a
-/// scope, launch a [`FieldSessionIn`] on scoped rank threads by `part`,
-/// run one [`FieldSessionIn::eval`] epoch with the borrowed `op`, gather
-/// the columns by global id, and drop the session before the scope ends.
-fn one_shot<const C: usize, O: TileOp<C> + ?Sized>(
+/// The one-shot door, for any pass: one evaluation on a world that
+/// lives for this call only. It opens a scope, launches a
+/// [`FieldSessionIn`] on scoped rank threads by `part`, runs one
+/// [`FieldSessionIn::eval`] epoch with the borrowed `op`, gathers the
+/// `C` columns by global id, and drops the session before the scope
+/// ends. Returns the columns in original order, the per-rank reports
+/// and the traffic matrix; [`PhaseMaxima::over`] folds the reports.
+///
+/// `op` is `&dyn Kernel`, `&dyn GradientKernel`, or either one wrapped
+/// in `bltc_core::kernel::Priced` when the caller reads only clocks,
+/// counts and traffic: then the columns are zeros, and every report and
+/// the traffic matrix are the real op's.
+///
+/// # Panics
+///
+/// Panics if the partition does not cover `ps`, if any part is empty,
+/// or with the message of [`DistConfig::validate`] for the partition's
+/// part count.
+pub fn run_distributed_on<const C: usize, O: TileOp<C> + ?Sized>(
     ps: &ParticleSet,
     part: &RcbPartition,
     cfg: &DistConfig,
@@ -901,7 +920,7 @@ pub fn run_distributed(
     kernel: &dyn Kernel,
 ) -> DistReport {
     let part = cfg.partition(ps, ranks);
-    let ([potentials], ranks, traffic) = one_shot(ps, &part, cfg, kernel);
+    let ([potentials], ranks, traffic) = run_distributed_on(ps, &part, cfg, kernel);
     let clocks = PhaseMaxima::over(&ranks);
     DistReport {
         potentials,
@@ -967,7 +986,7 @@ pub fn run_distributed_field_on(
     cfg: &DistConfig,
     kernel: &dyn GradientKernel,
 ) -> DistFieldReport {
-    let (columns, ranks, traffic) = one_shot(ps, part, cfg, kernel);
+    let (columns, ranks, traffic) = run_distributed_on(ps, part, cfg, kernel);
     let clocks = PhaseMaxima::over(&ranks);
     DistFieldReport {
         field: columns.into(),

@@ -106,11 +106,12 @@ pub struct GpuRunReport {
 /// Full report of a GPU **field** (potential + gradient) run.
 pub struct GpuFieldRunReport {
     /// Potentials and gradients in original target order — bitwise
-    /// identical to [`bltc_core::engine::PreparedTreecode::evaluate_field`].
+    /// identical to the CPU's field pass,
+    /// [`PreparedTreecode::evaluate`] with the same gradient kernel.
     pub field: FieldResult,
     /// Exact op counts (interaction pairs are identical to the
     /// potential-only run; the *flops per pair* differ, see
-    /// [`OpCounts::field_flops`]).
+    /// [`OpCounts::pass_flops`]).
     pub ops: OpCounts,
     /// Modeled three-phase split.
     pub timings: PhaseTimings,
@@ -408,29 +409,26 @@ impl TreecodeEngine for GpuEngine {
 /// Modeled seconds of the GPU direct sum: "one launch of the
 /// batch-cluster direct sum kernel for a batch consisting of all target
 /// particles and a cluster consisting of all source particles" (§4) —
-/// the red dashed reference line of Fig. 4 — in closed form: seven HtD
-/// copies, the one launch and the DtH of the potentials, as the device
-/// clock prices them.
+/// the red dashed reference line of Fig. 4 — priced on a [`Device`]:
+/// seven HtD copies (sources x/y/z/q, targets x/y/z), one
+/// `direct_sum_full` launch with [`launch_tile`]'s work, and the DtH of
+/// the potentials.
 pub fn gpu_direct_sum_modeled_seconds(
     spec: DeviceSpec,
     n_targets: usize,
     n_sources: usize,
     kernel: &dyn Kernel,
 ) -> f64 {
-    let mut t = 0.0;
-    // Seven HtD transfers (sources x/y/z/q, targets x/y/z).
+    let mut dev = Device::new(spec);
     for len in [
         n_sources, n_sources, n_sources, n_sources, n_targets, n_targets, n_targets,
     ] {
-        t += spec.transfer_seconds((len * 8) as f64);
+        dev.htod(len * 8);
     }
-    t += spec.host_enqueue_s + spec.launch_latency_s;
-    let flops = n_targets as f64 * n_sources as f64 * kernel.flops_per_eval_gpu();
-    let bytes = ((n_targets + n_sources) * 4 * 8) as f64;
-    t += spec.exec_seconds(flops, bytes) / spec.occupancy(n_targets.max(1)).max(1e-6);
-    // DtH of the potentials.
-    t += spec.transfer_seconds((n_targets * 8) as f64);
-    t
+    let tile = (n_targets, n_sources);
+    launch_tile(&mut dev, "direct_sum_full", tile, kernel, 0);
+    dev.dtoh(n_targets * 8);
+    dev.now()
 }
 
 #[cfg(test)]
@@ -438,7 +436,7 @@ mod tests {
     use super::*;
     use bltc_core::engine::{direct_sum, SerialEngine};
     use bltc_core::error::relative_l2_error;
-    use bltc_core::kernel::{Coulomb, Yukawa};
+    use bltc_core::kernel::{Coulomb, Priced, Yukawa};
 
     fn cube(n: usize, seed: u64) -> ParticleSet {
         ParticleSet::random_cube(n, seed)
@@ -492,8 +490,9 @@ mod tests {
         let ps = cube(2000, 90);
         let params = BltcParams::new(0.7, 5, 80, 80);
         let prep = PreparedTreecode::new(&ps, &ps, params);
-        let cpu = prep.evaluate_field(&Yukawa::default());
-        let gpu = GpuEngine::new(params).compute_field_detailed(&ps, &ps, &Yukawa::default());
+        let yukawa = Yukawa::default();
+        let cpu: FieldResult = prep.evaluate(&yukawa as &dyn GradientKernel, false).into();
+        let gpu = GpuEngine::new(params).compute_field_detailed(&ps, &ps, &yukawa);
         assert_eq!(cpu.potentials, gpu.field.potentials);
         assert_eq!(cpu.gx, gpu.field.gx);
         assert_eq!(cpu.gy, gpu.field.gy);
@@ -583,14 +582,13 @@ mod tests {
         // little, so accept a broad band around 4×).
         // Single batch vs single (root) cluster: one large launch, so
         // per-launch overhead is negligible next to the kernel flops.
+        // Priced: the clocks are the real op's, the pairs are not run.
         let ps = cube(4000, 92);
         let params = BltcParams::new(0.7, 6, 4000, 4000);
-        let pot = GpuEngine::new(params)
-            .with_streams(1)
-            .compute_detailed(&ps, &ps, &Coulomb);
-        let fld = GpuEngine::new(params)
-            .with_streams(1)
-            .compute_field_detailed(&ps, &ps, &Coulomb);
+        let engine = GpuEngine::new(params).with_streams(1);
+        let (pot, fld) = (&Coulomb as &dyn Kernel, &Coulomb as &dyn GradientKernel);
+        let pot = engine.stage(&ps, &ps).finish(&Priced(pot));
+        let fld = engine.stage(&ps, &ps).finish(&Priced(fld));
         let ratio = fld.sim.compute_s / pot.sim.compute_s;
         assert!(
             ratio > 2.0 && ratio < 4.5,
@@ -643,11 +641,13 @@ mod tests {
         // Fig. 4, conclusion (4): the GPU direct sum wins at small N (the
         // treecode is launch-overhead bound) but loses at large N because
         // its O(N²) growth is quadratic while the treecode's is ~linear.
-        // Verify the growth *rates* that force the crossover.
+        // Verify the growth *rates* that force the crossover, on the
+        // treecode's clock priced, not run.
         let params = BltcParams::new(0.8, 3, 1000, 1000);
         let time_tc = |n: usize, seed: u64| {
             let ps = cube(n, seed);
-            let r = GpuEngine::new(params).compute_detailed(&ps, &ps, &Coulomb);
+            let op = Priced(&Coulomb as &dyn Kernel);
+            let r = GpuEngine::new(params).stage(&ps, &ps).finish(&op);
             r.sim.total() - r.sim.setup_host_s
         };
         let time_ds =
@@ -665,36 +665,6 @@ mod tests {
             "treecode growth {tc_growth} should be ~2 (quasi-linear)"
         );
         assert!(tc_growth < ds_growth);
-    }
-
-    /// The closed form is the device's own clock: seven HtD copies, one
-    /// `direct_sum_full` launch and one DtH, priced on a `Device`.
-    #[test]
-    fn modeled_direct_sum_matches_the_device_clock() {
-        use crate::kernels::THREADS_PER_BLOCK;
-        use gpu_sim::{LaunchConfig, WorkEstimate};
-        let spec = DeviceSpec::titan_v();
-        let (nt, ns) = (700, 900);
-        let mut dev = Device::new(spec);
-        for len in [ns, ns, ns, ns, nt, nt, nt] {
-            dev.htod(len * 8);
-        }
-        let work = WorkEstimate::new(
-            nt as f64 * ns as f64 * Coulomb.flops_per_eval_gpu(),
-            ((nt + ns) * 4 * 8) as f64,
-        );
-        dev.launch(
-            LaunchConfig::new("direct_sum_full", nt, THREADS_PER_BLOCK),
-            work,
-        );
-        dev.dtoh(nt * 8);
-        let modeled = gpu_direct_sum_modeled_seconds(spec, nt, ns, &Coulomb);
-        let rel = (dev.now() - modeled).abs() / dev.now();
-        assert!(
-            rel < 1e-9,
-            "model {modeled} vs device {} (rel {rel})",
-            dev.now()
-        );
     }
 
     #[test]

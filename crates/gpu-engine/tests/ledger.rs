@@ -5,6 +5,10 @@
 //! Yukawa field pass. Any moved stream pick, launch geometry, work
 //! estimate or transfer size changes a line here.
 //!
+//! The sweep is priced (`bltc_core::kernel::Priced`): the device clock
+//! reads no computed value, so the ledger is the same with the pairs
+//! skipped. One case also runs the real kernels against the same lines.
+//!
 //! The targets are the source cube plus a probe cloud beside it, so every
 //! degree prices both launch kinds: the cube's own batches are mostly
 //! direct, and the probes approximate the root even at degree 8.
@@ -15,9 +19,9 @@
 
 use bltc_core::config::BltcParams;
 use bltc_core::geometry::Point3;
-use bltc_core::kernel::{Coulomb, Yukawa};
+use bltc_core::kernel::{Coulomb, GradientKernel, Kernel, Priced, TileOp, Yukawa};
 use bltc_core::particles::ParticleSet;
-use bltc_gpu::{GpuEngine, GpuSimBreakdown};
+use bltc_gpu::{GpuEngine, GpuPass};
 
 fn problem() -> (ParticleSet, ParticleSet) {
     let sources = ParticleSet::random_cube(2000, 97);
@@ -35,8 +39,9 @@ const TABLE_HEADER: &str =
 
 /// One case: a line with the launch count and the six modeled phases as
 /// hex bits, then the profile table's rows.
-fn render(out: &mut String, case: &str, sim: &GpuSimBreakdown, launches: u64, table: &str) {
-    out.push_str(&format!("{case} launches={launches}"));
+fn render<const C: usize>(out: &mut String, case: &str, pass: &GpuPass<C>) {
+    let sim = &pass.sim;
+    out.push_str(&format!("{case} launches={}", pass.kernel_launches));
     for s in [
         sim.htod_sources_s,
         sim.precompute_s,
@@ -49,27 +54,52 @@ fn render(out: &mut String, case: &str, sim: &GpuSimBreakdown, launches: u64, ta
     }
     out.push('\n');
     out.push_str(
-        table
+        pass.profile_table
             .strip_prefix(TABLE_HEADER)
             .expect("profile table header"),
     );
 }
 
+/// One case of the sweep at `degree` on `streams` streams: the
+/// potential pass `pot` and the field pass `fld`, rendered.
+fn ledger_case<P, F>(
+    (targets, sources): &(ParticleSet, ParticleSet),
+    (degree, streams): (usize, usize),
+    pot: &P,
+    fld: &F,
+) -> String
+where
+    P: TileOp<1> + ?Sized,
+    F: TileOp<4> + ?Sized,
+{
+    let params = BltcParams::new(0.8, degree, 60, 60);
+    let engine = GpuEngine::new(params).with_streams(streams);
+    let mut out = String::new();
+    let pass = engine.stage(targets, sources).finish(pot);
+    render(&mut out, &format!("d{degree} s{streams} pot"), &pass);
+    let pass = engine.stage(targets, sources).finish(fld);
+    render(&mut out, &format!("d{degree} s{streams} fld"), &pass);
+    out
+}
+
+/// The whole sweep, priced: a Coulomb potential pass and a Yukawa field
+/// pass per case, with `Priced` ops. Then the `Priced` contract on the
+/// device: one case with the kernels run renders the same lines.
 #[test]
 fn modeled_ledger_is_pinned() {
-    let (targets, sources) = problem();
+    let problem = problem();
+    let yukawa = Yukawa::default();
+    let (coulomb, yukawa) = (&Coulomb as &dyn Kernel, &yukawa as &dyn GradientKernel);
     let mut got = String::new();
     for degree in [1, 4, 8] {
-        let params = BltcParams::new(0.8, degree, 60, 60);
         for streams in [1, 3, 4] {
-            let engine = GpuEngine::new(params).with_streams(streams);
-            let case = format!("d{degree} s{streams}");
-            let pot = engine.compute_detailed(&targets, &sources, &Coulomb);
-            let (sim, n) = (&pot.sim, pot.kernel_launches);
-            render(&mut got, &format!("{case} pot"), sim, n, &pot.profile_table);
-            let fld = engine.compute_field_detailed(&targets, &sources, &Yukawa::default());
-            let (sim, n) = (&fld.sim, fld.kernel_launches);
-            render(&mut got, &format!("{case} fld"), sim, n, &fld.profile_table);
+            let case = (degree, streams);
+            got.push_str(&ledger_case(
+                &problem,
+                case,
+                &Priced(coulomb),
+                &Priced(yukawa),
+            ));
         }
     }
     if got != GOLDEN {
@@ -80,6 +110,12 @@ fn modeled_ledger_is_pinned() {
         assert_eq!(h, w, "ledger line {}", i + 1);
     }
     assert_eq!(have.len(), want.len(), "ledger line count");
+
+    let real = ledger_case(&problem, (1, 3), coulomb, yukawa);
+    assert!(
+        GOLDEN.contains(&real),
+        "the real ops price differently:\n{real}"
+    );
 }
 
 const GOLDEN: &str = "\

@@ -10,7 +10,9 @@
 use bltc_core::kernel::{Coulomb, Gaussian, RegularizedCoulomb, RegularizedYukawa, Yukawa};
 use bltc_core::particles::ParticleSet;
 use bltc_dist::DistConfig;
-use bltc_sim::scenario::{electrolyte_box, plummer_sphere};
+use bltc_sim::scenario::{
+    electrolyte_box, plummer_sphere, validate_electrolyte_box, validate_plummer_sphere,
+};
 use bltc_sim::{ForceModel, RetryPolicy, SimConfig, SimState};
 
 /// Kernel selection for [`Scenario::Custom`] jobs — the service-facing
@@ -110,37 +112,17 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    fn validate(&self) -> Result<(), String> {
-        let pos = |v: f64, what: &str| {
-            if v.is_finite() && v > 0.0 {
-                Ok(())
-            } else {
-                Err(format!("{what} must be positive and finite, got {v}"))
-            }
-        };
+    /// The rules of the builder this scenario names, for `n` particles:
+    /// [`validate_plummer_sphere`], [`validate_electrolyte_box`] or the
+    /// kernel's own.
+    fn validate(&self, n: usize) -> Result<(), String> {
         match *self {
-            Scenario::Plummer { a, softening } => {
-                pos(a, "plummer scale radius")?;
-                pos(softening, "softening")
-            }
+            Scenario::Plummer { a, softening } => validate_plummer_sphere(n, a, softening),
             Scenario::Electrolyte {
                 kappa,
                 softening,
                 thermal_speed,
-            } => {
-                if !(kappa.is_finite() && kappa >= 0.0) {
-                    return Err(format!(
-                        "kappa must be non-negative and finite, got {kappa}"
-                    ));
-                }
-                pos(softening, "softening")?;
-                if !(thermal_speed.is_finite() && thermal_speed >= 0.0) {
-                    return Err(format!(
-                        "thermal speed must be non-negative and finite, got {thermal_speed}"
-                    ));
-                }
-                Ok(())
-            }
+            } => validate_electrolyte_box(n, kappa, softening, thermal_speed),
             Scenario::Custom { kernel } => kernel.validate(),
         }
     }
@@ -237,8 +219,10 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Admission-time validation: the scenario's rules, at least two
-    /// particles, [`SimConfig::validate`] (which composes
+    /// Admission-time validation: at least two particles, the rules of
+    /// the scenario's builder ([`validate_plummer_sphere`],
+    /// [`validate_electrolyte_box`] or the kernel's),
+    /// [`SimConfig::validate`] (which composes
     /// [`DistConfig::validate`]: ranks, whole nodes, treecode
     /// parameters, device and streams), a checkpoint cadence of at
     /// least one step ([`RetryPolicy::validate`]) and a positive finite
@@ -246,10 +230,10 @@ impl JobSpec {
     /// every constraint the downstream layers would `assert!` is refused
     /// here with the same message instead of panicking a worker.
     pub fn validate(&self) -> Result<(), String> {
-        self.scenario.validate()?;
         if self.n < 2 {
             return Err(format!("need at least two particles, got {}", self.n));
         }
+        self.scenario.validate(self.n)?;
         self.sim_config().validate(self.n)?;
         RetryPolicy {
             checkpoint_every: self.checkpoint_every,
@@ -258,7 +242,9 @@ impl JobSpec {
         .validate()?;
         if let Some(d) = self.deadline_s {
             if !(d.is_finite() && d > 0.0) {
-                return Err(format!("deadline must be positive and finite, got {d}"));
+                return Err(format!(
+                    "deadline must be a positive, finite number of modeled seconds, got {d}"
+                ));
             }
         }
         Ok(())
@@ -345,6 +331,21 @@ mod tests {
             kernel: KernelSpec::Gaussian { sigma: -1.0 },
         };
         assert!(s.validate().unwrap_err().contains("sigma"));
+        // The builders' own rules, composed. Built, the first hung the
+        // Plummer sampler and the second gave infinite velocities.
+        let mut s = base();
+        s.scenario = Scenario::Plummer {
+            a: f64::INFINITY,
+            softening: 0.05,
+        };
+        assert!(s.validate().unwrap_err().contains("scale radius"));
+        let mut s = base();
+        s.scenario = Scenario::Electrolyte {
+            kappa: 0.5,
+            softening: 0.05,
+            thermal_speed: f64::INFINITY,
+        };
+        assert!(s.validate().unwrap_err().contains("thermal speed"));
         let mut s = base();
         s.checkpoint_every = Some(0);
         assert!(s.validate().unwrap_err().contains("checkpoint cadence"));

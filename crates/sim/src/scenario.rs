@@ -1,7 +1,7 @@
 //! Scenario front-ends: ready-to-integrate initial conditions plus
 //! their force laws for the workloads the source paper targets.
 
-use bltc_core::kernel::{RegularizedCoulomb, RegularizedYukawa};
+use bltc_core::kernel::{RegularizedCoulomb, RegularizedYukawa, Yukawa};
 use bltc_core::particles::ParticleSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,9 +22,12 @@ use crate::state::SimState;
 /// is Plummer-softened Coulomb with softening `softening` — smooth
 /// everywhere, so the integrator conserves the *softened* Hamiltonian
 /// and energy drift measures integration error only.
+///
+/// # Panics
+///
+/// With the message of [`validate_plummer_sphere`].
 pub fn plummer_sphere(n: usize, a: f64, softening: f64, seed: u64) -> (SimState, ForceModel) {
-    assert!(n >= 2, "need at least two bodies");
-    assert!(softening > 0.0, "softening must be positive");
+    validate_plummer_sphere(n, a, softening).unwrap_or_else(|e| panic!("{e}"));
     let particles = ParticleSet::plummer(n, a, seed);
     let total_mass = particles.total_charge(); // = 1 by construction
     let mass = particles.q.clone();
@@ -75,6 +78,10 @@ pub fn plummer_sphere(n: usize, a: f64, softening: f64, seed: u64) -> (SimState,
 /// cosmetic: with randomly placed ions, some opposite-charge pairs
 /// start arbitrarily close, and the bare `e^{-κr}/r` singularity would
 /// swallow them on the first step.
+///
+/// # Panics
+///
+/// With the message of [`validate_electrolyte_box`].
 pub fn electrolyte_box(
     n: usize,
     kappa: f64,
@@ -82,8 +89,7 @@ pub fn electrolyte_box(
     thermal_speed: f64,
     seed: u64,
 ) -> (SimState, ForceModel) {
-    assert!(n >= 2, "need at least two ions");
-    assert!(thermal_speed >= 0.0, "thermal speed must be non-negative");
+    validate_electrolyte_box(n, kappa, softening, thermal_speed).unwrap_or_else(|e| panic!("{e}"));
     let mut particles = ParticleSet::random_cube(n, seed);
     for (i, q) in particles.q.iter_mut().enumerate() {
         *q = if i % 2 == 0 { 1.0 } else { -1.0 };
@@ -109,6 +115,52 @@ pub fn electrolyte_box(
     let model =
         ForceModel::electrostatic(RegularizedYukawa::new(kappa, softening), "electrolyte-box");
     (state, model)
+}
+
+/// The rules of [`plummer_sphere`]: at least two bodies,
+/// [`ParticleSet::validate_plummer`] on `a`, and a positive, finite
+/// softening.
+pub fn validate_plummer_sphere(n: usize, a: f64, softening: f64) -> Result<(), String> {
+    if n < 2 {
+        return Err(format!("need at least two bodies, got {n}"));
+    }
+    ParticleSet::validate_plummer(a)?;
+    validate_softening(softening)
+}
+
+/// The rules of [`electrolyte_box`]: at least two ions,
+/// [`Yukawa::validate`] on `kappa`, a positive, finite softening and a
+/// non-negative, finite thermal speed (an infinite one made every
+/// velocity infinite).
+pub fn validate_electrolyte_box(
+    n: usize,
+    kappa: f64,
+    softening: f64,
+    thermal_speed: f64,
+) -> Result<(), String> {
+    if n < 2 {
+        return Err(format!("need at least two ions, got {n}"));
+    }
+    Yukawa { kappa }.validate()?;
+    validate_softening(softening)?;
+    if thermal_speed.is_finite() && thermal_speed >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "thermal speed must be non-negative and finite, got {thermal_speed}"
+        ))
+    }
+}
+
+/// Both scenarios soften their kernel by a positive, finite length.
+fn validate_softening(softening: f64) -> Result<(), String> {
+    if softening.is_finite() && softening > 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "softening must be positive and finite, got {softening}"
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -157,5 +209,13 @@ mod tests {
     #[should_panic(expected = "softening")]
     fn zero_softening_rejected() {
         let _ = plummer_sphere(10, 1.0, 0.0, 1);
+    }
+
+    /// An infinite thermal speed passed `>= 0.0` and made every velocity
+    /// infinite.
+    #[test]
+    #[should_panic(expected = "thermal speed must be non-negative and finite, got inf")]
+    fn infinite_thermal_speed_rejected() {
+        let _ = electrolyte_box(4, 0.5, 0.05, f64::INFINITY, 1);
     }
 }

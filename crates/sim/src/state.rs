@@ -48,7 +48,8 @@ impl SimState {
     ///
     /// # Panics
     ///
-    /// Panics on any length mismatch or non-positive mass.
+    /// Panics on any length mismatch, non-finite velocity, or
+    /// non-positive or non-finite mass.
     pub fn with_velocities(
         particles: ParticleSet,
         vx: Vec<f64>,
@@ -60,6 +61,10 @@ impl SimState {
         assert!(
             vx.len() == n && vy.len() == n && vz.len() == n && mass.len() == n,
             "velocity/mass vectors must match the particle count"
+        );
+        assert!(
+            vx.iter().chain(&vy).chain(&vz).all(|v| v.is_finite()),
+            "velocities must be finite"
         );
         assert!(
             mass.iter().all(|&m| m > 0.0 && m.is_finite()),
@@ -173,5 +178,13 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn nonpositive_mass_rejected() {
         let _ = SimState::at_rest(ParticleSet::random_cube(2, 1), vec![1.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "velocities must be finite")]
+    fn nonfinite_velocity_rejected() {
+        let ps = ParticleSet::random_cube(2, 1);
+        let vz = vec![0.0, f64::NEG_INFINITY];
+        let _ = SimState::with_velocities(ps, vec![0.0; 2], vec![0.0; 2], vz, vec![1.0; 2]);
     }
 }

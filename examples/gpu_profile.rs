@@ -2,10 +2,14 @@
 //! profile (the four kernels of §3.2), phase breakdown, occupancy, and
 //! the effect of the asynchronous-stream count.
 //!
+//! Everything printed is the device's ledger, so the passes run priced
+//! (`Priced`): the same launches and clocks, no pair math.
+//!
 //! ```text
 //! cargo run --release --example gpu_profile
 //! ```
 
+use bltc::core::kernel::Priced;
 use bltc::core::prelude::*;
 use bltc::gpu::GpuEngine;
 use bltc::gpu_sim::DeviceSpec;
@@ -28,7 +32,9 @@ fn main() {
         params.theta, params.degree, params.batch_cap
     );
 
-    let report = GpuEngine::with_spec(params, spec).compute_detailed(&ps, &ps, &Coulomb);
+    let op = Priced(&Coulomb as &dyn Kernel);
+    let engine = GpuEngine::with_spec(params, spec);
+    let report = engine.stage(&ps, &ps).finish(&op);
 
     println!("kernel profile (Fig. 3's launch structure):");
     print!("{}", report.profile_table);
@@ -71,9 +77,7 @@ fn main() {
 
     println!("\nasync-stream sweep (compute phase):");
     for streams in 1..=spec.num_streams {
-        let r = GpuEngine::with_spec(params, spec)
-            .with_streams(streams)
-            .compute_detailed(&ps, &ps, &Coulomb);
+        let r = engine.with_streams(streams).stage(&ps, &ps).finish(&op);
         println!(
             "  {streams} stream(s): {:>8.3} ms{}",
             r.sim.compute_s * 1e3,

@@ -19,6 +19,11 @@
 //!   every modified charge and every proxy evaluation. Only the traffic
 //!   and clock rows, which read no computed value, are libm-free.
 //!
+//! The traffic and clock rows are computed twice: by `run_distributed`
+//! with the kernel, and by the generic door `run_distributed_on` with the
+//! kernel `Priced`, which skips the pair math. Both must equal the same
+//! pin; that is the `Priced` contract.
+//!
 //! A deliberate change of bits is re-pinned with
 //! `BLTC_BLESS=1 cargo test --test corpus -- --nocapture`, which prints
 //! the table in the form below instead of asserting it. The two
@@ -27,9 +32,12 @@
 
 mod golden;
 
-use bltc::core::kernel::MixedPrecision;
+use bltc::core::kernel::{MixedPrecision, Priced};
 use bltc::core::prelude::*;
-use bltc::dist::{run_distributed, run_distributed_field, DistConfig, DistReport};
+use bltc::dist::{
+    run_distributed, run_distributed_field, run_distributed_on, DistConfig, RankReport,
+};
+use bltc::mpi_sim::runtime::TrafficMatrix;
 use bltc::service::{fnv1a, state_digest, Fault, JobSpec, Scenario};
 use bltc::sim::PersistentIntegrator;
 use golden::{GOLDEN_ELECTROLYTE_STATE, GOLDEN_PLUMMER_STATE};
@@ -204,14 +212,16 @@ fn trajectory(name: &str) -> u64 {
     state_digest(&integ.snapshot())
 }
 
-/// The digest of one row's output, computed afresh. Every kernel row runs
+/// The digests of one row's output, computed afresh: one, or two for a
+/// row that reads no computed value (the kernel's run, then the same run
+/// priced), each compared with the row's one pin. Every kernel row runs
 /// on the same problem: 1200 particles in the unit cube, θ = 0.8, degree
 /// 4, leaves and batches of 60 — enough that both the approximated and
 /// the direct paths carry weight.
-fn compute(name: &str, output: Output) -> u64 {
+fn compute(name: &str, output: Output) -> Vec<u64> {
     match output {
-        Trajectory => return trajectory(name),
-        ModifiedCharges(degree) => return modified_charges(name, degree),
+        Trajectory => return vec![trajectory(name)],
+        ModifiedCharges(degree) => return vec![modified_charges(name, degree)],
         _ => {}
     }
     let ps = ParticleSet::random_cube(1200, 31);
@@ -235,7 +245,15 @@ fn compute(name: &str, output: Output) -> u64 {
         grad.as_deref()
             .expect("a field row needs a gradient kernel")
     };
-    match output {
+    // A row that reads no computed value: the digest of a 3-rank run,
+    // then of the same run priced through the generic door.
+    let priced_too = |digest: fn(&[RankReport], &TrafficMatrix) -> u64, cfg: &DistConfig| {
+        let rep = run_distributed(&ps, 3, cfg, &*k);
+        let part = cfg.partition(&ps, 3);
+        let (_, ranks, matrix) = run_distributed_on(&ps, &part, cfg, &Priced(&*k));
+        vec![digest(&rep.ranks, &rep.traffic), digest(&ranks, &matrix)]
+    };
+    let digest = match output {
         SerialPotential => potentials(&SerialEngine::new(params).compute(&ps, &ps, &*k).potentials),
         ParallelField => {
             field(&PreparedTreecode::new(&ps, &ps, params).evaluate_field_parallel(grad()))
@@ -245,12 +263,13 @@ fn compute(name: &str, output: Output) -> u64 {
         TightRankPotential => potentials(&run_distributed(&ps, 3, &tight, &*k).potentials),
         TightRankField => field(&run_distributed_field(&ps, 3, &tight, grad()).field),
         NodePairPotential => potentials(&run_distributed(&ps, 4, &node_pairs, &*k).potentials),
-        Traffic => traffic(&run_distributed(&ps, 3, &cfg, &*k)),
-        TightTraffic => traffic(&run_distributed(&ps, 3, &tight, &*k)),
-        Clocks => clocks(&run_distributed(&ps, 3, &cfg, &*k)),
-        TightClocks => clocks(&run_distributed(&ps, 3, &tight, &*k)),
+        Traffic => return priced_too(traffic, &cfg),
+        TightTraffic => return priced_too(traffic, &tight),
+        Clocks => return priced_too(clocks, &cfg),
+        TightClocks => return priced_too(clocks, &tight),
         Trajectory | ModifiedCharges(_) => unreachable!(),
-    }
+    };
+    vec![digest]
 }
 
 /// The cloud of the [`ModifiedCharges`] rows, built to reach every path
@@ -291,19 +310,19 @@ fn modified_charges(name: &str, degree: usize) -> u64 {
 }
 
 /// Messages, then bytes, of every (origin, target) pair, row-major.
-fn traffic(rep: &DistReport) -> u64 {
-    let n = rep.traffic.size();
+fn traffic(_: &[RankReport], matrix: &TrafficMatrix) -> u64 {
+    let n = matrix.size();
     let pairs = (0..n).flat_map(|o| (0..n).map(move |t| (o, t)));
     fnv1a(pairs.flat_map(|(o, t)| {
-        let cell = rep.traffic.get(o, t);
+        let cell = matrix.get(o, t);
         [cell.messages, cell.bytes]
     }))
 }
 
 /// Per rank: the five serial phase clocks, `pipelined_s`,
 /// `peak_let_bytes`, then every chunk's land and ready times.
-fn clocks(rep: &DistReport) -> u64 {
-    fnv1a(rep.ranks.iter().flat_map(|r| {
+fn clocks(ranks: &[RankReport], _: &TrafficMatrix) -> u64 {
+    fnv1a(ranks.iter().flat_map(|r| {
         let phases = [
             r.setup_host_s,
             r.setup_comm_s,
@@ -329,20 +348,26 @@ fn source_line((name, output, libm, digest): Row) -> String {
     format!("    ({name:?}, {output:?}, {libm:?}, 0x{grouped}),")
 }
 
-/// Recomputes `rows` and compares each with its pin — or, under
-/// `BLTC_BLESS=1`, prints the recomputed rows instead.
+/// Recomputes `rows` and compares each digest with its row's pin — or,
+/// under `BLTC_BLESS=1`, prints the recomputed rows instead.
 fn check(rows: impl Iterator<Item = &'static Row>) {
     let bless = std::env::var("BLTC_BLESS").is_ok_and(|v| v == "1");
     let mut moved = Vec::new();
     for &(name, output, libm, pinned) in rows {
-        let got = compute(name, output);
+        let mut digests = compute(name, output);
         if bless {
-            println!("{}", source_line((name, output, libm, got)));
-        } else if got != pinned {
-            moved.push(format!(
-                "{} (pinned {pinned:#018x})",
-                source_line((name, output, libm, got))
-            ));
+            // Two lines for one row: its priced run disagrees.
+            digests.dedup();
+        }
+        for got in digests {
+            if bless {
+                println!("{}", source_line((name, output, libm, got)));
+            } else if got != pinned {
+                moved.push(format!(
+                    "{} (pinned {pinned:#018x})",
+                    source_line((name, output, libm, got))
+                ));
+            }
         }
     }
     assert!(moved.is_empty(), "corpus rows moved:\n{}", moved.join("\n"));

@@ -138,7 +138,7 @@ fn gradient_parity_across_engines_for_all_gradient_kernels() {
     ];
     let prep = PreparedTreecode::new(&ps, &ps, params);
     for k in &kernels {
-        let serial = prep.evaluate_field(k.as_ref());
+        let serial: FieldResult = prep.evaluate(k.as_ref(), false).into();
         let parallel = prep.evaluate_field_parallel(k.as_ref());
         let gpu = GpuEngine::new(params).compute_field_detailed(&ps, &ps, k.as_ref());
         for (name, s, p, g) in [
@@ -182,7 +182,10 @@ fn all_field_engines_converge_to_direct_sum_field() {
     let exact = direct_sum_field(&ps, &ps, &Coulomb);
     let prep = PreparedTreecode::new(&ps, &ps, params);
     let results = [
-        ("cpu-serial", prep.evaluate_field(&Coulomb)),
+        (
+            "cpu-serial",
+            prep.evaluate(&Coulomb as &dyn GradientKernel, false).into(),
+        ),
         ("cpu-parallel", prep.evaluate_field_parallel(&Coulomb)),
         (
             "gpu-sim",

@@ -30,7 +30,7 @@ fn distributed_gradients_match_single_rank_evaluate_field() {
     let ps = ParticleSet::random_cube(2400, 400);
     let params = BltcParams::new(0.7, 6, 80, 80);
     let prep = PreparedTreecode::new(&ps, &ps, params);
-    let reference = prep.evaluate_field(&Coulomb);
+    let reference: FieldResult = prep.evaluate(&Coulomb as &dyn GradientKernel, false).into();
     for ranks in [1usize, 2, 4, 7] {
         let rep = run_distributed_field(&ps, ranks, &cfg(params), &Coulomb);
         assert_all_finite(&rep);

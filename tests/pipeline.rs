@@ -11,9 +11,9 @@
 //! - property-based sweep of the bound over random problems.
 
 use bltc_core::config::BltcParams;
-use bltc_core::kernel::{Coulomb, Yukawa};
+use bltc_core::kernel::{Coulomb, GradientKernel, Kernel, Priced, Yukawa};
 use bltc_core::particles::ParticleSet;
-use bltc_dist::{run_distributed, run_distributed_field, DistConfig};
+use bltc_dist::{run_distributed, run_distributed_on, DistConfig, PhaseMaxima};
 use bltc_sim::{plummer_sphere, PersistentIntegrator, SimConfig};
 use proptest::prelude::*;
 
@@ -32,13 +32,18 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 #[test]
 fn pipelined_bounded_by_serial_on_every_rank() {
+    // Clocks only: both passes run priced.
     let ps = ParticleSet::random_cube(2400, 501);
     let params = BltcParams::new(0.7, 4, 80, 80);
+    let yukawa = Yukawa::default();
+    let (coulomb, yukawa) = (&Coulomb as &dyn Kernel, &yukawa as &dyn GradientKernel);
     for &ranks in &RANK_COUNTS {
         let cfg = DistConfig::comet(params);
-        let pot = run_distributed(&ps, ranks, &cfg, &Coulomb);
-        let fld = run_distributed_field(&ps, ranks, &cfg, &Yukawa::default());
-        for r in pot.ranks.iter().chain(fld.ranks.iter()) {
+        let part = cfg.partition(&ps, ranks);
+        let (_, pot_ranks, _) = run_distributed_on(&ps, &part, &cfg, &Priced(coulomb));
+        let (_, fld_ranks, _) = run_distributed_on(&ps, &part, &cfg, &Priced(yukawa));
+        let (pot, fld) = (PhaseMaxima::over(&pot_ranks), PhaseMaxima::over(&fld_ranks));
+        for r in pot_ranks.iter().chain(&fld_ranks) {
             assert!(
                 r.pipelined_s() > 0.0,
                 "{ranks} ranks: pipelined clock unset"
