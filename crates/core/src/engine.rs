@@ -17,7 +17,7 @@ use crate::config::BltcParams;
 use crate::cost::OpCounts;
 use crate::kernel::{Kernel, TileOp};
 use crate::particles::ParticleSet;
-use crate::traversal::{BatchLists, InteractionLists};
+use crate::traversal::InteractionLists;
 use crate::tree::{
     batch::{Batch, TargetBatches},
     SourceTree, TreeStats,
@@ -83,8 +83,7 @@ impl PreparedTreecode {
     pub fn new(targets: &ParticleSet, sources: &ParticleSet, params: BltcParams) -> Self {
         params.validate().unwrap_or_else(|e| panic!("{e}"));
         let t0 = Instant::now();
-        let tree = SourceTree::build(sources, &params);
-        let batches = TargetBatches::build(targets, &params);
+        let (tree, batches) = SourceTree::build_with_batches(sources, targets, &params);
         let lists = InteractionLists::build(&batches, &tree, &params);
         let setup_seconds = t0.elapsed().as_secs_f64();
 
@@ -126,68 +125,158 @@ impl PreparedTreecode {
     }
 
     /// The evaluation behind every `evaluate_*` door and the simulated
-    /// GPU's compute phase: each batch's `C` output columns from its
-    /// interaction lists — claimed by the pool's workers in chunks of
-    /// `max(len / (4·workers), 1)` batches when `parallel`, a plain loop
-    /// otherwise, the same bits either way — assembled into
-    /// original target order.
+    /// GPU's compute phase: each target's `C` output columns from its
+    /// batch's interaction lists, assembled into original target order.
+    ///
+    /// The batches are walked in target order (ascending ranges), in
+    /// chunks of `max(len / (4·workers), 1)` that the pool's workers claim
+    /// when `parallel`, as one chunk otherwise. In a chunk, the
+    /// approximated clusters come first and the direct ones second, each
+    /// set in source-tree pre-order, and a cluster is one tile over each
+    /// maximal run of consecutive batches that list it — the run's
+    /// targets are one contiguous range, so a tile of a cluster that
+    /// sibling batches share holds many batches' targets and few pad
+    /// lanes. Every target still receives exactly its own lists in their
+    /// own order (the traversal emits each in pre-order), each tile's sum
+    /// added once into columns that start at `0.0`: the bits of a loop
+    /// over batches, at any pool size. Every approximation tile is a
+    /// [`TileOp::grid_tile`].
     pub fn evaluate<const C: usize, O: TileOp<C> + ?Sized>(
         &self,
         op: &O,
         parallel: bool,
     ) -> [Vec<f64>; C] {
-        let tp = self.batches.particles();
+        debug_assert!(
+            self.lists_in_preorder(),
+            "an interaction list out of pre-order"
+        );
         let batches = self.batches.batches();
-        let eval = |(b, bl): (&Batch, &BatchLists)| {
-            let mut cols: [Vec<f64>; C] = std::array::from_fn(|_| vec![0.0; b.num_targets()]);
-            let out = cols.each_mut().map(|c| &mut c[..]);
-            eval_batch_into(b, bl, &self.tree, &self.charges, tp, op, out);
-            cols
-        };
-        let per_batch: Vec<[Vec<f64>; C]> = if parallel {
-            (batches.par_iter().zip(&self.lists.per_batch))
-                .map(eval)
-                .collect()
+        let mut order: Vec<u32> = (0..batches.len() as u32).collect();
+        order.sort_unstable_by_key(|&b| batches[b as usize].start);
+        let workers = if parallel {
+            rayon::current_num_threads()
         } else {
-            batches
-                .iter()
-                .zip(&self.lists.per_batch)
-                .map(eval)
-                .collect()
+            1
         };
-        let mut reordered: [Vec<f64>; C] = std::array::from_fn(|_| vec![0.0; tp.len()]);
-        for (b, cols) in batches.iter().zip(&per_batch) {
+        let chunk = match workers {
+            0 | 1 => order.len(),
+            w => order.len() / (4 * w),
+        };
+        let chunks: Vec<&[u32]> = order.chunks(chunk.max(1)).collect();
+        let eval = |chunk: &&[u32]| self.eval_runs(chunk, op);
+        let per_chunk: Vec<[Vec<f64>; C]> = if parallel {
+            chunks.par_iter().map(eval).collect()
+        } else {
+            chunks.iter().map(eval).collect()
+        };
+        // The chunks hold consecutive target ranges, in order.
+        let n = self.batches.particles().len();
+        let mut reordered: [Vec<f64>; C] = std::array::from_fn(|_| Vec::with_capacity(n));
+        for cols in &per_chunk {
             for (dst, src) in reordered.iter_mut().zip(cols) {
-                dst[b.start..b.end].copy_from_slice(src);
+                dst.extend_from_slice(src);
             }
         }
         reordered.map(|col| self.batches.scatter_to_original(&col))
     }
+
+    /// The `C` columns of the targets of `chunk`, batch indices in target
+    /// order: every approximated cluster, then every direct one, as one
+    /// tile per run of the chunk's batches that list it (see
+    /// [`PreparedTreecode::evaluate`]).
+    fn eval_runs<const C: usize, O: TileOp<C> + ?Sized>(
+        &self,
+        chunk: &[u32],
+        op: &O,
+    ) -> [Vec<f64>; C] {
+        let tp = self.batches.particles();
+        let batches: Vec<&Batch> = (chunk.iter())
+            .map(|&b| &self.batches.batches()[b as usize])
+            .collect();
+        debug_assert!(batches.windows(2).all(|w| w[0].end == w[1].start));
+        let lo = batches[0].start;
+        let mut cols: [Vec<f64>; C] =
+            std::array::from_fn(|_| vec![0.0; batches[batches.len() - 1].end - lo]);
+        for approx in [true, false] {
+            let lists: Vec<&[u32]> = (chunk.iter())
+                .map(|&b| &self.lists.per_batch[b as usize])
+                .map(|bl| {
+                    if approx {
+                        &bl.approx[..]
+                    } else {
+                        &bl.direct[..]
+                    }
+                })
+                .collect();
+            for_each_run(self.tree.preorder(), &lists, |ci, run| {
+                let (start, end) = (batches[run.start].start, batches[run.end - 1].end);
+                let t = tp.xyz(start..end);
+                let mut out = cols.each_mut().map(|c| &mut c[start - lo..end - lo]);
+                if approx {
+                    op.grid_tile(t, self.charges.grid(ci), self.charges.charges(ci), &mut out);
+                } else {
+                    op.tile(t, self.tree.node_particles(ci), &mut out);
+                }
+            });
+        }
+        cols
+    }
+
+    /// Whether every interaction list names its clusters in source-tree
+    /// pre-order, which [`PreparedTreecode::evaluate`]'s runs rely on.
+    fn lists_in_preorder(&self) -> bool {
+        let mut rank = vec![0u32; self.tree.num_nodes()];
+        for (r, &ci) in (0..).zip(self.tree.preorder()) {
+            rank[ci as usize] = r;
+        }
+        let sorted = |l: &[u32]| {
+            l.windows(2)
+                .all(|w| rank[w[0] as usize] < rank[w[1] as usize])
+        };
+        (self.lists.per_batch.iter()).all(|bl| sorted(&bl.approx) && sorted(&bl.direct))
+    }
 }
 
-/// Evaluate one batch against its interaction lists, accumulating the
-/// pass's `C` output columns for the batch's (reordered) targets into
-/// `out` (each of length `batch.num_targets()`). The simulated GPU
-/// computes with this very body and prices one launch per tile call.
-fn eval_batch_into<const C: usize, O: TileOp<C> + ?Sized>(
-    batch: &Batch,
-    lists: &BatchLists,
-    tree: &SourceTree,
-    charges: &ClusterCharges,
-    targets: &ParticleSet,
-    op: &O,
-    mut out: [&mut [f64]; C],
+/// Calls `tile(cluster, run)` for every maximal run of consecutive
+/// positions of `lists` that name `cluster`: clusters in `preorder`, each
+/// one's runs ascending. The runs come from per-node buckets (a count, an
+/// offset in pre-order, a fill), not from a sort.
+fn for_each_run(
+    preorder: &[u32],
+    lists: &[&[u32]],
+    mut tile: impl FnMut(usize, std::ops::Range<usize>),
 ) {
-    let t = targets.xyz(batch.start..batch.end);
-    // Approximation path (Eq. 11): targets × Chebyshev proxies.
-    for &ci in &lists.approx {
-        let ci = ci as usize;
-        let (px, py, pz) = charges.grid(ci).proxies();
-        op.tile(t, (px, py, pz, charges.charges(ci)), &mut out);
+    let mut count = vec![0u32; preorder.len()];
+    for &ci in lists.iter().copied().flatten() {
+        count[ci as usize] += 1;
     }
-    // Direct path (Eq. 9): targets × cluster sources.
-    for &ci in &lists.direct {
-        op.tile(t, tree.node_particles(ci as usize), &mut out);
+    let mut offset = vec![0u32; preorder.len()];
+    let mut total = 0;
+    for &ci in preorder {
+        offset[ci as usize] = total;
+        total += count[ci as usize];
+    }
+    let mut slots = vec![0u32; total as usize];
+    for (at, list) in (0..).zip(lists) {
+        for &ci in *list {
+            slots[offset[ci as usize] as usize] = at;
+            offset[ci as usize] += 1;
+        }
+    }
+    let mut rest = &slots[..];
+    for &ci in preorder {
+        let (bucket, tail) = rest.split_at(count[ci as usize] as usize);
+        rest = tail;
+        let mut first = 0;
+        for k in 1..=bucket.len() {
+            if k == bucket.len() || bucket[k] != bucket[k - 1] + 1 {
+                tile(
+                    ci as usize,
+                    bucket[first] as usize..bucket[k - 1] as usize + 1,
+                );
+                first = k;
+            }
+        }
     }
 }
 
@@ -334,7 +423,7 @@ pub fn direct_sum_subset(
 mod tests {
     use super::*;
     use crate::error::relative_l2_error;
-    use crate::kernel::{Coulomb, Gaussian, RegularizedCoulomb, Yukawa};
+    use crate::kernel::{Coulomb, Gaussian, GradientKernel, RegularizedCoulomb, Yukawa};
 
     fn cube(n: usize, seed: u64) -> ParticleSet {
         ParticleSet::random_cube(n, seed)
@@ -570,6 +659,110 @@ mod tests {
                     assert_demand_driven_equals_compute_all(&sources, &sources, params);
                     assert_demand_driven_equals_compute_all(&probes, &sources, params);
                 });
+            }
+        }
+    }
+
+    /// The per-batch loop the run-wise `evaluate` replaced: each batch's
+    /// targets against its approximation list (flat tiles over the
+    /// proxies), then its direct list, into columns that start at `0.0`.
+    fn per_batch_reference<const C: usize, O: TileOp<C> + ?Sized>(
+        prep: &PreparedTreecode,
+        op: &O,
+    ) -> [Vec<f64>; C] {
+        let tp = prep.batches.particles();
+        let mut cols: [Vec<f64>; C] = std::array::from_fn(|_| vec![0.0; tp.len()]);
+        for (b, bl) in prep.batches.batches().iter().zip(&prep.lists.per_batch) {
+            let t = tp.xyz(b.start..b.end);
+            let mut out = cols.each_mut().map(|c| &mut c[b.start..b.end]);
+            for &ci in &bl.approx {
+                let (px, py, pz) = prep.charges.grid(ci as usize).proxies();
+                op.tile(t, (px, py, pz, prep.charges.charges(ci as usize)), &mut out);
+            }
+            for &ci in &bl.direct {
+                op.tile(t, prep.tree.node_particles(ci as usize), &mut out);
+            }
+        }
+        cols.map(|c| prep.batches.scatter_to_original(&c))
+    }
+
+    /// Tiles and target slots of a pass, beside the op that computes it.
+    struct Counting<'a, O: ?Sized>(&'a O, std::sync::atomic::AtomicUsize);
+
+    impl<const C: usize, O: TileOp<C> + ?Sized> TileOp<C> for Counting<'_, O> {
+        const APPROX_LAUNCH: &'static str = O::APPROX_LAUNCH;
+        const DIRECT_LAUNCH: &'static str = O::DIRECT_LAUNCH;
+
+        fn tile(
+            &self,
+            t: (&[f64], &[f64], &[f64]),
+            s: (&[f64], &[f64], &[f64], &[f64]),
+            out: &mut [&mut [f64]; C],
+        ) {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.tile(t, s, out);
+        }
+
+        fn flops_per_pair(&self, gpu: bool) -> f64 {
+            self.0.flops_per_pair(gpu)
+        }
+    }
+
+    /// Run-wise `evaluate`, serial and parallel on pools of 1, 2 and 4
+    /// workers, equals the per-batch loop bit for bit, in both passes:
+    /// on a uniform cube and a Plummer sphere whose batches are the
+    /// tree's leaves, and on probe targets beside the cloud batched on
+    /// their own. On the cube, runs fold many batch–cluster pairs into
+    /// one tile.
+    #[test]
+    fn run_wise_evaluate_equals_the_per_batch_loop_bitwise() {
+        let sources = cube(3000, 72);
+        let mut probes = cube(700, 73);
+        for x in &mut probes.x {
+            *x += 1.25;
+        }
+        let plummer = ParticleSet::plummer(2500, 1.0, 74);
+        let cases = [
+            (&sources, &sources, BltcParams::new(0.8, 4, 40, 40)),
+            (&plummer, &plummer, BltcParams::new(0.7, 5, 50, 50)),
+            (&probes, &sources, BltcParams::new(0.7, 3, 60, 24)),
+        ];
+        let yukawa = Yukawa::new(0.5);
+        let softened = RegularizedCoulomb::new(0.05);
+        for (c, &(targets, sources, params)) in cases.iter().enumerate() {
+            let prep = PreparedTreecode::new(targets, sources, params);
+            let pots: [&dyn Kernel; 3] = [&Coulomb, &yukawa, &softened];
+            let fields: [&dyn GradientKernel; 2] = [&Coulomb, &softened];
+            let want_pots = pots.map(|k| bits(&per_batch_reference(&prep, k)[0]));
+            let want_fields = fields.map(|k| per_batch_reference(&prep, k).map(|c| bits(&c)));
+            for workers in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(workers)
+                    .build()
+                    .expect("pool build");
+                pool.install(|| {
+                    for parallel in [false, true] {
+                        let at = (c, workers, parallel);
+                        for (k, want) in pots.iter().zip(&want_pots) {
+                            let [got] = prep.evaluate(*k, parallel);
+                            assert_eq!(&bits(&got), want, "{} {at:?}", k.name());
+                        }
+                        for (k, want) in fields.iter().zip(&want_fields) {
+                            let got = prep.evaluate(*k, parallel).map(|c| bits(&c));
+                            assert_eq!(&got, want, "{} field {at:?}", k.name());
+                        }
+                    }
+                });
+            }
+            if c == 0 {
+                let counting = Counting(&Coulomb as &dyn Kernel, Default::default());
+                prep.evaluate(&counting, false);
+                let pairs = prep.lists.num_approx() + prep.lists.num_direct();
+                let tiles = counting.1.into_inner();
+                assert!(
+                    3 * tiles < pairs,
+                    "{tiles} tiles for {pairs} batch-cluster pairs"
+                );
             }
         }
     }

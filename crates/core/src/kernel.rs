@@ -29,19 +29,28 @@
 //!
 //! No engine calls [`Kernel::eval`] pair by pair (only the `O(N²)`
 //! `direct_sum*` oracles do, which is what makes them oracles). Every
-//! batch–cluster interaction — CPU, LET, simulated GPU; sources or
-//! Chebyshev proxies — is one call of [`Kernel::accumulate_tile`] (or its gradient twin
-//! [`GradientKernel::accumulate_field_tile`]). Both are *provided*
-//! methods, so each implementing type gets its own instantiation in
-//! which `eval` is a static, inlinable call: a `&dyn Kernel` caller pays
-//! one virtual call per tile, and user kernels get the same loop without
-//! overriding anything.
+//! batch–cluster interaction — CPU, LET, simulated GPU — is one tile
+//! call: [`Kernel::accumulate_tile`] against a cluster's particles, and
+//! [`Kernel::accumulate_grid_tile`] against its Chebyshev proxies (and
+//! their gradient twins, [`GradientKernel::accumulate_field_tile`] and
+//! [`GradientKernel::accumulate_grid_field_tile`]). All four are
+//! *provided* methods, so each implementing type gets its own
+//! instantiation in which `eval` is a static, inlinable call: a `&dyn
+//! Kernel` caller pays one virtual call per tile, and user kernels get
+//! the same loop without overriding anything. A grid tile's provided body
+//! is the flat tile over [`TensorGrid::proxies`]; it exists so that a
+//! kernel can read the proxies as what they are, a tensor product whose
+//! axes have only `n + 1` distinct nodes each.
 //!
-//! The engines do not call the two tile methods by name either. What a
-//! pass produces per target — one column or four — is a [`TileOp`],
+//! The engines do not call the tile methods by name either. What a pass
+//! produces per target — one column or four — is a [`TileOp`],
 //! implemented by `dyn Kernel` and `dyn GradientKernel`; each layer's
-//! loop is written once against it, and [`TileOp::tile`] is the only
-//! caller of the tile methods.
+//! loop is written once against it, and [`TileOp::tile`] (direct) and
+//! [`TileOp::grid_tile`] (approximation) are the only callers of the tile
+//! methods. How many targets one tile holds is the caller's choice: core
+//! evaluates a cluster in one tile over each run of consecutive batches
+//! that list it (`PreparedTreecode::evaluate`), the LET one batch at a
+//! time; per target the sum is the same either way.
 //!
 //! [`Priced`] is the one `TileOp` that computes nothing. It forwards its
 //! op's launch names, column count and flops per pair, and its tile is
@@ -81,13 +90,13 @@
 //! host and in every vector width, and a tile that runs it lane by lane
 //! still equals the per-pair `eval` loop under `assert_eq!`.
 //!
-//! [`Coulomb`] and [`RegularizedCoulomb`] override both tiles on exactly
-//! these terms. On an x86-64 host whose CPU reports AVX-512F (a run-time
-//! check; there is nothing to configure) the private `avx512` module
-//! walks sixteen targets per step with a masked last step — one lane body
-//! for one column or four — and takes two operations off the divider, the
-//! way a GPU, which has no FP64 divide or square-root unit at all,
-//! computes the paper's `1.0/sqrt(r2)` (§3.2).
+//! [`Coulomb`] and [`RegularizedCoulomb`] override all four tiles on
+//! exactly these terms. On an x86-64 host whose CPU reports AVX-512F (a
+//! run-time check; there is nothing to configure) the private `avx512`
+//! module walks sixteen targets per step with a masked last step — one
+//! lane body for one column or four — and takes two operations off the
+//! divider, the way a GPU, which has no FP64 divide or square-root unit
+//! at all, computes the paper's `1.0/sqrt(r2)` (§3.2).
 //!
 //! *The square root* `s = √r²`, in both tiles: `y = rsqrt14(x)` (14
 //! bits), `g = x·y ≈ √x`, `h = y/2 ≈ 1/(2√x)`; twice `r = ½ − g·h`, `g +=
@@ -128,6 +137,23 @@
 //! the reciprocals closest to a rounding boundary; the tile oracle tests
 //! below run both bodies of both tiles. Everywhere else the provided
 //! bodies run — the same functions the overrides fall back to.
+//!
+//! *The grid tiles* run the same lane body over a cluster's proxy grid
+//! (at most eight nodes wide, degree ≤ 7; wider grids take the flat
+//! tile). Proxy `(k1, k2, k3)` is `(x_{k1}, y_{k2}, z_{k3})`, so the body
+//! forms `dy`, `dz` and their squares once per node, `dx²` once per `k1`
+//! and `dx² + dy²` once per `(k1, k2)`: each the very operation the flat
+//! body performs per pair, on the same operands. From `r² = (dx² +
+//! dy²) + dz²` on, every pair runs the flat body's sequence, sources in
+//! the grid's linear order. The grid oracle test below compares the two
+//! tiles, both columns, guarded and softened, on targets that sit on a
+//! proxy, near one (subnormal and underflowing `r²`), infinitely far and
+//! at NaN. Measured on the host below, best of 200, 50 and 150 targets
+//! against degree-4 and degree-6 grids, nanoseconds per pair, flat →
+//! grid in the same run: potential 0.95–1.18 → 0.83–0.95, field 1.61–2.21
+//! → 1.47–1.77. The divider still sets the pace of the potential tile;
+//! the grid takes the subtractions and squares off the FMA ports around
+//! it.
 //!
 //! Measured on the 2-vCPU AVX-512 host of the benchmark (two 512-bit FMA
 //! ports, ≈ 2.9 GHz under AVX-512 whatever its name says), nanoseconds
@@ -190,6 +216,8 @@
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512;
 mod exp;
+
+use crate::interp::tensor::TensorGrid;
 
 /// Targets the portable bodies ([`portable_tile`] and
 /// [`portable_field_tile`]) walk together. Each keeps its own accumulator,
@@ -352,6 +380,47 @@ fn inv_sqrt_field_tile<const GUARD: bool>(
     portable_field_tile(k, t, s, out);
 }
 
+/// The potential tile of the same two kernels against a cluster's
+/// Chebyshev proxies: the AVX-512 grid body where the host has it and the
+/// grid is at most eight nodes wide, [`inv_sqrt_tile`] over the flat
+/// proxies everywhere else. The same bits either way.
+#[inline]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn inv_sqrt_grid_tile<const GUARD: bool>(
+    k: &impl Kernel,
+    eps2: f64,
+    t: (&[f64], &[f64], &[f64]),
+    grid: &TensorGrid,
+    sq: &[f64],
+    out: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512::grid_tile::<GUARD, 1>(eps2, t, grid, sq, &mut [&mut *out]) {
+        return;
+    }
+    let (px, py, pz) = grid.proxies();
+    inv_sqrt_tile::<GUARD>(k, eps2, t, (px, py, pz, sq), out);
+}
+
+/// The field twin of [`inv_sqrt_grid_tile`], selected the same way.
+#[inline]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn inv_sqrt_grid_field_tile<const GUARD: bool>(
+    k: &impl GradientKernel,
+    eps2: f64,
+    t: (&[f64], &[f64], &[f64]),
+    grid: &TensorGrid,
+    sq: &[f64],
+    out: &mut [&mut [f64]; 4],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512::grid_tile::<GUARD, 4>(eps2, t, grid, sq, out) {
+        return;
+    }
+    let (px, py, pz) = grid.proxies();
+    inv_sqrt_field_tile::<GUARD>(k, eps2, t, (px, py, pz, sq), out);
+}
+
 /// Targets [`portable_exp_tile`] walks together: its lane loops fill one
 /// 512-bit or two 256-bit vectors.
 const EXP_W: usize = 8;
@@ -505,6 +574,28 @@ pub trait Kernel: Sync + Send {
         portable_tile(self, (tx, ty, tz), (sx, sy, sz, sq), out);
     }
 
+    /// [`Kernel::accumulate_tile`] against the Chebyshev proxies of `grid`,
+    /// weighted by `sq` (a cluster's modified charges, one per proxy in
+    /// the grid's linear order): the flat tile over
+    /// [`TensorGrid::proxies`], under the same contract and with its bits.
+    /// An override may read the tensor structure — each axis has only
+    /// `n + 1` distinct nodes — but must keep every bit.
+    ///
+    /// Panics if the target slices differ in length from `out`, or `sq`
+    /// from the grid.
+    fn accumulate_grid_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        grid: &TensorGrid,
+        sq: &[f64],
+        out: &mut [f64],
+    ) {
+        let (px, py, pz) = grid.proxies();
+        self.accumulate_tile(tx, ty, tz, px, py, pz, sq, out);
+    }
+
     /// Single-precision evaluation, for the mixed-precision mode the
     /// paper lists as future work (§5). The default round-trips through
     /// `eval`; performance-honest kernels override it with genuine `f32`
@@ -564,6 +655,25 @@ pub trait GradientKernel: Kernel {
         portable_field_tile(self, (tx, ty, tz), (sx, sy, sz, sq), &mut [pot, gx, gy, gz]);
     }
 
+    /// The four-column twin of [`Kernel::accumulate_grid_tile`]: the
+    /// field tile over the proxies of `grid`, same contract, same bits.
+    #[allow(clippy::too_many_arguments)]
+    fn accumulate_grid_field_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        grid: &TensorGrid,
+        sq: &[f64],
+        pot: &mut [f64],
+        gx: &mut [f64],
+        gy: &mut [f64],
+        gz: &mut [f64],
+    ) {
+        let (px, py, pz) = grid.proxies();
+        self.accumulate_field_tile(tx, ty, tz, px, py, pz, sq, pot, gx, gy, gz);
+    }
+
     /// Flop-equivalents per gradient evaluation on the GPU. A field
     /// evaluation produces four outputs (potential + three derivatives)
     /// and quadruples the multiply/accumulate traffic even though the
@@ -613,6 +723,24 @@ pub trait TileOp<const C: usize>: Sync {
         out: &mut [&mut [f64]; C],
     );
 
+    /// [`TileOp::tile`] against the Chebyshev proxies of `grid` weighted
+    /// by the modified charges `qhat`: every approximation tile of every
+    /// layer is this call. The default is `tile` over
+    /// [`TensorGrid::proxies`], which is what [`Priced`] and any other op
+    /// keep; the two kernel passes hand it to
+    /// [`Kernel::accumulate_grid_tile`] and its gradient twin, which the
+    /// Coulomb family overrides. The same bits either way.
+    fn grid_tile(
+        &self,
+        t: (&[f64], &[f64], &[f64]),
+        grid: &TensorGrid,
+        qhat: &[f64],
+        out: &mut [&mut [f64]; C],
+    ) {
+        let (px, py, pz) = grid.proxies();
+        self.tile(t, (px, py, pz, qhat), out);
+    }
+
     /// Flop-equivalents per target–source pair on the GPU or a CPU core.
     fn flops_per_pair(&self, gpu: bool) -> f64;
 }
@@ -629,6 +757,17 @@ impl TileOp<1> for dyn Kernel + '_ {
         [pot]: &mut [&mut [f64]; 1],
     ) {
         self.accumulate_tile(tx, ty, tz, sx, sy, sz, sq, pot);
+    }
+
+    #[inline]
+    fn grid_tile(
+        &self,
+        (tx, ty, tz): (&[f64], &[f64], &[f64]),
+        grid: &TensorGrid,
+        qhat: &[f64],
+        [pot]: &mut [&mut [f64]; 1],
+    ) {
+        self.accumulate_grid_tile(tx, ty, tz, grid, qhat, pot);
     }
 
     fn flops_per_pair(&self, gpu: bool) -> f64 {
@@ -652,6 +791,17 @@ impl TileOp<4> for dyn GradientKernel + '_ {
         [pot, gx, gy, gz]: &mut [&mut [f64]; 4],
     ) {
         self.accumulate_field_tile(tx, ty, tz, sx, sy, sz, sq, pot, gx, gy, gz);
+    }
+
+    #[inline]
+    fn grid_tile(
+        &self,
+        (tx, ty, tz): (&[f64], &[f64], &[f64]),
+        grid: &TensorGrid,
+        qhat: &[f64],
+        [pot, gx, gy, gz]: &mut [&mut [f64]; 4],
+    ) {
+        self.accumulate_grid_field_tile(tx, ty, tz, grid, qhat, pot, gx, gy, gz);
     }
 
     fn flops_per_pair(&self, gpu: bool) -> f64 {
@@ -720,6 +870,22 @@ impl GradientKernel for Coulomb {
         let (t, s) = ((tx, ty, tz), (sx, sy, sz, sq));
         inv_sqrt_field_tile::<true>(self, 0.0, t, s, &mut [pot, gx, gy, gz]);
     }
+
+    fn accumulate_grid_field_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        grid: &TensorGrid,
+        sq: &[f64],
+        pot: &mut [f64],
+        gx: &mut [f64],
+        gy: &mut [f64],
+        gz: &mut [f64],
+    ) {
+        let out = &mut [pot, gx, gy, gz];
+        inv_sqrt_grid_field_tile::<true>(self, 0.0, (tx, ty, tz), grid, sq, out);
+    }
 }
 
 impl GradientKernel for Yukawa {
@@ -781,6 +947,22 @@ impl GradientKernel for RegularizedCoulomb {
         let (t, s) = ((tx, ty, tz), (sx, sy, sz, sq));
         let eps2 = self.epsilon * self.epsilon;
         inv_sqrt_field_tile::<false>(self, eps2, t, s, &mut [pot, gx, gy, gz]);
+    }
+
+    fn accumulate_grid_field_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        grid: &TensorGrid,
+        sq: &[f64],
+        pot: &mut [f64],
+        gx: &mut [f64],
+        gy: &mut [f64],
+        gz: &mut [f64],
+    ) {
+        let (eps2, out) = (self.epsilon * self.epsilon, &mut [pot, gx, gy, gz]);
+        inv_sqrt_grid_field_tile::<false>(self, eps2, (tx, ty, tz), grid, sq, out);
     }
 }
 
@@ -857,6 +1039,18 @@ impl Kernel for Coulomb {
         out: &mut [f64],
     ) {
         inv_sqrt_tile::<true>(self, 0.0, (tx, ty, tz), (sx, sy, sz, sq), out);
+    }
+
+    fn accumulate_grid_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        grid: &TensorGrid,
+        sq: &[f64],
+        out: &mut [f64],
+    ) {
+        inv_sqrt_grid_tile::<true>(self, 0.0, (tx, ty, tz), grid, sq, out);
     }
 
     #[inline]
@@ -1131,6 +1325,19 @@ impl Kernel for RegularizedCoulomb {
     ) {
         let eps2 = self.epsilon * self.epsilon;
         inv_sqrt_tile::<false>(self, eps2, (tx, ty, tz), (sx, sy, sz, sq), out);
+    }
+
+    fn accumulate_grid_tile(
+        &self,
+        tx: &[f64],
+        ty: &[f64],
+        tz: &[f64],
+        grid: &TensorGrid,
+        sq: &[f64],
+        out: &mut [f64],
+    ) {
+        let eps2 = self.epsilon * self.epsilon;
+        inv_sqrt_grid_tile::<false>(self, eps2, (tx, ty, tz), grid, sq, out);
     }
 
     fn name(&self) -> &'static str {
@@ -1571,6 +1778,88 @@ mod tests {
                             lanes,
                             bits(&oracle[c]),
                             "portable exp_tile {shape:?} column {c}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Targets against the proxies of a degree-`degree` grid, and its
+    /// modified charges. Every third target is special, cycling through:
+    /// exactly on a proxy whose charge is negative (`r² = 0`: the guard's
+    /// `0 · q` is `−0`), 1e-160 off one in `y` (`r²` subnormal), ±1e-170
+    /// off one in `x` (`r²` underflows to 0 between distinct points), 1e200
+    /// away (`r² = ∞`) and NaN — each sends its vector down the hardware
+    /// `√` — while the others sit around and inside the grid's box.
+    fn grid_case(degree: usize, nt: usize) -> (ParticleSet, TensorGrid, Vec<f64>) {
+        use crate::geometry::{BoundingBox, Point3};
+        let bbox = BoundingBox::new(Point3::new(0.1, -0.3, 0.2), Point3::new(0.6, 0.4, 0.45));
+        let grid = TensorGrid::new(degree, &bbox);
+        let seed = (100 * degree + nt) as u64;
+        let mut q = ParticleSet::random_cube(grid.len(), 2900 + seed).q;
+        let mut t = ParticleSet::random_cube(nt, 2950 + seed);
+        let (px, py, pz) = grid.proxies();
+        for (n, i) in (0..nt).step_by(3).enumerate() {
+            let k = (7 * i + n) % grid.len();
+            (t.x[i], t.y[i], t.z[i]) = match n % 6 {
+                0 => {
+                    q[k] = -0.5 - q[k].abs();
+                    (px[k], py[k], pz[k])
+                }
+                1 => (px[k], py[k] + 1e-160, pz[k]),
+                2 => (px[k] + 1e-170, py[k], pz[k]),
+                3 => (px[k] - 1e-170, py[k], pz[k]),
+                4 => (1e200, py[k], pz[k]),
+                _ => (px[k], f64::NAN, pz[k]),
+            };
+        }
+        (t, grid, q)
+    }
+
+    /// Degrees 1–7 (the AVX-512 grid body, where the host has it) and 8
+    /// (nine nodes wide: the flat fallback); target counts around one and
+    /// two vectors and a batch's 50; `GUARD` (`Coulomb`) and `!GUARD`
+    /// (`RegularizedCoulomb`), one column and four. Kernels without an
+    /// override run the provided grid tile, which must forward.
+    #[test]
+    fn grid_tile_equals_flat_tile_over_the_proxies_bitwise() {
+        let kernels: Vec<Box<dyn GradientKernel>> = vec![
+            Box::new(Coulomb),
+            Box::new(RegularizedCoulomb::new(0.05)),
+            Box::new(Yukawa::new(0.5)),
+            Box::new(InverseSquare),
+        ];
+        for degree in 1..=8 {
+            for nt in [1, 7, 8, 9, 16, 17, 20, 50] {
+                let (t, grid, q) = grid_case(degree, nt);
+                let (px, py, pz) = grid.proxies();
+                let (tt, ss) = ((&*t.x, &*t.y, &*t.z), (px, py, pz, &*q));
+                #[cfg(target_arch = "x86_64")]
+                {
+                    let mut scratch = vec![0.0; nt];
+                    let ran = avx512::grid_tile::<true, 1>(0.0, tt, &grid, &q, &mut [&mut scratch]);
+                    let avx512f = is_x86_feature_detected!("avx512f");
+                    assert_eq!(ran, avx512f && degree <= 7, "which body, degree {degree}");
+                }
+                for k in &kernels {
+                    let shape = (k.name(), degree, nt);
+                    let pot: &dyn Kernel = k.as_ref();
+                    let (mut grid_out, mut flat) = (prefilled(nt, 0.75), prefilled(nt, 0.75));
+                    pot.grid_tile(tt, &grid, &q, &mut [&mut grid_out]);
+                    pot.tile(tt, ss, &mut [&mut flat]);
+                    assert_eq!(bits(&grid_out), bits(&flat), "potential {shape:?}");
+
+                    let field: &dyn GradientKernel = k.as_ref();
+                    let salted = || [1.5, -0.75, 2.0, 9.0].map(|salt| prefilled(nt, salt));
+                    let (mut grid_out, mut flat) = (salted(), salted());
+                    field.grid_tile(tt, &grid, &q, &mut grid_out.each_mut().map(|c| &mut c[..]));
+                    field.tile(tt, ss, &mut flat.each_mut().map(|c| &mut c[..]));
+                    for c in 0..4 {
+                        assert_eq!(
+                            bits(&grid_out[c]),
+                            bits(&flat[c]),
+                            "field {shape:?} column {c}"
                         );
                     }
                 }

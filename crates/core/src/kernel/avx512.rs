@@ -1,19 +1,24 @@
 //! The AVX-512 potential and field tiles of the Coulomb family (`1/√r²`,
 //! bare or softened), and the two correctly rounded FMA sequences inside
-//! them: the square root, and the reciprocal of that square root. Beside
-//! them, [`exp_tile`]: the exp family's portable lane body, compiled a
-//! second time for AVX-512F. And [`charges`]: the modified-charge body of
-//! [`crate::charges`] for grids up to eight nodes wide, a term pass with
-//! eight particles in lanes and a scatter that keeps a block of `q̂` in
-//! registers (measured in `ClusterCharges::compute_selected`'s doc).
+//! them: the square root, and the reciprocal of that square root. The
+//! same per-pair body runs in two walks over the sources: [`tile`], over
+//! flat source slices (a cluster's particles), and [`grid_tile`], over
+//! the tensor grid of a cluster's Chebyshev proxies (degree ≤ 7), which
+//! forms each axis' differences and squares once per node instead of
+//! once per pair. Beside them, [`exp_tile`]: the exp family's portable
+//! lane body, compiled a second time for AVX-512F. And [`charges`]: the
+//! modified-charge body of [`crate::charges`] for grids up to eight nodes
+//! wide, a term pass with eight particles in lanes and a scatter that
+//! keeps a block of `q̂` in registers (measured in
+//! `ClusterCharges::compute_selected`'s doc).
 //!
 //! Everything here computes exactly what the portable bodies compute —
 //! see "Tiles" in the [parent module](super), and "Why the bits cannot
 //! move" in [`crate::charges`], for what that means and why it can be
 //! asserted with `==`. This is the only module of the library crates that
-//! contains `unsafe`: masked memory accesses, and the three calls, from
-//! [`tile`], [`exp_tile`] and [`charges`], into `#[target_feature]`
-//! code.
+//! contains `unsafe`: masked memory accesses, and the four calls, from
+//! [`tile`], [`grid_tile`], [`exp_tile`] and [`charges`], into
+//! `#[target_feature]` code.
 //!
 //! Neither [`sqrt_fma`]'s nor [`recip_fma`]'s operation sequence may be
 //! shortened, reordered or given a wider accepted range: each is correct
@@ -242,6 +247,34 @@ fn pair_terms<const C: usize>(
     terms
 }
 
+/// One pair per lane into the `C` accumulators, from `r² = (dx·dx +
+/// dy·dy) + dz·dz`: `+ ε²` (`!GUARD`), the terms, the guard's select
+/// (`GUARD`: `r² = 0 → 0`), `· q` and the sum — the per-pair sequence
+/// that both walks over the sources, [`block`] and [`grid_block`], share.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn accumulate_pair<const GUARD: bool, const C: usize>(
+    acc: &mut [__m512d; C],
+    mut r2: __m512d,
+    eps2: __m512d,
+    d: (__m512d, __m512d, __m512d),
+    q: __m512d,
+) {
+    if !GUARD {
+        r2 = _mm512_add_pd(r2, eps2);
+    }
+    let mut terms = pair_terms::<C>(r2, d);
+    if GUARD {
+        let apart = _mm512_cmpneq_pd_mask(r2, _mm512_setzero_pd());
+        for term in &mut terms {
+            *term = _mm512_maskz_mov_pd(apart, *term);
+        }
+    }
+    for (acc, term) in acc.iter_mut().zip(terms) {
+        *acc = _mm512_add_pd(*acc, _mm512_mul_pd(term, q));
+    }
+}
+
 /// `V` vectors of targets starting at target `i` (the last one padded if
 /// the slices run out) against all sources, into `C` columns: per lane,
 /// `eval`'s (`C = 1`) or `eval_with_grad`'s (`C = 4`) operations in their
@@ -272,20 +305,8 @@ fn block<const GUARD: bool, const V: usize, const C: usize>(
             let dy = _mm512_sub_pd(y[v], ys);
             let dz = _mm512_sub_pd(z[v], zs);
             let xx_yy = _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy));
-            let mut r2 = _mm512_add_pd(xx_yy, _mm512_mul_pd(dz, dz));
-            if !GUARD {
-                r2 = _mm512_add_pd(r2, eps2);
-            }
-            let mut terms = pair_terms::<C>(r2, (dx, dy, dz));
-            if GUARD {
-                let apart = _mm512_cmpneq_pd_mask(r2, zero);
-                for term in &mut terms {
-                    *term = _mm512_maskz_mov_pd(apart, *term);
-                }
-            }
-            for (acc, term) in acc[v].iter_mut().zip(terms) {
-                *acc = _mm512_add_pd(*acc, _mm512_mul_pd(term, q));
-            }
+            let r2 = _mm512_add_pd(xx_yy, _mm512_mul_pd(dz, dz));
+            accumulate_pair::<GUARD, C>(&mut acc[v], r2, eps2, (dx, dy, dz), q);
         }
     }
     for (out, c) in out.iter_mut().zip(0..) {
@@ -340,6 +361,125 @@ pub(super) fn tile<const GUARD: bool, const C: usize>(
     // SAFETY: AVX-512F, the one feature `tile_avx512` is compiled for,
     // was detected above.
     unsafe { tile_avx512::<GUARD, C>(eps2, t, s, out) };
+    true
+}
+
+/// Widest grid, in nodes per axis, that [`grid_tile`] takes: its per-node
+/// vectors live in arrays of this length (degree 7; the flat tile serves
+/// wider grids).
+const GRID_NODES: usize = 8;
+
+/// [`block`] against the `m³` proxies of `grid` (`m ≤` [`GRID_NODES`]),
+/// in the grid's linear order (`k3` fastest), with the modified charges
+/// `sq`. Proxy `(k1, k2, k3)` is `(x_{k1}, y_{k2}, z_{k3})`, so each axis
+/// has only `m` distinct differences: `dy` and `dz` and their squares are
+/// formed once per node, `dx²` once per `k1`, and `xx_yy = dx² + dy²` once
+/// per `(k1, k2)`. Each of them is the very operation `block` performs on
+/// the same operands, so every pair, sources ascending, reaches
+/// [`accumulate_pair`] with `block`'s values: `r² = xx_yy + dz²` and the
+/// differences.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn grid_block<const GUARD: bool, const V: usize, const C: usize>(
+    eps2: f64,
+    i: usize,
+    (tx, ty, tz): (&[f64], &[f64], &[f64]),
+    grid: &TensorGrid,
+    sq: &[f64],
+    out: &mut [&mut [f64]; C],
+) {
+    let zero = _mm512_setzero_pd();
+    let eps2 = _mm512_set1_pd(eps2);
+    let m = grid.nodes_per_dim();
+    let [nx, ny, nz] = [0, 1, 2].map(|d| &grid.dim(d).nodes()[..m]);
+    let mut x = [zero; V];
+    let (mut dy, mut dz) = ([[zero; GRID_NODES]; V], [[zero; GRID_NODES]; V]);
+    let (mut dy2, mut dz2) = ([[zero; GRID_NODES]; V], [[zero; GRID_NODES]; V]);
+    for v in 0..V {
+        x[v] = load_padded(&tx[i + v * LANES..]);
+        let y = load_padded(&ty[i + v * LANES..]);
+        let z = load_padded(&tz[i + v * LANES..]);
+        for k in 0..m {
+            dy[v][k] = _mm512_sub_pd(y, _mm512_set1_pd(ny[k]));
+            dy2[v][k] = _mm512_mul_pd(dy[v][k], dy[v][k]);
+            dz[v][k] = _mm512_sub_pd(z, _mm512_set1_pd(nz[k]));
+            dz2[v][k] = _mm512_mul_pd(dz[v][k], dz[v][k]);
+        }
+    }
+    let mut acc = [[zero; C]; V];
+    let mut rows = sq.chunks_exact(m);
+    for &xs in nx {
+        let (mut dx, mut dx2) = ([zero; V], [zero; V]);
+        for v in 0..V {
+            dx[v] = _mm512_sub_pd(x[v], _mm512_set1_pd(xs));
+            dx2[v] = _mm512_mul_pd(dx[v], dx[v]);
+        }
+        for k2 in 0..m {
+            let row = rows.next().expect("one charge per proxy");
+            let mut xx_yy = [zero; V];
+            for v in 0..V {
+                xx_yy[v] = _mm512_add_pd(dx2[v], dy2[v][k2]);
+            }
+            for (k3, &sq) in row.iter().enumerate() {
+                let q = _mm512_set1_pd(sq);
+                for v in 0..V {
+                    let r2 = _mm512_add_pd(xx_yy[v], dz2[v][k3]);
+                    let d = (dx[v], dy[v][k2], dz[v][k3]);
+                    accumulate_pair::<GUARD, C>(&mut acc[v], r2, eps2, d, q);
+                }
+            }
+        }
+    }
+    for (out, c) in out.iter_mut().zip(0..) {
+        for v in 0..V {
+            add_into(&mut out[i + v * LANES..], acc[v][c]);
+        }
+    }
+}
+
+/// [`tile_avx512`]'s walk over the targets with [`grid_block`] for
+/// [`block`].
+#[target_feature(enable = "avx512f")]
+fn grid_tile_avx512<const GUARD: bool, const C: usize>(
+    eps2: f64,
+    t: (&[f64], &[f64], &[f64]),
+    grid: &TensorGrid,
+    sq: &[f64],
+    out: &mut [&mut [f64]; C],
+) {
+    let nt = out[0].len();
+    for i in (0..nt).step_by(2 * LANES) {
+        if nt - i > LANES {
+            grid_block::<GUARD, 2, C>(eps2, i, t, grid, sq, out);
+        } else {
+            grid_block::<GUARD, 1, C>(eps2, i, t, grid, sq, out);
+        }
+    }
+}
+
+/// [`tile`] against the Chebyshev proxies of `grid` with the modified
+/// charges `sq`: the bits of `tile` over
+/// [`TensorGrid::proxies`](crate::interp::tensor::TensorGrid::proxies).
+///
+/// Returns `false`, having done nothing, on a host without AVX-512F or
+/// for a grid wider than [`GRID_NODES`] nodes: the caller then runs the
+/// flat tile. Panics like the flat tile on mismatched slice lengths.
+pub(super) fn grid_tile<const GUARD: bool, const C: usize>(
+    eps2: f64,
+    t: (&[f64], &[f64], &[f64]),
+    grid: &TensorGrid,
+    sq: &[f64],
+    out: &mut [&mut [f64]; C],
+) -> bool {
+    const { assert!(C == 1 || C == 4, "eval's column or eval_with_grad's four") };
+    if grid.nodes_per_dim() > GRID_NODES || !is_x86_feature_detected!("avx512f") {
+        return false;
+    }
+    let (px, py, pz) = grid.proxies();
+    super::assert_tile_shape(t, (px, py, pz, sq), &*out);
+    // SAFETY: AVX-512F, the one feature `grid_tile_avx512` is compiled
+    // for, was detected above.
+    unsafe { grid_tile_avx512::<GUARD, C>(eps2, t, grid, sq, out) };
     true
 }
 

@@ -6,13 +6,16 @@
 //! whole batch (instead of per-target) is what avoids thread divergence.
 //! When targets and sources are the same set and `N_B = N_L`, the batches
 //! coincide with the source-tree leaves — the configuration used in all
-//! of the paper's experiments.
+//! of the paper's experiments — and
+//! [`SourceTree::build_with_batches`] takes them from the tree instead of
+//! splitting the same particles twice.
 
 use crate::config::BltcParams;
 use crate::geometry::{BoundingBox, Point3};
 use crate::particles::ParticleSet;
 
 use super::build::build_nodes;
+use super::SourceTree;
 
 /// One batch of geometrically localized target particles.
 #[derive(Debug, Clone)]
@@ -65,6 +68,30 @@ impl TargetBatches {
             batches,
             particles,
             perm,
+        }
+    }
+
+    /// The leaves of `tree` as batches, in node order, over the tree's
+    /// reordered particles and permutation: field for field what
+    /// [`TargetBatches::build`] returns for the tree's own sources at
+    /// `N_B = N_L`, without the second split.
+    pub(crate) fn from_leaves(tree: &SourceTree) -> Self {
+        let batches = tree
+            .nodes()
+            .iter()
+            .filter(|n| n.is_leaf())
+            .map(|n| Batch {
+                bbox: n.bbox,
+                center: n.center,
+                radius: n.radius,
+                start: n.start,
+                end: n.end,
+            })
+            .collect();
+        Self {
+            batches,
+            particles: tree.particles().clone(),
+            perm: tree.perm().to_vec(),
         }
     }
 
@@ -166,6 +193,89 @@ mod tests {
         let tb = TargetBatches::build(&ps, &params(100));
         assert_eq!(tb.len(), 1);
         assert_eq!(tb.batches()[0].num_targets(), 50);
+    }
+
+    /// Every field of two batch sets, floats bit for bit.
+    fn assert_same_batches(a: &TargetBatches, b: &TargetBatches, what: &str) {
+        let f = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let corners = |b: &Batch| [b.bbox.min, b.bbox.max, b.center].map(|p| [p.x, p.y, p.z]);
+        assert_eq!(a.len(), b.len(), "{what}: batch count");
+        for (i, (x, y)) in a.batches().iter().zip(b.batches()).enumerate() {
+            assert_eq!(
+                (x.start, x.end),
+                (y.start, y.end),
+                "{what}: batch {i} range"
+            );
+            assert_eq!(
+                f(corners(x).as_flattened()),
+                f(corners(y).as_flattened()),
+                "{what}: batch {i} box"
+            );
+            assert_eq!(
+                x.radius.to_bits(),
+                y.radius.to_bits(),
+                "{what}: batch {i} radius"
+            );
+        }
+        let (p, q) = (a.particles(), b.particles());
+        for (u, v) in [(&p.x, &q.x), (&p.y, &q.y), (&p.z, &q.z), (&p.q, &q.q)] {
+            assert_eq!(f(u), f(v), "{what}: reordered particles");
+        }
+        assert_eq!(a.perm(), b.perm(), "{what}: permutation");
+    }
+
+    /// The leaf-built batches of `build_with_batches` equal a second
+    /// split field for field — on uniform, clustered and degenerate
+    /// inputs, and at a depth cap that leaves over-full leaves — and a
+    /// target set that differs from the sources, if only by the sign of
+    /// one zero, or a batch cap other than the leaf cap, is split on its
+    /// own.
+    #[test]
+    fn leaf_built_batches_equal_a_second_split() {
+        let coincident =
+            ParticleSet::new(vec![0.5; 90], vec![0.5; 90], vec![0.5; 90], vec![1.0; 90]);
+        let sets = [
+            ParticleSet::random_cube(3000, 25),
+            ParticleSet::plummer(2500, 1.0, 26),
+            ParticleSet::random_cube(1, 27),
+            coincident,
+        ];
+        for (s, ps) in sets.iter().enumerate() {
+            for (cap, depth) in [(50, 64), (128, 64), (20, 3)] {
+                let p = BltcParams {
+                    max_depth: depth,
+                    ..params(cap)
+                };
+                let copy = ps.clone();
+                for targets in [ps, &copy] {
+                    let (tree, leaves) = SourceTree::build_with_batches(ps, targets, &p);
+                    let split = TargetBatches::build(targets, &p);
+                    assert_same_batches(
+                        &leaves,
+                        &split,
+                        &format!("set {s}, cap {cap}, depth {depth}"),
+                    );
+                    assert_eq!(leaves.len(), tree.leaf_indices().len());
+                }
+            }
+        }
+        // Not the paper's configuration: each set is split on its own.
+        let ps = ParticleSet::random_cube(2000, 28);
+        let p = BltcParams::new(0.7, 4, 64, 32);
+        let (_, batches) = SourceTree::build_with_batches(&ps, &ps, &p);
+        assert_same_batches(&batches, &TargetBatches::build(&ps, &p), "N_B != N_L");
+        assert!(batches.len() > SourceTree::build(&ps, &p).leaf_indices().len());
+        let mut signed = ps.clone();
+        signed.x[7] = -0.0;
+        let mut unsigned = signed.clone();
+        unsigned.x[7] = 0.0;
+        let p = params(64);
+        let (_, batches) = SourceTree::build_with_batches(&unsigned, &signed, &p);
+        assert_same_batches(
+            &batches,
+            &TargetBatches::build(&signed, &p),
+            "-0.0 against +0.0",
+        );
     }
 
     #[test]

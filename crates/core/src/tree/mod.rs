@@ -8,10 +8,12 @@
 //! rule — so flat or elongated clusters split 2- or 4-ways instead.
 //! Recursion stops at `N_L` particles per leaf.
 //!
-//! The tree is stored as a flat array in pre-order (no pointer chasing —
-//! the layout GPU-era treecodes such as Burtscher–Pingali advocate), and
-//! tree construction reorders the particles so that every cluster owns a
-//! contiguous index range.
+//! The tree is stored as a flat array (no pointer chasing — the layout
+//! GPU-era treecodes such as Burtscher–Pingali advocate), and tree
+//! construction reorders the particles so that every cluster owns a
+//! contiguous index range. Node ids are not pre-order (the splitter
+//! materialises children from a stack); [`SourceTree::preorder`] lists
+//! them in the order the traversal meets them.
 
 pub mod batch;
 mod build;
@@ -90,6 +92,7 @@ pub struct SourceTree {
     nodes: Vec<ClusterNode>,
     particles: ParticleSet,
     perm: Vec<usize>,
+    preorder: Vec<u32>,
 }
 
 impl SourceTree {
@@ -117,12 +120,35 @@ impl SourceTree {
                 num_children: r.num_children,
                 level: r.level,
             })
-            .collect();
+            .collect::<Vec<_>>();
+        let preorder = preorder_of(&nodes);
         Self {
             nodes,
             particles,
             perm,
+            preorder,
         }
+    }
+
+    /// The tree of `sources` and the batches of `targets`. When the
+    /// targets *are* the sources (the same coordinates and charges, bit
+    /// for bit) and `N_B = N_L` — the paper's configuration (§2.4) — the
+    /// batches are the tree's leaves, which
+    /// [`TargetBatches::build`](batch::TargetBatches::build) would find by
+    /// running the same split on the same input again; otherwise the
+    /// targets are split on their own.
+    pub fn build_with_batches(
+        sources: &ParticleSet,
+        targets: &ParticleSet,
+        params: &BltcParams,
+    ) -> (Self, batch::TargetBatches) {
+        let tree = Self::build(sources, params);
+        let batches = if params.batch_cap == params.leaf_cap && same_bits(targets, sources) {
+            batch::TargetBatches::from_leaves(&tree)
+        } else {
+            batch::TargetBatches::build(targets, params)
+        };
+        (tree, batches)
     }
 
     /// The root node index (always 0).
@@ -137,10 +163,19 @@ impl SourceTree {
         &self.nodes[idx]
     }
 
-    /// All nodes in pre-order.
+    /// All nodes, in id order.
     #[inline]
     pub fn nodes(&self) -> &[ClusterNode] {
         &self.nodes
+    }
+
+    /// Node ids in pre-order: every node before its descendants, siblings
+    /// in the order of `children` (ascending particle ranges). It is the
+    /// order in which the traversal meets clusters, so each interaction
+    /// list is a subsequence of it.
+    #[inline]
+    pub fn preorder(&self) -> &[u32] {
+        &self.preorder
     }
 
     /// Number of nodes.
@@ -204,6 +239,28 @@ impl SourceTree {
     }
 }
 
+/// Node ids in pre-order, children in the order of `children`.
+fn preorder_of(nodes: &[ClusterNode]) -> Vec<u32> {
+    let mut order = Vec::with_capacity(nodes.len());
+    let mut stack = vec![0u32];
+    while let Some(i) = stack.pop() {
+        order.push(i);
+        let node = &nodes[i as usize];
+        stack.extend(node.children[..node.num_children as usize].iter().rev());
+    }
+    order
+}
+
+/// Whether two sets hold the same particles in the same order, bit for
+/// bit (`-0.0` and `+0.0` differ: they can bound a box differently).
+fn same_bits(a: &ParticleSet, b: &ParticleSet) -> bool {
+    let column = |u: &[f64], v: &[f64]| {
+        u.len() == v.len() && u.iter().zip(v).all(|(x, y)| x.to_bits() == y.to_bits())
+    };
+    std::ptr::eq(a, b)
+        || (column(&a.x, &b.x) && column(&a.y, &b.y) && column(&a.z, &b.z) && column(&a.q, &b.q))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,6 +313,32 @@ mod tests {
             }
         }
         assert!(covered.iter().all(|&c| c), "every particle in some leaf");
+    }
+
+    /// `preorder` is a recursive walk's order — each node, then each
+    /// child's subtree in `children` order — so the nodes' starts ascend
+    /// along it; on a tree this deep it is not the id order.
+    #[test]
+    fn preorder_is_a_recursive_walk() {
+        fn walk(tree: &SourceTree, i: usize, out: &mut Vec<u32>) {
+            out.push(i as u32);
+            for c in tree.node(i).child_indices() {
+                walk(tree, c, out);
+            }
+        }
+        let ps = ParticleSet::plummer(3000, 1.0, 8);
+        let tree = SourceTree::build(&ps, &params(40));
+        let mut want = Vec::new();
+        walk(&tree, tree.root(), &mut want);
+        assert_eq!(tree.preorder(), want);
+        let ids: Vec<u32> = (0..tree.num_nodes() as u32).collect();
+        assert_ne!(
+            tree.preorder(),
+            ids,
+            "a tree this deep has ids out of pre-order"
+        );
+        let starts = tree.preorder().iter().map(|&i| tree.node(i as usize).start);
+        assert!(starts.is_sorted());
     }
 
     #[test]

@@ -543,10 +543,11 @@ pub(crate) fn launch_bytes(targets: u64, sources: u64, target_cols: usize) -> f6
     ((targets * target_cols as u64 + sources * 4) * 8) as f64
 }
 
-/// The LET cluster loop — the remote twin of
-/// `bltc_core::engine::eval_batch_into`: one batch's targets `t` against
-/// landed remote clusters, approximated ones first (Eq. 11, proxies with
-/// the fetched modified charges), then direct ones (Eq. 9, the fetched
+/// The LET cluster loop — the remote twin of the local batch loop in
+/// `bltc_core::engine::PreparedTreecode::evaluate`, one batch at a time:
+/// one batch's targets `t` against landed remote clusters, approximated
+/// ones first (Eq. 11, a [`TileOp::grid_tile`] over the proxies with the
+/// fetched modified charges), then direct ones (Eq. 9, the fetched
 /// particles), each list in the order given (ascending id), accumulated
 /// into `acc` together with the three tallies of every tile. No RMA
 /// happens here, whatever the pass: the data was fetched by the land
@@ -562,9 +563,8 @@ fn eval_clusters<const C: usize, O: TileOp<C> + ?Sized>(
     let nb = t.0.len();
     let mut out = acc.cols.each_mut().map(|c| &mut c[..]);
     for ci in approx {
-        let (px, py, pz) = payload.grids[ci].proxies();
         let qh = &payload.qhat[ci];
-        op.tile(t, (px, py, pz, qh), &mut out);
+        op.grid_tile(t, &payload.grids[ci], qh, &mut out);
         acc.ops.approx_interactions += (nb * qh.len()) as u64;
         acc.ops.kernel_launches += 1;
         acc.device_bytes += launch_bytes(nb as u64, qh.len() as u64, O::TARGET_COLS);

@@ -296,9 +296,9 @@ impl DistConfig {
     /// `1 ≤ ranks ≤ n`; `ranks` fills whole `gpus_per_node`-GPU nodes
     /// (else [`DistConfig::link`] and the two-level RCB disagree about
     /// which ranks share a node); [`BltcParams::validate`];
-    /// [`DeviceSpec::validate`]; at least one stream; and the specs the
-    /// modeled clocks price with — [`NetworkSpec::validate`] for both
-    /// fabrics and [`HostModel::validate`]. Every distributed door
+    /// [`DeviceSpec::validate`]; [`GpuEngine::validate_streams`]; and the
+    /// specs the modeled clocks price with — [`NetworkSpec::validate`] for
+    /// both fabrics and [`HostModel::validate`]. Every distributed door
     /// checks them on the driver, before any rank runs. The message is
     /// built only on failure.
     pub fn validate(&self, ranks: usize, n: usize) -> Result<(), String> {
@@ -316,9 +316,7 @@ impl DistConfig {
         }
         self.params.validate()?;
         self.spec.validate()?;
-        if self.streams < 1 {
-            return Err("streams must be at least 1, got 0".into());
-        }
+        GpuEngine::validate_streams(self.streams)?;
         self.net.validate()?;
         self.intranode_net.validate()?;
         self.host.validate()

@@ -177,11 +177,13 @@ impl StagedRun {
     }
 
     /// The compute phase of one pass: the host evaluates the `C` output
-    /// columns with core's batch evaluation, and the device prices what
-    /// the GPU does for them — per batch, one approximation launch per
-    /// approximated cluster and then one direct launch per direct
-    /// cluster, the stream id cycling across launches — and the copy of
-    /// the columns back. A field pass differs only in what the op
+    /// columns with core's evaluation, and the device prices what the GPU
+    /// does for them — per batch, in index order, one approximation
+    /// launch per approximated cluster and then one direct launch per
+    /// direct cluster, the stream id cycling across launches — and the
+    /// copy of the columns back. The host's tiles over runs of batches
+    /// are its own business: the modeled launches stay the paper's, one
+    /// per batch–cluster pair. A field pass differs only in what the op
     /// supplies: four columns, ~4× the flops (visible in
     /// `sim.compute_s`) and four arrays in the closing DtH.
     pub fn finish<const C: usize, O: TileOp<C> + ?Sized>(mut self, op: &O) -> GpuPass<C> {
@@ -263,10 +265,22 @@ impl GpuEngine {
     }
 
     /// Restrict stream cycling (ablation of §3.2's async streams).
+    ///
+    /// # Panics
+    ///
+    /// With the message of [`GpuEngine::validate_streams`].
     pub fn with_streams(mut self, streams: usize) -> Self {
-        assert!(streams >= 1, "need at least one stream");
+        Self::validate_streams(streams).unwrap_or_else(|e| panic!("{e}"));
         self.streams = streams.min(self.spec.num_streams);
         self
+    }
+
+    /// A run cycles its launches over at least one stream.
+    pub fn validate_streams(streams: usize) -> Result<(), String> {
+        match streams {
+            0 => Err(format!("streams must be at least 1, got {streams}")),
+            _ => Ok(()),
+        }
     }
 
     /// Run every phase up to (and including) the target/LET staging —
@@ -278,8 +292,7 @@ impl GpuEngine {
 
         // ---- host setup -------------------------------------------------
         let t_host = Instant::now();
-        let tree = SourceTree::build(sources, &params);
-        let batches = TargetBatches::build(targets, &params);
+        let (tree, batches) = SourceTree::build_with_batches(sources, targets, &params);
         let lists = InteractionLists::build(&batches, &tree, &params);
         sim.setup_host_s = t_host.elapsed().as_secs_f64();
         let t_charges = Instant::now();
@@ -612,6 +625,15 @@ mod tests {
         assert_eq!(one.field.gy, four.field.gy);
         assert_eq!(one.field.gz, four.field.gz);
         assert!(four.sim.compute_s <= one.sim.compute_s);
+    }
+
+    /// The stream rule is stated once: the builder panics with the
+    /// message `DistConfig::validate` returns.
+    #[test]
+    #[should_panic(expected = "streams must be at least 1, got 0")]
+    fn zero_streams_are_refused_by_the_one_rule() {
+        assert_eq!(GpuEngine::validate_streams(1), Ok(()));
+        let _ = GpuEngine::new(BltcParams::default()).with_streams(0);
     }
 
     #[test]
