@@ -8,6 +8,7 @@
 //! single preparation can be evaluated under several kernels — exactly
 //! what the Fig. 4 sweep does with Coulomb and Yukawa.
 
+use std::sync::Mutex;
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -15,6 +16,7 @@ use rayon::prelude::*;
 use crate::charges::ClusterCharges;
 use crate::config::BltcParams;
 use crate::cost::OpCounts;
+use crate::interp::tensor::TensorGrid;
 use crate::kernel::{Kernel, TileOp};
 use crate::particles::ParticleSet;
 use crate::traversal::InteractionLists;
@@ -128,155 +130,222 @@ impl PreparedTreecode {
     /// GPU's compute phase: each target's `C` output columns from its
     /// batch's interaction lists, assembled into original target order.
     ///
-    /// The batches are walked in target order (ascending ranges), in
-    /// chunks of `max(len / (4·workers), 1)` that the pool's workers claim
-    /// when `parallel`, as one chunk otherwise. In a chunk, the
-    /// approximated clusters come first and the direct ones second, each
-    /// set in source-tree pre-order, and a cluster is one tile over each
-    /// maximal run of consecutive batches that list it — the run's
-    /// targets are one contiguous range, so a tile of a cluster that
-    /// sibling batches share holds many batches' targets and few pad
-    /// lanes. Every target still receives exactly its own lists in their
-    /// own order (the traversal emits each in pre-order), each tile's sum
-    /// added once into columns that start at `0.0`: the bits of a loop
-    /// over batches, at any pool size. Every approximation tile is a
-    /// [`TileOp::grid_tile`].
+    /// One run-wise pass ([`RunColumns`]): the batches in target order,
+    /// in the pool's chunks when `parallel` and as one chunk otherwise;
+    /// in a chunk, every approximated cluster and then every direct one,
+    /// each set in source-tree pre-order (the order the traversal emits
+    /// each list in), one tile per maximal run of consecutive batches
+    /// that list the cluster. Every target receives exactly its own
+    /// lists in their own order, each tile's sum added once into columns
+    /// that start at `0.0`: the bits of a loop over batches, at any pool
+    /// size.
     pub fn evaluate<const C: usize, O: TileOp<C> + ?Sized>(
         &self,
         op: &O,
         parallel: bool,
     ) -> [Vec<f64>; C] {
-        debug_assert!(
-            self.lists_in_preorder(),
-            "an interaction list out of pre-order"
-        );
-        let batches = self.batches.batches();
-        let mut order: Vec<u32> = (0..batches.len() as u32).collect();
-        order.sort_unstable_by_key(|&b| batches[b as usize].start);
-        let workers = if parallel {
-            rayon::current_num_threads()
-        } else {
-            1
+        let cols = RunColumns::new(&self.batches, parallel);
+        let lists = |b: usize| {
+            let bl = &self.lists.per_batch[b];
+            [&bl.approx[..], &bl.direct[..]]
         };
-        let chunk = match workers {
-            0 | 1 => order.len(),
-            w => order.len() / (4 * w),
-        };
-        let chunks: Vec<&[u32]> = order.chunks(chunk.max(1)).collect();
-        let eval = |chunk: &&[u32]| self.eval_runs(chunk, op);
-        let per_chunk: Vec<[Vec<f64>; C]> = if parallel {
-            chunks.par_iter().map(eval).collect()
-        } else {
-            chunks.iter().map(eval).collect()
-        };
-        // The chunks hold consecutive target ranges, in order.
-        let n = self.batches.particles().len();
-        let mut reordered: [Vec<f64>; C] = std::array::from_fn(|_| Vec::with_capacity(n));
-        for cols in &per_chunk {
-            for (dst, src) in reordered.iter_mut().zip(cols) {
-                dst.extend_from_slice(src);
-            }
-        }
-        reordered.map(|col| self.batches.scatter_to_original(&col))
-    }
-
-    /// The `C` columns of the targets of `chunk`, batch indices in target
-    /// order: every approximated cluster, then every direct one, as one
-    /// tile per run of the chunk's batches that list it (see
-    /// [`PreparedTreecode::evaluate`]).
-    fn eval_runs<const C: usize, O: TileOp<C> + ?Sized>(
-        &self,
-        chunk: &[u32],
-        op: &O,
-    ) -> [Vec<f64>; C] {
-        let tp = self.batches.particles();
-        let batches: Vec<&Batch> = (chunk.iter())
-            .map(|&b| &self.batches.batches()[b as usize])
-            .collect();
-        debug_assert!(batches.windows(2).all(|w| w[0].end == w[1].start));
-        let lo = batches[0].start;
-        let mut cols: [Vec<f64>; C] =
-            std::array::from_fn(|_| vec![0.0; batches[batches.len() - 1].end - lo]);
-        for approx in [true, false] {
-            let lists: Vec<&[u32]> = (chunk.iter())
-                .map(|&b| &self.lists.per_batch[b as usize])
-                .map(|bl| {
-                    if approx {
-                        &bl.approx[..]
-                    } else {
-                        &bl.direct[..]
-                    }
-                })
-                .collect();
-            for_each_run(self.tree.preorder(), &lists, |ci, run| {
-                let (start, end) = (batches[run.start].start, batches[run.end - 1].end);
-                let t = tp.xyz(start..end);
-                let mut out = cols.each_mut().map(|c| &mut c[start - lo..end - lo]);
-                if approx {
-                    op.grid_tile(t, self.charges.grid(ci), self.charges.charges(ci), &mut out);
-                } else {
-                    op.tile(t, self.tree.node_particles(ci), &mut out);
-                }
-            });
-        }
-        cols
-    }
-
-    /// Whether every interaction list names its clusters in source-tree
-    /// pre-order, which [`PreparedTreecode::evaluate`]'s runs rely on.
-    fn lists_in_preorder(&self) -> bool {
-        let mut rank = vec![0u32; self.tree.num_nodes()];
-        for (r, &ci) in (0..).zip(self.tree.preorder()) {
-            rank[ci as usize] = r;
-        }
-        let sorted = |l: &[u32]| {
-            l.windows(2)
-                .all(|w| rank[w[0] as usize] < rank[w[1] as usize])
-        };
-        (self.lists.per_batch.iter()).all(|bl| sorted(&bl.approx) && sorted(&bl.direct))
+        cols.eval(op, lists, [self.tree.preorder(); 2], self);
+        cols.into_columns()
+            .map(|col| self.batches.scatter_to_original(&col))
     }
 }
 
-/// Calls `tile(cluster, run)` for every maximal run of consecutive
-/// positions of `lists` that name `cluster`: clusters in `preorder`, each
-/// one's runs ascending. The runs come from per-node buckets (a count, an
-/// offset in pre-order, a fill), not from a sort.
-fn for_each_run(
-    preorder: &[u32],
-    lists: &[&[u32]],
-    mut tile: impl FnMut(usize, std::ops::Range<usize>),
-) {
-    let mut count = vec![0u32; preorder.len()];
-    for &ci in lists.iter().copied().flatten() {
-        count[ci as usize] += 1;
+/// Where a run-wise pass finds the clusters its lists name.
+pub trait ClusterSources: Sync {
+    /// The proxy grid and modified charges of approximated cluster `ci`.
+    fn approx(&self, ci: usize) -> (&TensorGrid, &[f64]);
+    /// The particles `(x, y, z, q)` of direct cluster `ci`.
+    fn direct(&self, ci: usize) -> (&[f64], &[f64], &[f64], &[f64]);
+}
+
+impl ClusterSources for PreparedTreecode {
+    fn approx(&self, ci: usize) -> (&TensorGrid, &[f64]) {
+        (self.charges.grid(ci), self.charges.charges(ci))
     }
-    let mut offset = vec![0u32; preorder.len()];
-    let mut total = 0;
-    for &ci in preorder {
-        offset[ci as usize] = total;
-        total += count[ci as usize];
+
+    fn direct(&self, ci: usize) -> (&[f64], &[f64], &[f64], &[f64]) {
+        self.tree.node_particles(ci)
     }
-    let mut slots = vec![0u32; total as usize];
-    for (at, list) in (0..).zip(lists) {
-        for &ci in *list {
-            slots[offset[ci as usize] as usize] = at;
-            offset[ci as usize] += 1;
+}
+
+/// What a run-wise pass evaluated, counted as the modeled device
+/// launches it: one launch per batch–cluster pair.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunTally {
+    /// Launches (`kernel_launches`) and target–source pairs per path.
+    pub ops: OpCounts,
+    /// Σ batch targets over the launches.
+    pub targets: u64,
+    /// Σ sources (proxies or particles) over the launches.
+    pub sources: u64,
+}
+
+/// The `C` output columns of run-wise passes over one set of target
+/// batches. The batches are taken in target order (ascending ranges)
+/// and cut into the pool's chunks — `max(len / (4·workers), 1)` batches
+/// each when `parallel` on more than one worker, one chunk otherwise —
+/// and each chunk holds the columns of its targets, which start at `0.0`
+/// once. Every [`RunColumns::eval`] adds into them, so passes over parts
+/// of a cluster set (the LET's landed windows) accumulate as one pass
+/// over the whole set would.
+pub struct RunColumns<'a, const C: usize> {
+    batches: &'a TargetBatches,
+    parallel: bool,
+    chunks: Vec<Chunk<C>>,
+}
+
+/// The batch indices of one chunk of a [`RunColumns`], and its columns.
+type Chunk<const C: usize> = (Vec<u32>, Mutex<[Vec<f64>; C]>);
+
+impl<'a, const C: usize> RunColumns<'a, C> {
+    /// Zero columns over every target of `batches`, chunked as above.
+    pub fn new(batches: &'a TargetBatches, parallel: bool) -> Self {
+        let all = batches.batches();
+        let mut order: Vec<u32> = (0..all.len() as u32).collect();
+        order.sort_unstable_by_key(|&b| all[b as usize].start);
+        let workers = parallel.then(rayon::current_num_threads).unwrap_or(1);
+        let per_chunk = order.len() / if workers > 1 { 4 * workers } else { 1 };
+        let chunks = (order.chunks(per_chunk.max(1)))
+            .map(|chunk| {
+                let targets =
+                    all[chunk[chunk.len() - 1] as usize].end - all[chunk[0] as usize].start;
+                let cols = std::array::from_fn(|_| vec![0.0; targets]);
+                (chunk.to_vec(), Mutex::new(cols))
+            })
+            .collect();
+        Self {
+            batches,
+            parallel,
+            chunks,
         }
     }
-    let mut rest = &slots[..];
-    for &ci in preorder {
-        let (bucket, tail) = rest.split_at(count[ci as usize] as usize);
-        rest = tail;
-        let mut first = 0;
-        for k in 1..=bucket.len() {
-            if k == bucket.len() || bucket[k] != bucket[k - 1] + 1 {
-                tile(
-                    ci as usize,
-                    bucket[first] as usize..bucket[k - 1] as usize + 1,
+
+    /// Adds one run-wise pass into the columns, chunk by chunk (over the
+    /// pool's workers when `parallel`). `lists(b)` is batch `b`'s
+    /// (approximation, direct) list, each naming its clusters in the
+    /// order of `order[0]` / `order[1]`, which hold every cluster the
+    /// lists may name. In a chunk, each cluster of `order[0]` and then
+    /// of `order[1]` is one tile over each maximal run of consecutive
+    /// batches that list it ([`TileOp::grid_tile`] over its proxies, or
+    /// [`TileOp::tile`] over its particles, from `sources`); the run's
+    /// targets are one contiguous range, so a tile of a cluster that
+    /// sibling batches share holds many batches' targets and few pad
+    /// lanes.
+    pub fn eval<'l, O, S>(
+        &self,
+        op: &O,
+        lists: impl Fn(usize) -> [&'l [u32]; 2] + Sync,
+        order: [&[u32]; 2],
+        sources: &S,
+    ) -> RunTally
+    where
+        O: TileOp<C> + ?Sized,
+        S: ClusterSources + ?Sized,
+    {
+        let walk = |(chunk, cols): &Chunk<C>| {
+            let mut cols = cols.lock().expect("a run walk panicked");
+            let tp = self.batches.particles();
+            let batches: Vec<&Batch> = (chunk.iter())
+                .map(|&b| &self.batches.batches()[b as usize])
+                .collect();
+            debug_assert!(batches.windows(2).all(|w| w[0].end == w[1].start));
+            let lo = batches[0].start;
+            let mut tally = RunTally::default();
+            // Per path, each cluster's bucket of the chunk's batch positions
+            // that list it (a count, an offset in `order`, a fill — not a
+            // sort); the bucket's maximal runs of consecutive positions are
+            // its tiles.
+            for (path, order) in order.into_iter().enumerate() {
+                let lists: Vec<&[u32]> = chunk.iter().map(|&b| lists(b as usize)[path]).collect();
+                let (min, max) =
+                    (order.iter()).fold((u32::MAX, 0), |(a, b), &c| (a.min(c), b.max(c)));
+                let slot = |ci: u32| (ci - min) as usize;
+                let mut count = vec![0u32; (max + 1).saturating_sub(min) as usize];
+                for &ci in lists.iter().copied().flatten() {
+                    count[slot(ci)] += 1;
+                }
+                let mut offset = vec![0u32; count.len()];
+                let mut total = 0;
+                for &ci in order {
+                    offset[slot(ci)] = total;
+                    total += count[slot(ci)];
+                }
+                debug_assert!(
+                    total as usize == lists.iter().map(|l| l.len()).sum::<usize>()
+                        && (lists.iter()).all(|l| l
+                            .windows(2)
+                            .all(|w| offset[slot(w[0])] < offset[slot(w[1])])),
+                    "an interaction list names a cluster off its walk, or out of the walk's order"
                 );
-                first = k;
+                let mut slots = vec![0u32; total as usize];
+                for (at, list) in (0..).zip(&lists) {
+                    for &ci in *list {
+                        slots[offset[slot(ci)] as usize] = at;
+                        offset[slot(ci)] += 1;
+                    }
+                }
+                let mut rest = &slots[..];
+                for &ci in order {
+                    let (bucket, tail) = rest.split_at(count[slot(ci)] as usize);
+                    rest = tail;
+                    let mut first = 0;
+                    for k in 1..=bucket.len() {
+                        if k < bucket.len() && bucket[k] == bucket[k - 1] + 1 {
+                            continue;
+                        }
+                        let run = bucket[first] as usize..bucket[k - 1] as usize + 1;
+                        first = k;
+                        let (start, end) = (batches[run.start].start, batches[run.end - 1].end);
+                        let t = tp.xyz(start..end);
+                        let mut out = cols.each_mut().map(|c| &mut c[start - lo..end - lo]);
+                        let (ci, targets) = (ci as usize, (end - start) as u64);
+                        let n_src = if path == 0 {
+                            let (grid, qhat) = sources.approx(ci);
+                            op.grid_tile(t, grid, qhat, &mut out);
+                            tally.ops.approx_interactions += targets * qhat.len() as u64;
+                            qhat.len() as u64
+                        } else {
+                            let s = sources.direct(ci);
+                            op.tile(t, s, &mut out);
+                            tally.ops.direct_interactions += targets * s.0.len() as u64;
+                            s.0.len() as u64
+                        };
+                        tally.ops.kernel_launches += run.len() as u64;
+                        tally.targets += targets;
+                        tally.sources += run.len() as u64 * n_src;
+                    }
+                }
+            }
+            tally
+        };
+        let tallies: Vec<RunTally> = if self.parallel {
+            self.chunks.par_iter().map(walk).collect()
+        } else {
+            self.chunks.iter().map(walk).collect()
+        };
+        tallies.iter().fold(RunTally::default(), |a, t| RunTally {
+            ops: a.ops.merged(&t.ops),
+            targets: a.targets + t.targets,
+            sources: a.sources + t.sources,
+        })
+    }
+
+    /// The columns over the targets in batch order.
+    pub fn into_columns(self) -> [Vec<f64>; C] {
+        let n = self.batches.particles().len();
+        let mut cols: [Vec<f64>; C] = std::array::from_fn(|_| Vec::with_capacity(n));
+        for (_, part) in self.chunks {
+            let part = part.into_inner().expect("a run walk panicked");
+            for (dst, src) in cols.iter_mut().zip(part) {
+                dst.extend(src);
             }
         }
+        cols
     }
 }
 
@@ -765,6 +834,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// In a debug build the walk refuses a list that is out of its
+    /// order, which the runs rely on.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "out of the walk's order")]
+    fn a_list_out_of_the_walks_order_is_refused() {
+        let ps = cube(1500, 75);
+        let mut prep = PreparedTreecode::new(&ps, &ps, BltcParams::new(0.8, 3, 40, 40));
+        let lists = prep.lists.per_batch.iter_mut();
+        let bl = lists.max_by_key(|bl| bl.direct.len()).expect("a batch");
+        bl.direct.reverse();
+        prep.evaluate(&Coulomb as &dyn Kernel, false);
     }
 
     #[test]

@@ -47,10 +47,11 @@
 //! implemented by `dyn Kernel` and `dyn GradientKernel`; each layer's
 //! loop is written once against it, and [`TileOp::tile`] (direct) and
 //! [`TileOp::grid_tile`] (approximation) are the only callers of the tile
-//! methods. How many targets one tile holds is the caller's choice: core
-//! evaluates a cluster in one tile over each run of consecutive batches
-//! that list it (`PreparedTreecode::evaluate`), the LET one batch at a
-//! time; per target the sum is the same either way.
+//! methods. How many targets one tile holds is the caller's choice: the
+//! one run-wise pass (`engine::RunColumns`), which the local lists and
+//! every LET window go through, evaluates a cluster in one tile over each
+//! run of consecutive batches that list it; per target the sum is the
+//! same as one tile per batch.
 //!
 //! [`Priced`] is the one `TileOp` that computes nothing. It forwards its
 //! op's launch names, column count and flops per pair, and its tile is

@@ -5,13 +5,15 @@
 //! Materializing the lists (instead of fusing traversal with evaluation)
 //! is what lets the CPU queue GPU kernel launches asynchronously (§3.2)
 //! and lets the distributed code run the same traversal against *remote*
-//! tree skeletons during LET construction (§3.1).
+//! tree skeletons during LET construction (§3.1): the traversal walks a
+//! node array ([`InteractionLists::build_on`]), a tree's own or one
+//! rebuilt from the wire.
 
 use rayon::prelude::*;
 
 use crate::config::BltcParams;
 use crate::mac::{Mac, MacDecision};
-use crate::tree::{batch::TargetBatches, SourceTree};
+use crate::tree::{batch::TargetBatches, ClusterNode, SourceTree};
 
 /// How a batch interacts with one cluster on its list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,13 +48,21 @@ impl InteractionLists {
     /// into that batch's slot, so the result is bitwise identical at
     /// any pool size.
     pub fn build(batches: &TargetBatches, tree: &SourceTree, params: &BltcParams) -> Self {
+        Self::build_on(batches, tree.nodes(), params)
+    }
+
+    /// [`InteractionLists::build`] over a node array whose root is node
+    /// `0`: a tree's own, or a remote skeleton rebuilt from the wire.
+    /// Each list names its clusters in the order the descent meets them,
+    /// the nodes' pre-order.
+    pub fn build_on(batches: &TargetBatches, nodes: &[ClusterNode], params: &BltcParams) -> Self {
         let mac = Mac::new(params);
         let per_batch = batches
             .batches()
             .par_iter()
             .map(|b| {
                 let mut lists = BatchLists::default();
-                traverse(&mac, b.center, b.radius, tree, tree.root(), &mut lists);
+                traverse(&mac, b.center, b.radius, nodes, 0, &mut lists);
                 lists
             })
             .collect();
@@ -99,17 +109,17 @@ fn traverse(
     mac: &Mac,
     center: crate::geometry::Point3,
     radius: f64,
-    tree: &SourceTree,
+    nodes: &[ClusterNode],
     node_idx: usize,
     lists: &mut BatchLists,
 ) {
-    let node = tree.node(node_idx);
+    let node = &nodes[node_idx];
     match mac.assess(&center, radius, node) {
         MacDecision::Approximate => lists.approx.push(node_idx as u32),
         MacDecision::Direct => lists.direct.push(node_idx as u32),
         MacDecision::Subdivide => {
             for child in node.child_indices() {
-                traverse(mac, center, radius, tree, child, lists);
+                traverse(mac, center, radius, nodes, child, lists);
             }
         }
     }

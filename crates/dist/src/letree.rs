@@ -1,16 +1,16 @@
 //! Locally essential tree (LET) construction over passive-target RMA
-//! (§3.1), and the one loop that evaluates it.
+//! (§3.1), and its evaluation through core's run-wise pass.
 //!
 //! Each rank exposes three windows ([`LetWindows`]): its source-tree
 //! **skeleton** (node metadata), its tree-ordered **particles**, and its
 //! per-cluster **modified charges** — the buffer the staged GPU run
 //! copied back from the device, moved in as it is. A rank then builds
 //! the LET for every remote rank completely asynchronously: it fetches
-//! the skeleton with one one-sided get, runs the *local* batch-MAC
-//! traversal against the remote node geometry, and fetches exactly the
-//! data the traversal demands — modified charges for MAC-accepted
-//! clusters, raw particles for near/undersized clusters. No remote rank
-//! takes any action.
+//! the skeleton with one one-sided get, runs core's batch-MAC traversal
+//! against the remote node geometry ([`InteractionLists::build_on`]),
+//! and fetches exactly the data the traversal demands — modified charges
+//! for MAC-accepted clusters, raw particles for near/undersized
+//! clusters. No remote rank takes any action.
 //!
 //! Assembly is staged so a pipelined epoch can overlap the fill with
 //! local work: **issue** ([`issue_remote_let`]) fetches the skeleton and
@@ -19,40 +19,39 @@
 //! **land** ([`land_chunk`]) executes one chunk's gets — per cluster, in
 //! ascending id, under one shared-lock epoch.
 //!
-//! **Consume** is a single body, `eval_clusters`: one batch against a
-//! run of landed clusters — approximated ones first, then direct ones,
-//! each in ascending id — through [`TileOp::tile`], with the op count,
-//! launch and device-byte tallies taken beside each tile. The pass
-//! (potentials, or potentials and gradients) is whatever op the caller
-//! hands over; nothing here is written per pass.
-//!
-//! One driver, [`eval_remote_let`], runs the body for each remote rank:
-//! it lands a **window** of planned chunks, evaluates the window's
-//! clusters into that LET's per-batch partials in parallel over batches,
-//! drops the payload, and after the last window merges the partials into
-//! the rank's batch-order columns ([`RemoteEval::merge`]). The window is
-//! the whole LET without a memory budget and one chunk under one — the
-//! memory-bounded mode that lets a rank's LET far exceed its staging
-//! memory, since [`plan_chunks`] caps each chunk at the budget.
-//! [`resident_bytes`] is the one statement of what each choice keeps
-//! resident, read by the rank's peak and by the pipelined clock's spans.
+//! **Consume** is core's run-wise pass ([`RunColumns`]), the one the
+//! local lists go through, with the LET's lists sorted to ascending id
+//! and its clusters looked up in the landed payload. One driver,
+//! [`eval_remote_let`], runs it for each remote rank: it lands a
+//! **window** of planned chunks, walks the window's clusters — in each
+//! pool chunk of batches, approximated ones first, each kind in
+//! ascending id, one tile per cluster and maximal run of consecutive
+//! batches that list it — into that LET's columns, drops the payload,
+//! and after the last window adds the columns into the rank's
+//! ([`RemoteEval`]). The window is the whole LET without a memory budget
+//! and one chunk under one — the memory-bounded mode that lets a rank's
+//! LET far exceed its staging memory, since [`plan_chunks`] caps each
+//! chunk at the budget. [`resident_bytes`] is the one statement of what
+//! each choice keeps resident, read by the rank's peak and by the
+//! pipelined clock's spans.
 //!
 //! Every window size executes identical gets in identical order, starts
-//! every batch's partial at zero once per LET and feeds it the same
+//! each LET's columns at zero once and feeds every target the same
 //! clusters in the same ascending order, so potentials, forces, op
 //! counts and recorded traffic are bitwise independent of the budget.
+//! The counts stay per batch–cluster pair, the launches the modeled
+//! device prices, whatever the runs.
 
 use std::collections::BTreeMap;
 
-use parking_lot::Mutex;
-use rayon::prelude::*;
-
 use bltc_core::config::BltcParams;
 use bltc_core::cost::OpCounts;
+use bltc_core::engine::{ClusterSources, RunColumns};
 use bltc_core::geometry::{BoundingBox, Point3};
 use bltc_core::interp::tensor::TensorGrid;
 use bltc_core::kernel::TileOp;
-use bltc_core::mac::{Mac, MacDecision};
+use bltc_core::particles::ParticleSet;
+use bltc_core::traversal::InteractionLists;
 use bltc_core::tree::{batch::TargetBatches, ClusterNode, SourceTree};
 use mpi_sim::{Comm, Window};
 
@@ -160,64 +159,41 @@ impl LetWindows {
     }
 }
 
-/// Raw particles fetched for one remote direct-interaction cluster.
-struct RemoteParticles {
-    x: Vec<f64>,
-    y: Vec<f64>,
-    z: Vec<f64>,
-    q: Vec<f64>,
-}
-
 /// Landed payload of one window of a LET, keyed by remote cluster id.
 #[derive(Default)]
 struct LetPayload {
-    /// Fetched modified charges of MAC-accepted clusters.
-    qhat: BTreeMap<u32, Vec<f64>>,
-    /// Proxy grids of MAC-accepted clusters (derived locally from the
-    /// skeleton geometry — grids travel for free).
-    grids: BTreeMap<u32, TensorGrid>,
+    /// Proxy grids (derived locally from the skeleton geometry — grids
+    /// travel for free) and fetched modified charges of MAC-accepted
+    /// clusters.
+    approx: BTreeMap<u32, (TensorGrid, Vec<f64>)>,
     /// Fetched particles of direct clusters.
-    parts: BTreeMap<u32, RemoteParticles>,
+    direct: BTreeMap<u32, ParticleSet>,
 }
 
-/// Recursive batch-vs-remote-skeleton traversal — the exact dual-tree
-/// descent of `bltc_core::traversal`, applied to a reconstructed remote
-/// tree.
-fn traverse_remote(
-    mac: &Mac,
-    center: Point3,
-    radius: f64,
-    nodes: &[ClusterNode],
-    idx: usize,
-    approx: &mut Vec<u32>,
-    direct: &mut Vec<u32>,
-) {
-    let node = &nodes[idx];
-    match mac.assess(&center, radius, node) {
-        MacDecision::Approximate => approx.push(idx as u32),
-        MacDecision::Direct => direct.push(idx as u32),
-        MacDecision::Subdivide => {
-            for child in node.child_indices() {
-                traverse_remote(mac, center, radius, nodes, child, approx, direct);
-            }
-        }
+impl ClusterSources for LetPayload {
+    fn approx(&self, ci: usize) -> (&TensorGrid, &[f64]) {
+        let (grid, qhat) = &self.approx[&(ci as u32)];
+        (grid, qhat)
+    }
+
+    fn direct(&self, ci: usize) -> (&[f64], &[f64], &[f64], &[f64]) {
+        let p = &self.direct[&(ci as u32)];
+        (&p.x, &p.y, &p.z, &p.q)
     }
 }
 
 /// The **issue** stage of LET assembly against one remote rank: fetch
-/// the skeleton (one bulk one-sided get), run the local batch-MAC
-/// traversal against it, and derive the distinct cluster sets the
-/// consume stage will need — but fetch no payload data yet. What used to
-/// be the front half of a monolithic `build_remote_let` now stands alone
-/// so the payload gets can be issued in chunks and overlapped with local
-/// work.
+/// the skeleton (one bulk one-sided get), run core's traversal against
+/// it, and derive the distinct cluster sets the consume stage will need
+/// — but fetch no payload data yet, so the payload gets can be issued in
+/// chunks and overlapped with local work.
 pub(crate) struct LetIssue {
     /// Remote rank whose tree this LET views.
     pub target: usize,
     /// Reconstructed remote skeleton.
     pub nodes: Vec<ClusterNode>,
-    /// Per-local-batch interaction lists (approx ids, direct ids).
-    pub per_batch: Vec<(Vec<u32>, Vec<u32>)>,
+    /// Per-local-batch interaction lists, each in ascending id.
+    pub lists: InteractionLists,
     /// Distinct MAC-accepted clusters, ascending.
     pub approx: Vec<u32>,
     /// Distinct direct clusters, ascending.
@@ -241,55 +217,31 @@ pub(crate) fn issue_remote_let(
     tally.record(skeleton_bytes, false);
     let nodes: Vec<ClusterNode> = metas.into_iter().map(NodeMeta::to_cluster).collect();
 
-    // Local traversal against the remote skeleton: no communication —
-    // parallel over batches (the paper's OpenMP-parallel LET
-    // traversal). Each batch's lists land in that batch's slot, and
-    // the distinct-cluster sets are ordered (BTreeSet) and built from
-    // the per-batch lists afterwards, so both the lists and the fetch
-    // order below are bitwise independent of the pool size.
-    let mac = Mac::new(params);
-    let mut per_batch: Vec<(Vec<u32>, Vec<u32>)> = batches
-        .batches()
-        .par_iter()
-        .map(|b| {
-            let mut approx = Vec::new();
-            let mut direct = Vec::new();
-            traverse_remote(
-                &mac,
-                b.center,
-                b.radius,
-                &nodes,
-                0,
-                &mut approx,
-                &mut direct,
-            );
-            (approx, direct)
-        })
-        .collect();
-    // Canonical per-batch order: ascending cluster id. The traversal
-    // pushes ids in descent order, which is not monotone in the array
-    // layout; every consumer accumulates per-cluster contributions
-    // additively, so one fixed order pins the fp accumulation order —
-    // and ascending id is exactly the order the consumer replays window
-    // by window, which is what makes a one-chunk window bitwise
-    // identical to a whole-LET one.
-    for (approx, direct) in &mut per_batch {
-        approx.sort_unstable();
-        direct.sort_unstable();
+    // Core's traversal against the remote skeleton: no communication,
+    // parallel over batches (the paper's OpenMP-parallel LET traversal),
+    // each batch's lists in that batch's slot. The skeleton rebuilds the
+    // owner's geometry bit for bit, so the lists are the ones the owner's
+    // own tree gives. Canonical per-batch order: ascending cluster id,
+    // not the traversal's pre-order, because ascending id is the order
+    // the consumer replays window by window — which is what makes a
+    // one-chunk window bitwise identical to a whole-LET one.
+    let mut lists = InteractionLists::build_on(batches, &nodes, params);
+    for bl in &mut lists.per_batch {
+        bl.approx.sort_unstable();
+        bl.direct.sort_unstable();
     }
-    let mut approx_set = std::collections::BTreeSet::new();
-    let mut direct_set = std::collections::BTreeSet::new();
-    for (approx, direct) in &per_batch {
-        approx_set.extend(approx.iter().copied());
-        direct_set.extend(direct.iter().copied());
-    }
-
+    let ids = |used: Vec<bool>| {
+        (0..)
+            .zip(used)
+            .filter_map(|(i, u)| u.then_some(i))
+            .collect()
+    };
     LetIssue {
         target,
+        approx: ids(lists.used_approx_nodes(nodes.len())),
+        direct: ids(lists.used_direct_nodes(nodes.len())),
         nodes,
-        per_batch,
-        approx: approx_set.into_iter().collect(),
-        direct: direct_set.into_iter().collect(),
+        lists,
         skeleton_bytes,
     }
 }
@@ -370,14 +322,14 @@ pub(crate) fn plan_chunks(
     // Per-cluster (launches, Σ batch targets) over the interaction lists.
     let mut approx_use: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
     let mut direct_use: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
-    for (b, (approx, direct)) in batches.batches().iter().zip(&issue.per_batch) {
+    for (b, bl) in batches.batches().iter().zip(&issue.lists.per_batch) {
         let nb = b.num_targets() as u64;
-        for &ci in approx {
+        for &ci in &bl.approx {
             let e = approx_use.entry(ci).or_insert((0, 0));
             e.0 += 1;
             e.1 += nb;
         }
-        for &ci in direct {
+        for &ci in &bl.direct {
             let e = direct_use.entry(ci).or_insert((0, 0));
             e.0 += 1;
             e.1 += nb;
@@ -465,12 +417,10 @@ fn land_chunk(
             let guard = wins.qhat.lock_shared(issue.target);
             for &ni in &issue.approx[plan.first..plan.first + plan.len] {
                 let base = ni as usize * m3;
-                payload.qhat.insert(ni, guard.get(base..base + m3));
+                let qhat = guard.get(base..base + m3);
                 tally.record((m3 * 8) as u64, true);
-                payload.grids.insert(
-                    ni,
-                    TensorGrid::new(params.degree, &issue.nodes[ni as usize].bbox),
-                );
+                let grid = TensorGrid::new(params.degree, &issue.nodes[ni as usize].bbox);
+                payload.approx.insert(ni, (grid, qhat));
             }
         }
         ChunkKind::Direct => {
@@ -479,31 +429,20 @@ fn land_chunk(
                 let node = &issue.nodes[ni as usize];
                 let flat = guard.get(4 * node.start..4 * node.end);
                 tally.record((flat.len() * 8) as u64, true);
-                let nc = node.end - node.start;
-                let mut p = RemoteParticles {
-                    x: Vec::with_capacity(nc),
-                    y: Vec::with_capacity(nc),
-                    z: Vec::with_capacity(nc),
-                    q: Vec::with_capacity(nc),
-                };
-                for j in 0..nc {
-                    p.x.push(flat[4 * j]);
-                    p.y.push(flat[4 * j + 1]);
-                    p.z.push(flat[4 * j + 2]);
-                    p.q.push(flat[4 * j + 3]);
+                let mut p = ParticleSet::with_capacity(node.end - node.start);
+                for xyzq in flat.chunks_exact(4) {
+                    p.push(Point3::new(xyzq[0], xyzq[1], xyzq[2]), xyzq[3]);
                 }
-                payload.parts.insert(ni, p);
+                payload.direct.insert(ni, p);
             }
         }
     }
 }
 
-/// A rank's remote contributions while its LETs are evaluated: the
-/// pass's `C` output columns over a range of batch-order targets, plus
-/// the op counts and the modeled device bytes of the launches that
-/// produced them. The rank holds one over all its targets; the consumer
-/// holds one per batch (starting at zero, per LET) and folds it in with
-/// [`RemoteEval::merge`].
+/// A rank's remote contributions: the pass's `C` output columns over its
+/// batch-order targets, plus the op counts and the modeled device bytes
+/// of the launches that produced them. [`eval_remote_let`] adds each LET
+/// into it.
 pub(crate) struct RemoteEval<const C: usize> {
     pub cols: [Vec<f64>; C],
     pub ops: OpCounts,
@@ -520,77 +459,36 @@ impl<const C: usize> RemoteEval<C> {
             device_bytes: 0.0,
         }
     }
-
-    /// Add one batch's partial (the batch owns targets `range`).
-    fn merge(&mut self, range: std::ops::Range<usize>, part: &Self) {
-        for (col, vals) in self.cols.iter_mut().zip(&part.cols) {
-            for (slot, v) in col[range.clone()].iter_mut().zip(vals) {
-                *slot += v;
-            }
-        }
-        self.ops = self.ops.merged(&part.ops);
-        self.device_bytes += part.device_bytes;
-    }
 }
 
 /// Device-memory bytes of batch–cluster launches over `targets` targets
 /// and `sources` sources in all (the GPU clock's roofline term): every
 /// launch reads and writes `target_cols` `f64` per target and reads four
 /// per source. Linear in both counts, so it prices one launch as exactly
-/// as a chunk's Σ targets and Σ sources ([`ChunkPlan::eval_targets`],
+/// as a run's or a chunk's Σ targets and Σ sources
+/// ([`RunTally`](bltc_core::engine::RunTally), [`ChunkPlan::eval_targets`],
 /// [`ChunkPlan::eval_sources`]).
 pub(crate) fn launch_bytes(targets: u64, sources: u64, target_cols: usize) -> f64 {
     ((targets * target_cols as u64 + sources * 4) * 8) as f64
 }
 
-/// The LET cluster loop — the remote twin of the local batch loop in
-/// `bltc_core::engine::PreparedTreecode::evaluate`, one batch at a time:
-/// one batch's targets `t` against landed remote clusters, approximated
-/// ones first (Eq. 11, a [`TileOp::grid_tile`] over the proxies with the
-/// fetched modified charges), then direct ones (Eq. 9, the fetched
-/// particles), each list in the order given (ascending id), accumulated
-/// into `acc` together with the three tallies of every tile. No RMA
-/// happens here, whatever the pass: the data was fetched by the land
-/// stage.
-fn eval_clusters<const C: usize, O: TileOp<C> + ?Sized>(
-    op: &O,
-    t: (&[f64], &[f64], &[f64]),
-    approx: &[u32],
-    direct: &[u32],
-    payload: &LetPayload,
-    acc: &mut RemoteEval<C>,
-) {
-    let nb = t.0.len();
-    let mut out = acc.cols.each_mut().map(|c| &mut c[..]);
-    for ci in approx {
-        let qh = &payload.qhat[ci];
-        op.grid_tile(t, &payload.grids[ci], qh, &mut out);
-        acc.ops.approx_interactions += (nb * qh.len()) as u64;
-        acc.ops.kernel_launches += 1;
-        acc.device_bytes += launch_bytes(nb as u64, qh.len() as u64, O::TARGET_COLS);
-    }
-    for ci in direct {
-        let p = &payload.parts[ci];
-        op.tile(t, (&p.x, &p.y, &p.z, &p.q), &mut out);
-        acc.ops.direct_interactions += (nb * p.x.len()) as u64;
-        acc.ops.kernel_launches += 1;
-        acc.device_bytes += launch_bytes(nb as u64, p.x.len() as u64, O::TARGET_COLS);
-    }
-}
-
 /// The one LET consumer: land the planned chunks of one LET a *window*
-/// at a time, evaluate each window's clusters into that LET's per-batch
-/// partials, in parallel over batches, drop the window's payload, and
-/// merge the partials into `acc` once, in batch order. The window is the
-/// whole LET without a memory budget and one chunk under one
-/// ([`resident_bytes`] prices what each choice keeps resident).
+/// at a time, add each window's clusters into that LET's columns through
+/// core's run-wise pass ([`RunColumns::eval`], parallel over pool chunks
+/// of batches), drop the window's payload, and add the columns into
+/// `acc` once. The window is the whole LET without a memory budget and
+/// one chunk under one ([`resident_bytes`] prices what each choice keeps
+/// resident).
 ///
 /// Windows hold consecutive chunks, approx chunks before direct ones,
 /// each an ascending run of cluster ids, and a batch's lists are sorted
-/// ascending — so every batch's one partial receives exactly its lists,
-/// approximated clusters first, each in ascending id, whatever the
-/// window. Each batch owns its partial (one uncontended lock), so the
-/// columns are bitwise independent of the window and of the pool size.
+/// ascending — so every target receives exactly its lists, approximated
+/// clusters first, each in ascending id, into columns that start at
+/// `0.0` once per LET, whatever the window: the columns are bitwise
+/// independent of the window and of the pool size. The op counts and
+/// device bytes are the pass's per-run tallies, one launch per
+/// batch–cluster pair. No RMA happens in the pass: the land stage
+/// fetched the data.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_remote_let<const C: usize, O: TileOp<C> + ?Sized>(
     issue: &LetIssue,
@@ -603,42 +501,50 @@ pub(crate) fn eval_remote_let<const C: usize, O: TileOp<C> + ?Sized>(
     op: &O,
     acc: &mut RemoteEval<C>,
 ) {
-    let tp = batches.particles();
-    let partials: Vec<Mutex<RemoteEval<C>>> = batches
-        .batches()
-        .iter()
-        .map(|b| Mutex::new(RemoteEval::zeros(b.num_targets())))
-        .collect();
+    let cols = RunColumns::new(batches, true);
     let window = if budget.is_some() { 1 } else { chunks.len() };
     for window in chunks.chunks(window.max(1)) {
         let mut payload = LetPayload::default();
         for plan in window {
             land_chunk(issue, plan, wins, params, tally, &mut payload);
         }
-        batches
-            .batches()
-            .par_iter()
-            .zip(&issue.per_batch)
-            .zip(&partials)
-            .map(|((b, (approx, direct)), part)| {
-                let t = tp.xyz(b.start..b.end);
-                let (approx, direct) = (held(approx, &payload.qhat), held(direct, &payload.parts));
-                eval_clusters(op, t, approx, direct, &payload, &mut part.lock());
-            })
-            .collect::<Vec<()>>();
+        let order =
+            [ChunkKind::Approx, ChunkKind::Direct].map(|kind| window_ids(issue, window, kind));
+        let lists = |b: usize| {
+            let bl = &issue.lists.per_batch[b];
+            [held(&bl.approx, order[0]), held(&bl.direct, order[1])]
+        };
+        let run = cols.eval(op, lists, order, &payload);
+        acc.ops = acc.ops.merged(&run.ops);
+        acc.device_bytes += launch_bytes(run.targets, run.sources, O::TARGET_COLS);
         // Evaluate-and-discard: the window's payload dies here, before
         // the next window lands.
     }
-    for (b, part) in batches.batches().iter().zip(partials) {
-        acc.merge(b.start..b.end, &part.into_inner());
+    for (col, part) in acc.cols.iter_mut().zip(cols.into_columns()) {
+        for (slot, v) in col.iter_mut().zip(part) {
+            *slot += v;
+        }
     }
 }
 
-/// The run of an ascending batch list that a window's payload `landed`
-/// holds. A window's clusters of one kind are one ascending run of the
-/// LET's distinct ids, so they are the ids between its first and last.
-fn held<'a, V>(list: &'a [u32], landed: &BTreeMap<u32, V>) -> &'a [u32] {
-    match (landed.keys().next(), landed.keys().next_back()) {
+/// The clusters of `kind` a window's chunks hold: one ascending run of
+/// the LET's distinct ids of that kind.
+fn window_ids<'a>(issue: &'a LetIssue, window: &[ChunkPlan], kind: ChunkKind) -> &'a [u32] {
+    let ids = match kind {
+        ChunkKind::Approx => &issue.approx,
+        ChunkKind::Direct => &issue.direct,
+    };
+    let (lo, hi) = (window.iter().filter(|c| c.kind == kind))
+        .fold((usize::MAX, 0), |(lo, hi), c| {
+            (lo.min(c.first), hi.max(c.first + c.len))
+        });
+    &ids[lo.min(hi)..hi]
+}
+
+/// The part of an ascending batch list that a window's ascending `ids`
+/// hold: the entries between its first and last.
+fn held<'a>(list: &'a [u32], ids: &[u32]) -> &'a [u32] {
+    match (ids.first(), ids.last()) {
         (Some(&lo), Some(&hi)) => {
             &list[list.partition_point(|&c| c < lo)..list.partition_point(|&c| c <= hi)]
         }
@@ -674,12 +580,22 @@ pub(crate) fn resident_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bltc_core::particles::ParticleSet;
+    use bltc_core::charges::ClusterCharges;
+    use bltc_core::kernel::{Coulomb, GradientKernel, Kernel, RegularizedCoulomb, Yukawa};
+    use bltc_core::traversal::BatchLists;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tiny_batches() -> TargetBatches {
         let ps = ParticleSet::random_cube(64, 7);
         let params = BltcParams::new(0.7, 2, 8, 16);
         TargetBatches::build(&ps, &params)
+    }
+
+    /// Lists naming the same clusters for every batch.
+    fn every_batch(batches: &TargetBatches, approx: &[u32], direct: &[u32]) -> InteractionLists {
+        let (approx, direct) = (approx.to_vec(), direct.to_vec());
+        let per_batch = vec![BatchLists { approx, direct }; batches.len()];
+        InteractionLists { per_batch }
     }
 
     /// A hand-built issue whose every batch demands every one of
@@ -689,11 +605,7 @@ mod tests {
         LetIssue {
             target: 1,
             nodes: Vec::new(),
-            per_batch: batches
-                .batches()
-                .iter()
-                .map(|_| (ids.clone(), Vec::new()))
-                .collect(),
+            lists: every_batch(batches, &ids, &[]),
             approx: ids,
             direct: Vec::new(),
             skeleton_bytes: 0,
@@ -720,11 +632,7 @@ mod tests {
         LetIssue {
             target: 1,
             nodes,
-            per_batch: batches
-                .batches()
-                .iter()
-                .map(|_| (Vec::new(), ids.clone()))
-                .collect(),
+            lists: every_batch(batches, &[], &ids),
             approx: Vec::new(),
             direct: ids,
             skeleton_bytes: 0,
@@ -808,6 +716,322 @@ mod tests {
                     plans.iter().map(field).sum::<u64>(),
                     base.iter().map(field).sum::<u64>(),
                     "per-chunk cost totals must be budget-invariant"
+                );
+            }
+        }
+    }
+
+    /// `ps` cut into `ranks` slabs along x, one per rank.
+    fn slabs(ps: &ParticleSet, ranks: usize) -> Vec<ParticleSet> {
+        let mut idx: Vec<usize> = (0..ps.len()).collect();
+        idx.sort_by(|&a, &b| ps.x[a].total_cmp(&ps.x[b]));
+        (idx.chunks(ps.len().div_ceil(ranks)))
+            .map(|c| ps.subset(c))
+            .collect()
+    }
+
+    /// Runs `body(comm, local tree, local batches, windows, locals)` on
+    /// every rank of a world over `slabs(ps, ranks)`, with the windows
+    /// exposed as a rank's staged run exposes them.
+    fn on_let_world<R: Send + 'static>(
+        ps: &ParticleSet,
+        ranks: usize,
+        params: &BltcParams,
+        body: impl Fn(&Comm, &SourceTree, &TargetBatches, &LetWindows, &[ParticleSet]) -> R + Sync,
+    ) -> Vec<R> {
+        let locals = slabs(ps, ranks);
+        mpi_sim::run_spmd(ranks, |comm| {
+            let local = &locals[comm.rank()];
+            let (tree, batches) = SourceTree::build_with_batches(local, local, params);
+            let charges = ClusterCharges::compute_all(&tree, params.degree);
+            let qhat = (0..tree.num_nodes())
+                .flat_map(|i| charges.charges(i))
+                .copied()
+                .collect();
+            let wins = LetWindows::expose(comm, &tree, qhat);
+            let out = body(comm, &tree, &batches, &wins, &locals);
+            comm.barrier();
+            out
+        })
+        .results
+    }
+
+    /// The per-batch loop the run-wise consumer replaced: the whole LET
+    /// landed, then each batch's targets against its approximated
+    /// clusters (flat tiles over the proxies) and then its direct ones,
+    /// each list ascending, into columns that start at `0.0`, with the
+    /// counts and device bytes of one launch per batch–cluster pair.
+    fn per_batch_reference<const C: usize, O: TileOp<C> + ?Sized>(
+        issue: &LetIssue,
+        batches: &TargetBatches,
+        wins: &LetWindows,
+        params: &BltcParams,
+        op: &O,
+    ) -> (RemoteEval<C>, CommTally) {
+        let mut tally = CommTally::default();
+        let mut payload = LetPayload::default();
+        let m3 = params.proxy_count();
+        for plan in &plan_chunks(issue, batches, m3, usize::MAX, None) {
+            land_chunk(issue, plan, wins, params, &mut tally, &mut payload);
+        }
+        let tp = batches.particles();
+        let mut acc = RemoteEval::<C>::zeros(tp.len());
+        for (b, bl) in batches.batches().iter().zip(&issue.lists.per_batch) {
+            let (t, nb) = (tp.xyz(b.start..b.end), b.num_targets() as u64);
+            let mut out = acc.cols.each_mut().map(|c| &mut c[b.start..b.end]);
+            for &ci in &bl.approx {
+                let (grid, qhat) = payload.approx(ci as usize);
+                let (px, py, pz) = grid.proxies();
+                op.tile(t, (px, py, pz, qhat), &mut out);
+                acc.ops.approx_interactions += nb * m3 as u64;
+                acc.ops.kernel_launches += 1;
+                acc.device_bytes += launch_bytes(nb, m3 as u64, O::TARGET_COLS);
+            }
+            for &ci in &bl.direct {
+                let s = payload.direct(ci as usize);
+                op.tile(t, s, &mut out);
+                acc.ops.direct_interactions += nb * s.0.len() as u64;
+                acc.ops.kernel_launches += 1;
+                acc.device_bytes += launch_bytes(nb, s.0.len() as u64, O::TARGET_COLS);
+            }
+        }
+        (acc, tally)
+    }
+
+    /// Tiles issued, beside the op that computes them.
+    struct Counting<'a, O: ?Sized>(&'a O, AtomicU64);
+
+    impl<const C: usize, O: TileOp<C> + ?Sized> TileOp<C> for Counting<'_, O> {
+        const APPROX_LAUNCH: &'static str = O::APPROX_LAUNCH;
+        const DIRECT_LAUNCH: &'static str = O::DIRECT_LAUNCH;
+
+        fn tile(
+            &self,
+            t: (&[f64], &[f64], &[f64]),
+            s: (&[f64], &[f64], &[f64], &[f64]),
+            out: &mut [&mut [f64]; C],
+        ) {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.tile(t, s, out);
+        }
+
+        fn flops_per_pair(&self, gpu: bool) -> f64 {
+            self.0.flops_per_pair(gpu)
+        }
+    }
+
+    fn bits<const C: usize>(cols: &[Vec<f64>; C]) -> Vec<Vec<u64>> {
+        cols.iter()
+            .map(|c| c.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    /// `eval_remote_let` of every LET of this rank under every budget
+    /// equals [`per_batch_reference`] bit for bit: columns, op counts,
+    /// device bytes and recorded traffic.
+    fn assert_runs_equal_the_per_batch_loop<const C: usize, O: TileOp<C> + ?Sized>(
+        comm: &Comm,
+        batches: &TargetBatches,
+        wins: &LetWindows,
+        params: &BltcParams,
+        op: &O,
+    ) {
+        let m3 = params.proxy_count();
+        for t in (0..comm.size()).filter(|&t| t != comm.rank()) {
+            let issue = issue_remote_let(t, batches, params, wins, &mut CommTally::default());
+            let (want, want_tally) = per_batch_reference(&issue, batches, wins, params, op);
+            for budget in [None, Some(u64::MAX), Some(16 * 1024), Some(1)] {
+                let chunks = plan_chunks(&issue, batches, m3, 8, budget);
+                let mut got = RemoteEval::<C>::zeros(batches.particles().len());
+                let mut tally = CommTally::default();
+                eval_remote_let(
+                    &issue, &chunks, budget, batches, wins, params, &mut tally, op, &mut got,
+                );
+                let at = format!("rank {} LET of {t}, budget {budget:?}", comm.rank());
+                let (got_bits, want_bits) = (bits(&got.cols), bits(&want.cols));
+                let differ = (got_bits.iter().flatten().zip(want_bits.iter().flatten()))
+                    .filter(|(g, w)| g != w)
+                    .count();
+                assert_eq!(differ, 0, "values differing in the columns: {at}");
+                assert_eq!(got.ops, want.ops, "op counts: {at}");
+                assert_eq!(got.device_bytes, want.device_bytes, "device bytes: {at}");
+                let traffic = |c: CommTally| (c.messages, c.bytes, c.device_bytes);
+                assert_eq!(traffic(tally), traffic(want_tally), "traffic: {at}");
+            }
+        }
+    }
+
+    /// The run-wise LET consumer equals the per-batch loop it replaced,
+    /// bit for bit, under budgets from none to one byte, on pools of 1,
+    /// 2 and 4 workers, in the potential pass (`C = 1`) and the field
+    /// pass (`C = 4`) of `Coulomb`, `RegularizedCoulomb` and `Yukawa`,
+    /// on uniform and Plummer inputs on 2–4 ranks. On the Plummer input
+    /// the runs issue fewer tiles than there are batch–cluster pairs.
+    #[test]
+    fn run_wise_let_equals_the_per_batch_loop_bitwise() {
+        let cases = [
+            (
+                ParticleSet::random_cube(900, 31),
+                2,
+                BltcParams::new(0.8, 3, 30, 30),
+            ),
+            (
+                ParticleSet::random_cube(1000, 32),
+                3,
+                BltcParams::new(0.7, 3, 40, 40),
+            ),
+            (
+                ParticleSet::plummer(1200, 1.0, 33),
+                4,
+                BltcParams::new(0.7, 4, 30, 30),
+            ),
+        ];
+        let (yukawa, softened) = (Yukawa::new(0.5), RegularizedCoulomb::new(0.05));
+        let pots: [&dyn Kernel; 3] = [&Coulomb, &softened, &yukawa];
+        let fields: [&dyn GradientKernel; 3] = [&Coulomb, &softened, &yukawa];
+        for (ps, ranks, params) in &cases {
+            for workers in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(workers)
+                    .build()
+                    .expect("pool build");
+                pool.install(|| {
+                    on_let_world(ps, *ranks, params, |comm, _, batches, wins, _| {
+                        for k in pots {
+                            assert_runs_equal_the_per_batch_loop(comm, batches, wins, params, k);
+                        }
+                        for k in fields {
+                            assert_runs_equal_the_per_batch_loop(comm, batches, wins, params, k);
+                        }
+                    })
+                });
+            }
+        }
+
+        // Tiles against batch–cluster pairs, on the Plummer input.
+        let (ps, ranks, params) = &cases[2];
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("pool build");
+        let counts = pool.install(|| {
+            on_let_world(ps, *ranks, params, |comm, _, batches, wins, _| {
+                let op = Counting(&Coulomb as &dyn Kernel, AtomicU64::new(0));
+                let mut acc = RemoteEval::<1>::zeros(batches.particles().len());
+                let mut tally = CommTally::default();
+                for t in (0..comm.size()).filter(|&t| t != comm.rank()) {
+                    let issue = issue_remote_let(t, batches, params, wins, &mut tally);
+                    let chunks = plan_chunks(&issue, batches, params.proxy_count(), 8, None);
+                    eval_remote_let(
+                        &issue, &chunks, None, batches, wins, params, &mut tally, &op, &mut acc,
+                    );
+                }
+                (op.1.into_inner(), acc.ops.kernel_launches)
+            })
+        });
+        let (tiles, pairs) = counts.iter().fold((0, 0), |(a, b), &(t, p)| (a + t, b + p));
+        assert!(
+            tiles < pairs,
+            "{tiles} LET tiles for {pairs} batch-cluster pairs"
+        );
+    }
+
+    /// In a debug build the LET's walk refuses a list out of ascending
+    /// id, which its runs rely on.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "out of the walk's order")]
+    fn a_let_list_out_of_ascending_id_is_refused() {
+        let ps = ParticleSet::random_cube(600, 37);
+        let params = BltcParams::new(0.8, 3, 30, 30);
+        on_let_world(&ps, 2, &params, |comm, _, batches, wins, _| {
+            let t = 1 - comm.rank();
+            let mut issue = issue_remote_let(t, batches, &params, wins, &mut CommTally::default());
+            let lists = issue.lists.per_batch.iter_mut();
+            lists
+                .max_by_key(|bl| bl.direct.len())
+                .expect("a batch")
+                .direct
+                .reverse();
+            let chunks = plan_chunks(&issue, batches, params.proxy_count(), 8, None);
+            let mut acc = RemoteEval::<1>::zeros(batches.particles().len());
+            let op = &Coulomb as &dyn Kernel;
+            eval_remote_let(
+                &issue,
+                &chunks,
+                None,
+                batches,
+                wins,
+                &params,
+                &mut CommTally::default(),
+                op,
+                &mut acc,
+            );
+        });
+    }
+
+    /// Each batch's LET lists, traversed on the skeleton rebuilt from the
+    /// wire, equal core's lists on the owner's own tree, sorted — the
+    /// round trip through [`NodeMeta`] gives bit-identical MAC decisions —
+    /// and the distinct sets are exactly the clusters some list names.
+    /// On uniform, Plummer, coincident and flat clouds.
+    #[test]
+    fn skeleton_lists_equal_the_owners_lists() {
+        let coincident = ParticleSet::new(
+            vec![0.5; 300],
+            vec![0.5; 300],
+            vec![0.5; 300],
+            vec![1.0; 300],
+        );
+        let mut flat = ParticleSet::random_cube(1200, 35);
+        flat.z.iter_mut().for_each(|z| *z = 0.0);
+        let cases = [
+            (ParticleSet::random_cube(1500, 34), 3),
+            (ParticleSet::plummer(1500, 1.0, 36), 4),
+            (coincident, 2),
+            (flat, 3),
+        ];
+        let params = BltcParams::new(0.7, 3, 30, 30);
+        for (c, (ps, ranks)) in cases.iter().enumerate() {
+            let approximated =
+                on_let_world(ps, *ranks, &params, |comm, _, batches, wins, locals| {
+                    let mut approximated = 0;
+                    for t in (0..comm.size()).filter(|&t| t != comm.rank()) {
+                        let issue =
+                            issue_remote_let(t, batches, &params, wins, &mut CommTally::default());
+                        let (owner, _) =
+                            SourceTree::build_with_batches(&locals[t], &locals[t], &params);
+                        let mut want = InteractionLists::build(batches, &owner, &params);
+                        for bl in &mut want.per_batch {
+                            bl.approx.sort_unstable();
+                            bl.direct.sort_unstable();
+                        }
+                        let at = format!("case {c}, rank {} LET of {t}", comm.rank());
+                        assert_eq!(issue.nodes.len(), owner.num_nodes(), "{at}");
+                        for (got, want) in issue.lists.per_batch.iter().zip(&want.per_batch) {
+                            assert_eq!(
+                                (&got.approx, &got.direct),
+                                (&want.approx, &want.direct),
+                                "{at}"
+                            );
+                        }
+                        let named = |pick: fn(&BatchLists) -> &Vec<u32>| {
+                            let mut ids: Vec<u32> =
+                                want.per_batch.iter().flat_map(pick).copied().collect();
+                            ids.sort_unstable();
+                            ids.dedup();
+                            ids
+                        };
+                        assert_eq!(issue.approx, named(|bl| &bl.approx), "{at}");
+                        assert_eq!(issue.direct, named(|bl| &bl.direct), "{at}");
+                        approximated += issue.approx.len();
+                    }
+                    approximated
+                });
+            if c < 2 {
+                assert!(
+                    approximated.iter().sum::<usize>() > 0,
+                    "case {c} approximates nothing"
                 );
             }
         }

@@ -111,16 +111,17 @@
 //! ## Memory-bounded LET evaluation
 //!
 //! A rank lands each remote LET a window of fetch chunks at a time,
-//! evaluates the window's clusters into one persistent partial per batch
-//! (in parallel over batches), drops the window's payload, and merges the
-//! partials once per LET. [`DistConfig::let_memory_budget`] chooses only
-//! the window. By default (`None`) it is the whole LET, and the modeled
-//! device keeps every LET it has staged until the compute phase is over,
-//! so the peak resident remote payload grows with the surface of the
-//! rank's region — the wall between the 32-rank harness and the paper's
-//! billion-particle runs. With a budget the window is one chunk, capped
-//! at the budget in payload bytes, dropped before the next one lands: the
-//! peak resident payload — reported per rank as
+//! adds the window's tiles into the LET's columns through core's run-wise
+//! pass (in parallel over pool chunks of batches), drops the window's
+//! payload, and adds the columns into the rank's once per LET.
+//! [`DistConfig::let_memory_budget`] chooses only the window. By default
+//! (`None`) it is the whole LET, and the modeled device keeps every LET
+//! it has staged until the compute phase is over, so the peak resident
+//! remote payload grows with the surface of the rank's region — the wall
+//! between the 32-rank harness and the paper's billion-particle runs.
+//! With a budget the window is one chunk, capped at the budget in payload
+//! bytes, dropped before the next one lands: the peak resident payload —
+//! reported per rank as
 //! [`RankReport::peak_let_bytes`] — is then the largest single chunk
 //! instead of the whole LET.
 //!
@@ -714,8 +715,9 @@ pub(crate) fn check_decomposition(
 ///    charge window *is* the staged run's node-major host copy of the
 ///    charges (`StagedRun::qhat_host`);
 /// 3. **LETs** — per remote rank issue → plan, then the one consumer:
-///    land a window of chunks over passive-target RMA, evaluate it into
-///    per-batch partials, drop it, and merge the partials once per LET.
+///    land a window of chunks over passive-target RMA, add its tiles into
+///    the LET's columns through core's run-wise pass, drop it, and add
+///    the columns into the rank's once per LET.
 ///    The window is one chunk iff [`DistConfig::let_memory_budget`] is
 ///    set and the whole LET otherwise; the gets, their order and the
 ///    recorded traffic are the same either way;
