@@ -462,3 +462,89 @@ fn yukawa_errors_stay_under_the_fig4_bounds() {
         );
     }
 }
+
+/// Fig. 4 for the distributed treecode: Coulomb and Yukawa (κ = 0.5), a
+/// potential pass and a field pass on 3 and 4 ranks, at three (θ,
+/// degree) points of the paper's curve family. Each case pins four
+/// distances, relative L2 over all targets: the potential pass against
+/// `direct_sum` and against the one-rank `SerialEngine`, and the field
+/// pass's force against `direct_sum_field` and against the one-rank
+/// `evaluate_field_parallel`, all at the same parameters. Each bound is
+/// **twice** the value measured when the row was recorded, rounded up to
+/// two digits. Leaves and batches hold `max(60, (n+1)³/2)` particles, so
+/// `(n+1)³ > N_L` at every point: the MAC takes non-leaf clusters direct,
+/// and a LET fetches particles under a direct cluster and again under
+/// its direct descendants. At the corpus's 1 200 particles the two finer
+/// points approximate nothing, so the cube here holds 4 000.
+#[test]
+fn distributed_errors_stay_under_the_fig4_bounds() {
+    // (kernel, θ, degree, per rank count 3 and 4: [potential vs direct,
+    // potential vs one rank, force vs direct, force vs one rank])
+    #[rustfmt::skip]
+    const BOUNDS: [(&str, f64, usize, [[f64; 4]; 2]); 6] = [
+        ("coulomb", 0.9, 3, [[6.4e-3, 6.7e-3, 1.8e-3, 2.3e-3], [6.2e-3, 4.9e-3, 1.7e-3, 1.5e-3]]),
+        ("coulomb", 0.7, 5, [[4.6e-6, 6.8e-6, 1.3e-6, 1.8e-6], [5.5e-6, 3.4e-6, 1.3e-6, 8.0e-7]]),
+        ("coulomb", 0.6, 6, [[3.5e-8, 1.4e-7, 6.6e-9, 3.3e-8], [1.4e-7, 4.7e-8, 3.2e-8, 1.5e-8]]),
+        ("yukawa", 0.9, 3, [[6.5e-3, 6.9e-3, 1.8e-3, 2.3e-3], [6.3e-3, 4.9e-3, 1.6e-3, 1.4e-3]]),
+        ("yukawa", 0.7, 5, [[4.7e-6, 7.0e-6, 1.3e-6, 1.8e-6], [5.7e-6, 3.5e-6, 1.3e-6, 7.8e-7]]),
+        ("yukawa", 0.6, 6, [[3.5e-8, 1.4e-7, 6.3e-9, 3.2e-8], [1.4e-7, 4.7e-8, 3.1e-8, 1.5e-8]]),
+    ];
+    const WHAT: [&str; 4] = [
+        "potential vs direct",
+        "potential vs one rank",
+        "force vs direct",
+        "force vs one rank",
+    ];
+    let bless = std::env::var("BLTC_BLESS").is_ok_and(|v| v == "1");
+    let ps = ParticleSet::random_cube(4000, 31);
+    let mut exact: Option<(&str, Vec<f64>, FieldResult)> = None;
+    let mut measured: Vec<(&str, usize, [f64; 4])> = Vec::new();
+    for (name, theta, degree, bounds) in BOUNDS {
+        let (k, grad) = kernel(name);
+        let grad = grad.expect("both kernels have a gradient twin");
+        if exact.as_ref().is_none_or(|(n, ..)| *n != name) {
+            exact = Some((
+                name,
+                direct_sum(&ps, &ps, &*k),
+                direct_sum_field(&ps, &ps, &*grad),
+            ));
+        }
+        let (_, exact_pot, exact_field) = exact.as_ref().expect("set above");
+        let cap = 60.max((degree + 1).pow(3) / 2);
+        let params = BltcParams::new(theta, degree, cap, cap);
+        let cfg = DistConfig::comet(params);
+        let one_pot = SerialEngine::new(params).compute(&ps, &ps, &*k).potentials;
+        let one_field = PreparedTreecode::new(&ps, &ps, params).evaluate_field_parallel(&*grad);
+        for (ranks, bounds) in [3, 4].into_iter().zip(bounds) {
+            let pot = run_distributed(&ps, ranks, &cfg, &*k).potentials;
+            let field = run_distributed_field(&ps, ranks, &cfg, &*grad).field;
+            let got = [
+                relative_l2_error(exact_pot, &pot),
+                relative_l2_error(&one_pot, &pot),
+                force_error(exact_field, &field),
+                force_error(&one_field, &field),
+            ];
+            let at = format!("{name}, {ranks} ranks, θ = {theta}, n = {degree}");
+            println!("{at}: {got:?}");
+            assert!(got.iter().all(|e| e.is_finite()), "{at}: {got:?}");
+            for ((what, e), bound) in WHAT.iter().zip(got).zip(bounds) {
+                assert!(bless || e <= bound, "{at}: {what} {e:e} > {bound:e}");
+            }
+            measured.push((name, ranks, got));
+        }
+    }
+    // The curve family itself: along each kernel's and rank count's
+    // points, tighter θ and higher degree lose fewer digits, against
+    // direct summation and against the one-rank treecode alike.
+    for (i, (name, ranks, got)) in measured.iter().enumerate() {
+        let next = measured[i + 1..]
+            .iter()
+            .find(|m| (m.0, m.1) == (name, *ranks));
+        if let Some((_, _, finer)) = next {
+            assert!(
+                finer.iter().zip(got).all(|(f, g)| f < g),
+                "{name}, {ranks} ranks: {measured:?}"
+            );
+        }
+    }
+}
