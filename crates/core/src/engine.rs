@@ -8,6 +8,7 @@
 //! single preparation can be evaluated under several kernels — exactly
 //! what the Fig. 4 sweep does with Coulomb and Yukawa.
 
+use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -20,10 +21,7 @@ use crate::interp::tensor::TensorGrid;
 use crate::kernel::{Kernel, TileOp};
 use crate::particles::ParticleSet;
 use crate::traversal::InteractionLists;
-use crate::tree::{
-    batch::{Batch, TargetBatches},
-    SourceTree, TreeStats,
-};
+use crate::tree::{batch::TargetBatches, SourceTree, TreeStats};
 
 /// Measured wall-clock seconds per algorithm phase (§4's reporting
 /// categories: setup, precompute, compute).
@@ -130,15 +128,15 @@ impl PreparedTreecode {
     /// GPU's compute phase: each target's `C` output columns from its
     /// batch's interaction lists, assembled into original target order.
     ///
-    /// One run-wise pass ([`RunColumns`]): the batches in target order,
-    /// in the pool's chunks when `parallel` and as one chunk otherwise;
-    /// in a chunk, every approximated cluster and then every direct one,
-    /// each set in source-tree pre-order (the order the traversal emits
-    /// each list in), one tile per maximal run of consecutive batches
-    /// that list the cluster. Every target receives exactly its own
-    /// lists in their own order, each tile's sum added once into columns
-    /// that start at `0.0`: the bits of a loop over batches, at any pool
-    /// size.
+    /// One run-wise pass ([`RunColumns`]): the batches in id order, which
+    /// is target order, in the pool's chunks when `parallel` and as one
+    /// chunk otherwise; in a chunk, every approximated cluster and then
+    /// every direct one, each set in ascending id — the pre-order the
+    /// traversal emits each list in — one tile per maximal run of
+    /// consecutive batches that list the cluster. Every target receives
+    /// exactly its own lists in their own order, each tile's sum added
+    /// once into columns that start at `0.0`: the bits of a loop over
+    /// batches, at any pool size.
     pub fn evaluate<const C: usize, O: TileOp<C> + ?Sized>(
         &self,
         op: &O,
@@ -149,7 +147,7 @@ impl PreparedTreecode {
             let bl = &self.lists.per_batch[b];
             [&bl.approx[..], &bl.direct[..]]
         };
-        cols.eval(op, lists, [self.tree.preorder(); 2], self);
+        cols.eval(op, lists, self);
         cols.into_columns()
             .map(|col| self.batches.scatter_to_original(&col))
     }
@@ -186,11 +184,11 @@ pub struct RunTally {
 }
 
 /// The `C` output columns of run-wise passes over one set of target
-/// batches. The batches are taken in target order (ascending ranges)
-/// and cut into the pool's chunks — `max(len / (4·workers), 1)` batches
-/// each when `parallel` on more than one worker, one chunk otherwise —
-/// and each chunk holds the columns of its targets, which start at `0.0`
-/// once. Every [`RunColumns::eval`] adds into them, so passes over parts
+/// batches. The batches, in id order — target order, since the splitter
+/// numbers nodes in pre-order — are cut into the pool's chunks of
+/// consecutive batches — `max(len / (4·workers), 1)` each when
+/// `parallel` on more than one worker, one chunk otherwise — and each
+/// chunk holds the columns of its targets, which start at `0.0` once. Every [`RunColumns::eval`] adds into them, so passes over parts
 /// of a cluster set (the LET's landed windows) accumulate as one pass
 /// over the whole set would.
 pub struct RunColumns<'a, const C: usize> {
@@ -200,22 +198,21 @@ pub struct RunColumns<'a, const C: usize> {
 }
 
 /// The batch indices of one chunk of a [`RunColumns`], and its columns.
-type Chunk<const C: usize> = (Vec<u32>, Mutex<[Vec<f64>; C]>);
+type Chunk<const C: usize> = (Range<usize>, Mutex<[Vec<f64>; C]>);
 
 impl<'a, const C: usize> RunColumns<'a, C> {
     /// Zero columns over every target of `batches`, chunked as above.
     pub fn new(batches: &'a TargetBatches, parallel: bool) -> Self {
         let all = batches.batches();
-        let mut order: Vec<u32> = (0..all.len() as u32).collect();
-        order.sort_unstable_by_key(|&b| all[b as usize].start);
         let workers = parallel.then(rayon::current_num_threads).unwrap_or(1);
-        let per_chunk = order.len() / if workers > 1 { 4 * workers } else { 1 };
-        let chunks = (order.chunks(per_chunk.max(1)))
-            .map(|chunk| {
-                let targets =
-                    all[chunk[chunk.len() - 1] as usize].end - all[chunk[0] as usize].start;
+        let per_chunk = (all.len() / if workers > 1 { 4 * workers } else { 1 }).max(1);
+        let chunks = (0..all.len())
+            .step_by(per_chunk)
+            .map(|first| {
+                let chunk = first..(first + per_chunk).min(all.len());
+                let targets = all[chunk.end - 1].end - all[first].start;
                 let cols = std::array::from_fn(|_| vec![0.0; targets]);
-                (chunk.to_vec(), Mutex::new(cols))
+                (chunk, Mutex::new(cols))
             })
             .collect();
         Self {
@@ -227,11 +224,10 @@ impl<'a, const C: usize> RunColumns<'a, C> {
 
     /// Adds one run-wise pass into the columns, chunk by chunk (over the
     /// pool's workers when `parallel`). `lists(b)` is batch `b`'s
-    /// (approximation, direct) list, each naming its clusters in the
-    /// order of `order[0]` / `order[1]`, which hold every cluster the
-    /// lists may name. In a chunk, each cluster of `order[0]` and then
-    /// of `order[1]` is one tile over each maximal run of consecutive
-    /// batches that list it ([`TileOp::grid_tile`] over its proxies, or
+    /// (approximation, direct) list, each strictly ascending in cluster
+    /// id. In a chunk, each cluster its approximation lists name and then
+    /// each its direct lists name, in ascending id, is one tile over each
+    /// maximal run of consecutive batches that list it ([`TileOp::grid_tile`] over its proxies, or
     /// [`TileOp::tile`] over its particles, from `sources`); the run's
     /// targets are one contiguous range, so a tile of a cluster that
     /// sibling batches share holds many batches' targets and few pad
@@ -240,7 +236,6 @@ impl<'a, const C: usize> RunColumns<'a, C> {
         &self,
         op: &O,
         lists: impl Fn(usize) -> [&'l [u32]; 2] + Sync,
-        order: [&[u32]; 2],
         sources: &S,
     ) -> RunTally
     where
@@ -250,20 +245,22 @@ impl<'a, const C: usize> RunColumns<'a, C> {
         let walk = |(chunk, cols): &Chunk<C>| {
             let mut cols = cols.lock().expect("a run walk panicked");
             let tp = self.batches.particles();
-            let batches: Vec<&Batch> = (chunk.iter())
-                .map(|&b| &self.batches.batches()[b as usize])
-                .collect();
+            let batches = &self.batches.batches()[chunk.clone()];
             debug_assert!(batches.windows(2).all(|w| w[0].end == w[1].start));
             let lo = batches[0].start;
             let mut tally = RunTally::default();
             // Per path, each cluster's bucket of the chunk's batch positions
-            // that list it (a count, an offset in `order`, a fill — not a
-            // sort); the bucket's maximal runs of consecutive positions are
-            // its tiles.
-            for (path, order) in order.into_iter().enumerate() {
-                let lists: Vec<&[u32]> = chunk.iter().map(|&b| lists(b as usize)[path]).collect();
-                let (min, max) =
-                    (order.iter()).fold((u32::MAX, 0), |(a, b), &c| (a.min(c), b.max(c)));
+            // that list it, clusters in ascending id (a count, an offset, a
+            // fill — not a sort); the bucket's maximal runs of consecutive
+            // positions are its tiles.
+            for path in 0..2 {
+                let lists: Vec<&[u32]> = chunk.clone().map(|b| lists(b)[path]).collect();
+                debug_assert!(
+                    (lists.iter()).all(|l| l.windows(2).all(|w| w[0] < w[1])),
+                    "an interaction list is not strictly ascending"
+                );
+                let (min, max) = (lists.iter().copied().flatten())
+                    .fold((u32::MAX, 0), |(a, b), &c| (a.min(c), b.max(c)));
                 let slot = |ci: u32| (ci - min) as usize;
                 let mut count = vec![0u32; (max + 1).saturating_sub(min) as usize];
                 for &ci in lists.iter().copied().flatten() {
@@ -271,17 +268,10 @@ impl<'a, const C: usize> RunColumns<'a, C> {
                 }
                 let mut offset = vec![0u32; count.len()];
                 let mut total = 0;
-                for &ci in order {
-                    offset[slot(ci)] = total;
-                    total += count[slot(ci)];
+                for (o, &n) in offset.iter_mut().zip(&count) {
+                    *o = total;
+                    total += n;
                 }
-                debug_assert!(
-                    total as usize == lists.iter().map(|l| l.len()).sum::<usize>()
-                        && (lists.iter()).all(|l| l
-                            .windows(2)
-                            .all(|w| offset[slot(w[0])] < offset[slot(w[1])])),
-                    "an interaction list names a cluster off its walk, or out of the walk's order"
-                );
                 let mut slots = vec![0u32; total as usize];
                 for (at, list) in (0..).zip(&lists) {
                     for &ci in *list {
@@ -290,8 +280,8 @@ impl<'a, const C: usize> RunColumns<'a, C> {
                     }
                 }
                 let mut rest = &slots[..];
-                for &ci in order {
-                    let (bucket, tail) = rest.split_at(count[slot(ci)] as usize);
+                for (ci, &n) in (min as usize..).zip(&count) {
+                    let (bucket, tail) = rest.split_at(n as usize);
                     rest = tail;
                     let mut first = 0;
                     for k in 1..=bucket.len() {
@@ -303,7 +293,7 @@ impl<'a, const C: usize> RunColumns<'a, C> {
                         let (start, end) = (batches[run.start].start, batches[run.end - 1].end);
                         let t = tp.xyz(start..end);
                         let mut out = cols.each_mut().map(|c| &mut c[start - lo..end - lo]);
-                        let (ci, targets) = (ci as usize, (end - start) as u64);
+                        let targets = (end - start) as u64;
                         let n_src = if path == 0 {
                             let (grid, qhat) = sources.approx(ci);
                             op.grid_tile(t, grid, qhat, &mut out);
@@ -836,11 +826,11 @@ mod tests {
         }
     }
 
-    /// In a debug build the walk refuses a list that is out of its
-    /// order, which the runs rely on.
+    /// In a debug build the walk refuses a list that is not strictly
+    /// ascending, the one order the runs rely on.
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "out of the walk's order")]
+    #[should_panic(expected = "not strictly ascending")]
     fn a_list_out_of_the_walks_order_is_refused() {
         let ps = cube(1500, 75);
         let mut prep = PreparedTreecode::new(&ps, &ps, BltcParams::new(0.8, 3, 40, 40));

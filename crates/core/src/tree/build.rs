@@ -40,9 +40,12 @@ pub(crate) fn split_dims(bbox: &BoundingBox) -> [bool; 3] {
     out
 }
 
-/// Build the node array (pre-order), the reordered particle set whose
-/// contiguous ranges the nodes own, and the permutation: `perm[i]` is
-/// the original index of reordered particle `i`.
+/// Build the node array, the reordered particle set whose contiguous
+/// ranges the nodes own, and the permutation: `perm[i]` is the original
+/// index of reordered particle `i`. Node ids are pre-order: every node
+/// comes before its descendants, and siblings follow the order of
+/// `children`, which is ascending particle ranges. So the leaves come
+/// out in target order and every subtree is a run of consecutive ids.
 ///
 /// # Panics
 /// On an empty set, or on a particle with a NaN or infinite coordinate
@@ -62,27 +65,34 @@ pub(crate) fn build_nodes(
     let mut dest = vec![0usize; n];
     let (mut spill, mut spill_perm) = (vec![0.0; n], vec![0usize; n]);
 
-    // Explicit stack of node indices whose ranges are already assigned;
-    // children are materialized when their parent is processed, so the
-    // node array comes out in pre-order with contiguous sibling ranges.
-    let mut nodes = vec![RawNode {
+    // Depth-first over pending nodes, each with its parent's id and its
+    // slot in the parent's `children`. A node gets its id when popped and
+    // patches that slot; its children are pushed last first, so they pop
+    // in `children` order and the ids come out in pre-order.
+    let mut nodes: Vec<RawNode> = Vec::new();
+    let root = RawNode {
         bbox: bbox_of(&sorted, 0..n, true),
         start: 0,
         end: n,
         children: [0; 8],
         num_children: 0,
         level: 0,
-    }];
-    let mut stack: Vec<usize> = vec![0];
+    };
+    let mut stack: Vec<(RawNode, Option<(usize, usize)>)> = vec![(root, None)];
 
-    while let Some(node_idx) = stack.pop() {
-        let &RawNode {
+    while let Some((node, parent)) = stack.pop() {
+        let id = nodes.len();
+        if let Some((p, slot)) = parent {
+            nodes[p].children[slot] = id as u32;
+        }
+        let RawNode {
             bbox,
             start,
             end,
             level,
             ..
-        } = &nodes[node_idx];
+        } = node;
+        nodes.push(node);
         if end - start <= leaf_cap || level as usize >= max_depth {
             continue; // leaf
         }
@@ -125,39 +135,31 @@ pub(crate) fn build_nodes(
         }
         scatter(&mut perm[start..end], dest, &mut spill_perm);
 
-        // Materialize non-empty children.
-        let mut num_children = 0u8;
-        let mut children = [0u32; 8];
+        // The non-empty children, pending: ranges and boxes are fixed
+        // here, ids when each is popped.
+        let first = stack.len();
         for b in 0..8 {
             if counts[b] == 0 {
                 continue;
             }
             let (cs, ce) = (start + offsets[b], start + offsets[b] + counts[b]);
-            children[num_children as usize] = nodes.len() as u32;
-            num_children += 1;
-            nodes.push(RawNode {
+            let child = RawNode {
                 bbox: bbox_of(&sorted, cs..ce, false),
                 start: cs,
                 end: ce,
                 children: [0; 8],
                 num_children: 0,
                 level: level + 1,
-            });
+            };
+            stack.push((child, Some((id, stack.len() - first))));
         }
+        let num_children = (stack.len() - first) as u8;
         debug_assert!(
             num_children >= 2,
             "midpoint split of a non-degenerate box must separate extremes"
         );
-        nodes[node_idx].children = children;
-        nodes[node_idx].num_children = num_children;
-
-        // Process children (order on the stack does not matter; indices
-        // and ranges are already fixed).
-        stack.extend(
-            children[..num_children as usize]
-                .iter()
-                .map(|&c| c as usize),
-        );
+        nodes[id].num_children = num_children;
+        stack[first..].reverse();
     }
 
     (nodes, sorted, perm)
@@ -475,13 +477,43 @@ mod tests {
         (b, r.start, r.end, r.children, r.num_children, r.level)
     }
 
+    /// The oracle's nodes renumbered by a recursive walk — each node,
+    /// then each child's subtree in `children` order — with every child
+    /// id rewritten: the oracle numbers nodes in the order its stack
+    /// materialises them, the splitter in pre-order.
+    fn preorder_relabelled(nodes: &[RawNode]) -> Vec<RawNode> {
+        fn walk(nodes: &[RawNode], i: usize, order: &mut Vec<usize>) {
+            order.push(i);
+            let node = &nodes[i];
+            for &c in &node.children[..node.num_children as usize] {
+                walk(nodes, c as usize, order);
+            }
+        }
+        let mut order = Vec::with_capacity(nodes.len());
+        walk(nodes, 0, &mut order);
+        let mut id = vec![0u32; nodes.len()];
+        for (k, &i) in order.iter().enumerate() {
+            id[i] = k as u32;
+        }
+        (order.iter())
+            .map(|&i| {
+                let mut node = nodes[i].clone();
+                for c in &mut node.children[..node.num_children as usize] {
+                    *c = id[*c as usize];
+                }
+                node
+            })
+            .collect()
+    }
+
     /// The splitter, `SourceTree::build` and `TargetBatches::build`
-    /// against the oracle, bit for bit: every node (box, range,
-    /// children, level), every batch, the permutation and the reordered
-    /// set.
+    /// against the oracle relabelled in pre-order, bit for bit: every
+    /// node (box, range, children, level), every batch, the permutation
+    /// and the reordered set.
     fn assert_matches_oracle(ps: &ParticleSet, cap: usize, max_depth: usize) {
         let what = (ps.len(), cap, max_depth);
         let (want, want_perm) = oracle::build_nodes(ps, cap, max_depth);
+        let want = preorder_relabelled(&want);
         let want_keys: Vec<NodeKey> = want.iter().map(raw_key).collect();
         let want_set = set_bits(&ps.subset(&want_perm));
 

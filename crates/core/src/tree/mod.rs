@@ -11,9 +11,11 @@
 //! The tree is stored as a flat array (no pointer chasing — the layout
 //! GPU-era treecodes such as Burtscher–Pingali advocate), and tree
 //! construction reorders the particles so that every cluster owns a
-//! contiguous index range. Node ids are not pre-order (the splitter
-//! materialises children from a stack); [`SourceTree::preorder`] lists
-//! them in the order the traversal meets them.
+//! contiguous index range. Node ids are pre-order — every node before
+//! its descendants, siblings in ascending particle ranges — which is the
+//! order the traversal meets clusters in, so an interaction list is
+//! ascending, a subtree is a run of consecutive ids, and the leaves are
+//! in target order.
 
 pub mod batch;
 mod build;
@@ -92,7 +94,6 @@ pub struct SourceTree {
     nodes: Vec<ClusterNode>,
     particles: ParticleSet,
     perm: Vec<usize>,
-    preorder: Vec<u32>,
 }
 
 impl SourceTree {
@@ -120,13 +121,11 @@ impl SourceTree {
                 num_children: r.num_children,
                 level: r.level,
             })
-            .collect::<Vec<_>>();
-        let preorder = preorder_of(&nodes);
+            .collect();
         Self {
             nodes,
             particles,
             perm,
-            preorder,
         }
     }
 
@@ -163,19 +162,10 @@ impl SourceTree {
         &self.nodes[idx]
     }
 
-    /// All nodes, in id order.
+    /// All nodes, in id order (pre-order).
     #[inline]
     pub fn nodes(&self) -> &[ClusterNode] {
         &self.nodes
-    }
-
-    /// Node ids in pre-order: every node before its descendants, siblings
-    /// in the order of `children` (ascending particle ranges). It is the
-    /// order in which the traversal meets clusters, so each interaction
-    /// list is a subsequence of it.
-    #[inline]
-    pub fn preorder(&self) -> &[u32] {
-        &self.preorder
     }
 
     /// Number of nodes.
@@ -237,18 +227,6 @@ impl SourceTree {
         }
         s
     }
-}
-
-/// Node ids in pre-order, children in the order of `children`.
-fn preorder_of(nodes: &[ClusterNode]) -> Vec<u32> {
-    let mut order = Vec::with_capacity(nodes.len());
-    let mut stack = vec![0u32];
-    while let Some(i) = stack.pop() {
-        order.push(i);
-        let node = &nodes[i as usize];
-        stack.extend(node.children[..node.num_children as usize].iter().rev());
-    }
-    order
 }
 
 /// Whether two sets hold the same particles in the same order, bit for
@@ -315,30 +293,47 @@ mod tests {
         assert!(covered.iter().all(|&c| c), "every particle in some leaf");
     }
 
-    /// `preorder` is a recursive walk's order — each node, then each
-    /// child's subtree in `children` order — so the nodes' starts ascend
-    /// along it; on a tree this deep it is not the id order.
+    /// Node ids *are* a recursive walk's order — each node, then each
+    /// child's subtree in `children` order — and so the batches, the
+    /// leaves in id order, start in ascending order, on uniform, Plummer,
+    /// coincident and flat clouds, whether the batches are split on their
+    /// own or taken from the tree.
     #[test]
-    fn preorder_is_a_recursive_walk() {
-        fn walk(tree: &SourceTree, i: usize, out: &mut Vec<u32>) {
-            out.push(i as u32);
+    fn node_ids_are_a_recursive_walks_order() {
+        fn walk(tree: &SourceTree, i: usize, out: &mut Vec<usize>) {
+            out.push(i);
             for c in tree.node(i).child_indices() {
                 walk(tree, c, out);
             }
         }
-        let ps = ParticleSet::plummer(3000, 1.0, 8);
-        let tree = SourceTree::build(&ps, &params(40));
-        let mut want = Vec::new();
-        walk(&tree, tree.root(), &mut want);
-        assert_eq!(tree.preorder(), want);
-        let ids: Vec<u32> = (0..tree.num_nodes() as u32).collect();
-        assert_ne!(
-            tree.preorder(),
-            ids,
-            "a tree this deep has ids out of pre-order"
-        );
-        let starts = tree.preorder().iter().map(|&i| tree.node(i as usize).start);
-        assert!(starts.is_sorted());
+        let n = 3000;
+        let coincident = ParticleSet::new(vec![0.5; n], vec![0.5; n], vec![0.5; n], vec![1.0; n]);
+        let mut flat = ParticleSet::random_cube(n, 11);
+        flat.z.fill(0.25);
+        let clouds = [
+            ParticleSet::random_cube(n, 10),
+            ParticleSet::plummer(n, 1.0, 8),
+            coincident,
+            flat,
+        ];
+        for (c, ps) in clouds.iter().enumerate() {
+            let tree = SourceTree::build(ps, &params(40));
+            let mut order = Vec::new();
+            walk(&tree, tree.root(), &mut order);
+            assert_eq!(
+                order,
+                (0..tree.num_nodes()).collect::<Vec<_>>(),
+                "cloud {c}"
+            );
+            for batches in [
+                batch::TargetBatches::build(ps, &params(40)),
+                batch::TargetBatches::from_leaves(&tree),
+            ] {
+                let starts: Vec<usize> = batches.batches().iter().map(|b| b.start).collect();
+                assert!(starts.is_sorted(), "cloud {c}: {starts:?}");
+                assert_eq!(starts[0], 0, "cloud {c}");
+            }
+        }
     }
 
     #[test]

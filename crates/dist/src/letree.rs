@@ -221,15 +221,8 @@ pub(crate) fn issue_remote_let(
     // parallel over batches (the paper's OpenMP-parallel LET traversal),
     // each batch's lists in that batch's slot. The skeleton rebuilds the
     // owner's geometry bit for bit, so the lists are the ones the owner's
-    // own tree gives. Canonical per-batch order: ascending cluster id,
-    // not the traversal's pre-order, because ascending id is the order
-    // the consumer replays window by window — which is what makes a
-    // one-chunk window bitwise identical to a whole-LET one.
-    let mut lists = InteractionLists::build_on(batches, &nodes, params);
-    for bl in &mut lists.per_batch {
-        bl.approx.sort_unstable();
-        bl.direct.sort_unstable();
-    }
+    // own tree gives, in its pre-order ids: ascending.
+    let lists = InteractionLists::build_on(batches, &nodes, params);
     let ids = |used: Vec<bool>| {
         (0..)
             .zip(used)
@@ -508,13 +501,13 @@ pub(crate) fn eval_remote_let<const C: usize, O: TileOp<C> + ?Sized>(
         for plan in window {
             land_chunk(issue, plan, wins, params, tally, &mut payload);
         }
-        let order =
+        let ids =
             [ChunkKind::Approx, ChunkKind::Direct].map(|kind| window_ids(issue, window, kind));
         let lists = |b: usize| {
             let bl = &issue.lists.per_batch[b];
-            [held(&bl.approx, order[0]), held(&bl.direct, order[1])]
+            [held(&bl.approx, ids[0]), held(&bl.direct, ids[1])]
         };
-        let run = cols.eval(op, lists, order, &payload);
+        let run = cols.eval(op, lists, &payload);
         acc.ops = acc.ops.merged(&run.ops);
         acc.device_bytes += launch_bytes(run.targets, run.sources, O::TARGET_COLS);
         // Evaluate-and-discard: the window's payload dies here, before
@@ -936,11 +929,11 @@ mod tests {
         );
     }
 
-    /// In a debug build the LET's walk refuses a list out of ascending
-    /// id, which its runs rely on.
+    /// In a debug build the LET's walk refuses a list that is not
+    /// strictly ascending, the one order its runs rely on.
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "out of the walk's order")]
+    #[should_panic(expected = "not strictly ascending")]
     fn a_let_list_out_of_ascending_id_is_refused() {
         let ps = ParticleSet::random_cube(600, 37);
         let params = BltcParams::new(0.8, 3, 30, 30);
@@ -971,9 +964,10 @@ mod tests {
     }
 
     /// Each batch's LET lists, traversed on the skeleton rebuilt from the
-    /// wire, equal core's lists on the owner's own tree, sorted — the
-    /// round trip through [`NodeMeta`] gives bit-identical MAC decisions —
-    /// and the distinct sets are exactly the clusters some list names.
+    /// wire, equal core's lists on the owner's own tree, entry for entry
+    /// and in the same order — the round trip through [`NodeMeta`] gives
+    /// bit-identical MAC decisions — and the distinct sets are exactly the
+    /// clusters some list names.
     /// On uniform, Plummer, coincident and flat clouds.
     #[test]
     fn skeleton_lists_equal_the_owners_lists() {
@@ -1001,11 +995,7 @@ mod tests {
                             issue_remote_let(t, batches, &params, wins, &mut CommTally::default());
                         let (owner, _) =
                             SourceTree::build_with_batches(&locals[t], &locals[t], &params);
-                        let mut want = InteractionLists::build(batches, &owner, &params);
-                        for bl in &mut want.per_batch {
-                            bl.approx.sort_unstable();
-                            bl.direct.sort_unstable();
-                        }
+                        let want = InteractionLists::build(batches, &owner, &params);
                         let at = format!("case {c}, rank {} LET of {t}", comm.rank());
                         assert_eq!(issue.nodes.len(), owner.num_nodes(), "{at}");
                         for (got, want) in issue.lists.per_batch.iter().zip(&want.per_batch) {

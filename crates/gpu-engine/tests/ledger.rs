@@ -119,92 +119,92 @@ fn modeled_ledger_is_pinned() {
 }
 
 const GOLDEN: &str = "\
-d1 s1 pot launches=3578 3f07c4897901bb33 3f4cde1b511fe166 3ee5c9bb19c14180 3f023ec6e52c3f10 3f951bddcc2fe4fc 3ee853b3dc3b0000
+d1 s1 pot launches=3578 3f07c4897901bb33 3f4cde1b511fe164 3ee5c9bb19c14180 3f023ec6e52c3f10 3f951bddcc2fe498 3ee853b3dc3b0000
 batch_cluster_approx          2294             31.8      0.004        0.004
 batch_cluster_direct          1138             31.5      0.008        0.004
 precompute_phase1               73             82.2      0.000        0.000
 precompute_phase2               73              8.0      0.000        0.000
-d1 s1 fld launches=3578 3f07c4897901bb33 3f4cde1b511fe166 3ee5c9bb19c14180 3f023ec6e52c3f10 3f952a3d6907c9dc 3f0853b3dc3b0000
+d1 s1 fld launches=3578 3f07c4897901bb33 3f4cde1b511fe164 3ee5c9bb19c14180 3f023ec6e52c3f10 3f952a3d6907c9e2 3f0853b3dc3b0000
 batch_cluster_approx_field      2294             31.8      0.025        0.010
 batch_cluster_direct_field      1138             31.5      0.048        0.020
 precompute_phase1               73             82.2      0.000        0.000
 precompute_phase2               73              8.0      0.000        0.000
-d1 s3 pot launches=3578 3f07c4897901bb33 3f33e0b21197fb80 3ee5c9bb19c14180 3f023ec6e52c3f28 3f7c2956f716d43d 3ee853b3dc3afe00
+d1 s3 pot launches=3578 3f07c4897901bb33 3f33dd004094da63 3ee5c9bb19c14180 3f023ec6e52c3f28 3f7c296063663402 3ee853b3dc3afe00
 batch_cluster_approx          2294             31.8      0.004        0.004
 batch_cluster_direct          1138             31.5      0.008        0.004
 precompute_phase1               73             82.2      0.000        0.000
 precompute_phase2               73              8.0      0.000        0.000
-d1 s3 fld launches=3578 3f07c4897901bb33 3f33e0b21197fb80 3ee5c9bb19c14180 3f023ec6e52c3f28 3f7c3c6e95447207 3f0853b3dc3afe00
+d1 s3 fld launches=3578 3f07c4897901bb33 3f33dd004094da63 3ee5c9bb19c14180 3f023ec6e52c3f28 3f7c3cb7c8c51780 3f0853b3dc3afe00
 batch_cluster_approx_field      2294             31.8      0.025        0.010
 batch_cluster_direct_field      1138             31.5      0.048        0.020
 precompute_phase1               73             82.2      0.000        0.000
 precompute_phase2               73              8.0      0.000        0.000
-d1 s4 pot launches=3578 3f07c4897901bb33 3f2e4d69b7277319 3ee5c9bb19c14180 3f023ec6e52c3f28 3f7521c7470c32af 3ee853b3dc3afe00
+d1 s4 pot launches=3578 3f07c4897901bb33 3f2e4cf37d070ef7 3ee5c9bb19c14180 3f023ec6e52c3f28 3f7521c26b7f3325 3ee853b3dc3afe00
 batch_cluster_approx          2294             31.8      0.004        0.004
 batch_cluster_direct          1138             31.5      0.008        0.004
 precompute_phase1               73             82.2      0.000        0.000
 precompute_phase2               73              8.0      0.000        0.000
-d1 s4 fld launches=3578 3f07c4897901bb33 3f2e4d69b7277319 3ee5c9bb19c14180 3f023ec6e52c3f28 3f75304825a4a7d3 3f0853b3dc3afe00
+d1 s4 fld launches=3578 3f07c4897901bb33 3f2e4cf37d070ef7 3ee5c9bb19c14180 3f023ec6e52c3f28 3f75301f10935025 3f0853b3dc3afe00
 batch_cluster_approx_field      2294             31.8      0.025        0.010
 batch_cluster_direct_field      1138             31.5      0.048        0.020
 precompute_phase1               73             82.2      0.000        0.000
 precompute_phase2               73              8.0      0.000        0.000
-d4 s1 pot launches=3578 3f07c4897901bb33 3f4cd1ca35870426 3ef0dd564036e020 3f023ec6e52c3f10 3f951e7b049aac08 3ee853b3dc3b0000
+d4 s1 pot launches=3578 3f07c4897901bb33 3f4cd1ca35870422 3ef0dd564036e020 3f023ec6e52c3f10 3f951e7b049aac10 3ee853b3dc3b0000
 batch_cluster_approx           136             35.4      0.004        0.002
 batch_cluster_direct          3296             31.6      0.023        0.010
 precompute_phase1               73             82.2      0.000        0.000
 precompute_phase2               73            125.0      0.004        0.002
-d4 s1 fld launches=3578 3f07c4897901bb33 3f4cd1ca35870426 3ef0dd564036e020 3f023ec6e52c3f10 3f95423cfccde44c 3f0853b3dc3b0000
+d4 s1 fld launches=3578 3f07c4897901bb33 3f4cd1ca35870422 3ef0dd564036e020 3f023ec6e52c3f10 3f95423cfccde446 3f0853b3dc3b0000
 batch_cluster_approx_field       136             35.4      0.025        0.010
 batch_cluster_direct_field      3296             31.6      0.137        0.057
 precompute_phase1               73             82.2      0.000        0.000
 precompute_phase2               73            125.0      0.004        0.002
-d4 s3 pot launches=3578 3f07c4897901bb33 3f33d3c496637981 3ef0dd564036e020 3f023ec6e52c3f28 3f7c2cf2bb4b9560 3ee853b3dc3afe00
+d4 s3 pot launches=3578 3f07c4897901bb33 3f33d1afa1cb8085 3ef0dd564036e020 3f023ec6e52c3f28 3f7c2ceebe8dfdb4 3ee853b3dc3afe00
 batch_cluster_approx           136             35.4      0.004        0.002
 batch_cluster_direct          3296             31.6      0.023        0.010
 precompute_phase1               73             82.2      0.000        0.000
 precompute_phase2               73            125.0      0.004        0.002
-d4 s3 fld launches=3578 3f07c4897901bb33 3f33d3c496637981 3ef0dd564036e020 3f023ec6e52c3f28 3f7c5d40a8d72615 3f0853b3dc3afe00
+d4 s3 fld launches=3578 3f07c4897901bb33 3f33d1afa1cb8085 3ef0dd564036e020 3f023ec6e52c3f28 3f7c5d0487ad7998 3f0853b3dc3afe00
 batch_cluster_approx_field       136             35.4      0.025        0.010
 batch_cluster_direct_field      3296             31.6      0.137        0.057
 precompute_phase1               73             82.2      0.000        0.000
 precompute_phase2               73            125.0      0.004        0.002
-d4 s4 pot launches=3578 3f07c4897901bb33 3f2e35334c106c25 3ef0dd564036e020 3f023ec6e52c3f28 3f75245e1b42adcd 3ee853b3dc3afe00
+d4 s4 pot launches=3578 3f07c4897901bb33 3f2e34f50d1cef13 3ef0dd564036e020 3f023ec6e52c3f28 3f752463050d6829 3ee853b3dc3afe00
 batch_cluster_approx           136             35.4      0.004        0.002
 batch_cluster_direct          3296             31.6      0.023        0.010
 precompute_phase1               73             82.2      0.000        0.000
 precompute_phase2               73            125.0      0.004        0.002
-d4 s4 fld launches=3578 3f07c4897901bb33 3f2e35334c106c25 3ef0dd564036e020 3f023ec6e52c3f28 3f7547f903abdb60 3f0853b3dc3afe00
+d4 s4 fld launches=3578 3f07c4897901bb33 3f2e34f50d1cef13 3ef0dd564036e020 3f023ec6e52c3f28 3f75483c9d073ad1 3f0853b3dc3afe00
 batch_cluster_approx_field       136             35.4      0.025        0.010
 batch_cluster_direct_field      3296             31.6      0.137        0.057
 precompute_phase1               73             82.2      0.000        0.000
 precompute_phase2               73            125.0      0.004        0.002
-d8 s1 pot launches=3578 3f07c4897901bb33 3f4d10bb0172a054 3f07d7f42e76c710 3f023ec6e52c3f40 3f951fa0fd6505fd 3ee853b3dc3b0000
+d8 s1 pot launches=3578 3f07c4897901bb33 3f4d10bb0172a051 3f07d7f42e76c720 3f023ec6e52c3f40 3f951fa0fd6505f6 3ee853b3dc3b0000
 batch_cluster_approx             4             48.8      0.001        0.000
 batch_cluster_direct          3428             31.7      0.031        0.014
 precompute_phase1               73             82.2      0.001        0.000
 precompute_phase2               73            729.0      0.022        0.009
-d8 s1 fld launches=3578 3f07c4897901bb33 3f4d10bb0172a054 3f07d7f42e76c710 3f023ec6e52c3f40 3f954920d18c0065 3f0853b3dc3b0000
+d8 s1 fld launches=3578 3f07c4897901bb33 3f4d10bb0172a051 3f07d7f42e76c720 3f023ec6e52c3f40 3f954920d18c0069 3f0853b3dc3b0000
 batch_cluster_approx_field         4             48.8      0.006        0.002
 batch_cluster_direct_field      3428             31.7      0.185        0.077
 precompute_phase1               73             82.2      0.001        0.000
 precompute_phase2               73            729.0      0.022        0.009
-d8 s3 pot launches=3578 3f07c4897901bb33 3f341bee3085a999 3f07d7f42e76c718 3f023ec6e52c3f28 3f7c2e8e1b24edcb 3ee853b3dc3afe00
+d8 s3 pot launches=3578 3f07c4897901bb33 3f340e0565e5d6b8 3f07d7f42e76c718 3f023ec6e52c3f28 3f7c2eacfe11a879 3ee853b3dc3afe00
 batch_cluster_approx             4             48.8      0.001        0.000
 batch_cluster_direct          3428             31.7      0.031        0.014
 precompute_phase1               73             82.2      0.001        0.000
 precompute_phase2               73            729.0      0.022        0.009
-d8 s3 fld launches=3578 3f07c4897901bb33 3f341bee3085a999 3f07d7f42e76c718 3f023ec6e52c3f28 3f7c66e10547173e 3f0853b3dc3afe00
+d8 s3 fld launches=3578 3f07c4897901bb33 3f340e0565e5d6b8 3f07d7f42e76c718 3f023ec6e52c3f28 3f7c678ca6269824 3f0853b3dc3afe00
 batch_cluster_approx_field         4             48.8      0.006        0.002
 batch_cluster_direct_field      3428             31.7      0.185        0.077
 precompute_phase1               73             82.2      0.001        0.000
 precompute_phase2               73            729.0      0.022        0.009
-d8 s4 pot launches=3578 3f07c4897901bb33 3f2ebfcf7a8fce57 3f07d7f42e76c718 3f023ec6e52c3f28 3f7525dc44551202 3ee853b3dc3afe00
+d8 s4 pot launches=3578 3f07c4897901bb33 3f2ebbb0079f0535 3f07d7f42e76c718 3f023ec6e52c3f28 3f7525e556674704 3ee853b3dc3afe00
 batch_cluster_approx             4             48.8      0.001        0.000
 batch_cluster_direct          3428             31.7      0.031        0.014
 precompute_phase1               73             82.2      0.001        0.000
 precompute_phase2               73            729.0      0.022        0.009
-d8 s4 fld launches=3578 3f07c4897901bb33 3f2ebfcf7a8fce57 3f07d7f42e76c718 3f023ec6e52c3f28 3f75510f57636ecd 3f0853b3dc3afe00
+d8 s4 fld launches=3578 3f07c4897901bb33 3f2ebbb0079f0535 3f07d7f42e76c718 3f023ec6e52c3f28 3f75516eb08bea76 3f0853b3dc3afe00
 batch_cluster_approx_field         4             48.8      0.006        0.002
 batch_cluster_direct_field      3428             31.7      0.185        0.077
 precompute_phase1               73             82.2      0.001        0.000

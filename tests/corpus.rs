@@ -101,52 +101,58 @@ const TIGHT_BUDGET: u64 = 16 * 1024;
 /// `cos`, as every row of an approximating pass does). The `Tight*`, `NodePairPotential`,
 /// `Traffic` and `Clocks` rows were recorded before the retained and the
 /// streamed LET consumers became one driver. The `ModifiedCharges` rows
-/// were recorded on the portable (scalar) charge kernel.
+/// were recorded on the portable (scalar) charge kernel. Every distributed
+/// potential and field row, `Clocks`, `TightClocks` and the
+/// `ModifiedCharges` rows were re-pinned when node ids became pre-order:
+/// a LET now accumulates its clusters in the owner's pre-order, launches
+/// go out in the new batch and node order, and the charges are listed
+/// node-major in the new ids. Each re-pinned digest was first predicted
+/// by relabelling the old splitter's output into pre-order.
 #[rustfmt::skip]
 const CORPUS: &[Row] = &[
     ("coulomb", SerialPotential, LibmDependent, 0xaa9c_27eb_d4d8_8874),
     ("coulomb", ParallelField, LibmDependent, 0xb118_1875_a5c0_aa2f),
-    ("coulomb", RankPotential, LibmDependent, 0xa090_268c_ab25_d49f),
-    ("coulomb", RankField, LibmDependent, 0x4392_4610_7093_fb97),
+    ("coulomb", RankPotential, LibmDependent, 0x5fc3_4e79_08e3_549e),
+    ("coulomb", RankField, LibmDependent, 0x1d4c_4e20_e534_f2f1),
     ("regularized-coulomb", SerialPotential, LibmDependent, 0xe0c5_6e94_6a4b_0085),
     ("regularized-coulomb", ParallelField, LibmDependent, 0xb53c_bd81_91a9_490d),
-    ("regularized-coulomb", RankPotential, LibmDependent, 0x0cb3_874a_e46d_2e2c),
-    ("regularized-coulomb", RankField, LibmDependent, 0x6d8a_f86b_44dd_dd7c),
+    ("regularized-coulomb", RankPotential, LibmDependent, 0x5be0_28fc_bc69_30a8),
+    ("regularized-coulomb", RankField, LibmDependent, 0x135f_a522_a9de_c55b),
     ("yukawa", SerialPotential, LibmDependent, 0x77b5_195d_890d_cce4),
     ("yukawa", ParallelField, LibmDependent, 0x2801_80a1_5720_019b),
-    ("yukawa", RankPotential, LibmDependent, 0x4f01_0e08_f3fa_603a),
-    ("yukawa", RankField, LibmDependent, 0xd6f0_d126_1833_34ce),
+    ("yukawa", RankPotential, LibmDependent, 0x5922_623f_0e61_725c),
+    ("yukawa", RankField, LibmDependent, 0x8bed_1487_0d7e_88e7),
     ("regularized-yukawa", SerialPotential, LibmDependent, 0x5cb7_9065_f24e_1df7),
     ("regularized-yukawa", ParallelField, LibmDependent, 0xc70a_3b17_f163_4ad7),
-    ("regularized-yukawa", RankPotential, LibmDependent, 0x2d15_b260_6f68_fd08),
-    ("regularized-yukawa", RankField, LibmDependent, 0x0b62_8e4d_4404_455d),
+    ("regularized-yukawa", RankPotential, LibmDependent, 0x9641_bdd8_b28b_61df),
+    ("regularized-yukawa", RankField, LibmDependent, 0xbe00_0b81_258e_be36),
     ("gaussian", SerialPotential, LibmDependent, 0x31dc_64db_2ab8_4adb),
     ("gaussian", ParallelField, LibmDependent, 0x0ece_bc44_61f4_4ebc),
-    ("gaussian", RankPotential, LibmDependent, 0x9e99_b530_c08d_651d),
-    ("gaussian", RankField, LibmDependent, 0xf7ed_739e_1d65_bd16),
+    ("gaussian", RankPotential, LibmDependent, 0xb4f1_e53e_51aa_3cdf),
+    ("gaussian", RankField, LibmDependent, 0x9fde_b9dc_75b4_b709),
     ("mixed-precision-coulomb", SerialPotential, LibmDependent, 0x565d_27a8_5bd1_4825),
-    ("mixed-precision-coulomb", RankPotential, LibmDependent, 0xfdb7_135f_830b_d36c),
+    ("mixed-precision-coulomb", RankPotential, LibmDependent, 0xbf38_0209_21ff_4418),
     ("mixed-precision-yukawa", SerialPotential, LibmDependent, 0x9436_820e_f8df_115d),
-    ("mixed-precision-yukawa", RankPotential, LibmDependent, 0x4f07_8a94_a827_6187),
-    ("coulomb", TightRankPotential, LibmDependent, 0xa090_268c_ab25_d49f),
-    ("coulomb", TightRankField, LibmDependent, 0x4392_4610_7093_fb97),
-    ("yukawa", TightRankPotential, LibmDependent, 0x4f01_0e08_f3fa_603a),
-    ("yukawa", TightRankField, LibmDependent, 0xd6f0_d126_1833_34ce),
-    ("coulomb", NodePairPotential, LibmDependent, 0x89ae_eaaa_7139_d0ac),
+    ("mixed-precision-yukawa", RankPotential, LibmDependent, 0x1b6d_6d64_e71b_310e),
+    ("coulomb", TightRankPotential, LibmDependent, 0x5fc3_4e79_08e3_549e),
+    ("coulomb", TightRankField, LibmDependent, 0x1d4c_4e20_e534_f2f1),
+    ("yukawa", TightRankPotential, LibmDependent, 0x5922_623f_0e61_725c),
+    ("yukawa", TightRankField, LibmDependent, 0x8bed_1487_0d7e_88e7),
+    ("coulomb", NodePairPotential, LibmDependent, 0xd5fb_0637_db9c_e928),
     ("coulomb", Traffic, LibmFree, 0x133e_1cd3_591c_caa3),
     ("coulomb", TightTraffic, LibmFree, 0x133e_1cd3_591c_caa3),
-    ("coulomb", Clocks, LibmFree, 0x90b0_f469_3c5c_79fd),
-    ("coulomb", TightClocks, LibmFree, 0x7885_720e_85da_933f),
+    ("coulomb", Clocks, LibmFree, 0x3e59_26cd_746c_2e3f),
+    ("coulomb", TightClocks, LibmFree, 0x8277_b40a_5399_c9c1),
     ("plummer", Trajectory, LibmDependent, GOLDEN_PLUMMER_STATE),
     ("electrolyte", Trajectory, LibmDependent, GOLDEN_ELECTROLYTE_STATE),
-    ("cloud", ModifiedCharges(1), LibmDependent, 0x4f5c_cb05_0532_0937),
-    ("cloud", ModifiedCharges(2), LibmDependent, 0x0d73_da04_a98f_fefa),
-    ("cloud", ModifiedCharges(3), LibmDependent, 0x6c71_71b3_8010_05a7),
-    ("cloud", ModifiedCharges(4), LibmDependent, 0x7a18_7f61_4896_696f),
-    ("cloud", ModifiedCharges(5), LibmDependent, 0xb138_e414_31a5_a91b),
-    ("cloud", ModifiedCharges(6), LibmDependent, 0x86b0_4725_402c_556c),
-    ("cloud", ModifiedCharges(7), LibmDependent, 0x44dc_edc0_b613_9514),
-    ("cloud", ModifiedCharges(8), LibmDependent, 0xa73c_f44b_2464_4c66),
+    ("cloud", ModifiedCharges(1), LibmDependent, 0x3e3d_98b8_e248_8b93),
+    ("cloud", ModifiedCharges(2), LibmDependent, 0xed64_f273_8dd3_1f2a),
+    ("cloud", ModifiedCharges(3), LibmDependent, 0x513a_1869_d29f_a2bf),
+    ("cloud", ModifiedCharges(4), LibmDependent, 0x2873_f34a_a056_ebc7),
+    ("cloud", ModifiedCharges(5), LibmDependent, 0x90ca_163b_f0b7_2f7b),
+    ("cloud", ModifiedCharges(6), LibmDependent, 0x07a3_257d_0fcc_7758),
+    ("cloud", ModifiedCharges(7), LibmDependent, 0x383f_34bf_995d_6b10),
+    ("cloud", ModifiedCharges(8), LibmDependent, 0x268a_5fb6_58cb_36ea),
 ];
 
 /// The seven kernels of the table, by row name: the potential kernel,

@@ -343,20 +343,24 @@ fn trait_object_kernels_are_driven_by_tiles_on_every_distributed_door() {
 /// every row holds under any instruction selection. Every row still
 /// depends on libm's `cos`, which places the interior Chebyshev nodes
 /// (`ChebyshevGrid1D::new`) of every approximated cluster.
+///
+/// The `*_3RANK` rows were re-pinned when node ids became pre-order: each
+/// LET now accumulates its clusters in the owner's pre-order. The
+/// one-rank rows did not move.
 const PIN_COULOMB_PARALLEL: u64 = 0x63cd_7190_b1ef_f6eb;
 const PIN_REGULARIZED_COULOMB_PARALLEL: u64 = 0x0081_a0c9_e81a_4553;
-const PIN_COULOMB_3RANK: u64 = 0xc7cc_519c_28ea_588f;
+const PIN_COULOMB_3RANK: u64 = 0xb957_ec30_c7c5_258f;
 const PIN_COULOMB_FIELD_PARALLEL: u64 = 0xfc8f_e0fb_0d8c_7224;
 const PIN_REGULARIZED_COULOMB_FIELD_PARALLEL: u64 = 0xf0da_425c_0306_56c5;
-const PIN_COULOMB_FIELD_3RANK: u64 = 0x8e24_92d6_6af6_70f5;
+const PIN_COULOMB_FIELD_3RANK: u64 = 0x035b_c656_cbc6_2baa;
 const PIN_YUKAWA_SERIAL: u64 = 0xa678_4c6e_bb2b_b48e;
 const PIN_REGULARIZED_YUKAWA_SERIAL: u64 = 0xca63_22c5_0628_3e0b;
-const PIN_YUKAWA_3RANK: u64 = 0xfeca_8f7d_4f6a_a893;
-const PIN_REGULARIZED_YUKAWA_3RANK: u64 = 0xca15_533b_90f9_0abb;
+const PIN_YUKAWA_3RANK: u64 = 0x7d3e_e476_1171_3d7c;
+const PIN_REGULARIZED_YUKAWA_3RANK: u64 = 0x31b9_b8b0_026a_6e93;
 const PIN_YUKAWA_FIELD_PARALLEL: u64 = 0xcf6a_d51f_8849_2204;
 const PIN_REGULARIZED_YUKAWA_FIELD_PARALLEL: u64 = 0x561d_2caf_b9df_f472;
-const PIN_YUKAWA_FIELD_3RANK: u64 = 0xb795_72f6_ad8a_1255;
-const PIN_REGULARIZED_YUKAWA_FIELD_3RANK: u64 = 0x5262_79c7_b27a_64aa;
+const PIN_YUKAWA_FIELD_3RANK: u64 = 0x0d60_a685_8ec8_69fc;
+const PIN_REGULARIZED_YUKAWA_FIELD_3RANK: u64 = 0x849a_a93d_64fc_a064;
 
 #[test]
 fn potential_digests_are_pinned_across_instruction_sets() {
