@@ -19,14 +19,20 @@
 //! **land** ([`land_chunk`]) executes one chunk's gets — per cluster, in
 //! ascending id, under one shared-lock epoch.
 //!
+//! One order runs through all of it. The owner's node ids are pre-order,
+//! the order the traversal meets clusters in, so the traversal's lists
+//! come out in ascending id, and the plan and the gets take clusters in
+//! ascending id too: a direct cluster and its direct descendants are a
+//! run of consecutive ids, fetched and evaluated together.
+//!
 //! **Consume** is core's run-wise pass ([`RunColumns`]), the one the
-//! local lists go through, with the LET's lists sorted to ascending id
-//! and its clusters looked up in the landed payload. One driver,
-//! [`eval_remote_let`], runs it for each remote rank: it lands a
-//! **window** of planned chunks, walks the window's clusters — in each
-//! pool chunk of batches, approximated ones first, each kind in
-//! ascending id, one tile per cluster and maximal run of consecutive
-//! batches that list it — into that LET's columns, drops the payload,
+//! local lists go through, with the LET's clusters looked up in the
+//! landed payload. One driver, [`eval_remote_let`], runs it for each
+//! remote rank: it lands a **window** of planned chunks, walks the
+//! window's clusters — in each pool chunk of batches, approximated ones
+//! first, each kind in ascending id, one tile per cluster and maximal
+//! run of consecutive batches that list it — into that LET's columns,
+//! drops the payload,
 //! and after the last window adds the columns into the rank's
 //! ([`RemoteEval`]). The window is the whole LET without a memory budget
 //! and one chunk under one — the memory-bounded mode that lets a rank's
@@ -53,6 +59,7 @@ use bltc_core::kernel::TileOp;
 use bltc_core::particles::ParticleSet;
 use bltc_core::traversal::InteractionLists;
 use bltc_core::tree::{batch::TargetBatches, ClusterNode, SourceTree};
+use bltc_gpu::kernels::tile_bytes;
 use mpi_sim::{Comm, Window};
 
 /// Wire format of one source-tree node — the skeleton entry exchanged
@@ -454,17 +461,6 @@ impl<const C: usize> RemoteEval<C> {
     }
 }
 
-/// Device-memory bytes of batch–cluster launches over `targets` targets
-/// and `sources` sources in all (the GPU clock's roofline term): every
-/// launch reads and writes `target_cols` `f64` per target and reads four
-/// per source. Linear in both counts, so it prices one launch as exactly
-/// as a run's or a chunk's Σ targets and Σ sources
-/// ([`RunTally`](bltc_core::engine::RunTally), [`ChunkPlan::eval_targets`],
-/// [`ChunkPlan::eval_sources`]).
-pub(crate) fn launch_bytes(targets: u64, sources: u64, target_cols: usize) -> f64 {
-    ((targets * target_cols as u64 + sources * 4) * 8) as f64
-}
-
 /// The one LET consumer: land the planned chunks of one LET a *window*
 /// at a time, add each window's clusters into that LET's columns through
 /// core's run-wise pass ([`RunColumns::eval`], parallel over pool chunks
@@ -474,11 +470,11 @@ pub(crate) fn launch_bytes(targets: u64, sources: u64, target_cols: usize) -> f6
 /// resident).
 ///
 /// Windows hold consecutive chunks, approx chunks before direct ones,
-/// each an ascending run of cluster ids, and a batch's lists are sorted
-/// ascending — so every target receives exactly its lists, approximated
-/// clusters first, each in ascending id, into columns that start at
-/// `0.0` once per LET, whatever the window: the columns are bitwise
-/// independent of the window and of the pool size. The op counts and
+/// each an ascending run of cluster ids, and a batch's lists ascend —
+/// so every target receives exactly its lists, approximated clusters
+/// first, each in ascending id, into columns that start at `0.0` once
+/// per LET, whatever the window: the columns are bitwise independent of
+/// the window and of the pool size. The op counts and
 /// device bytes are the pass's per-run tallies, one launch per
 /// batch–cluster pair. No RMA happens in the pass: the land stage
 /// fetched the data.
@@ -509,7 +505,7 @@ pub(crate) fn eval_remote_let<const C: usize, O: TileOp<C> + ?Sized>(
         };
         let run = cols.eval(op, lists, &payload);
         acc.ops = acc.ops.merged(&run.ops);
-        acc.device_bytes += launch_bytes(run.targets, run.sources, O::TARGET_COLS);
+        acc.device_bytes += tile_bytes(run.targets, run.sources, O::TARGET_COLS);
         // Evaluate-and-discard: the window's payload dies here, before
         // the next window lands.
     }
@@ -778,14 +774,14 @@ mod tests {
                 op.tile(t, (px, py, pz, qhat), &mut out);
                 acc.ops.approx_interactions += nb * m3 as u64;
                 acc.ops.kernel_launches += 1;
-                acc.device_bytes += launch_bytes(nb, m3 as u64, O::TARGET_COLS);
+                acc.device_bytes += tile_bytes(nb, m3 as u64, O::TARGET_COLS);
             }
             for &ci in &bl.direct {
                 let s = payload.direct(ci as usize);
                 op.tile(t, s, &mut out);
                 acc.ops.direct_interactions += nb * s.0.len() as u64;
                 acc.ops.kernel_launches += 1;
-                acc.device_bytes += launch_bytes(nb, s.0.len() as u64, O::TARGET_COLS);
+                acc.device_bytes += tile_bytes(nb, s.0.len() as u64, O::TARGET_COLS);
             }
         }
         (acc, tally)

@@ -180,15 +180,15 @@ use bltc_core::cost::OpCounts;
 use bltc_core::field::FieldResult;
 use bltc_core::kernel::{GradientKernel, Kernel, TileOp};
 use bltc_core::particles::ParticleSet;
-use bltc_gpu::{GpuEngine, GpuSimBreakdown};
+use bltc_gpu::{kernels::tile_bytes, GpuEngine, GpuSimBreakdown};
 use gpu_sim::DeviceSpec;
 use mpi_sim::runtime::TrafficMatrix;
 use mpi_sim::{Comm, NetworkSpec, SessionIn};
 use rcb::{rcb_partition, rcb_partition_two_level, RcbPartition};
 
 use letree::{
-    eval_remote_let, issue_remote_let, launch_bytes, plan_chunks, resident_bytes, CommTally,
-    LetPlan, LetWindows, RemoteEval,
+    eval_remote_let, issue_remote_let, plan_chunks, resident_bytes, CommTally, LetPlan, LetWindows,
+    RemoteEval,
 };
 use model::pipelined_clock;
 
@@ -652,7 +652,7 @@ fn debug_assert_plans_reconcile<const C: usize>(
             remote.ops.approx_interactions + remote.ops.direct_interactions
         );
         let eval_bytes: f64 = chunks()
-            .map(|c| launch_bytes(c.eval_targets, c.eval_sources, target_cols))
+            .map(|c| tile_bytes(c.eval_targets, c.eval_sources, target_cols))
             .sum();
         debug_assert_eq!(eval_bytes, remote.device_bytes);
         let payload: u64 = chunks().map(|c| c.bytes).sum();

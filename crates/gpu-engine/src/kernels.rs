@@ -16,6 +16,15 @@ use gpu_sim::{Device, LaunchConfig, WorkEstimate};
 /// Threads per block used by all four kernels (the inner parallel width).
 pub const THREADS_PER_BLOCK: usize = 128;
 
+/// Device-memory bytes of batch–cluster launches over `targets` targets
+/// and `sources` sources in all (the roofline's memory term): every
+/// launch reads and writes `target_cols` `f64` per target and reads four
+/// per source. Linear in both counts, so it prices one launch as exactly
+/// as a run's or a chunk's Σ targets and Σ sources.
+pub fn tile_bytes(targets: u64, sources: u64, target_cols: usize) -> f64 {
+    ((targets * target_cols as u64 + sources * 4) * 8) as f64
+}
+
 /// One batch–cluster launch of `nb` targets against `nc` sources: a
 /// cluster's particles (Eq. 9, `name` = `O::DIRECT_LAUNCH`) or a node's
 /// `(n+1)³` Chebyshev proxies with their modified charges (Eq. 11,
@@ -32,7 +41,7 @@ pub fn launch_tile<const C: usize, O: TileOp<C> + ?Sized>(
     debug_assert!(nb > 0 && nc > 0);
     let work = WorkEstimate::new(
         nb as f64 * nc as f64 * op.flops_per_pair(true),
-        ((nb * O::TARGET_COLS + nc * 4) * 8) as f64,
+        tile_bytes(nb as u64, nc as u64, O::TARGET_COLS),
     );
     dev.launch(
         LaunchConfig::new(name, nb, THREADS_PER_BLOCK).stream(stream),
