@@ -29,7 +29,7 @@
 //! local lists go through, with the LET's clusters looked up in the
 //! landed payload. One driver, [`eval_remote_let`], runs it for each
 //! remote rank: it lands a **window** of planned chunks, walks the
-//! window's clusters — in each pool chunk of batches, approximated ones
+//! window's clusters — over all batches as one chunk, approximated ones
 //! first, each kind in ascending id, one tile per cluster and maximal
 //! run of consecutive batches that list it — into that LET's columns,
 //! drops the payload,
@@ -463,9 +463,9 @@ impl<const C: usize> RemoteEval<C> {
 
 /// The one LET consumer: land the planned chunks of one LET a *window*
 /// at a time, add each window's clusters into that LET's columns through
-/// core's run-wise pass ([`RunColumns::eval`], parallel over pool chunks
-/// of batches), drop the window's payload, and add the columns into
-/// `acc` once. The window is the whole LET without a memory budget and
+/// core's run-wise pass ([`RunColumns::eval`], over all batches as one
+/// chunk: the rank's thread runs it, as it runs the local pass), drop
+/// the window's payload, and add the columns into `acc` once. The window is the whole LET without a memory budget and
 /// one chunk under one ([`resident_bytes`] prices what each choice keeps
 /// resident).
 ///
@@ -490,7 +490,7 @@ pub(crate) fn eval_remote_let<const C: usize, O: TileOp<C> + ?Sized>(
     op: &O,
     acc: &mut RemoteEval<C>,
 ) {
-    let cols = RunColumns::new(batches, true);
+    let cols = RunColumns::new(batches, false);
     let window = if budget.is_some() { 1 } else { chunks.len() };
     for window in chunks.chunks(window.max(1)) {
         let mut payload = LetPayload::default();
