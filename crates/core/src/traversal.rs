@@ -54,7 +54,8 @@ impl InteractionLists {
     /// [`InteractionLists::build`] over a node array whose root is node
     /// `0`: a tree's own, or a remote skeleton rebuilt from the wire.
     /// Each list names its clusters in the order the descent meets them,
-    /// the nodes' pre-order.
+    /// the nodes' pre-order: ascending id, since the splitter numbers
+    /// nodes in pre-order.
     pub fn build_on(batches: &TargetBatches, nodes: &[ClusterNode], params: &BltcParams) -> Self {
         let mac = Mac::new(params);
         let per_batch = batches

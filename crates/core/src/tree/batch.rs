@@ -71,10 +71,11 @@ impl TargetBatches {
         }
     }
 
-    /// The leaves of `tree` as batches, in node order, over the tree's
-    /// reordered particles and permutation: field for field what
-    /// [`TargetBatches::build`] returns for the tree's own sources at
-    /// `N_B = N_L`, without the second split.
+    /// The leaves of `tree` as batches, in id order — pre-order, so
+    /// target order — over the tree's reordered particles and
+    /// permutation: field for field what [`TargetBatches::build`] returns
+    /// for the tree's own sources at `N_B = N_L`, without the second
+    /// split.
     pub(crate) fn from_leaves(tree: &SourceTree) -> Self {
         let batches = tree
             .nodes()
@@ -95,7 +96,8 @@ impl TargetBatches {
         }
     }
 
-    /// The batches (leaves of the target partition), in index order.
+    /// The batches (leaves of the target partition), in index order,
+    /// which is target order: their ranges ascend and tile the targets.
     #[inline]
     pub fn batches(&self) -> &[Batch] {
         &self.batches

@@ -465,9 +465,9 @@ impl<const C: usize> RemoteEval<C> {
 /// at a time, add each window's clusters into that LET's columns through
 /// core's run-wise pass ([`RunColumns::eval`], over all batches as one
 /// chunk: the rank's thread runs it, as it runs the local pass), drop
-/// the window's payload, and add the columns into `acc` once. The window is the whole LET without a memory budget and
-/// one chunk under one ([`resident_bytes`] prices what each choice keeps
-/// resident).
+/// the window's payload, and add the columns into `acc` once. The window
+/// is the whole LET without a memory budget and one chunk under one
+/// ([`resident_bytes`] prices what each choice keeps resident).
 ///
 /// Windows hold consecutive chunks, approx chunks before direct ones,
 /// each an ascending run of cluster ids, and a batch's lists ascend —
