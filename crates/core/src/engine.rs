@@ -188,9 +188,10 @@ pub struct RunTally {
 /// numbers nodes in pre-order — are cut into the pool's chunks of
 /// consecutive batches — `max(len / (4·workers), 1)` each when
 /// `parallel` on more than one worker, one chunk otherwise — and each
-/// chunk holds the columns of its targets, which start at `0.0` once. Every [`RunColumns::eval`] adds into them, so passes over parts
-/// of a cluster set (the LET's landed windows) accumulate as one pass
-/// over the whole set would.
+/// chunk holds the columns of its targets, which start at `0.0` once.
+/// Every [`RunColumns::eval`] adds into them, so passes over parts of a
+/// cluster set (the LET's landed windows) accumulate as one pass over
+/// the whole set would.
 pub struct RunColumns<'a, const C: usize> {
     batches: &'a TargetBatches,
     parallel: bool,
@@ -227,11 +228,11 @@ impl<'a, const C: usize> RunColumns<'a, C> {
     /// (approximation, direct) list, each strictly ascending in cluster
     /// id. In a chunk, each cluster its approximation lists name and then
     /// each its direct lists name, in ascending id, is one tile over each
-    /// maximal run of consecutive batches that list it ([`TileOp::grid_tile`] over its proxies, or
-    /// [`TileOp::tile`] over its particles, from `sources`); the run's
-    /// targets are one contiguous range, so a tile of a cluster that
-    /// sibling batches share holds many batches' targets and few pad
-    /// lanes.
+    /// maximal run of consecutive batches that list it
+    /// ([`TileOp::grid_tile`] over its proxies, or [`TileOp::tile`] over
+    /// its particles, from `sources`); the run's targets are one
+    /// contiguous range, so a tile of a cluster that sibling batches
+    /// share holds many batches' targets and few pad lanes.
     pub fn eval<'l, O, S>(
         &self,
         op: &O,
