@@ -26,9 +26,9 @@
 //!
 //! A deliberate change of bits is re-pinned with
 //! `BLTC_BLESS=1 cargo test --test corpus -- --nocapture`, which prints
-//! the table in the form below instead of asserting it. The two
-//! trajectory rows are the digests of `tests/golden/mod.rs`, which the
-//! service and chaos suites pin too.
+//! the table in the form below instead of asserting it. The `plummer`
+//! and `electrolyte` trajectory rows are the digests of
+//! `tests/golden/mod.rs`, which the service and chaos suites pin too.
 
 mod golden;
 
@@ -107,7 +107,10 @@ const TIGHT_BUDGET: u64 = 16 * 1024;
 /// a LET now accumulates its clusters in the owner's pre-order, launches
 /// go out in the new batch and node order, and the charges are listed
 /// node-major in the new ids. Each re-pinned digest was first predicted
-/// by relabelling the old splitter's output into pre-order.
+/// by relabelling the old splitter's output into pre-order. The
+/// `plummer-1500` and `electrolyte-1200` trajectories were recorded while
+/// a LET's gets, bytes and launches were still counted at the RMA calls
+/// and in the tile walk besides its fetch plan.
 #[rustfmt::skip]
 const CORPUS: &[Row] = &[
     ("coulomb", SerialPotential, LibmDependent, 0xaa9c_27eb_d4d8_8874),
@@ -145,6 +148,8 @@ const CORPUS: &[Row] = &[
     ("coulomb", TightClocks, LibmFree, 0x8277_b40a_5399_c9c1),
     ("plummer", Trajectory, LibmDependent, GOLDEN_PLUMMER_STATE),
     ("electrolyte", Trajectory, LibmDependent, GOLDEN_ELECTROLYTE_STATE),
+    ("plummer-1500", Trajectory, LibmDependent, 0x4ed5_9f9f_8a10_c2e6),
+    ("electrolyte-1200", Trajectory, LibmDependent, 0x7bab_84c2_9d8a_a9ab),
     ("cloud", ModifiedCharges(1), LibmDependent, 0x3e3d_98b8_e248_8b93),
     ("cloud", ModifiedCharges(2), LibmDependent, 0xed64_f273_8dd3_1f2a),
     ("cloud", ModifiedCharges(3), LibmDependent, 0x513a_1869_d29f_a2bf),
@@ -176,24 +181,25 @@ fn kernel(name: &str) -> (Box<dyn Kernel>, Option<Box<dyn GradientKernel>>) {
 }
 
 /// The service suites' golden trajectories (see `tests/golden/mod.rs`),
-/// run straight through the persistent integrator.
+/// and the same scenarios at 1 500 and 1 200 particles, run straight
+/// through the persistent integrator. In the golden two every rank's tree
+/// is one leaf; in the larger two every rank's LETs hold approximated and
+/// direct clusters, which the row asserts on the initial state.
 fn trajectory(name: &str) -> u64 {
+    let plummer = Scenario::Plummer {
+        a: 1.0,
+        softening: 0.05,
+    };
+    let electrolyte = Scenario::Electrolyte {
+        kappa: 0.5,
+        softening: 0.05,
+        thermal_speed: 0.1,
+    };
     let (scenario, n, seed) = match name {
-        "plummer" => {
-            let scenario = Scenario::Plummer {
-                a: 1.0,
-                softening: 0.05,
-            };
-            (scenario, 128, 42)
-        }
-        "electrolyte" => {
-            let scenario = Scenario::Electrolyte {
-                kappa: 0.5,
-                softening: 0.05,
-                thermal_speed: 0.1,
-            };
-            (scenario, 96, 7)
-        }
+        "plummer" => (plummer, 128, 42),
+        "electrolyte" => (electrolyte, 96, 7),
+        "plummer-1500" => (plummer, 1500, 42),
+        "electrolyte-1200" => (electrolyte, 1200, 7),
         _ => panic!("no corpus trajectory named {name}"),
     };
     let spec = JobSpec {
@@ -211,6 +217,17 @@ fn trajectory(name: &str) -> u64 {
         allow_degraded: false,
     };
     let (state, model) = spec.scenario.build(spec.n, spec.seed);
+    if n > 1000 {
+        let rep = run_distributed_field(&state.particles, 4, &spec.dist, model.kernel());
+        for r in &rep.ranks {
+            let s = r.let_stats;
+            assert!(
+                s.remote_approx_nodes > 0 && s.remote_direct_nodes > 0,
+                "{name}: rank {} fetches {s:?}",
+                r.rank
+            );
+        }
+    }
     let mut integ = PersistentIntegrator::new(spec.sim_config(), &state, &model);
     for _ in 0..spec.steps {
         integ.step();
