@@ -72,10 +72,7 @@ impl OpCounts {
         };
         for (bl, b) in lists.per_batch.iter().zip(batches.batches()) {
             let nb = b.num_targets() as u64;
-            for &ci in &bl.approx {
-                let _ = ci;
-                c.approx_interactions += nb * proxy;
-            }
+            c.approx_interactions += nb * proxy * bl.approx.len() as u64;
             for &ci in &bl.direct {
                 let nc = tree.node(ci as usize).num_particles() as u64;
                 c.direct_interactions += nb * nc;

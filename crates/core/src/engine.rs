@@ -171,18 +171,6 @@ impl ClusterSources for PreparedTreecode {
     }
 }
 
-/// What a run-wise pass evaluated, counted as the modeled device
-/// launches it: one launch per batch–cluster pair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunTally {
-    /// Launches (`kernel_launches`) and target–source pairs per path.
-    pub ops: OpCounts,
-    /// Σ batch targets over the launches.
-    pub targets: u64,
-    /// Σ sources (proxies or particles) over the launches.
-    pub sources: u64,
-}
-
 /// The `C` output columns of run-wise passes over one set of target
 /// batches. The batches, in id order — target order, since the splitter
 /// numbers nodes in pre-order — are cut into the pool's chunks of
@@ -232,14 +220,15 @@ impl<'a, const C: usize> RunColumns<'a, C> {
     /// ([`TileOp::grid_tile`] over its proxies, or [`TileOp::tile`] over
     /// its particles, from `sources`); the run's targets are one
     /// contiguous range, so a tile of a cluster that sibling batches
-    /// share holds many batches' targets and few pad lanes.
+    /// share holds many batches' targets and few pad lanes. The pass
+    /// counts nothing: what the lists cost is read from the lists (the
+    /// local pass's `OpCounts::from_lists`, the LET's fetch plan).
     pub fn eval<'l, O, S>(
         &self,
         op: &O,
         lists: impl Fn(usize) -> [&'l [u32]; 2] + Sync,
         sources: &S,
-    ) -> RunTally
-    where
+    ) where
         O: TileOp<C> + ?Sized,
         S: ClusterSources + ?Sized,
     {
@@ -249,7 +238,6 @@ impl<'a, const C: usize> RunColumns<'a, C> {
             let batches = &self.batches.batches()[chunk.clone()];
             debug_assert!(batches.windows(2).all(|w| w[0].end == w[1].start));
             let lo = batches[0].start;
-            let mut tally = RunTally::default();
             // Per path, each cluster's bucket of the chunk's batch positions
             // that list it, clusters in ascending id (a count, an offset, a
             // fill — not a sort); the bucket's maximal runs of consecutive
@@ -294,36 +282,21 @@ impl<'a, const C: usize> RunColumns<'a, C> {
                         let (start, end) = (batches[run.start].start, batches[run.end - 1].end);
                         let t = tp.xyz(start..end);
                         let mut out = cols.each_mut().map(|c| &mut c[start - lo..end - lo]);
-                        let targets = (end - start) as u64;
-                        let n_src = if path == 0 {
+                        if path == 0 {
                             let (grid, qhat) = sources.approx(ci);
                             op.grid_tile(t, grid, qhat, &mut out);
-                            tally.ops.approx_interactions += targets * qhat.len() as u64;
-                            qhat.len() as u64
                         } else {
-                            let s = sources.direct(ci);
-                            op.tile(t, s, &mut out);
-                            tally.ops.direct_interactions += targets * s.0.len() as u64;
-                            s.0.len() as u64
-                        };
-                        tally.ops.kernel_launches += run.len() as u64;
-                        tally.targets += targets;
-                        tally.sources += run.len() as u64 * n_src;
+                            op.tile(t, sources.direct(ci), &mut out);
+                        }
                     }
                 }
             }
-            tally
         };
-        let tallies: Vec<RunTally> = if self.parallel {
-            self.chunks.par_iter().map(walk).collect()
+        if self.parallel {
+            self.chunks.par_iter().map(walk).collect::<Vec<()>>();
         } else {
-            self.chunks.iter().map(walk).collect()
-        };
-        tallies.iter().fold(RunTally::default(), |a, t| RunTally {
-            ops: a.ops.merged(&t.ops),
-            targets: a.targets + t.targets,
-            sources: a.sources + t.sources,
-        })
+            self.chunks.iter().for_each(walk);
+        }
     }
 
     /// The columns over the targets in batch order.

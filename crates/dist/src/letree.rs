@@ -19,6 +19,13 @@
 //! **land** ([`land_chunk`]) executes one chunk's gets — per cluster, in
 //! ascending id, under one shared-lock epoch.
 //!
+//! The plan ([`LetPlan`]) is the one record of what a LET fetched and
+//! launched: the rank's messages and bytes, its staged payload, its
+//! remote op counts and device bytes, its residency and both clocks are
+//! summed from it, and nothing counts them a second time. The runtime's
+//! traffic matrix, which records every get as it happens, is the
+//! independent check the test suites reconcile the plans against.
+//!
 //! One order runs through all of it. The owner's node ids are pre-order,
 //! the order the traversal meets clusters in, so the traversal's lists
 //! come out in ascending id, and the plan and the gets take clusters in
@@ -32,23 +39,20 @@
 //! window's clusters — over all batches as one chunk, approximated ones
 //! first, each kind in ascending id, one tile per cluster and maximal
 //! run of consecutive batches that list it — into that LET's columns,
-//! drops the payload,
-//! and after the last window adds the columns into the rank's
-//! ([`RemoteEval`]). The window is the whole LET without a memory budget
-//! and one chunk under one — the memory-bounded mode that lets a rank's
-//! LET far exceed its staging memory, since [`plan_chunks`] caps each
-//! chunk at the budget. [`resident_bytes`] is the one statement of what
-//! each choice keeps resident, read by the rank's peak and by the
-//! pipelined clock's spans.
+//! drops the payload, and after the last window adds the columns into
+//! the rank's remote columns. The window is the whole LET without a
+//! memory budget and one chunk under one — the memory-bounded mode that
+//! lets a rank's LET far exceed its staging memory, since
+//! [`plan_chunks`] caps each chunk at the budget. [`resident_bytes`] is
+//! the one statement of what each choice keeps resident, read by the
+//! rank's peak and by the pipelined clock's spans.
 //!
 //! Every window size executes identical gets in identical order, starts
 //! each LET's columns at zero once and feeds every target the same
 //! clusters in the same ascending order, so potentials, forces, op
 //! counts and recorded traffic are bitwise independent of the budget.
-//! The counts stay per batch–cluster pair, the launches the modeled
-//! device prices, whatever the runs.
-
-use std::collections::BTreeMap;
+//! The plan counts one launch per batch–cluster pair, the launches the
+//! modeled device prices, whatever the runs.
 
 use bltc_core::config::BltcParams;
 use bltc_core::cost::OpCounts;
@@ -108,30 +112,6 @@ impl NodeMeta {
     }
 }
 
-/// One-sided traffic this rank originated during LET construction
-/// (drives the α–β network model; the runtime's global `TrafficMatrix`
-/// records the same operations for the aggregate report).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CommTally {
-    /// One-sided operations issued to remote ranks.
-    pub messages: u64,
-    /// Total remote payload bytes (skeleton + charges + particles).
-    pub bytes: u64,
-    /// Payload bytes that must additionally be staged onto the device
-    /// (charges + particles; the skeleton stays on the host).
-    pub device_bytes: u64,
-}
-
-impl CommTally {
-    fn record(&mut self, bytes: u64, to_device: bool) {
-        self.messages += 1;
-        self.bytes += bytes;
-        if to_device {
-            self.device_bytes += bytes;
-        }
-    }
-}
-
 /// The three RMA windows a rank exposes for the epoch. Held until the
 /// closing barrier: dropping a window earlier would tear down regions
 /// remote ranks may still be fetching from.
@@ -166,25 +146,56 @@ impl LetWindows {
     }
 }
 
-/// Landed payload of one window of a LET, keyed by remote cluster id.
-#[derive(Default)]
-struct LetPayload {
+/// Landed payload of one window of a LET: per kind, the window's
+/// clusters in ascending id ([`window_ids`]) and their payloads at the
+/// same positions, in land order.
+struct LetPayload<'a> {
+    /// The window's approximated and direct cluster ids, ascending.
+    ids: [&'a [u32]; 2],
     /// Proxy grids (derived locally from the skeleton geometry — grids
     /// travel for free) and fetched modified charges of MAC-accepted
     /// clusters.
-    approx: BTreeMap<u32, (TensorGrid, Vec<f64>)>,
+    approx: Vec<(TensorGrid, Vec<f64>)>,
     /// Fetched particles of direct clusters.
-    direct: BTreeMap<u32, ParticleSet>,
+    direct: Vec<ParticleSet>,
 }
 
-impl ClusterSources for LetPayload {
+impl<'a> LetPayload<'a> {
+    /// Land `window`, consecutive planned chunks of `issue`, chunk by
+    /// chunk ([`land_chunk`]).
+    fn land(
+        issue: &'a LetIssue,
+        window: &[ChunkPlan],
+        wins: &LetWindows,
+        params: &BltcParams,
+    ) -> Self {
+        let ids =
+            [ChunkKind::Approx, ChunkKind::Direct].map(|kind| window_ids(issue, window, kind));
+        let mut payload = Self {
+            ids,
+            approx: Vec::with_capacity(ids[0].len()),
+            direct: Vec::with_capacity(ids[1].len()),
+        };
+        for plan in window {
+            land_chunk(issue, plan, wins, params, &mut payload);
+        }
+        payload
+    }
+}
+
+/// Position of cluster `ci` in a window's ascending `ids`.
+fn position(ids: &[u32], ci: usize) -> usize {
+    (ids.binary_search(&(ci as u32))).expect("a listed cluster outside the landed window")
+}
+
+impl ClusterSources for LetPayload<'_> {
     fn approx(&self, ci: usize) -> (&TensorGrid, &[f64]) {
-        let (grid, qhat) = &self.approx[&(ci as u32)];
+        let (grid, qhat) = &self.approx[position(self.ids[0], ci)];
         (grid, qhat)
     }
 
     fn direct(&self, ci: usize) -> (&[f64], &[f64], &[f64], &[f64]) {
-        let p = &self.direct[&(ci as u32)];
+        let p = &self.direct[position(self.ids[1], ci)];
         (&p.x, &p.y, &p.z, &p.q)
     }
 }
@@ -215,13 +226,11 @@ pub(crate) fn issue_remote_let(
     batches: &TargetBatches,
     params: &BltcParams,
     wins: &LetWindows,
-    tally: &mut CommTally,
 ) -> LetIssue {
     // Skeleton exchange: one bulk one-sided get of the node array.
     let num_nodes = wins.meta.region_len(target);
     let metas = wins.meta.lock_shared(target).get(0..num_nodes);
     let skeleton_bytes = (num_nodes * std::mem::size_of::<NodeMeta>()) as u64;
-    tally.record(skeleton_bytes, false);
     let nodes: Vec<ClusterNode> = metas.into_iter().map(NodeMeta::to_cluster).collect();
 
     // Core's traversal against the remote skeleton: no communication,
@@ -246,9 +255,10 @@ pub(crate) fn issue_remote_let(
     }
 }
 
-/// The fetch schedule of one LET, kept after evaluation: what the
-/// serial and pipelined clocks, the residency and the plan-vs-tally
-/// check read.
+/// The fetch schedule of one LET, kept after evaluation: the one record
+/// of what that LET fetched and launched. The land stage executes it get
+/// for get, and the rank's traffic, remote op counts, residency and both
+/// clocks read it.
 pub(crate) struct LetPlan {
     /// Remote rank this LET views.
     pub target: usize,
@@ -256,6 +266,47 @@ pub(crate) struct LetPlan {
     pub skeleton_bytes: u64,
     /// Payload chunks in land order.
     pub chunks: Vec<ChunkPlan>,
+}
+
+impl LetPlan {
+    /// One-sided gets: the skeleton's, then one per cluster.
+    pub(crate) fn messages(&self) -> u64 {
+        1 + self.chunks.iter().map(|c| c.messages).sum::<u64>()
+    }
+
+    /// Bytes of those gets.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.skeleton_bytes + self.payload_bytes()
+    }
+
+    /// Payload bytes, all staged onto the device (the skeleton stays on
+    /// the host).
+    pub(crate) fn payload_bytes(&self) -> u64 {
+        self.chunks.iter().map(|c| c.bytes).sum()
+    }
+}
+
+/// The remote op counts of `plans`: target–source pairs per path and
+/// batch–cluster launches, summed as integers.
+pub(crate) fn remote_ops(plans: &[LetPlan]) -> OpCounts {
+    let mut ops = OpCounts::default();
+    for c in plans.iter().flat_map(|p| &p.chunks) {
+        match c.kind {
+            ChunkKind::Approx => ops.approx_interactions += c.interactions,
+            ChunkKind::Direct => ops.direct_interactions += c.interactions,
+        }
+        ops.kernel_launches += c.launches;
+    }
+    ops
+}
+
+/// The modeled device bytes of the launches of `plans`, for a pass of
+/// `target_cols` columns ([`tile_bytes`] of the summed targets and
+/// sources: it is linear).
+pub(crate) fn remote_device_bytes(plans: &[LetPlan], target_cols: usize) -> f64 {
+    let chunks = || plans.iter().flat_map(|p| &p.chunks);
+    let targets = chunks().map(|c| c.eval_targets).sum();
+    tile_bytes(targets, chunks().map(|c| c.eval_sources).sum(), target_cols)
 }
 
 /// Which payload window a chunk's gets hit.
@@ -270,9 +321,11 @@ pub(crate) enum ChunkKind {
 /// One chunk of the LET fill: a contiguous group of distinct clusters
 /// whose payloads are fetched in one passive-target epoch, plus the
 /// exact communication and evaluation work the chunk carries. Every
-/// count is derived analytically from the interaction lists, so the
-/// per-chunk costs sum to exactly the totals the serial accounting
-/// records — the reconciliation the pipelined clock's tests pin.
+/// count is derived analytically from the interaction lists; the land
+/// stage issues exactly these gets, and the runtime's traffic matrix,
+/// which records every get as it happens, is reconciled against their
+/// sums in the test suites and on every epoch of the persistent
+/// integrator.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChunkPlan {
     pub kind: ChunkKind,
@@ -319,29 +372,26 @@ pub(crate) fn plan_chunks(
     chunk_clusters: usize,
     budget: Option<u64>,
 ) -> Vec<ChunkPlan> {
-    // Per-cluster (launches, Σ batch targets) over the interaction lists.
-    let mut approx_use: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
-    let mut direct_use: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
-    for (b, bl) in batches.batches().iter().zip(&issue.lists.per_batch) {
-        let nb = b.num_targets() as u64;
-        for &ci in &bl.approx {
-            let e = approx_use.entry(ci).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += nb;
-        }
-        for &ci in &bl.direct {
-            let e = direct_use.entry(ci).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += nb;
-        }
-    }
-
     let chunk_clusters = chunk_clusters.max(1);
     let mut plans = Vec::new();
     for (kind, ids) in [
         (ChunkKind::Approx, &issue.approx),
         (ChunkKind::Direct, &issue.direct),
     ] {
+        // Per cluster, at its position in `ids`: (launches, Σ batch
+        // targets) over the interaction lists.
+        let mut uses = vec![(0u64, 0u64); ids.len()];
+        for (b, bl) in batches.batches().iter().zip(&issue.lists.per_batch) {
+            let list = match kind {
+                ChunkKind::Approx => &bl.approx,
+                ChunkKind::Direct => &bl.direct,
+            };
+            for ci in list {
+                let u = &mut uses[ids.binary_search(ci).expect("a listed cluster is distinct")];
+                u.0 += 1;
+                u.1 += b.num_targets() as u64;
+            }
+        }
         let mut start = 0;
         while start < ids.len() {
             let mut plan = ChunkPlan {
@@ -372,10 +422,7 @@ pub(crate) fn plan_chunks(
                 if plan.len > 0 && budget.is_some_and(|b| plan.bytes + payload > b) {
                     break;
                 }
-                let (cnt, sum_nb) = match kind {
-                    ChunkKind::Approx => approx_use[&ci],
-                    ChunkKind::Direct => direct_use[&ci],
-                };
+                let (cnt, sum_nb) = uses[start + plan.len];
                 plan.len += 1;
                 plan.messages += 1;
                 plan.bytes += payload;
@@ -399,8 +446,8 @@ pub(crate) fn plan_chunks(
 }
 
 /// Land one planned chunk: execute its per-cluster one-sided gets in
-/// ascending cluster order under a single shared-lock epoch, inserting
-/// the payloads into `payload`. Every window size goes through this one
+/// ascending cluster order under a single shared-lock epoch, appending
+/// the payloads to `payload`. Every window size goes through this one
 /// implementation, so the recorded traffic and fetched bytes are
 /// identical by construction.
 fn land_chunk(
@@ -408,7 +455,6 @@ fn land_chunk(
     plan: &ChunkPlan,
     wins: &LetWindows,
     params: &BltcParams,
-    tally: &mut CommTally,
     payload: &mut LetPayload,
 ) {
     match plan.kind {
@@ -418,9 +464,8 @@ fn land_chunk(
             for &ni in &issue.approx[plan.first..plan.first + plan.len] {
                 let base = ni as usize * m3;
                 let qhat = guard.get(base..base + m3);
-                tally.record((m3 * 8) as u64, true);
                 let grid = TensorGrid::new(params.degree, &issue.nodes[ni as usize].bbox);
-                payload.approx.insert(ni, (grid, qhat));
+                payload.approx.push((grid, qhat));
             }
         }
         ChunkKind::Direct => {
@@ -428,35 +473,12 @@ fn land_chunk(
             for &ni in &issue.direct[plan.first..plan.first + plan.len] {
                 let node = &issue.nodes[ni as usize];
                 let flat = guard.get(4 * node.start..4 * node.end);
-                tally.record((flat.len() * 8) as u64, true);
                 let mut p = ParticleSet::with_capacity(node.end - node.start);
                 for xyzq in flat.chunks_exact(4) {
                     p.push(Point3::new(xyzq[0], xyzq[1], xyzq[2]), xyzq[3]);
                 }
-                payload.direct.insert(ni, p);
+                payload.direct.push(p);
             }
-        }
-    }
-}
-
-/// A rank's remote contributions: the pass's `C` output columns over its
-/// batch-order targets, plus the op counts and the modeled device bytes
-/// of the launches that produced them. [`eval_remote_let`] adds each LET
-/// into it.
-pub(crate) struct RemoteEval<const C: usize> {
-    pub cols: [Vec<f64>; C],
-    pub ops: OpCounts,
-    /// Per-launch device memory traffic for the GPU clock (an
-    /// integer-valued `f64`: exact under any summation order).
-    pub device_bytes: f64,
-}
-
-impl<const C: usize> RemoteEval<C> {
-    pub(crate) fn zeros(targets: usize) -> Self {
-        Self {
-            cols: std::array::from_fn(|_| vec![0.0; targets]),
-            ops: OpCounts::default(),
-            device_bytes: 0.0,
         }
     }
 }
@@ -465,8 +487,9 @@ impl<const C: usize> RemoteEval<C> {
 /// at a time, add each window's clusters into that LET's columns through
 /// core's run-wise pass ([`RunColumns::eval`], over all batches as one
 /// chunk: the rank's thread runs it, as it runs the local pass), drop
-/// the window's payload, and add the columns into `acc` once. The window
-/// is the whole LET without a memory budget and one chunk under one
+/// the window's payload, and add the columns into `acc`, the rank's
+/// remote columns over its batch-order targets, once. The window is the
+/// whole LET without a memory budget and one chunk under one
 /// ([`resident_bytes`] prices what each choice keeps resident).
 ///
 /// Windows hold consecutive chunks, approx chunks before direct ones,
@@ -474,10 +497,9 @@ impl<const C: usize> RemoteEval<C> {
 /// so every target receives exactly its lists, approximated clusters
 /// first, each in ascending id, into columns that start at `0.0` once
 /// per LET, whatever the window: the columns are bitwise independent of
-/// the window and of the pool size. The op counts and
-/// device bytes are the pass's per-run tallies, one launch per
-/// batch–cluster pair. No RMA happens in the pass: the land stage
-/// fetched the data.
+/// the window and of the pool size. What the LET fetched and launched is
+/// its plan's to say ([`LetPlan`]); no RMA happens in the pass either:
+/// the land stage fetched the data.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn eval_remote_let<const C: usize, O: TileOp<C> + ?Sized>(
     issue: &LetIssue,
@@ -486,30 +508,25 @@ pub(crate) fn eval_remote_let<const C: usize, O: TileOp<C> + ?Sized>(
     batches: &TargetBatches,
     wins: &LetWindows,
     params: &BltcParams,
-    tally: &mut CommTally,
     op: &O,
-    acc: &mut RemoteEval<C>,
+    acc: &mut [Vec<f64>; C],
 ) {
     let cols = RunColumns::new(batches, false);
     let window = if budget.is_some() { 1 } else { chunks.len() };
     for window in chunks.chunks(window.max(1)) {
-        let mut payload = LetPayload::default();
-        for plan in window {
-            land_chunk(issue, plan, wins, params, tally, &mut payload);
-        }
-        let ids =
-            [ChunkKind::Approx, ChunkKind::Direct].map(|kind| window_ids(issue, window, kind));
+        let payload = LetPayload::land(issue, window, wins, params);
         let lists = |b: usize| {
             let bl = &issue.lists.per_batch[b];
-            [held(&bl.approx, ids[0]), held(&bl.direct, ids[1])]
+            [
+                held(&bl.approx, payload.ids[0]),
+                held(&bl.direct, payload.ids[1]),
+            ]
         };
-        let run = cols.eval(op, lists, &payload);
-        acc.ops = acc.ops.merged(&run.ops);
-        acc.device_bytes += tile_bytes(run.targets, run.sources, O::TARGET_COLS);
+        cols.eval(op, lists, &payload);
         // Evaluate-and-discard: the window's payload dies here, before
         // the next window lands.
     }
-    for (col, part) in acc.cols.iter_mut().zip(cols.into_columns()) {
+    for (col, part) in acc.iter_mut().zip(cols.into_columns()) {
         for (slot, v) in col.iter_mut().zip(part) {
             *slot += v;
         }
@@ -745,46 +762,63 @@ mod tests {
         .results
     }
 
+    /// What [`per_batch_reference`] computed and counted.
+    struct Reference<const C: usize> {
+        cols: [Vec<f64>; C],
+        /// Launches and pairs, one launch per batch–cluster pair.
+        ops: OpCounts,
+        device_bytes: f64,
+        /// Payload gets and their bytes, counted from the landed data.
+        gets: (u64, u64),
+    }
+
     /// The per-batch loop the run-wise consumer replaced: the whole LET
     /// landed, then each batch's targets against its approximated
     /// clusters (flat tiles over the proxies) and then its direct ones,
     /// each list ascending, into columns that start at `0.0`, with the
-    /// counts and device bytes of one launch per batch–cluster pair.
+    /// counts and device bytes of one launch per batch–cluster pair, and
+    /// the gets and bytes the landed payload holds.
     fn per_batch_reference<const C: usize, O: TileOp<C> + ?Sized>(
         issue: &LetIssue,
         batches: &TargetBatches,
         wins: &LetWindows,
         params: &BltcParams,
         op: &O,
-    ) -> (RemoteEval<C>, CommTally) {
-        let mut tally = CommTally::default();
-        let mut payload = LetPayload::default();
+    ) -> Reference<C> {
         let m3 = params.proxy_count();
-        for plan in &plan_chunks(issue, batches, m3, usize::MAX, None) {
-            land_chunk(issue, plan, wins, params, &mut tally, &mut payload);
-        }
+        let whole = plan_chunks(issue, batches, m3, usize::MAX, None);
+        let payload = LetPayload::land(issue, &whole, wins, params);
+        let landed = (payload.approx.iter().map(|(_, qhat)| qhat.len()))
+            .chain(payload.direct.iter().map(|p| 4 * p.len()));
+        let gets = landed.fold((0, 0), |(n, bytes), len| (n + 1, bytes + 8 * len as u64));
         let tp = batches.particles();
-        let mut acc = RemoteEval::<C>::zeros(tp.len());
+        let mut cols: [Vec<f64>; C] = std::array::from_fn(|_| vec![0.0; tp.len()]);
+        let (mut ops, mut device_bytes) = (OpCounts::default(), 0.0);
         for (b, bl) in batches.batches().iter().zip(&issue.lists.per_batch) {
             let (t, nb) = (tp.xyz(b.start..b.end), b.num_targets() as u64);
-            let mut out = acc.cols.each_mut().map(|c| &mut c[b.start..b.end]);
+            let mut out = cols.each_mut().map(|c| &mut c[b.start..b.end]);
             for &ci in &bl.approx {
                 let (grid, qhat) = payload.approx(ci as usize);
                 let (px, py, pz) = grid.proxies();
                 op.tile(t, (px, py, pz, qhat), &mut out);
-                acc.ops.approx_interactions += nb * m3 as u64;
-                acc.ops.kernel_launches += 1;
-                acc.device_bytes += tile_bytes(nb, m3 as u64, O::TARGET_COLS);
+                ops.approx_interactions += nb * m3 as u64;
+                ops.kernel_launches += 1;
+                device_bytes += tile_bytes(nb, m3 as u64, O::TARGET_COLS);
             }
             for &ci in &bl.direct {
                 let s = payload.direct(ci as usize);
                 op.tile(t, s, &mut out);
-                acc.ops.direct_interactions += nb * s.0.len() as u64;
-                acc.ops.kernel_launches += 1;
-                acc.device_bytes += tile_bytes(nb, s.0.len() as u64, O::TARGET_COLS);
+                ops.direct_interactions += nb * s.0.len() as u64;
+                ops.kernel_launches += 1;
+                device_bytes += tile_bytes(nb, s.0.len() as u64, O::TARGET_COLS);
             }
         }
-        (acc, tally)
+        Reference {
+            cols,
+            ops,
+            device_bytes,
+            gets,
+        }
     }
 
     /// Tiles issued, beside the op that computes them.
@@ -816,8 +850,9 @@ mod tests {
     }
 
     /// `eval_remote_let` of every LET of this rank under every budget
-    /// equals [`per_batch_reference`] bit for bit: columns, op counts,
-    /// device bytes and recorded traffic.
+    /// equals [`per_batch_reference`] bit for bit in its columns, and the
+    /// plan's totals equal the reference's own counts: op counts, device
+    /// bytes, and the payload gets and bytes that landed.
     fn assert_runs_equal_the_per_batch_loop<const C: usize, O: TileOp<C> + ?Sized>(
         comm: &Comm,
         batches: &TargetBatches,
@@ -827,25 +862,30 @@ mod tests {
     ) {
         let m3 = params.proxy_count();
         for t in (0..comm.size()).filter(|&t| t != comm.rank()) {
-            let issue = issue_remote_let(t, batches, params, wins, &mut CommTally::default());
-            let (want, want_tally) = per_batch_reference(&issue, batches, wins, params, op);
+            let issue = issue_remote_let(t, batches, params, wins);
+            let want = per_batch_reference(&issue, batches, wins, params, op);
             for budget in [None, Some(u64::MAX), Some(16 * 1024), Some(1)] {
                 let chunks = plan_chunks(&issue, batches, m3, 8, budget);
-                let mut got = RemoteEval::<C>::zeros(batches.particles().len());
-                let mut tally = CommTally::default();
-                eval_remote_let(
-                    &issue, &chunks, budget, batches, wins, params, &mut tally, op, &mut got,
-                );
+                let mut got: [Vec<f64>; C] =
+                    std::array::from_fn(|_| vec![0.0; batches.particles().len()]);
+                eval_remote_let(&issue, &chunks, budget, batches, wins, params, op, &mut got);
                 let at = format!("rank {} LET of {t}, budget {budget:?}", comm.rank());
-                let (got_bits, want_bits) = (bits(&got.cols), bits(&want.cols));
+                let (got_bits, want_bits) = (bits(&got), bits(&want.cols));
                 let differ = (got_bits.iter().flatten().zip(want_bits.iter().flatten()))
                     .filter(|(g, w)| g != w)
                     .count();
                 assert_eq!(differ, 0, "values differing in the columns: {at}");
-                assert_eq!(got.ops, want.ops, "op counts: {at}");
-                assert_eq!(got.device_bytes, want.device_bytes, "device bytes: {at}");
-                let traffic = |c: CommTally| (c.messages, c.bytes, c.device_bytes);
-                assert_eq!(traffic(tally), traffic(want_tally), "traffic: {at}");
+                let plan = [LetPlan {
+                    target: t,
+                    skeleton_bytes: issue.skeleton_bytes,
+                    chunks,
+                }];
+                assert_eq!(remote_ops(&plan), want.ops, "op counts: {at}");
+                let device_bytes = remote_device_bytes(&plan, O::TARGET_COLS);
+                assert_eq!(device_bytes, want.device_bytes, "device bytes: {at}");
+                let gets = (plan[0].messages() - 1, plan[0].payload_bytes());
+                assert_eq!(gets, want.gets, "payload gets and bytes: {at}");
+                assert_eq!(plan[0].bytes(), gets.1 + issue.skeleton_bytes, "{at}");
             }
         }
     }
@@ -906,16 +946,15 @@ mod tests {
         let counts = pool.install(|| {
             on_let_world(ps, *ranks, params, |comm, _, batches, wins, _| {
                 let op = Counting(&Coulomb as &dyn Kernel, AtomicU64::new(0));
-                let mut acc = RemoteEval::<1>::zeros(batches.particles().len());
-                let mut tally = CommTally::default();
+                let mut acc = [vec![0.0; batches.particles().len()]];
+                let mut launches = 0;
                 for t in (0..comm.size()).filter(|&t| t != comm.rank()) {
-                    let issue = issue_remote_let(t, batches, params, wins, &mut tally);
+                    let issue = issue_remote_let(t, batches, params, wins);
                     let chunks = plan_chunks(&issue, batches, params.proxy_count(), 8, None);
-                    eval_remote_let(
-                        &issue, &chunks, None, batches, wins, params, &mut tally, &op, &mut acc,
-                    );
+                    eval_remote_let(&issue, &chunks, None, batches, wins, params, &op, &mut acc);
+                    launches += chunks.iter().map(|c| c.launches).sum::<u64>();
                 }
-                (op.1.into_inner(), acc.ops.kernel_launches)
+                (op.1.into_inner(), launches)
             })
         });
         let (tiles, pairs) = counts.iter().fold((0, 0), |(a, b), &(t, p)| (a + t, b + p));
@@ -935,7 +974,7 @@ mod tests {
         let params = BltcParams::new(0.8, 3, 30, 30);
         on_let_world(&ps, 2, &params, |comm, _, batches, wins, _| {
             let t = 1 - comm.rank();
-            let mut issue = issue_remote_let(t, batches, &params, wins, &mut CommTally::default());
+            let mut issue = issue_remote_let(t, batches, &params, wins);
             let lists = issue.lists.per_batch.iter_mut();
             lists
                 .max_by_key(|bl| bl.direct.len())
@@ -943,19 +982,9 @@ mod tests {
                 .direct
                 .reverse();
             let chunks = plan_chunks(&issue, batches, params.proxy_count(), 8, None);
-            let mut acc = RemoteEval::<1>::zeros(batches.particles().len());
+            let mut acc = [vec![0.0; batches.particles().len()]];
             let op = &Coulomb as &dyn Kernel;
-            eval_remote_let(
-                &issue,
-                &chunks,
-                None,
-                batches,
-                wins,
-                &params,
-                &mut CommTally::default(),
-                op,
-                &mut acc,
-            );
+            eval_remote_let(&issue, &chunks, None, batches, wins, &params, op, &mut acc);
         });
     }
 
@@ -987,8 +1016,7 @@ mod tests {
                 on_let_world(ps, *ranks, &params, |comm, _, batches, wins, locals| {
                     let mut approximated = 0;
                     for t in (0..comm.size()).filter(|&t| t != comm.rank()) {
-                        let issue =
-                            issue_remote_let(t, batches, &params, wins, &mut CommTally::default());
+                        let issue = issue_remote_let(t, batches, &params, wins);
                         let (owner, _) =
                             SourceTree::build_with_batches(&locals[t], &locals[t], &params);
                         let want = InteractionLists::build(batches, &owner, &params);

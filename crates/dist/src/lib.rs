@@ -34,8 +34,9 @@
 //!
 //! Phase times are modeled, not measured: host work through
 //! [`model::HostModel`], device work through the `gpu-sim` clock, and
-//! communication through the α–β model over the recorded one-sided
-//! traffic — so two runs differing only in fabric produce identical
+//! communication through the α–β model over each LET's planned one-sided
+//! traffic (which the runtime's recorded matrix equals) — so two runs
+//! differing only in fabric produce identical
 //! potentials and differ exactly in the modeled communication seconds.
 //!
 //! ## The pipelined epoch (phase DAG)
@@ -180,15 +181,15 @@ use bltc_core::cost::OpCounts;
 use bltc_core::field::FieldResult;
 use bltc_core::kernel::{GradientKernel, Kernel, TileOp};
 use bltc_core::particles::ParticleSet;
-use bltc_gpu::{kernels::tile_bytes, GpuEngine, GpuSimBreakdown};
+use bltc_gpu::{GpuEngine, GpuSimBreakdown};
 use gpu_sim::DeviceSpec;
 use mpi_sim::runtime::TrafficMatrix;
 use mpi_sim::{Comm, NetworkSpec, SessionIn};
 use rcb::{rcb_partition, rcb_partition_two_level, RcbPartition};
 
 use letree::{
-    eval_remote_let, issue_remote_let, plan_chunks, resident_bytes, CommTally, LetPlan, LetWindows,
-    RemoteEval,
+    eval_remote_let, issue_remote_let, plan_chunks, remote_device_bytes, remote_ops,
+    resident_bytes, LetPlan, LetWindows,
 };
 use model::pipelined_clock;
 
@@ -346,9 +347,12 @@ pub struct LetStats {
 ///
 /// # Traffic-accounting invariants
 ///
-/// The per-rank tallies are not estimates; they are counted at the RMA
-/// call sites and must reconcile *exactly* against the runtime's
-/// [`TrafficMatrix`] (the test suites enforce this):
+/// The per-rank tallies are not estimates. They are summed, as integers,
+/// from the fetch plans the rank's land stage executes get for get (one
+/// skeleton get per LET, then one get per planned cluster), and they
+/// must reconcile *exactly* against the runtime's [`TrafficMatrix`],
+/// which records every get as it is issued: the test suites check it
+/// per rank and in sum, and the persistent integrator on every epoch.
 ///
 /// 1. `Σ_ranks let_messages == traffic.total_remote_messages()` and
 ///    `Σ_ranks let_bytes == traffic.total_remote_bytes()` — every
@@ -382,10 +386,11 @@ pub struct RankReport {
     pub num_batches: usize,
     /// LET construction statistics.
     pub let_stats: LetStats,
-    /// One-sided RMA operations this rank originated. All of a rank's
-    /// communication is *issued* during LET construction; evaluation —
-    /// potential or gradient — adds none, so these tallies must
-    /// reconcile exactly with the run's [`TrafficMatrix`]. (Whether
+    /// One-sided RMA operations this rank originated, read from its LET
+    /// plans. All of a rank's communication is *issued* during LET
+    /// construction; evaluation — potential or gradient — adds none, so
+    /// these tallies must reconcile exactly with the run's
+    /// [`TrafficMatrix`]. (Whether
     /// those transfers sit on the critical path is a separate, clock-
     /// level question: serially they are billed to `setup_comm_s`; the
     /// pipelined clock overlaps them with local compute.)
@@ -393,9 +398,8 @@ pub struct RankReport {
     /// Payload bytes of those one-sided operations.
     pub let_bytes: u64,
     /// Peak resident remote-LET payload bytes on this rank (modified
-    /// charges + particles — the same device-staged classification the
-    /// traffic tally uses; skeletons and locally derived grids are
-    /// excluded). Without a [`DistConfig::let_memory_budget`] every LET
+    /// charges + particles — the payload the plans stage onto the
+    /// device; skeletons and locally derived grids are excluded). Without a [`DistConfig::let_memory_budget`] every LET
     /// stays staged until the compute phase is over, so the peak is the
     /// whole payload; under one, one chunk is resident at a time, so the
     /// peak is the largest single chunk — `≤` the budget whenever every
@@ -580,7 +584,7 @@ impl RankClocks {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn model_rank_clocks(
+fn model_rank_clocks<const C: usize, O: TileOp<C> + ?Sized>(
     cfg: &DistConfig,
     rank: usize,
     sim: &GpuSimBreakdown,
@@ -588,11 +592,8 @@ fn model_rank_clocks(
     levels: usize,
     ops: &OpCounts,
     let_stats: &LetStats,
-    tally: &CommTally,
     plans: &[LetPlan],
-    remote_flops: f64,
-    remote_device_bytes: f64,
-    remote_launches: u64,
+    op: &O,
 ) -> RankClocks {
     let setup_host_s = cfg.host.setup_seconds(
         local_len,
@@ -609,19 +610,24 @@ fn model_rank_clocks(
     // whole tally on the fabric, per target.
     let mut setup_comm_s = 0.0;
     for p in plans {
-        let msgs = 1 + p.chunks.iter().map(|c| c.messages).sum::<u64>();
-        let bytes = p.skeleton_bytes + p.chunks.iter().map(|c| c.bytes).sum::<u64>();
-        setup_comm_s += cfg.link(rank, p.target).seconds_for(msgs, bytes);
+        setup_comm_s += cfg
+            .link(rank, p.target)
+            .seconds_for(p.messages(), p.bytes());
     }
-    let stage_let_s = if tally.device_bytes > 0 {
-        cfg.spec.transfer_seconds(tally.device_bytes as f64)
+    let payload_bytes: u64 = plans.iter().map(LetPlan::payload_bytes).sum();
+    let stage_let_s = if payload_bytes > 0 {
+        cfg.spec.transfer_seconds(payload_bytes as f64)
     } else {
         0.0
     };
     let setup_stage_s = sim.htod_sources_s + sim.htod_let_s + stage_let_s;
     let precompute_s = sim.precompute_s + sim.dtoh_charges_s;
-    let remote_exec_s = cfg.spec.exec_seconds(remote_flops, remote_device_bytes)
-        + remote_launches as f64 * (cfg.spec.host_enqueue_s + cfg.spec.launch_latency_s);
+    let remote = remote_ops(plans);
+    let device_bytes = remote_device_bytes(plans, O::TARGET_COLS);
+    let remote_exec_s = cfg
+        .spec
+        .exec_seconds(remote.pass_flops(op, true), device_bytes)
+        + remote.kernel_launches as f64 * (cfg.spec.host_enqueue_s + cfg.spec.launch_latency_s);
     let compute_s = sim.compute_s + sim.dtoh_potentials_s + remote_exec_s;
     RankClocks {
         setup_host_s,
@@ -629,42 +635,6 @@ fn model_rank_clocks(
         setup_stage_s,
         precompute_s,
         compute_s,
-    }
-}
-
-/// The plan stage derives every chunk cost analytically from the
-/// interaction lists; the consume stage counts the same quantities while
-/// evaluating. They must agree exactly — the pipelined clock feeds on
-/// the plan, the serial clock on the evaluation tallies.
-fn debug_assert_plans_reconcile<const C: usize>(
-    plans: &[LetPlan],
-    tally: &CommTally,
-    remote: &RemoteEval<C>,
-    target_cols: usize,
-) {
-    if cfg!(debug_assertions) {
-        let chunks = || plans.iter().flat_map(|p| &p.chunks);
-        let launches: u64 = chunks().map(|c| c.launches).sum();
-        debug_assert_eq!(launches, remote.ops.kernel_launches);
-        let interactions: u64 = chunks().map(|c| c.interactions).sum();
-        debug_assert_eq!(
-            interactions,
-            remote.ops.approx_interactions + remote.ops.direct_interactions
-        );
-        let eval_bytes: f64 = chunks()
-            .map(|c| tile_bytes(c.eval_targets, c.eval_sources, target_cols))
-            .sum();
-        debug_assert_eq!(eval_bytes, remote.device_bytes);
-        let payload: u64 = chunks().map(|c| c.bytes).sum();
-        debug_assert_eq!(payload, tally.device_bytes);
-        let skeletons: u64 = plans.iter().map(|p| p.skeleton_bytes).sum();
-        debug_assert_eq!(payload + skeletons, tally.bytes);
-        let messages: u64 = chunks().map(|c| c.messages).sum();
-        debug_assert_eq!(
-            messages + plans.len() as u64,
-            tally.messages,
-            "chunk gets + one skeleton get per LET must cover the tally"
-        );
     }
 }
 
@@ -753,12 +723,11 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
 
     // ---- LET construction (fully one-sided, staged) + remote pass ----
     let budget = cfg.let_memory_budget;
-    let mut remote = RemoteEval::<C>::zeros(local.len());
-    let mut tally = CommTally::default();
+    let mut remote: [Vec<f64>; C] = std::array::from_fn(|_| vec![0.0; local.len()]);
     let mut let_stats = LetStats::default();
     let mut plans = Vec::with_capacity(comm.size().saturating_sub(1));
     for t in (0..comm.size()).filter(|&t| t != rank) {
-        let issue = issue_remote_let(t, batches, params, &wins, &mut tally);
+        let issue = issue_remote_let(t, batches, params, &wins);
         let chunks = plan_chunks(&issue, batches, m3, cfg.let_chunk, budget);
         let_stats.remote_skeleton_nodes += issue.nodes.len() as u64;
         let_stats.remote_approx_nodes += issue.approx.len() as u64;
@@ -772,7 +741,6 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
             batches,
             &wins,
             params,
-            &mut tally,
             op,
             &mut remote,
         );
@@ -785,10 +753,7 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
     let peak_let_bytes = resident_bytes(&plans, budget).max().unwrap_or(0);
     // Alone, a rank has no remote columns to add — and must not add
     // zeros either: `-0.0 + 0.0` is `+0.0`.
-    let remote_cols = (comm.size() > 1).then(|| {
-        let cols = remote.cols.each_ref();
-        cols.map(|c| batches.scatter_to_original(c))
-    });
+    let remote_cols = (comm.size() > 1).then(|| remote.map(|c| batches.scatter_to_original(&c)));
     let (tree_nodes, num_batches) = (staged.tree().num_nodes(), batches.len());
 
     // ---- local evaluation on the simulated GPU -----------------------
@@ -801,7 +766,7 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
             }
         }
     }
-    let ops = gpu.ops.merged(&remote.ops);
+    let ops = gpu.ops.merged(&remote_ops(&plans));
 
     // ---- modeled clocks (the op's flops on the remote pass) -----------
     let levels = gpu.tree_stats.max_level + 1;
@@ -813,13 +778,9 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
         levels,
         &ops,
         &let_stats,
-        &tally,
         &plans,
-        remote.ops.pass_flops(op, true),
-        remote.device_bytes,
-        remote.ops.kernel_launches,
+        op,
     );
-    debug_assert_plans_reconcile(&plans, &tally, &remote, O::TARGET_COLS);
     let pipeline = pipelined_clock(
         cfg,
         rank,
@@ -850,8 +811,8 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
         tree_nodes,
         num_batches,
         let_stats,
-        let_messages: tally.messages,
-        let_bytes: tally.bytes,
+        let_messages: plans.iter().map(LetPlan::messages).sum(),
+        let_bytes: plans.iter().map(LetPlan::bytes).sum(),
         peak_let_bytes,
         setup_host_s: clocks.setup_host_s,
         setup_comm_s: clocks.setup_comm_s,

@@ -20,10 +20,10 @@
 //! (`letree::LetPlan`), and its resident-byte stamps come from the one
 //! residency rule beside them (`letree::resident_bytes`).
 
-use bltc_gpu::{dispatch_remote_chunks, kernels::tile_bytes, GpuSimBreakdown, RemoteChunkWork};
+use bltc_gpu::{dispatch_remote_chunks, GpuSimBreakdown, RemoteChunkWork};
 use bltc_trace::{Phase, Span, Track};
 
-use crate::letree::{resident_bytes, ChunkPlan, LetPlan};
+use crate::letree::{remote_device_bytes, resident_bytes, ChunkPlan, LetPlan};
 use crate::DistConfig;
 
 /// Linear cost model for host-side setup work.
@@ -281,9 +281,8 @@ pub(crate) fn pipelined_clock(
     let all_chunks = || plans.iter().flat_map(|p| &p.chunks);
     let exec_flops = |c: &ChunkPlan| c.interactions as f64 * flops_per_pair;
     let total_flops: f64 = all_chunks().map(exec_flops).sum();
-    let eval_bytes = |c: &ChunkPlan| tile_bytes(c.eval_targets, c.eval_sources, target_cols);
-    let total_eval_bytes: f64 = all_chunks().map(eval_bytes).sum();
-    let device_bytes: u64 = all_chunks().map(|c| c.bytes).sum();
+    let total_eval_bytes = remote_device_bytes(plans, target_cols);
+    let device_bytes: u64 = plans.iter().map(LetPlan::payload_bytes).sum();
     let num_chunks = all_chunks().count();
     let exec_total = cfg.spec.exec_seconds(total_flops, total_eval_bytes);
     let stage_total = if device_bytes > 0 {

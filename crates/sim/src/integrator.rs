@@ -58,11 +58,12 @@ impl SimConfig {
 /// What one velocity-Verlet step did and cost.
 ///
 /// The RMA tallies come in two independently-counted forms — the sum of
-/// the per-rank [`bltc_dist::RankReport`] call-site tallies and the
-/// runtime [`TrafficMatrix`] totals — and the two must agree exactly
-/// (`rank_msgs == matrix_msgs`, `rank_bytes == matrix_bytes`); the
-/// integrator asserts it on every evaluation epoch, and the dynamics
-/// example re-checks it externally.
+/// the per-rank [`bltc_dist::RankReport`] tallies, read from the fetch
+/// plans each rank's LETs executed, and the runtime [`TrafficMatrix`]
+/// totals, recorded get by get as they were issued — and the two must
+/// agree exactly (`rank_msgs == matrix_msgs`, `rank_bytes ==
+/// matrix_bytes`); the integrator asserts it on every evaluation epoch,
+/// and the dynamics example re-checks it externally.
 #[derive(Debug, Clone, Copy)]
 pub struct StepReport {
     /// Step index after this step (first step reports 1).

@@ -457,7 +457,7 @@ impl PersistentIntegrator {
         let clocks = PhaseMaxima::over(er.results.iter().map(|(r, _, _)| r));
         let rank_msgs: u64 = er.results.iter().map(|(r, _, _)| r.let_messages).sum();
         let rank_bytes: u64 = er.results.iter().map(|(r, _, _)| r.let_bytes).sum();
-        // The RankReport invariant, per epoch: call-site tallies equal
+        // The RankReport invariant, per epoch: the plans' tallies equal
         // the epoch's drained matrix (kick epochs move nothing, and
         // migration traffic drains into its own epoch, so nothing else
         // can hide in here).

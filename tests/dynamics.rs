@@ -110,7 +110,7 @@ fn per_step_and_cumulative_traffic_reconcile() {
     let steps = integrator.run(9);
     let report = integrator.report();
 
-    // Every step: the per-rank call-site tallies equal the runtime
+    // Every step: the per-rank tallies of the LET plans equal the runtime
     // matrix totals (the RankReport invariant, per step).
     let (mut sum_msgs, mut sum_bytes) = (e0_msgs, e0_bytes);
     for s in &steps {
