@@ -133,8 +133,10 @@ fn gradient_evaluation_adds_no_unaccounted_rma_bytes() {
     // populated during setup (LET construction) only. The field run
     // must (a) record *identical* traffic to the potential-only run on
     // the same problem, and (b) reconcile the runtime's matrix exactly
-    // with the per-rank tallies that drive the modeled comm clock — no
-    // RMA byte may escape the phase accounting.
+    // with the per-rank tallies that drive the modeled comm clock, per
+    // rank and in sum — no RMA byte may escape the phase accounting.
+    // The tallies are read from each rank's fetch plans; the matrix
+    // records the gets that were actually issued.
     //
     // Both runs are one rank body with a different op, so at every rank
     // count and under every LET memory budget (retained, a chunked
@@ -166,7 +168,7 @@ fn gradient_evaluation_adds_no_unaccounted_rma_bytes() {
             }
 
             // (b) each run's runtime matrix and per-rank tallies agree
-            // exactly.
+            // exactly, for every rank and in sum.
             for (reps, traffic) in [(&pot.ranks, &pot.traffic), (&fld.ranks, &fld.traffic)] {
                 let tally_bytes: u64 = reps.iter().map(|r| r.let_bytes).sum();
                 let tally_msgs: u64 = reps.iter().map(|r| r.let_messages).sum();
@@ -174,6 +176,11 @@ fn gradient_evaluation_adds_no_unaccounted_rma_bytes() {
                 let matrix_msgs: u64 = (0..ranks).map(|o| traffic.remote_messages_from(o)).sum();
                 assert_eq!(tally_bytes, matrix_bytes, "{case}: unaccounted RMA bytes");
                 assert_eq!(tally_msgs, matrix_msgs, "{case}: unaccounted RMA messages");
+                for r in reps.iter() {
+                    let (o, at) = (r.rank, format!("{case}, rank {}", r.rank));
+                    assert_eq!(r.let_messages, traffic.remote_messages_from(o), "{at}");
+                    assert_eq!(r.let_bytes, traffic.remote_bytes_from(o), "{at}");
+                }
             }
 
             // (c) same bits, same LET, same launches.
