@@ -293,6 +293,7 @@ impl<'a, const C: usize> RunColumns<'a, C> {
             }
         };
         if self.parallel {
+            // The pool's iterators end in `collect`; it has no `for_each`.
             self.chunks.par_iter().map(walk).collect::<Vec<()>>();
         } else {
             self.chunks.iter().for_each(walk);

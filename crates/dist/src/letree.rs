@@ -515,12 +515,10 @@ pub(crate) fn eval_remote_let<const C: usize, O: TileOp<C> + ?Sized>(
     let window = if budget.is_some() { 1 } else { chunks.len() };
     for window in chunks.chunks(window.max(1)) {
         let payload = LetPayload::land(issue, window, wins, params);
+        let [approx, direct] = payload.ids;
         let lists = |b: usize| {
             let bl = &issue.lists.per_batch[b];
-            [
-                held(&bl.approx, payload.ids[0]),
-                held(&bl.direct, payload.ids[1]),
-            ]
+            [held(&bl.approx, approx), held(&bl.direct, direct)]
         };
         cols.eval(op, lists, &payload);
         // Evaluate-and-discard: the window's payload dies here, before

@@ -34,10 +34,10 @@
 //!
 //! Phase times are modeled, not measured: host work through
 //! [`model::HostModel`], device work through the `gpu-sim` clock, and
-//! communication through the α–β model over each LET's planned one-sided
-//! traffic (which the runtime's recorded matrix equals) — so two runs
-//! differing only in fabric produce identical
-//! potentials and differ exactly in the modeled communication seconds.
+//! communication through the α–β model over each LET's planned
+//! one-sided traffic (which the runtime's recorded matrix equals) — so
+//! two runs differing only in fabric produce identical potentials and
+//! differ exactly in the modeled communication seconds.
 //!
 //! ## The pipelined epoch (phase DAG)
 //!
@@ -390,16 +390,17 @@ pub struct RankReport {
     /// plans. All of a rank's communication is *issued* during LET
     /// construction; evaluation — potential or gradient — adds none, so
     /// these tallies must reconcile exactly with the run's
-    /// [`TrafficMatrix`]. (Whether
-    /// those transfers sit on the critical path is a separate, clock-
-    /// level question: serially they are billed to `setup_comm_s`; the
-    /// pipelined clock overlaps them with local compute.)
+    /// [`TrafficMatrix`]. (Whether those transfers sit on the critical
+    /// path is a separate, clock-level question: serially they are
+    /// billed to `setup_comm_s`; the pipelined clock overlaps them with
+    /// local compute.)
     pub let_messages: u64,
     /// Payload bytes of those one-sided operations.
     pub let_bytes: u64,
     /// Peak resident remote-LET payload bytes on this rank (modified
     /// charges + particles — the payload the plans stage onto the
-    /// device; skeletons and locally derived grids are excluded). Without a [`DistConfig::let_memory_budget`] every LET
+    /// device; skeletons and locally derived grids are excluded).
+    /// Without a [`DistConfig::let_memory_budget`] every LET
     /// stays staged until the compute phase is over, so the peak is the
     /// whole payload; under one, one chunk is resident at a time, so the
     /// peak is the largest single chunk — `≤` the budget whenever every
@@ -610,9 +611,8 @@ fn model_rank_clocks<const C: usize, O: TileOp<C> + ?Sized>(
     // whole tally on the fabric, per target.
     let mut setup_comm_s = 0.0;
     for p in plans {
-        setup_comm_s += cfg
-            .link(rank, p.target)
-            .seconds_for(p.messages(), p.bytes());
+        let link = cfg.link(rank, p.target);
+        setup_comm_s += link.seconds_for(p.messages(), p.bytes());
     }
     let payload_bytes: u64 = plans.iter().map(LetPlan::payload_bytes).sum();
     let stage_let_s = if payload_bytes > 0 {
@@ -623,11 +623,12 @@ fn model_rank_clocks<const C: usize, O: TileOp<C> + ?Sized>(
     let setup_stage_s = sim.htod_sources_s + sim.htod_let_s + stage_let_s;
     let precompute_s = sim.precompute_s + sim.dtoh_charges_s;
     let remote = remote_ops(plans);
-    let device_bytes = remote_device_bytes(plans, O::TARGET_COLS);
+    let exec_bytes = remote_device_bytes(plans, O::TARGET_COLS);
+    let launch_s = cfg.spec.host_enqueue_s + cfg.spec.launch_latency_s;
     let remote_exec_s = cfg
         .spec
-        .exec_seconds(remote.pass_flops(op, true), device_bytes)
-        + remote.kernel_launches as f64 * (cfg.spec.host_enqueue_s + cfg.spec.launch_latency_s);
+        .exec_seconds(remote.pass_flops(op, true), exec_bytes)
+        + remote.kernel_launches as f64 * launch_s;
     let compute_s = sim.compute_s + sim.dtoh_potentials_s + remote_exec_s;
     RankClocks {
         setup_host_s,
