@@ -13,7 +13,7 @@ use super::chebyshev::ChebyshevGrid1D;
 /// Besides the three 1D grids it stores the `(n+1)³` proxy coordinates
 /// themselves, flat and in linear order, because every evaluation tile
 /// reads them as the source slices of
-/// [`Kernel::accumulate_tile`](crate::kernel::Kernel::accumulate_tile):
+/// [`TileOp::tile`](crate::kernel::TileOp::tile):
 /// `+3·(n+1)³` `f64` per tree node (343 points at `n = 6` is 8 KiB),
 /// paid once at construction instead of two divisions and a modulo per
 /// target–proxy pair.

@@ -29,29 +29,37 @@
 //!
 //! No engine calls [`Kernel::eval`] pair by pair (only the `O(N²)`
 //! `direct_sum*` oracles do, which is what makes them oracles). Every
-//! batch–cluster interaction — CPU, LET, simulated GPU — is one tile
-//! call: [`Kernel::accumulate_tile`] against a cluster's particles, and
-//! [`Kernel::accumulate_grid_tile`] against its Chebyshev proxies (and
-//! their gradient twins, [`GradientKernel::accumulate_field_tile`] and
-//! [`GradientKernel::accumulate_grid_field_tile`]). All four are
-//! *provided* methods, so each implementing type gets its own
-//! instantiation in which `eval` is a static, inlinable call: a `&dyn
-//! Kernel` caller pays one virtual call per tile, and user kernels get
-//! the same loop without overriding anything. A grid tile's provided body
-//! is the flat tile over [`TensorGrid::proxies`]; it exists so that a
-//! kernel can read the proxies as what they are, a tensor product whose
-//! axes have only `n + 1` distinct nodes each.
+//! batch–cluster interaction — CPU, LET, simulated GPU — is one tile, and
+//! a tile has one form everywhere: targets `(x, y, z)`, sources `(x, y,
+//! z, q)` — a cluster's particles, or a [`TensorGrid`] of Chebyshev
+//! proxies with their modified charges `q̂` — and `C` output columns,
+//! `out: &mut [&mut [f64]; C]`, the potential (`C = 1`) or the potential
+//! and its gradient (`C = 4`).
 //!
-//! The engines do not call the tile methods by name either. What a pass
-//! produces per target — one column or four — is a [`TileOp`],
-//! implemented by `dyn Kernel` and `dyn GradientKernel`; each layer's
-//! loop is written once against it, and [`TileOp::tile`] (direct) and
-//! [`TileOp::grid_tile`] (approximation) are the only callers of the tile
-//! methods. How many targets one tile holds is the caller's choice: the
-//! one run-wise pass (`engine::RunColumns`), which the local lists and
-//! every LET window go through, evaluates a cluster in one tile over each
-//! run of consecutive batches that list it; per target the sum is the
-//! same as one tile per batch.
+//! What a pass produces per target is a [`TileOp`], implemented by `dyn
+//! Kernel` and `dyn GradientKernel`; each layer's loop is written once
+//! against it, and [`TileOp::tile`] (direct) and [`TileOp::grid_tile`]
+//! (approximation) are the only calls any layer makes. The two kernel
+//! passes forward them, argument for argument, to the kernel's own tile
+//! methods, which have the same form: [`Kernel::potential_tile`] and
+//! [`Kernel::potential_grid_tile`], and their gradient twins
+//! [`GradientKernel::field_tile`] and [`GradientKernel::field_grid_tile`].
+//! All four are *provided*. The flat ones run one portable blocked loop,
+//! generic over `C`, whose per-pair terms are `[eval]` or
+//! `eval_with_grad`'s four; each implementing type gets its own
+//! instantiation, in which those are static, inlinable calls. So a `&dyn
+//! Kernel` caller pays one virtual call per tile, and a user kernel that
+//! implements `eval` (and `eval_with_grad`) gets the same loop without
+//! overriding anything. A grid tile's provided body is the flat tile over
+//! [`TensorGrid::proxies`]; it exists so that a kernel can read the
+//! proxies as what they are, a tensor product whose axes have only `n +
+//! 1` distinct nodes each.
+//!
+//! How many targets one tile holds is the caller's choice: the one
+//! run-wise pass (`engine::RunColumns`), which the local lists and every
+//! LET window go through, evaluates a cluster in one tile over each run of
+//! consecutive batches that list it; per target the sum is the same as
+//! one tile per batch.
 //!
 //! [`Priced`] is the one `TileOp` that computes nothing. It forwards its
 //! op's launch names, column count and flops per pair, and its tile is
@@ -68,21 +76,24 @@
 //!
 //! ### What an override may change, and the overrides that exist
 //!
-//! An override of a tile method may change **which unit computes a
-//! correctly rounded result** and how many targets run side by side —
-//! nothing else. IEEE 754 admits exactly one result for `+ − × ÷ √` of
-//! given operands, so whatever delivers the correctly rounded value *is*
-//! the hardware instruction as far as bits go, and "same bits" stays an
-//! `assert_eq!` against it: no tolerance, no second set of goldens. What
-//! it may not change is everything that picks *which* values get rounded:
-//! `eval`'s operation sequence and association (`((dx·dx + dy·dy) +
-//! dz·dz) [+ ε²]`), a multiply and an add where `eval` has a multiply and
-//! an add (no FMA contraction), the `r² = 0 → 0` select before `· q`, the
-//! ascending sources, the accumulator from `0.0` and the single final
-//! `out[i] += acc`, also for an empty cluster. Re-associating or
-//! re-approximating anything (an `rsqrt` without the correction below, a
-//! second exponential beside the crate's own) is a different engine with
-//! different bits.
+//! A kernel overrides a tile in the same form it is called in, and a
+//! wrapper that forwards to another kernel overrides all of the tiles it
+//! wants served by that kernel's bodies (a provided tile instantiated for
+//! the wrapper calls the wrapper's `eval` pair by pair). An override may
+//! change **which unit computes a correctly rounded result** and how many
+//! targets run side by side — nothing else. IEEE 754 admits exactly one
+//! result for `+ − × ÷ √` of given operands, so whatever delivers the
+//! correctly rounded value *is* the hardware instruction as far as bits
+//! go, and "same bits" stays an `assert_eq!` against it: no tolerance, no
+//! second set of goldens. What it may not change is everything that picks
+//! *which* values get rounded: `eval`'s operation sequence and
+//! association (`((dx·dx + dy·dy) + dz·dz) [+ ε²]`), a multiply and an
+//! add where `eval` has a multiply and an add (no FMA contraction), the
+//! `r² = 0 → 0` select before `· q`, the ascending sources, the
+//! accumulator from `0.0` and the single final `out[c][i] += acc`, also
+//! for an empty cluster. Re-associating or re-approximating anything (an
+//! `rsqrt` without the correction below, a second exponential beside the
+//! crate's own) is a different engine with different bits.
 //!
 //! The exponential is the one function here that IEEE 754 does not pin.
 //! The exp family therefore calls one exponential of this crate's own,
@@ -92,12 +103,14 @@
 //! still equals the per-pair `eval` loop under `assert_eq!`.
 //!
 //! [`Coulomb`] and [`RegularizedCoulomb`] override all four tiles on
-//! exactly these terms. On an x86-64 host whose CPU reports AVX-512F (a
-//! run-time check; there is nothing to configure) the private `avx512`
-//! module walks sixteen targets per step with a masked last step — one
-//! lane body for one column or four — and takes two operations off the
-//! divider, the way a GPU, which has no FP64 divide or square-root unit
-//! at all, computes the paper's `1.0/sqrt(r2)` (§3.2).
+//! exactly these terms, each with one call: a flat and a grid dispatcher,
+//! generic over `C` like the portable loop, pick the body. On an x86-64
+//! host whose CPU reports AVX-512F (a run-time check; there is nothing to
+//! configure) the private `avx512` module walks sixteen targets per step
+//! with a masked last step — one lane body for one column or four — and
+//! takes two operations off the divider, the way a GPU, which has no FP64
+//! divide or square-root unit at all, computes the paper's `1.0/sqrt(r2)`
+//! (§3.2).
 //!
 //! *The square root* `s = √r²`, in both tiles: `y = rsqrt14(x)` (14
 //! bits), `g = x·y ≈ √x`, `h = y/2 ≈ 1/(2√x)`; twice `r = ½ − g·h`, `g +=
@@ -184,7 +197,8 @@
 //! ### The exp family
 //!
 //! [`Yukawa`] (guarded) and [`RegularizedYukawa`] (`ε²` added) override
-//! both tiles with one lane body, `exp_tile`, for one column or four, and
+//! both flat tiles with one lane body, `exp_tile`, for one column or four
+//! (their grid tiles are the provided ones, over the flat proxies), and
 //! [`Gaussian`] runs the provided tiles; all three take `eˣ` from the
 //! private `exp` module: P. T. P. Tang's table-driven method (ACM TOMS 15,
 //! 1989) with 128 entries, within one ulp of `eˣ` and of glibc, and
@@ -220,18 +234,16 @@ mod exp;
 
 use crate::interp::tensor::TensorGrid;
 
-/// Targets the portable bodies ([`portable_tile`] and
-/// [`portable_field_tile`]) walk together. Each keeps its own accumulator,
-/// so the block is `TILE_W` independent sums the compiler can put in SIMD
-/// lanes without changing any target's operation order. (The AVX-512 body
-/// has its own width, its register size.)
+/// Targets the portable body, [`portable_tile`], walks together. Each
+/// keeps its own accumulators, so the block is `TILE_W` independent sums
+/// per column the compiler can put in SIMD lanes without changing any
+/// target's operation order. (The AVX-512 body has its own width, its
+/// register size.)
 const TILE_W: usize = 4;
 
-/// The panics of [`Kernel::accumulate_tile`] and
-/// [`GradientKernel::accumulate_field_tile`], and the only length check
-/// of every tile body: as many targets in each target slice as in each
-/// output column, as many sources in each source slice as there are
-/// weights.
+/// The panics of every tile method, and the only length check of every
+/// tile body: as many targets in each target slice as in each output
+/// column, as many sources in each source slice as there are weights.
 #[inline]
 fn assert_tile_shape(
     (tx, ty, tz): (&[f64], &[f64], &[f64]),
@@ -253,173 +265,106 @@ fn assert_tile_shape(
     );
 }
 
-/// The portable potential tile: the body of the provided
-/// [`Kernel::accumulate_tile`], and what an override falls back to on a
-/// host without its instructions — the one copy of this loop.
-#[inline]
-fn portable_tile<K: Kernel + ?Sized>(
-    k: &K,
-    t: (&[f64], &[f64], &[f64]),
-    s: (&[f64], &[f64], &[f64], &[f64]),
-    out: &mut [f64],
-) {
-    let ((tx, ty, tz), (sx, sy, sz, sq)) = (t, s);
-    let (nt, ns) = (out.len(), sq.len());
-    assert_tile_shape(t, s, &[&mut *out]);
-    let blocked = nt - nt % TILE_W;
-    for i in (0..blocked).step_by(TILE_W) {
-        let x: [f64; TILE_W] = std::array::from_fn(|l| tx[i + l]);
-        let y: [f64; TILE_W] = std::array::from_fn(|l| ty[i + l]);
-        let z: [f64; TILE_W] = std::array::from_fn(|l| tz[i + l]);
-        let mut acc = [0.0; TILE_W];
-        for j in 0..ns {
-            for l in 0..TILE_W {
-                acc[l] += k.eval(x[l] - sx[j], y[l] - sy[j], z[l] - sz[j]) * sq[j];
-            }
-        }
-        for l in 0..TILE_W {
-            out[i + l] += acc[l];
-        }
-    }
-    for i in blocked..nt {
-        let mut acc = 0.0;
-        for j in 0..ns {
-            acc += k.eval(tx[i] - sx[j], ty[i] - sy[j], tz[i] - sz[j]) * sq[j];
-        }
-        out[i] += acc;
+/// What one pair contributes to each of a tile's `C` columns before `· q`:
+/// `[eval]` for the potential, `eval_with_grad`'s four for the field.
+trait PairTerms<const C: usize> {
+    fn terms(&self, dx: f64, dy: f64, dz: f64) -> [f64; C];
+}
+
+impl<K: Kernel + ?Sized> PairTerms<1> for K {
+    #[inline]
+    fn terms(&self, dx: f64, dy: f64, dz: f64) -> [f64; 1] {
+        [self.eval(dx, dy, dz)]
     }
 }
 
-/// The portable field tile: the body of the provided
-/// [`GradientKernel::accumulate_field_tile`], and what an override falls
-/// back to — the one copy of this loop. `out` is `[pot, gx, gy, gz]`.
+impl<K: GradientKernel + ?Sized> PairTerms<4> for K {
+    #[inline]
+    fn terms(&self, dx: f64, dy: f64, dz: f64) -> [f64; 4] {
+        self.eval_with_grad(dx, dy, dz).into()
+    }
+}
+
+/// The portable tile, one column or four: the body of the provided tile
+/// methods, and what an override falls back to on a host without its
+/// instructions — the one copy of this loop. Per target, exactly the
+/// per-pair loop's operations: accumulators from `0.0`, the sources
+/// ascending, each term `terms(tx − sx, ty − sy, tz − sz)[c] * sq`, and
+/// one final `+=` into each column.
 #[inline]
-fn portable_field_tile<K: GradientKernel + ?Sized>(
+fn portable_tile<const C: usize, K: PairTerms<C> + ?Sized>(
     k: &K,
     t: (&[f64], &[f64], &[f64]),
     s: (&[f64], &[f64], &[f64], &[f64]),
-    out: &mut [&mut [f64]; 4],
+    out: &mut [&mut [f64]; C],
 ) {
     let ((tx, ty, tz), (sx, sy, sz, sq)) = (t, s);
     assert_tile_shape(t, s, &*out);
-    let [pot, gx, gy, gz] = out;
-    let (nt, ns) = (pot.len(), sq.len());
-    let blocked = nt - nt % TILE_W;
-    for i in (0..blocked).step_by(TILE_W) {
-        let x: [f64; TILE_W] = std::array::from_fn(|l| tx[i + l]);
-        let y: [f64; TILE_W] = std::array::from_fn(|l| ty[i + l]);
-        let z: [f64; TILE_W] = std::array::from_fn(|l| tz[i + l]);
-        let (mut p, mut ax, mut ay, mut az) =
-            ([0.0; TILE_W], [0.0; TILE_W], [0.0; TILE_W], [0.0; TILE_W]);
-        for j in 0..ns {
+    let nt = out[0].len();
+    for i in (0..nt).step_by(TILE_W) {
+        // The last block fills its dead lanes with its last target, so a
+        // dead lane evaluates only a displacement a live one does; its
+        // value is never stored.
+        let live = TILE_W.min(nt - i);
+        let lane = |v: &[f64]| -> [f64; TILE_W] { std::array::from_fn(|l| v[i + l.min(live - 1)]) };
+        let (x, y, z) = (lane(tx), lane(ty), lane(tz));
+        let mut acc = [[0.0; TILE_W]; C];
+        for j in 0..sq.len() {
             for l in 0..TILE_W {
-                let (g, dgx, dgy, dgz) = k.eval_with_grad(x[l] - sx[j], y[l] - sy[j], z[l] - sz[j]);
-                p[l] += g * sq[j];
-                ax[l] += dgx * sq[j];
-                ay[l] += dgy * sq[j];
-                az[l] += dgz * sq[j];
+                let terms = k.terms(x[l] - sx[j], y[l] - sy[j], z[l] - sz[j]);
+                for (a, term) in acc.iter_mut().zip(terms) {
+                    a[l] += term * sq[j];
+                }
             }
         }
-        for l in 0..TILE_W {
-            pot[i + l] += p[l];
-            gx[i + l] += ax[l];
-            gy[i + l] += ay[l];
-            gz[i + l] += az[l];
+        for (column, a) in out.iter_mut().zip(&acc) {
+            for l in 0..live {
+                column[i + l] += a[l];
+            }
         }
-    }
-    for i in blocked..nt {
-        let (mut p, mut ax, mut ay, mut az) = (0.0, 0.0, 0.0, 0.0);
-        for j in 0..ns {
-            let (g, dgx, dgy, dgz) = k.eval_with_grad(tx[i] - sx[j], ty[i] - sy[j], tz[i] - sz[j]);
-            p += g * sq[j];
-            ax += dgx * sq[j];
-            ay += dgy * sq[j];
-            az += dgz * sq[j];
-        }
-        pot[i] += p;
-        gx[i] += ax;
-        gy[i] += ay;
-        gz[i] += az;
     }
 }
 
-/// The potential tile of the two `1/√r²` kernels — `k` is [`Coulomb`]
-/// (`GUARD`: `r² = 0 → 0`, `eps2` unused) or [`RegularizedCoulomb`]
-/// (`eps2 = ε²`): the AVX-512 body where the host has it, `k`'s portable
-/// body everywhere else. The same bits either way, so this is a selection
-/// the code observes, not an option anyone sets.
+/// The tile, one column or four, of the two `1/√r²` kernels — `k` is
+/// [`Coulomb`] (`GUARD`: `r² = 0 → 0`, `eps2` unused) or
+/// [`RegularizedCoulomb`] (`eps2 = ε²`): the AVX-512 body where the host
+/// has it, `k`'s portable body everywhere else. The same bits either way,
+/// so this is a selection the code observes, not an option anyone sets.
 #[inline]
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn inv_sqrt_tile<const GUARD: bool>(
-    k: &impl Kernel,
+fn coulomb_tile<const GUARD: bool, const C: usize>(
+    k: &impl PairTerms<C>,
     eps2: f64,
     t: (&[f64], &[f64], &[f64]),
     s: (&[f64], &[f64], &[f64], &[f64]),
-    out: &mut [f64],
+    out: &mut [&mut [f64]; C],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if avx512::tile::<GUARD, 1>(eps2, t, s, &mut [&mut *out]) {
+    if avx512::tile::<GUARD, C>(eps2, t, s, out) {
         return;
     }
     portable_tile(k, t, s, out);
 }
 
-/// The field tile of the same two kernels, selected the same way.
+/// The same kernels' tile against a cluster's Chebyshev proxies: the
+/// AVX-512 grid body where the host has it and the grid is at most eight
+/// nodes wide, [`coulomb_tile`] over the flat proxies everywhere else.
+/// The same bits either way.
 #[inline]
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn inv_sqrt_field_tile<const GUARD: bool>(
-    k: &impl GradientKernel,
-    eps2: f64,
-    t: (&[f64], &[f64], &[f64]),
-    s: (&[f64], &[f64], &[f64], &[f64]),
-    out: &mut [&mut [f64]; 4],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx512::tile::<GUARD, 4>(eps2, t, s, out) {
-        return;
-    }
-    portable_field_tile(k, t, s, out);
-}
-
-/// The potential tile of the same two kernels against a cluster's
-/// Chebyshev proxies: the AVX-512 grid body where the host has it and the
-/// grid is at most eight nodes wide, [`inv_sqrt_tile`] over the flat
-/// proxies everywhere else. The same bits either way.
-#[inline]
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn inv_sqrt_grid_tile<const GUARD: bool>(
-    k: &impl Kernel,
+fn coulomb_grid_tile<const GUARD: bool, const C: usize>(
+    k: &impl PairTerms<C>,
     eps2: f64,
     t: (&[f64], &[f64], &[f64]),
     grid: &TensorGrid,
-    sq: &[f64],
-    out: &mut [f64],
+    qhat: &[f64],
+    out: &mut [&mut [f64]; C],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if avx512::grid_tile::<GUARD, 1>(eps2, t, grid, sq, &mut [&mut *out]) {
+    if avx512::grid_tile::<GUARD, C>(eps2, t, grid, qhat, out) {
         return;
     }
     let (px, py, pz) = grid.proxies();
-    inv_sqrt_tile::<GUARD>(k, eps2, t, (px, py, pz, sq), out);
-}
-
-/// The field twin of [`inv_sqrt_grid_tile`], selected the same way.
-#[inline]
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn inv_sqrt_grid_field_tile<const GUARD: bool>(
-    k: &impl GradientKernel,
-    eps2: f64,
-    t: (&[f64], &[f64], &[f64]),
-    grid: &TensorGrid,
-    sq: &[f64],
-    out: &mut [&mut [f64]; 4],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx512::grid_tile::<GUARD, 4>(eps2, t, grid, sq, out) {
-        return;
-    }
-    let (px, py, pz) = grid.proxies();
-    inv_sqrt_field_tile::<GUARD>(k, eps2, t, (px, py, pz, sq), out);
+    coulomb_tile::<GUARD, C>(k, eps2, t, (px, py, pz, qhat), out);
 }
 
 /// Targets [`portable_exp_tile`] walks together: its lane loops fill one
@@ -546,55 +491,48 @@ pub trait Kernel: Sync + Send {
     /// than a per-target loop.
     fn eval(&self, dx: f64, dy: f64, dz: f64) -> f64;
 
-    /// Accumulate one target-batch × source-cluster tile:
-    /// `out[i] += Σ_j eval(t_i − s_j) · sq[j]`.
+    /// Accumulate one target-batch × source-cluster tile, [`TileOp::tile`]
+    /// of the potential pass: targets `t = (x, y, z)`, sources `s = (x, y,
+    /// z, sq)`, and `out[0][i] += Σ_j eval(t_i − s_j) · sq[j]`.
     ///
     /// The contract every engine's bitwise identity rests on — per
     /// target, exactly the scalar loop's operation sequence: an
     /// accumulator that starts at `0.0`, the sources in ascending order,
     /// each term `eval(tx − sx, ty − sy, tz − sz) * sq`, and a single
-    /// final `out[i] += acc`. (Adding each term straight into `out[i]`
+    /// final `out[0][i] += acc`. (Adding each term straight into `out`
     /// would re-associate the sum against a pre-filled `out`.) Targets
     /// are independent of each other, which is what the blocked body
     /// exploits. An override must keep this contract.
     ///
-    /// Panics if the target slices differ in length from `out`, or the
+    /// Panics if the target slices differ in length from `out[0]`, or the
     /// source slices from `sq`.
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_tile(
+    fn potential_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
-        sx: &[f64],
-        sy: &[f64],
-        sz: &[f64],
-        sq: &[f64],
-        out: &mut [f64],
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; 1],
     ) {
-        portable_tile(self, (tx, ty, tz), (sx, sy, sz, sq), out);
+        portable_tile(self, t, s, out);
     }
 
-    /// [`Kernel::accumulate_tile`] against the Chebyshev proxies of `grid`,
-    /// weighted by `sq` (a cluster's modified charges, one per proxy in
+    /// [`Kernel::potential_tile`] against the Chebyshev proxies of `grid`,
+    /// weighted by `qhat` (a cluster's modified charges, one per proxy in
     /// the grid's linear order): the flat tile over
     /// [`TensorGrid::proxies`], under the same contract and with its bits.
     /// An override may read the tensor structure — each axis has only
     /// `n + 1` distinct nodes — but must keep every bit.
     ///
-    /// Panics if the target slices differ in length from `out`, or `sq`
-    /// from the grid.
-    fn accumulate_grid_tile(
+    /// Panics if the target slices differ in length from `out[0]`, or
+    /// `qhat` from the grid.
+    fn potential_grid_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
+        t: (&[f64], &[f64], &[f64]),
         grid: &TensorGrid,
-        sq: &[f64],
-        out: &mut [f64],
+        qhat: &[f64],
+        out: &mut [&mut [f64]; 1],
     ) {
         let (px, py, pz) = grid.proxies();
-        self.accumulate_tile(tx, ty, tz, px, py, pz, sq, out);
+        self.potential_tile(t, (px, py, pz, qhat), out);
     }
 
     /// Single-precision evaluation, for the mixed-precision mode the
@@ -628,51 +566,36 @@ pub trait GradientKernel: Kernel {
     /// as [`Kernel::eval`].
     fn eval_with_grad(&self, dx: f64, dy: f64, dz: f64) -> (f64, f64, f64, f64);
 
-    /// The four-column twin of [`Kernel::accumulate_tile`]: potential and
-    /// gradient of one target-batch × source-cluster tile, accumulated
-    /// into `pot`, `gx`, `gy`, `gz`.
+    /// The four-column twin of [`Kernel::potential_tile`], [`TileOp::tile`]
+    /// of the field pass: potential and gradient of one target-batch ×
+    /// source-cluster tile, accumulated into `out = [pot, gx, gy, gz]`.
     ///
     /// Same contract, per column: four accumulators per target starting
     /// at `0.0`, sources ascending, terms `g * sq`, `∂ₓg * sq`, `∂ᵧg * sq`,
     /// `∂_z g * sq` from one `eval_with_grad(tx − sx, ty − sy, tz − sz)`,
-    /// and one final `+=` into each output.
+    /// and one final `+=` into each column.
     ///
     /// Panics on mismatched slice lengths.
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_field_tile(
+    fn field_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
-        sx: &[f64],
-        sy: &[f64],
-        sz: &[f64],
-        sq: &[f64],
-        pot: &mut [f64],
-        gx: &mut [f64],
-        gy: &mut [f64],
-        gz: &mut [f64],
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; 4],
     ) {
-        portable_field_tile(self, (tx, ty, tz), (sx, sy, sz, sq), &mut [pot, gx, gy, gz]);
+        portable_tile(self, t, s, out);
     }
 
-    /// The four-column twin of [`Kernel::accumulate_grid_tile`]: the
-    /// field tile over the proxies of `grid`, same contract, same bits.
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_grid_field_tile(
+    /// The four-column twin of [`Kernel::potential_grid_tile`]: the field
+    /// tile over the proxies of `grid`, same contract, same bits.
+    fn field_grid_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
+        t: (&[f64], &[f64], &[f64]),
         grid: &TensorGrid,
-        sq: &[f64],
-        pot: &mut [f64],
-        gx: &mut [f64],
-        gy: &mut [f64],
-        gz: &mut [f64],
+        qhat: &[f64],
+        out: &mut [&mut [f64]; 4],
     ) {
         let (px, py, pz) = grid.proxies();
-        self.accumulate_field_tile(tx, ty, tz, px, py, pz, sq, pot, gx, gy, gz);
+        self.field_tile(t, (px, py, pz, qhat), out);
     }
 
     /// Flop-equivalents per gradient evaluation on the GPU. A field
@@ -729,8 +652,9 @@ pub trait TileOp<const C: usize>: Sync {
     /// layer is this call. The default is `tile` over
     /// [`TensorGrid::proxies`], which is what [`Priced`] and any other op
     /// keep; the two kernel passes hand it to
-    /// [`Kernel::accumulate_grid_tile`] and its gradient twin, which the
-    /// Coulomb family overrides. The same bits either way.
+    /// [`Kernel::potential_grid_tile`] and
+    /// [`GradientKernel::field_grid_tile`], which the Coulomb family
+    /// overrides. The same bits either way.
     fn grid_tile(
         &self,
         t: (&[f64], &[f64], &[f64]),
@@ -753,22 +677,22 @@ impl TileOp<1> for dyn Kernel + '_ {
     #[inline]
     fn tile(
         &self,
-        (tx, ty, tz): (&[f64], &[f64], &[f64]),
-        (sx, sy, sz, sq): (&[f64], &[f64], &[f64], &[f64]),
-        [pot]: &mut [&mut [f64]; 1],
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; 1],
     ) {
-        self.accumulate_tile(tx, ty, tz, sx, sy, sz, sq, pot);
+        self.potential_tile(t, s, out);
     }
 
     #[inline]
     fn grid_tile(
         &self,
-        (tx, ty, tz): (&[f64], &[f64], &[f64]),
+        t: (&[f64], &[f64], &[f64]),
         grid: &TensorGrid,
         qhat: &[f64],
-        [pot]: &mut [&mut [f64]; 1],
+        out: &mut [&mut [f64]; 1],
     ) {
-        self.accumulate_grid_tile(tx, ty, tz, grid, qhat, pot);
+        self.potential_grid_tile(t, grid, qhat, out);
     }
 
     fn flops_per_pair(&self, gpu: bool) -> f64 {
@@ -787,22 +711,22 @@ impl TileOp<4> for dyn GradientKernel + '_ {
     #[inline]
     fn tile(
         &self,
-        (tx, ty, tz): (&[f64], &[f64], &[f64]),
-        (sx, sy, sz, sq): (&[f64], &[f64], &[f64], &[f64]),
-        [pot, gx, gy, gz]: &mut [&mut [f64]; 4],
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; 4],
     ) {
-        self.accumulate_field_tile(tx, ty, tz, sx, sy, sz, sq, pot, gx, gy, gz);
+        self.field_tile(t, s, out);
     }
 
     #[inline]
     fn grid_tile(
         &self,
-        (tx, ty, tz): (&[f64], &[f64], &[f64]),
+        t: (&[f64], &[f64], &[f64]),
         grid: &TensorGrid,
         qhat: &[f64],
-        [pot, gx, gy, gz]: &mut [&mut [f64]; 4],
+        out: &mut [&mut [f64]; 4],
     ) {
-        self.accumulate_grid_field_tile(tx, ty, tz, grid, qhat, pot, gx, gy, gz);
+        self.field_grid_tile(t, grid, qhat, out);
     }
 
     fn flops_per_pair(&self, gpu: bool) -> f64 {
@@ -854,38 +778,23 @@ impl GradientKernel for Coulomb {
         (apart(inv_r), apart(c * dx), apart(c * dy), apart(c * dz))
     }
 
-    fn accumulate_field_tile(
+    fn field_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
-        sx: &[f64],
-        sy: &[f64],
-        sz: &[f64],
-        sq: &[f64],
-        pot: &mut [f64],
-        gx: &mut [f64],
-        gy: &mut [f64],
-        gz: &mut [f64],
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; 4],
     ) {
-        let (t, s) = ((tx, ty, tz), (sx, sy, sz, sq));
-        inv_sqrt_field_tile::<true>(self, 0.0, t, s, &mut [pot, gx, gy, gz]);
+        coulomb_tile::<true, 4>(self, 0.0, t, s, out);
     }
 
-    fn accumulate_grid_field_tile(
+    fn field_grid_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
+        t: (&[f64], &[f64], &[f64]),
         grid: &TensorGrid,
-        sq: &[f64],
-        pot: &mut [f64],
-        gx: &mut [f64],
-        gy: &mut [f64],
-        gz: &mut [f64],
+        qhat: &[f64],
+        out: &mut [&mut [f64]; 4],
     ) {
-        let out = &mut [pot, gx, gy, gz];
-        inv_sqrt_grid_field_tile::<true>(self, 0.0, (tx, ty, tz), grid, sq, out);
+        coulomb_grid_tile::<true, 4>(self, 0.0, t, grid, qhat, out);
     }
 }
 
@@ -903,22 +812,13 @@ impl GradientKernel for Yukawa {
         (g, c * dx, c * dy, c * dz)
     }
 
-    fn accumulate_field_tile(
+    fn field_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
-        sx: &[f64],
-        sy: &[f64],
-        sz: &[f64],
-        sq: &[f64],
-        pot: &mut [f64],
-        gx: &mut [f64],
-        gy: &mut [f64],
-        gz: &mut [f64],
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; 4],
     ) {
-        let (t, s) = ((tx, ty, tz), (sx, sy, sz, sq));
-        exp_tile::<true, 4>(self.kappa, 0.0, t, s, &mut [pot, gx, gy, gz]);
+        exp_tile::<true, 4>(self.kappa, 0.0, t, s, out);
     }
 }
 
@@ -931,39 +831,23 @@ impl GradientKernel for RegularizedCoulomb {
         (inv_d, c * dx, c * dy, c * dz)
     }
 
-    fn accumulate_field_tile(
+    fn field_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
-        sx: &[f64],
-        sy: &[f64],
-        sz: &[f64],
-        sq: &[f64],
-        pot: &mut [f64],
-        gx: &mut [f64],
-        gy: &mut [f64],
-        gz: &mut [f64],
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; 4],
     ) {
-        let (t, s) = ((tx, ty, tz), (sx, sy, sz, sq));
-        let eps2 = self.epsilon * self.epsilon;
-        inv_sqrt_field_tile::<false>(self, eps2, t, s, &mut [pot, gx, gy, gz]);
+        coulomb_tile::<false, 4>(self, self.epsilon * self.epsilon, t, s, out);
     }
 
-    fn accumulate_grid_field_tile(
+    fn field_grid_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
+        t: (&[f64], &[f64], &[f64]),
         grid: &TensorGrid,
-        sq: &[f64],
-        pot: &mut [f64],
-        gx: &mut [f64],
-        gy: &mut [f64],
-        gz: &mut [f64],
+        qhat: &[f64],
+        out: &mut [&mut [f64]; 4],
     ) {
-        let (eps2, out) = (self.epsilon * self.epsilon, &mut [pot, gx, gy, gz]);
-        inv_sqrt_grid_field_tile::<false>(self, eps2, (tx, ty, tz), grid, sq, out);
+        coulomb_grid_tile::<false, 4>(self, self.epsilon * self.epsilon, t, grid, qhat, out);
     }
 }
 
@@ -1028,30 +912,23 @@ impl Kernel for Coulomb {
         }
     }
 
-    fn accumulate_tile(
+    fn potential_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
-        sx: &[f64],
-        sy: &[f64],
-        sz: &[f64],
-        sq: &[f64],
-        out: &mut [f64],
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; 1],
     ) {
-        inv_sqrt_tile::<true>(self, 0.0, (tx, ty, tz), (sx, sy, sz, sq), out);
+        coulomb_tile::<true, 1>(self, 0.0, t, s, out);
     }
 
-    fn accumulate_grid_tile(
+    fn potential_grid_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
+        t: (&[f64], &[f64], &[f64]),
         grid: &TensorGrid,
-        sq: &[f64],
-        out: &mut [f64],
+        qhat: &[f64],
+        out: &mut [&mut [f64]; 1],
     ) {
-        inv_sqrt_grid_tile::<true>(self, 0.0, (tx, ty, tz), grid, sq, out);
+        coulomb_grid_tile::<true, 1>(self, 0.0, t, grid, qhat, out);
     }
 
     #[inline]
@@ -1130,18 +1007,13 @@ impl Kernel for Yukawa {
         }
     }
 
-    fn accumulate_tile(
+    fn potential_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
-        sx: &[f64],
-        sy: &[f64],
-        sz: &[f64],
-        sq: &[f64],
-        out: &mut [f64],
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; 1],
     ) {
-        exp_tile::<true, 1>(self.kappa, 0.0, (tx, ty, tz), (sx, sy, sz, sq), &mut [out]);
+        exp_tile::<true, 1>(self.kappa, 0.0, t, s, out);
     }
 
     #[inline]
@@ -1216,19 +1088,13 @@ impl Kernel for RegularizedYukawa {
         exp::exp(-self.kappa * d) / d
     }
 
-    fn accumulate_tile(
+    fn potential_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
-        sx: &[f64],
-        sy: &[f64],
-        sz: &[f64],
-        sq: &[f64],
-        out: &mut [f64],
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; 1],
     ) {
-        let eps2 = self.epsilon * self.epsilon;
-        exp_tile::<false, 1>(self.kappa, eps2, (tx, ty, tz), (sx, sy, sz, sq), &mut [out]);
+        exp_tile::<false, 1>(self.kappa, self.epsilon * self.epsilon, t, s, out);
     }
 
     fn name(&self) -> &'static str {
@@ -1256,23 +1122,13 @@ impl GradientKernel for RegularizedYukawa {
         (g, c * dx, c * dy, c * dz)
     }
 
-    fn accumulate_field_tile(
+    fn field_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
-        sx: &[f64],
-        sy: &[f64],
-        sz: &[f64],
-        sq: &[f64],
-        pot: &mut [f64],
-        gx: &mut [f64],
-        gy: &mut [f64],
-        gz: &mut [f64],
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; 4],
     ) {
-        let (t, s) = ((tx, ty, tz), (sx, sy, sz, sq));
-        let eps2 = self.epsilon * self.epsilon;
-        exp_tile::<false, 4>(self.kappa, eps2, t, s, &mut [pot, gx, gy, gz]);
+        exp_tile::<false, 4>(self.kappa, self.epsilon * self.epsilon, t, s, out);
     }
 }
 
@@ -1313,32 +1169,23 @@ impl Kernel for RegularizedCoulomb {
         1.0 / r2.sqrt()
     }
 
-    fn accumulate_tile(
+    fn potential_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
-        sx: &[f64],
-        sy: &[f64],
-        sz: &[f64],
-        sq: &[f64],
-        out: &mut [f64],
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; 1],
     ) {
-        let eps2 = self.epsilon * self.epsilon;
-        inv_sqrt_tile::<false>(self, eps2, (tx, ty, tz), (sx, sy, sz, sq), out);
+        coulomb_tile::<false, 1>(self, self.epsilon * self.epsilon, t, s, out);
     }
 
-    fn accumulate_grid_tile(
+    fn potential_grid_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
+        t: (&[f64], &[f64], &[f64]),
         grid: &TensorGrid,
-        sq: &[f64],
-        out: &mut [f64],
+        qhat: &[f64],
+        out: &mut [&mut [f64]; 1],
     ) {
-        let eps2 = self.epsilon * self.epsilon;
-        inv_sqrt_grid_tile::<false>(self, eps2, (tx, ty, tz), grid, sq, out);
+        coulomb_grid_tile::<false, 1>(self, self.epsilon * self.epsilon, t, grid, qhat, out);
     }
 
     fn name(&self) -> &'static str {
@@ -1700,11 +1547,11 @@ mod tests {
                 // family the AVX-512 body, where the host has it), the
                 // provided body and, for the exp family, `exp_tile`'s
                 // portable body, whatever the dispatch picked.
-                let mut tile = prefilled(t.len(), -3.25);
-                k.accumulate_tile(&t.x, &t.y, &t.z, &s.x, &s.y, &s.z, &s.q, &mut tile);
-                let mut portable = prefilled(t.len(), -3.25);
                 let (tt, ss) = ((&*t.x, &*t.y, &*t.z), (&*s.x, &*s.y, &*s.z, &*s.q));
-                portable_tile(k.as_ref(), tt, ss, &mut portable);
+                let mut tile = prefilled(t.len(), -3.25);
+                k.potential_tile(tt, ss, &mut [&mut tile]);
+                let mut portable = prefilled(t.len(), -3.25);
+                portable_tile(k.as_ref(), tt, ss, &mut [&mut portable]);
                 let mut lanes = prefilled(t.len(), -3.25);
                 portable_exp(*body, tt, ss, &mut [&mut lanes]);
                 let mut oracle = prefilled(t.len(), -3.25);
@@ -1740,12 +1587,11 @@ mod tests {
                 // provided body and `exp_tile`'s portable body.
                 let n = t.len();
                 let salted = || [1.5, -0.75, 2.0, 9.0].map(|salt| prefilled(n, salt));
-                let mut tile = salted();
-                let [p, gx, gy, gz] = &mut tile;
-                k.accumulate_field_tile(&t.x, &t.y, &t.z, &s.x, &s.y, &s.z, &s.q, p, gx, gy, gz);
                 let (tt, ss) = ((&*t.x, &*t.y, &*t.z), (&*s.x, &*s.y, &*s.z, &*s.q));
+                let mut tile = salted();
+                k.field_tile(tt, ss, &mut tile.each_mut().map(|c| &mut c[..]));
                 let mut portable = salted();
-                portable_field_tile(
+                portable_tile(
                     k.as_ref(),
                     tt,
                     ss,
@@ -1872,16 +1718,8 @@ mod tests {
     #[should_panic(expected = "tile source slices differ")]
     fn tile_rejects_mismatched_source_lengths() {
         let mut out = [0.0];
-        Coulomb.accumulate_tile(
-            &[0.0],
-            &[0.0],
-            &[0.0],
-            &[1.0, 2.0],
-            &[1.0],
-            &[1.0],
-            &[1.0],
-            &mut out,
-        );
+        let s: (&[f64], &[f64], &[f64], &[f64]) = (&[1.0, 2.0], &[1.0], &[1.0], &[1.0]);
+        Coulomb.potential_tile((&[0.0], &[0.0], &[0.0]), s, &mut [&mut out]);
     }
 
     #[test]
@@ -1889,18 +1727,11 @@ mod tests {
     fn field_tile_rejects_a_short_gradient_column() {
         let (mut pot, mut gx, mut gy, mut gz) = ([0.0; 2], [0.0; 2], [0.0; 1], [0.0; 2]);
         let t = [0.0, 1.0];
-        RegularizedCoulomb::new(0.1).accumulate_field_tile(
-            &t,
-            &t,
-            &t,
-            &[1.0],
-            &[1.0],
-            &[1.0],
-            &[1.0],
-            &mut pot,
-            &mut gx,
-            &mut gy,
-            &mut gz,
+        let out = &mut [&mut pot[..], &mut gx, &mut gy, &mut gz];
+        RegularizedCoulomb::new(0.1).field_tile(
+            (&t, &t, &t),
+            (&[1.0], &[1.0], &[1.0], &[1.0]),
+            out,
         );
     }
 

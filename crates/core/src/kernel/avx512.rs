@@ -337,9 +337,9 @@ fn tile_avx512<const GUARD: bool, const C: usize>(
 }
 
 /// `out[c][i] += Σ_j term_c(t_i − s_j) · sq[j]` under the contract of
-/// [`Kernel::accumulate_tile`](super::Kernel::accumulate_tile) (`C = 1`:
+/// [`Kernel::potential_tile`](super::Kernel::potential_tile) (`C = 1`:
 /// the potential) or of
-/// [`GradientKernel::accumulate_field_tile`](super::GradientKernel::accumulate_field_tile)
+/// [`GradientKernel::field_tile`](super::GradientKernel::field_tile)
 /// (`C = 4`: potential and gradient), for `g = 1/√r²` with `g(0) = 0` and
 /// `∇g(0) = 0` (`GUARD`; `eps2` unused) or for `g = 1/√(r² + eps2)`
 /// (`!GUARD`).

@@ -64,8 +64,7 @@ impl ParticleSet {
     }
 
     /// The coordinate slices of a contiguous index range — the target or
-    /// source side of one
-    /// [`Kernel::accumulate_tile`](crate::kernel::Kernel::accumulate_tile).
+    /// source side of one [`TileOp::tile`](crate::kernel::TileOp::tile).
     #[inline]
     pub fn xyz(&self, r: std::ops::Range<usize>) -> (&[f64], &[f64], &[f64]) {
         (&self.x[r.clone()], &self.y[r.clone()], &self.z[r])

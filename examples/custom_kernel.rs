@@ -6,9 +6,10 @@
 //! converge to the direct sum as the interpolation degree rises — the
 //! property that distinguishes the BLTC from expansion-based treecodes.
 //! Implementing `eval` is all it takes to run at full speed too: the
-//! engines drive kernels through the provided `Kernel::accumulate_tile`,
-//! which is instantiated per kernel type, so a custom kernel gets the
-//! same monomorphic, vectorisable tile loop as the built-in ones.
+//! engines drive kernels one tile at a time, through the provided
+//! `Kernel::potential_tile`, which is instantiated per kernel type, so a
+//! custom kernel gets the same monomorphic, vectorisable tile loop as the
+//! built-in ones.
 //!
 //! ```text
 //! cargo run --release --example custom_kernel

@@ -226,19 +226,14 @@ impl Kernel for CountingCoulomb {
         self.pairs.fetch_add(1, Ordering::Relaxed);
         Coulomb.eval(dx, dy, dz)
     }
-    fn accumulate_tile(
+    fn potential_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
-        sx: &[f64],
-        sy: &[f64],
-        sz: &[f64],
-        sq: &[f64],
-        out: &mut [f64],
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; 1],
     ) {
         self.tiles.fetch_add(1, Ordering::Relaxed);
-        Coulomb.accumulate_tile(tx, ty, tz, sx, sy, sz, sq, out);
+        Coulomb.potential_tile(t, s, out);
     }
     fn name(&self) -> &'static str {
         "counting-coulomb"
@@ -256,22 +251,14 @@ impl GradientKernel for CountingCoulomb {
         self.pairs.fetch_add(1, Ordering::Relaxed);
         Coulomb.eval_with_grad(dx, dy, dz)
     }
-    fn accumulate_field_tile(
+    fn field_tile(
         &self,
-        tx: &[f64],
-        ty: &[f64],
-        tz: &[f64],
-        sx: &[f64],
-        sy: &[f64],
-        sz: &[f64],
-        sq: &[f64],
-        pot: &mut [f64],
-        gx: &mut [f64],
-        gy: &mut [f64],
-        gz: &mut [f64],
+        t: (&[f64], &[f64], &[f64]),
+        s: (&[f64], &[f64], &[f64], &[f64]),
+        out: &mut [&mut [f64]; 4],
     ) {
         self.tiles.fetch_add(1, Ordering::Relaxed);
-        Coulomb.accumulate_field_tile(tx, ty, tz, sx, sy, sz, sq, pot, gx, gy, gz);
+        Coulomb.field_tile(t, s, out);
     }
 }
 
@@ -286,10 +273,13 @@ impl CountingCoulomb {
 }
 
 /// The wrapper trap: a kernel handed over as a trait object must still be
-/// driven tile by tile. A forwarding wrapper that leaves the tile methods
-/// to their provided bodies instantiates them for *itself* and silently
-/// falls back to one virtual `eval` per pair — same bits, none of the
-/// speed — so this is only visible by counting.
+/// driven tile by tile. A forwarding wrapper that leaves `potential_tile`
+/// and `field_tile` to their provided bodies instantiates them for
+/// *itself* and silently falls back to one virtual `eval` per pair — same
+/// bits, none of the speed — so this is only visible by counting.
+/// `CountingCoulomb` overrides both flat tiles, in `TileOp`'s form, and
+/// forwards them to `Coulomb`'s; its grid tiles are the provided ones,
+/// which call its flat tiles over the proxies.
 #[test]
 fn trait_object_kernels_are_driven_by_tiles_on_every_distributed_door() {
     let ps = problem(1500, 110);
