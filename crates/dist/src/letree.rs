@@ -3,21 +3,42 @@
 //!
 //! Each rank exposes three windows ([`LetWindows`]): its source-tree
 //! **skeleton** (node metadata), its tree-ordered **particles**, and its
-//! per-cluster **modified charges** — the buffer the staged GPU run
-//! copied back from the device, moved in as it is. A rank then builds
-//! the LET for every remote rank completely asynchronously: it fetches
-//! the skeleton with one one-sided get, runs core's batch-MAC traversal
-//! against the remote node geometry ([`InteractionLists::build_on`]),
-//! and fetches exactly the data the traversal demands — modified charges
-//! for MAC-accepted clusters, raw particles for near/undersized
-//! clusters. No remote rank takes any action.
+//! per-cluster **modified charges**, laid out here from the staged GPU
+//! run's charges. A rank then builds the LET for every remote rank
+//! completely asynchronously: it fetches the skeleton with one one-sided
+//! get, runs core's batch-MAC traversal against the remote node geometry
+//! ([`InteractionLists::build_on`]), and fetches exactly the data the
+//! traversal demands — modified charges for MAC-accepted clusters, raw
+//! particles for near/undersized clusters. No remote rank takes any
+//! action.
+//!
+//! ## Wire format
+//!
+//! This module is the only place that knows it. The windows hold, per
+//! owner rank:
+//! - **skeleton**: one [`NodeMeta`] per node, in id order, fetched whole
+//!   (`0..num_nodes`) by one get;
+//! - **particles**: `[x, y, z, q]` per particle, in tree order, so direct
+//!   cluster `ci` is `4·start..4·end` of its node;
+//! - **modified charges**: node-major, `(n+1)³` per node, so approximated
+//!   cluster `ci` is `ci·(n+1)³..(ci+1)·(n+1)³`.
+//!
+//! Every window holds `f64`s but the skeleton's. A cluster's payload is
+//! one get of exactly its range ([`LetIssue::payload_range`]), and the
+//! bytes of every get, the skeleton's too, are its length times the size
+//! of its element ([`get_bytes`]). The land stage gets those ranges and
+//! the plan counts those bytes, so neither states the layout again. A
+//! landed window holds one block per kind ([`LetPayload`]): the
+//! approximated clusters' charges one after another, and the direct
+//! clusters' particles, in SoA, one after another, each block with a
+//! table of where each cluster starts.
 //!
 //! Assembly is staged so a pipelined epoch can overlap the fill with
 //! local work: **issue** ([`issue_remote_let`]) fetches the skeleton and
 //! runs the traversal, **plan** ([`plan_chunks`]) groups the demanded
 //! clusters into fetch chunks with exact per-chunk cost metadata, and
-//! **land** ([`land_chunk`]) executes one chunk's gets — per cluster, in
-//! ascending id, under one shared-lock epoch.
+//! **land** ([`LetPayload::land`]) executes a window of chunks' gets —
+//! per chunk, one shared-lock epoch; in it, per cluster, in ascending id.
 //!
 //! The plan ([`LetPlan`]) is the one record of what a LET fetched and
 //! launched: the rank's messages and bytes, its staged payload, its
@@ -54,6 +75,9 @@
 //! The plan counts one launch per batch–cluster pair, the launches the
 //! modeled device prices, whatever the runs.
 
+use std::ops::Range;
+
+use bltc_core::charges::ClusterCharges;
 use bltc_core::config::BltcParams;
 use bltc_core::cost::OpCounts;
 use bltc_core::engine::{ClusterSources, RunColumns};
@@ -125,17 +149,21 @@ pub(crate) struct LetWindows {
 }
 
 impl LetWindows {
-    /// Expose the local tree (collective, like `MPI_Win_create`) and wait
-    /// until every rank has: afterwards passive epochs may begin.
-    /// `qhat` is every cluster's modified charges in the window layout —
-    /// the staged GPU run's DtH buffer.
-    pub(crate) fn expose(comm: &Comm, tree: &SourceTree, qhat: Vec<f64>) -> Self {
+    /// Expose the local tree and the modified charges of every one of its
+    /// clusters (`charges`, the staged run's) in the wire format
+    /// (collective, like `MPI_Win_create`), and wait until every rank has:
+    /// afterwards passive epochs may begin.
+    pub(crate) fn expose(comm: &Comm, tree: &SourceTree, charges: &ClusterCharges) -> Self {
         let meta = tree.nodes().iter().map(NodeMeta::from_node).collect();
         let tp = tree.particles();
         let mut pdata = Vec::with_capacity(tp.len() * 4);
         for j in 0..tp.len() {
             pdata.extend_from_slice(&[tp.x[j], tp.y[j], tp.z[j], tp.q[j]]);
         }
+        let qhat = (0..tree.num_nodes())
+            .flat_map(|ci| charges.charges(ci))
+            .copied()
+            .collect();
         let wins = Self {
             meta: comm.create_window(meta),
             parts: comm.create_window(pdata),
@@ -146,57 +174,93 @@ impl LetWindows {
     }
 }
 
-/// Landed payload of one window of a LET: per kind, the window's
-/// clusters in ascending id ([`window_ids`]) and their payloads at the
-/// same positions, in land order.
+/// Landed payload of one window of a LET, one block per kind, indexed
+/// by [`ChunkKind`]: the window's clusters of that kind in ascending id
+/// ([`window_ids`]), their payloads one after another at the same
+/// positions, in land order, and where each one starts.
 struct LetPayload<'a> {
     /// The window's approximated and direct cluster ids, ascending.
     ids: [&'a [u32]; 2],
-    /// Proxy grids (derived locally from the skeleton geometry — grids
-    /// travel for free) and fetched modified charges of MAC-accepted
-    /// clusters.
-    approx: Vec<(TensorGrid, Vec<f64>)>,
-    /// Fetched particles of direct clusters.
-    direct: Vec<ParticleSet>,
+    /// Per kind, where the cluster at each position starts in its block
+    /// (in charges of `qhat`, in particles of `particles`), then the end.
+    starts: [Vec<usize>; 2],
+    /// Proxy grids of the approximated clusters, derived locally from the
+    /// skeleton geometry (grids travel for free).
+    grids: Vec<TensorGrid>,
+    /// Fetched modified charges of the approximated clusters.
+    qhat: Vec<f64>,
+    /// Fetched particles of the direct clusters.
+    particles: ParticleSet,
 }
 
 impl<'a> LetPayload<'a> {
-    /// Land `window`, consecutive planned chunks of `issue`, chunk by
-    /// chunk ([`land_chunk`]).
+    /// The **land** stage: execute the gets of `window`, consecutive
+    /// planned chunks of `issue` — per chunk, its clusters' gets in
+    /// ascending id under one shared-lock epoch — appending each payload
+    /// to its kind's block. Every window size goes through this one
+    /// implementation, so the recorded traffic and fetched bytes are
+    /// identical by construction.
     fn land(
         issue: &'a LetIssue,
         window: &[ChunkPlan],
         wins: &LetWindows,
         params: &BltcParams,
     ) -> Self {
-        let ids =
-            [ChunkKind::Approx, ChunkKind::Direct].map(|kind| window_ids(issue, window, kind));
+        let ids = ChunkKind::BOTH.map(|kind| window_ids(issue, window, kind));
+        let particles = window.iter().map(|c| c.fetched_particles).sum::<u64>();
         let mut payload = Self {
             ids,
-            approx: Vec::with_capacity(ids[0].len()),
-            direct: Vec::with_capacity(ids[1].len()),
+            starts: [vec![0], vec![0]],
+            grids: Vec::with_capacity(ids[0].len()),
+            qhat: Vec::new(),
+            particles: ParticleSet::with_capacity(particles as usize),
         };
         for plan in window {
-            land_chunk(issue, plan, wins, params, &mut payload);
+            let guard = [&wins.qhat, &wins.parts][plan.kind as usize].lock_shared(issue.target);
+            for &ci in &issue.ids(plan.kind)[plan.first..plan.first + plan.len] {
+                let got = guard.get(issue.payload_range(plan.kind, ci, params.proxy_count()));
+                let end = match plan.kind {
+                    ChunkKind::Approx => {
+                        let bbox = &issue.nodes[ci as usize].bbox;
+                        payload.grids.push(TensorGrid::new(params.degree, bbox));
+                        payload.qhat.extend_from_slice(&got);
+                        payload.qhat.len()
+                    }
+                    ChunkKind::Direct => {
+                        let p = &mut payload.particles;
+                        let cols = [&mut p.x, &mut p.y, &mut p.z, &mut p.q];
+                        for (k, col) in cols.into_iter().enumerate() {
+                            col.extend(got.iter().skip(k).step_by(4));
+                        }
+                        p.len()
+                    }
+                };
+                payload.starts[plan.kind as usize].push(end);
+            }
         }
         payload
     }
-}
 
-/// Position of cluster `ci` in a window's ascending `ids`.
-fn position(ids: &[u32], ci: usize) -> usize {
-    (ids.binary_search(&(ci as u32))).expect("a listed cluster outside the landed window")
+    /// Position of cluster `ci` among the window's clusters of `kind`, and
+    /// its range in that kind's block.
+    fn block(&self, kind: ChunkKind, ci: usize) -> (usize, Range<usize>) {
+        let (ids, starts) = (self.ids[kind as usize], &self.starts[kind as usize]);
+        let at =
+            (ids.binary_search(&(ci as u32))).expect("a listed cluster outside the landed window");
+        (at, starts[at]..starts[at + 1])
+    }
 }
 
 impl ClusterSources for LetPayload<'_> {
     fn approx(&self, ci: usize) -> (&TensorGrid, &[f64]) {
-        let (grid, qhat) = &self.approx[position(self.ids[0], ci)];
-        (grid, qhat)
+        let (at, r) = self.block(ChunkKind::Approx, ci);
+        (&self.grids[at], &self.qhat[r])
     }
 
     fn direct(&self, ci: usize) -> (&[f64], &[f64], &[f64], &[f64]) {
-        let p = &self.direct[position(self.ids[1], ci)];
-        (&p.x, &p.y, &p.z, &p.q)
+        let (_, r) = self.block(ChunkKind::Direct, ci);
+        let p = &self.particles;
+        (&p.x[r.clone()], &p.y[r.clone()], &p.z[r.clone()], &p.q[r])
     }
 }
 
@@ -221,6 +285,30 @@ pub(crate) struct LetIssue {
     pub skeleton_bytes: u64,
 }
 
+impl LetIssue {
+    /// The distinct clusters of `kind`, ascending.
+    fn ids(&self, kind: ChunkKind) -> &[u32] {
+        [&self.approx, &self.direct][kind as usize]
+    }
+
+    /// Where the payload of cluster `ci` of `kind` lives in its owner's
+    /// window, in `f64`s, at `m3 = (n+1)³` proxies a cluster: the one
+    /// statement of the payload layout. The land stage gets exactly this
+    /// range, and the plan counts its bytes.
+    fn payload_range(&self, kind: ChunkKind, ci: u32, m3: usize) -> Range<usize> {
+        let ci = ci as usize;
+        match kind {
+            ChunkKind::Approx => ci * m3..(ci + 1) * m3,
+            ChunkKind::Direct => 4 * self.nodes[ci].start..4 * self.nodes[ci].end,
+        }
+    }
+}
+
+/// Bytes of a get of `range` from a window of `T`s.
+fn get_bytes<T>(range: &Range<usize>) -> u64 {
+    (range.len() * std::mem::size_of::<T>()) as u64
+}
+
 pub(crate) fn issue_remote_let(
     target: usize,
     batches: &TargetBatches,
@@ -228,9 +316,9 @@ pub(crate) fn issue_remote_let(
     wins: &LetWindows,
 ) -> LetIssue {
     // Skeleton exchange: one bulk one-sided get of the node array.
-    let num_nodes = wins.meta.region_len(target);
-    let metas = wins.meta.lock_shared(target).get(0..num_nodes);
-    let skeleton_bytes = (num_nodes * std::mem::size_of::<NodeMeta>()) as u64;
+    let skeleton = 0..wins.meta.region_len(target);
+    let skeleton_bytes = get_bytes::<NodeMeta>(&skeleton);
+    let metas = wins.meta.lock_shared(target).get(skeleton);
     let nodes: Vec<ClusterNode> = metas.into_iter().map(NodeMeta::to_cluster).collect();
 
     // Core's traversal against the remote skeleton: no communication,
@@ -310,12 +398,18 @@ pub(crate) fn remote_device_bytes(plans: &[LetPlan], target_cols: usize) -> f64 
 }
 
 /// Which payload window a chunk's gets hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) enum ChunkKind {
     /// Modified charges of MAC-accepted clusters.
+    #[default]
     Approx,
     /// Raw particles of direct clusters.
     Direct,
+}
+
+impl ChunkKind {
+    /// Both kinds, in land order.
+    const BOTH: [Self; 2] = [Self::Approx, Self::Direct];
 }
 
 /// One chunk of the LET fill: a contiguous group of distinct clusters
@@ -326,7 +420,7 @@ pub(crate) enum ChunkKind {
 /// which records every get as it happens, is reconciled against their
 /// sums in the test suites and on every epoch of the persistent
 /// integrator.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ChunkPlan {
     pub kind: ChunkKind,
     /// Start index into [`LetIssue::approx`] / [`LetIssue::direct`].
@@ -374,18 +468,13 @@ pub(crate) fn plan_chunks(
 ) -> Vec<ChunkPlan> {
     let chunk_clusters = chunk_clusters.max(1);
     let mut plans = Vec::new();
-    for (kind, ids) in [
-        (ChunkKind::Approx, &issue.approx),
-        (ChunkKind::Direct, &issue.direct),
-    ] {
+    for kind in ChunkKind::BOTH {
+        let ids = issue.ids(kind);
         // Per cluster, at its position in `ids`: (launches, Σ batch
         // targets) over the interaction lists.
         let mut uses = vec![(0u64, 0u64); ids.len()];
         for (b, bl) in batches.batches().iter().zip(&issue.lists.per_batch) {
-            let list = match kind {
-                ChunkKind::Approx => &bl.approx,
-                ChunkKind::Direct => &bl.direct,
-            };
+            let list = [&bl.approx, &bl.direct][kind as usize];
             for ci in list {
                 let u = &mut uses[ids.binary_search(ci).expect("a listed cluster is distinct")];
                 u.0 += 1;
@@ -397,25 +486,15 @@ pub(crate) fn plan_chunks(
             let mut plan = ChunkPlan {
                 kind,
                 first: start,
-                len: 0,
-                messages: 0,
-                bytes: 0,
-                fetched_particles: 0,
-                launches: 0,
-                eval_targets: 0,
-                eval_sources: 0,
-                interactions: 0,
+                ..ChunkPlan::default()
             };
             while plan.len < chunk_clusters && start + plan.len < ids.len() {
                 let ci = ids[start + plan.len];
-                let (src, payload, nc) = match kind {
-                    ChunkKind::Approx => (m3 as u64, (m3 * 8) as u64, 0),
-                    ChunkKind::Direct => {
-                        let node = &issue.nodes[ci as usize];
-                        let nc = (node.end - node.start) as u64;
-                        (nc, nc * 4 * 8, nc)
-                    }
-                };
+                let payload = get_bytes::<f64>(&issue.payload_range(kind, ci, m3));
+                let src = match kind {
+                    ChunkKind::Approx => m3,
+                    ChunkKind::Direct => issue.nodes[ci as usize].num_particles(),
+                } as u64;
                 // The first cluster is always admitted (one cluster is
                 // the minimum resident unit); after that the byte budget
                 // closes the chunk.
@@ -426,7 +505,7 @@ pub(crate) fn plan_chunks(
                 plan.len += 1;
                 plan.messages += 1;
                 plan.bytes += payload;
-                plan.fetched_particles += nc;
+                plan.fetched_particles += if kind == ChunkKind::Direct { src } else { 0 };
                 plan.launches += cnt;
                 plan.eval_targets += sum_nb;
                 plan.eval_sources += cnt * src;
@@ -443,44 +522,6 @@ pub(crate) fn plan_chunks(
         }
     }
     plans
-}
-
-/// Land one planned chunk: execute its per-cluster one-sided gets in
-/// ascending cluster order under a single shared-lock epoch, appending
-/// the payloads to `payload`. Every window size goes through this one
-/// implementation, so the recorded traffic and fetched bytes are
-/// identical by construction.
-fn land_chunk(
-    issue: &LetIssue,
-    plan: &ChunkPlan,
-    wins: &LetWindows,
-    params: &BltcParams,
-    payload: &mut LetPayload,
-) {
-    match plan.kind {
-        ChunkKind::Approx => {
-            let m3 = params.proxy_count();
-            let guard = wins.qhat.lock_shared(issue.target);
-            for &ni in &issue.approx[plan.first..plan.first + plan.len] {
-                let base = ni as usize * m3;
-                let qhat = guard.get(base..base + m3);
-                let grid = TensorGrid::new(params.degree, &issue.nodes[ni as usize].bbox);
-                payload.approx.push((grid, qhat));
-            }
-        }
-        ChunkKind::Direct => {
-            let guard = wins.parts.lock_shared(issue.target);
-            for &ni in &issue.direct[plan.first..plan.first + plan.len] {
-                let node = &issue.nodes[ni as usize];
-                let flat = guard.get(4 * node.start..4 * node.end);
-                let mut p = ParticleSet::with_capacity(node.end - node.start);
-                for xyzq in flat.chunks_exact(4) {
-                    p.push(Point3::new(xyzq[0], xyzq[1], xyzq[2]), xyzq[3]);
-                }
-                payload.direct.push(p);
-            }
-        }
-    }
 }
 
 /// The one LET consumer: land the planned chunks of one LET a *window*
@@ -534,10 +575,7 @@ pub(crate) fn eval_remote_let<const C: usize, O: TileOp<C> + ?Sized>(
 /// The clusters of `kind` a window's chunks hold: one ascending run of
 /// the LET's distinct ids of that kind.
 fn window_ids<'a>(issue: &'a LetIssue, window: &[ChunkPlan], kind: ChunkKind) -> &'a [u32] {
-    let ids = match kind {
-        ChunkKind::Approx => &issue.approx,
-        ChunkKind::Direct => &issue.direct,
-    };
+    let ids = issue.ids(kind);
     let (lo, hi) = (window.iter().filter(|c| c.kind == kind))
         .fold((usize::MAX, 0), |(lo, hi), c| {
             (lo.min(c.first), hi.max(c.first + c.len))
@@ -572,11 +610,7 @@ pub(crate) fn resident_bytes(
 ) -> impl Iterator<Item = u64> + '_ {
     let mut resident = 0;
     plans.iter().flat_map(|p| &p.chunks).map(move |c| {
-        resident = if budget.is_some() {
-            c.bytes
-        } else {
-            resident + c.bytes
-        };
+        resident = c.bytes + if budget.is_some() { 0 } else { resident };
         resident
     })
 }
@@ -584,7 +618,6 @@ pub(crate) fn resident_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bltc_core::charges::ClusterCharges;
     use bltc_core::kernel::{Coulomb, GradientKernel, Kernel, RegularizedCoulomb, Yukawa};
     use bltc_core::traversal::BatchLists;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -748,11 +781,7 @@ mod tests {
             let local = &locals[comm.rank()];
             let (tree, batches) = SourceTree::build_with_batches(local, local, params);
             let charges = ClusterCharges::compute_all(&tree, params.degree);
-            let qhat = (0..tree.num_nodes())
-                .flat_map(|i| charges.charges(i))
-                .copied()
-                .collect();
-            let wins = LetWindows::expose(comm, &tree, qhat);
+            let wins = LetWindows::expose(comm, &tree, &charges);
             let out = body(comm, &tree, &batches, &wins, &locals);
             comm.barrier();
             out
@@ -786,9 +815,9 @@ mod tests {
         let m3 = params.proxy_count();
         let whole = plan_chunks(issue, batches, m3, usize::MAX, None);
         let payload = LetPayload::land(issue, &whole, wins, params);
-        let landed = (payload.approx.iter().map(|(_, qhat)| qhat.len()))
-            .chain(payload.direct.iter().map(|p| 4 * p.len()));
-        let gets = landed.fold((0, 0), |(n, bytes), len| (n + 1, bytes + 8 * len as u64));
+        let clusters = payload.starts.iter().map(|s| s.len() as u64 - 1).sum();
+        let landed = payload.qhat.len() + 4 * payload.particles.len();
+        let gets = (clusters, 8 * landed as u64);
         let tp = batches.particles();
         let mut cols: [Vec<f64>; C] = std::array::from_fn(|_| vec![0.0; tp.len()]);
         let (mut ops, mut device_bytes) = (OpCounts::default(), 0.0);
@@ -984,6 +1013,36 @@ mod tests {
             let op = &Coulomb as &dyn Kernel;
             eval_remote_let(&issue, &chunks, None, batches, wins, &params, op, &mut acc);
         });
+    }
+
+    /// Every cluster's payload range, the one statement of the layout,
+    /// holds in its owner's windows exactly that cluster's modified
+    /// charges and its particles as `[x, y, z, q]`, bit for bit, at the
+    /// degrees 1, 3 and 6, on a Plummer input on 3 ranks.
+    #[test]
+    fn each_payload_range_holds_that_clusters_payload() {
+        let ps = ParticleSet::plummer(900, 1.0, 38);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for degree in [1, 3, 6] {
+            let params = BltcParams::new(0.7, degree, 30, 30);
+            let m3 = params.proxy_count();
+            on_let_world(&ps, 3, &params, |comm, _, batches, wins, locals| {
+                let t = (comm.rank() + 1) % comm.size();
+                let issue = issue_remote_let(t, batches, &params, wins);
+                let (owner, _) = SourceTree::build_with_batches(&locals[t], &locals[t], &params);
+                let charges = ClusterCharges::compute_all(&owner, degree);
+                let (qhat, parts) = (wins.qhat.lock_shared(t), wins.parts.lock_shared(t));
+                for ci in 0..owner.num_nodes() {
+                    let at = format!("degree {degree}, rank {t}'s cluster {ci}");
+                    let got = qhat.get(issue.payload_range(ChunkKind::Approx, ci as u32, m3));
+                    assert_eq!(bits(&got), bits(charges.charges(ci)), "{at}");
+                    let got = parts.get(issue.payload_range(ChunkKind::Direct, ci as u32, m3));
+                    let (x, y, z, q) = owner.node_particles(ci);
+                    let want = (0..x.len()).flat_map(|j| [x[j], y[j], z[j], q[j]]);
+                    assert_eq!(bits(&got), bits(&want.collect::<Vec<_>>()), "{at}");
+                }
+            });
+        }
     }
 
     /// Each batch's LET lists, traversed on the skeleton rebuilt from the

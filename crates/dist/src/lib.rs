@@ -113,8 +113,9 @@
 //!
 //! A rank lands each remote LET a window of fetch chunks at a time,
 //! adds the window's tiles into the LET's columns through core's run-wise
-//! pass (in parallel over pool chunks of batches), drops the window's
-//! payload, and adds the columns into the rank's once per LET.
+//! pass (on the rank's own thread, over all batches as one chunk), drops
+//! the window's payload, and adds the columns into the rank's once per
+//! LET.
 //! [`DistConfig::let_memory_budget`] chooses only the window. By default
 //! (`None`) it is the whole LET, and the modeled device keeps every LET
 //! it has staged until the compute phase is over, so the peak resident
@@ -682,9 +683,9 @@ pub(crate) fn check_decomposition(
 ///    batches and lists and every cluster's modified charges on the
 ///    host, and prices the precompute kernels and their DtH on the
 ///    simulated device's clock;
-/// 2. **expose** the skeleton / particle / modified-charge windows — the
-///    charge window *is* the staged run's node-major host copy of the
-///    charges (`StagedRun::qhat_host`);
+/// 2. **expose** the skeleton / particle / modified-charge windows, laid
+///    out from the staged tree and charges in the LET's wire format
+///    (stated once, in `letree`);
 /// 3. **LETs** — per remote rank issue → plan, then the one consumer:
 ///    land a window of chunks over passive-target RMA, add its tiles into
 ///    the LET's columns through core's run-wise pass, drop it, and add
@@ -715,11 +716,10 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
     let rank = comm.rank();
 
     // ---- local preparation on the simulated GPU, then the windows ----
-    let mut staged = GpuEngine::with_spec(*params, cfg.spec)
+    let staged = GpuEngine::with_spec(*params, cfg.spec)
         .with_streams(cfg.streams)
         .stage(local, local);
-    let qhat = std::mem::take(&mut staged.qhat_host);
-    let wins = LetWindows::expose(comm, staged.tree(), qhat);
+    let wins = LetWindows::expose(comm, staged.tree(), &staged.prep.charges);
     let batches = staged.batches();
 
     // ---- LET construction (fully one-sided, staged) + remote pass ----

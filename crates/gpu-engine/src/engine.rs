@@ -24,8 +24,8 @@
 //!
 //! The pipeline runs in two halves. [`GpuEngine::stage`] is everything
 //! kernel-independent, up to and including the target copy; it returns a
-//! [`StagedRun`] holding the preparation and the host copy of the
-//! modified charges the modeled DtH brought back. [`StagedRun::finish`]
+//! [`StagedRun`] holding the preparation, whose modified charges are the
+//! ones the modeled DtH brings back. [`StagedRun::finish`]
 //! evaluates one pass (`&dyn Kernel`: potentials, `&dyn GradientKernel`:
 //! potentials and gradients) and continues the same device clock with
 //! its compute phase. `compute_detailed` / `compute_field_detailed` are
@@ -133,15 +133,12 @@ pub struct GpuFieldRunReport {
 pub struct StagedRun {
     /// The host half: tree, batches, interaction lists, and the grid and
     /// modified charges of every cluster
-    /// ([`ClusterCharges::compute_all`]). `finish` evaluates over it.
+    /// ([`ClusterCharges::compute_all`]). `finish` evaluates over it. Its
+    /// charges stand for what the modeled DtH brings back (paper §3.1:
+    /// the charges are computed on the GPU and copied to the host, where
+    /// the RMA windows expose them); the distributed pipeline lays its
+    /// `q̂` window out from them.
     pub prep: PreparedTreecode,
-    /// Every cluster's modified charges as the modeled DtH brings them
-    /// back: node-major, `(n+1)³` per node — already the layout of the
-    /// distributed `q̂` window (paper §3.1: the charges are computed on
-    /// the GPU and copied to the host, where the RMA windows expose
-    /// them). `finish` does not read it; the distributed pipeline moves
-    /// it out into its window.
-    pub qhat_host: Vec<f64>,
     streams: usize,
     dev: Device,
     sim: GpuSimBreakdown,
@@ -298,10 +295,6 @@ impl GpuEngine {
         let t_charges = Instant::now();
         let charges = ClusterCharges::compute_all(&tree, params.degree);
         let precompute_seconds = t_charges.elapsed().as_secs_f64();
-        let qhat_host: Vec<f64> = (0..tree.num_nodes())
-            .flat_map(|i| charges.charges(i))
-            .copied()
-            .collect();
 
         let mut dev = Device::new(self.spec);
 
@@ -327,7 +320,7 @@ impl GpuEngine {
         mark = dev.now();
 
         // ---- DtH: modified charges (host RMA windows in the MPI version) -
-        dev.dtoh(qhat_host.len() * 8);
+        dev.dtoh(tree.num_nodes() * params.proxy_count() * 8);
         sim.dtoh_charges_s = dev.now() - mark;
         mark = dev.now();
 
@@ -351,7 +344,6 @@ impl GpuEngine {
                 setup_seconds: sim.setup_host_s,
                 precompute_seconds,
             },
-            qhat_host,
             streams: self.streams,
             dev,
             sim,
@@ -528,14 +520,14 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The premise the distributed `q̂` window rests on: the host copy
-    /// the staged run's DtH brings back is, node by node and bit for bit,
-    /// `ClusterCharges::compute_all` in the node-major window layout —
-    /// at the widths the precompute kernels monomorphise (and one past
-    /// them), targets = sources and targets ≠ sources. And the two
-    /// halves are the whole run: `stage` + `finish` reproduces
-    /// `compute_detailed` / `compute_field_detailed` in results, counts
-    /// and every modeled clock (`setup_host_s` is wall time).
+    /// The premise the distributed `q̂` window rests on: the staged
+    /// charges are, node by node and bit for bit,
+    /// `ClusterCharges::compute_all` — at the widths the precompute
+    /// kernels monomorphise (and one past them), targets = sources and
+    /// targets ≠ sources. And the two halves are the whole run: `stage` +
+    /// `finish` reproduces `compute_detailed` / `compute_field_detailed`
+    /// in results, counts and every modeled clock (`setup_host_s` is wall
+    /// time).
     #[test]
     fn staged_qhat_is_compute_all_and_stage_then_finish_is_the_whole_run() {
         use bltc_core::charges::ClusterCharges;
@@ -556,10 +548,10 @@ mod tests {
                 let staged = engine.stage(targets, &sources);
                 let nodes = staged.tree().num_nodes();
                 let host = ClusterCharges::compute_all(staged.tree(), degree);
-                assert_eq!(staged.qhat_host.len(), nodes * m3);
                 for i in 0..nodes {
+                    assert_eq!(staged.prep.charges.charges(i).len(), m3);
                     assert_eq!(
-                        bits(&staged.qhat_host[i * m3..(i + 1) * m3]),
+                        bits(staged.prep.charges.charges(i)),
                         bits(host.charges(i)),
                         "degree {degree}, node {i}"
                     );

@@ -30,7 +30,7 @@
 //!  GpuEngine::stage(targets, sources)          kernel-independent
 //!    host:   tree, batches, lists, q̂ of every cluster (PreparedTreecode)
 //!    priced: HtD sources → precompute 1+2 per cluster → DtH q̂ → HtD targets
-//!    ⇒ StagedRun { prep, qhat_host }
+//!    ⇒ StagedRun { prep }
 //!  StagedRun::finish(op)                        one pass
 //!    host:   PreparedTreecode::evaluate(op)
 //!    priced: per batch approx + direct launches, stream id cycling;
@@ -43,7 +43,7 @@
 //! — the full pipeline of the paper's "MPI + OpenACC BLTC" algorithm
 //! restricted to one rank. The distributed version in `bltc-dist` works
 //! between the halves: the modified charges the modeled DtH copied back
-//! (`StagedRun::qhat_host`) are exactly what its RMA window exposes to
+//! (the staged preparation's) are exactly what its RMA window exposes to
 //! the other ranks (paper §3.1: computed on the GPU, copied to the host,
 //! served from there), and its LET traversal runs against the staged
 //! batches — so a rank prepares once per evaluation.

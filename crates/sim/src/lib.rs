@@ -54,14 +54,15 @@
 //!
 //! ## Host parallelism
 //!
-//! By default every per-rank host phase under a step — tree and batch
-//! construction, modified charges, LET traversal, remote-LET
-//! evaluation — runs on the process-wide host pool (the `rayon` compat
-//! layer, where each parallel call is one job whose chunks the workers
-//! and the calling rank thread claim): rank threads inherit the
-//! driver's pool, so an integrator launched inside
-//! `ThreadPool::install` (or under `BLTC_HOST_THREADS=N`) steps with
-//! `N` host workers shared across all ranks. Trajectories are part of
+//! By default the parallel per-rank host phases under a step — tree and
+//! batch construction, modified charges, LET traversal — run on the
+//! process-wide host pool (the `rayon` compat layer, where each parallel
+//! call is one job whose chunks the workers and the calling rank thread
+//! claim): rank threads inherit the driver's pool, so an integrator
+//! launched inside `ThreadPool::install` (or under
+//! `BLTC_HOST_THREADS=N`) steps with `N` host workers shared across all
+//! ranks. The evaluations, local and remote-LET, run on each rank's own
+//! thread, over all its batches as one chunk. Trajectories are part of
 //! the workspace determinism contract: **bitwise identical at any pool
 //! size** (asserted by `tests/host_parallel.rs`), so thread count is
 //! purely a wall-clock knob.

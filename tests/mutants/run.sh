@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Committed mutants: each `*.patch` beside this script is one small,
-# deliberate fault in `bltc-core`. Its `Must-fail:` header line names the
-# library tests (module paths, space-separated) that must catch it, and
-# `Needs: avx512f` marks a fault in code that only an AVX-512F host runs.
+# deliberate fault in a library crate. Its `Must-fail:` header line names
+# the library tests (module paths, space-separated) that must catch it,
+# `Package:` names the crate whose library tests those are (`bltc-core`
+# when absent), and `Needs: avx512f` marks a fault in code that only an
+# AVX-512F host runs.
 #
 # For each patch (all of them, or the ones given as arguments) this copies
 # the tracked files of the checkout into a scratch tree, applies the patch
-# there, builds `bltc-core`'s library tests and runs each named test on its
-# own. It fails if a patch no longer applies, if a mutant does not
+# there, builds the package's library tests and runs each named test on
+# its own. It fails if a patch no longer applies, if a mutant does not
 # compile, or if a named test passes or does not exist. A mutant that
 # survives is a missing test, never an expected result.
 #
@@ -30,6 +32,8 @@ for patch in "$@"; do
     patch=$(realpath "$patch")
     name=$(basename "$patch" .patch)
     tests=$(sed -n 's/^Must-fail: *//p' "$patch")
+    package=$(sed -n 's/^Package: *//p' "$patch")
+    package=${package:-bltc-core}
     if [ -z "$tests" ]; then
         echo "::error::$name: no Must-fail header"
         status=1
@@ -50,13 +54,13 @@ for patch in "$@"; do
         status=1
         continue
     fi
-    if ! (cd "$tree" && cargo test -q -p bltc-core --lib --no-run); then
+    if ! (cd "$tree" && cargo test -q -p "$package" --lib --no-run); then
         echo "::error::$name: the mutant does not compile"
         status=1
         continue
     fi
     for t in $tests; do
-        out=$(cd "$tree" && cargo test -p bltc-core --lib -- --exact "$t" 2>&1 || true)
+        out=$(cd "$tree" && cargo test -p "$package" --lib -- --exact "$t" 2>&1 || true)
         if grep -qF "test $t ... FAILED" <<<"$out"; then
             echo "$name: killed by $t"
         else

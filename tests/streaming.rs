@@ -8,12 +8,16 @@
 //! - every streaming rank reports `peak_let_bytes ≤ budget` whenever
 //!   the budget admits the largest single cluster payload, and the
 //!   streamed peak never exceeds the retain-everything footprint;
-//! - the invariance holds in the two-level node×GPU hierarchy too;
+//! - the invariance holds in the two-level node×GPU hierarchy too, and
+//!   on an input whose LETs fetch direct clusters beside their direct
+//!   descendants;
 //! - property-based sweep over random problems and random budgets.
 
 use bltc_core::config::BltcParams;
 use bltc_core::kernel::{Coulomb, Yukawa};
 use bltc_core::particles::ParticleSet;
+use bltc_core::traversal::InteractionLists;
+use bltc_core::tree::SourceTree;
 use bltc_dist::{run_distributed, run_distributed_field, DistConfig};
 use bltc_sim::{plummer_sphere, PersistentIntegrator, SimConfig};
 use proptest::prelude::*;
@@ -36,46 +40,94 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// An input with nested direct clusters: at `n = 4` and `N_L = 60`,
+/// `(n+1)³ = 125` exceeds the leaf size, so a cluster of up to 125
+/// particles is fetched whole even where the MAC accepts it, and a LET
+/// whose batches see it at different distances fetches it beside its
+/// direct descendants. The landed particle block then holds overlapping
+/// owner ranges.
+fn nested_direct_case() -> (ParticleSet, BltcParams) {
+    (
+        ParticleSet::plummer(1500, 1.0, 911),
+        BltcParams::new(0.7, 4, 60, 60),
+    )
+}
+
 #[test]
 fn streaming_budgets_are_bitwise_invisible_to_potentials() {
     let ps = ParticleSet::random_cube(1500, 907);
     let params = BltcParams::new(0.8, 3, 70, 70);
-    for &ranks in &RANK_COUNTS {
-        let mut reference: Option<(Vec<u64>, u64, u64)> = None;
-        for &workers in &[1usize, 4] {
-            for &budget in &BUDGETS {
-                let mut cfg = DistConfig::comet(params);
-                cfg.let_memory_budget = budget;
-                let rep = pool(workers).install(|| run_distributed(&ps, ranks, &cfg, &Coulomb));
-                assert!(rep.pipelined_s > 0.0 && rep.pipelined_s <= rep.total_s);
-                for r in &rep.ranks {
-                    if let Some(b) = budget {
-                        // Some(1) cannot admit a whole cluster, so the
-                        // bound only binds for feasible budgets.
-                        if b >= 16 * 1024 && b != u64::MAX {
-                            assert!(
-                                r.peak_let_bytes <= b,
-                                "{ranks} ranks: rank {} peak {} > budget {b}",
-                                r.rank,
-                                r.peak_let_bytes
-                            );
+    for (ps, params) in [(ps, params), nested_direct_case()] {
+        for &ranks in &RANK_COUNTS {
+            let mut reference: Option<(Vec<u64>, u64, u64)> = None;
+            for &workers in &[1usize, 4] {
+                for &budget in &BUDGETS {
+                    let mut cfg = DistConfig::comet(params);
+                    cfg.let_memory_budget = budget;
+                    let rep = pool(workers).install(|| run_distributed(&ps, ranks, &cfg, &Coulomb));
+                    assert!(rep.pipelined_s > 0.0 && rep.pipelined_s <= rep.total_s);
+                    for r in &rep.ranks {
+                        if let Some(b) = budget {
+                            // Some(1) cannot admit a whole cluster, so the
+                            // bound only binds for feasible budgets.
+                            if b >= 16 * 1024 && b != u64::MAX {
+                                assert!(
+                                    r.peak_let_bytes <= b,
+                                    "{ranks} ranks: rank {} peak {} > budget {b}",
+                                    r.rank,
+                                    r.peak_let_bytes
+                                );
+                            }
                         }
                     }
-                }
-                let got = (
-                    bits(&rep.potentials),
-                    rep.traffic.total_remote_messages(),
-                    rep.traffic.total_remote_bytes(),
-                );
-                match &reference {
-                    None => reference = Some(got),
-                    Some(r) => assert_eq!(
-                        r, &got,
-                        "{ranks} ranks / {workers} workers / budget {budget:?}"
-                    ),
+                    let got = (
+                        bits(&rep.potentials),
+                        rep.traffic.total_remote_messages(),
+                        rep.traffic.total_remote_bytes(),
+                    );
+                    match &reference {
+                        None => reference = Some(got),
+                        Some(r) => assert_eq!(
+                            r, &got,
+                            "{ranks} ranks / {workers} workers / budget {budget:?}"
+                        ),
+                    }
                 }
             }
         }
+    }
+}
+
+/// [`nested_direct_case`] is what it says: on every rank count of the
+/// sweeps above but one, some rank's LET of another lists a direct
+/// cluster and a direct descendant of it. The LET's lists are core's
+/// lists on the owner's own tree (`letree`'s skeleton test).
+#[test]
+fn the_nested_case_fetches_direct_clusters_beside_their_direct_descendants() {
+    let (ps, params) = nested_direct_case();
+    for &ranks in &RANK_COUNTS[1..] {
+        let part = DistConfig::comet(params).partition(&ps, ranks);
+        let locals: Vec<ParticleSet> = part.part_indices.iter().map(|ix| ps.subset(ix)).collect();
+        let mut nested = 0;
+        for r in 0..ranks {
+            let (_, batches) = SourceTree::build_with_batches(&locals[r], &locals[r], &params);
+            for t in (0..ranks).filter(|&t| t != r) {
+                let (owner, _) = SourceTree::build_with_batches(&locals[t], &locals[t], &params);
+                let lists = InteractionLists::build(&batches, &owner, &params);
+                let used = lists.used_direct_nodes(owner.num_nodes());
+                let direct: Vec<_> = (owner.nodes().iter().zip(used))
+                    .filter_map(|(node, used)| used.then_some(node))
+                    .collect();
+                nested += (direct.iter())
+                    .flat_map(|a| direct.iter().map(move |d| (a, d)))
+                    .filter(|(a, d)| a.level < d.level && a.start <= d.start && d.end <= a.end)
+                    .count();
+            }
+        }
+        assert!(
+            nested > 0,
+            "{ranks} ranks: no LET fetches a nested direct cluster"
+        );
     }
 }
 
