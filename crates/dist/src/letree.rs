@@ -197,7 +197,8 @@ impl<'a> LetPayload<'a> {
     /// The **land** stage: execute the gets of `window`, consecutive
     /// planned chunks of `issue` — per chunk, its clusters' gets in
     /// ascending id under one shared-lock epoch — appending each payload
-    /// to its kind's block. Every window size goes through this one
+    /// to its kind's block straight from the locked window, one copy per
+    /// fetched value. Every window size goes through this one
     /// implementation, so the recorded traffic and fetched bytes are
     /// identical by construction.
     fn land(
@@ -218,12 +219,12 @@ impl<'a> LetPayload<'a> {
         for plan in window {
             let guard = [&wins.qhat, &wins.parts][plan.kind as usize].lock_shared(issue.target);
             for &ci in &issue.ids(plan.kind)[plan.first..plan.first + plan.len] {
-                let got = guard.get(issue.payload_range(plan.kind, ci, params.proxy_count()));
-                let end = match plan.kind {
+                let range = issue.payload_range(plan.kind, ci, params.proxy_count());
+                let end = guard.get_with(range, |got| match plan.kind {
                     ChunkKind::Approx => {
                         let bbox = &issue.nodes[ci as usize].bbox;
                         payload.grids.push(TensorGrid::new(params.degree, bbox));
-                        payload.qhat.extend_from_slice(&got);
+                        payload.qhat.extend_from_slice(got);
                         payload.qhat.len()
                     }
                     ChunkKind::Direct => {
@@ -234,7 +235,7 @@ impl<'a> LetPayload<'a> {
                         }
                         p.len()
                     }
-                };
+                });
                 payload.starts[plan.kind as usize].push(end);
             }
         }
@@ -318,8 +319,9 @@ pub(crate) fn issue_remote_let(
     // Skeleton exchange: one bulk one-sided get of the node array.
     let skeleton = 0..wins.meta.region_len(target);
     let skeleton_bytes = get_bytes::<NodeMeta>(&skeleton);
-    let metas = wins.meta.lock_shared(target).get(skeleton);
-    let nodes: Vec<ClusterNode> = metas.into_iter().map(NodeMeta::to_cluster).collect();
+    let nodes: Vec<ClusterNode> = wins.meta.lock_shared(target).get_with(skeleton, |metas| {
+        metas.iter().copied().map(NodeMeta::to_cluster).collect()
+    });
 
     // Core's traversal against the remote skeleton: no communication,
     // parallel over batches (the paper's OpenMP-parallel LET traversal),
@@ -1034,9 +1036,15 @@ mod tests {
                 let (qhat, parts) = (wins.qhat.lock_shared(t), wins.parts.lock_shared(t));
                 for ci in 0..owner.num_nodes() {
                     let at = format!("degree {degree}, rank {t}'s cluster {ci}");
-                    let got = qhat.get(issue.payload_range(ChunkKind::Approx, ci as u32, m3));
+                    let got = qhat.get_with(
+                        issue.payload_range(ChunkKind::Approx, ci as u32, m3),
+                        <[f64]>::to_vec,
+                    );
                     assert_eq!(bits(&got), bits(charges.charges(ci)), "{at}");
-                    let got = parts.get(issue.payload_range(ChunkKind::Direct, ci as u32, m3));
+                    let got = parts.get_with(
+                        issue.payload_range(ChunkKind::Direct, ci as u32, m3),
+                        <[f64]>::to_vec,
+                    );
                     let (x, y, z, q) = owner.node_particles(ci);
                     let want = (0..x.len()).flat_map(|j| [x[j], y[j], z[j], q[j]]);
                     assert_eq!(bits(&got), bits(&want.collect::<Vec<_>>()), "{at}");

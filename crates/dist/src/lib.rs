@@ -79,14 +79,13 @@
 //! - [`run_distributed_on`] — the one-shot door, generic over the op:
 //!   a world scoped to the call by a caller-supplied RCB partition
 //!   (launch, one epoch, gather by id, drop), returning the columns, the
-//!   per-rank reports and the traffic matrix. Three thin wrappers name
-//!   its common uses: [`run_distributed`] (potentials, `&dyn Kernel`,
-//!   into a [`DistReport`]), [`run_distributed_field`] (potentials
-//!   **and** 3-component gradients, `&dyn GradientKernel`, into a
-//!   [`DistFieldReport`], for the astrophysics / MD workloads where
-//!   forces `F = -q∇φ` are the quantity of interest) and
-//!   [`run_distributed_field_on`] (the same on a given partition). A
-//!   caller that reads only clocks, counts and traffic hands it
+//!   per-rank reports and the traffic matrix. A `&dyn Kernel` gives
+//!   potentials; a `&dyn GradientKernel` gives potentials **and**
+//!   3-component gradients (`FieldResult::from(columns)`), for
+//!   the astrophysics / MD workloads where forces `F = -q∇φ` are the
+//!   quantity of interest. [`run_distributed`] names the potential pass
+//!   on a fresh partition, into a [`DistReport`]. A caller that reads
+//!   only clocks, counts and traffic hands it
 //!   `bltc_core::kernel::Priced(op)`: the same gets, launches and clocks,
 //!   and no pair math;
 //! - [`FieldSession::eval_field`] — the same epoch against a live world
@@ -179,8 +178,7 @@ pub use persistent::{
 
 use bltc_core::config::BltcParams;
 use bltc_core::cost::OpCounts;
-use bltc_core::field::FieldResult;
-use bltc_core::kernel::{GradientKernel, Kernel, TileOp};
+use bltc_core::kernel::{Kernel, TileOp};
 use bltc_core::particles::ParticleSet;
 use bltc_gpu::{GpuEngine, GpuSimBreakdown};
 use gpu_sim::DeviceSpec;
@@ -483,57 +481,11 @@ impl DistReport {
     }
 }
 
-/// Aggregate result of a distributed **field** (potential + gradient)
-/// run: the per-rank field results assembled back into original target
-/// order, plus the same per-rank/phase/traffic accounting as
-/// [`DistReport`].
-///
-/// The [`RankReport`] traffic-accounting invariants hold here verbatim:
-/// summed per-rank `let_messages`/`let_bytes` equal the
-/// [`TrafficMatrix`] remote totals, the matrix is per-pair identical to
-/// a potential-only run of the same problem (gradient evaluation
-/// fetches nothing extra), and time-stepping drivers may therefore
-/// accumulate step matrices ([`TrafficMatrix::accumulate`]) knowing the
-/// cumulative matrix still reconciles against summed rank tallies.
-#[derive(Debug, Clone)]
-pub struct DistFieldReport {
-    /// Potentials and gradients in the *original* (global) target order.
-    /// The force on charge `q_i` is `-q_i · (gx, gy, gz)[i]`.
-    pub field: FieldResult,
-    /// Per-rank reports, indexed by rank.
-    pub ranks: Vec<RankReport>,
-    /// One-sided traffic recorded by the runtime, per (origin, target).
-    /// Identical to the potential-only run on the same problem: the
-    /// field path fetches nothing extra.
-    pub traffic: TrafficMatrix,
-    /// Bulk-synchronous setup seconds: max over ranks.
-    pub setup_s: f64,
-    /// Bulk-synchronous precompute seconds: max over ranks.
-    pub precompute_s: f64,
-    /// Bulk-synchronous compute seconds: max over ranks (~4× the
-    /// potential-only compute phase — gradient kernels).
-    pub compute_s: f64,
-    /// Modeled run time: max over ranks of the per-rank totals.
-    pub total_s: f64,
-    /// Pipelined run time: max over ranks of the per-rank critical
-    /// paths (`≤ total_s`).
-    pub pipelined_s: f64,
-}
-
-impl DistFieldReport {
-    /// Exact aggregate op counts over all ranks.
-    pub fn total_ops(&self) -> OpCounts {
-        self.ranks
-            .iter()
-            .fold(OpCounts::default(), |acc, r| acc.merged(&r.ops))
-    }
-}
-
 /// The bulk-synchronous phase clocks of one evaluation: ranks run side
 /// by side, so each phase costs what its slowest rank takes. Every
-/// aggregate report ([`DistReport`], [`DistFieldReport`],
-/// [`SessionFieldReport`], `bltc-sim`'s step reports) folds its per-rank
-/// reports through this one definition.
+/// aggregate report ([`DistReport`], [`SessionFieldReport`], `bltc-sim`'s
+/// step reports) and every caller of [`run_distributed_on`] folds its
+/// per-rank reports through this one definition.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseMaxima {
     /// Max over ranks of [`RankReport::setup_total`].
@@ -839,6 +791,13 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
 /// counts and traffic: then the columns are zeros, and every report and
 /// the traffic matrix are the real op's.
 ///
+/// On one rank the columns are bitwise those of
+/// `GpuEngine::with_spec(cfg.params, cfg.spec)` on the whole problem, for
+/// any pass. Rank ownership follows `part`, while trees, charges,
+/// windows and LETs are built from the *current* positions, so a stale
+/// partition is still correct: it is merely less compact, which shows
+/// only as more LET traffic in the returned matrix.
+///
 /// # Panics
 ///
 /// Panics if the partition does not cover `ps`, if any part is empty,
@@ -896,78 +855,13 @@ pub fn run_distributed(
     }
 }
 
-/// Run the full distributed **field** pipeline on `ranks` simulated
-/// ranks: the same pipeline as [`run_distributed`] with a gradient
-/// kernel as the op, so every evaluation — the local simulated-GPU pass
-/// and the remote LET contributions — produces potentials *and*
-/// 3-component gradients.
-///
-/// The LET is reused unchanged (modified charges differentiate for free
-/// with respect to the target), so the field run records exactly the
-/// same one-sided traffic as a potential run; only the device clock
-/// (~4× compute flops, 4× DtH volume) differs. With `ranks == 1` the
-/// result is bitwise identical to
-/// [`GpuEngine::compute_field_detailed`] on the whole problem.
-pub fn run_distributed_field(
-    ps: &ParticleSet,
-    ranks: usize,
-    cfg: &DistConfig,
-    kernel: &dyn GradientKernel,
-) -> DistFieldReport {
-    run_distributed_field_on(ps, &cfg.partition(ps, ranks), cfg, kernel)
-}
-
-/// The field pipeline on a world scoped to the call, with a
-/// **caller-supplied** RCB partition instead of a recomputed one.
-///
-/// `bltc-sim` steps through [`FieldSession`], not through this. Its
-/// callers are `tests/persistent.rs`, which runs the velocity-Verlet
-/// loop on the driver with one call per force evaluation and a partition
-/// held fixed between repartition-cadence boundaries, and a unit test of
-/// [`persistent`]. Both run the same [`FieldSessionIn::eval`] epoch as
-/// the session, so they check a world per call against one kept alive
-/// with migrating particles; the corpus rows recorded before the doors
-/// shared that epoch are the independent check. Rank ownership follows
-/// `part`, while trees, charges, windows, and LETs are built from the
-/// *current* positions on every call.
-///
-/// A stale partition is still *correct* — the per-rank source trees are
-/// built from the particles' live bounding boxes, not from the original
-/// RCB regions — it is merely less compact, which surfaces honestly as
-/// more LET traffic in the returned [`DistFieldReport::traffic`]. That
-/// is exactly the trade a repartition cadence buys.
-///
-/// # Panics
-///
-/// Panics if the partition does not cover `ps` (assignment length
-/// mismatch), if any part is empty, or with the message of
-/// [`DistConfig::validate`] for the partition's part count.
-pub fn run_distributed_field_on(
-    ps: &ParticleSet,
-    part: &RcbPartition,
-    cfg: &DistConfig,
-    kernel: &dyn GradientKernel,
-) -> DistFieldReport {
-    let (columns, ranks, traffic) = run_distributed_on(ps, part, cfg, kernel);
-    let clocks = PhaseMaxima::over(&ranks);
-    DistFieldReport {
-        field: columns.into(),
-        ranks,
-        traffic,
-        setup_s: clocks.setup_s,
-        precompute_s: clocks.precompute_s,
-        compute_s: clocks.compute_s,
-        total_s: clocks.total_s,
-        pipelined_s: clocks.pipelined_s,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bltc_core::engine::direct_sum;
     use bltc_core::error::relative_l2_error;
-    use bltc_core::kernel::Coulomb;
+    use bltc_core::field::FieldResult;
+    use bltc_core::kernel::{Coulomb, GradientKernel};
 
     fn cfg() -> DistConfig {
         DistConfig::comet(BltcParams::new(0.8, 3, 60, 60))
@@ -1134,13 +1028,15 @@ mod tests {
     fn single_rank_field_matches_gpu_engine_bitwise() {
         let ps = ParticleSet::random_cube(900, 6);
         let c = cfg();
-        let dist = run_distributed_field(&ps, 1, &c, &Coulomb);
+        let op: &dyn GradientKernel = &Coulomb;
+        let (columns, _, traffic) = run_distributed_on(&ps, &c.partition(&ps, 1), &c, op);
+        let dist = FieldResult::from(columns);
         let gpu = GpuEngine::with_spec(c.params, c.spec).compute_field_detailed(&ps, &ps, &Coulomb);
-        assert_eq!(dist.field.potentials, gpu.field.potentials);
-        assert_eq!(dist.field.gx, gpu.field.gx);
-        assert_eq!(dist.field.gy, gpu.field.gy);
-        assert_eq!(dist.field.gz, gpu.field.gz);
-        assert_eq!(dist.traffic.total_remote_bytes(), 0);
+        assert_eq!(dist.potentials, gpu.field.potentials);
+        assert_eq!(dist.gx, gpu.field.gx);
+        assert_eq!(dist.gy, gpu.field.gy);
+        assert_eq!(dist.gz, gpu.field.gz);
+        assert_eq!(traffic.total_remote_bytes(), 0);
     }
 
     #[test]
@@ -1148,9 +1044,11 @@ mod tests {
         // Same lists, same LET, same scalar potential expressions — the
         // field path's potential output is the potential path's output.
         let ps = ParticleSet::random_cube(1100, 7);
-        let pot = run_distributed(&ps, 3, &cfg(), &Coulomb);
-        let fld = run_distributed_field(&ps, 3, &cfg(), &Coulomb);
-        assert_eq!(pot.potentials, fld.field.potentials);
+        let c = cfg();
+        let pot = run_distributed(&ps, 3, &c, &Coulomb);
+        let op: &dyn GradientKernel = &Coulomb;
+        let ([potentials, ..], _, _) = run_distributed_on(&ps, &c.partition(&ps, 3), &c, op);
+        assert_eq!(pot.potentials, potentials);
     }
 
     #[test]
@@ -1158,12 +1056,14 @@ mod tests {
         use bltc_core::field::direct_sum_field;
         let ps = ParticleSet::random_cube(1200, 8);
         let c = DistConfig::comet(BltcParams::new(0.7, 6, 60, 60));
-        let rep = run_distributed_field(&ps, 2, &c, &Coulomb);
+        let op: &dyn GradientKernel = &Coulomb;
+        let (columns, _, _) = run_distributed_on(&ps, &c.partition(&ps, 2), &c, op);
+        let field = FieldResult::from(columns);
         let exact = direct_sum_field(&ps, &ps, &Coulomb);
-        assert!(relative_l2_error(&exact.potentials, &rep.field.potentials) < 1e-4);
-        assert!(relative_l2_error(&exact.gx, &rep.field.gx) < 1e-3, "gx");
-        assert!(relative_l2_error(&exact.gy, &rep.field.gy) < 1e-3, "gy");
-        assert!(relative_l2_error(&exact.gz, &rep.field.gz) < 1e-3, "gz");
+        assert!(relative_l2_error(&exact.potentials, &field.potentials) < 1e-4);
+        assert!(relative_l2_error(&exact.gx, &field.gx) < 1e-3, "gx");
+        assert!(relative_l2_error(&exact.gy, &field.gy) < 1e-3, "gy");
+        assert!(relative_l2_error(&exact.gz, &field.gz) < 1e-3, "gz");
     }
 
     #[test]
@@ -1260,9 +1160,11 @@ mod tests {
     #[test]
     fn gradient_kernels_inflate_the_compute_clock() {
         let ps = ParticleSet::random_cube(1500, 9);
-        let pot = run_distributed(&ps, 2, &cfg(), &Coulomb);
-        let fld = run_distributed_field(&ps, 2, &cfg(), &Coulomb);
-        for (p, f) in pot.ranks.iter().zip(&fld.ranks) {
+        let c = cfg();
+        let pot = run_distributed(&ps, 2, &c, &Coulomb);
+        let op: &dyn GradientKernel = &Coulomb;
+        let (_, fld, _) = run_distributed_on(&ps, &c.partition(&ps, 2), &c, op);
+        for (p, f) in pot.ranks.iter().zip(&fld) {
             assert!(
                 f.compute_s > p.compute_s,
                 "rank {}: field compute {} !> potential compute {}",
@@ -1276,6 +1178,6 @@ mod tests {
             assert_eq!(p.let_messages, f.let_messages);
             assert_eq!(p.setup_comm_s, f.setup_comm_s);
         }
-        assert!(fld.compute_s > pot.compute_s);
+        assert!(PhaseMaxima::over(&fld).compute_s > pot.compute_s);
     }
 }

@@ -46,7 +46,7 @@
 //! (flat RCB, or the two-level node×GPU split when the config sets
 //! `gpus_per_node > 1`) — and resident local sets (kept sorted by
 //! global id) match `partition_particles` of that partition exactly, so
-//! an evaluation epoch is bit-equal to [`crate::run_distributed_field_on`]
+//! an evaluation epoch is bit-equal to [`crate::run_distributed_on`]
 //! over it, a world per call against one kept alive.
 
 use std::ops::Deref;
@@ -81,9 +81,8 @@ pub struct RankLocal {
     pub field: Option<FieldResult>,
 }
 
-/// Phase clocks and per-rank reports of one field-evaluation epoch —
-/// a [`crate::DistFieldReport`] without the global field (the field
-/// stays resident on the ranks).
+/// Phase clocks and per-rank reports of one field-evaluation epoch; the
+/// field itself stays resident on the ranks.
 #[derive(Debug, Clone)]
 pub struct SessionFieldReport {
     /// Per-rank reports, indexed by rank.
@@ -213,9 +212,8 @@ impl FieldSession {
     ///
     /// # Panics
     ///
-    /// Panics on the same invalid inputs as
-    /// [`crate::run_distributed_field`], or if an `aux` column's length
-    /// differs from the particle count.
+    /// Panics on the same invalid inputs as [`crate::run_distributed`],
+    /// or if an `aux` column's length differs from the particle count.
     pub fn launch(ps: &ParticleSet, aux: &[Vec<f64>], ranks: usize, cfg: &DistConfig) -> Self {
         Self::launch_reusing(ps, aux, ranks, cfg, None, None)
     }
@@ -258,12 +256,12 @@ impl<'env> FieldSessionIn<'env> {
     /// Distribute `ps` (plus its slice of every `aux` column) onto the
     /// live world `session` by `part`, or by the RCB partition `cfg`
     /// implies when `part` is `None`. The world may be scoped — that is
-    /// how the one-shot doors run their one epoch — or a plain one.
+    /// how the one-shot door runs its one epoch — or a plain one.
     ///
     /// # Panics
     ///
     /// Panics on the same invalid inputs as
-    /// [`crate::run_distributed_field`] (among them every rule of
+    /// [`crate::run_distributed`] (among them every rule of
     /// [`DistConfig::validate`], with its message), if an `aux` column's
     /// length differs from the particle count, on a session whose rank
     /// count differs from `ranks` or that is poisoned, or on a partition
@@ -654,7 +652,7 @@ fn migrate_rank(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_distributed_field_on;
+    use crate::run_distributed_on;
     use bltc_core::config::BltcParams;
     use bltc_core::kernel::{Coulomb, Kernel};
     use mpi_sim::NetworkSpec;
@@ -673,17 +671,18 @@ mod tests {
         let ps = ParticleSet::random_cube(700, 11);
         let c = cfg();
         let part = rcb_partition(&ps, 3, None);
-        let respawn = run_distributed_field_on(&ps, &part, &c, &Coulomb);
+        let (columns, ranks, traffic) = run_distributed_on(&ps, &part, &c, &*kernel());
+        let (respawn, clocks) = (FieldResult::from(columns), PhaseMaxima::over(&ranks));
 
         let mut fs = FieldSession::launch(&ps, &[], 3, &c);
         let rep = fs.eval_field(&kernel());
         // Same traffic, same clocks, same per-rank tallies.
         assert_eq!(
             rep.traffic.total_remote_bytes(),
-            respawn.traffic.total_remote_bytes()
+            traffic.total_remote_bytes()
         );
-        assert_eq!(rep.total_s, respawn.total_s);
-        assert_eq!(rep.pipelined_s, respawn.pipelined_s);
+        assert_eq!(rep.total_s, clocks.total_s);
+        assert_eq!(rep.pipelined_s, clocks.pipelined_s);
         assert!(rep.pipelined_s <= rep.total_s);
         // The resident fields, scattered by id, equal the respawn
         // pipeline's global assembly bitwise.
@@ -691,10 +690,10 @@ mod tests {
             fs.run_epoch(|_c, slot| (slot.ids.clone(), slot.field.clone().expect("evaluated")));
         for (ids, field) in er.results {
             for (i, &id) in ids.iter().enumerate() {
-                assert_eq!(field.potentials[i], respawn.field.potentials[id]);
-                assert_eq!(field.gx[i], respawn.field.gx[id]);
-                assert_eq!(field.gy[i], respawn.field.gy[id]);
-                assert_eq!(field.gz[i], respawn.field.gz[id]);
+                assert_eq!(field.potentials[i], respawn.potentials[id]);
+                assert_eq!(field.gx[i], respawn.gx[id]);
+                assert_eq!(field.gy[i], respawn.gy[id]);
+                assert_eq!(field.gz[i], respawn.gz[id]);
             }
         }
     }

@@ -73,7 +73,7 @@
 //!     if comm.rank() == 0 {
 //!         for r in 0..comm.size() {
 //!             let guard = win.lock_shared(r);
-//!             sum += guard.get(0..1)[0];
+//!             sum += guard.get_with(0..1, <[f64]>::to_vec)[0];
 //!         }
 //!     }
 //!     comm.barrier();

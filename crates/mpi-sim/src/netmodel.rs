@@ -142,7 +142,7 @@ mod tests {
         let out = run_spmd(2, |comm| {
             let win = comm.create_window(vec![0.0f64; 1000]);
             if comm.rank() == 0 {
-                let _ = win.lock_shared(1).get(0..1000); // 8000 bytes
+                let _ = win.lock_shared(1).get_with(0..1000, <[f64]>::to_vec); // 8000 bytes
             }
             comm.barrier();
         });

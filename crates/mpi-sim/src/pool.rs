@@ -202,7 +202,7 @@ mod tests {
         let e = s.run_epoch(|comm| {
             let win = comm.create_window(vec![comm.rank() as f64; 4]);
             let nbr = (comm.rank() + 1) % comm.size();
-            let v = win.lock_shared(nbr).get(0..1)[0];
+            let v = win.lock_shared(nbr).get_with(0..1, <[f64]>::to_vec)[0];
             comm.barrier();
             v
         });

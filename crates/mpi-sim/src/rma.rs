@@ -4,14 +4,16 @@
 //! region. Any rank may then access any region with passive-target
 //! synchronization: `lock_shared` (concurrent readers, `MPI_LOCK_SHARED`)
 //! or `lock_exclusive` (single writer, `MPI_LOCK_EXCLUSIVE`), perform
-//! `get`/`put` operations through the guard, and unlock by dropping it.
+//! `get_with`/`put` operations through the guard, and unlock by dropping
+//! it. A get lends the origin the locked range for the length of a
+//! closure, which copies out what it needs: one copy per fetched byte.
 //! The target thread takes no action — the defining property of the
 //! one-sided model the paper's LET construction relies on (§3.1: "each
 //! rank can construct its LET completely asynchronously from other
 //! ranks").
 //!
-//! Every `get`/`put` records (1 message, payload bytes) in the world's
-//! traffic matrix for the α–β communication model.
+//! Every `get_with`/`put` records (1 message, payload bytes) in the
+//! world's traffic matrix for the α–β communication model.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -81,7 +83,8 @@ impl<T> Clone for Window<T> {
     }
 }
 
-/// A shared passive-target epoch: `get` operations on one target rank.
+/// A shared passive-target epoch: `get_with` operations on one target
+/// rank.
 pub struct WindowReadGuard<'w, T> {
     guard: RwLockReadGuard<'w, Vec<T>>,
     origin: usize,
@@ -89,12 +92,14 @@ pub struct WindowReadGuard<'w, T> {
     world: &'w Arc<World>,
 }
 
-impl<T: Clone> WindowReadGuard<'_, T> {
-    /// One-sided get of `range` from the target region.
+impl<T> WindowReadGuard<'_, T> {
+    /// One-sided get of `range` from the target region, read in place:
+    /// `read` borrows the range under the epoch's lock and returns what
+    /// it copies out (`get_with(r, <[T]>::to_vec)` for an owned copy).
     ///
     /// Panics if the range is out of bounds (an MPI implementation would
     /// corrupt memory or abort; we fail loudly).
-    pub fn get(&self, range: Range<usize>) -> Vec<T> {
+    pub fn get_with<R>(&self, range: Range<usize>, read: impl FnOnce(&[T]) -> R) -> R {
         assert!(
             range.end <= self.guard.len(),
             "RMA get out of bounds: {range:?} on region of {}",
@@ -102,7 +107,7 @@ impl<T: Clone> WindowReadGuard<'_, T> {
         );
         let bytes = (range.len() * std::mem::size_of::<T>()) as u64;
         self.world.record_traffic(self.origin, self.target, bytes);
-        self.guard[range].to_vec()
+        read(&self.guard[range])
     }
 
     /// Length of the locked region.
@@ -139,12 +144,13 @@ impl<T: Clone> WindowWriteGuard<'_, T> {
         self.guard[offset..offset + data.len()].clone_from_slice(data);
     }
 
-    /// One-sided get within an exclusive epoch (legal in MPI).
-    pub fn get(&self, range: Range<usize>) -> Vec<T> {
+    /// One-sided get within an exclusive epoch (legal in MPI), read in
+    /// place as [`WindowReadGuard::get_with`] reads it.
+    pub fn get_with<R>(&self, range: Range<usize>, read: impl FnOnce(&[T]) -> R) -> R {
         assert!(range.end <= self.guard.len(), "RMA get out of bounds");
         let bytes = (range.len() * std::mem::size_of::<T>()) as u64;
         self.world.record_traffic(self.origin, self.target, bytes);
-        self.guard[range].to_vec()
+        read(&self.guard[range])
     }
 
     /// Length of the locked region.
@@ -183,7 +189,7 @@ mod tests {
             let win = comm.create_window(vec![comm.rank() as f64 * 100.0; 3]);
             // Each rank reads its right neighbor.
             let nbr = (comm.rank() + 1) % comm.size();
-            let v = win.lock_shared(nbr).get(0..3);
+            let v = win.lock_shared(nbr).get_with(0..3, <[f64]>::to_vec);
             comm.barrier();
             v[0]
         });
@@ -202,7 +208,7 @@ mod tests {
                 g.put(comm.rank(), &[comm.rank() as f64 + 1.0]);
             }
             comm.barrier();
-            let v = win.lock_shared(0).get(0..3);
+            let v = win.lock_shared(0).get_with(0..3, <[f64]>::to_vec);
             v
         });
         for v in out.results {
@@ -218,7 +224,7 @@ mod tests {
                 win.lock_exclusive(0).accumulate(0, &[1.0]);
             }
             comm.barrier();
-            let v = win.lock_shared(0).get(0..1)[0];
+            let v = win.lock_shared(0).get_with(0..1, <[f64]>::to_vec)[0];
             v
         });
         for v in out.results {
@@ -235,7 +241,7 @@ mod tests {
             let win = comm.create_window(vec![42.0f64]);
             let g = win.lock_shared(0);
             comm.barrier(); // every rank is inside its epoch here
-            let v = g.get(0..1)[0];
+            let v = g.get_with(0..1, <[f64]>::to_vec)[0];
             drop(g);
             comm.barrier();
             v
@@ -248,8 +254,8 @@ mod tests {
         let out = run_spmd(3, |comm| {
             let win = comm.create_window(vec![0.0f64; 8]);
             if comm.rank() == 2 {
-                let _ = win.lock_shared(1).get(0..8); // 64 bytes 2→1
-                let _ = win.lock_shared(2).get(0..4); // local, still counted
+                let _ = win.lock_shared(1).get_with(0..8, <[f64]>::to_vec); // 64 bytes 2→1
+                let _ = win.lock_shared(2).get_with(0..4, <[f64]>::to_vec); // local, still counted
             }
             comm.barrier();
         });
@@ -278,7 +284,7 @@ mod tests {
         let result = std::panic::catch_unwind(|| {
             run_spmd(1, |comm| {
                 let win = comm.create_window(vec![0.0f64; 2]);
-                let _ = win.lock_shared(0).get(0..5);
+                let _ = win.lock_shared(0).get_with(0..5, <[f64]>::to_vec);
             })
         });
         assert!(result.is_err(), "out-of-bounds get must panic");
@@ -297,7 +303,7 @@ mod tests {
             for _ in 0..rounds {
                 for t in 0..comm.size() {
                     if t != o {
-                        let _ = win.lock_shared(t).get(0..o + 1);
+                        let _ = win.lock_shared(t).get_with(0..o + 1, <[f64]>::to_vec);
                     }
                 }
             }
@@ -329,11 +335,11 @@ mod tests {
             let win = comm.create_window(vec![0.0f64; 1]);
             for _ in 0..50 {
                 let mut g = win.lock_exclusive(0);
-                let v = g.get(0..1)[0];
+                let v = g.get_with(0..1, <[f64]>::to_vec)[0];
                 g.put(0, &[v + 1.0]);
             }
             comm.barrier();
-            let v = win.lock_shared(0).get(0..1)[0];
+            let v = win.lock_shared(0).get_with(0..1, <[f64]>::to_vec)[0];
             v
         });
         for v in out.results {
@@ -345,7 +351,9 @@ mod tests {
     fn windows_of_u32_work() {
         let out = run_spmd(2, |comm| {
             let win = comm.create_window(vec![comm.rank() as u32; 4]);
-            let v = win.lock_shared(1 - comm.rank()).get(0..4);
+            let v = win
+                .lock_shared(1 - comm.rank())
+                .get_with(0..4, <[u32]>::to_vec);
             comm.barrier();
             v[0]
         });

@@ -79,7 +79,8 @@
 //! // Epoch 1: windows + one-sided reads.
 //! let e1 = session.run_epoch(|comm| {
 //!     let win = comm.create_window(vec![comm.rank() as f64]);
-//!     let v = win.lock_shared((comm.rank() + 1) % comm.size()).get(0..1)[0];
+//!     let nbr = (comm.rank() + 1) % comm.size();
+//!     let v = win.lock_shared(nbr).get_with(0..1, <[f64]>::to_vec)[0];
 //!     comm.barrier();
 //!     v
 //! });
@@ -490,7 +491,7 @@ mod tests {
         let rep = s.run_epoch(|comm| {
             let win = comm.create_window(vec![comm.rank() as u32 * 2; 4]);
             let nbr = (comm.rank() + 1) % comm.size();
-            let v = win.lock_shared(nbr).get(0..4);
+            let v = win.lock_shared(nbr).get_with(0..4, <[u32]>::to_vec);
             comm.barrier();
             (v[0], comm.all_reduce_sum(1.0))
         });
@@ -503,7 +504,7 @@ mod tests {
         let e1 = s.run_epoch(|comm| {
             let win = comm.create_window(vec![0.0f64; 8]);
             if comm.rank() == 0 {
-                let _ = win.lock_shared(1).get(0..8); // 64 bytes
+                let _ = win.lock_shared(1).get_with(0..8, <[f64]>::to_vec); // 64 bytes
             }
             comm.barrier();
         });
@@ -759,7 +760,7 @@ mod tests {
             let er = s.run_epoch(|comm| {
                 let win = comm.create_window(vec![comm.rank() as f64; 4]);
                 let nbr = (comm.rank() + 1) % comm.size();
-                let v = win.lock_shared(nbr).get(0..4)[0];
+                let v = win.lock_shared(nbr).get_with(0..4, <[f64]>::to_vec)[0];
                 comm.barrier();
                 v
             });
@@ -822,7 +823,7 @@ mod tests {
             let e0 = s.run_epoch(|comm| {
                 let win = comm.create_window(vec![weights[comm.rank()]; 2]);
                 let nbr = (comm.rank() + 1) % comm.size();
-                let v = win.lock_shared(nbr).get(0..2)[0]; // 16 bytes
+                let v = win.lock_shared(nbr).get_with(0..2, <[f64]>::to_vec)[0]; // 16 bytes
                 comm.barrier();
                 v
             });

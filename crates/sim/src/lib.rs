@@ -45,7 +45,7 @@
 //! Resident local sets are kept sorted by global id — the order
 //! `rcb::partition_particles` yields — so a session run is bit-equal to
 //! the same half-kick/drift loop run on the driver with one
-//! [`bltc_dist::run_distributed_field_on`] per evaluation over a
+//! [`bltc_dist::run_distributed_on`] per evaluation over a
 //! driver-side partition (`tests/persistent.rs` keeps that check). Both
 //! run the same evaluation epoch, one on a world per call, so the
 //! independent check is the corpus rows (`tests/corpus.rs`) recorded

@@ -1,16 +1,17 @@
 //! Distributed **force** evaluation end-to-end on 4 simulated ranks:
 //! the same RCB + LET pipeline as `distributed_let`, but every rank
 //! evaluates potentials *and* 3-component gradients through the
-//! gradient-capable GPU kernels (`run_distributed_field`), so forces
-//! `F_i = -q_i ∇φ(x_i)` — the astrophysics / MD quantity — come out of
-//! the distributed path directly.
+//! gradient-capable GPU kernels (`run_distributed_on` with a
+//! `&dyn GradientKernel`), so forces `F_i = -q_i ∇φ(x_i)` — the
+//! astrophysics / MD quantity — come out of the distributed path
+//! directly.
 //!
 //! ```text
 //! cargo run --release --example distributed_forces
 //! ```
 
 use bltc::core::prelude::*;
-use bltc::dist::{run_distributed, run_distributed_field, DistConfig};
+use bltc::dist::{run_distributed, run_distributed_on, DistConfig, PhaseMaxima};
 
 fn main() {
     let n = 12_000;
@@ -25,14 +26,18 @@ fn main() {
     );
     println!("device/rank: {}, fabric: {}\n", cfg.spec.name, cfg.net.name);
 
-    let rep = run_distributed_field(&ps, ranks, &cfg, &Coulomb);
+    let op: &dyn GradientKernel = &Coulomb;
+    let (columns, ranks_rep, traffic) =
+        run_distributed_on(&ps, &cfg.partition(&ps, ranks), &cfg, op);
+    let field = FieldResult::from(columns);
+    let clocks = PhaseMaxima::over(&ranks_rep);
 
     // Accuracy vs direct-sum forces (the O(N²) reference).
     let exact = direct_sum_field(&ps, &ps, &Coulomb);
-    let err_pot = relative_l2_error(&exact.potentials, &rep.field.potentials);
-    let err_gx = relative_l2_error(&exact.gx, &rep.field.gx);
-    let err_gy = relative_l2_error(&exact.gy, &rep.field.gy);
-    let err_gz = relative_l2_error(&exact.gz, &rep.field.gz);
+    let err_pot = relative_l2_error(&exact.potentials, &field.potentials);
+    let err_gx = relative_l2_error(&exact.gx, &field.gx);
+    let err_gy = relative_l2_error(&exact.gy, &field.gy);
+    let err_gz = relative_l2_error(&exact.gz, &field.gz);
     println!("relative 2-norm error vs direct summation:");
     println!("  potential : {err_pot:.2e}");
     println!("  ∂φ/∂x     : {err_gx:.2e}");
@@ -41,7 +46,7 @@ fn main() {
 
     println!("per-rank summary:");
     println!("rank  n_local  batches  LET:approx  LET:direct  RMA msgs  RMA KiB");
-    for r in &rep.ranks {
+    for r in &ranks_rep {
         println!(
             "{:>4}  {:>7}  {:>7}  {:>10}  {:>10}  {:>8}  {:>7.1}",
             r.rank,
@@ -61,31 +66,31 @@ fn main() {
     println!("                field        potential-only");
     println!(
         "  setup      : {:>9.3} ms   {:>9.3} ms",
-        rep.setup_s * 1e3,
+        clocks.setup_s * 1e3,
         pot_rep.setup_s * 1e3
     );
     println!(
         "  precompute : {:>9.3} ms   {:>9.3} ms",
-        rep.precompute_s * 1e3,
+        clocks.precompute_s * 1e3,
         pot_rep.precompute_s * 1e3
     );
     println!(
         "  compute    : {:>9.3} ms   {:>9.3} ms",
-        rep.compute_s * 1e3,
+        clocks.compute_s * 1e3,
         pot_rep.compute_s * 1e3
     );
     println!(
         "  total      : {:>9.3} ms   {:>9.3} ms",
-        rep.total_s * 1e3,
+        clocks.total_s * 1e3,
         pot_rep.total_s * 1e3
     );
 
     // A sample force, to make the physics concrete.
     let i = 0;
     let (fx, fy, fz) = (
-        -ps.q[i] * rep.field.gx[i],
-        -ps.q[i] * rep.field.gy[i],
-        -ps.q[i] * rep.field.gz[i],
+        -ps.q[i] * field.gx[i],
+        -ps.q[i] * field.gy[i],
+        -ps.q[i] * field.gz[i],
     );
     println!(
         "\nforce on particle 0 (q = {:+.3}): ({fx:+.4}, {fy:+.4}, {fz:+.4})",
@@ -93,9 +98,9 @@ fn main() {
     );
 
     assert!(err_gx <= 1e-3 && err_gy <= 1e-3 && err_gz <= 1e-3);
-    assert!(rep.compute_s > pot_rep.compute_s);
+    assert!(clocks.compute_s > pot_rep.compute_s);
     assert_eq!(
-        rep.traffic.total_remote_bytes(),
+        traffic.total_remote_bytes(),
         pot_rep.traffic.total_remote_bytes(),
         "gradient evaluation must add no RMA traffic"
     );

@@ -12,10 +12,10 @@
 //!   precompute kernels, asynchronous streams.
 //! - [`dist`] — the distributed pipeline: RCB domain decomposition
 //!   ([`rcb_partition`]), locally essential trees built over passive-target
-//!   RMA ([`mpi_sim`]). Both potentials (`dist::run_distributed`) and
-//!   force fields — potentials + 3-component gradients —
-//!   (`dist::run_distributed_field`) run distributed; see
-//!   `examples/distributed_forces.rs`.
+//!   RMA ([`mpi_sim`]). One door, `dist::run_distributed_on`, runs
+//!   every pass distributed: potentials with a kernel, and force
+//!   fields — potentials + 3-component gradients — with a gradient
+//!   kernel; see `examples/distributed_forces.rs`.
 //! - [`sim`] — distributed time integration on top of the field
 //!   pipeline: one velocity-Verlet integrator on a persistent rank
 //!   session (state resident on the ranks, RCB repartition by

@@ -34,9 +34,7 @@ mod golden;
 
 use bltc::core::kernel::{MixedPrecision, Priced};
 use bltc::core::prelude::*;
-use bltc::dist::{
-    run_distributed, run_distributed_field, run_distributed_on, DistConfig, RankReport,
-};
+use bltc::dist::{run_distributed, run_distributed_on, DistConfig, RankReport};
 use bltc::mpi_sim::runtime::TrafficMatrix;
 use bltc::service::{fnv1a, state_digest, Fault, JobSpec, Scenario};
 use bltc::sim::PersistentIntegrator;
@@ -62,7 +60,8 @@ enum Output {
     ParallelField,
     /// `run_distributed` potentials on 3 ranks.
     RankPotential,
-    /// `run_distributed_field` on 3 ranks, all four columns.
+    /// `run_distributed_on` with a gradient kernel on 3 ranks, all four
+    /// columns.
     RankField,
     /// [`RankPotential`] with every LET streamed under [`TIGHT_BUDGET`].
     TightRankPotential,
@@ -218,8 +217,9 @@ fn trajectory(name: &str) -> u64 {
     };
     let (state, model) = spec.scenario.build(spec.n, spec.seed);
     if n > 1000 {
-        let rep = run_distributed_field(&state.particles, 4, &spec.dist, model.kernel());
-        for r in &rep.ranks {
+        let part = spec.dist.partition(&state.particles, 4);
+        let (_, ranks, _) = run_distributed_on(&state.particles, &part, &spec.dist, model.kernel());
+        for r in &ranks {
             let s = r.let_stats;
             assert!(
                 s.remote_approx_nodes > 0 && s.remote_direct_nodes > 0,
@@ -282,9 +282,15 @@ fn compute(name: &str, output: Output) -> Vec<u64> {
             field(&PreparedTreecode::new(&ps, &ps, params).evaluate_field_parallel(grad()))
         }
         RankPotential => potentials(&run_distributed(&ps, 3, &cfg, &*k).potentials),
-        RankField => field(&run_distributed_field(&ps, 3, &cfg, grad()).field),
+        RankField => {
+            let (columns, ..) = run_distributed_on(&ps, &cfg.partition(&ps, 3), &cfg, grad());
+            field(&columns.into())
+        }
         TightRankPotential => potentials(&run_distributed(&ps, 3, &tight, &*k).potentials),
-        TightRankField => field(&run_distributed_field(&ps, 3, &tight, grad()).field),
+        TightRankField => {
+            let (columns, ..) = run_distributed_on(&ps, &tight.partition(&ps, 3), &tight, grad());
+            field(&columns.into())
+        }
         NodePairPotential => potentials(&run_distributed(&ps, 4, &node_pairs, &*k).potentials),
         Traffic => return priced_too(traffic, &cfg),
         TightTraffic => return priced_too(traffic, &tight),
@@ -540,7 +546,8 @@ fn distributed_errors_stay_under_the_fig4_bounds() {
         let one_field = PreparedTreecode::new(&ps, &ps, params).evaluate_field_parallel(&*grad);
         for (ranks, bounds) in [3, 4].into_iter().zip(bounds) {
             let pot = run_distributed(&ps, ranks, &cfg, &*k).potentials;
-            let field = run_distributed_field(&ps, ranks, &cfg, &*grad).field;
+            let (columns, ..) = run_distributed_on(&ps, &cfg.partition(&ps, ranks), &cfg, &*grad);
+            let field = FieldResult::from(columns);
             let got = [
                 relative_l2_error(exact_pot, &pot),
                 relative_l2_error(&one_pot, &pot),

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bltc::core::prelude::*;
-use bltc::dist::{run_distributed, run_distributed_field, DistConfig, FieldSession};
+use bltc::dist::{run_distributed, run_distributed_on, DistConfig, FieldSession};
 use bltc::gpu::GpuEngine;
 use bltc::gpu_sim::DeviceSpec;
 
@@ -163,16 +163,18 @@ fn distributed_single_rank_field_equals_gpu_engine() {
     let ps = problem(1600, 108);
     let params = BltcParams::new(0.8, 4, 100, 100);
     let cfg = DistConfig::comet(params);
-    let dist = run_distributed_field(&ps, 1, &cfg, &Yukawa::default());
+    let op: &dyn GradientKernel = &Yukawa::default();
+    let (columns, ..) = run_distributed_on(&ps, &cfg.partition(&ps, 1), &cfg, op);
+    let dist = FieldResult::from(columns);
     let gpu = GpuEngine::with_spec(params, DeviceSpec::p100()).compute_field_detailed(
         &ps,
         &ps,
         &Yukawa::default(),
     );
-    assert_eq!(dist.field.potentials, gpu.field.potentials);
-    assert_eq!(dist.field.gx, gpu.field.gx);
-    assert_eq!(dist.field.gy, gpu.field.gy);
-    assert_eq!(dist.field.gz, gpu.field.gz);
+    assert_eq!(dist.potentials, gpu.field.potentials);
+    assert_eq!(dist.gx, gpu.field.gx);
+    assert_eq!(dist.gy, gpu.field.gy);
+    assert_eq!(dist.gz, gpu.field.gz);
 }
 
 #[test]
@@ -181,6 +183,8 @@ fn all_field_engines_converge_to_direct_sum_field() {
     let params = BltcParams::new(0.7, 6, 100, 100);
     let exact = direct_sum_field(&ps, &ps, &Coulomb);
     let prep = PreparedTreecode::new(&ps, &ps, params);
+    let cfg = DistConfig::comet(params);
+    let op: &dyn GradientKernel = &Coulomb;
     let results = [
         (
             "cpu-serial",
@@ -195,7 +199,7 @@ fn all_field_engines_converge_to_direct_sum_field() {
         ),
         (
             "dist(3)",
-            run_distributed_field(&ps, 3, &DistConfig::comet(params), &Coulomb).field,
+            FieldResult::from(run_distributed_on(&ps, &cfg.partition(&ps, 3), &cfg, op).0),
         ),
     ];
     for (name, f) in &results {
@@ -297,17 +301,19 @@ fn trait_object_kernels_are_driven_by_tiles_on_every_distributed_door() {
     );
 
     let as_gradient: &dyn GradientKernel = &*counting;
-    let field = run_distributed_field(&ps, 3, &cfg, as_gradient);
+    let part = cfg.partition(&ps, 3);
+    let (field, ..) = run_distributed_on(&ps, &part, &cfg, as_gradient);
     let (tiles, pairs) = counting.take();
-    assert!(tiles > 0, "run_distributed_field never called the tile");
+    assert!(
+        tiles > 0,
+        "run_distributed_on never called the gradient tile"
+    );
     assert_eq!(
         pairs, 0,
-        "run_distributed_field fell back to per-pair calls"
+        "run_distributed_on fell back to per-pair gradient calls"
     );
-    assert_eq!(
-        field.field,
-        run_distributed_field(&ps, 3, &cfg, &Coulomb).field
-    );
+    let coulomb: &dyn GradientKernel = &Coulomb;
+    assert_eq!(field, run_distributed_on(&ps, &part, &cfg, coulomb).0);
 
     let mut session = FieldSession::launch(&ps, &[], 3, &cfg);
     let shared: Arc<dyn GradientKernel> = counting.clone();
@@ -401,7 +407,10 @@ fn potential_digests_are_pinned_across_instruction_sets() {
     let prep = PreparedTreecode::new(&ps, &ps, params);
     let coulomb = digest(&prep.evaluate_field_parallel(&Coulomb));
     let softened = digest(&prep.evaluate_field_parallel(&RegularizedCoulomb::new(0.05)));
-    let dist = digest(&run_distributed_field(&ps, 3, &cfg, &Coulomb).field);
+    let part = cfg.partition(&ps, 3);
+    let dist_field =
+        |op: &dyn GradientKernel| FieldResult::from(run_distributed_on(&ps, &part, &cfg, op).0);
+    let dist = digest(&dist_field(&Coulomb));
     assert_eq!(
         (coulomb, softened, dist),
         (
@@ -414,8 +423,8 @@ fn potential_digests_are_pinned_across_instruction_sets() {
     let exp_rows = [
         digest(&prep.evaluate_field_parallel(&yukawa)),
         digest(&prep.evaluate_field_parallel(&softened_yukawa)),
-        digest(&run_distributed_field(&ps, 3, &cfg, &yukawa).field),
-        digest(&run_distributed_field(&ps, 3, &cfg, &softened_yukawa).field),
+        digest(&dist_field(&yukawa)),
+        digest(&dist_field(&softened_yukawa)),
     ];
     assert_eq!(
         exp_rows,

@@ -1,21 +1,22 @@
 //! Integration tests of distributed **force** evaluation: the
-//! `run_distributed_field` pipeline against single-rank references,
+//! `run_distributed_on` pipeline with a gradient kernel against
+//! single-rank references,
 //! finite differences of the distributed potential, and the RMA traffic
 //! accounting invariants the field path must preserve.
 
 use bltc::core::prelude::*;
-use bltc::dist::{run_distributed, run_distributed_field, DistConfig, DistFieldReport};
+use bltc::dist::{run_distributed, run_distributed_on, DistConfig, PhaseMaxima};
 
 fn cfg(params: BltcParams) -> DistConfig {
     DistConfig::comet(params)
 }
 
-fn assert_all_finite(rep: &DistFieldReport) {
+fn assert_all_finite(field: &FieldResult) {
     for (name, v) in [
-        ("potentials", &rep.field.potentials),
-        ("gx", &rep.field.gx),
-        ("gy", &rep.field.gy),
-        ("gz", &rep.field.gz),
+        ("potentials", &field.potentials),
+        ("gx", &field.gx),
+        ("gy", &field.gy),
+        ("gz", &field.gz),
     ] {
         assert!(v.iter().all(|x| x.is_finite()), "{name} contains NaN/inf");
     }
@@ -31,18 +32,20 @@ fn distributed_gradients_match_single_rank_evaluate_field() {
     let params = BltcParams::new(0.7, 6, 80, 80);
     let prep = PreparedTreecode::new(&ps, &ps, params);
     let reference: FieldResult = prep.evaluate(&Coulomb as &dyn GradientKernel, false).into();
+    let (c, op) = (cfg(params), &Coulomb as &dyn GradientKernel);
     for ranks in [1usize, 2, 4, 7] {
-        let rep = run_distributed_field(&ps, ranks, &cfg(params), &Coulomb);
-        assert_all_finite(&rep);
-        let ep = relative_l2_error(&reference.potentials, &rep.field.potentials);
-        let ex = relative_l2_error(&reference.gx, &rep.field.gx);
-        let ey = relative_l2_error(&reference.gy, &rep.field.gy);
-        let ez = relative_l2_error(&reference.gz, &rep.field.gz);
+        let (columns, reports, _) = run_distributed_on(&ps, &c.partition(&ps, ranks), &c, op);
+        let field = FieldResult::from(columns);
+        assert_all_finite(&field);
+        let ep = relative_l2_error(&reference.potentials, &field.potentials);
+        let ex = relative_l2_error(&reference.gx, &field.gx);
+        let ey = relative_l2_error(&reference.gy, &field.gy);
+        let ez = relative_l2_error(&reference.gz, &field.gz);
         assert!(ep < 1e-4, "{ranks} ranks: potential err {ep}");
         assert!(ex < 1e-3, "{ranks} ranks: gx err {ex}");
         assert!(ey < 1e-3, "{ranks} ranks: gy err {ey}");
         assert!(ez < 1e-3, "{ranks} ranks: gz err {ez}");
-        assert_eq!(rep.ranks.len(), ranks);
+        assert_eq!(reports.len(), ranks);
     }
 }
 
@@ -50,11 +53,12 @@ fn distributed_gradients_match_single_rank_evaluate_field() {
 fn distributed_gradients_match_direct_sum_forces() {
     let ps = ParticleSet::plummer(2000, 1.0, 401);
     let params = BltcParams::new(0.7, 6, 80, 80);
-    let rep = run_distributed_field(&ps, 4, &cfg(params), &Coulomb);
+    let (c, op) = (cfg(params), &Coulomb as &dyn GradientKernel);
+    let field = FieldResult::from(run_distributed_on(&ps, &c.partition(&ps, 4), &c, op).0);
     let exact = direct_sum_field(&ps, &ps, &Coulomb);
-    assert!(relative_l2_error(&exact.gx, &rep.field.gx) < 1e-3);
-    assert!(relative_l2_error(&exact.gy, &rep.field.gy) < 1e-3);
-    assert!(relative_l2_error(&exact.gz, &rep.field.gz) < 1e-3);
+    assert!(relative_l2_error(&exact.gx, &field.gx) < 1e-3);
+    assert!(relative_l2_error(&exact.gy, &field.gy) < 1e-3);
+    assert!(relative_l2_error(&exact.gz, &field.gz) < 1e-3);
 }
 
 #[test]
@@ -72,7 +76,8 @@ fn distributed_gradients_match_finite_differences_of_distributed_potential() {
     let params = BltcParams::new(0.1, 2, 1000, 1000);
     let c = cfg(params);
     let ranks = 3;
-    let rep = run_distributed_field(&ps, ranks, &c, &Coulomb);
+    let op: &dyn GradientKernel = &Coulomb;
+    let [_, gx, gy, gz] = run_distributed_on(&ps, &c.partition(&ps, ranks), &c, op).0;
     let h = 1e-5;
 
     for (pi, axis) in [(7usize, 0usize), (120, 1), (288, 2)] {
@@ -98,9 +103,9 @@ fn distributed_gradients_match_finite_differences_of_distributed_potential() {
             (fp - fm) / (2.0 * h)
         };
         let grad = match axis {
-            0 => rep.field.gx[pi],
-            1 => rep.field.gy[pi],
-            _ => rep.field.gz[pi],
+            0 => gx[pi],
+            1 => gy[pi],
+            _ => gz[pi],
         };
         let scale = grad.abs().max(1.0);
         assert!(
@@ -114,16 +119,21 @@ fn distributed_gradients_match_finite_differences_of_distributed_potential() {
 fn field_runs_are_deterministic() {
     let ps = ParticleSet::random_cube(900, 403);
     let params = BltcParams::new(0.8, 4, 70, 70);
-    let a = run_distributed_field(&ps, 3, &cfg(params), &Yukawa::default());
-    let b = run_distributed_field(&ps, 3, &cfg(params), &Yukawa::default());
-    assert_eq!(a.field.potentials, b.field.potentials);
-    assert_eq!(a.field.gx, b.field.gx);
-    assert_eq!(a.field.gy, b.field.gy);
-    assert_eq!(a.field.gz, b.field.gz);
-    assert_eq!(a.total_s, b.total_s);
+    let (c, op) = (cfg(params), &Yukawa::default() as &dyn GradientKernel);
+    let part = c.partition(&ps, 3);
+    let ([ap, agx, agy, agz], a_ranks, a_traffic) = run_distributed_on(&ps, &part, &c, op);
+    let ([bp, bgx, bgy, bgz], b_ranks, b_traffic) = run_distributed_on(&ps, &part, &c, op);
+    assert_eq!(ap, bp);
+    assert_eq!(agx, bgx);
+    assert_eq!(agy, bgy);
+    assert_eq!(agz, bgz);
     assert_eq!(
-        a.traffic.total_remote_bytes(),
-        b.traffic.total_remote_bytes()
+        PhaseMaxima::over(&a_ranks).total_s,
+        PhaseMaxima::over(&b_ranks).total_s
+    );
+    assert_eq!(
+        a_traffic.total_remote_bytes(),
+        b_traffic.total_remote_bytes()
     );
 }
 
@@ -153,12 +163,14 @@ fn gradient_evaluation_adds_no_unaccounted_rma_bytes() {
             };
             let case = format!("{ranks} ranks, budget {let_memory_budget:?}");
             let pot = run_distributed(&ps, ranks, &c, &Coulomb);
-            let fld = run_distributed_field(&ps, ranks, &c, &Coulomb);
+            let op: &dyn GradientKernel = &Coulomb;
+            let ([fld_potentials, ..], fld_ranks, fld_traffic) =
+                run_distributed_on(&ps, &c.partition(&ps, ranks), &c, op);
 
             // (a) per-pair identical traffic.
             for o in 0..ranks {
                 for t in 0..ranks {
-                    let (tp, tf) = (pot.traffic.get(o, t), fld.traffic.get(o, t));
+                    let (tp, tf) = (pot.traffic.get(o, t), fld_traffic.get(o, t));
                     assert_eq!(tp.bytes, tf.bytes, "{case}: bytes mismatch at ({o},{t})");
                     assert_eq!(
                         tp.messages, tf.messages,
@@ -169,7 +181,7 @@ fn gradient_evaluation_adds_no_unaccounted_rma_bytes() {
 
             // (b) each run's runtime matrix and per-rank tallies agree
             // exactly, for every rank and in sum.
-            for (reps, traffic) in [(&pot.ranks, &pot.traffic), (&fld.ranks, &fld.traffic)] {
+            for (reps, traffic) in [(&pot.ranks, &pot.traffic), (&fld_ranks, &fld_traffic)] {
                 let tally_bytes: u64 = reps.iter().map(|r| r.let_bytes).sum();
                 let tally_msgs: u64 = reps.iter().map(|r| r.let_messages).sum();
                 let matrix_bytes = traffic.total_remote_bytes();
@@ -185,8 +197,8 @@ fn gradient_evaluation_adds_no_unaccounted_rma_bytes() {
 
             // (c) same bits, same LET, same launches.
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&pot.potentials), bits(&fld.field.potentials), "{case}");
-            for (p, f) in pot.ranks.iter().zip(&fld.ranks) {
+            assert_eq!(bits(&pot.potentials), bits(&fld_potentials), "{case}");
+            for (p, f) in pot.ranks.iter().zip(&fld_ranks) {
                 let case = format!("{case}, rank {}", p.rank);
                 assert_eq!(p.let_stats, f.let_stats, "{case}");
                 assert_eq!(p.peak_let_bytes, f.peak_let_bytes, "{case}");
@@ -209,8 +221,9 @@ fn field_phase_totals_are_consistent() {
     // phase_totals_are_consistent, extended to the field report.
     let ps = ParticleSet::random_cube(2000, 405);
     let params = BltcParams::new(0.8, 4, 80, 80);
-    let rep = run_distributed_field(&ps, 3, &cfg(params), &Yukawa::default());
-    for r in &rep.ranks {
+    let (c, op) = (cfg(params), &Yukawa::default() as &dyn GradientKernel);
+    let (_, ranks, _) = run_distributed_on(&ps, &c.partition(&ps, 3), &c, op);
+    for r in &ranks {
         let total = r.total();
         assert!(total >= r.setup_total());
         assert!(total >= r.precompute_s);
@@ -224,10 +237,14 @@ fn field_phase_totals_are_consistent() {
         assert!(r.pipelined_s() > 0.0);
         assert!(r.pipelined_s() <= total);
     }
+    let rep = PhaseMaxima::over(&ranks);
     assert!(rep.total_s <= rep.setup_s + rep.precompute_s + rep.compute_s + 1e-12);
     assert!(rep.total_s >= rep.setup_s.max(rep.precompute_s).max(rep.compute_s));
     assert!(rep.pipelined_s > 0.0 && rep.pipelined_s <= rep.total_s);
-    assert!(rep.total_ops().num_batches > 0);
+    let ops = ranks
+        .iter()
+        .fold(OpCounts::default(), |acc, r| acc.merged(&r.ops));
+    assert!(ops.num_batches > 0);
 }
 
 #[test]
@@ -240,10 +257,12 @@ fn field_works_for_all_gradient_kernels() {
         Box::new(RegularizedCoulomb::new(0.05)),
     ];
     for k in &kernels {
-        let rep = run_distributed_field(&ps, 3, &cfg(params), k.as_ref());
-        assert_all_finite(&rep);
+        let c = cfg(params);
+        let field =
+            FieldResult::from(run_distributed_on(&ps, &c.partition(&ps, 3), &c, k.as_ref()).0);
+        assert_all_finite(&field);
         let exact = direct_sum_field(&ps, &ps, k.as_ref());
-        let err = relative_l2_error(&exact.gx, &rep.field.gx);
+        let err = relative_l2_error(&exact.gx, &field.gx);
         assert!(err < 1e-3, "{}: gx err {err}", k.name());
     }
 }

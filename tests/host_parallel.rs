@@ -20,9 +20,9 @@ use std::time::Duration;
 
 use bltc_core::config::BltcParams;
 use bltc_core::engine::{direct_sum, ParallelEngine, PreparedTreecode, TreecodeEngine};
-use bltc_core::kernel::{Coulomb, Yukawa};
+use bltc_core::kernel::{Coulomb, GradientKernel, Yukawa};
 use bltc_core::particles::ParticleSet;
-use bltc_dist::{run_distributed_field, DistConfig};
+use bltc_dist::{run_distributed_on, DistConfig, PhaseMaxima};
 use bltc_sim::{plummer_sphere, PersistentIntegrator, SimConfig};
 use mpi_sim::chaos::{ChaosSchedule, FaultKind, FaultSpec, HangReleased};
 use mpi_sim::{run_spmd, Session};
@@ -165,26 +165,23 @@ fn distributed_field_bitwise_identical_across_pool_sizes() {
     // remote eval — rank threads share the installed pool.
     let ps = ParticleSet::random_cube(1800, 80);
     let cfg = DistConfig::comet(BltcParams::new(0.8, 3, 70, 70));
-    let run = || run_distributed_field(&ps, 3, &cfg, &Coulomb);
-    let reference = pool(POOL_SIZES[0]).install(run);
+    let (part, op) = (cfg.partition(&ps, 3), &Coulomb as &dyn GradientKernel);
+    let run = || run_distributed_on(&ps, &part, &cfg, op);
+    let ([ref_pot, ref_gx, ..], ref_ranks, ref_traffic) = pool(POOL_SIZES[0]).install(run);
     for &w in &POOL_SIZES[1..] {
-        let got = pool(w).install(run);
-        assert_eq!(
-            bits(&reference.field.potentials),
-            bits(&got.field.potentials),
-            "{w}: potentials"
-        );
-        assert_eq!(bits(&reference.field.gx), bits(&got.field.gx), "{w}: gx");
+        let ([pot, gx, ..], ranks, traffic) = pool(w).install(run);
+        assert_eq!(bits(&ref_pot), bits(&pot), "{w}: potentials");
+        assert_eq!(bits(&ref_gx), bits(&gx), "{w}: gx");
         // The modeled clocks and traffic must match exactly too: the
         // pool must not leak into the model.
         assert_eq!(
-            reference.total_s.to_bits(),
-            got.total_s.to_bits(),
+            PhaseMaxima::over(&ref_ranks).total_s.to_bits(),
+            PhaseMaxima::over(&ranks).total_s.to_bits(),
             "{w}: clock"
         );
         assert_eq!(
-            reference.traffic.total_remote_bytes(),
-            got.traffic.total_remote_bytes(),
+            ref_traffic.total_remote_bytes(),
+            traffic.total_remote_bytes(),
             "{w}: traffic"
         );
     }
@@ -429,9 +426,11 @@ fn pool_survives_panicking_task_and_keeps_serving() {
     // without deadlock or corruption.
     let ps = ParticleSet::random_cube(600, 82);
     let cfg = DistConfig::comet(BltcParams::new(0.8, 3, 60, 60));
-    let rep = p.install(|| run_distributed_field(&ps, 2, &cfg, &Coulomb));
-    assert_eq!(rep.field.potentials.len(), 600);
-    assert!(rep.field.potentials.iter().all(|v| v.is_finite()));
+    let op: &dyn GradientKernel = &Coulomb;
+    let ([potentials, ..], ..) =
+        p.install(|| run_distributed_on(&ps, &cfg.partition(&ps, 2), &cfg, op));
+    assert_eq!(potentials.len(), 600);
+    assert!(potentials.iter().all(|v| v.is_finite()));
 }
 
 proptest! {

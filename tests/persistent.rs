@@ -9,7 +9,8 @@
 use std::sync::Arc;
 
 use bltc::core::prelude::*;
-use bltc::dist::{run_distributed_field_on, DistConfig, DistFieldReport, FieldSession};
+use bltc::dist::{run_distributed_on, DistConfig, FieldSession, PhaseMaxima};
+use bltc::mpi_sim::TrafficMatrix;
 use bltc::sim::{plummer_sphere, ForceModel, PersistentIntegrator, SimConfig, SimState};
 use proptest::prelude::*;
 use rcb::{rcb_partition, RcbPartition};
@@ -29,22 +30,24 @@ fn dist_cfg() -> DistConfig {
 
 /// The velocity-Verlet loop run on the driver: half-kick and drift over
 /// the global state, a fresh driver-side RCB on the repartition
-/// cadence, one [`run_distributed_field_on`] per force evaluation, and
-/// the closing half-kick. Returns the launch evaluation's report
-/// followed by one per step.
+/// cadence, one [`run_distributed_on`] per force evaluation, and the
+/// closing half-kick. Returns the launch evaluation's phase clocks and
+/// traffic followed by one pair per step.
 fn driver_side_vv(
     cfg: SimConfig,
     state: &mut SimState,
     model: &ForceModel,
     steps: usize,
-) -> Vec<DistFieldReport> {
+) -> Vec<(PhaseMaxima, TrafficMatrix)> {
     let n = state.len();
     let (dt, half) = (cfg.dt, 0.5 * cfg.dt);
     let evaluate = |state: &SimState, part: &RcbPartition, a: &mut [Vec<f64>; 3]| {
-        let rep = run_distributed_field_on(&state.particles, part, &cfg.dist, model.kernel());
+        let (columns, ranks, traffic) =
+            run_distributed_on(&state.particles, part, &cfg.dist, model.kernel());
         let [ax, ay, az] = a;
-        model.accelerations_into(&rep.field, &state.particles.q, &state.mass, ax, ay, az);
-        rep
+        let field = FieldResult::from(columns);
+        model.accelerations_into(&field, &state.particles.q, &state.mass, ax, ay, az);
+        (PhaseMaxima::over(&ranks), traffic)
     };
     let kick = |state: &mut SimState, [ax, ay, az]: &[Vec<f64>; 3]| {
         for i in 0..n {
@@ -88,9 +91,9 @@ fn persistent_trajectory_matches_respawn_bitwise() {
         let oracle = driver_side_vv(sim_cfg(ranks, every), &mut state, &model, steps);
         let at = |step: u64| format!("{ranks} ranks, step {step}");
 
-        let mut traffic = oracle[0].traffic.clone();
+        let mut traffic = oracle[0].1.clone();
         assert_eq!(persistent.report().traffic, traffic, "{}", at(0));
-        for want in &oracle[1..] {
+        for (want, want_traffic) in &oracle[1..] {
             let got = persistent.step();
             let step = got.step;
             for (what, p, d) in [
@@ -104,13 +107,13 @@ fn persistent_trajectory_matches_respawn_bitwise() {
             assert!(got.pipelined_s > 0.0 && got.pipelined_s <= got.total_s);
             assert_eq!(got.repartitioned, step.is_multiple_of(every));
             // Per-step LET matrices agree exactly iff the running sums do.
-            traffic.accumulate(&want.traffic);
+            traffic.accumulate(want_traffic);
             assert_eq!(persistent.report().traffic, traffic, "{}", at(step));
-            assert_eq!(got.matrix_bytes, want.traffic.total_remote_bytes());
+            assert_eq!(got.matrix_bytes, want_traffic.total_remote_bytes());
         }
         let report = persistent.report();
         assert!(report.migrations > 0 && report.migrated_particles > 0);
-        let pipelined = oracle.iter().fold(0.0, |acc, r| acc + r.pipelined_s);
+        let pipelined = oracle.iter().fold(0.0, |acc, (r, _)| acc + r.pipelined_s);
         assert_eq!(report.pipelined_s.to_bits(), pipelined.to_bits());
         assert!(report.pipelined_s <= report.total_s);
         // Energy conservation holds on the persistent path by itself.
@@ -239,23 +242,23 @@ fn poisoned_session_surfaces_rank_panics() {
 }
 
 #[test]
-fn field_session_eval_matches_run_distributed_field_on() {
+fn field_session_eval_matches_run_distributed_on() {
     // The "execute as an epoch against live ranks" re-entry: identical
     // clocks and traffic to the one-shot pipeline on the same partition.
     let ps = ParticleSet::random_cube(800, 13);
     let c = dist_cfg();
     let part = rcb_partition(&ps, 4, None);
-    let one_shot = run_distributed_field_on(&ps, &part, &c, &Coulomb);
+    let kernel: Arc<dyn GradientKernel> = Arc::new(Coulomb);
+    let (_, ranks, traffic) = run_distributed_on(&ps, &part, &c, &*kernel);
 
     let mut fs = FieldSession::launch(&ps, &[], 4, &c);
-    let kernel: Arc<dyn GradientKernel> = Arc::new(Coulomb);
     let rep = fs.eval_field(&kernel);
-    assert_eq!(rep.total_s, one_shot.total_s);
+    assert_eq!(rep.total_s, PhaseMaxima::over(&ranks).total_s);
     assert_eq!(
         rep.traffic.total_remote_bytes(),
-        one_shot.traffic.total_remote_bytes()
+        traffic.total_remote_bytes()
     );
-    for (a, b) in rep.ranks.iter().zip(&one_shot.ranks) {
+    for (a, b) in rep.ranks.iter().zip(&ranks) {
         assert_eq!(a.let_bytes, b.let_bytes);
         assert_eq!(a.ops, b.ops);
     }

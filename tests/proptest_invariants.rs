@@ -169,26 +169,28 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `run_distributed_field` is deterministic: two runs over the same
-    /// cloud produce bitwise-identical fields, clocks, and traffic —
-    /// and LET gradient contributions are never NaN/inf.
+    /// `run_distributed_on` with a gradient kernel is deterministic: two
+    /// runs over the same cloud produce bitwise-identical fields, clocks,
+    /// and traffic — and LET gradient contributions are never NaN/inf.
     #[test]
     fn distributed_field_deterministic_and_finite(
         ps in arb_particles(60),
         ranks in 1usize..4,
     ) {
-        use bltc::dist::{run_distributed_field, DistConfig};
+        use bltc::dist::{run_distributed_on, DistConfig, PhaseMaxima};
         let ranks = ranks.min(ps.len());
         let cfg = DistConfig::comet(BltcParams::new(0.7, 2, 16, 16));
-        let a = run_distributed_field(&ps, ranks, &cfg, &Coulomb);
-        let b = run_distributed_field(&ps, ranks, &cfg, &Coulomb);
-        prop_assert_eq!(&a.field.potentials, &b.field.potentials);
-        prop_assert_eq!(&a.field.gx, &b.field.gx);
-        prop_assert_eq!(&a.field.gy, &b.field.gy);
-        prop_assert_eq!(&a.field.gz, &b.field.gz);
-        prop_assert_eq!(a.total_s, b.total_s);
-        prop_assert_eq!(a.traffic.total_remote_bytes(), b.traffic.total_remote_bytes());
-        for v in [&a.field.potentials, &a.field.gx, &a.field.gy, &a.field.gz] {
+        let (part, op) = (cfg.partition(&ps, ranks), &Coulomb as &dyn GradientKernel);
+        let (a, a_ranks, a_traffic) = run_distributed_on(&ps, &part, &cfg, op);
+        let (b, b_ranks, b_traffic) = run_distributed_on(&ps, &part, &cfg, op);
+        let (a, b) = (FieldResult::from(a), FieldResult::from(b));
+        prop_assert_eq!(&a.potentials, &b.potentials);
+        prop_assert_eq!(&a.gx, &b.gx);
+        prop_assert_eq!(&a.gy, &b.gy);
+        prop_assert_eq!(&a.gz, &b.gz);
+        prop_assert_eq!(PhaseMaxima::over(&a_ranks).total_s, PhaseMaxima::over(&b_ranks).total_s);
+        prop_assert_eq!(a_traffic.total_remote_bytes(), b_traffic.total_remote_bytes());
+        for v in [&a.potentials, &a.gx, &a.gy, &a.gz] {
             prop_assert!(v.iter().all(|x| x.is_finite()), "NaN/inf in field output");
         }
     }
@@ -198,19 +200,16 @@ proptest! {
     /// for random particle clouds.
     #[test]
     fn distributed_field_rank_count_invariant(ps in arb_particles(80), ranks in 2usize..4) {
-        use bltc::dist::{run_distributed_field, DistConfig};
+        use bltc::dist::{run_distributed_on, DistConfig};
         let ranks = ranks.min(ps.len());
         // Tight θ and a shallow tree keep the MAC nearly exact at this
         // scale, so rank-count differences are pure roundoff + a tiny
         // approximation delta.
         let cfg = DistConfig::comet(BltcParams::new(0.4, 4, 16, 16));
-        let one = run_distributed_field(&ps, 1, &cfg, &Coulomb);
-        let many = run_distributed_field(&ps, ranks, &cfg, &Coulomb);
-        for (name, a, b) in [
-            ("gx", &one.field.gx, &many.field.gx),
-            ("gy", &one.field.gy, &many.field.gy),
-            ("gz", &one.field.gz, &many.field.gz),
-        ] {
+        let op: &dyn GradientKernel = &Coulomb;
+        let ([_, one @ ..], ..) = run_distributed_on(&ps, &cfg.partition(&ps, 1), &cfg, op);
+        let ([_, many @ ..], ..) = run_distributed_on(&ps, &cfg.partition(&ps, ranks), &cfg, op);
+        for ((name, a), b) in ["gx", "gy", "gz"].into_iter().zip(&one).zip(&many) {
             let scale = a.iter().fold(1.0f64, |m, v| m.max(v.abs()));
             for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
                 prop_assert!(

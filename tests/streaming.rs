@@ -14,11 +14,11 @@
 //! - property-based sweep over random problems and random budgets.
 
 use bltc_core::config::BltcParams;
-use bltc_core::kernel::{Coulomb, Yukawa};
+use bltc_core::kernel::{Coulomb, GradientKernel, Yukawa};
 use bltc_core::particles::ParticleSet;
 use bltc_core::traversal::InteractionLists;
 use bltc_core::tree::SourceTree;
-use bltc_dist::{run_distributed, run_distributed_field, DistConfig};
+use bltc_dist::{run_distributed, run_distributed_on, DistConfig};
 use bltc_sim::{plummer_sphere, PersistentIntegrator, SimConfig};
 use proptest::prelude::*;
 
@@ -141,14 +141,13 @@ fn streaming_budgets_are_bitwise_invisible_to_forces() {
             for &budget in &BUDGETS {
                 let mut cfg = DistConfig::comet(params);
                 cfg.let_memory_budget = budget;
-                let rep = pool(workers)
-                    .install(|| run_distributed_field(&ps, ranks, &cfg, &Yukawa::default()));
-                let got = vec![
-                    bits(&rep.field.potentials),
-                    bits(&rep.field.gx),
-                    bits(&rep.field.gy),
-                    bits(&rep.field.gz),
-                ];
+                let (part, op) = (
+                    cfg.partition(&ps, ranks),
+                    &Yukawa::default() as &dyn GradientKernel,
+                );
+                let (columns, ..) =
+                    pool(workers).install(|| run_distributed_on(&ps, &part, &cfg, op));
+                let got: Vec<_> = columns.iter().map(|c| bits(c)).collect();
                 match &reference {
                     None => reference = Some(got),
                     Some(r) => assert_eq!(
