@@ -161,11 +161,11 @@ pub struct ChunkClock {
 }
 
 /// The overlap-aware view of one rank's epoch: the critical path through
-/// the phase DAG, alongside the serial phase sum it improves on.
+/// the phase DAG.
 ///
 /// Invariants (enforced by the test suite):
-/// - `pipelined_s ≤ serial_s` always, with equality on one rank (no
-///   remote work to overlap);
+/// - `pipelined_s ≤ RankReport::total()` (the serial phase sum) always,
+///   with equality on one rank (no remote work to overlap);
 /// - `chunks` land times are nondecreasing (one NIC, serial α–β model);
 /// - the clocks are pure functions of the work counts — bitwise
 ///   reproducible across host pool sizes.
@@ -173,16 +173,6 @@ pub struct ChunkClock {
 pub struct PipelineReport {
     /// Critical-path seconds of the pipelined epoch.
     pub pipelined_s: f64,
-    /// Serial phase-sum seconds (`RankReport::total()` of the same
-    /// epoch) — kept here so the overlap win is self-contained.
-    pub serial_s: f64,
-    /// Host time at which local tree/charges/interaction lists exist and
-    /// the local device block may start.
-    pub local_lists_s: f64,
-    /// Time the last LET chunk lands (0 with no remote ranks).
-    pub last_land_s: f64,
-    /// Streams the remote dispatch cycled through.
-    pub streams: usize,
     /// Per-chunk land/ready clocks, in dispatch order.
     pub chunks: Vec<ChunkClock>,
     /// Trace spans of this epoch's phase DAG: every serial phase
@@ -304,7 +294,6 @@ pub(crate) fn pipelined_clock(
     let mut pcie_free = 0.0f64;
     let mut works = Vec::with_capacity(num_chunks);
     let mut chunks = Vec::with_capacity(num_chunks);
-    let mut last_land = 0.0f64;
     for (p, &traversed) in plans.iter().zip(&traversal_done) {
         let link = cfg.link(rank, p.target);
         for c in &p.chunks {
@@ -312,7 +301,6 @@ pub(crate) fn pipelined_clock(
             let nic_start = nic_free.max(traversed);
             let land = nic_start + get_s;
             nic_free = land;
-            last_land = land;
             spans.push(
                 Span::new(Track::Nic(r), "let-chunk-get", nic_start, land)
                     .phase(Phase::SetupComm)
@@ -460,10 +448,6 @@ pub(crate) fn pipelined_clock(
 
     PipelineReport {
         pipelined_s,
-        serial_s: serial_total_s,
-        local_lists_s: local_start,
-        last_land_s: last_land,
-        streams: cfg.streams,
         chunks,
         spans,
     }

@@ -101,12 +101,6 @@ pub struct SessionFieldReport {
     /// critical paths (`≤ total_s`) — the session epochs expose the
     /// same overlap-aware clock as the one-shot pipelines.
     pub pipelined_s: f64,
-    /// Trace spans drained from the world for this epoch (rank-major;
-    /// each rank's phase DAG starting at epoch-relative time 0). Empty
-    /// when [`FieldSession::set_tracing`] has turned collection off.
-    pub spans: Vec<bltc_trace::Span>,
-    /// Session epoch index this evaluation ran as.
-    pub epoch: u64,
 }
 
 /// What one rank did during a migration epoch. All tallies are counted
@@ -338,19 +332,6 @@ impl<'env> FieldSessionIn<'env> {
         self.session.epochs_run()
     }
 
-    /// Enable or disable trace-span collection on the underlying world
-    /// (see [`mpi_sim::SessionIn::set_tracing`]). Observational only:
-    /// fields, trajectories, traffic, and all modeled clocks are
-    /// bitwise identical either way.
-    pub fn set_tracing(&self, enabled: bool) {
-        self.session.set_tracing(enabled);
-    }
-
-    /// Whether span collection is currently enabled.
-    pub fn tracing_enabled(&self) -> bool {
-        self.session.tracing_enabled()
-    }
-
     /// Attach (or detach) a deterministic fault timeline on the
     /// underlying world (see [`mpi_sim::SessionIn::set_chaos`]). Every
     /// epoch this session runs — evaluation, migration, snapshot —
@@ -429,8 +410,6 @@ impl<'env> FieldSessionIn<'env> {
             pipelined_s: clocks.pipelined_s,
             ranks,
             traffic: er.traffic,
-            spans: er.spans,
-            epoch: er.epoch,
         }
     }
 

@@ -26,8 +26,7 @@
 //!
 //! Determinism of the event stream: each rank appends only its own
 //! events, in its own program order, to a per-rank buffer; the drain is
-//! rank-major — the same discipline the trace sink and the traffic
-//! matrix use. Delay sums over the drained stream are therefore
+//! rank-major. Delay sums over the drained stream are therefore
 //! reproducible to the last bit regardless of thread interleaving.
 //!
 //! The schedule is `Arc`-shared and *survives world death*: a
@@ -283,11 +282,6 @@ impl ChaosSchedule {
         &self.faults
     }
 
-    /// Whether fault `i` (by declaration order) has fired.
-    pub fn fault_fired(&self, i: usize) -> bool {
-        self.fired[i].load(Ordering::Relaxed)
-    }
-
     fn record(&self, rank: usize, event: ChaosEvent) {
         self.events[rank].lock().push(event);
     }
@@ -459,6 +453,13 @@ impl std::fmt::Debug for ChaosSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ChaosSchedule {
+        /// Whether fault `i` (by declaration order) has fired.
+        fn fault_fired(&self, i: usize) -> bool {
+            self.fired[i].load(Ordering::Relaxed)
+        }
+    }
 
     #[test]
     fn schedule_validates_its_faults() {

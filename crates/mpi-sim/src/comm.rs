@@ -45,22 +45,6 @@ impl Comm {
         self.world.barrier.wait();
     }
 
-    /// Whether the world is collecting trace spans. Purely advisory —
-    /// rank bodies may use it to skip building span vectors, never to
-    /// change what they compute.
-    pub fn tracing_enabled(&self) -> bool {
-        self.world.trace.enabled()
-    }
-
-    /// Deposit trace spans into this rank's buffer. Spans are drained
-    /// by the driver per epoch ([`crate::session::EpochReport::spans`];
-    /// a [`crate::run_spmd`] call is one epoch); discarded when tracing
-    /// is disabled. Not a collective — any rank may deposit any number
-    /// of times.
-    pub fn trace_spans(&self, spans: impl IntoIterator<Item = bltc_trace::Span>) {
-        self.world.trace.deposit(self.rank, spans);
-    }
-
     fn next_seq(&self) -> u64 {
         let s = self.seq.get();
         self.seq.set(s + 1);
@@ -208,13 +192,6 @@ impl Comm {
         self.all_gather(value).into_iter().sum()
     }
 
-    /// All-reduce max of an `f64`.
-    pub fn all_reduce_max(&self, value: f64) -> f64 {
-        self.all_gather(value)
-            .into_iter()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Create an RMA window exposing `data` (collective, like
     /// `MPI_Win_create`). Every rank contributes its local region; the
     /// returned [`Window`] can access any rank's region one-sided.
@@ -229,7 +206,17 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
+    use super::Comm;
     use crate::runtime::run_spmd;
+
+    impl Comm {
+        /// All-reduce max of an `f64`.
+        pub(crate) fn all_reduce_max(&self, value: f64) -> f64 {
+            self.all_gather(value)
+                .into_iter()
+                .fold(f64::NEG_INFINITY, f64::max)
+        }
+    }
 
     #[test]
     fn all_gather_orders_by_rank() {

@@ -1,6 +1,6 @@
 //! The SPMD runtime's shared state — the world behind every rank's
 //! [`crate::Comm`]: the poisonable barrier, the rendezvous table behind
-//! the collectives, traffic accounting and the trace sink — plus
+//! the collectives and traffic accounting — plus
 //! [`run_spmd`], the one-epoch wrapper over a scoped
 //! [`crate::session::SessionIn`].
 //!
@@ -17,7 +17,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 
-use bltc_trace::Span;
 use parking_lot::Mutex;
 
 /// Per-pair one-sided traffic counters.
@@ -198,52 +197,6 @@ impl PoisonBarrier {
     }
 }
 
-/// Per-rank span deposit buffers, drained alongside the traffic matrix.
-///
-/// Each rank writes only its own buffer (so locks are uncontended and
-/// span order within a rank is the rank's own program order); the
-/// driver drains all buffers only after every rank's epoch outcome has
-/// been collected. Depositing is gated on `enabled` — but whether spans
-/// are collected or discarded can never influence the computation,
-/// because nothing in the runtime ever reads them back.
-pub(crate) struct TraceSink {
-    enabled: AtomicBool,
-    buffers: Vec<Mutex<Vec<Span>>>,
-}
-
-impl TraceSink {
-    fn new(size: usize) -> Self {
-        Self {
-            enabled: AtomicBool::new(true),
-            buffers: (0..size).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    pub(crate) fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn deposit(&self, rank: usize, spans: impl IntoIterator<Item = Span>) {
-        if self.enabled() {
-            self.buffers[rank].lock().extend(spans);
-        }
-    }
-
-    /// Concatenate all per-rank buffers (rank-major, each in deposit
-    /// order), leaving them empty.
-    pub(crate) fn drain(&self) -> Vec<Span> {
-        let mut out = Vec::new();
-        for buf in &self.buffers {
-            out.append(&mut buf.lock());
-        }
-        out
-    }
-}
-
 /// Shared world state, one per session lifetime.
 pub(crate) struct World {
     pub(crate) size: usize,
@@ -251,7 +204,6 @@ pub(crate) struct World {
     /// Rendezvous slots for collectives, keyed by per-rank call sequence.
     pub(crate) rendezvous: Mutex<HashMap<u64, RendezvousSlots>>,
     pub(crate) traffic: Mutex<TrafficMatrix>,
-    pub(crate) trace: TraceSink,
     /// Attached fault timeline, if any (see [`crate::chaos`]). The fast
     /// flag keeps the no-chaos hot path (every one-sided op) to a
     /// single relaxed load.
@@ -270,7 +222,6 @@ impl World {
             barrier: PoisonBarrier::new(size),
             rendezvous: Mutex::new(HashMap::new()),
             traffic: Mutex::new(TrafficMatrix::zeros(size)),
-            trace: TraceSink::new(size),
             chaos: Mutex::new(None),
             chaos_attached: AtomicBool::new(false),
             current_epoch: AtomicU64::new(0),
@@ -327,8 +278,7 @@ pub type SpmdResult<R> = crate::session::EpochReport<R>;
 /// are scoped to the call (`MPI_Init → work → MPI_Finalize`), so it
 /// inherits the session's rules: the driver's current `rayon` pool is
 /// installed in every rank for the epoch (one process-wide pool, which
-/// ranks help rather than sleep on), and traffic and spans are the
-/// epoch's.
+/// ranks help rather than sleep on), and the traffic is the epoch's.
 ///
 /// # Panics
 ///

@@ -127,11 +127,6 @@ pub struct EpochReport<R> {
     pub results: Vec<R>,
     /// One-sided traffic this epoch recorded, per (origin, target).
     pub traffic: TrafficMatrix,
-    /// Trace spans deposited during this epoch via
-    /// [`Comm::trace_spans`] (rank-major, each rank's in deposit
-    /// order). Empty when tracing is disabled; never read back by the
-    /// runtime.
-    pub spans: Vec<bltc_trace::Span>,
     /// Zero-based index of this epoch in the session.
     pub epoch: u64,
 }
@@ -262,24 +257,11 @@ impl<'env> SessionIn<'env> {
         self.world.barrier.poisoned_by().is_some()
     }
 
-    /// Enable or disable span collection for subsequent epochs. Tracing
-    /// is observational only: results, traffic, and every modeled clock
-    /// are bitwise identical either way (pinned by `tests/trace.rs`).
-    /// Enabled by default.
-    pub fn set_tracing(&self, enabled: bool) {
-        self.world.trace.set_enabled(enabled);
-    }
-
-    /// Whether span collection is currently enabled.
-    pub fn tracing_enabled(&self) -> bool {
-        self.world.trace.enabled()
-    }
-
     /// Attach (or detach) a deterministic fault timeline. Subsequent
     /// epochs run through the schedule's injection points; `None`
-    /// restores the fault-free fast path. Like tracing, an attached
-    /// schedule whose faults never fire is bitwise invisible to
-    /// results, traffic, and every modeled clock.
+    /// restores the fault-free fast path. An attached schedule whose
+    /// faults never fire is bitwise invisible to results, traffic, and
+    /// every modeled clock.
     ///
     /// # Panics
     ///
@@ -385,7 +367,6 @@ impl<'env> SessionIn<'env> {
         let epoch = self.epochs;
         self.epochs += 1;
         let traffic = self.world.drain_traffic();
-        let spans = self.world.trace.drain();
         if let Some(chaos) = self.world.chaos_schedule() {
             chaos.at_epoch_end(epoch, &traffic);
         }
@@ -421,7 +402,6 @@ impl<'env> SessionIn<'env> {
         EpochReport {
             results,
             traffic,
-            spans,
             epoch,
         }
     }
@@ -781,34 +761,6 @@ mod tests {
             ("transient-retry", 0.5)
         );
         assert_eq!((events[1].label, events[1].delay_s), ("straggler", 0.25));
-    }
-
-    #[test]
-    fn spans_drain_per_epoch_and_respect_the_switch() {
-        use bltc_trace::{Span, Track};
-        let deposit = |comm: &Comm| {
-            let r = comm.rank() as u32;
-            comm.trace_spans([Span::new(Track::Host(r), "work", 0.0, 1.0)]);
-            comm.rank()
-        };
-
-        let mut s = Session::spawn(3);
-        assert!(s.tracing_enabled(), "tracing defaults on");
-        let er = s.run_epoch(deposit);
-        assert_eq!(er.spans.len(), 3);
-        // Rank-major drain order.
-        let tracks: Vec<_> = er.spans.iter().map(|sp| sp.track).collect();
-        assert_eq!(tracks, vec![Track::Host(0), Track::Host(1), Track::Host(2)]);
-
-        // Each epoch drains: the next epoch starts empty.
-        let er = s.run_epoch(|comm: &Comm| comm.rank());
-        assert!(er.spans.is_empty());
-
-        // Disabled: deposits are discarded, results unchanged.
-        s.set_tracing(false);
-        let er = s.run_epoch(deposit);
-        assert!(er.spans.is_empty());
-        assert_eq!(er.results, vec![0, 1, 2]);
     }
 
     #[test]

@@ -392,14 +392,14 @@ impl PersistentIntegrator {
     /// spans on [`Track::Driver`]: one `step` span per
     /// [`PersistentIntegrator::step`] (billed at the driver-side epoch
     /// dispatch cost) and one `migration` span per repartition (billed
-    /// at the migration's host + comm seconds). Detaching (`None`) also
-    /// turns rank-side span collection off. Purely observational: the
-    /// trajectory, energies, traffic, and every modeled clock are
+    /// at the migration's host + comm seconds). The rank-side spans come
+    /// from each rank's report, which carries them with or without a
+    /// recorder, so attaching one only stores it. Purely observational:
+    /// the trajectory, energies, traffic, and every modeled clock are
     /// bitwise identical with or without a recorder (asserted by
     /// `tests/trace.rs`). The launch-time force evaluation runs before
     /// any recorder can be attached, so traces begin at step 1.
     pub fn set_tracer(&mut self, tracer: Option<Arc<TraceRecorder>>) {
-        self.session.set_tracing(tracer.is_some());
         self.tracer = tracer;
     }
 
@@ -481,7 +481,8 @@ impl PersistentIntegrator {
 
         let epoch_s = self.cfg.dist.host.epoch_seconds();
         if let Some(tr) = &self.tracer {
-            tr.absorb_epoch(&er.spans);
+            // All ranks' spans as one epoch, rank by rank in rank order.
+            tr.absorb_epoch(er.results.iter().flat_map(|(r, _, _)| &r.pipeline.spans));
             tr.advance(epoch_s);
         }
         self.report.force_evals += 1;

@@ -11,10 +11,10 @@
 //!   attributes: the serial [`Phase`] it bills against, its exact
 //!   billed seconds, bytes, flops, LET chunk/target ids, resident-byte
 //!   watermarks, and tenant/job identity.
-//! - [`TraceRecorder`] — the driver-side accumulator: absorbs the
-//!   per-epoch span batches the `mpi-sim` world drains (shifting each
-//!   epoch onto a continuous per-job timeline), stamps tenant/job
-//!   context, and exports.
+//! - [`TraceRecorder`] — the driver-side accumulator: absorbs each
+//!   epoch's spans from the ranks' reports (shifting each epoch onto a
+//!   continuous per-job timeline), stamps tenant/job context, and
+//!   exports.
 //! - [`chrome_trace`] — Chrome trace-event JSON, loadable in Perfetto
 //!   or `chrome://tracing`, with a fully deterministic field order and
 //!   span ordering (byte-identical run-to-run).
@@ -28,7 +28,7 @@
 //! ## The invisibility contract
 //!
 //! Spans are *derived* from modeled clocks after the fact — nothing in
-//! the computation ever reads them — so tracing enabled vs disabled is
+//! the computation ever reads them — so attaching a recorder or not is
 //! bitwise invisible to potentials, forces, trajectories, traffic
 //! matrices, and every modeled clock. `tests/trace.rs` (workspace
 //! tier-1) pins this, along with exact reconciliation: per-phase span

@@ -1,9 +1,9 @@
 //! The driver-side trace accumulator.
 //!
-//! Rank-side code deposits spans into the SPMD world's per-rank
-//! lock-free buffers (see `mpi_sim`); each epoch's drained batch lands
-//! here. The recorder's job is purely editorial — it never feeds
-//! anything back into the computation:
+//! Each rank's report carries the spans of its epoch; the driver hands
+//! every rank's, in rank order, to one [`TraceRecorder::absorb_epoch`].
+//! The recorder's job is purely editorial — it never feeds anything
+//! back into the computation:
 //!
 //! - **epoch stitching** — every epoch's spans start at modeled time 0
 //!   on their rank; [`TraceRecorder::absorb_epoch`] shifts them by the
@@ -64,11 +64,11 @@ impl TraceRecorder {
         self.inner.lock().expect("recorder lock").cursor_s
     }
 
-    /// Absorb one epoch's drained spans: shift each onto the running
-    /// timeline, stamp context, and advance the cursor by the epoch
-    /// makespan (the latest shifted span end). Returns the makespan
-    /// (0.0 for an epoch that produced no spans).
-    pub fn absorb_epoch(&self, spans: &[Span]) -> f64 {
+    /// Absorb one epoch's spans: shift each onto the running timeline,
+    /// stamp context, and advance the cursor by the epoch makespan (the
+    /// latest shifted span end). Returns the makespan (0.0 for an epoch
+    /// that produced no spans).
+    pub fn absorb_epoch<'a>(&self, spans: impl IntoIterator<Item = &'a Span>) -> f64 {
         let mut inner = self.inner.lock().expect("recorder lock");
         let offset = inner.cursor_s;
         let mut end = offset;

@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
 # Committed mutants: each `*.patch` beside this script is one small,
 # deliberate fault in a library crate. Its `Must-fail:` header line names
-# the library tests (module paths, space-separated) that must catch it,
-# `Package:` names the crate whose library tests those are (`bltc-core`
-# when absent), and `Needs: avx512f` marks a fault in code that only an
-# AVX-512F host runs.
+# the tests (space-separated) that must catch it, `Package:` names the
+# crate whose tests those are (`bltc-core` when absent; `bltc` is the
+# facade, whose `tests/*.rs` are the integration suites), `Test:` names
+# the integration-test target they live in (the package's library tests,
+# named by module path, when absent), and `Needs: avx512f` marks a fault
+# in code that only an AVX-512F host runs.
 #
 # For each patch (all of them, or the ones given as arguments) this copies
 # the tracked files of the checkout into a scratch tree, applies the patch
-# there, builds the package's library tests and runs each named test on
-# its own. It fails if a patch no longer applies, if a mutant does not
-# compile, or if a named test passes or does not exist. A mutant that
-# survives is a missing test, never an expected result.
+# there, builds the package's library tests (or its `Test:` target) and
+# runs each named test on its own. It fails if a patch no longer applies,
+# if a mutant does not compile, or if a named test passes or does not
+# exist. A mutant that survives is a missing test, never an expected
+# result.
 #
 #   tests/mutants/run.sh [tests/mutants/NAME.patch ...]
 #
@@ -34,6 +37,12 @@ for patch in "$@"; do
     tests=$(sed -n 's/^Must-fail: *//p' "$patch")
     package=$(sed -n 's/^Package: *//p' "$patch")
     package=${package:-bltc-core}
+    target=$(sed -n 's/^Test: *//p' "$patch")
+    if [ -n "$target" ]; then
+        tests_of=(--test "$target")
+    else
+        tests_of=(--lib)
+    fi
     if [ -z "$tests" ]; then
         echo "::error::$name: no Must-fail header"
         status=1
@@ -54,13 +63,13 @@ for patch in "$@"; do
         status=1
         continue
     fi
-    if ! (cd "$tree" && cargo test -q -p "$package" --lib --no-run); then
+    if ! (cd "$tree" && cargo test -q -p "$package" "${tests_of[@]}" --no-run); then
         echo "::error::$name: the mutant does not compile"
         status=1
         continue
     fi
     for t in $tests; do
-        out=$(cd "$tree" && cargo test -p "$package" --lib -- --exact "$t" 2>&1 || true)
+        out=$(cd "$tree" && cargo test -p "$package" "${tests_of[@]}" -- --exact "$t" 2>&1 || true)
         if grep -qF "test $t ... FAILED" <<<"$out"; then
             echo "$name: killed by $t"
         else

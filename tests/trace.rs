@@ -2,7 +2,7 @@
 //!
 //! - tracing is **observationally free**: every computed result —
 //!   potentials, trajectories, traffic, modeled clocks — is bitwise
-//!   identical with span collection on, off, or absent;
+//!   identical with a trace recorder attached or not;
 //! - spans are **exact accounting**, not estimates: per rank, the
 //!   `billed_s` sums per phase reconcile against the serial
 //!   `RankReport` phase clocks to ≤ 1e-12 relative, the latest span
@@ -184,54 +184,53 @@ fn resident_watermark_reproduces_peak_let_bytes_across_budgets() {
     }
 }
 
+/// The bits of a span list's `f64` fields, in order — `Span`'s
+/// `PartialEq` alone would take `-0.0` for `+0.0`.
+fn span_bits(spans: &[Span]) -> Vec<[u64; 4]> {
+    spans
+        .iter()
+        .map(|s| [s.start_s, s.end_s, s.billed_s, s.flops].map(f64::to_bits))
+        .collect()
+}
+
 #[test]
-fn tracing_toggle_is_bitwise_invisible_to_session_epochs() {
+fn session_epoch_spans_reconcile_and_repeat_bitwise() {
     let ps = ParticleSet::random_cube(900, 414);
     let cfg = DistConfig::comet(BltcParams::new(0.7, 3, 60, 60));
     let kernel: Arc<dyn bltc_core::kernel::GradientKernel> = Arc::new(Coulomb);
 
-    let run = |tracing: bool| {
-        let mut s = FieldSession::launch(&ps, &[], 3, &cfg);
-        s.set_tracing(tracing);
-        assert_eq!(s.tracing_enabled(), tracing);
-        let a = s.eval_field(&kernel);
-        let b = s.eval_field(&kernel);
-        (a, b)
-    };
-    let (on_a, on_b) = run(true);
-    let (off_a, off_b) = run(false);
+    let mut s = FieldSession::launch(&ps, &[], 3, &cfg);
+    let a = s.eval_field(&kernel);
+    let b = s.eval_field(&kernel);
 
-    // Traced epochs carry the rank-major span batch; untraced ones are
-    // empty — and nothing else moves by a single bit.
-    assert!(!on_a.spans.is_empty() && !on_b.spans.is_empty());
-    assert!(off_a.spans.is_empty() && off_b.spans.is_empty());
-    for (on, off) in [(&on_a, &off_a), (&on_b, &off_b)] {
-        assert_eq!(on.total_s.to_bits(), off.total_s.to_bits());
-        assert_eq!(on.pipelined_s.to_bits(), off.pipelined_s.to_bits());
-        assert_eq!(on.setup_s.to_bits(), off.setup_s.to_bits());
-        assert_eq!(
-            on.traffic.total_remote_bytes(),
-            off.traffic.total_remote_bytes()
-        );
-        for (r_on, r_off) in on.ranks.iter().zip(&off.ranks) {
-            assert_eq!(r_on.compute_s.to_bits(), r_off.compute_s.to_bits());
-            assert_eq!(r_on.let_bytes, r_off.let_bytes);
+    // Each rank's report carries its epoch's spans, and they obey the
+    // same reconciliation as one-shot runs.
+    for (epoch, rep) in [&a, &b].into_iter().enumerate() {
+        assert_eq!(rep.ranks.len(), 3);
+        for r in &rep.ranks {
+            assert_rank_reconciles(r, &format!("session epoch {epoch}"));
         }
     }
-    // The drained epoch spans obey the same reconciliation as one-shot
-    // runs.
-    for r in &on_a.ranks {
-        assert_rank_reconciles(r, "traced session epoch");
+    // The positions did not move, so the second epoch's phase DAG is the
+    // first's, bit for bit.
+    for (ra, rb) in a.ranks.iter().zip(&b.ranks) {
+        assert_eq!(ra.pipeline.spans, rb.pipeline.spans, "rank {}", ra.rank);
+        assert_eq!(
+            span_bits(&ra.pipeline.spans),
+            span_bits(&rb.pipeline.spans),
+            "rank {}",
+            ra.rank
+        );
     }
 }
 
 #[test]
 fn tracer_is_bitwise_invisible_to_trajectories_and_stitches_steps() {
-    let steps = 4u64;
+    let (ranks, steps) = (3usize, 4u64);
     let run = |traced: bool| {
         let (state, model) = plummer_sphere(200, 1.0, 0.05, 42);
         let dist = DistConfig::comet(BltcParams::new(0.7, 3, 50, 50));
-        let cfg = SimConfig::new(dist, 3, 1e-3).with_repartition_every(2);
+        let cfg = SimConfig::new(dist, ranks, 1e-3).with_repartition_every(2);
         let mut integ = PersistentIntegrator::new(cfg, &state, &model);
         let tracer = traced.then(|| Arc::new(TraceRecorder::new()));
         integ.set_tracer(tracer.clone());
@@ -275,6 +274,25 @@ fn tracer_is_bitwise_invisible_to_trajectories_and_stitches_steps() {
         last_step_end.to_bits(),
         "the final step envelope must close the timeline"
     );
+
+    // Each step's evaluation epoch is absorbed once, all ranks together:
+    // one `build` span per rank and step, and inside each step envelope
+    // the ranks' builds start at the same instant (a dropped rank, a
+    // doubled absorb or a cursor per rank breaks one of these).
+    let builds: Vec<&Span> = spans.iter().filter(|s| s.name == "build").collect();
+    assert_eq!(builds.len(), ranks * steps as usize);
+    for step in &step_spans {
+        let starts: Vec<f64> = builds
+            .iter()
+            .filter(|b| step.start_s <= b.start_s && b.start_s < step.end_s)
+            .map(|b| b.start_s)
+            .collect();
+        assert_eq!(starts.len(), ranks, "build spans in step {step:?}");
+        assert!(
+            starts.iter().all(|t| t.to_bits() == starts[0].to_bits()),
+            "ranks' builds start apart within one step: {starts:?}"
+        );
+    }
 }
 
 #[test]
