@@ -5,10 +5,10 @@ use std::sync::Arc;
 use mpi_sim::{ChaosSchedule, FaultKind, FaultSpec, NetworkSpec};
 
 /// A declarative fault timeline for a world of fixed size. Build one
-/// fault at a time with the `*_at` methods (every one is `once`: it
-/// fires on its first matching epoch and stays spent across recovery
-/// replays — the property that makes faulted-then-recovered runs
-/// reproducible), or draw a whole plan from a seed with
+/// fault at a time with the `*_at` methods (every fault fires on its
+/// first matching epoch and stays spent across recovery replays — the
+/// property that makes faulted-then-recovered runs reproducible), or
+/// draw a whole plan from a seed with
 /// [`FaultPlan::seeded`]. Compile to the runtime's shared schedule with
 /// [`FaultPlan::compile`] and attach via
 /// [`mpi_sim::Session::set_chaos`] (or the pass-throughs the dist/sim
@@ -50,12 +50,6 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Whether any fault kills the world when it fires (panic or hang)
-    /// — i.e. whether running this plan needs a recovery supervisor.
-    pub fn has_fatal(&self) -> bool {
-        self.faults.iter().any(|f| f.kind.is_fatal())
-    }
-
     /// Whether any fault is a hang — i.e. whether running this plan
     /// needs an epoch watchdog to terminate.
     pub fn has_hang(&self) -> bool {
@@ -68,12 +62,7 @@ impl FaultPlan {
     /// [`FaultSpec::validate`] panics with its message where it is
     /// written, not later at [`FaultPlan::compile`].
     fn push(mut self, epoch: u64, rank: usize, kind: FaultKind) -> Self {
-        let fault = FaultSpec {
-            epoch,
-            rank,
-            kind,
-            once: true,
-        };
+        let fault = FaultSpec { epoch, rank, kind };
         fault.validate(self.ranks).unwrap_or_else(|e| panic!("{e}"));
         self.faults.push(fault);
         self
@@ -82,12 +71,6 @@ impl FaultPlan {
     /// Rank `rank` panics when the world enters epoch `epoch`.
     pub fn panic_at(self, epoch: u64, rank: usize) -> Self {
         self.push(epoch, rank, FaultKind::Panic)
-    }
-
-    /// Rank `rank` hangs (never reports) at epoch `epoch`. Needs a
-    /// session watchdog deadline to resolve.
-    pub fn hang_at(self, epoch: u64, rank: usize) -> Self {
-        self.push(epoch, rank, FaultKind::Hang)
     }
 
     /// Rank `rank`'s first `ops` one-sided operations of epoch `epoch`
@@ -169,6 +152,21 @@ fn splitmix64(state: &mut u64) -> u64 {
 mod tests {
     use super::*;
 
+    impl FaultPlan {
+        /// Rank `rank` hangs (never reports) at epoch `epoch`. Needs a
+        /// session watchdog deadline to resolve.
+        pub(crate) fn hang_at(self, epoch: u64, rank: usize) -> Self {
+            self.push(epoch, rank, FaultKind::Hang)
+        }
+
+        /// Whether any fault kills the world when it fires.
+        fn has_fatal(&self) -> bool {
+            self.faults
+                .iter()
+                .any(|f| matches!(f.kind, FaultKind::Panic | FaultKind::Hang))
+        }
+    }
+
     #[test]
     fn builders_accumulate_and_classify() {
         let plan = FaultPlan::new(4)
@@ -214,7 +212,6 @@ mod tests {
             for f in a.faults() {
                 assert!(f.rank < 4);
                 assert!(f.epoch < 10);
-                assert!(f.once);
             }
         }
         // Different seeds actually vary the plan.

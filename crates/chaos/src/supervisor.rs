@@ -20,9 +20,6 @@ pub struct SupervisorConfig {
     pub checkpoint_every: Option<u64>,
     /// Recovery episodes allowed before giving up.
     pub max_recoveries: u32,
-    /// Backoff base ([`RetryPolicy::backoff_base_s`]), bookkept in
-    /// [`RecoveryMetrics`] and never folded into the report.
-    pub backoff_base_s: f64,
     /// Wall-clock epoch watchdog (see [`mpi_sim::Session::set_deadline`]).
     /// Required when the plan contains hang faults.
     pub epoch_deadline: Option<Duration>,
@@ -33,7 +30,6 @@ impl Default for SupervisorConfig {
         Self {
             checkpoint_every: None,
             max_recoveries: 4,
-            backoff_base_s: 1e-3,
             epoch_deadline: None,
         }
     }
@@ -65,7 +61,8 @@ pub struct RecoveryMetrics {
     /// Fault occurrences recorded by the schedule (a transient fault
     /// counts once per retried operation).
     pub faults_seen: u64,
-    /// Total modeled backoff, `Σ backoff_base · 2^(k-1)`.
+    /// Total modeled backoff, `Σ BACKOFF_BASE_S · 2^(k-1)`
+    /// ([`bltc_sim::BACKOFF_BASE_S`]).
     pub backoff_s: f64,
     /// Total modeled replacement-world spawn seconds.
     pub respawn_s: f64,
@@ -210,7 +207,6 @@ pub fn run_supervised(
     let policy = RetryPolicy {
         checkpoint_every: opts.checkpoint_every,
         max_retries: opts.max_recoveries,
-        backoff_base_s: opts.backoff_base_s,
     };
     let run = run_with_retries(&policy, steps, start, |_, _, _| {}).map_err(|failures| {
         let last = failures.last().expect("an exhausted budget has a failure");
@@ -269,6 +265,7 @@ mod tests {
     use bltc_core::config::BltcParams;
     use bltc_dist::DistConfig;
     use bltc_sim::scenario::plummer_sphere;
+    use bltc_sim::BACKOFF_BASE_S;
     use mpi_sim::panic_message;
     use std::panic::AssertUnwindSafe;
 
@@ -338,7 +335,7 @@ mod tests {
         );
         // MTTR reconciles exactly against the modeled clocks.
         let expected_respawn = c.dist.host.world_spawn_seconds(64, 2);
-        assert_eq!(out.recovery.backoff_s, opts.backoff_base_s);
+        assert_eq!(out.recovery.backoff_s, BACKOFF_BASE_S);
         assert_eq!(out.recovery.respawn_s, expected_respawn);
         assert_eq!(
             out.recovery.mttr_s,

@@ -165,12 +165,6 @@ impl ClusterCharges {
         qhat
     }
 
-    /// Whether a node's charges have been computed.
-    #[inline]
-    pub fn is_computed(&self, idx: usize) -> bool {
-        !self.clusters[idx].qhat.is_empty()
-    }
-
     /// Number of nodes tracked.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -318,6 +312,13 @@ mod tests {
     use crate::geometry::Point3;
     use crate::kernel::{Coulomb, Kernel};
     use crate::particles::ParticleSet;
+
+    impl ClusterCharges {
+        /// Whether a node's charges have been computed.
+        pub(crate) fn is_computed(&self, idx: usize) -> bool {
+            !self.clusters[idx].qhat.is_empty()
+        }
+    }
 
     fn tree_of(ps: &ParticleSet, leaf_cap: usize) -> SourceTree {
         SourceTree::build(ps, &BltcParams::new(0.7, 4, leaf_cap, leaf_cap))

@@ -133,21 +133,6 @@ impl BoundingBox {
         [self.extent(0), self.extent(1), self.extent(2)]
     }
 
-    /// Ratio of longest to shortest edge. Degenerate boxes (a zero edge)
-    /// yield `f64::INFINITY`; a point box (all edges zero) yields `1.0`.
-    pub fn aspect_ratio(&self) -> f64 {
-        let e = self.extents();
-        let max = e[0].max(e[1]).max(e[2]);
-        let min = e[0].min(e[1]).min(e[2]);
-        if max == 0.0 {
-            1.0
-        } else if min == 0.0 {
-            f64::INFINITY
-        } else {
-            max / min
-        }
-    }
-
     /// Whether the point lies inside the closed box.
     pub fn contains(&self, p: &Point3) -> bool {
         (0..3).all(|d| p.coord(d) >= self.min.coord(d) && p.coord(d) <= self.max.coord(d))
@@ -163,6 +148,23 @@ impl BoundingBox {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BoundingBox {
+        /// Ratio of longest to shortest edge. Degenerate boxes (a zero edge)
+        /// yield `f64::INFINITY`; a point box (all edges zero) yields `1.0`.
+        pub(crate) fn aspect_ratio(&self) -> f64 {
+            let e = self.extents();
+            let max = e[0].max(e[1]).max(e[2]);
+            let min = e[0].min(e[1]).min(e[2]);
+            if max == 0.0 {
+                1.0
+            } else if min == 0.0 {
+                f64::INFINITY
+            } else {
+                max / min
+            }
+        }
+    }
 
     #[test]
     fn point_coord_roundtrip() {

@@ -58,27 +58,27 @@ pub fn lagrange_values(grid: &ChebyshevGrid1D, x: f64, out: &mut [f64]) {
     }
 }
 
-/// Interpolate a function given by its node values `f_at_nodes` at `x`,
-/// i.e. evaluate `p_n(x) = Σ_k f(s_k) L_k(x)` (Eq. 3); at a node this
-/// is the node value itself.
-pub fn interpolate(grid: &ChebyshevGrid1D, f_at_nodes: &[f64], x: f64) -> f64 {
-    assert_eq!(f_at_nodes.len(), grid.len(), "node value length mismatch");
-    let mut terms = vec![0.0; grid.len()];
-    let factor = dim_terms(grid, x, &mut terms);
-    let mut num = 0.0;
-    for (&t, &f) in terms.iter().zip(f_at_nodes) {
-        // Skipping the zeros of a Kronecker row keeps a non-finite
-        // value at another node out of the result.
-        if t != 0.0 {
-            num += t * f;
-        }
-    }
-    num * factor
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Interpolate a function given by its node values `f_at_nodes` at `x`,
+    /// i.e. evaluate `p_n(x) = Σ_k f(s_k) L_k(x)` (Eq. 3); at a node this
+    /// is the node value itself.
+    fn interpolate(grid: &ChebyshevGrid1D, f_at_nodes: &[f64], x: f64) -> f64 {
+        assert_eq!(f_at_nodes.len(), grid.len(), "node value length mismatch");
+        let mut terms = vec![0.0; grid.len()];
+        let factor = dim_terms(grid, x, &mut terms);
+        let mut num = 0.0;
+        for (&t, &f) in terms.iter().zip(f_at_nodes) {
+            // Skipping the zeros of a Kronecker row keeps a non-finite
+            // value at another node out of the result.
+            if t != 0.0 {
+                num += t * f;
+            }
+        }
+        num * factor
+    }
 
     fn grid(n: usize) -> ChebyshevGrid1D {
         ChebyshevGrid1D::canonical(n)

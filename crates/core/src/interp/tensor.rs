@@ -129,19 +129,21 @@ impl TensorGrid {
         debug_assert!(idx < self.len());
         (idx / (m * m), (idx / m) % m, idx % m)
     }
-
-    /// Materialize all proxy points in linear order (for tests and
-    /// diagnostics; evaluation reads [`TensorGrid::proxies`]).
-    pub fn points_flat(&self) -> Vec<Point3> {
-        (0..self.len())
-            .map(|k| Point3::new(self.px[k], self.py[k], self.pz[k]))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TensorGrid {
+        /// Materialize all proxy points in linear order (for tests and
+        /// diagnostics; evaluation reads [`TensorGrid::proxies`]).
+        fn points_flat(&self) -> Vec<Point3> {
+            (0..self.len())
+                .map(|k| Point3::new(self.px[k], self.py[k], self.pz[k]))
+                .collect()
+        }
+    }
 
     fn unit_box() -> BoundingBox {
         BoundingBox::new(Point3::new(-1.0, -1.0, -1.0), Point3::new(1.0, 1.0, 1.0))

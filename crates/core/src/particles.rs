@@ -169,41 +169,6 @@ impl ParticleSet {
         }
     }
 
-    /// `blobs` Gaussian clusters of width `sigma` centred uniformly in the
-    /// unit cube — a surrogate for solvated-biomolecule charge clouds.
-    pub fn gaussian_blobs(n: usize, blobs: usize, sigma: f64, seed: u64) -> Self {
-        assert!(blobs >= 1, "need at least one blob");
-        assert!(sigma > 0.0, "blob width must be positive");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let centers: Vec<Point3> = (0..blobs)
-            .map(|_| {
-                Point3::new(
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                )
-            })
-            .collect();
-        let mut out = Self::with_capacity(n);
-        for i in 0..n {
-            let c = centers[i % blobs];
-            // Box–Muller pairs for the three normal coordinates.
-            let mut normal = || {
-                let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-                (-2.0 * u1.ln()).sqrt() * u2.cos()
-            };
-            let p = Point3::new(
-                c.x + sigma * normal(),
-                c.y + sigma * normal(),
-                c.z + sigma * normal(),
-            );
-            let q = if i % 2 == 0 { 1.0 } else { -1.0 };
-            out.push(p, q);
-        }
-        out
-    }
-
     /// A jittered cubic lattice filling `[-1,1]³` with alternating unit
     /// charges — an NaCl-like ionic crystal surrogate.
     pub fn lattice_jitter(side: usize, jitter: f64, seed: u64) -> Self {
@@ -244,6 +209,43 @@ impl ParticleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ParticleSet {
+        /// `blobs` Gaussian clusters of width `sigma` centred uniformly in the
+        /// unit cube — a surrogate for solvated-biomolecule charge clouds.
+        fn gaussian_blobs(n: usize, blobs: usize, sigma: f64, seed: u64) -> Self {
+            assert!(blobs >= 1, "need at least one blob");
+            assert!(sigma > 0.0, "blob width must be positive");
+            let mut rng = StdRng::seed_from_u64(seed);
+            let centers: Vec<Point3> = (0..blobs)
+                .map(|_| {
+                    Point3::new(
+                        rng.gen_range(-1.0..1.0),
+                        rng.gen_range(-1.0..1.0),
+                        rng.gen_range(-1.0..1.0),
+                    )
+                })
+                .collect();
+            let mut out = Self::with_capacity(n);
+            for i in 0..n {
+                let c = centers[i % blobs];
+                // Box–Muller pairs for the three normal coordinates.
+                let mut normal = || {
+                    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+                    let u2: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+                    (-2.0 * u1.ln()).sqrt() * u2.cos()
+                };
+                let p = Point3::new(
+                    c.x + sigma * normal(),
+                    c.y + sigma * normal(),
+                    c.z + sigma * normal(),
+                );
+                let q = if i % 2 == 0 { 1.0 } else { -1.0 };
+                out.push(p, q);
+            }
+            out
+        }
+    }
 
     #[test]
     fn random_cube_in_bounds_and_deterministic() {

@@ -70,16 +70,6 @@ impl InteractionLists {
         Self { per_batch }
     }
 
-    /// Total number of approximated batch–cluster pairs.
-    pub fn num_approx(&self) -> usize {
-        self.per_batch.iter().map(|b| b.approx.len()).sum()
-    }
-
-    /// Total number of direct batch–cluster pairs.
-    pub fn num_direct(&self) -> usize {
-        self.per_batch.iter().map(|b| b.direct.len()).sum()
-    }
-
     /// The set of distinct cluster indices appearing on any approx list —
     /// exactly the clusters whose modified charges a rank must obtain
     /// (locally or via RMA) before evaluation.
@@ -130,6 +120,18 @@ fn traverse(
 mod tests {
     use super::*;
     use crate::particles::ParticleSet;
+
+    impl InteractionLists {
+        /// Total number of approximated batch–cluster pairs.
+        pub(crate) fn num_approx(&self) -> usize {
+            self.per_batch.iter().map(|b| b.approx.len()).sum()
+        }
+
+        /// Total number of direct batch–cluster pairs.
+        pub(crate) fn num_direct(&self) -> usize {
+            self.per_batch.iter().map(|b| b.direct.len()).sum()
+        }
+    }
 
     fn setup(n: usize, params: &BltcParams) -> (SourceTree, TargetBatches, InteractionLists) {
         let ps = ParticleSet::random_cube(n, 40);

@@ -187,13 +187,6 @@ impl SourceTree {
         &self.perm
     }
 
-    /// Indices of all leaf nodes.
-    pub fn leaf_indices(&self) -> Vec<usize> {
-        (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].is_leaf())
-            .collect()
-    }
-
     /// Coordinate/charge slices of one node's particles.
     pub fn node_particles(&self, idx: usize) -> (&[f64], &[f64], &[f64], &[f64]) {
         let n = &self.nodes[idx];
@@ -242,6 +235,15 @@ fn same_bits(a: &ParticleSet, b: &ParticleSet) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SourceTree {
+        /// Indices of all leaf nodes.
+        pub(crate) fn leaf_indices(&self) -> Vec<usize> {
+            (0..self.nodes.len())
+                .filter(|&i| self.nodes[i].is_leaf())
+                .collect()
+        }
+    }
 
     fn params(leaf_cap: usize) -> BltcParams {
         BltcParams::new(0.7, 4, leaf_cap, leaf_cap)

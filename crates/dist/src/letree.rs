@@ -446,14 +446,20 @@ pub(crate) struct ChunkPlan {
     pub interactions: u64,
 }
 
+/// Clusters per LET fetch chunk. Chunking changes neither results nor
+/// traffic (the same per-cluster gets run in the same order); it only
+/// sets the granularity at which the pipelined clock can overlap landing
+/// data with evaluation.
+pub(crate) const LET_CHUNK_CLUSTERS: usize = 32;
+
 /// The **plan** stage: group the distinct clusters of one LET into fetch
 /// chunks (approx chunks first, then direct, both ascending — the same
 /// order the monolithic fill used) and precompute each chunk's
 /// communication payload and evaluation work from the per-batch
 /// interaction lists.
 ///
-/// Chunk granularity obeys two caps: at most `chunk_clusters` clusters
-/// per chunk, and — when `budget` is set — at most `budget` payload
+/// Chunk granularity obeys two caps: at most [`LET_CHUNK_CLUSTERS`]
+/// clusters per chunk, and — when `budget` is set — at most `budget` payload
 /// bytes per chunk, so the consumer's one-chunk window never holds more
 /// than `budget` resident remote bytes. The minimum resident unit is one
 /// cluster: a cluster whose payload alone exceeds the budget still gets
@@ -465,10 +471,8 @@ pub(crate) fn plan_chunks(
     issue: &LetIssue,
     batches: &TargetBatches,
     m3: usize,
-    chunk_clusters: usize,
     budget: Option<u64>,
 ) -> Vec<ChunkPlan> {
-    let chunk_clusters = chunk_clusters.max(1);
     let mut plans = Vec::new();
     for kind in ChunkKind::BOTH {
         let ids = issue.ids(kind);
@@ -490,7 +494,7 @@ pub(crate) fn plan_chunks(
                 first: start,
                 ..ChunkPlan::default()
             };
-            while plan.len < chunk_clusters && start + plan.len < ids.len() {
+            while plan.len < LET_CHUNK_CLUSTERS && start + plan.len < ids.len() {
                 let ci = ids[start + plan.len];
                 let payload = get_bytes::<f64>(&issue.payload_range(kind, ci, m3));
                 let src = match kind {
@@ -681,30 +685,31 @@ mod tests {
     #[test]
     fn exact_multiple_cluster_counts_emit_no_empty_trailing_chunk() {
         let b = tiny_batches();
-        // 6 clusters at chunk size 3: exactly 2 chunks of 3 — a naive
-        // split must not append a zero-cluster trailing plan that would
-        // charge an empty shared-lock epoch.
-        let plans = plan_chunks(&approx_issue(6, &b), &b, 27, 3, None);
+        let n = LET_CHUNK_CLUSTERS;
+        // Twice the chunk size: exactly 2 full chunks — a naive split
+        // must not append a zero-cluster trailing plan that would charge
+        // an empty shared-lock epoch.
+        let plans = plan_chunks(&approx_issue(2 * n, &b), &b, 27, None);
         assert_eq!(plans.len(), 2);
         assert_eq!(
             plans.iter().map(|p| (p.first, p.len)).collect::<Vec<_>>(),
-            vec![(0, 3), (3, 3)]
+            vec![(0, n), (n, n)]
         );
         assert!(plans.iter().all(|p| p.len > 0), "no empty chunk plans");
-        assert_eq!(plans.iter().map(|p| p.messages).sum::<u64>(), 6);
+        assert_eq!(plans.iter().map(|p| p.messages).sum::<u64>(), 2 * n as u64);
 
-        // Chunk size exactly the cluster count: one full chunk.
-        let plans = plan_chunks(&approx_issue(4, &b), &b, 27, 4, None);
+        // Exactly the chunk size: one full chunk.
+        let plans = plan_chunks(&approx_issue(n, &b), &b, 27, None);
         assert_eq!(plans.len(), 1);
-        assert_eq!((plans[0].first, plans[0].len), (0, 4));
+        assert_eq!((plans[0].first, plans[0].len), (0, n));
     }
 
     #[test]
     fn byte_budget_closes_chunks_below_the_cluster_cap() {
         let b = tiny_batches();
         // 27 * 8 = 216 bytes per approx cluster; a 500-byte budget
-        // admits two per chunk even though the cluster cap allows 100.
-        let plans = plan_chunks(&approx_issue(5, &b), &b, 27, 100, Some(500));
+        // admits two per chunk even though the cluster cap allows 32.
+        let plans = plan_chunks(&approx_issue(5, &b), &b, 27, Some(500));
         assert_eq!(
             plans.iter().map(|p| p.len).collect::<Vec<_>>(),
             vec![2, 2, 1]
@@ -713,7 +718,7 @@ mod tests {
         assert_eq!(plans.iter().map(|p| p.messages).sum::<u64>(), 5);
 
         // Direct clusters: 4 particles × 32 bytes = 128 bytes each.
-        let plans = plan_chunks(&direct_issue(5, 4, &b), &b, 27, 100, Some(300));
+        let plans = plan_chunks(&direct_issue(5, 4, &b), &b, 27, Some(300));
         assert_eq!(
             plans.iter().map(|p| p.len).collect::<Vec<_>>(),
             vec![2, 2, 1]
@@ -728,7 +733,7 @@ mod tests {
         // A 1-byte budget is below any single payload: the planner must
         // degrade to one cluster per chunk (the minimum resident unit),
         // never stall or emit empty plans.
-        let plans = plan_chunks(&approx_issue(3, &b), &b, 27, 100, Some(1));
+        let plans = plan_chunks(&approx_issue(3, &b), &b, 27, Some(1));
         assert_eq!(plans.len(), 3);
         assert!(plans.iter().all(|p| p.len == 1));
         assert!(plans.iter().all(|p| p.bytes == 216));
@@ -738,9 +743,9 @@ mod tests {
     fn budget_never_changes_chunk_totals() {
         let b = tiny_batches();
         let issue = direct_issue(7, 3, &b);
-        let base = plan_chunks(&issue, &b, 27, 4, None);
+        let base = plan_chunks(&issue, &b, 27, None);
         for budget in [None, Some(u64::MAX), Some(200), Some(96), Some(1)] {
-            let plans = plan_chunks(&issue, &b, 27, 4, budget);
+            let plans = plan_chunks(&issue, &b, 27, budget);
             assert!(plans.iter().all(|p| p.len > 0));
             for field in [
                 |p: &ChunkPlan| p.messages,
@@ -815,7 +820,7 @@ mod tests {
         op: &O,
     ) -> Reference<C> {
         let m3 = params.proxy_count();
-        let whole = plan_chunks(issue, batches, m3, usize::MAX, None);
+        let whole = plan_chunks(issue, batches, m3, None);
         let payload = LetPayload::land(issue, &whole, wins, params);
         let clusters = payload.starts.iter().map(|s| s.len() as u64 - 1).sum();
         let landed = payload.qhat.len() + 4 * payload.particles.len();
@@ -894,7 +899,7 @@ mod tests {
             let issue = issue_remote_let(t, batches, params, wins);
             let want = per_batch_reference(&issue, batches, wins, params, op);
             for budget in [None, Some(u64::MAX), Some(16 * 1024), Some(1)] {
-                let chunks = plan_chunks(&issue, batches, m3, 8, budget);
+                let chunks = plan_chunks(&issue, batches, m3, budget);
                 let mut got: [Vec<f64>; C] =
                     std::array::from_fn(|_| vec![0.0; batches.particles().len()]);
                 eval_remote_let(&issue, &chunks, budget, batches, wins, params, op, &mut got);
@@ -979,7 +984,7 @@ mod tests {
                 let mut launches = 0;
                 for t in (0..comm.size()).filter(|&t| t != comm.rank()) {
                     let issue = issue_remote_let(t, batches, params, wins);
-                    let chunks = plan_chunks(&issue, batches, params.proxy_count(), 8, None);
+                    let chunks = plan_chunks(&issue, batches, params.proxy_count(), None);
                     eval_remote_let(&issue, &chunks, None, batches, wins, params, &op, &mut acc);
                     launches += chunks.iter().map(|c| c.launches).sum::<u64>();
                 }
@@ -1010,7 +1015,7 @@ mod tests {
                 .expect("a batch")
                 .direct
                 .reverse();
-            let chunks = plan_chunks(&issue, batches, params.proxy_count(), 8, None);
+            let chunks = plan_chunks(&issue, batches, params.proxy_count(), None);
             let mut acc = [vec![0.0; batches.particles().len()]];
             let op = &Coulomb as &dyn Kernel;
             eval_remote_let(&issue, &chunks, None, batches, wins, &params, op, &mut acc);

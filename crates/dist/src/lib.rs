@@ -52,9 +52,9 @@
 //!   then runs each LET traversal as its skeleton lands, then unpacks
 //!   payload chunks;
 //! - the **NIC** issues skeleton gets as soon as the windows exist and
-//!   streams each LET's payload in chunks of
-//!   [`DistConfig::let_chunk`] clusters (`letree`'s issue → plan →
-//!   land stages) once its traversal has demanded them;
+//!   streams each LET's payload in chunks of at most
+//!   `letree::LET_CHUNK_CLUSTERS` (32) clusters (`letree`'s issue → plan
+//!   → land stages) once its traversal has demanded them;
 //! - the **PCIe** link stages each chunk after it lands;
 //! - the **device** starts the local block (staging, precompute, local
 //!   compute) the moment the local lists exist, and dispatches
@@ -170,7 +170,7 @@ mod letree;
 pub mod model;
 pub mod persistent;
 
-pub use model::{ChunkClock, HostModel, PipelineReport};
+pub use model::{HostModel, PipelineReport};
 pub use persistent::{
     FieldSession, FieldSessionIn, MigrationRankStats, MigrationReport, RankLocal,
     SessionFieldReport, Snapshot,
@@ -206,11 +206,6 @@ pub struct DistConfig {
     pub streams: usize,
     /// Host-side setup-time model.
     pub host: HostModel,
-    /// Clusters per LET fetch chunk in the pipelined epoch. Chunking
-    /// changes neither results nor traffic (the same per-cluster gets
-    /// run in the same order); it only sets the granularity at which
-    /// the pipelined clock can overlap landing data with evaluation.
-    pub let_chunk: usize,
     /// Memory budget for resident remote-LET payload bytes per rank.
     ///
     /// It chooses the window of the one LET consumer, which lands a
@@ -251,7 +246,6 @@ impl DistConfig {
             net: NetworkSpec::infiniband_fdr(),
             streams: spec.num_streams,
             host: HostModel::default(),
-            let_chunk: 32,
             let_memory_budget: None,
             gpus_per_node: 1,
             intranode_net: NetworkSpec::intranode_p2p(),
@@ -683,7 +677,7 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
     let mut plans = Vec::with_capacity(comm.size().saturating_sub(1));
     for t in (0..comm.size()).filter(|&t| t != rank) {
         let issue = issue_remote_let(t, batches, params, &wins);
-        let chunks = plan_chunks(&issue, batches, m3, cfg.let_chunk, budget);
+        let chunks = plan_chunks(&issue, batches, m3, budget);
         let_stats.remote_skeleton_nodes += issue.nodes.len() as u64;
         let_stats.remote_approx_nodes += issue.approx.len() as u64;
         let_stats.remote_direct_nodes += issue.direct.len() as u64;
@@ -858,9 +852,16 @@ mod tests {
     use bltc_core::error::relative_l2_error;
     use bltc_core::field::FieldResult;
     use bltc_core::kernel::{Coulomb, GradientKernel};
+    use bltc_trace::Span;
 
     fn cfg() -> DistConfig {
         DistConfig::comet(BltcParams::new(0.8, 3, 60, 60))
+    }
+
+    /// End times of the phase-DAG spans called `name`, in chunk order.
+    fn chunk_span_ends(spans: &[Span], name: &str) -> Vec<f64> {
+        let chunk_spans = spans.iter().filter(|s| s.name == name && s.chunk.is_some());
+        chunk_spans.map(|s| s.end_s).collect()
     }
 
     #[test]
@@ -961,14 +962,18 @@ mod tests {
             // device-side lower bound of the local block.
             assert!(r.pipelined_s() <= r.total());
             assert!(r.pipelined_s() > 0.0);
-            // One NIC serializes the chunk gets: land times and ready
-            // times are nondecreasing in dispatch order.
-            for w in r.pipeline.chunks.windows(2) {
-                assert!(w[0].land_s <= w[1].land_s);
-                assert!(w[0].ready_s <= w[1].ready_s);
-            }
-            for c in &r.pipeline.chunks {
-                assert!(c.ready_s >= c.land_s);
+            // One NIC serializes the chunk gets and one PCIe link the
+            // staging: both end in chunk order, and a chunk stages only
+            // after its get lands.
+            let ends = |name| chunk_span_ends(&r.pipeline.spans, name);
+            let (lands, stages) = (ends("let-chunk-get"), ends("stage"));
+            assert!(!lands.is_empty());
+            assert_eq!(lands.len(), stages.len());
+            assert!(lands.windows(2).all(|w| w[0] <= w[1]));
+            assert!(stages.windows(2).all(|w| w[0] <= w[1]));
+            for s in r.pipeline.spans.iter().filter(|s| s.name == "stage") {
+                let chunk = s.chunk.expect("a stage span names its chunk") as usize;
+                assert!(s.start_s >= lands[chunk]);
             }
         }
         assert!(rep.pipelined_s <= rep.total_s);
@@ -985,31 +990,7 @@ mod tests {
         let r = &rep.ranks[0];
         assert!(r.pipelined_s() <= r.total());
         assert!((r.pipelined_s() - r.total()).abs() < 1e-12 * r.total());
-        assert!(r.pipeline.chunks.is_empty());
-    }
-
-    #[test]
-    fn chunk_granularity_changes_clock_only() {
-        // let_chunk is a modeling knob: any granularity fetches the same
-        // bytes in the same order and yields bitwise-identical results
-        // and serial clocks; only the pipelined critical path moves.
-        let ps = ParticleSet::random_cube(1000, 42);
-        let base = cfg();
-        let fine = DistConfig {
-            let_chunk: 4,
-            ..base
-        };
-        let a = run_distributed(&ps, 3, &base, &Coulomb);
-        let b = run_distributed(&ps, 3, &fine, &Coulomb);
-        assert_eq!(a.potentials, b.potentials);
-        assert_eq!(a.total_s, b.total_s);
-        for (ra, rb) in a.ranks.iter().zip(&b.ranks) {
-            assert_eq!(ra.let_messages, rb.let_messages);
-            assert_eq!(ra.let_bytes, rb.let_bytes);
-            assert_eq!(ra.total(), rb.total());
-            assert!(rb.pipeline.chunks.len() >= ra.pipeline.chunks.len());
-            assert!(rb.pipelined_s() <= rb.total());
-        }
+        assert!(chunk_span_ends(&r.pipeline.spans, "let-chunk-get").is_empty());
     }
 
     #[test]

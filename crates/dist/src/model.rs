@@ -149,32 +149,21 @@ impl HostModel {
     }
 }
 
-/// Per-chunk landing clocks of a pipelined epoch, in land order.
-#[derive(Debug, Clone, Copy)]
-pub struct ChunkClock {
-    /// Remote rank the chunk was fetched from.
-    pub target: usize,
-    /// Time the chunk's last get completes on the NIC.
-    pub land_s: f64,
-    /// Time the chunk is unpacked and staged — its kernels may issue.
-    pub ready_s: f64,
-}
-
 /// The overlap-aware view of one rank's epoch: the critical path through
 /// the phase DAG.
 ///
 /// Invariants (enforced by the test suite):
 /// - `pipelined_s ≤ RankReport::total()` (the serial phase sum) always,
 ///   with equality on one rank (no remote work to overlap);
-/// - `chunks` land times are nondecreasing (one NIC, serial α–β model);
+/// - the `let-chunk-get` spans end in chunk order (one NIC, serial α–β
+///   model), and each chunk's `stage` span starts at or after its get
+///   ends;
 /// - the clocks are pure functions of the work counts — bitwise
 ///   reproducible across host pool sizes.
 #[derive(Debug, Clone)]
 pub struct PipelineReport {
     /// Critical-path seconds of the pipelined epoch.
     pub pipelined_s: f64,
-    /// Per-chunk land/ready clocks, in dispatch order.
-    pub chunks: Vec<ChunkClock>,
     /// Trace spans of this epoch's phase DAG: every serial phase
     /// component placed at its wall position on the rank's resource
     /// tracks. Derived alongside the clocks from the same work counts
@@ -293,7 +282,6 @@ pub(crate) fn pipelined_clock(
 
     let mut pcie_free = 0.0f64;
     let mut works = Vec::with_capacity(num_chunks);
-    let mut chunks = Vec::with_capacity(num_chunks);
     for (p, &traversed) in plans.iter().zip(&traversal_done) {
         let link = cfg.link(rank, p.target);
         for c in &p.chunks {
@@ -355,11 +343,6 @@ pub(crate) fn pipelined_clock(
                 ready_s: ready,
                 exec_s: exec_total * exec_share,
                 launches: c.launches,
-            });
-            chunks.push(ChunkClock {
-                target: p.target,
-                land_s: land,
-                ready_s: ready,
             });
             chunk_id += 1;
         }
@@ -446,11 +429,7 @@ pub(crate) fn pipelined_clock(
         s.start_s = s.start_s.min(s.end_s);
     }
 
-    PipelineReport {
-        pipelined_s,
-        chunks,
-        spans,
-    }
+    PipelineReport { pipelined_s, spans }
 }
 
 #[cfg(test)]

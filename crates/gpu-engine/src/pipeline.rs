@@ -50,11 +50,6 @@ pub struct ChunkDispatchReport {
     /// Time the device retires the last kernel (or finishes the local
     /// block when no chunks exist).
     pub done_s: f64,
-    /// Seconds the device spent with nonzero active demand (excludes the
-    /// occupied local block).
-    pub busy_s: f64,
-    /// Kernels retired.
-    pub kernels: u64,
     /// Per-kernel lifetimes in enqueue order. The dispatcher enqueues
     /// chunks in land order, `launches` kernels each (zero-launch chunks
     /// skipped), so `events[k]` correlates back to its chunk by walking
@@ -101,8 +96,6 @@ pub fn dispatch_remote_chunks(
     sched.synchronize();
     ChunkDispatchReport {
         done_s: sched.now(),
-        busy_s: sched.busy_seconds(),
-        kernels: sched.retired(),
         events: sched.drain_kernel_events(),
     }
 }
@@ -119,7 +112,7 @@ mod tests {
     fn no_chunks_is_exactly_the_local_block() {
         let rep = dispatch_remote_chunks(&spec(), 4, 1.25, &[]);
         assert_eq!(rep.done_s, 1.25);
-        assert_eq!(rep.kernels, 0);
+        assert_eq!(rep.events.len(), 0);
     }
 
     #[test]
@@ -132,7 +125,7 @@ mod tests {
         let rep = dispatch_remote_chunks(&spec(), 4, 0.0, &[c]);
         // Cannot finish before the data landed plus the exec time.
         assert!(rep.done_s >= 3.0 + 0.5, "done {}", rep.done_s);
-        assert_eq!(rep.kernels, 1);
+        assert_eq!(rep.events.len(), 1);
     }
 
     #[test]
@@ -178,7 +171,7 @@ mod tests {
             },
         ];
         let rep = dispatch_remote_chunks(&spec(), 2, 0.0, &chunks);
-        assert_eq!(rep.kernels, 2, "phantom kernels from the empty chunk");
+        assert_eq!(rep.events.len(), 2, "phantom kernels from the empty chunk");
         assert!(
             rep.done_s < 1.0,
             "empty chunk gated the schedule: done at {}",
@@ -196,7 +189,6 @@ mod tests {
         let a = dispatch_remote_chunks(&spec(), 2, 0.1, &chunks);
         let b = dispatch_remote_chunks(&spec(), 2, 0.1, &chunks);
         assert_eq!(a.done_s, b.done_s);
-        assert_eq!(a.busy_s, b.busy_s);
         assert_eq!(a.events, b.events);
     }
 
@@ -220,7 +212,6 @@ mod tests {
             },
         ];
         let rep = dispatch_remote_chunks(&spec(), 2, 0.05, &chunks);
-        assert_eq!(rep.events.len() as u64, rep.kernels);
         assert_eq!(rep.events.len(), 5, "zero-launch chunk emits no events");
         assert!(rep.events.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
         // Chunk 0's kernels (seq 0..3) issue no earlier than its ready

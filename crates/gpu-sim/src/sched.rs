@@ -134,10 +134,6 @@ pub struct Scheduler {
     queues: Vec<VecDeque<Queued>>,
     /// Per-stream completion time of the last retired kernel.
     stream_tail: Vec<f64>,
-    /// Seconds the device spent with nonzero active demand.
-    busy_seconds: f64,
-    /// Total kernels retired.
-    retired: u64,
     /// Enqueue counter (assigns [`KernelEvent::seq`]).
     enqueued: u64,
     /// Lifetimes of retired kernels since the last drain.
@@ -158,8 +154,6 @@ impl Scheduler {
             host_clock: 0.0,
             queues: (0..spec.num_streams).map(|_| VecDeque::new()).collect(),
             stream_tail: vec![0.0; spec.num_streams],
-            busy_seconds: 0.0,
-            retired: 0,
             enqueued: 0,
             events: Vec::new(),
         }
@@ -300,7 +294,6 @@ impl Scheduler {
 
             let dt = dt_complete.min(dt_arrival).max(1e-18);
             t += dt;
-            self.busy_seconds += dt * total_demand.min(1.0);
             for a in &mut active {
                 a.remaining -= a.demand * scale * dt;
             }
@@ -311,7 +304,6 @@ impl Scheduler {
                     let a = active.swap_remove(i);
                     self.stream_tail[a.stream] = t;
                     stream_busy[a.stream] = false;
-                    self.retired += 1;
                     self.events.push(KernelEvent {
                         seq: a.seq,
                         stream: a.stream,
@@ -332,16 +324,6 @@ impl Scheduler {
     /// The simulated clock (seconds).
     pub fn now(&self) -> f64 {
         self.clock
-    }
-
-    /// Seconds during which the device had nonzero active demand.
-    pub fn busy_seconds(&self) -> f64 {
-        self.busy_seconds
-    }
-
-    /// Kernels retired so far.
-    pub fn retired(&self) -> u64 {
-        self.retired
     }
 
     /// Take the lifetimes of kernels retired since the last drain,
@@ -385,7 +367,7 @@ mod tests {
             "got {}, expect {expect}",
             s.now()
         );
-        assert_eq!(s.retired(), 1);
+        assert_eq!(s.drain_kernel_events().len(), 1);
     }
 
     /// A low-occupancy kernel runs slower than its full-device time.
@@ -514,7 +496,7 @@ mod tests {
         let before = s.now();
         s.transfer(0.0);
         assert!(s.now() > before + spec().pcie_latency_s - 1e-12);
-        assert_eq!(s.retired(), 1);
+        assert_eq!(s.drain_kernel_events().len(), 1);
     }
 
     #[test]
@@ -535,7 +517,7 @@ mod tests {
             WorkEstimate::flops(1e6),
         );
         s.synchronize();
-        assert_eq!(s.retired(), 1);
+        assert_eq!(s.drain_kernel_events().len(), 1);
     }
 
     #[test]
@@ -622,22 +604,7 @@ mod tests {
                 }
             }
         }
-        // Drained: a second drain is empty, retire count unaffected.
+        // Drained: a second drain is empty.
         assert!(s.drain_kernel_events().is_empty());
-        assert_eq!(s.retired(), 8);
-    }
-
-    #[test]
-    fn busy_seconds_bounded_by_elapsed() {
-        let mut s = sched();
-        for i in 0..16 {
-            s.enqueue(
-                LaunchConfig::new("k", 40, 128).stream(i % 4),
-                WorkEstimate::flops(1e8),
-            );
-        }
-        s.synchronize();
-        assert!(s.busy_seconds() > 0.0);
-        assert!(s.busy_seconds() <= s.now() + 1e-12);
     }
 }

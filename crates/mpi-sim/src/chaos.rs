@@ -30,10 +30,10 @@
 //! reproducible to the last bit regardless of thread interleaving.
 //!
 //! The schedule is `Arc`-shared and *survives world death*: a
-//! supervisor holds it across checkpoint/restore cycles, and per-fault
-//! `once` flags guarantee a fault that already fired does not re-fire
-//! during replay — which is what makes faulted-then-recovered
-//! trajectories reproducible.
+//! supervisor holds it across checkpoint/restore cycles, and each fault
+//! fires at most once in the schedule's life (a per-fault flag), so a
+//! fault that already fired does not re-fire during replay — which is
+//! what makes faulted-then-recovered trajectories reproducible.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
@@ -87,12 +87,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Whether this fault terminates the world when it fires (panic or
-    /// hang), as opposed to recording observational delay.
-    pub fn is_fatal(&self) -> bool {
-        matches!(self, FaultKind::Panic | FaultKind::Hang)
-    }
-
     fn label(&self) -> &'static str {
         match self {
             FaultKind::Panic => "panic",
@@ -105,7 +99,10 @@ impl FaultKind {
 }
 
 /// One scheduled fault: `kind` fires on `rank` when the world enters
-/// epoch `epoch` (session-local epoch index, 0-based).
+/// epoch `epoch` (session-local epoch index, 0-based), at most once
+/// across the schedule's whole life — including across world deaths
+/// and restores (the flag lives in the shared schedule, not the world).
+/// Recovery replay relies on this for fatal faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Session epoch the fault fires at.
@@ -114,11 +111,6 @@ pub struct FaultSpec {
     pub rank: usize,
     /// What happens.
     pub kind: FaultKind,
-    /// Fire at most once across the schedule's whole life — including
-    /// across world deaths and restores (the flag lives in the shared
-    /// schedule, not the world). Recovery replay relies on this for
-    /// fatal faults.
-    pub once: bool,
 }
 
 impl FaultSpec {
@@ -295,11 +287,8 @@ impl ChaosSchedule {
             if f.epoch != epoch || f.rank != rank {
                 continue;
             }
-            if f.once && self.fired[i].swap(true, Ordering::Relaxed) {
+            if self.fired[i].swap(true, Ordering::Relaxed) {
                 continue; // already fired on an earlier incarnation
-            }
-            if !f.once {
-                self.fired[i].store(true, Ordering::Relaxed);
             }
             match f.kind {
                 FaultKind::Panic => {
@@ -386,11 +375,8 @@ impl ChaosSchedule {
             if f.epoch != epoch || f.rank >= traffic.size() {
                 continue;
             }
-            if f.once && self.fired[i].swap(true, Ordering::Relaxed) {
+            if self.fired[i].swap(true, Ordering::Relaxed) {
                 continue;
-            }
-            if !f.once {
-                self.fired[i].store(true, Ordering::Relaxed);
             }
             let nominal = net.origin_seconds(traffic, f.rank);
             self.record(
@@ -469,7 +455,6 @@ mod tests {
                     epoch: 0,
                     rank: 3,
                     kind: FaultKind::Panic,
-                    once: true,
                 }],
                 2,
             )
@@ -484,7 +469,6 @@ mod tests {
                         multiplier: 1.5,
                         net: NetworkSpec::infiniband_fdr(),
                     },
-                    once: true,
                 }],
                 2,
             )
@@ -500,7 +484,6 @@ mod tests {
                     ..NetworkSpec::infiniband_fdr()
                 },
             },
-            once: true,
         };
         let e = dead_fabric.validate(2).unwrap_err();
         assert!(e.contains("bandwidth_gbs must be positive"), "{e}");
@@ -513,7 +496,6 @@ mod tests {
                 epoch: 2,
                 rank: 0,
                 kind: FaultKind::Panic,
-                once: true,
             }],
             1,
         );
@@ -543,7 +525,6 @@ mod tests {
                     ops: 2,
                     delay_s: 0.25,
                 },
-                once: true,
             }],
             2,
         );
@@ -568,7 +549,6 @@ mod tests {
                 epoch: 0,
                 rank: 0,
                 kind: FaultKind::Hang,
-                once: true,
             }],
             1,
         );
@@ -601,7 +581,6 @@ mod tests {
                     multiplier: 0.25,
                     net,
                 },
-                once: true,
             }],
             2,
         );

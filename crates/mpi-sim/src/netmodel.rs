@@ -30,16 +30,6 @@ impl NetworkSpec {
         }
     }
 
-    /// 10 GbE (for sensitivity studies: slower fabric ⇒ setup phase
-    /// dominates earlier).
-    pub fn ethernet_10g() -> Self {
-        Self {
-            name: "10 GbE",
-            latency_s: 20e-6,
-            bandwidth_gbs: 1.1,
-        }
-    }
-
     /// Intra-node GPU↔GPU path (PCIe peer-to-peer / shared-memory MPI):
     /// far lower latency and higher effective bandwidth than any
     /// fabric. The hierarchy-aware distributed model prices one-sided
@@ -84,6 +74,18 @@ impl NetworkSpec {
 mod tests {
     use super::*;
     use crate::runtime::run_spmd;
+
+    impl NetworkSpec {
+        /// 10 GbE (for sensitivity studies: slower fabric ⇒ setup phase
+        /// dominates earlier).
+        fn ethernet_10g() -> Self {
+            Self {
+                name: "10 GbE",
+                latency_s: 20e-6,
+                bandwidth_gbs: 1.1,
+            }
+        }
+    }
 
     #[test]
     fn presets_validate_and_broken_links_do_not() {

@@ -663,7 +663,6 @@ mod tests {
                 epoch: 1,
                 rank: 1,
                 kind: FaultKind::Panic,
-                once: true,
             }],
             2,
         )));
@@ -693,7 +692,6 @@ mod tests {
                 epoch: 0,
                 rank: 2,
                 kind: FaultKind::Hang,
-                once: true,
             }],
             3,
         )));
@@ -724,13 +722,11 @@ mod tests {
                                 ops: 1,
                                 delay_s: 0.5,
                             },
-                            once: true,
                         },
                         FaultSpec {
                             epoch: 0,
                             rank: 1,
                             kind: FaultKind::Straggler { delay_s: 0.25 },
-                            once: true,
                         },
                     ],
                     2,
@@ -816,7 +812,6 @@ mod tests {
                 epoch: 0,
                 rank: 2,
                 kind: FaultKind::Hang,
-                once: true,
             }],
             3,
         )));

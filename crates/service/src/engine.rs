@@ -5,9 +5,9 @@
 //! The scheduler core is std-only (threads + channels + condvars) per
 //! the offline build constraint, but the surface is engine-shaped the
 //! way async job engines are: [`SimService::submit`] returns a
-//! [`JobTicket`] immediately (a future in all but name — poll it with
-//! [`JobTicket::try_result`] or block on [`JobTicket::wait`]), and all
-//! execution happens on the engine's own workers.
+//! [`JobTicket`] immediately (a future in all but name — block on
+//! [`JobTicket::wait`]), and all execution happens on the engine's own
+//! workers.
 //!
 //! ## Why tenancy is invisible to results
 //!
@@ -79,9 +79,6 @@ pub struct ServiceConfig {
     /// shutdown. Purely observational — results, digests, reports, and
     /// meters are bitwise identical either way (`tests/trace.rs`).
     pub trace: bool,
-    /// Backoff base ([`RetryPolicy::backoff_base_s`]), billed against
-    /// the job's deadline budget and never part of its report.
-    pub backoff_base_s: f64,
     /// Wall-clock budget an epoch may stay unreported before the
     /// watchdog converts the hung rank into a poisoned world (armed
     /// only for jobs carrying [`Fault::HangAtStep`] — a healthy epoch
@@ -96,7 +93,6 @@ impl ServiceConfig {
         RetryPolicy {
             checkpoint_every,
             max_retries: self.max_retries,
-            backoff_base_s: self.backoff_base_s,
         }
     }
 
@@ -109,7 +105,6 @@ impl ServiceConfig {
             max_retries: 1,
             start_paused: false,
             trace: false,
-            backoff_base_s: 1e-3,
             epoch_watchdog: Duration::from_millis(250),
         }
     }
@@ -366,12 +361,6 @@ impl JobTicket {
             .recv()
             .expect("service dropped with the job pending")
     }
-
-    /// Non-blocking poll: `Some` exactly once, when the job has
-    /// finished (the engine-shaped analogue of a future's readiness).
-    pub fn try_result(&self) -> Option<Result<JobOutput, JobError>> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// Final accounting returned by [`SimService::shutdown`].
@@ -387,8 +376,6 @@ pub struct ServiceStats {
     pub pool: PoolStats,
     /// Per-tenant meters.
     pub meters: BTreeMap<TenantId, TenantMeter>,
-    /// Prepared-world cache entries at shutdown.
-    pub cache_entries: usize,
     /// Cache lookups that hit.
     pub cache_hits: u64,
     /// Cache lookups that missed and built.
@@ -455,7 +442,8 @@ struct QueuedJob {
 
 /// Scheduler state behind the single queue mutex — admission decisions
 /// read and mutate only this, which is what makes them deterministic
-/// given arrival order (exactly so under [`SimService::pause`]).
+/// given arrival order (exactly so while dispatch is paused, see
+/// [`ServiceConfig::start_paused`]).
 struct SchedState {
     queue: VecDeque<QueuedJob>,
     running: usize,
@@ -495,18 +483,13 @@ impl SimService {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.workers == 0`, if `cfg.epoch_watchdog` is zero,
-    /// or with the message of [`RetryPolicy::validate`] for a bad
-    /// backoff base.
+    /// Panics if `cfg.workers == 0` or if `cfg.epoch_watchdog` is zero.
     pub fn start(cfg: ServiceConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
         assert!(
             !cfg.epoch_watchdog.is_zero(),
             "epoch_watchdog must be positive: a zero deadline kills every healthy epoch"
         );
-        cfg.policy(None)
-            .validate()
-            .unwrap_or_else(|e| panic!("{e}"));
         let shared = Arc::new(Shared {
             cfg,
             sched: Mutex::new(SchedState {
@@ -615,14 +598,8 @@ impl SimService {
         })
     }
 
-    /// Gate dispatch: admitted jobs queue but no worker starts one
-    /// until [`SimService::resume`]. While paused, admission verdicts
-    /// depend only on submission order.
-    pub fn pause(&self) {
-        self.shared.sched.lock().unwrap().paused = true;
-    }
-
-    /// Re-open dispatch after [`SimService::pause`].
+    /// Open dispatch for a service started with
+    /// [`ServiceConfig::start_paused`].
     pub fn resume(&self) {
         self.shared.sched.lock().unwrap().paused = false;
         self.shared.work.notify_all();
@@ -658,7 +635,6 @@ impl SimService {
             jobs_rejected: st.jobs_rejected,
             pool: self.shared.pool.stats(),
             meters: self.shared.meters.lock().unwrap().clone(),
-            cache_entries: cache.map.len(),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             trace_spans,
@@ -878,7 +854,6 @@ fn serve(
             epoch,
             rank: 0,
             kind,
-            once: true,
         };
         let fs = integ.field_session();
         fs.set_chaos(Some(ChaosSchedule::new(vec![fault], spec.ranks)));

@@ -102,6 +102,6 @@ mod state;
 pub use forces::ForceModel;
 pub use integrator::{SimConfig, SimReport, StepReport};
 pub use persistent::{Checkpoint, PersistentIntegrator, RestoreCost, WorldReuse};
-pub use recovery::{run_with_retries, FailedAttempt, Recovered, RetryPolicy};
+pub use recovery::{run_with_retries, FailedAttempt, Recovered, RetryPolicy, BACKOFF_BASE_S};
 pub use scenario::{electrolyte_box, plummer_sphere};
 pub use state::SimState;

@@ -10,31 +10,26 @@ use mpi_sim::{panic_message, HangReleased};
 use crate::persistent::{Checkpoint, PersistentIntegrator};
 use crate::state::SimState;
 
+/// Failed attempt `k` (1-based) charges `BACKOFF_BASE_S · 2^(k-1)`
+/// **modeled** seconds before its retry — never slept.
+pub const BACKOFF_BASE_S: f64 = 1e-3;
+
 /// How [`run_with_retries`] recovers; the default never retries.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RetryPolicy {
     /// Checkpoint every `k` steps (`None` = never), the last step
     /// excepted; a retry restores the latest. Bitwise invisible.
     pub checkpoint_every: Option<u64>,
-    /// Failed attempts that are retried before giving up.
+    /// Failed attempts that are retried before giving up, each after a
+    /// backoff of [`BACKOFF_BASE_S`]` · 2^(k-1)`.
     pub max_retries: u32,
-    /// Failed attempt `k` (1-based) charges `backoff_base_s · 2^(k-1)`
-    /// **modeled** seconds before its retry — never slept.
-    pub backoff_base_s: f64,
 }
 
 impl RetryPolicy {
-    /// A cadence of at least one step and a finite, non-negative
-    /// backoff base: a NaN or negative base would poison or shrink
-    /// every sum the backoff is billed into.
+    /// A cadence of at least one step.
     pub fn validate(&self) -> Result<(), String> {
-        let base = self.backoff_base_s;
         if self.checkpoint_every == Some(0) {
             Err("checkpoint cadence must be at least 1 step".into())
-        } else if !(base.is_finite() && base >= 0.0) {
-            Err(format!(
-                "backoff base must be non-negative and finite, got {base}"
-            ))
         } else {
             Ok(())
         }
@@ -124,7 +119,7 @@ where
             attempt,
             resume_from: checkpoint.as_ref().map(Checkpoint::step),
             backoff_s: if retry {
-                policy.backoff_base_s * 2f64.powi(attempt as i32 - 1)
+                BACKOFF_BASE_S * 2f64.powi(attempt as i32 - 1)
             } else {
                 0.0
             },
@@ -158,16 +153,6 @@ mod tests {
             ..RetryPolicy::default()
         };
         assert!(zero.validate().unwrap_err().contains("checkpoint cadence"));
-        for base in [f64::NAN, -1e-3, f64::INFINITY] {
-            let bad = RetryPolicy {
-                backoff_base_s: base,
-                ..RetryPolicy::default()
-            };
-            assert!(
-                bad.validate().unwrap_err().contains("backoff base"),
-                "{base}"
-            );
-        }
     }
 
     #[test]
@@ -183,7 +168,6 @@ mod tests {
         let policy = RetryPolicy {
             checkpoint_every: Some(1),
             max_retries: 2,
-            backoff_base_s: 1e-3,
         };
         // Attempts 1 and 2 die entering step 3, after the step-2 checkpoint.
         let out = run_with_retries(&policy, 3, start, |_, attempt, step| {
@@ -207,7 +191,6 @@ mod tests {
         let (state, model) = plummer_sphere(48, 1.0, 0.05, 3);
         let policy = RetryPolicy {
             max_retries: 1,
-            backoff_base_s: 1e-3,
             ..RetryPolicy::default()
         };
         let failures = run_with_retries(

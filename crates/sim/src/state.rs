@@ -115,21 +115,24 @@ impl SimState {
         }
         p
     }
-
-    /// Largest particle speed — the quantity a CFL-style `dt` check
-    /// compares against the force softening scale.
-    pub fn max_speed(&self) -> f64 {
-        (0..self.len())
-            .map(|i| {
-                (self.vx[i] * self.vx[i] + self.vy[i] * self.vy[i] + self.vz[i] * self.vz[i]).sqrt()
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimState {
+        /// Largest particle speed — the quantity a CFL-style `dt` check
+        /// compares against the force softening scale.
+        pub(crate) fn max_speed(&self) -> f64 {
+            (0..self.len())
+                .map(|i| {
+                    (self.vx[i] * self.vx[i] + self.vy[i] * self.vy[i] + self.vz[i] * self.vz[i])
+                        .sqrt()
+                })
+                .fold(0.0, f64::max)
+        }
+    }
 
     fn two_body() -> SimState {
         let ps = ParticleSet::new(

@@ -54,11 +54,6 @@ impl TraceRecorder {
         }
     }
 
-    /// The tenant/job context this recorder stamps, if any.
-    pub fn context(&self) -> (Option<u64>, Option<u64>) {
-        (self.tenant, self.job)
-    }
-
     /// Current timeline cursor: where the next absorbed epoch begins.
     pub fn cursor_s(&self) -> f64 {
         self.inner.lock().expect("recorder lock").cursor_s

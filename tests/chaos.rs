@@ -19,7 +19,7 @@ use bltc::service::{
     Fault, JobError, JobOutcome, JobOutput, JobSpec, Scenario, ServiceConfig, SimService,
 };
 use bltc::sim::scenario::plummer_sphere;
-use bltc::sim::{PersistentIntegrator, SimConfig, SimReport, SimState};
+use bltc::sim::{PersistentIntegrator, SimConfig, SimReport, SimState, BACKOFF_BASE_S};
 use golden::{GOLDEN_ELECTROLYTE_STATE, GOLDEN_PLUMMER_STATE};
 use proptest::prelude::*;
 
@@ -254,7 +254,7 @@ fn recovery_metrics_reconcile_against_modeled_clocks() {
     assert_eq!(out.recovery.recoveries, 2);
 
     let respawn = cfg.dist.host.world_spawn_seconds(64, ranks);
-    let expect_backoff = opts.backoff_base_s * (1.0 + 2.0); // 2^0 + 2^1
+    let expect_backoff = BACKOFF_BASE_S * (1.0 + 2.0); // 2^0 + 2^1
     let expect_respawn = 2.0 * respawn;
     assert!((out.recovery.backoff_s - expect_backoff).abs() <= 1e-12);
     assert!((out.recovery.respawn_s - expect_respawn).abs() <= 1e-12);
@@ -297,7 +297,7 @@ fn service_backoff_and_lost_spawns_are_exactly_recomputable() {
     // onto a cold world → exactly one lost respawn (the first
     // attempt's spawn lives on inside the checkpoint's report).
     let respawn = flaky.dist.host.world_spawn_seconds(flaky.n, flaky.ranks);
-    assert_eq!(out.recovery.backoff_s, cfg.backoff_base_s);
+    assert_eq!(out.recovery.backoff_s, BACKOFF_BASE_S);
     assert_eq!(out.recovery.lost_spawns, 1);
     assert_eq!(out.recovery.lost_spawn_host_s, respawn);
     let meters = svc.meters();

@@ -349,7 +349,8 @@ fn traffic(_: &[RankReport], matrix: &TrafficMatrix) -> u64 {
 }
 
 /// Per rank: the five serial phase clocks, `pipelined_s`,
-/// `peak_let_bytes`, then every chunk's land and ready times.
+/// `peak_let_bytes`, then every chunk's land and ready times — the ends
+/// of its `let-chunk-get` and `stage` spans.
 fn clocks(ranks: &[RankReport], _: &TrafficMatrix) -> u64 {
     fnv1a(ranks.iter().flat_map(|r| {
         let phases = [
@@ -360,7 +361,15 @@ fn clocks(ranks: &[RankReport], _: &TrafficMatrix) -> u64 {
             r.compute_s,
             r.pipelined_s(),
         ];
-        let chunks = r.pipeline.chunks.iter().flat_map(|c| [c.land_s, c.ready_s]);
+        let chunk_ends = |name| {
+            let spans = r.pipeline.spans.iter();
+            spans.filter(move |s| s.name == name && s.chunk.is_some())
+        };
+        let landed = chunk_ends("let-chunk-get").zip(chunk_ends("stage"));
+        let chunks = landed.flat_map(|(get, stage)| {
+            assert_eq!(get.chunk, stage.chunk);
+            [get.end_s, stage.end_s]
+        });
         phases
             .into_iter()
             .map(f64::to_bits)

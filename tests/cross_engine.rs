@@ -89,8 +89,16 @@ fn engines_agree_on_nonuniform_distributions() {
     let gpu = GpuEngine::new(params).compute(&ps, &ps, &Coulomb);
     assert_eq!(serial.potentials, gpu.potentials);
 
-    // Clustered blobs: many empty octants.
-    let ps = ParticleSet::gaussian_blobs(2000, 5, 0.04, 104);
+    // Clustered blobs: many empty octants. Five small cubes, each
+    // particle shrunk into one of them around a uniform centre.
+    let centres = ParticleSet::random_cube(5, 104);
+    let mut ps = ParticleSet::random_cube(2000, 105);
+    for i in 0..ps.len() {
+        let c = i % centres.len();
+        ps.x[i] = centres.x[c] + 0.04 * ps.x[i];
+        ps.y[i] = centres.y[c] + 0.04 * ps.y[i];
+        ps.z[i] = centres.z[c] + 0.04 * ps.z[i];
+    }
     let serial = SerialEngine::new(params).compute(&ps, &ps, &Coulomb);
     let gpu = GpuEngine::new(params).compute(&ps, &ps, &Coulomb);
     assert_eq!(serial.potentials, gpu.potentials);

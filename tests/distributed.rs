@@ -78,7 +78,11 @@ fn slower_network_increases_setup_share() {
     let params = BltcParams::new(0.8, 3, 100, 100);
     let fast = cfg(params);
     let slow = DistConfig {
-        net: NetworkSpec::ethernet_10g(),
+        net: NetworkSpec {
+            name: "10 GbE",
+            latency_s: 20e-6,
+            bandwidth_gbs: 1.1,
+        },
         ..fast
     };
     let rf = run_distributed(&ps, 4, &fast, &Coulomb);

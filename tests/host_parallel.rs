@@ -380,7 +380,6 @@ fn torture_watchdog_releases_a_hang_while_the_pool_is_busy() {
                     epoch: 0,
                     rank: 2,
                     kind: FaultKind::Hang,
-                    once: true,
                 }],
                 3,
             )));

@@ -11,9 +11,9 @@
 # For each patch (all of them, or the ones given as arguments) this copies
 # the tracked files of the checkout into a scratch tree, applies the patch
 # there, builds the package's library tests (or its `Test:` target) and
-# runs each named test on its own. It fails if a patch no longer applies,
-# if a mutant does not compile, or if a named test passes or does not
-# exist. A mutant that survives is a missing test, never an expected
+# runs each named test on its own. It fails if a patch no longer applies
+# or applies only at an offset from its recorded line numbers, if a
+# mutant does not compile, or if a named test passes or does not exist. A mutant that survives is a missing test, never an expected
 # result.
 #
 #   tests/mutants/run.sh [tests/mutants/NAME.patch ...]
@@ -58,8 +58,15 @@ for patch in "$@"; do
     rm -rf "$tree"
     mkdir -p "$tree"
     (cd "$root" && git ls-files -z | xargs -0 tar -cf -) | tar -xmf - -C "$tree"
-    if ! (cd "$tree" && git apply "$patch"); then
+    if ! applied=$(cd "$tree" && git apply -v "$patch" 2>&1); then
+        echo "$applied"
         echo "::error::$name: the patch no longer applies"
+        status=1
+        continue
+    fi
+    if grep -q "offset" <<<"$applied"; then
+        echo "$applied"
+        echo "::error::$name: the patch applies only at an offset; refresh its line numbers"
         status=1
         continue
     fi

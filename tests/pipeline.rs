@@ -4,11 +4,11 @@
 //!   field paths, at 1/2/4/7 ranks — the critical path can remove
 //!   waiting but never add work;
 //! - at 1 rank the DAG degenerates to the serial chain (equality);
-//! - the stream count and the LET chunk granularity are clock-model
-//!   knobs only: potentials, forces, whole trajectories, and traffic
-//!   stay bitwise identical across them, under 1- and 4-worker host
-//!   pools, across migration epochs;
-//! - property-based sweep of the bound over random problems.
+//! - the stream count is a clock-model knob only: potentials, forces,
+//!   whole trajectories, and traffic stay bitwise identical across it,
+//!   under 1- and 4-worker host pools, across migration epochs;
+//! - property-based sweep of the bound over random problems, with the
+//!   chunking the memory budget imposes invisible to the potentials.
 
 use bltc_core::config::BltcParams;
 use bltc_core::kernel::{Coulomb, GradientKernel, Kernel, Priced, Yukawa};
@@ -70,18 +70,18 @@ fn pipelined_bounded_by_serial_on_every_rank() {
 
 #[test]
 fn streams_and_chunking_are_bitwise_invisible_to_results() {
-    // Stream count and LET chunk granularity reshape only the modeled
-    // clocks; the evaluation itself — and the recorded traffic — must
-    // not move, under either host-pool size.
+    // The stream count reshapes only the modeled clocks; the evaluation
+    // itself — and the recorded traffic — must not move, under either
+    // host-pool size. (The LET chunk size is a constant; the budget
+    // that reshapes chunks is swept in `tests/streaming.rs`.)
     let ps = ParticleSet::random_cube(1600, 502);
     let params = BltcParams::new(0.8, 3, 70, 70);
     for &ranks in &RANK_COUNTS {
         let mut reference: Option<(Vec<u64>, u64, u64)> = None;
         for &workers in &[1usize, 4] {
-            for &(streams, chunk) in &[(1usize, 32usize), (4, 32), (4, 5), (2, 1)] {
+            for streams in [1usize, 4, 2] {
                 let mut cfg = DistConfig::comet(params);
                 cfg.streams = streams;
-                cfg.let_chunk = chunk;
                 let rep = pool(workers).install(|| run_distributed(&ps, ranks, &cfg, &Coulomb));
                 assert!(rep.pipelined_s <= rep.total_s);
                 let got = (
@@ -93,7 +93,7 @@ fn streams_and_chunking_are_bitwise_invisible_to_results() {
                     None => reference = Some(got),
                     Some(r) => assert_eq!(
                         r, &got,
-                        "{ranks} ranks / {workers} workers / {streams} streams / chunk {chunk}"
+                        "{ranks} ranks / {workers} workers / {streams} streams"
                     ),
                 }
             }
@@ -104,35 +104,34 @@ fn streams_and_chunking_are_bitwise_invisible_to_results() {
 #[test]
 fn trajectories_bitwise_identical_across_streams_and_chunks() {
     // Whole velocity-Verlet trajectories through the sim layer: the
-    // pipelined-epoch knobs must be invisible to the dynamics, across
-    // the migration epochs at steps 2 and 4.
-    let run = |streams: usize, chunk: usize, workers: usize| {
+    // stream count must be invisible to the dynamics, across the
+    // migration epochs at steps 2 and 4.
+    let run = |streams: usize, workers: usize| {
         pool(workers).install(|| {
             let (state, model) = plummer_sphere(220, 1.0, 0.05, 41);
             let mut dist = DistConfig::comet(BltcParams::new(0.7, 3, 50, 50));
             dist.streams = streams;
-            dist.let_chunk = chunk;
             let cfg = SimConfig::new(dist, 4, 1e-3).with_repartition_every(2);
             let mut integrator = PersistentIntegrator::new(cfg, &state, &model);
             let reports = integrator.run(5);
             (integrator.snapshot(), reports)
         })
     };
-    let (ref_state, ref_reports) = run(1, 32, 1);
+    let (ref_state, ref_reports) = run(1, 1);
     for rep in &ref_reports {
         assert!(rep.pipelined_s > 0.0 && rep.pipelined_s <= rep.total_s);
     }
-    for &(streams, chunk, workers) in &[(4usize, 32usize, 1usize), (4, 7, 4), (1, 32, 4)] {
-        let (state, _) = run(streams, chunk, workers);
+    for &(streams, workers) in &[(4usize, 1usize), (4, 4), (1, 4)] {
+        let (state, _) = run(streams, workers);
         assert_eq!(
             bits(&ref_state.particles.x),
             bits(&state.particles.x),
-            "{streams} streams / chunk {chunk} / {workers} workers: x"
+            "{streams} streams / {workers} workers: x"
         );
         assert_eq!(
             bits(&ref_state.vz),
             bits(&state.vz),
-            "{streams}/{chunk}: vz"
+            "{streams}/{workers}: vz"
         );
         assert_eq!(ref_state.time.to_bits(), state.time.to_bits());
     }
@@ -142,13 +141,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random problems: the pipelined clock respects its bound on
-    /// every rank, and chunking stays invisible to the potentials.
+    /// every rank, and the chunking a memory budget imposes stays
+    /// invisible to the potentials and the serial clock.
     #[test]
     fn prop_pipelined_bounded_and_chunk_invisible(
         n in 200usize..700,
         theta in 0.5f64..0.9,
         ranks in 1usize..6,
-        chunk in 1usize..48,
+        budget in 1u64..65_536,
         seed in 0u64..1000,
     ) {
         let ps = ParticleSet::random_cube(n, seed);
@@ -162,7 +162,7 @@ proptest! {
         prop_assert!(rep.pipelined_s <= rep.total_s);
 
         let mut chunked = base;
-        chunked.let_chunk = chunk;
+        chunked.let_memory_budget = Some(budget);
         let rep2 = run_distributed(&ps, ranks, &chunked, &Coulomb);
         prop_assert_eq!(bits(&rep.potentials), bits(&rep2.potentials));
         prop_assert!(rep2.pipelined_s <= rep2.total_s);
