@@ -667,8 +667,8 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
     let staged = GpuEngine::with_spec(*params, cfg.spec)
         .with_streams(cfg.streams)
         .stage(local, local);
-    let wins = LetWindows::expose(comm, staged.tree(), &staged.prep.charges);
-    let batches = staged.batches();
+    let wins = LetWindows::expose(comm, &staged.prep.tree, &staged.prep.charges);
+    let batches = &staged.prep.batches;
 
     // ---- LET construction (fully one-sided, staged) + remote pass ----
     let budget = cfg.let_memory_budget;
@@ -703,7 +703,7 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
     // Alone, a rank has no remote columns to add — and must not add
     // zeros either: `-0.0 + 0.0` is `+0.0`.
     let remote_cols = (comm.size() > 1).then(|| remote.map(|c| batches.scatter_to_original(&c)));
-    let (tree_nodes, num_batches) = (staged.tree().num_nodes(), batches.len());
+    let (tree_nodes, num_batches) = (staged.prep.tree.num_nodes(), batches.len());
 
     // ---- local evaluation on the simulated GPU -----------------------
     let gpu = staged.finish(op);

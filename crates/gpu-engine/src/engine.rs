@@ -43,7 +43,7 @@ use bltc_core::field::FieldResult;
 use bltc_core::kernel::{GradientKernel, Kernel, TileOp};
 use bltc_core::particles::ParticleSet;
 use bltc_core::traversal::InteractionLists;
-use bltc_core::tree::{batch::TargetBatches, SourceTree, TreeStats};
+use bltc_core::tree::{SourceTree, TreeStats};
 use gpu_sim::{Device, DeviceSpec};
 
 use crate::kernels::{launch_precompute, launch_tile};
@@ -163,16 +163,6 @@ pub struct GpuPass<const C: usize> {
 }
 
 impl StagedRun {
-    /// The source cluster tree.
-    pub fn tree(&self) -> &SourceTree {
-        &self.prep.tree
-    }
-
-    /// The target batches.
-    pub fn batches(&self) -> &TargetBatches {
-        &self.prep.batches
-    }
-
     /// The compute phase of one pass: the host evaluates the `C` output
     /// columns with core's evaluation, and the device prices what the GPU
     /// does for them — per batch, in index order, one approximation
@@ -213,7 +203,7 @@ impl StagedRun {
 
         // ---- DtH: the output columns ---------------------------------------
         for _ in 0..C {
-            dev.dtoh(prep.batches.particles().len() * 8);
+            dev.transfer(prep.batches.particles().len() * 8);
         }
         self.sim.dtoh_potentials_s = dev.now() - mark;
 
@@ -222,8 +212,8 @@ impl StagedRun {
             ops: prep.ops,
             tree_stats: prep.tree.stats(),
             sim: self.sim,
-            profile_table: dev.profiler().table(),
-            kernel_launches: dev.profiler().total_launches(),
+            profile_table: dev.profile_table(),
+            kernel_launches: dev.kernel_events().len() as u64,
         }
     }
 }
@@ -244,12 +234,7 @@ impl GpuEngine {
     /// Engine on a Titan V with all four streams (the paper's Fig. 4
     /// configuration).
     pub fn new(params: BltcParams) -> Self {
-        let spec = DeviceSpec::titan_v();
-        Self {
-            params,
-            spec,
-            streams: spec.num_streams,
-        }
+        Self::with_spec(params, DeviceSpec::titan_v())
     }
 
     /// Engine on an explicit device model.
@@ -300,7 +285,7 @@ impl GpuEngine {
 
         // ---- HtD: source data (x, y, z, q) ---------------------------------
         for _ in 0..4 {
-            dev.htod(tree.particles().len() * 8);
+            dev.transfer(tree.particles().len() * 8);
         }
         dev.synchronize();
         let mut mark = dev.now();
@@ -320,13 +305,13 @@ impl GpuEngine {
         mark = dev.now();
 
         // ---- DtH: modified charges (host RMA windows in the MPI version) -
-        dev.dtoh(tree.num_nodes() * params.proxy_count() * 8);
+        dev.transfer(tree.num_nodes() * params.proxy_count() * 8);
         sim.dtoh_charges_s = dev.now() - mark;
         mark = dev.now();
 
         // ---- HtD: targets (the LET copy: x, y, z) --------------------------
         for _ in 0..3 {
-            dev.htod(batches.particles().len() * 8);
+            dev.transfer(batches.particles().len() * 8);
         }
         dev.synchronize();
         sim.htod_let_s = dev.now() - mark;
@@ -428,11 +413,11 @@ pub fn gpu_direct_sum_modeled_seconds(
     for len in [
         n_sources, n_sources, n_sources, n_sources, n_targets, n_targets, n_targets,
     ] {
-        dev.htod(len * 8);
+        dev.transfer(len * 8);
     }
     let tile = (n_targets, n_sources);
     launch_tile(&mut dev, "direct_sum_full", tile, kernel, 0);
-    dev.dtoh(n_targets * 8);
+    dev.transfer(n_targets * 8);
     dev.now()
 }
 
@@ -546,8 +531,8 @@ mod tests {
             let engine = GpuEngine::new(params).with_streams(3);
             for targets in [&sources, &probes] {
                 let staged = engine.stage(targets, &sources);
-                let nodes = staged.tree().num_nodes();
-                let host = ClusterCharges::compute_all(staged.tree(), degree);
+                let nodes = staged.prep.tree.num_nodes();
+                let host = ClusterCharges::compute_all(&staged.prep.tree, degree);
                 for i in 0..nodes {
                     assert_eq!(staged.prep.charges.charges(i).len(), m3);
                     assert_eq!(

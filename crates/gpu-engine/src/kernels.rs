@@ -1,5 +1,8 @@
-//! The four BLTC kernels as the simulated device sees them: launch
-//! geometry and an exact work estimate, appended to the device's ledger.
+//! The four BLTC kernels as the simulated device sees them: a grid of
+//! blocks, a stream and an exact work estimate, appended to the device's
+//! kernel log. The threads inside a block, described below as the
+//! paper's kernels lay them out, are priced by nothing: a launch's
+//! occupancy is its blocks over the device's SMs.
 //!
 //! No kernel here touches a number. The host computes every result with
 //! the same code the CPU engines run (`bltc_core`'s tile and
@@ -12,9 +15,6 @@
 use bltc_core::cost::{PHASE1_FLOPS_PER_TERM, PHASE2_FLOPS_PER_TERM};
 use bltc_core::kernel::TileOp;
 use gpu_sim::{Device, LaunchConfig, WorkEstimate};
-
-/// Threads per block used by all four kernels (the inner parallel width).
-pub const THREADS_PER_BLOCK: usize = 128;
 
 /// Device-memory bytes of batch–cluster launches over `targets` targets
 /// and `sources` sources in all (the roofline's memory term): every
@@ -43,10 +43,7 @@ pub fn launch_tile<const C: usize, O: TileOp<C> + ?Sized>(
         nb as f64 * nc as f64 * op.flops_per_pair(true),
         tile_bytes(nb as u64, nc as u64, O::TARGET_COLS),
     );
-    dev.launch(
-        LaunchConfig::new(name, nb, THREADS_PER_BLOCK).stream(stream),
-        work,
-    );
+    dev.launch(LaunchConfig::new(name, nb).stream(stream), work);
 }
 
 /// The two preprocessing kernels of one cluster of `nc` sources, back to
@@ -61,14 +58,14 @@ pub fn launch_precompute(dev: &mut Device, degree: usize, nc: usize, stream: usi
     let nper = (degree + 1) as f64;
     let m3 = (degree + 1).pow(3);
     dev.launch(
-        LaunchConfig::new("precompute_phase1", nc, THREADS_PER_BLOCK).stream(stream),
+        LaunchConfig::new("precompute_phase1", nc).stream(stream),
         WorkEstimate::new(
             nc as f64 * nper * PHASE1_FLOPS_PER_TERM,
             (nc * 4 * 8) as f64,
         ),
     );
     dev.launch(
-        LaunchConfig::new("precompute_phase2", m3, THREADS_PER_BLOCK).stream(stream),
+        LaunchConfig::new("precompute_phase2", m3).stream(stream),
         WorkEstimate::new(
             nc as f64 * m3 as f64 * PHASE2_FLOPS_PER_TERM,
             ((nc * 4 + m3) * 8) as f64,

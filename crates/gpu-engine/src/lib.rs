@@ -4,8 +4,9 @@
 //! The host computes and the device prices: every number comes from
 //! `bltc_core` (its tree, lists, modified charges and batch evaluation),
 //! while the `gpu-sim` device clock is handed the paper's four compute
-//! kernels as launches — geometry, stream and work — and every copy as
-//! bytes:
+//! kernels as launches — grid blocks, stream and work — and every copy as
+//! bytes. The thread layouts below are the paper's; the device prices
+//! only the blocks (occupancy) and the work:
 //!
 //! 1. **precompute phase 1** — per-source intermediates `q̃_j` (Eq. 14);
 //!    one block per source particle, threads over the interpolation

@@ -5,16 +5,16 @@
 //! fetch: remote-evaluation batches are held back until the chunk of LET
 //! data they read has landed, then launched onto the simulated
 //! asynchronous streams. This module models exactly that dispatch on the
-//! `gpu-sim` discrete-event scheduler:
+//! `gpu-sim` device:
 //!
 //! - the **local block** (HtD staging, precompute, local compute) is
 //!   charged as one monolithic occupancy interval via
-//!   [`Scheduler::occupy_until`] — it pays no per-kernel launch costs
+//!   [`Device::occupy_until`] — it pays no per-kernel launch costs
 //!   here because the serial clock already charged them, and an extra
 //!   enqueue would break the `pipelined == serial` identity on one rank;
 //! - each **remote chunk** becomes `launches` saturating kernels whose
 //!   exec phases split the chunk's exec seconds evenly; their issue is
-//!   gated on the chunk's ready time via [`Scheduler::advance_host_to`],
+//!   gated on the chunk's ready time via [`Device::advance_host_to`],
 //!   and stream ids cycle round-robin so launch latencies on one stream
 //!   hide behind exec phases on another (§3.2's motivation for streams).
 //!
@@ -23,13 +23,16 @@
 //! latencies vanish from the critical path — the per-stream win the
 //! distributed ablation sweeps measure.
 //!
+//! The report's events are the device's kernel log, taken once the
+//! device has drained: one record per launch, in enqueue order.
+//!
 //! Chunks with zero launches are skipped **before** their ready-time
 //! gate. Memory-budgeted LET streaming can close a chunk around
 //! clusters that no remote-evaluation batch reads (pure skeleton
 //! padding), and such a chunk must neither stall the host clock at its
 //! land time nor emit phantom kernels.
 
-use gpu_sim::{DeviceSpec, KernelEvent, LaunchConfig, Scheduler, WorkEstimate};
+use gpu_sim::{Device, DeviceSpec, KernelEvent, LaunchConfig, WorkEstimate};
 
 /// One LET chunk's worth of remote-evaluation work, ready for dispatch.
 #[derive(Debug, Clone, Copy)]
@@ -71,32 +74,32 @@ pub fn dispatch_remote_chunks(
 ) -> ChunkDispatchReport {
     let mut spec = *spec;
     spec.num_streams = streams.max(1);
-    let mut sched = Scheduler::new(spec);
-    sched.occupy_until(local_busy_until_s);
+    let mut dev = Device::new(spec);
+    dev.occupy_until(local_busy_until_s);
 
     let mut stream = 0usize;
     for chunk in chunks {
         if chunk.launches == 0 {
             continue;
         }
-        sched.advance_host_to(chunk.ready_s);
+        dev.advance_host_to(chunk.ready_s);
         // Saturating kernels (one block per SM): the schedule is
         // work-conserving, so total exec time is conserved no matter how
         // the streams interleave — streams only hide launch latency.
         let per_launch = chunk.exec_s / chunk.launches as f64;
         let flops = per_launch * spec.sustained_gflops() * 1e9;
         for _ in 0..chunk.launches {
-            sched.enqueue(
-                LaunchConfig::new("remote-chunk", spec.sm_count, 256).stream(stream),
+            dev.launch(
+                LaunchConfig::new("remote-chunk", spec.sm_count).stream(stream),
                 WorkEstimate::flops(flops),
             );
             stream = stream.wrapping_add(1);
         }
     }
-    sched.synchronize();
+    dev.synchronize();
     ChunkDispatchReport {
-        done_s: sched.now(),
-        events: sched.drain_kernel_events(),
+        done_s: dev.now(),
+        events: dev.into_kernel_events(),
     }
 }
 
@@ -219,6 +222,9 @@ mod tests {
         for e in &rep.events {
             let ready = if e.seq < 3 { 0.1 } else { 0.3 };
             assert!(e.issue_s >= ready - 1e-15);
+            // Each record holds its own kernel's exec window, which opens
+            // no earlier than its issue plus the launch latency.
+            assert!(e.issue_s + spec().launch_latency_s <= e.start_s + 1e-15);
         }
         // The last retirement is the report's done time.
         let last = rep.events.iter().fold(0.0f64, |m, e| m.max(e.end_s));

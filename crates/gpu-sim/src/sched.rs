@@ -1,4 +1,5 @@
-//! The discrete-event stream scheduler.
+//! The simulated device: a discrete-event stream scheduler and its
+//! kernel log.
 //!
 //! Model (per §3.2's description of OpenACC async streams):
 //!
@@ -19,8 +20,13 @@
 //!
 //! The simulated clock is shared by host and device; `synchronize`
 //! advances it past the last completion.
+//!
+//! The device keeps one record per kernel, a [`KernelEvent`] pushed at
+//! enqueue (so its index is its `seq`) and completed at retirement. The
+//! launch count, the per-class profile and the dispatcher's timeline are
+//! all read from that one log.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::spec::DeviceSpec;
 
@@ -31,24 +37,17 @@ pub struct LaunchConfig {
     pub name: &'static str,
     /// Number of thread blocks in the grid.
     pub grid_blocks: usize,
-    /// Threads per block.
-    pub threads_per_block: usize,
     /// Stream index (wrapped modulo the device's stream count).
     pub stream: usize,
 }
 
 impl LaunchConfig {
     /// Construct with stream 0.
-    pub fn new(name: &'static str, grid_blocks: usize, threads_per_block: usize) -> Self {
+    pub fn new(name: &'static str, grid_blocks: usize) -> Self {
         assert!(grid_blocks >= 1, "kernel must have at least one block");
-        assert!(
-            threads_per_block >= 1,
-            "kernel must have at least one thread"
-        );
         Self {
             name,
             grid_blocks,
-            threads_per_block,
             stream: 0,
         }
     }
@@ -81,67 +80,64 @@ impl WorkEstimate {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Queued {
-    /// Enqueue order across all streams (event correlation key).
-    seq: u64,
-    /// Host clock at enqueue.
-    issue: f64,
-    /// Full-device exec seconds (roofline).
-    work: f64,
-    /// Occupancy demand in (0, 1].
-    demand: f64,
-}
-
+/// A kernel whose exec phase is running.
 #[derive(Debug, Clone, Copy)]
 struct Active {
-    seq: u64,
+    /// Index of the kernel's record in the log.
+    seq: usize,
     stream: usize,
-    issue: f64,
     start: f64,
     remaining: f64,
     demand: f64,
 }
 
-/// The modeled lifetime of one retired kernel — what a trace exporter
-/// needs to place the kernel on its stream's timeline. Purely
-/// observational: collecting (or dropping) events never changes the
-/// schedule.
+/// The record of one launched kernel: what it is, and — once it has
+/// retired — where it ran on its stream's timeline. Purely
+/// observational: reading the log never changes the schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelEvent {
-    /// Enqueue order across all streams (0-based).
+    /// Enqueue order across all streams (0-based), and the record's
+    /// index in the log.
     pub seq: u64,
+    /// Kernel class name (profiling key).
+    pub name: &'static str,
     /// Stream the kernel ran on (post-wrap index).
     pub stream: usize,
+    /// Number of thread blocks in the grid.
+    pub grid_blocks: usize,
+    /// Flop-equivalents retired by the kernel.
+    pub flops: f64,
+    /// Full-device exec seconds (roofline).
+    pub exec_s: f64,
     /// Host clock at enqueue.
     pub issue_s: f64,
     /// Start of the exec phase (after launch latency and any stream /
-    /// device waiting).
+    /// device waiting); NaN until the kernel retires.
     pub start_s: f64,
-    /// Retirement time. `end_s - start_s` ≥ the full-device exec time
+    /// Retirement time; NaN until then. `end_s - start_s` ≥ `exec_s`
     /// whenever the device was shared.
     pub end_s: f64,
 }
 
-/// Stream scheduler with a simulated clock.
-pub struct Scheduler {
+/// A simulated GPU: a stream scheduler with a simulated clock, and the
+/// log of every kernel launched on it.
+pub struct Device {
     spec: DeviceSpec,
     /// Simulated wall clock (valid after synchronize/transfer).
     clock: f64,
     /// Host position on the simulated timeline.
     host_clock: f64,
-    /// Per-stream pending queues (since the last synchronize).
-    queues: Vec<VecDeque<Queued>>,
+    /// Per-stream pending kernels (log indices) since the last
+    /// synchronize.
+    queues: Vec<VecDeque<usize>>,
     /// Per-stream completion time of the last retired kernel.
     stream_tail: Vec<f64>,
-    /// Enqueue counter (assigns [`KernelEvent::seq`]).
-    enqueued: u64,
-    /// Lifetimes of retired kernels since the last drain.
+    /// One record per launched kernel, in enqueue order.
     events: Vec<KernelEvent>,
 }
 
-impl Scheduler {
-    /// New scheduler for a device.
+impl Device {
+    /// Create a device from a hardware spec.
     ///
     /// # Panics
     ///
@@ -154,33 +150,29 @@ impl Scheduler {
             host_clock: 0.0,
             queues: (0..spec.num_streams).map(|_| VecDeque::new()).collect(),
             stream_tail: vec![0.0; spec.num_streams],
-            enqueued: 0,
             events: Vec::new(),
         }
     }
 
-    /// Enqueue a kernel; returns its full-device exec seconds (for the
-    /// profiler).
-    pub fn enqueue(&mut self, cfg: LaunchConfig, work: WorkEstimate) -> f64 {
-        assert!(
-            cfg.threads_per_block <= self.spec.max_threads_per_block,
-            "threads_per_block {} exceeds device limit {}",
-            cfg.threads_per_block,
-            self.spec.max_threads_per_block
-        );
+    /// Launch a kernel asynchronously on `cfg.stream`: its record goes on
+    /// the log at once, and its cost is realized at the next
+    /// [`Device::synchronize`] or transfer.
+    pub fn launch(&mut self, cfg: LaunchConfig, work: WorkEstimate) {
         self.host_clock += self.spec.host_enqueue_s;
-        let exec = self.spec.exec_seconds(work.flops, work.bytes);
-        let demand = self.spec.occupancy(cfg.grid_blocks).max(1e-6);
-        let s = cfg.stream % self.spec.num_streams;
-        let seq = self.enqueued;
-        self.enqueued += 1;
-        self.queues[s].push_back(Queued {
-            seq,
-            issue: self.host_clock,
-            work: exec,
-            demand,
+        let seq = self.events.len();
+        let stream = cfg.stream % self.spec.num_streams;
+        self.queues[stream].push_back(seq);
+        self.events.push(KernelEvent {
+            seq: seq as u64,
+            name: cfg.name,
+            stream,
+            grid_blocks: cfg.grid_blocks,
+            flops: work.flops,
+            exec_s: self.spec.exec_seconds(work.flops, work.bytes),
+            issue_s: self.host_clock,
+            start_s: f64::NAN,
+            end_s: f64::NAN,
         });
-        exec
     }
 
     /// Move the host forward to absolute time `t` on the simulated
@@ -205,13 +197,22 @@ impl Scheduler {
         self.clock = self.clock.max(t);
     }
 
-    /// Synchronous PCIe transfer: drains pending kernels, then occupies
-    /// the channel for latency + bytes/bandwidth. Host blocks.
-    pub fn transfer(&mut self, bytes: f64) {
+    /// Synchronous host↔device copy of `bytes`: drains pending kernels
+    /// (the copy depends on their results), then occupies the PCIe
+    /// channel for latency + bytes/bandwidth. Host blocks.
+    pub fn transfer(&mut self, bytes: usize) {
         self.synchronize();
-        let t = self.spec.transfer_seconds(bytes);
+        let t = self.spec.transfer_seconds(bytes as f64);
         self.clock += t;
         self.host_clock = self.clock;
+    }
+
+    /// Earliest time the head of stream `s` can *start exec* (issue and
+    /// predecessor constraints plus launch latency).
+    fn head_start(&self, s: usize) -> Option<f64> {
+        self.queues[s]
+            .front()
+            .map(|&k| self.events[k].issue_s.max(self.stream_tail[s]) + self.spec.launch_latency_s)
     }
 
     /// Drain all pending kernels, advancing the simulated clock to the
@@ -222,18 +223,12 @@ impl Scheduler {
             self.clock = self.host_clock;
             return;
         }
-        let latency = self.spec.launch_latency_s;
         let ns = self.queues.len();
         let mut t = self.clock;
         let mut active: Vec<Active> = Vec::with_capacity(ns);
         // In-order streams: only the head of each queue is eligible, and
         // only once its predecessor on the same stream has retired.
         let mut stream_busy = vec![false; ns];
-        // Earliest time the head of stream s can *start exec* (issue and
-        // predecessor constraints plus launch latency).
-        let head_start = |q: &VecDeque<Queued>, tail: f64| -> Option<f64> {
-            q.front().map(|k| k.issue.max(tail) + latency)
-        };
 
         loop {
             // Promote eligible heads.
@@ -242,16 +237,16 @@ impl Scheduler {
                 if stream_busy[s] {
                     continue;
                 }
-                if let Some(start) = head_start(&self.queues[s], self.stream_tail[s]) {
+                if let Some(start) = self.head_start(s) {
                     if start <= t + 1e-18 {
                         let k = self.queues[s].pop_front().expect("head exists");
+                        let e = &self.events[k];
                         active.push(Active {
-                            seq: k.seq,
+                            seq: k,
                             stream: s,
-                            issue: k.issue,
                             start: start.max(t),
-                            remaining: k.work.max(1e-15),
-                            demand: k.demand,
+                            remaining: e.exec_s.max(1e-15),
+                            demand: self.spec.occupancy(e.grid_blocks).max(1e-6),
                         });
                         stream_busy[s] = true;
                     }
@@ -262,7 +257,7 @@ impl Scheduler {
                 // Jump to the next head start, or finish.
                 let next = (0..ns)
                     .filter(|&s| !stream_busy[s])
-                    .filter_map(|s| head_start(&self.queues[s], self.stream_tail[s]))
+                    .filter_map(|s| self.head_start(s))
                     .fold(f64::INFINITY, f64::min);
                 if next.is_finite() {
                     t = t.max(next);
@@ -287,7 +282,7 @@ impl Scheduler {
             // Next arrival on an idle stream (changes the shares).
             let dt_arrival = (0..ns)
                 .filter(|&s| !stream_busy[s])
-                .filter_map(|s| head_start(&self.queues[s], self.stream_tail[s]))
+                .filter_map(|s| self.head_start(s))
                 .filter(|&start| start > t)
                 .map(|start| start - t)
                 .fold(f64::INFINITY, f64::min);
@@ -304,13 +299,9 @@ impl Scheduler {
                     let a = active.swap_remove(i);
                     self.stream_tail[a.stream] = t;
                     stream_busy[a.stream] = false;
-                    self.events.push(KernelEvent {
-                        seq: a.seq,
-                        stream: a.stream,
-                        issue_s: a.issue,
-                        start_s: a.start,
-                        end_s: t,
-                    });
+                    let e = &mut self.events[a.seq];
+                    e.start_s = a.start;
+                    e.end_s = t;
                 } else {
                     i += 1;
                 }
@@ -321,20 +312,49 @@ impl Scheduler {
         self.host_clock = self.clock;
     }
 
-    /// The simulated clock (seconds).
+    /// The simulated clock (seconds; meaningful after a synchronize or a
+    /// transfer).
     pub fn now(&self) -> f64 {
         self.clock
     }
 
-    /// Take the lifetimes of kernels retired since the last drain,
-    /// sorted by enqueue order. Kernels retire out of enqueue order
-    /// when streams overlap; the sort makes the drained vector
-    /// deterministic and lets callers correlate events back to their
-    /// enqueue sequence.
-    pub fn drain_kernel_events(&mut self) -> Vec<KernelEvent> {
-        let mut ev = std::mem::take(&mut self.events);
-        ev.sort_by_key(|e| e.seq);
-        ev
+    /// The log: one record per launched kernel, in enqueue order (index
+    /// = `seq`), whatever order the overlapping streams retired them in.
+    pub fn kernel_events(&self) -> &[KernelEvent] {
+        &self.events
+    }
+
+    /// The log, taking the device with it.
+    pub fn into_kernel_events(self) -> Vec<KernelEvent> {
+        self.events
+    }
+
+    /// The per-class profile: one row per kernel class, in name order,
+    /// with its launches, average blocks per launch, GFLOP and
+    /// full-device exec milliseconds, each summed over the log in `seq`
+    /// order.
+    pub fn profile_table(&self) -> String {
+        // (launches, blocks, flops, exec seconds) per class.
+        let mut classes: BTreeMap<&str, (u64, u64, f64, f64)> = BTreeMap::new();
+        for e in &self.events {
+            let c = classes.entry(e.name).or_default();
+            c.0 += 1;
+            c.1 += e.grid_blocks as u64;
+            c.2 += e.flops;
+            c.3 += e.exec_s;
+        }
+        let mut out = String::from(
+            "kernel                    launches      blocks(avg)      GFLOP     exec(ms)\n",
+        );
+        for (name, (launches, blocks, flops, exec_s)) in classes {
+            out.push_str(&format!(
+                "{name:<24} {launches:>9} {:>16.1} {:>10.3} {:>12.3}\n",
+                blocks as f64 / launches as f64,
+                flops / 1e9,
+                exec_s * 1e3,
+            ));
+        }
+        out
     }
 }
 
@@ -346,17 +366,17 @@ mod tests {
         DeviceSpec::titan_v()
     }
 
-    fn sched() -> Scheduler {
-        Scheduler::new(spec())
+    fn dev() -> Device {
+        Device::new(spec())
     }
 
     /// One saturating kernel: total = enqueue + latency + work.
     #[test]
     fn single_kernel_timing() {
-        let mut s = sched();
+        let mut s = dev();
         let work_flops = 1e9;
-        s.enqueue(
-            LaunchConfig::new("k", 1000, 256),
+        s.launch(
+            LaunchConfig::new("k", 1000),
             WorkEstimate::flops(work_flops),
         );
         s.synchronize();
@@ -367,15 +387,15 @@ mod tests {
             "got {}, expect {expect}",
             s.now()
         );
-        assert_eq!(s.drain_kernel_events().len(), 1);
+        assert_eq!(s.kernel_events().len(), 1);
     }
 
     /// A low-occupancy kernel runs slower than its full-device time.
     #[test]
     fn low_occupancy_kernel_is_slower() {
-        let mut s = sched();
+        let mut s = dev();
         // 8 blocks on an 80-SM device: occupancy 0.1.
-        s.enqueue(LaunchConfig::new("k", 8, 256), WorkEstimate::flops(1e9));
+        s.launch(LaunchConfig::new("k", 8), WorkEstimate::flops(1e9));
         s.synchronize();
         let full = spec().exec_seconds(1e9, 0.0);
         let exec = s.now() - spec().host_enqueue_s - spec().launch_latency_s;
@@ -391,10 +411,10 @@ mod tests {
     /// predecessor, so the last retires at `enqueue + 4·(latency + exec)`.
     #[test]
     fn same_stream_serializes() {
-        let mut s = sched();
+        let mut s = dev();
         let w = 1e8;
         for _ in 0..4 {
-            s.enqueue(LaunchConfig::new("k", 1000, 256), WorkEstimate::flops(w));
+            s.launch(LaunchConfig::new("k", 1000), WorkEstimate::flops(w));
         }
         s.synchronize();
         let (enqueue, latency) = (spec().host_enqueue_s, spec().launch_latency_s);
@@ -417,12 +437,12 @@ mod tests {
     fn streams_overlap_low_occupancy_kernels() {
         let w = 1e8;
         let run = |use_streams: bool| {
-            let mut s = sched();
+            let mut s = dev();
             for i in 0..4 {
                 let stream = if use_streams { i } else { 0 };
                 // 20 blocks: occupancy 0.25 on 80 SMs.
-                s.enqueue(
-                    LaunchConfig::new("k", 20, 256).stream(stream),
+                s.launch(
+                    LaunchConfig::new("k", 20).stream(stream),
                     WorkEstimate::flops(w),
                 );
             }
@@ -443,10 +463,10 @@ mod tests {
         // Exec time comparable to launch latency: latency matters.
         let w = spec().sustained_gflops() * 1e9 * spec().launch_latency_s; // exec == latency
         let run = |nstreams: usize| {
-            let mut s = sched();
+            let mut s = dev();
             for i in 0..64 {
-                s.enqueue(
-                    LaunchConfig::new("k", 1000, 256).stream(i % nstreams),
+                s.launch(
+                    LaunchConfig::new("k", 1000).stream(i % nstreams),
                     WorkEstimate::flops(w),
                 );
             }
@@ -467,10 +487,10 @@ mod tests {
     fn saturating_kernels_gain_little_from_streams() {
         let w = 1e10; // exec ≫ latency
         let run = |nstreams: usize| {
-            let mut s = sched();
+            let mut s = dev();
             for i in 0..8 {
-                s.enqueue(
-                    LaunchConfig::new("k", 4000, 256).stream(i % nstreams),
+                s.launch(
+                    LaunchConfig::new("k", 4000).stream(i % nstreams),
                     WorkEstimate::flops(w),
                 );
             }
@@ -488,21 +508,21 @@ mod tests {
 
     #[test]
     fn transfer_advances_clock() {
-        let mut s = sched();
-        s.transfer(12e9); // 1 s at 12 GB/s + latency
+        let mut s = dev();
+        s.transfer(12_000_000_000); // 1 s at 12 GB/s + latency
         assert!((s.now() - (1.0 + spec().pcie_latency_s)).abs() < 1e-9);
         // Transfers drain kernels first.
-        s.enqueue(LaunchConfig::new("k", 1000, 256), WorkEstimate::flops(1e9));
+        s.launch(LaunchConfig::new("k", 1000), WorkEstimate::flops(1e9));
         let before = s.now();
-        s.transfer(0.0);
+        s.transfer(0);
         assert!(s.now() > before + spec().pcie_latency_s - 1e-12);
-        assert_eq!(s.drain_kernel_events().len(), 1);
+        assert_eq!(s.kernel_events().len(), 1);
     }
 
     #[test]
     fn synchronize_idempotent() {
-        let mut s = sched();
-        s.enqueue(LaunchConfig::new("k", 100, 256), WorkEstimate::flops(1e6));
+        let mut s = dev();
+        s.launch(LaunchConfig::new("k", 100), WorkEstimate::flops(1e6));
         s.synchronize();
         let t = s.now();
         s.synchronize();
@@ -511,30 +531,23 @@ mod tests {
 
     #[test]
     fn stream_index_wraps() {
-        let mut s = sched();
-        s.enqueue(
-            LaunchConfig::new("k", 10, 64).stream(7), // 7 % 4 = 3
+        let mut s = dev();
+        s.launch(
+            LaunchConfig::new("k", 10).stream(7), // 7 % 4 = 3
             WorkEstimate::flops(1e6),
         );
         s.synchronize();
-        assert_eq!(s.drain_kernel_events().len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds device limit")]
-    fn oversized_block_rejected() {
-        let mut s = sched();
-        s.enqueue(LaunchConfig::new("k", 1, 4096), WorkEstimate::flops(1.0));
+        assert_eq!(s.kernel_events().len(), 1);
     }
 
     /// A kernel enqueued after `advance_host_to(t)` cannot start before
     /// `t`: the issue time is gated on the advanced host clock.
     #[test]
     fn advance_host_to_gates_issue_times() {
-        let mut s = sched();
+        let mut s = dev();
         let t0 = 1.0;
         s.advance_host_to(t0);
-        s.enqueue(LaunchConfig::new("k", 1000, 256), WorkEstimate::flops(1e8));
+        s.launch(LaunchConfig::new("k", 1000), WorkEstimate::flops(1e8));
         s.synchronize();
         let expect =
             t0 + spec().host_enqueue_s + spec().launch_latency_s + spec().exec_seconds(1e8, 0.0);
@@ -551,11 +564,11 @@ mod tests {
     fn occupy_until_blocks_all_streams() {
         let busy = 2.0;
         let w = 1e8;
-        let mut s = sched();
+        let mut s = dev();
         s.occupy_until(busy);
         for i in 0..4 {
-            s.enqueue(
-                LaunchConfig::new("k", 1000, 256).stream(i),
+            s.launch(
+                LaunchConfig::new("k", 1000).stream(i),
                 WorkEstimate::flops(w),
             );
         }
@@ -567,7 +580,7 @@ mod tests {
         assert!(s.now() >= busy + 4.0 * exec - 1e-12, "now {}", s.now());
         // With nothing enqueued, synchronize still lands at the occupied
         // time, not before.
-        let mut idle = sched();
+        let mut idle = dev();
         idle.occupy_until(busy);
         idle.synchronize();
         assert!((idle.now() - busy).abs() < 1e-15);
@@ -575,21 +588,22 @@ mod tests {
 
     /// Kernel events reconstruct the schedule: one event per retired
     /// kernel, exec windows inside [issue + latency, synchronize time],
-    /// same-stream events non-overlapping, drain order = enqueue order.
+    /// same-stream events non-overlapping, log order = enqueue order —
+    /// with no sort, although overlapping streams retire out of order.
     #[test]
     fn kernel_events_describe_the_schedule() {
-        let mut s = sched();
+        let mut s = dev();
         for i in 0..8 {
-            s.enqueue(
-                LaunchConfig::new("k", 40, 128).stream(i % 4),
+            s.launch(
+                LaunchConfig::new("k", 40).stream(i % 4),
                 WorkEstimate::flops(1e8),
             );
         }
         s.synchronize();
-        let events = s.drain_kernel_events();
+        let events = s.kernel_events();
         assert_eq!(events.len(), 8);
-        assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
-        for e in &events {
+        assert!(events.iter().enumerate().all(|(i, e)| e.seq == i as u64));
+        for e in events {
             assert!(e.issue_s + spec().launch_latency_s <= e.start_s + 1e-15);
             assert!(e.start_s < e.end_s);
             assert!(e.end_s <= s.now() + 1e-15);
@@ -597,14 +611,72 @@ mod tests {
             assert!(e.end_s - e.start_s >= spec().exec_seconds(1e8, 0.0) - 1e-15);
         }
         // In-order streams: same-stream events serialize.
-        for a in &events {
-            for b in &events {
+        for a in events {
+            for b in events {
                 if a.seq < b.seq && a.stream == b.stream {
                     assert!(a.end_s <= b.start_s + 1e-15);
                 }
             }
         }
-        // Drained: a second drain is empty.
-        assert!(s.drain_kernel_events().is_empty());
+        // A short kernel overtakes a long one enqueued before it on
+        // another stream; the log keeps enqueue order.
+        let mut s = dev();
+        s.launch(LaunchConfig::new("long", 40), WorkEstimate::flops(1e10));
+        s.launch(
+            LaunchConfig::new("short", 40).stream(1),
+            WorkEstimate::flops(1e6),
+        );
+        s.synchronize();
+        let [long, short] = s.kernel_events() else {
+            panic!("two launches, two records")
+        };
+        assert_eq!(
+            (long.name, long.seq, short.name, short.seq),
+            ("long", 0, "short", 1)
+        );
+        assert!(short.end_s < long.end_s, "the short kernel retires first");
+    }
+
+    /// The profile over a mixed two-class, two-stream schedule: each row
+    /// is its class's launches, blocks, flops and exec seconds summed by
+    /// hand.
+    #[test]
+    fn profile_table_sums_each_class_in_seq_order() {
+        let mut s = dev();
+        s.launch(
+            LaunchConfig::new("direct", 100).stream(0),
+            WorkEstimate::flops(1e9),
+        );
+        s.launch(
+            LaunchConfig::new("approx", 50).stream(1),
+            WorkEstimate::new(5e9, 1e9),
+        );
+        s.launch(
+            LaunchConfig::new("direct", 300).stream(1),
+            WorkEstimate::flops(3e9),
+        );
+        s.synchronize();
+        assert_eq!(s.kernel_events().len(), 3);
+        let exec = |f: f64, b: f64| spec().exec_seconds(f, b) * 1e3;
+        let expect = format!(
+            "kernel                    launches      blocks(avg)      GFLOP     exec(ms)\n\
+             approx                           1             50.0      5.000 {:>12.3}\n\
+             direct                           2            200.0      4.000 {:>12.3}\n",
+            exec(5e9, 1e9),
+            exec(1e9, 0.0) + exec(3e9, 0.0),
+        );
+        assert_eq!(s.profile_table(), expect);
+    }
+
+    #[test]
+    fn table_lists_all_classes() {
+        let mut s = dev();
+        s.launch(LaunchConfig::new("b_kernel", 1), WorkEstimate::flops(1.0));
+        s.launch(LaunchConfig::new("a_kernel", 1), WorkEstimate::flops(1.0));
+        let t = s.profile_table();
+        assert!(t.contains("a_kernel"));
+        assert!(t.contains("b_kernel"));
+        // BTreeMap ⇒ sorted order.
+        assert!(t.find("a_kernel").unwrap() < t.find("b_kernel").unwrap());
     }
 }

@@ -30,8 +30,6 @@ pub struct DeviceSpec {
     /// Number of hardware streams the runtime cycles through (the paper's
     /// GPUs expose four).
     pub num_streams: usize,
-    /// Maximum threads per block.
-    pub max_threads_per_block: usize,
 }
 
 impl DeviceSpec {
@@ -48,7 +46,6 @@ impl DeviceSpec {
             launch_latency_s: 6e-6,
             host_enqueue_s: 1.5e-6,
             num_streams: 4,
-            max_threads_per_block: 1024,
         }
     }
 
@@ -65,7 +62,6 @@ impl DeviceSpec {
             launch_latency_s: 6e-6,
             host_enqueue_s: 1.5e-6,
             num_streams: 4,
-            max_threads_per_block: 1024,
         }
     }
 
@@ -93,7 +89,7 @@ impl DeviceSpec {
         (blocks as f64 / self.sm_count as f64).min(1.0)
     }
 
-    /// The device model's seven rules; the error names the first field
+    /// The device model's six rules; the error names the first field
     /// that breaks one. Every simulated device checks them when it is
     /// created, once per rank per epoch, so the message is built only on
     /// failure.
@@ -111,8 +107,6 @@ impl DeviceSpec {
             "pcie_bandwidth_gbs must be positive"
         } else if self.num_streams == 0 {
             "num_streams must be at least 1"
-        } else if self.max_threads_per_block < 32 {
-            "max_threads_per_block must be at least 32"
         } else {
             return Ok(());
         };
