@@ -180,7 +180,7 @@ use bltc_core::config::BltcParams;
 use bltc_core::cost::OpCounts;
 use bltc_core::kernel::{Kernel, TileOp};
 use bltc_core::particles::ParticleSet;
-use bltc_gpu::{GpuEngine, GpuSimBreakdown};
+use bltc_gpu::{GpuEngine, GpuPass, GpuSimBreakdown};
 use gpu_sim::DeviceSpec;
 use mpi_sim::runtime::TrafficMatrix;
 use mpi_sim::{Comm, NetworkSpec, SessionIn};
@@ -706,8 +706,14 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
     let (tree_nodes, num_batches) = (staged.prep.tree.num_nodes(), batches.len());
 
     // ---- local evaluation on the simulated GPU -----------------------
-    let gpu = staged.finish(op);
-    let mut columns = gpu.columns;
+    // The pass's kernel log is dropped here: no result reads it.
+    let GpuPass {
+        mut columns,
+        ops: local_ops,
+        tree_stats,
+        sim,
+        ..
+    } = staged.finish(op);
     if let Some(remote_cols) = remote_cols {
         for (col, rem) in columns.iter_mut().zip(remote_cols) {
             for (p, r) in col.iter_mut().zip(rem) {
@@ -715,14 +721,14 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
             }
         }
     }
-    let ops = gpu.ops.merged(&remote_ops(&plans));
+    let ops = local_ops.merged(&remote_ops(&plans));
 
     // ---- modeled clocks (the op's flops on the remote pass) -----------
-    let levels = gpu.tree_stats.max_level + 1;
+    let levels = tree_stats.max_level + 1;
     let clocks = model_rank_clocks(
         cfg,
         rank,
-        &gpu.sim,
+        &sim,
         local.len(),
         levels,
         &ops,
@@ -733,10 +739,10 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
     let pipeline = pipelined_clock(
         cfg,
         rank,
-        &gpu.sim,
+        &sim,
         local.len(),
         levels,
-        gpu.ops.kernel_launches,
+        local_ops.kernel_launches,
         &plans,
         op.flops_per_pair(true),
         O::TARGET_COLS,

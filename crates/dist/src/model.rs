@@ -216,7 +216,14 @@ pub(crate) fn pipelined_clock(
 ) -> PipelineReport {
     let h = &cfg.host;
     let r = rank as u32;
-    let mut spans: Vec<Span> = Vec::new();
+    let all_chunks = || plans.iter().flat_map(|p| &p.chunks);
+    let num_chunks = all_chunks().count();
+    let remote_launches: u64 = all_chunks().map(|c| c.launches).sum();
+    // Eight fixed spans (build, local lists, the five of the local block
+    // and the closing DtH), two per LET, three per chunk and one per
+    // remote launch.
+    let mut spans: Vec<Span> =
+        Vec::with_capacity(8 + 2 * plans.len() + 3 * num_chunks + remote_launches as usize);
     let build_s = h.base_s + h.per_particle_level_s * n as f64 * levels.max(1) as f64;
     let mut host_free = build_s + h.per_launch_s * local_launches as f64;
     let local_start = host_free;
@@ -257,12 +264,10 @@ pub(crate) fn pipelined_clock(
     // Aggregate remote work, apportioned to chunks as proportional
     // shares: Σ of shares equals the serial aggregate by construction
     // (a per-chunk roofline could exceed it — max is subadditive).
-    let all_chunks = || plans.iter().flat_map(|p| &p.chunks);
     let exec_flops = |c: &ChunkPlan| c.interactions as f64 * flops_per_pair;
     let total_flops: f64 = all_chunks().map(exec_flops).sum();
     let total_eval_bytes = remote_device_bytes(plans, target_cols);
     let device_bytes: u64 = plans.iter().map(LetPlan::payload_bytes).sum();
-    let num_chunks = all_chunks().count();
     let exec_total = cfg.spec.exec_seconds(total_flops, total_eval_bytes);
     let stage_total = if device_bytes > 0 {
         cfg.spec.transfer_seconds(device_bytes as f64)
@@ -273,12 +278,6 @@ pub(crate) fn pipelined_clock(
     let launch_overhead_s = cfg.spec.host_enqueue_s + cfg.spec.launch_latency_s;
     let resident: Vec<u64> = resident_bytes(plans, cfg.let_memory_budget).collect();
     let mut chunk_id = 0u32;
-    // (chunk id, billed seconds, flops) of each kernel the dispatcher
-    // will enqueue, in enqueue order — correlates `dispatch.events` back
-    // to chunks and carries the exact serial billing of each kernel.
-    // Every chunk with flops has launches (its flops are its
-    // interactions'), so these bill the whole remote exec aggregate.
-    let mut kernel_meta: Vec<(u32, f64, f64)> = Vec::new();
 
     let mut pcie_free = 0.0f64;
     let mut works = Vec::with_capacity(num_chunks);
@@ -325,20 +324,11 @@ pub(crate) fn pipelined_clock(
                     .chunk(chunk_id)
                     .target(p.target as u32),
             );
-            let chunk_flops = exec_flops(c);
             let exec_share = if total_flops > 0.0 {
-                chunk_flops / total_flops
+                exec_flops(c) / total_flops
             } else {
                 1.0 / num_chunks.max(1) as f64
             };
-            if c.launches > 0 {
-                let chunk_exec_s = exec_total * exec_share;
-                let per_exec_s = chunk_exec_s / c.launches as f64;
-                let per_flops = chunk_flops / c.launches as f64;
-                for _ in 0..c.launches {
-                    kernel_meta.push((chunk_id, per_exec_s + launch_overhead_s, per_flops));
-                }
-            }
             works.push(RemoteChunkWork {
                 ready_s: ready,
                 exec_s: exec_total * exec_share,
@@ -375,25 +365,31 @@ pub(crate) fn pipelined_clock(
     }
     let dispatch =
         dispatch_remote_chunks(&cfg.spec, cfg.streams, local_start + local_block_s, &works);
-    debug_assert_eq!(
-        dispatch.events.len(),
-        kernel_meta.len(),
-        "one kernel event per planned launch"
-    );
-    for (e, &(chunk, billed_s, flops)) in dispatch.events.iter().zip(&kernel_meta) {
-        spans.push(
-            Span::new(
-                Track::DeviceStream(r, e.stream as u32),
-                "remote-chunk",
-                e.start_s,
-                e.end_s,
-            )
-            .phase(Phase::Compute)
-            .billed(billed_s)
-            .flops(flops)
-            .chunk(chunk),
-        );
+    // The log holds each chunk's `launches` records together, in chunk
+    // order, and each kernel bills its even share of its chunk's exec
+    // seconds and flops plus its enqueue and launch latency. Every chunk
+    // with flops has launches (its flops are its interactions'), so the
+    // spans bill the whole remote exec aggregate.
+    let mut events = dispatch.events.iter();
+    for (chunk, (c, w)) in all_chunks().zip(&works).enumerate() {
+        let billed_s = w.exec_s / c.launches as f64 + launch_overhead_s;
+        let flops = exec_flops(c) / c.launches as f64;
+        for e in events.by_ref().take(c.launches as usize) {
+            spans.push(
+                Span::new(
+                    Track::DeviceStream(r, e.stream as u32),
+                    "remote-chunk",
+                    e.start_s,
+                    e.end_s,
+                )
+                .phase(Phase::Compute)
+                .billed(billed_s)
+                .flops(flops)
+                .chunk(chunk as u32),
+            );
+        }
     }
+    debug_assert!(events.next().is_none(), "one record per planned launch");
     let raw = dispatch.done_s + sim.dtoh_potentials_s;
 
     // `pipelined ≤ serial` holds structurally (every serial second
@@ -518,6 +514,89 @@ mod tests {
             trip.is_err(),
             "understating the serial sum must fail the debug assert, not clamp silently"
         );
+    }
+
+    /// The remote spans are read off the dispatcher's log chunk by
+    /// chunk: over two LETs with chunks of 3, 0 and 2 launches, each
+    /// `remote-chunk` span carries its own chunk's id, starts once that
+    /// chunk is staged, and the chunk's spans bill its exec share plus
+    /// one enqueue and one launch latency per launch.
+    #[test]
+    fn remote_chunk_spans_carry_their_own_chunk() {
+        let cfg = DistConfig::comet(bltc_core::config::BltcParams::new(0.8, 3, 60, 60));
+        let sim = GpuSimBreakdown {
+            htod_sources_s: 1e-5,
+            precompute_s: 2e-5,
+            dtoh_charges_s: 1e-5,
+            htod_let_s: 1e-5,
+            compute_s: 4e-5,
+            dtoh_potentials_s: 1e-5,
+            ..GpuSimBreakdown::default()
+        };
+        let chunk = |launches: u64, interactions: u64| ChunkPlan {
+            kind: ChunkKind::Approx,
+            first: 0,
+            len: 1,
+            messages: 1,
+            bytes: 4096,
+            fetched_particles: 0,
+            launches,
+            eval_targets: 60 * launches,
+            eval_sources: 64 * launches,
+            interactions,
+        };
+        let plans = vec![
+            LetPlan {
+                target: 1,
+                skeleton_bytes: 256,
+                chunks: vec![chunk(3, 30_000), chunk(0, 0)],
+            },
+            LetPlan {
+                target: 2,
+                skeleton_bytes: 256,
+                chunks: vec![chunk(2, 50_000)],
+            },
+        ];
+        let flops_per_pair = 30.0;
+        let rep = pipelined_clock(&cfg, 0, &sim, 1000, 4, 20, &plans, flops_per_pair, 1, 1.0);
+        // The reserved count is exact: 8 fixed, 2 per LET, 3 per chunk,
+        // 1 per launch.
+        assert_eq!(rep.spans.len(), 8 + 2 * 2 + 3 * 3 + 5);
+
+        let remote: Vec<&Span> = rep
+            .spans
+            .iter()
+            .filter(|s| s.name == "remote-chunk")
+            .collect();
+        let ids: Vec<u32> = remote.iter().map(|s| s.chunk.expect("chunk id")).collect();
+        assert_eq!(ids, [0, 0, 0, 2, 2]);
+        for s in &remote {
+            let stage = rep
+                .spans
+                .iter()
+                .find(|t| t.name == "stage" && t.chunk == s.chunk)
+                .expect("the chunk's stage span");
+            assert!(s.start_s >= stage.end_s, "{s:?} starts before {stage:?}");
+        }
+
+        let total_flops = 80_000.0 * flops_per_pair;
+        let exec_total = cfg
+            .spec
+            .exec_seconds(total_flops, remote_device_bytes(&plans, 1));
+        let overhead = cfg.spec.host_enqueue_s + cfg.spec.launch_latency_s;
+        for (chunk, launches, interactions) in [(0, 3.0, 30_000.0), (2, 2.0, 50_000.0)] {
+            let billed: f64 = remote
+                .iter()
+                .filter(|s| s.chunk == Some(chunk))
+                .map(|s| s.billed_s)
+                .sum();
+            let share = exec_total * (interactions * flops_per_pair / total_flops);
+            let want = share + launches * overhead;
+            assert!(
+                (billed - want).abs() < 1e-12,
+                "chunk {chunk}: {billed} vs {want}"
+            );
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use bltc_core::kernel::{GradientKernel, Kernel, TileOp};
 use bltc_core::particles::ParticleSet;
 use bltc_core::traversal::InteractionLists;
 use bltc_core::tree::{SourceTree, TreeStats};
-use gpu_sim::{Device, DeviceSpec};
+use gpu_sim::{Device, DeviceSpec, KernelEvent};
 
 use crate::kernels::{launch_precompute, launch_tile};
 
@@ -97,8 +97,6 @@ pub struct GpuRunReport {
     pub result: ComputeResult,
     /// Fine-grained simulated breakdown.
     pub sim: GpuSimBreakdown,
-    /// Per-kernel-class profile table.
-    pub profile_table: String,
     /// Total kernel launches issued.
     pub kernel_launches: u64,
 }
@@ -120,8 +118,6 @@ pub struct GpuFieldRunReport {
     /// Fine-grained simulated breakdown. `compute_s` reflects the ~4×
     /// gradient-kernel flop cost.
     pub sim: GpuSimBreakdown,
-    /// Per-kernel-class profile table.
-    pub profile_table: String,
     /// Total kernel launches issued.
     pub kernel_launches: u64,
 }
@@ -156,10 +152,11 @@ pub struct GpuPass<const C: usize> {
     pub tree_stats: TreeStats,
     /// Fine-grained simulated breakdown.
     pub sim: GpuSimBreakdown,
-    /// Per-kernel-class profile table.
-    pub profile_table: String,
-    /// Total kernel launches issued.
-    pub kernel_launches: u64,
+    /// The device's kernel log, one record per launch of the whole run
+    /// (precompute and compute) in enqueue order: its length is the
+    /// launch count, and [`gpu_sim::profile_table`] folds it into the
+    /// per-class profile.
+    pub events: Vec<KernelEvent>,
 }
 
 impl StagedRun {
@@ -212,8 +209,7 @@ impl StagedRun {
             ops: prep.ops,
             tree_stats: prep.tree.stats(),
             sim: self.sim,
-            profile_table: dev.profile_table(),
-            kernel_launches: dev.kernel_events().len() as u64,
+            events: self.dev.into_kernel_events(),
         }
     }
 }
@@ -280,8 +276,12 @@ impl GpuEngine {
         let t_charges = Instant::now();
         let charges = ClusterCharges::compute_all(&tree, params.degree);
         let precompute_seconds = t_charges.elapsed().as_secs_f64();
+        let ops = OpCounts::from_lists(&lists, &batches, &tree, &params);
 
+        // Two precompute launches per cluster, one compute launch per
+        // batch–cluster pair.
         let mut dev = Device::new(self.spec);
+        dev.reserve(2 * tree.num_nodes() + ops.kernel_launches as usize);
 
         // ---- HtD: source data (x, y, z, q) ---------------------------------
         for _ in 0..4 {
@@ -317,7 +317,6 @@ impl GpuEngine {
         sim.htod_let_s = dev.now() - mark;
         mark = dev.now();
 
-        let ops = OpCounts::from_lists(&lists, &batches, &tree, &params);
         StagedRun {
             prep: PreparedTreecode {
                 params,
@@ -353,8 +352,7 @@ impl GpuEngine {
                 tree_stats: pass.tree_stats,
             },
             sim: pass.sim,
-            profile_table: pass.profile_table,
-            kernel_launches: pass.kernel_launches,
+            kernel_launches: pass.events.len() as u64,
         }
     }
 
@@ -375,8 +373,7 @@ impl GpuEngine {
             timings: pass.sim.as_three_phases(),
             tree_stats: pass.tree_stats,
             sim: pass.sim,
-            profile_table: pass.profile_table,
-            kernel_launches: pass.kernel_launches,
+            kernel_launches: pass.events.len() as u64,
         }
     }
 }
@@ -459,8 +456,10 @@ mod tests {
     fn simulated_phases_are_populated() {
         let ps = cube(1500, 82);
         let params = BltcParams::new(0.8, 4, 60, 60);
-        let report = GpuEngine::new(params).compute_detailed(&ps, &ps, &Coulomb);
-        let s = report.sim;
+        let pass = GpuEngine::new(params)
+            .stage(&ps, &ps)
+            .finish(&Coulomb as &dyn Kernel);
+        let s = pass.sim;
         assert!(s.setup_host_s > 0.0);
         assert!(s.htod_sources_s > 0.0);
         assert!(s.precompute_s > 0.0);
@@ -469,9 +468,10 @@ mod tests {
         assert!(s.compute_s > 0.0);
         assert!(s.dtoh_potentials_s > 0.0);
         assert!((s.total() - s.as_three_phases().total()).abs() < 1e-12);
-        assert!(report.kernel_launches > 0);
-        assert!(report.profile_table.contains("batch_cluster_direct"));
-        assert!(report.profile_table.contains("precompute_phase1"));
+        assert!(!pass.events.is_empty());
+        let table = gpu_sim::profile_table(&pass.events);
+        assert!(table.contains("batch_cluster_direct"));
+        assert!(table.contains("precompute_phase1"));
     }
 
     #[test]
@@ -481,13 +481,15 @@ mod tests {
         let params = BltcParams::new(0.7, 5, 80, 80);
         let prep = PreparedTreecode::new(&ps, &ps, params);
         let yukawa = Yukawa::default();
-        let cpu: FieldResult = prep.evaluate(&yukawa as &dyn GradientKernel, false).into();
-        let gpu = GpuEngine::new(params).compute_field_detailed(&ps, &ps, &yukawa);
-        assert_eq!(cpu.potentials, gpu.field.potentials);
-        assert_eq!(cpu.gx, gpu.field.gx);
-        assert_eq!(cpu.gy, gpu.field.gy);
-        assert_eq!(cpu.gz, gpu.field.gz);
-        assert!(gpu.profile_table.contains("batch_cluster_direct_field"));
+        let yukawa = &yukawa as &dyn GradientKernel;
+        let cpu: FieldResult = prep.evaluate(yukawa, false).into();
+        let gpu = GpuEngine::new(params).stage(&ps, &ps).finish(yukawa);
+        let [potentials, gx, gy, gz] = &gpu.columns;
+        assert_eq!(&cpu.potentials, potentials);
+        assert_eq!(&cpu.gx, gx);
+        assert_eq!(&cpu.gy, gy);
+        assert_eq!(&cpu.gz, gz);
+        assert!(gpu_sim::profile_table(&gpu.events).contains("batch_cluster_direct_field"));
     }
 
     #[test]
@@ -546,7 +548,7 @@ mod tests {
                 let whole = engine.compute_detailed(targets, &sources, &Coulomb);
                 assert_eq!(bits(&pass.columns[0]), bits(&whole.result.potentials));
                 assert_eq!(pass.ops, whole.result.ops);
-                assert_eq!(pass.kernel_launches, whole.kernel_launches);
+                assert_eq!(pass.events.len() as u64, whole.kernel_launches);
                 assert_eq!(modeled(pass.sim), modeled(whole.sim), "degree {degree}");
 
                 let yukawa = Yukawa::default();
@@ -558,8 +560,30 @@ mod tests {
                     assert_eq!(bits(a), bits(b), "degree {degree}");
                 }
                 assert_eq!(pass.ops, whole.ops);
-                assert_eq!(pass.kernel_launches, whole.kernel_launches);
+                assert_eq!(pass.events.len() as u64, whole.kernel_launches);
                 assert_eq!(modeled(pass.sim), modeled(whole.sim), "degree {degree}");
+            }
+        }
+    }
+
+    /// What `stage` reserves the log for is what the pass launches: two
+    /// precompute kernels per cluster and one compute kernel per
+    /// batch–cluster pair, for either pass on any stream count.
+    #[test]
+    fn a_pass_logs_two_launches_per_cluster_and_one_per_pair() {
+        let ps = cube(1200, 96);
+        let (pot, fld) = (&Coulomb as &dyn Kernel, &Coulomb as &dyn GradientKernel);
+        for degree in [1usize, 4, 8] {
+            for streams in [1usize, 4] {
+                let params = BltcParams::new(0.8, degree, 60, 60);
+                let engine = GpuEngine::new(params).with_streams(streams);
+                let staged = engine.stage(&ps, &ps);
+                let launches =
+                    2 * staged.prep.tree.num_nodes() + staged.prep.ops.kernel_launches as usize;
+                let pot = staged.finish(&Priced(pot));
+                assert_eq!(pot.events.len(), launches, "d{degree} s{streams} pot");
+                let fld = engine.stage(&ps, &ps).finish(&Priced(fld));
+                assert_eq!(fld.events.len(), launches, "d{degree} s{streams} fld");
             }
         }
     }

@@ -36,8 +36,14 @@
 //!    host:   PreparedTreecode::evaluate(op)
 //!    priced: per batch approx + direct launches, stream id cycling;
 //!            DtH of the pass's output columns
-//!    ⇒ GpuPass { columns, ops, sim, profile, launches }
+//!    ⇒ GpuPass { columns, ops, tree_stats, sim, events }
 //! ```
+//!
+//! A pass hands back the device's kernel log (`events`), one record per
+//! launch of the whole run, sized once at `stage` from the counts the
+//! tree and lists already hold. Its length is the launch count, and
+//! `gpu_sim::profile_table` folds it into the per-class profile for a
+//! reader who asks.
 //!
 //! [`GpuEngine::compute_detailed`] and
 //! [`GpuEngine::compute_field_detailed`] are the two halves back to back

@@ -23,8 +23,12 @@
 //! latencies vanish from the critical path — the per-stream win the
 //! distributed ablation sweeps measure.
 //!
-//! The report's events are the device's kernel log, taken once the
-//! device has drained: one record per launch, in enqueue order.
+//! The report's events are the device's kernel log, sized once for the
+//! chunks' launches and taken once the device has drained: one record
+//! per launch, in enqueue order, so each chunk's `launches` records sit
+//! together in chunk order. It is the only per-launch record the
+//! pipelined clock keeps: its remote spans are read from it, chunk by
+//! chunk.
 //!
 //! Chunks with zero launches are skipped **before** their ready-time
 //! gate. Memory-budgeted LET streaming can close a chunk around
@@ -75,6 +79,7 @@ pub fn dispatch_remote_chunks(
     let mut spec = *spec;
     spec.num_streams = streams.max(1);
     let mut dev = Device::new(spec);
+    dev.reserve(chunks.iter().map(|c| c.launches as usize).sum());
     dev.occupy_until(local_busy_until_s);
 
     let mut stream = 0usize;
@@ -216,6 +221,8 @@ mod tests {
         ];
         let rep = dispatch_remote_chunks(&spec(), 2, 0.05, &chunks);
         assert_eq!(rep.events.len(), 5, "zero-launch chunk emits no events");
+        let launches: u64 = chunks.iter().map(|c| c.launches).sum();
+        assert_eq!(rep.events.len() as u64, launches, "one record per launch");
         assert!(rep.events.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
         // Chunk 0's kernels (seq 0..3) issue no earlier than its ready
         // time; chunk 1's (seq 3..5) no earlier than theirs.

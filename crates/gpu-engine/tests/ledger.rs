@@ -41,7 +41,7 @@ const TABLE_HEADER: &str =
 /// hex bits, then the profile table's rows.
 fn render<const C: usize>(out: &mut String, case: &str, pass: &GpuPass<C>) {
     let sim = &pass.sim;
-    out.push_str(&format!("{case} launches={}", pass.kernel_launches));
+    out.push_str(&format!("{case} launches={}", pass.events.len()));
     for s in [
         sim.htod_sources_s,
         sim.precompute_s,
@@ -54,7 +54,7 @@ fn render<const C: usize>(out: &mut String, case: &str, pass: &GpuPass<C>) {
     }
     out.push('\n');
     out.push_str(
-        pass.profile_table
+        gpu_sim::profile_table(&pass.events)
             .strip_prefix(TABLE_HEADER)
             .expect("profile table header"),
     );

@@ -5,8 +5,9 @@
 //! host, and tells the device what each step *would* cost — a transfer
 //! of so many bytes, a kernel of such a grid and such a work estimate on
 //! such a stream. A discrete-event scheduler prices those launches and
-//! copies, and the device keeps one record per kernel, its log, from
-//! which the launch count and the per-class profile are read. The model
+//! copies, and the device keeps one record per kernel, its log. The
+//! launch count is the log's length, and the per-class profile is a
+//! fold over a log ([`profile_table`]) for a reader who asks. The model
 //! reproduces the GPU behaviors the paper's design decisions react to:
 //!
 //! - **launch latency** — every kernel pays a fixed setup cost that
@@ -54,8 +55,38 @@
 pub mod sched;
 pub mod spec;
 
+use std::collections::BTreeMap;
+
 pub use sched::{Device, KernelEvent, LaunchConfig, WorkEstimate};
 pub use spec::DeviceSpec;
+
+/// The per-class profile of a kernel log: one row per kernel class, in
+/// name order, with its launches, average blocks per launch, GFLOP and
+/// full-device exec milliseconds, each summed over `events` in `seq`
+/// order.
+pub fn profile_table(events: &[KernelEvent]) -> String {
+    // (launches, blocks, flops, exec seconds) per class.
+    let mut classes: BTreeMap<&str, (u64, u64, f64, f64)> = BTreeMap::new();
+    for e in events {
+        let c = classes.entry(e.name).or_default();
+        c.0 += 1;
+        c.1 += e.grid_blocks as u64;
+        c.2 += e.flops;
+        c.3 += e.exec_s;
+    }
+    let mut out = String::from(
+        "kernel                    launches      blocks(avg)      GFLOP     exec(ms)\n",
+    );
+    for (name, (launches, blocks, flops, exec_s)) in classes {
+        out.push_str(&format!(
+            "{name:<24} {launches:>9} {:>16.1} {:>10.3} {:>12.3}\n",
+            blocks as f64 / launches as f64,
+            flops / 1e9,
+            exec_s * 1e3,
+        ));
+    }
+    out
+}
 
 #[cfg(test)]
 mod tests {

@@ -23,10 +23,10 @@
 //!
 //! The device keeps one record per kernel, a [`KernelEvent`] pushed at
 //! enqueue (so its index is its `seq`) and completed at retirement. The
-//! launch count, the per-class profile and the dispatcher's timeline are
-//! all read from that one log.
+//! launch count, the per-class profile ([`crate::profile_table`]) and the
+//! dispatcher's timeline are all read from that one log.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::spec::DeviceSpec;
 
@@ -152,6 +152,12 @@ impl Device {
             stream_tail: vec![0.0; spec.num_streams],
             events: Vec::new(),
         }
+    }
+
+    /// Make room in the log for `launches` more kernels at once, so a
+    /// caller that knows its launch count never regrows it.
+    pub fn reserve(&mut self, launches: usize) {
+        self.events.reserve_exact(launches);
     }
 
     /// Launch a kernel asynchronously on `cfg.stream`: its record goes on
@@ -327,34 +333,6 @@ impl Device {
     /// The log, taking the device with it.
     pub fn into_kernel_events(self) -> Vec<KernelEvent> {
         self.events
-    }
-
-    /// The per-class profile: one row per kernel class, in name order,
-    /// with its launches, average blocks per launch, GFLOP and
-    /// full-device exec milliseconds, each summed over the log in `seq`
-    /// order.
-    pub fn profile_table(&self) -> String {
-        // (launches, blocks, flops, exec seconds) per class.
-        let mut classes: BTreeMap<&str, (u64, u64, f64, f64)> = BTreeMap::new();
-        for e in &self.events {
-            let c = classes.entry(e.name).or_default();
-            c.0 += 1;
-            c.1 += e.grid_blocks as u64;
-            c.2 += e.flops;
-            c.3 += e.exec_s;
-        }
-        let mut out = String::from(
-            "kernel                    launches      blocks(avg)      GFLOP     exec(ms)\n",
-        );
-        for (name, (launches, blocks, flops, exec_s)) in classes {
-            out.push_str(&format!(
-                "{name:<24} {launches:>9} {:>16.1} {:>10.3} {:>12.3}\n",
-                blocks as f64 / launches as f64,
-                flops / 1e9,
-                exec_s * 1e3,
-            ));
-        }
-        out
     }
 }
 
@@ -665,7 +643,7 @@ mod tests {
             exec(5e9, 1e9),
             exec(1e9, 0.0) + exec(3e9, 0.0),
         );
-        assert_eq!(s.profile_table(), expect);
+        assert_eq!(crate::profile_table(s.kernel_events()), expect);
     }
 
     #[test]
@@ -673,10 +651,23 @@ mod tests {
         let mut s = dev();
         s.launch(LaunchConfig::new("b_kernel", 1), WorkEstimate::flops(1.0));
         s.launch(LaunchConfig::new("a_kernel", 1), WorkEstimate::flops(1.0));
-        let t = s.profile_table();
+        let t = crate::profile_table(&s.into_kernel_events());
         assert!(t.contains("a_kernel"));
         assert!(t.contains("b_kernel"));
         // BTreeMap ⇒ sorted order.
         assert!(t.find("a_kernel").unwrap() < t.find("b_kernel").unwrap());
+    }
+
+    /// A reserved log takes its launches without regrowing.
+    #[test]
+    fn reserved_log_never_regrows() {
+        let mut s = dev();
+        s.reserve(5);
+        let capacity = s.events.capacity();
+        assert!(capacity >= 5);
+        for _ in 0..5 {
+            s.launch(LaunchConfig::new("k", 1), WorkEstimate::flops(1.0));
+        }
+        assert_eq!(s.events.capacity(), capacity);
     }
 }

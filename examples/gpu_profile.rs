@@ -2,8 +2,9 @@
 //! profile (the four kernels of §3.2), phase breakdown, occupancy, and
 //! the effect of the asynchronous-stream count.
 //!
-//! Everything printed is the device's ledger, so the passes run priced
-//! (`Priced`): the same launches and clocks, no pair math.
+//! Everything printed is the device's ledger — the kernel log the pass
+//! hands back (`report.events`) and its modeled clocks — so the passes
+//! run priced (`Priced`): the same launches and clocks, no pair math.
 //!
 //! ```text
 //! cargo run --release --example gpu_profile
@@ -12,7 +13,7 @@
 use bltc::core::kernel::Priced;
 use bltc::core::prelude::*;
 use bltc::gpu::GpuEngine;
-use bltc::gpu_sim::DeviceSpec;
+use bltc::gpu_sim::{profile_table, DeviceSpec};
 
 fn main() {
     let n = 30_000;
@@ -37,8 +38,8 @@ fn main() {
     let report = engine.stage(&ps, &ps).finish(&op);
 
     println!("kernel profile (Fig. 3's launch structure):");
-    print!("{}", report.profile_table);
-    println!("\ntotal kernel launches: {}", report.kernel_launches);
+    print!("{}", profile_table(&report.events));
+    println!("\ntotal kernel launches: {}", report.events.len());
 
     let s = report.sim;
     println!("\nsimulated phase breakdown:");
