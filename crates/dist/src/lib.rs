@@ -59,8 +59,12 @@
 //! - the **device** starts the local block (staging, precompute, local
 //!   compute) the moment the local lists exist, and dispatches
 //!   remote-eval kernels onto [`DistConfig::streams`] simulated
-//!   streams (`gpu-sim`'s scheduler via `bltc_gpu::pipeline`) as their
+//!   streams (a `gpu-sim` device the DAG drives itself) as their
 //!   chunks become ready.
+//!
+//! Both clocks come from one pricing of the epoch ([`model`]): the host
+//! build, the payload staging and the remote exec seconds are each
+//! computed once, and the DAG apportions them to its work items.
 //!
 //! This is the overlap the paper's one-sided design exists to enable:
 //! LET gets hide behind local compute, and ≥2 streams hide remote
@@ -97,7 +101,8 @@
 //! and fold their per-rank reports through one [`PhaseMaxima`]. Behind
 //! every door each remote rank's LET goes through one consumer — land a
 //! window of planned chunks, evaluate it, drop it — and one chunk plan
-//! feeds the evaluation, the serial clock and the pipelined clock alike.
+//! feeds the evaluation and the one pricing of the epoch, whose two views
+//! are the serial and the pipelined clock.
 //!
 //! A field pass reuses the *same* LET as a potential pass: modified
 //! charges and fetched particles differentiate for free with respect to
@@ -180,17 +185,15 @@ use bltc_core::config::BltcParams;
 use bltc_core::cost::OpCounts;
 use bltc_core::kernel::{Kernel, TileOp};
 use bltc_core::particles::ParticleSet;
-use bltc_gpu::{GpuEngine, GpuPass, GpuSimBreakdown};
+use bltc_gpu::{GpuEngine, GpuPass};
 use gpu_sim::DeviceSpec;
 use mpi_sim::runtime::TrafficMatrix;
 use mpi_sim::{Comm, NetworkSpec, SessionIn};
 use rcb::{rcb_partition, rcb_partition_two_level, RcbPartition};
 
 use letree::{
-    eval_remote_let, issue_remote_let, plan_chunks, remote_device_bytes, remote_ops,
-    resident_bytes, LetPlan, LetWindows,
+    eval_remote_let, issue_remote_let, plan_chunks, remote_ops, resident_bytes, LetPlan, LetWindows,
 };
-use model::pipelined_clock;
 
 /// Configuration of a distributed run: treecode parameters plus the
 /// hardware models of one compute node class and its fabric.
@@ -415,7 +418,8 @@ pub struct RankReport {
     /// The overlap-aware clock: the critical path of the same epoch
     /// restructured as a phase DAG (LET chunks land while the local
     /// block computes; remote-eval kernels dispatch onto streams as
-    /// their chunks become ready), plus per-chunk land times. Satisfies
+    /// their chunks become ready), and its spans; priced with the serial
+    /// phase clocks above in one place ([`model`]). Satisfies
     /// `pipeline.pipelined_s ≤ total()` (invariant 4).
     pub pipeline: PipelineReport,
     /// Exact op counts (local + remote work on this rank).
@@ -508,84 +512,6 @@ impl PhaseMaxima {
     }
 }
 
-/// Per-rank modeled phase clocks (shared by the potential and field
-/// paths; the caller supplies the remote-evaluation flops, which is
-/// where the ~4× gradient-kernel cost enters).
-struct RankClocks {
-    setup_host_s: f64,
-    setup_comm_s: f64,
-    setup_stage_s: f64,
-    precompute_s: f64,
-    compute_s: f64,
-}
-
-impl RankClocks {
-    /// Serial phase sum — the clock the pipelined critical path is
-    /// clamped against.
-    fn total(&self) -> f64 {
-        self.setup_host_s
-            + self.setup_comm_s
-            + self.setup_stage_s
-            + self.precompute_s
-            + self.compute_s
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn model_rank_clocks<const C: usize, O: TileOp<C> + ?Sized>(
-    cfg: &DistConfig,
-    rank: usize,
-    sim: &GpuSimBreakdown,
-    local_len: usize,
-    levels: usize,
-    ops: &OpCounts,
-    let_stats: &LetStats,
-    plans: &[LetPlan],
-    op: &O,
-) -> RankClocks {
-    let setup_host_s = cfg.host.setup_seconds(
-        local_len,
-        levels,
-        ops.kernel_launches,
-        let_stats.fetched_particles,
-    );
-    // Price each LET's traffic on the link its (rank, target) pair
-    // actually crosses: intra-node P2P between ranks sharing a node,
-    // the fabric otherwise. Messages and bytes are summed per target as
-    // integers before one α–β evaluation per target, so the clock is
-    // independent of chunk granularity (and hence of the memory
-    // budget); with `gpus_per_node == 1` it degenerates to pricing the
-    // whole tally on the fabric, per target.
-    let mut setup_comm_s = 0.0;
-    for p in plans {
-        let link = cfg.link(rank, p.target);
-        setup_comm_s += link.seconds_for(p.messages(), p.bytes());
-    }
-    let payload_bytes: u64 = plans.iter().map(LetPlan::payload_bytes).sum();
-    let stage_let_s = if payload_bytes > 0 {
-        cfg.spec.transfer_seconds(payload_bytes as f64)
-    } else {
-        0.0
-    };
-    let setup_stage_s = sim.htod_sources_s + sim.htod_let_s + stage_let_s;
-    let precompute_s = sim.precompute_s + sim.dtoh_charges_s;
-    let remote = remote_ops(plans);
-    let exec_bytes = remote_device_bytes(plans, O::TARGET_COLS);
-    let launch_s = cfg.spec.host_enqueue_s + cfg.spec.launch_latency_s;
-    let remote_exec_s = cfg
-        .spec
-        .exec_seconds(remote.pass_flops(op, true), exec_bytes)
-        + remote.kernel_launches as f64 * launch_s;
-    let compute_s = sim.compute_s + sim.dtoh_potentials_s + remote_exec_s;
-    RankClocks {
-        setup_host_s,
-        setup_comm_s,
-        setup_stage_s,
-        precompute_s,
-        compute_s,
-    }
-}
-
 /// The one decomposition check behind every door, run where a field
 /// session is launched ([`FieldSessionIn::launch_in`], and
 /// [`FieldSession::launch_reusing`] before it spawns) — so bad input is
@@ -642,9 +568,9 @@ pub(crate) fn check_decomposition(
 /// 4. **local evaluation** — [`bltc_gpu::StagedRun::finish`] evaluates
 ///    the local lists on the host and continues the staged device clock
 ///    with the compute phase's launches;
-/// 5. the modeled serial and pipelined clocks, and the phase-DAG spans
-///    of the pipelined one, which reach the driver only in the report
-///    (`pipeline.spans`).
+/// 5. one pricing of the epoch ([`model`]): the serial phase clocks and
+///    the pipelined one, with its phase-DAG spans, which reach the
+///    driver only in the report (`pipeline.spans`).
 ///
 /// Every door runs it as a [`FieldSessionIn::eval`] epoch (so may any
 /// [`mpi_sim::SessionIn::run_epoch`] closure). Must be called from every
@@ -725,18 +651,7 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
 
     // ---- modeled clocks (the op's flops on the remote pass) -----------
     let levels = tree_stats.max_level + 1;
-    let clocks = model_rank_clocks(
-        cfg,
-        rank,
-        &sim,
-        local.len(),
-        levels,
-        &ops,
-        &let_stats,
-        &plans,
-        op,
-    );
-    let pipeline = pipelined_clock(
+    let clocks = model::price_epoch(
         cfg,
         rank,
         &sim,
@@ -744,9 +659,7 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
         levels,
         local_ops.kernel_launches,
         &plans,
-        op.flops_per_pair(true),
-        O::TARGET_COLS,
-        clocks.total(),
+        op,
     );
 
     // Epochs closed on every rank: only now may the windows go, every
@@ -768,7 +681,7 @@ pub fn eval_rank<const C: usize, O: TileOp<C> + ?Sized>(
         setup_stage_s: clocks.setup_stage_s,
         precompute_s: clocks.precompute_s,
         compute_s: clocks.compute_s,
-        pipeline,
+        pipeline: clocks.pipeline,
         ops,
     };
     (report, columns)

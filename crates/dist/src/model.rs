@@ -1,5 +1,5 @@
-//! Analytic host-side setup-time model and the pipelined critical-path
-//! clock.
+//! The rank's modeled clocks: the analytic host-side cost model, and the
+//! one pricing of a rank's epoch with its two views.
 //!
 //! The paper's "setup" phase (tree construction, batch construction,
 //! interaction-list traversal, LET assembly) runs on the host CPU. The
@@ -11,17 +11,22 @@
 //! over different network fabrics must differ **only** in modeled
 //! communication seconds).
 //!
-//! `pipelined_clock` adds the overlap-aware view: the same per-rank
-//! work items, scheduled on four resources (host, NIC, PCIe, device) as
-//! an explicit phase DAG instead of one serial chain. It never changes
-//! what work exists — every second the serial phases charge appears in
-//! the DAG exactly once — so its makespan is provably ≤ the serial
-//! phase sum. Its LET work is the chunk plans the evaluation consumed
-//! (`letree::LetPlan`), and its resident-byte stamps come from the one
-//! residency rule beside them (`letree::resident_bytes`).
+//! `price_epoch` prices an epoch once — the host build, the payload
+//! staging and the remote exec seconds are each one expression over the
+//! chunk plans the evaluation consumed (`letree::LetPlan`) — and hands
+//! back two views of it. The *serial* view is the five phase clocks of
+//! the bulk-synchronous chain. The *pipelined* view schedules the same
+//! work items on four resources (host, NIC, PCIe, and a `gpu-sim`
+//! device of its own for the remote kernels) as an explicit phase DAG.
+//! It never changes what work exists — every second the serial phases
+//! charge appears in the DAG exactly once — so its makespan is provably
+//! ≤ the serial phase sum. Its resident-byte stamps come from the one
+//! residency rule beside the plans (`letree::resident_bytes`).
 
-use bltc_gpu::{dispatch_remote_chunks, GpuSimBreakdown, RemoteChunkWork};
+use bltc_core::kernel::TileOp;
+use bltc_gpu::GpuSimBreakdown;
 use bltc_trace::{Phase, Span, Track};
+use gpu_sim::{Device, LaunchConfig, WorkEstimate};
 
 use crate::letree::{remote_device_bytes, resident_bytes, ChunkPlan, LetPlan};
 use crate::DistConfig;
@@ -111,10 +116,16 @@ impl HostModel {
         kernel_launches: u64,
         fetched_particles: u64,
     ) -> f64 {
-        self.base_s
-            + self.per_particle_level_s * n as f64 * levels.max(1) as f64
+        self.build_seconds(n, levels)
             + self.per_launch_s * kernel_launches as f64
             + self.per_fetched_particle_s * fetched_particles as f64
+    }
+
+    /// Modeled host seconds of one rank's tree and batch build, where
+    /// both views of an epoch start: the `N·levels` term of
+    /// [`HostModel::setup_seconds`].
+    pub(crate) fn build_seconds(&self, n: usize, levels: usize) -> f64 {
+        self.base_s + self.per_particle_level_s * n as f64 * levels.max(1) as f64
     }
 
     /// Modeled host seconds for one RCB decomposition of `n` particles
@@ -149,6 +160,17 @@ impl HostModel {
     }
 }
 
+/// One rank's epoch, priced once: the five serial phase clocks and the
+/// pipelined view of the same work.
+pub(crate) struct EpochClocks {
+    pub setup_host_s: f64,
+    pub setup_comm_s: f64,
+    pub setup_stage_s: f64,
+    pub precompute_s: f64,
+    pub compute_s: f64,
+    pub pipeline: PipelineReport,
+}
+
 /// The overlap-aware view of one rank's epoch: the critical path through
 /// the phase DAG.
 ///
@@ -173,6 +195,112 @@ pub struct PipelineReport {
     pub spans: Vec<Span>,
 }
 
+/// The remote pass's aggregates over a rank's LET plans, priced once for
+/// both views.
+struct RemotePass {
+    /// Flops per interaction of the evaluating op.
+    flops_per_pair: f64,
+    /// `(Σ interactions)·flops_per_pair`.
+    flops: f64,
+    /// Batch–cluster launches.
+    launches: u64,
+    /// Payload bytes, all staged onto the device.
+    payload_bytes: u64,
+    /// Seconds of that staging, as one transfer.
+    stage_s: f64,
+    /// Full-device exec seconds of every remote launch.
+    exec_s: f64,
+    /// Host enqueue plus launch latency, charged once per launch.
+    launch_s: f64,
+}
+
+impl RemotePass {
+    /// The aggregates of `plans` for an op of `flops_per_pair` and
+    /// `target_cols` columns.
+    fn price(cfg: &DistConfig, plans: &[LetPlan], flops_per_pair: f64, target_cols: usize) -> Self {
+        let chunks = || plans.iter().flat_map(|p| &p.chunks);
+        let flops = chunks().map(|c| c.interactions).sum::<u64>() as f64 * flops_per_pair;
+        let payload_bytes = plans.iter().map(LetPlan::payload_bytes).sum();
+        let spec = &cfg.spec;
+        Self {
+            flops_per_pair,
+            flops,
+            launches: chunks().map(|c| c.launches).sum(),
+            payload_bytes,
+            stage_s: if payload_bytes > 0 {
+                spec.transfer_seconds(payload_bytes as f64)
+            } else {
+                0.0
+            },
+            exec_s: spec.exec_seconds(flops, remote_device_bytes(plans, target_cols)),
+            launch_s: spec.host_enqueue_s + spec.launch_latency_s,
+        }
+    }
+}
+
+/// Price one rank's epoch: the serial phase clocks, then the phase DAG
+/// over the same work, checked against their sum.
+///
+/// * `n`, `levels` — particles and tree depth of the local build,
+/// * `local_launches` — batch–cluster launches of the local pass,
+/// * `plans` — the LET plans the evaluation consumed,
+/// * `op` — the evaluating op: its flops per pair and its output columns.
+///
+/// Remote launches and fetched particles are summed from the plans.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn price_epoch<const C: usize, O: TileOp<C> + ?Sized>(
+    cfg: &DistConfig,
+    rank: usize,
+    sim: &GpuSimBreakdown,
+    n: usize,
+    levels: usize,
+    local_launches: u64,
+    plans: &[LetPlan],
+    op: &O,
+) -> EpochClocks {
+    let remote = RemotePass::price(cfg, plans, op.flops_per_pair(true), O::TARGET_COLS);
+    let chunks = plans.iter().flat_map(|p| &p.chunks);
+    let fetched: u64 = chunks.map(|c| c.fetched_particles).sum();
+    let launches = local_launches + remote.launches;
+    let setup_host_s = cfg.host.setup_seconds(n, levels, launches, fetched);
+    // Price each LET's traffic on the link its (rank, target) pair
+    // actually crosses: intra-node P2P between ranks sharing a node,
+    // the fabric otherwise. Messages and bytes are summed per target as
+    // integers before one α–β evaluation per target, so the clock is
+    // independent of chunk granularity (and hence of the memory
+    // budget); with `gpus_per_node == 1` it degenerates to pricing the
+    // whole tally on the fabric, per target.
+    let mut setup_comm_s = 0.0;
+    for p in plans {
+        let link = cfg.link(rank, p.target);
+        setup_comm_s += link.seconds_for(p.messages(), p.bytes());
+    }
+    let setup_stage_s = sim.htod_sources_s + sim.htod_let_s + remote.stage_s;
+    let precompute_s = sim.precompute_s + sim.dtoh_charges_s;
+    let remote_exec_s = remote.exec_s + remote.launches as f64 * remote.launch_s;
+    let compute_s = sim.compute_s + sim.dtoh_potentials_s + remote_exec_s;
+    let serial_s = setup_host_s + setup_comm_s + setup_stage_s + precompute_s + compute_s;
+    let build_s = cfg.host.build_seconds(n, levels);
+    let pipeline = pipelined_clock(
+        cfg,
+        rank,
+        sim,
+        build_s,
+        local_launches,
+        plans,
+        &remote,
+        serial_s,
+    );
+    EpochClocks {
+        setup_host_s,
+        setup_comm_s,
+        setup_stage_s,
+        precompute_s,
+        compute_s,
+        pipeline,
+    }
+}
+
 /// Compute the pipelined critical path of one rank's epoch.
 ///
 /// The phase DAG scheduled here, resource by resource:
@@ -187,44 +315,38 @@ pub struct PipelineReport {
 ///   ([`DistConfig::link`]): the intra-node path when the two ranks
 ///   share a compute node, the inter-node fabric otherwise.
 /// - **PCIe** — each chunk's staging share after it lands and unpacks.
-/// - **device** — the local block (HtD staging, precompute, local
-///   compute) starting when the local lists exist, then remote-eval
-///   kernels dispatched onto `cfg.streams` simulated streams as their
-///   chunks become ready, then the final DtH of the potentials.
+/// - **device** — a `gpu-sim` device of `cfg.streams` streams: the local
+///   block (HtD staging, precompute, local compute) occupies it from the
+///   moment the local lists exist, then each chunk's remote-eval
+///   kernels are issued once the chunk is ready, round-robin over the
+///   streams so launch latencies on one stream hide behind exec phases
+///   on another (§3.2), then the final DtH of the potentials.
 ///
 /// Every serial phase component appears exactly once (chunk staging and
 /// exec times are proportional shares of the serial aggregates), so the
 /// makespan cannot exceed the serial sum; the result is clamped to
 /// `serial_total_s` so the invariant survives floating-point
 /// reassociation.
-///
-/// The LET work is the rank's chunk plans, weighted by the evaluating
-/// op: `flops_per_pair` per interaction and `target_cols` `f64` per
-/// target in each launch's device traffic.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pipelined_clock(
+fn pipelined_clock(
     cfg: &DistConfig,
     rank: usize,
     sim: &GpuSimBreakdown,
-    n: usize,
-    levels: usize,
+    build_s: f64,
     local_launches: u64,
     plans: &[LetPlan],
-    flops_per_pair: f64,
-    target_cols: usize,
+    remote: &RemotePass,
     serial_total_s: f64,
 ) -> PipelineReport {
     let h = &cfg.host;
     let r = rank as u32;
     let all_chunks = || plans.iter().flat_map(|p| &p.chunks);
     let num_chunks = all_chunks().count();
-    let remote_launches: u64 = all_chunks().map(|c| c.launches).sum();
     // Eight fixed spans (build, local lists, the five of the local block
     // and the closing DtH), two per LET, three per chunk and one per
     // remote launch.
     let mut spans: Vec<Span> =
-        Vec::with_capacity(8 + 2 * plans.len() + 3 * num_chunks + remote_launches as usize);
-    let build_s = h.base_s + h.per_particle_level_s * n as f64 * levels.max(1) as f64;
+        Vec::with_capacity(8 + 2 * plans.len() + 3 * num_chunks + remote.launches as usize);
     let mut host_free = build_s + h.per_launch_s * local_launches as f64;
     let local_start = host_free;
     let mut nic_free = build_s;
@@ -261,26 +383,33 @@ pub(crate) fn pipelined_clock(
         traversal_done.push(host_free);
     }
 
-    // Aggregate remote work, apportioned to chunks as proportional
+    // The remote aggregates, apportioned to chunks as proportional
     // shares: Σ of shares equals the serial aggregate by construction
     // (a per-chunk roofline could exceed it — max is subadditive).
-    let exec_flops = |c: &ChunkPlan| c.interactions as f64 * flops_per_pair;
-    let total_flops: f64 = all_chunks().map(exec_flops).sum();
-    let total_eval_bytes = remote_device_bytes(plans, target_cols);
-    let device_bytes: u64 = plans.iter().map(LetPlan::payload_bytes).sum();
-    let exec_total = cfg.spec.exec_seconds(total_flops, total_eval_bytes);
-    let stage_total = if device_bytes > 0 {
-        cfg.spec.transfer_seconds(device_bytes as f64)
-    } else {
-        0.0
+    let exec_flops = |c: &ChunkPlan| c.interactions as f64 * remote.flops_per_pair;
+    let exec_s = |c: &ChunkPlan| {
+        remote.exec_s
+            * if remote.flops > 0.0 {
+                exec_flops(c) / remote.flops
+            } else {
+                1.0 / num_chunks.max(1) as f64
+            }
     };
 
-    let launch_overhead_s = cfg.spec.host_enqueue_s + cfg.spec.launch_latency_s;
+    // The local block occupies the device from the moment the local
+    // lists exist; remote chunks stream in behind it.
+    let mut spec = cfg.spec;
+    spec.num_streams = cfg.streams.max(1);
+    let mut dev = Device::new(spec);
+    dev.reserve(remote.launches as usize);
+    let local_block_s =
+        sim.htod_sources_s + sim.precompute_s + sim.dtoh_charges_s + sim.htod_let_s + sim.compute_s;
+    dev.occupy_until(local_start + local_block_s);
+
     let resident: Vec<u64> = resident_bytes(plans, cfg.let_memory_budget).collect();
     let mut chunk_id = 0u32;
-
+    let mut stream = 0usize;
     let mut pcie_free = 0.0f64;
-    let mut works = Vec::with_capacity(num_chunks);
     for (p, &traversed) in plans.iter().zip(&traversal_done) {
         let link = cfg.link(rank, p.target);
         for c in &p.chunks {
@@ -308,8 +437,8 @@ pub(crate) fn pipelined_clock(
                     .chunk(chunk_id)
                     .target(p.target as u32),
             );
-            let stage_share = if device_bytes > 0 {
-                stage_total * (c.bytes as f64 / device_bytes as f64)
+            let stage_share = if remote.payload_bytes > 0 {
+                remote.stage_s * (c.bytes as f64 / remote.payload_bytes as f64)
             } else {
                 0.0
             };
@@ -324,55 +453,50 @@ pub(crate) fn pipelined_clock(
                     .chunk(chunk_id)
                     .target(p.target as u32),
             );
-            let exec_share = if total_flops > 0.0 {
-                exec_flops(c) / total_flops
-            } else {
-                1.0 / num_chunks.max(1) as f64
-            };
-            works.push(RemoteChunkWork {
-                ready_s: ready,
-                exec_s: exec_total * exec_share,
-                launches: c.launches,
-            });
             chunk_id += 1;
+            // A chunk no remote batch reads (budgeted padding) neither
+            // gates the host at its ready time nor launches.
+            if c.launches == 0 {
+                continue;
+            }
+            dev.advance_host_to(ready);
+            // Saturating kernels (one block per SM) splitting the chunk's
+            // exec seconds evenly: the schedule is work-conserving, so
+            // streams hide launch latency, never exec time.
+            let flops = exec_s(c) / c.launches as f64 * spec.sustained_gflops() * 1e9;
+            for _ in 0..c.launches {
+                dev.launch(
+                    LaunchConfig::new("remote-chunk", spec.sm_count).stream(stream),
+                    WorkEstimate::flops(flops),
+                );
+                stream = stream.wrapping_add(1);
+            }
         }
     }
 
-    // The local device block occupies the device from the moment the
-    // local lists exist; remote chunks stream in behind it.
-    let local_block_s =
-        sim.htod_sources_s + sim.precompute_s + sim.dtoh_charges_s + sim.htod_let_s + sim.compute_s;
-    {
-        // Local block spans, in charge order on the PCIe and device
-        // tracks (the block occupies every stream; stream 0 stands for
-        // the device).
-        let t1 = local_start + sim.htod_sources_s;
-        let t2 = t1 + sim.precompute_s;
-        let t3 = t2 + sim.dtoh_charges_s;
-        let t4 = t3 + sim.htod_let_s;
-        let t5 = t4 + sim.compute_s;
-        spans.push(
-            Span::new(Track::Pcie(r), "htod-sources", local_start, t1).phase(Phase::SetupStage),
-        );
-        spans.push(
-            Span::new(Track::DeviceStream(r, 0), "precompute", t1, t2).phase(Phase::Precompute),
-        );
-        spans.push(Span::new(Track::Pcie(r), "dtoh-charges", t2, t3).phase(Phase::Precompute));
-        spans.push(Span::new(Track::Pcie(r), "htod-let", t3, t4).phase(Phase::SetupStage));
-        spans.push(
-            Span::new(Track::DeviceStream(r, 0), "local-compute", t4, t5).phase(Phase::Compute),
-        );
-    }
-    let dispatch =
-        dispatch_remote_chunks(&cfg.spec, cfg.streams, local_start + local_block_s, &works);
+    // Local block spans, in charge order on the PCIe and device
+    // tracks (the block occupies every stream; stream 0 stands for
+    // the device).
+    let t1 = local_start + sim.htod_sources_s;
+    let t2 = t1 + sim.precompute_s;
+    let t3 = t2 + sim.dtoh_charges_s;
+    let t4 = t3 + sim.htod_let_s;
+    let t5 = t4 + sim.compute_s;
+    spans.push(Span::new(Track::Pcie(r), "htod-sources", local_start, t1).phase(Phase::SetupStage));
+    spans.push(Span::new(Track::DeviceStream(r, 0), "precompute", t1, t2).phase(Phase::Precompute));
+    spans.push(Span::new(Track::Pcie(r), "dtoh-charges", t2, t3).phase(Phase::Precompute));
+    spans.push(Span::new(Track::Pcie(r), "htod-let", t3, t4).phase(Phase::SetupStage));
+    spans.push(Span::new(Track::DeviceStream(r, 0), "local-compute", t4, t5).phase(Phase::Compute));
+    dev.synchronize();
+    let done_s = dev.now();
     // The log holds each chunk's `launches` records together, in chunk
     // order, and each kernel bills its even share of its chunk's exec
     // seconds and flops plus its enqueue and launch latency. Every chunk
     // with flops has launches (its flops are its interactions'), so the
     // spans bill the whole remote exec aggregate.
-    let mut events = dispatch.events.iter();
-    for (chunk, (c, w)) in all_chunks().zip(&works).enumerate() {
-        let billed_s = w.exec_s / c.launches as f64 + launch_overhead_s;
+    let mut events = dev.into_kernel_events().into_iter();
+    for (chunk, c) in all_chunks().enumerate() {
+        let billed_s = exec_s(c) / c.launches as f64 + remote.launch_s;
         let flops = exec_flops(c) / c.launches as f64;
         for e in events.by_ref().take(c.launches as usize) {
             spans.push(
@@ -390,7 +514,7 @@ pub(crate) fn pipelined_clock(
         }
     }
     debug_assert!(events.next().is_none(), "one record per planned launch");
-    let raw = dispatch.done_s + sim.dtoh_potentials_s;
+    let raw = done_s + sim.dtoh_potentials_s;
 
     // `pipelined ≤ serial` holds structurally (every serial second
     // appears in the DAG exactly once), so any real excess is a DAG
@@ -472,6 +596,69 @@ mod tests {
         assert_eq!(base, m.repartition_seconds(10_000, 4));
     }
 
+    fn cfg() -> DistConfig {
+        DistConfig::comet(bltc_core::config::BltcParams::new(0.8, 3, 60, 60))
+    }
+
+    /// A local block of 9·10⁻⁵ s on the device and a 10⁻⁵ s closing DtH.
+    fn sim() -> GpuSimBreakdown {
+        GpuSimBreakdown {
+            htod_sources_s: 1e-5,
+            precompute_s: 2e-5,
+            dtoh_charges_s: 1e-5,
+            htod_let_s: 1e-5,
+            compute_s: 4e-5,
+            dtoh_potentials_s: 1e-5,
+            ..GpuSimBreakdown::default()
+        }
+    }
+
+    /// A chunk of `launches` launches, `interactions` pairs and `bytes`
+    /// payload bytes.
+    fn chunk(launches: u64, interactions: u64, bytes: u64) -> ChunkPlan {
+        ChunkPlan {
+            kind: ChunkKind::Approx,
+            first: 0,
+            len: 1,
+            messages: 1,
+            bytes,
+            fetched_particles: 0,
+            launches,
+            eval_targets: 60 * launches,
+            eval_sources: 64 * launches,
+            interactions,
+        }
+    }
+
+    /// One LET per chunk list, viewing ranks 1, 2, ….
+    fn lets(chunks: Vec<Vec<ChunkPlan>>) -> Vec<LetPlan> {
+        let lets = chunks.into_iter().enumerate();
+        lets.map(|(i, chunks)| LetPlan {
+            target: i + 1,
+            skeleton_bytes: 256,
+            chunks,
+        })
+        .collect()
+    }
+
+    /// The phase DAG of rank 0 (1 000 particles, 4 levels, 20 local
+    /// launches) over `plans`, for a one-column op of `flops_per_pair`,
+    /// checked against the serial sum `serial_s`.
+    fn dag(
+        cfg: &DistConfig,
+        plans: &[LetPlan],
+        flops_per_pair: f64,
+        serial_s: f64,
+    ) -> PipelineReport {
+        let remote = RemotePass::price(cfg, plans, flops_per_pair, 1);
+        let build_s = cfg.host.build_seconds(1000, 4);
+        pipelined_clock(cfg, 0, &sim(), build_s, 20, plans, &remote, serial_s)
+    }
+
+    fn named<'a>(rep: &'a PipelineReport, name: &str) -> Vec<&'a Span> {
+        rep.spans.iter().filter(|s| s.name == name).collect()
+    }
+
     /// A deliberately mis-billed phase DAG must trip the loud
     /// `pipelined ≤ serial` check instead of being silently clamped: here
     /// the chunk bills 10¹⁵ flops of device work while the claimed
@@ -480,35 +667,14 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn mis_billed_phase_trips_the_pipelined_clock_assert() {
-        let cfg = DistConfig::comet(bltc_core::config::BltcParams::new(0.8, 3, 60, 60));
-        let sim = GpuSimBreakdown {
-            setup_host_s: 0.0,
-            htod_sources_s: 0.0,
-            precompute_s: 0.0,
-            dtoh_charges_s: 0.0,
-            htod_let_s: 0.0,
-            compute_s: 0.0,
-            dtoh_potentials_s: 0.0,
-        };
+        let cfg = cfg();
+        let sim = GpuSimBreakdown::default();
         // 10¹⁴ interactions at 10 flops each.
-        let plans = vec![LetPlan {
-            target: 1,
-            skeleton_bytes: 64,
-            chunks: vec![ChunkPlan {
-                kind: ChunkKind::Approx,
-                first: 0,
-                len: 1,
-                messages: 1,
-                bytes: 1024,
-                fetched_particles: 0,
-                launches: 1,
-                eval_targets: 1,
-                eval_sources: 1,
-                interactions: 100_000_000_000_000,
-            }],
-        }];
+        let plans = lets(vec![vec![chunk(1, 100_000_000_000_000, 1024)]]);
+        let remote = RemotePass::price(&cfg, &plans, 10.0, 4);
+        let build_s = cfg.host.build_seconds(100, 3);
         let trip = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pipelined_clock(&cfg, 0, &sim, 100, 3, 10, &plans, 10.0, 4, 1e-9)
+            pipelined_clock(&cfg, 0, &sim, build_s, 10, &plans, &remote, 1e-9)
         }));
         assert!(
             trip.is_err(),
@@ -516,58 +682,25 @@ mod tests {
         );
     }
 
-    /// The remote spans are read off the dispatcher's log chunk by
-    /// chunk: over two LETs with chunks of 3, 0 and 2 launches, each
+    /// The remote spans are read off the device's log chunk by chunk:
+    /// over two LETs with chunks of 3, 0 and 2 launches, each
     /// `remote-chunk` span carries its own chunk's id, starts once that
     /// chunk is staged, and the chunk's spans bill its exec share plus
     /// one enqueue and one launch latency per launch.
     #[test]
     fn remote_chunk_spans_carry_their_own_chunk() {
-        let cfg = DistConfig::comet(bltc_core::config::BltcParams::new(0.8, 3, 60, 60));
-        let sim = GpuSimBreakdown {
-            htod_sources_s: 1e-5,
-            precompute_s: 2e-5,
-            dtoh_charges_s: 1e-5,
-            htod_let_s: 1e-5,
-            compute_s: 4e-5,
-            dtoh_potentials_s: 1e-5,
-            ..GpuSimBreakdown::default()
-        };
-        let chunk = |launches: u64, interactions: u64| ChunkPlan {
-            kind: ChunkKind::Approx,
-            first: 0,
-            len: 1,
-            messages: 1,
-            bytes: 4096,
-            fetched_particles: 0,
-            launches,
-            eval_targets: 60 * launches,
-            eval_sources: 64 * launches,
-            interactions,
-        };
-        let plans = vec![
-            LetPlan {
-                target: 1,
-                skeleton_bytes: 256,
-                chunks: vec![chunk(3, 30_000), chunk(0, 0)],
-            },
-            LetPlan {
-                target: 2,
-                skeleton_bytes: 256,
-                chunks: vec![chunk(2, 50_000)],
-            },
-        ];
+        let cfg = cfg();
+        let plans = lets(vec![
+            vec![chunk(3, 30_000, 4096), chunk(0, 0, 4096)],
+            vec![chunk(2, 50_000, 4096)],
+        ]);
         let flops_per_pair = 30.0;
-        let rep = pipelined_clock(&cfg, 0, &sim, 1000, 4, 20, &plans, flops_per_pair, 1, 1.0);
+        let rep = dag(&cfg, &plans, flops_per_pair, 1.0);
         // The reserved count is exact: 8 fixed, 2 per LET, 3 per chunk,
         // 1 per launch.
         assert_eq!(rep.spans.len(), 8 + 2 * 2 + 3 * 3 + 5);
 
-        let remote: Vec<&Span> = rep
-            .spans
-            .iter()
-            .filter(|s| s.name == "remote-chunk")
-            .collect();
+        let remote = named(&rep, "remote-chunk");
         let ids: Vec<u32> = remote.iter().map(|s| s.chunk.expect("chunk id")).collect();
         assert_eq!(ids, [0, 0, 0, 2, 2]);
         for s in &remote {
@@ -596,6 +729,108 @@ mod tests {
                 (billed - want).abs() < 1e-12,
                 "chunk {chunk}: {billed} vs {want}"
             );
+        }
+    }
+
+    /// Without chunks the device runs the local block alone: the epoch
+    /// ends one closing DtH after it, to the bit.
+    #[test]
+    fn no_chunks_is_exactly_the_local_block() {
+        let rep = dag(&cfg(), &[], 30.0, 1.0);
+        let s = sim();
+        let local_start = named(&rep, "local-lists")[0].end_s;
+        let block =
+            s.htod_sources_s + s.precompute_s + s.dtoh_charges_s + s.htod_let_s + s.compute_s;
+        assert_eq!(rep.pipelined_s, local_start + block + s.dtoh_potentials_s);
+        assert!(named(&rep, "remote-chunk").is_empty());
+        assert_eq!(rep.spans.len(), 8);
+    }
+
+    /// A chunk whose payload lands long after the local block cannot
+    /// launch before it is staged, nor finish before its exec seconds
+    /// have run after that.
+    #[test]
+    fn chunk_waits_for_its_data() {
+        let cfg = cfg();
+        let plans = lets(vec![vec![chunk(1, 1_000_000, 1 << 30)]]);
+        let rep = dag(&cfg, &plans, 30.0, 10.0);
+        let stage = named(&rep, "stage")[0];
+        let local_end = named(&rep, "local-compute")[0].end_s;
+        assert!(stage.end_s > 100.0 * local_end, "the data lands late");
+        let [kernel] = named(&rep, "remote-chunk")[..] else {
+            panic!("one launch, one span")
+        };
+        assert!(kernel.start_s >= stage.end_s + cfg.spec.launch_latency_s);
+        let exec_s = cfg.spec.exec_seconds(30e6, remote_device_bytes(&plans, 1));
+        assert!(rep.pipelined_s >= stage.end_s + exec_s, "{rep:?}");
+    }
+
+    /// Saturating kernels conserve exec time on any stream count: no
+    /// schedule ends before the local block plus the remote exec seconds,
+    /// and more streams never lose; with 8×16 launch latencies in play
+    /// they win outright.
+    #[test]
+    fn exec_time_is_conserved_across_stream_counts() {
+        let plans = lets(vec![(0..8).map(|_| chunk(16, 100_000, 4096)).collect()]);
+        let on = |streams: usize| {
+            let cfg = DistConfig { streams, ..cfg() };
+            let rep = dag(&cfg, &plans, 30.0, 1.0);
+            let local_end = named(&rep, "local-compute")[0].end_s;
+            let exec_s = RemotePass::price(&cfg, &plans, 30.0, 1).exec_s;
+            assert!(rep.pipelined_s >= local_end + exec_s, "{streams} streams");
+            rep.pipelined_s
+        };
+        let (one, two, four) = (on(1), on(2), on(4));
+        assert!(four <= two && two <= one, "{four} {two} {one}");
+        assert!(four < one, "{four} !< {one}");
+    }
+
+    /// A launch-free chunk landing absurdly late (as a tight memory
+    /// budget's padding can) neither launches nor drags the remote
+    /// block's end to its ready time.
+    #[test]
+    fn zero_launch_chunks_neither_gate_nor_launch() {
+        let cfg = cfg();
+        let late = 1 << 40;
+        assert!(cfg.link(0, 1).seconds_for(1, late) > 10.0);
+        let plans = lets(vec![vec![chunk(2, 100_000, 4096), chunk(0, 0, late)]]);
+        let rep = dag(&cfg, &plans, 30.0, 1e3);
+        assert_eq!(named(&rep, "remote-chunk").len(), 2, "phantom kernels");
+        assert!(rep.pipelined_s < 1.0, "gated at {}", rep.pipelined_s);
+    }
+
+    /// The DAG is a pure function of its arguments: the same clock and
+    /// the same spans, to the bit.
+    #[test]
+    fn dag_is_deterministic() {
+        let cfg = cfg();
+        let plans = lets(vec![
+            vec![chunk(7, 70_000, 8192), chunk(1, 5_000, 1024)],
+            vec![chunk(4, 20_000, 2048)],
+        ]);
+        let (a, b) = (dag(&cfg, &plans, 30.0, 1.0), dag(&cfg, &plans, 30.0, 1.0));
+        assert_eq!(a.pipelined_s, b.pipelined_s);
+        assert_eq!(a.spans, b.spans);
+    }
+
+    /// One `remote-chunk` span per planned launch on any stream count,
+    /// issued round-robin: the k-th launch runs on stream k mod streams,
+    /// the counter carrying over from chunk to chunk.
+    #[test]
+    fn one_span_per_launch_round_robin() {
+        let plans = lets(vec![
+            vec![chunk(3, 30_000, 4096), chunk(0, 0, 4096)],
+            vec![chunk(2, 20_000, 4096), chunk(5, 50_000, 4096)],
+        ]);
+        for streams in 1..=4 {
+            let cfg = DistConfig { streams, ..cfg() };
+            let rep = dag(&cfg, &plans, 30.0, 1.0);
+            let remote = named(&rep, "remote-chunk");
+            assert_eq!(remote.len(), 10, "{streams} streams");
+            for (k, s) in remote.iter().enumerate() {
+                let stream = (k % streams) as u32;
+                assert_eq!(s.track, Track::DeviceStream(0, stream));
+            }
         }
     }
 

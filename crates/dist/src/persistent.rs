@@ -573,45 +573,35 @@ fn migrate_rank(
     let received = comm.exchange(buckets);
 
     // ---- 4. rebuild the slot, sorted by global id -------------------
-    let mut records: Vec<(usize, [f64; 4], Vec<f64>)> = Vec::with_capacity(keep.len());
-    for &i in &keep {
-        let aux_vals = slot.aux.iter().map(|col| col[i]).collect();
-        records.push((
-            slot.ids[i],
-            [slot.ps.x[i], slot.ps.y[i], slot.ps.z[i], slot.ps.q[i]],
-            aux_vals,
-        ));
-    }
-    let mut recv_particles = 0u64;
+    // One index of (global id, kept row, received record), sorted by id
+    // (a received record's row is unused); each column is then written
+    // straight from its rows.
+    let recv_particles: usize = received.iter().map(|b| b.len() / w).sum();
+    let mut rows: Vec<(usize, usize, Option<&[f64]>)> =
+        Vec::with_capacity(keep.len() + recv_particles);
+    rows.extend(keep.iter().map(|&i| (slot.ids[i], i, None)));
     for buf in &received {
-        for c in buf.chunks_exact(w) {
-            recv_particles += 1;
-            records.push((c[0] as usize, [c[1], c[2], c[3], c[4]], c[5..].to_vec()));
-        }
+        rows.extend(buf.chunks_exact(w).map(|c| (c[0] as usize, 0, Some(c))));
     }
-    records.sort_unstable_by_key(|r| r.0);
-
-    let n_after = records.len();
-    let mut ids = Vec::with_capacity(n_after);
-    let (mut x, mut y, mut z, mut q) = (
-        Vec::with_capacity(n_after),
-        Vec::with_capacity(n_after),
-        Vec::with_capacity(n_after),
-        Vec::with_capacity(n_after),
-    );
-    let mut aux = vec![Vec::with_capacity(n_after); aux_cols];
-    for (id, pos, aux_vals) in records {
-        ids.push(id);
-        x.push(pos[0]);
-        y.push(pos[1]);
-        z.push(pos[2]);
-        q.push(pos[3]);
-        for (c, v) in aux_vals.into_iter().enumerate() {
-            aux[c].push(v);
-        }
-    }
-    slot.ids = ids;
-    slot.ps = ParticleSet::new(x, y, z, q);
+    rows.sort_unstable_by_key(|r| r.0);
+    let n_after = rows.len();
+    // Column `k` of a row: x, y, z, q, then the aux columns.
+    let column = |k: usize| -> Vec<f64> {
+        let kept = match k {
+            0 => &slot.ps.x,
+            1 => &slot.ps.y,
+            2 => &slot.ps.z,
+            3 => &slot.ps.q,
+            _ => &slot.aux[k - 4],
+        };
+        let value =
+            |&(_, i, rec): &(usize, usize, Option<&[f64]>)| rec.map_or(kept[i], |c| c[1 + k]);
+        rows.iter().map(value).collect()
+    };
+    let ps = ParticleSet::new(column(0), column(1), column(2), column(3));
+    let aux = (4..4 + aux_cols).map(column).collect();
+    slot.ids = rows.iter().map(|r| r.0).collect();
+    slot.ps = ps;
     slot.aux = aux;
     slot.field = None; // stale after any ownership change
 
@@ -624,7 +614,7 @@ fn migrate_rank(
         sent_msgs,
         sent_bytes,
         sent_particles,
-        recv_particles,
+        recv_particles: recv_particles as u64,
     }
 }
 

@@ -53,7 +53,10 @@
 //! (the staged preparation's) are exactly what its RMA window exposes to
 //! the other ranks (paper §3.1: computed on the GPU, copied to the host,
 //! served from there), and its LET traversal runs against the staged
-//! batches — so a rank prepares once per evaluation.
+//! batches — so a rank prepares once per evaluation. This crate prices
+//! the rank's local pass only: the remote kernels, issued as their LET
+//! chunks land, are scheduled by `bltc-dist`'s epoch model on a
+//! `gpu-sim` device of its own.
 //!
 //! Numerical results are produced by the very code the CPU engines run
 //! (same summation order, same product association), so CPU and GPU
@@ -79,11 +82,9 @@
 
 pub mod engine;
 pub mod kernels;
-pub mod pipeline;
 
 pub use engine::{
     gpu_direct_sum_modeled_seconds, GpuEngine, GpuFieldRunReport, GpuPass, GpuRunReport,
     GpuSimBreakdown, StagedRun,
 };
 pub use gpu_sim::KernelEvent;
-pub use pipeline::{dispatch_remote_chunks, ChunkDispatchReport, RemoteChunkWork};

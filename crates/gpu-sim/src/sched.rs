@@ -615,6 +615,39 @@ mod tests {
         assert!(short.end_s < long.end_s, "the short kernel retires first");
     }
 
+    /// A pipelined caller's schedule: a block occupies the device, then
+    /// each chunk's launches are gated on its ready time and cycle over
+    /// the streams. Every record's exec window opens no earlier than its
+    /// own issue plus the launch latency, its issue no earlier than its
+    /// chunk's ready time, and the last retirement is the clock.
+    #[test]
+    fn gated_round_robin_records_start_after_their_issue() {
+        let mut s = dev();
+        s.occupy_until(0.05);
+        let mut stream = 0;
+        for (ready, launches) in [(0.1, 3), (0.3, 2)] {
+            s.advance_host_to(ready);
+            for _ in 0..launches {
+                s.launch(
+                    LaunchConfig::new("k", 1000).stream(stream),
+                    WorkEstimate::flops(1e8),
+                );
+                stream += 1;
+            }
+        }
+        s.synchronize();
+        let events = s.kernel_events();
+        assert_eq!(events.len(), 5);
+        for e in events {
+            let ready = if e.seq < 3 { 0.1 } else { 0.3 };
+            assert!(e.issue_s >= ready);
+            assert!(e.issue_s + spec().launch_latency_s <= e.start_s + 1e-15);
+            assert!(e.start_s < e.end_s);
+        }
+        let last = events.iter().fold(0.0f64, |m, e| m.max(e.end_s));
+        assert_eq!(last, s.now());
+    }
+
     /// The profile over a mixed two-class, two-stream schedule: each row
     /// is its class's launches, blocks, flops and exec seconds summed by
     /// hand.

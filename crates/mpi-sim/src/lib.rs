@@ -5,11 +5,10 @@
 //! The pieces the distributed BLTC needs are faithfully modeled:
 //!
 //! - **Passive-target RMA windows** ([`rma::Window`]): a rank exposes a
-//!   memory region; any *origin* rank may `lock → get/put → unlock` it
+//!   memory region; any *origin* rank may `lock → get → unlock` it
 //!   with **no involvement from the target thread** — the semantics of
-//!   `MPI_Win_lock(MPI_LOCK_SHARED/EXCLUSIVE)` + `MPI_Get`/`MPI_Put` +
-//!   `MPI_Win_unlock` that the paper uses to build locally essential
-//!   trees asynchronously.
+//!   `MPI_Win_lock(MPI_LOCK_SHARED)` + `MPI_Get` + `MPI_Win_unlock` that
+//!   the paper uses to build locally essential trees asynchronously.
 //! - **Collectives** ([`comm`]): barrier, all-gather, all-reduce — used
 //!   for window creation (collective in MPI too) and result assembly.
 //! - **Traffic accounting** ([`runtime::TrafficMatrix`]): every one-sided
@@ -94,6 +93,6 @@ pub use chaos::{panic_message, ChaosEvent, ChaosSchedule, FaultKind, FaultSpec, 
 pub use comm::Comm;
 pub use netmodel::NetworkSpec;
 pub use pool::{PoolStats, SessionPool};
-pub use rma::{Window, WindowReadGuard, WindowWriteGuard};
+pub use rma::{Window, WindowReadGuard};
 pub use runtime::{run_spmd, SpmdResult, Traffic, TrafficMatrix};
 pub use session::{EpochReport, Session, SessionIn};

@@ -1,24 +1,25 @@
 //! Passive-target RMA windows.
 //!
 //! A [`Window`] is created collectively; each rank contributes a local
-//! region. Any rank may then access any region with passive-target
+//! region. Any rank may then read any region with passive-target
 //! synchronization: `lock_shared` (concurrent readers, `MPI_LOCK_SHARED`)
-//! or `lock_exclusive` (single writer, `MPI_LOCK_EXCLUSIVE`), perform
-//! `get_with`/`put` operations through the guard, and unlock by dropping
-//! it. A get lends the origin the locked range for the length of a
-//! closure, which copies out what it needs: one copy per fetched byte.
+//! opens an epoch, `get_with` operations go through the guard, and
+//! dropping it unlocks. The LET is get-only, so there is no exclusive
+//! epoch, put or accumulate. A get lends the origin the locked range for
+//! the length of a closure, which copies out what it needs: one copy per
+//! fetched byte.
 //! The target thread takes no action — the defining property of the
 //! one-sided model the paper's LET construction relies on (§3.1: "each
 //! rank can construct its LET completely asynchronously from other
 //! ranks").
 //!
-//! Every `get_with`/`put` records (1 message, payload bytes) in the
+//! Every `get_with` records (1 message, payload bytes) in the
 //! world's traffic matrix for the α–β communication model.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{RwLock, RwLockReadGuard};
 
 use crate::comm::Comm;
 use crate::runtime::World;
@@ -56,16 +57,6 @@ impl<T: Clone + Send + Sync + 'static> Window<T> {
     pub fn lock_shared(&self, target: usize) -> WindowReadGuard<'_, T> {
         WindowReadGuard {
             guard: self.regions[target].read(),
-            origin: self.origin,
-            target,
-            world: &self.world,
-        }
-    }
-
-    /// Begin an exclusive (write) passive-target epoch on `target`.
-    pub fn lock_exclusive(&self, target: usize) -> WindowWriteGuard<'_, T> {
-        WindowWriteGuard {
-            guard: self.regions[target].write(),
             origin: self.origin,
             target,
             world: &self.world,
@@ -109,74 +100,6 @@ impl<T> WindowReadGuard<'_, T> {
         self.world.record_traffic(self.origin, self.target, bytes);
         read(&self.guard[range])
     }
-
-    /// Length of the locked region.
-    pub fn len(&self) -> usize {
-        self.guard.len()
-    }
-
-    /// Whether the region is empty.
-    pub fn is_empty(&self) -> bool {
-        self.guard.is_empty()
-    }
-}
-
-/// An exclusive passive-target epoch: `put`/`accumulate` on one target.
-pub struct WindowWriteGuard<'w, T> {
-    guard: RwLockWriteGuard<'w, Vec<T>>,
-    origin: usize,
-    target: usize,
-    world: &'w Arc<World>,
-}
-
-impl<T: Clone> WindowWriteGuard<'_, T> {
-    /// One-sided put of `data` at `offset` in the target region.
-    pub fn put(&mut self, offset: usize, data: &[T]) {
-        assert!(
-            offset + data.len() <= self.guard.len(),
-            "RMA put out of bounds: {}..{} on region of {}",
-            offset,
-            offset + data.len(),
-            self.guard.len()
-        );
-        let bytes = std::mem::size_of_val(data) as u64;
-        self.world.record_traffic(self.origin, self.target, bytes);
-        self.guard[offset..offset + data.len()].clone_from_slice(data);
-    }
-
-    /// One-sided get within an exclusive epoch (legal in MPI), read in
-    /// place as [`WindowReadGuard::get_with`] reads it.
-    pub fn get_with<R>(&self, range: Range<usize>, read: impl FnOnce(&[T]) -> R) -> R {
-        assert!(range.end <= self.guard.len(), "RMA get out of bounds");
-        let bytes = (range.len() * std::mem::size_of::<T>()) as u64;
-        self.world.record_traffic(self.origin, self.target, bytes);
-        read(&self.guard[range])
-    }
-
-    /// Length of the locked region.
-    pub fn len(&self) -> usize {
-        self.guard.len()
-    }
-
-    /// Whether the region is empty.
-    pub fn is_empty(&self) -> bool {
-        self.guard.is_empty()
-    }
-}
-
-impl WindowWriteGuard<'_, f64> {
-    /// One-sided accumulate (`MPI_Accumulate` with `MPI_SUM`).
-    pub fn accumulate(&mut self, offset: usize, data: &[f64]) {
-        assert!(
-            offset + data.len() <= self.guard.len(),
-            "RMA accumulate out of bounds"
-        );
-        let bytes = (data.len() * 8) as u64;
-        self.world.record_traffic(self.origin, self.target, bytes);
-        for (slot, v) in self.guard[offset..].iter_mut().zip(data) {
-            *slot += v;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -196,40 +119,6 @@ mod tests {
         assert_eq!(out.results, vec![100.0, 200.0, 300.0, 0.0]);
         // 4 gets of 3 f64 each; all remote (neighbor != self for size 4).
         assert_eq!(out.traffic.total_remote_bytes(), 4 * 24);
-    }
-
-    #[test]
-    fn put_writes_remote_regions() {
-        let out = run_spmd(3, |comm| {
-            let win = comm.create_window(vec![0.0f64; 3]);
-            // Everyone writes its rank into slot `rank` of rank 0.
-            {
-                let mut g = win.lock_exclusive(0);
-                g.put(comm.rank(), &[comm.rank() as f64 + 1.0]);
-            }
-            comm.barrier();
-            let v = win.lock_shared(0).get_with(0..3, <[f64]>::to_vec);
-            v
-        });
-        for v in out.results {
-            assert_eq!(v, vec![1.0, 2.0, 3.0]);
-        }
-    }
-
-    #[test]
-    fn accumulate_sums_under_contention() {
-        let out = run_spmd(8, |comm| {
-            let win = comm.create_window(vec![0.0f64; 1]);
-            for _ in 0..100 {
-                win.lock_exclusive(0).accumulate(0, &[1.0]);
-            }
-            comm.barrier();
-            let v = win.lock_shared(0).get_with(0..1, <[f64]>::to_vec)[0];
-            v
-        });
-        for v in out.results {
-            assert_eq!(v, 800.0, "no lost updates under exclusive locks");
-        }
     }
 
     #[test]
@@ -323,27 +212,6 @@ mod tests {
                 out.traffic.remote_bytes_from(o),
                 rounds * (o as u64 + 1) * 8 * (n as u64 - 1)
             );
-        }
-    }
-
-    #[test]
-    fn exclusive_epoch_makes_read_modify_write_atomic() {
-        // A get→put read-modify-write inside ONE exclusive epoch must
-        // not lose updates under contention from every rank (the classic
-        // race an MPI_LOCK_EXCLUSIVE epoch exists to prevent).
-        let out = run_spmd(6, |comm| {
-            let win = comm.create_window(vec![0.0f64; 1]);
-            for _ in 0..50 {
-                let mut g = win.lock_exclusive(0);
-                let v = g.get_with(0..1, <[f64]>::to_vec)[0];
-                g.put(0, &[v + 1.0]);
-            }
-            comm.barrier();
-            let v = win.lock_shared(0).get_with(0..1, <[f64]>::to_vec)[0];
-            v
-        });
-        for v in out.results {
-            assert_eq!(v, 300.0, "lost update under exclusive epochs");
         }
     }
 

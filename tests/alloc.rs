@@ -109,7 +109,7 @@ fn each_shape_allocates_within_its_ledger() {
     );
     integrator.step();
     let migrating = counted(|| assert!(integrator.step().repartitioned));
-    check("vv4 migration", migrating, 14_500, 18.5);
+    check("vv4 migration", migrating, 10_500, 18.5);
     drop(integrator);
 
     // ---- one rank: prepare, then a parallel evaluation ----------------
